@@ -3,7 +3,8 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
 use bm_cell::{Cell, InvocationInput, LstmCell, Scratch};
-use bm_tensor::{ops, xavier_uniform, Matrix};
+use bm_harness::experiments::bench::{SMALL_BATCH_ROWS, SMALL_BATCH_SHAPES};
+use bm_tensor::{gemm, ops, xavier_uniform, Matrix};
 
 fn bench_matmul(c: &mut Criterion) {
     let mut g = c.benchmark_group("matmul");
@@ -89,6 +90,37 @@ fn bench_packed_vs_serial(c: &mut Criterion) {
     g.finish();
 }
 
+/// The packed GEMM, serial, at the row counts cellular batching forms:
+/// the same sweep `repro bench` writes to `BENCH_kernels.json`
+/// (`small_batch`), here with Criterion's statistics.
+fn bench_small_batch(c: &mut Criterion) {
+    let mut g = c.benchmark_group("gemm_small_batch");
+    for &(k, n) in SMALL_BATCH_SHAPES {
+        let w = xavier_uniform(k, n, 31);
+        let bias = xavier_uniform(1, n, 32);
+        for &m in SMALL_BATCH_ROWS {
+            let a = xavier_uniform(m, k, 33);
+            let mut y = vec![0.0f32; m * n];
+            g.throughput(Throughput::Elements((2 * m * k * n) as u64));
+            g.bench_function(format!("gemm_into/{k}x{n}/m{m}"), |bench| {
+                bench.iter(|| {
+                    let bias = Some(bias.row(0));
+                    gemm::gemm_into(a.as_slice(), m, k, w.packed(), bias, &mut y, None);
+                    std::hint::black_box(&y);
+                });
+            });
+            g.bench_function(format!("gemm_acc_into/{k}x{n}/m{m}"), |bench| {
+                bench.iter(|| {
+                    let bias = Some(bias.row(0));
+                    gemm::gemm_acc_into(a.as_slice(), m, k, w.packed(), bias, &mut y, None);
+                    std::hint::black_box(&y);
+                });
+            });
+        }
+    }
+    g.finish();
+}
+
 fn bench_inplace_activations(c: &mut Criterion) {
     let mut g = c.benchmark_group("inplace");
     let x = xavier_uniform(256, 1024, 13);
@@ -135,6 +167,7 @@ criterion_group!(
     bench_gather_scatter,
     bench_elementwise,
     bench_packed_vs_serial,
+    bench_small_batch,
     bench_inplace_activations,
     bench_lstm_cell_step
 );

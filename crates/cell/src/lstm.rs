@@ -97,7 +97,7 @@ impl LstmCore {
             &wx,
             None,
             proj.as_mut_slice(),
-            None,
+            ops::auto_pool(vocab, e, gates),
         );
         self.token_proj = Some(TokenProj { proj, wh });
     }

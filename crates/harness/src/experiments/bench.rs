@@ -2,8 +2,9 @@
 //!
 //! Times the hot-path kernels rebuilt by the compute overhaul — packed
 //! GEMM, fused affine, in-place activations, the fused batched LSTM cell
-//! step — against the seed's serial compositions, plus a small real
-//! serving run for a headline requests/s figure. Results are emitted as
+//! step — against the seed's serial compositions, the packed GEMM at the
+//! row counts cellular batching forms, plus a small real serving run
+//! for a headline requests/s figure. Results are emitted as
 //! tables and as machine-readable `BENCH_kernels.json` (schema
 //! `bm-bench/v1`) so CI can assert the numbers stay finite and positive
 //! without depending on absolute machine speed.
@@ -19,9 +20,9 @@ use bm_cell::{
 use bm_core::{Request, RequestId, ResidentBatch, Runtime, RuntimeOptions, SlotBlock};
 use bm_metrics::{LatencyRecorder, RequestTiming, Table};
 use bm_model::{LstmLm, Model, NodeId, RequestInput};
-use bm_tensor::{ops, xavier_uniform, ComputePool, Matrix};
+use bm_tensor::{gemm, ops, xavier_uniform, ComputePool, Matrix, PackedWeights};
 
-use crate::experiments::Scale;
+use crate::experiments::{fig3, Scale};
 
 /// One measured kernel: best-case wall time and derived rate.
 #[derive(Debug, Clone)]
@@ -629,13 +630,18 @@ pub struct PoolScaling {
     pub multi_core: bool,
 }
 
-/// Measures [`PoolScaling`] at the resident fused-affine shape (batch
-/// 64 x k 256 -> 1024 gate columns) and returns the raw kernel entries
-/// for the benches table. Also spot-checks that the pooled result is
-/// bitwise identical to the serial one (the property bm-tensor's
-/// proptests pin at every pool size).
+/// Measures [`PoolScaling`] at the gather-path fused-affine shape,
+/// hidden 256, batch 256 — `(256, 512) x (512, 1024)`, 268 MFLOP — and
+/// returns the raw kernel entries for the benches table. The product is
+/// that large on purpose: waking a parked worker costs 50-200 µs on a
+/// 2-vCPU virtual machine, and at batch 64 (34 MFLOP, ~0.45 ms serial)
+/// the pooled run never clears that noise. Even here the ratio ranges
+/// from 1.0x to 1.9x between runs on such a host — the worker's core is
+/// not always there to be woken. Also spot-checks that the pooled
+/// result is bitwise identical to the serial one (the property
+/// bm-tensor's proptests pin at every pool size).
 fn pool_scaling_suite(scale: Scale) -> (PoolScaling, Vec<KernelBench>) {
-    let (m, k, n) = (64usize, 256usize, 1024usize);
+    let (m, k, n) = (256usize, 512usize, 1024usize);
     let x = xavier_uniform(m, k, 81);
     let w = xavier_uniform(k, n, 82);
     let b = Matrix::zeros(1, n);
@@ -646,10 +652,10 @@ fn pool_scaling_suite(scale: Scale) -> (PoolScaling, Vec<KernelBench>) {
         .unwrap_or(1);
     let pool = ComputePool::new(workers);
     let flops = (2 * m * k * n) as f64;
-    let pooled_name = format!("affine_rows_pool{workers}_b64");
+    let pooled_name = format!("affine_rows_pool{workers}_b256");
     let (serial, pooled) = bench_pair(
         scale,
-        "affine_rows_serial_b64",
+        "affine_rows_serial_b256",
         &pooled_name,
         flops,
         || {
@@ -674,6 +680,135 @@ fn pool_scaling_suite(scale: Scale) -> (PoolScaling, Vec<KernelBench>) {
         multi_core: workers > 1,
     };
     (scaling, vec![serial, pooled])
+}
+
+/// One point of the small-batch GEMM sweep.
+#[derive(Debug, Clone)]
+pub struct SmallBatchPoint {
+    /// `gemm_into` or `gemm_acc_into`.
+    pub op: &'static str,
+    /// Rows of the left-hand side (the task's batch size).
+    pub m: usize,
+    /// Inner dimension.
+    pub k: usize,
+    /// Output columns.
+    pub n: usize,
+    /// Best nanoseconds per call.
+    pub ns_per_op: f64,
+    /// `2·m·k·n / ns_per_op`.
+    pub gflops: f64,
+}
+
+/// Row counts of the sweep: every tile height, the first tail after a
+/// full tile, two full tiles, and a batch large enough to amortise
+/// everything.
+pub const SMALL_BATCH_ROWS: &[usize] = &[1, 2, 3, 4, 5, 8, 64];
+
+/// Weight shapes of the sweep: the LSTM recurrent half at hidden 256,
+/// the decoder's ragged vocabulary projection, one tree-internal gate.
+pub const SMALL_BATCH_SHAPES: &[(usize, usize)] = &[(256, 1024), (256, 1000), (512, 256)];
+
+/// Times the packed GEMM, serial, at the row counts cellular batching
+/// actually forms (mean 1.2-5.5 rows per task at the benchmark's high
+/// rate). The property on display: a row block of 1, 2 or 3 rows is one
+/// pass over the weights, so it costs no more than the 4-row block.
+fn small_batch_suite(scale: Scale) -> Vec<SmallBatchPoint> {
+    let mut out = Vec::new();
+    // One call is 5-500 µs; a burst per sample keeps the short ones
+    // well above clock resolution.
+    let reps = 16usize;
+    for &(k, n) in SMALL_BATCH_SHAPES {
+        let w = xavier_uniform(k, n, 91);
+        let bias = xavier_uniform(1, n, 92);
+        for &m in SMALL_BATCH_ROWS {
+            let a = xavier_uniform(m, k, 93);
+            let flops = (2 * m * k * n) as f64;
+            let mut y = vec![0.0f32; m * n];
+            type Gemm = fn(
+                &[f32],
+                usize,
+                usize,
+                &PackedWeights,
+                Option<&[f32]>,
+                &mut [f32],
+                Option<&ComputePool>,
+            );
+            for (op, f) in [
+                ("gemm_into", gemm::gemm_into as Gemm),
+                ("gemm_acc_into", gemm::gemm_acc_into as Gemm),
+            ] {
+                let ns = best_ns(scale, || {
+                    for _ in 0..reps {
+                        f(
+                            a.as_slice(),
+                            m,
+                            k,
+                            w.packed(),
+                            Some(bias.row(0)),
+                            &mut y,
+                            None,
+                        );
+                    }
+                    std::hint::black_box(&y);
+                }) / reps as f64;
+                out.push(SmallBatchPoint {
+                    op,
+                    m,
+                    k,
+                    n,
+                    ns_per_op: ns,
+                    gflops: flops / ns,
+                });
+            }
+        }
+    }
+    out
+}
+
+/// Figure 3 (top) reduced to one ratio: the throughput (rows per second
+/// of a batched LSTM step) of the largest measured batch over that of
+/// batch 2. A wall-clock ratio, so it lives here, behind the CI gate on
+/// `BENCH_kernels.json`, rather than in a tier-1 test.
+///
+/// Since a 2-row step already makes a single pass over the weights, the
+/// CPU curve is close to flat from batch 2 on; what the largest batch
+/// still adds is the second core on the GEMM and the amortised per-step
+/// overhead. The gate is therefore that batching never *costs*
+/// throughput, not that it multiplies it.
+#[derive(Debug, Clone)]
+pub struct Fig3Cpu {
+    /// Rows per second at batch 2.
+    pub small_ops_per_s: f64,
+    /// Rows per second at the largest measured batch.
+    pub large_ops_per_s: f64,
+}
+
+impl Fig3Cpu {
+    /// `large_ops_per_s / small_ops_per_s`.
+    pub fn batching_gain(&self) -> f64 {
+        self.large_ops_per_s / self.small_ops_per_s
+    }
+}
+
+fn fig3_cpu(scale: Scale) -> Fig3Cpu {
+    // Best of a few curves: one curve is a handful of steps per batch.
+    let curves = match scale {
+        Scale::Quick => 3,
+        Scale::Full => 5,
+    };
+    let mut best = Fig3Cpu {
+        small_ops_per_s: 0.0,
+        large_ops_per_s: 0.0,
+    };
+    for _ in 0..curves {
+        let (_, curve) = fig3::cpu_curve(scale);
+        let rows_per_s = |&(b, us): &(usize, f64)| b as f64 / (us / 1e6);
+        let small = curve.first().map(rows_per_s).expect("batch 2 is measured");
+        let large = curve.last().map(rows_per_s).expect("batch 2 is measured");
+        best.small_ops_per_s = best.small_ops_per_s.max(small);
+        best.large_ops_per_s = best.large_ops_per_s.max(large);
+    }
+    best
 }
 
 /// Renders `BENCH_runtime.json` (schema `bm-bench-runtime/v1`): the
@@ -717,7 +852,14 @@ fn runtime_to_json(
 }
 
 /// Renders the machine-readable regression file (schema `bm-bench/v1`).
-fn to_json(benches: &[KernelBench], speedup: f64, rps: f64, pool: &PoolScaling) -> String {
+fn to_json(
+    benches: &[KernelBench],
+    small_batch: &[SmallBatchPoint],
+    fig3: &Fig3Cpu,
+    speedup: f64,
+    rps: f64,
+    pool: &PoolScaling,
+) -> String {
     let mut s = String::from("{\n  \"schema\": \"bm-bench/v1\",\n  \"benches\": [\n");
     for (i, b) in benches.iter().enumerate() {
         s.push_str(&format!(
@@ -728,8 +870,29 @@ fn to_json(benches: &[KernelBench], speedup: f64, rps: f64, pool: &PoolScaling) 
             if i + 1 < benches.len() { "," } else { "" }
         ));
     }
+    s.push_str("  ],\n  \"small_batch\": [\n");
+    for (i, p) in small_batch.iter().enumerate() {
+        s.push_str(&format!(
+            "    {{\"op\": \"{}\", \"m\": {}, \"k\": {}, \"n\": {}, \"ns_per_op\": {:.1}, \
+             \"gflops\": {:.4}}}{}\n",
+            p.op,
+            p.m,
+            p.k,
+            p.n,
+            p.ns_per_op,
+            p.gflops,
+            if i + 1 < small_batch.len() { "," } else { "" }
+        ));
+    }
     s.push_str(&format!(
-        "  ],\n  \"pool_scaling\": {{\"batch\": {}, \"workers\": {}, \"serial_ns\": {:.1}, \
+        "  ],\n  \"fig3_cpu\": {{\"small_ops_per_s\": {:.1}, \"large_ops_per_s\": {:.1}, \
+         \"batching_gain\": {:.3}}},\n",
+        fig3.small_ops_per_s,
+        fig3.large_ops_per_s,
+        fig3.batching_gain()
+    ));
+    s.push_str(&format!(
+        "  \"pool_scaling\": {{\"batch\": {}, \"workers\": {}, \"serial_ns\": {:.1}, \
          \"pool_ns\": {:.1}, \"multi_core\": {}}},\n",
         pool.batch, pool.workers, pool.serial_ns, pool.pool_ns, pool.multi_core
     ));
@@ -754,6 +917,8 @@ pub fn run(scale: Scale, out_dir: &Path) -> Vec<Table> {
     let resident = resident_suite(scale);
     let (pool, pool_benches) = pool_scaling_suite(scale);
     benches.extend(pool_benches);
+    let small_batch = small_batch_suite(scale);
+    let fig3 = fig3_cpu(scale);
 
     for b in &benches {
         assert!(
@@ -769,6 +934,16 @@ pub fn run(scale: Scale, out_dir: &Path) -> Vec<Table> {
             b.gflops
         );
     }
+    for p in &small_batch {
+        assert!(
+            p.ns_per_op.is_finite() && p.ns_per_op > 0.0 && p.gflops.is_finite(),
+            "small-batch point {p:?} is not a measurement"
+        );
+    }
+    assert!(
+        fig3.batching_gain().is_finite() && fig3.batching_gain() > 0.0,
+        "bad fig3 batching gain {fig3:?}"
+    );
     assert!(
         speedup.is_finite() && speedup > 0.0,
         "bad speedup {speedup}"
@@ -829,8 +1004,11 @@ pub fn run(scale: Scale, out_dir: &Path) -> Vec<Table> {
 
     std::fs::create_dir_all(out_dir).expect("create output directory");
     let json_path = out_dir.join("BENCH_kernels.json");
-    std::fs::write(&json_path, to_json(&benches, speedup, rps, &pool))
-        .expect("write BENCH_kernels.json");
+    std::fs::write(
+        &json_path,
+        to_json(&benches, &small_batch, &fig3, speedup, rps, &pool),
+    )
+    .expect("write BENCH_kernels.json");
     eprintln!("wrote {}", json_path.display());
     let runtime_path = out_dir.join("BENCH_runtime.json");
     std::fs::write(
@@ -856,6 +1034,25 @@ pub fn run(scale: Scale, out_dir: &Path) -> Vec<Table> {
             b.name.clone(),
             format!("{:.0}", b.ns_per_op),
             format!("{:.3}", b.gflops),
+        ]);
+    }
+    let mut sweep = Table::new(
+        "Small-batch packed GEMM, serial (best-of-N wall time)",
+        &["op", "k", "n", "m", "us_per_call", "gflops", "vs_4_rows"],
+    );
+    for p in &small_batch {
+        let four = small_batch
+            .iter()
+            .find(|q| (q.op, q.k, q.n, q.m) == (p.op, p.k, p.n, 4))
+            .expect("the sweep includes 4 rows");
+        sweep.push_row(vec![
+            p.op.into(),
+            p.k.to_string(),
+            p.n.to_string(),
+            p.m.to_string(),
+            format!("{:.1}", p.ns_per_op / 1e3),
+            format!("{:.1}", p.gflops),
+            format!("{:.2}", p.ns_per_op / four.ns_per_op),
         ]);
     }
     let mut runtime = Table::new(
@@ -920,7 +1117,7 @@ pub fn run(scale: Scale, out_dir: &Path) -> Vec<Table> {
     ]);
     headline.push_row(vec![
         format!(
-            "pool-parallel affine b64 ({} workers{})",
+            "pool-parallel affine b256 ({} workers{})",
             pool.workers,
             if pool.multi_core {
                 ""
@@ -930,7 +1127,11 @@ pub fn run(scale: Scale, out_dir: &Path) -> Vec<Table> {
         ),
         format!("{:.2}x", pool.serial_ns / pool.pool_ns),
     ]);
-    vec![kernels, runtime, state_plane, resident_tbl, headline]
+    headline.push_row(vec![
+        "Figure 3 CPU throughput, largest batch vs batch 2".into(),
+        format!("{:.2}x", fig3.batching_gain()),
+    ]);
+    vec![kernels, runtime, state_plane, resident_tbl, headline, sweep]
 }
 
 #[cfg(test)]
@@ -1031,8 +1232,25 @@ mod tests {
             pool_ns: 30000.0,
             multi_core: true,
         };
-        let j = to_json(&benches, 2.5, 100.0, &pool);
+        let sweep = vec![SmallBatchPoint {
+            op: "gemm_into",
+            m: 3,
+            k: 256,
+            n: 1000,
+            ns_per_op: 20000.0,
+            gflops: 76.8,
+        }];
+        let fig3 = Fig3Cpu {
+            small_ops_per_s: 4.0e5,
+            large_ops_per_s: 6.0e5,
+        };
+        let j = to_json(&benches, &sweep, &fig3, 2.5, 100.0, &pool);
         assert!(j.contains("\"schema\": \"bm-bench/v1\""));
+        assert!(j.contains(
+            "{\"op\": \"gemm_into\", \"m\": 3, \"k\": 256, \"n\": 1000, \
+             \"ns_per_op\": 20000.0, \"gflops\": 76.8000}"
+        ));
+        assert!(j.contains("\"batching_gain\": 1.500"));
         assert!(j.contains("\"lstm_b64_h512_speedup\": 2.50"));
         assert!(j.contains("\"serving_rps\": 100.0"));
         assert!(j.contains("\"pool_scaling\""));

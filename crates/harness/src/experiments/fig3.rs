@@ -38,6 +38,25 @@ pub fn gpu_table() -> Table {
 /// the *shape* (flat floor, then linear growth, throughput saturating)
 /// is what Figure 3 (top) demonstrates.
 pub fn cpu_table(scale: Scale) -> Table {
+    let (hidden, curve) = cpu_curve(scale);
+    let mut t = Table::new(
+        format!("Figure 3 (top): CPU LSTM step, hidden {hidden} (measured)"),
+        &["batch", "exec_time_us", "throughput_ops_per_sec"],
+    );
+    for (b, us) in curve {
+        t.push_row(vec![
+            b.to_string(),
+            format!("{us:.0}"),
+            format!("{:.0}", b as f64 / (us / 1e6)),
+        ]);
+    }
+    t
+}
+
+/// The measurements behind [`cpu_table`]: the hidden size used at this
+/// scale and `(batch, µs per step)` for each of the paper's batch sizes
+/// up to the scale's largest.
+pub fn cpu_curve(scale: Scale) -> (usize, Vec<(usize, f64)>) {
     let hidden = match scale {
         Scale::Quick => 128,
         Scale::Full => 256,
@@ -47,10 +66,7 @@ pub fn cpu_table(scale: Scale) -> Table {
         Scale::Full => 1024,
     };
     let cell = LstmCell::seeded(hidden, hidden, 64, 7);
-    let mut t = Table::new(
-        format!("Figure 3 (top): CPU LSTM step, hidden {hidden} (measured)"),
-        &["batch", "exec_time_us", "throughput_ops_per_sec"],
-    );
+    let mut curve = Vec::new();
     for &b in BATCHES.iter().filter(|&&b| b <= max_batch) {
         let invs: Vec<InvocationInput<'_>> = (0..b)
             .map(|i| InvocationInput::token_only((i % 64) as u32))
@@ -63,14 +79,9 @@ pub fn cpu_table(scale: Scale) -> Table {
             let out = cell.execute_batch(&invs);
             std::hint::black_box(&out);
         }
-        let us = start.elapsed().as_secs_f64() * 1e6 / iters as f64;
-        t.push_row(vec![
-            b.to_string(),
-            format!("{us:.0}"),
-            format!("{:.0}", b as f64 / (us / 1e6)),
-        ]);
+        curve.push((b, start.elapsed().as_secs_f64() * 1e6 / iters as f64));
     }
-    t
+    (hidden, curve)
 }
 
 #[cfg(test)]
@@ -94,27 +105,17 @@ mod tests {
     }
 
     #[test]
-    fn cpu_curve_throughput_grows_with_batch() {
-        // Batching improves CPU throughput by saturating the cores:
-        // small batches cannot keep every core busy, large ones can.
-        // On a single-core host the curve is legitimately flat, so the
-        // expected speedup scales with the available parallelism.
-        let t = cpu_table(Scale::Quick);
-        let csv = t.to_csv();
-        let tput: Vec<f64> = csv
-            .lines()
-            .skip(1)
-            .map(|l| l.split(',').nth(2).unwrap().parse().unwrap())
-            .collect();
-        let best = tput.iter().cloned().fold(0.0, f64::max);
-        let cores = std::thread::available_parallelism()
-            .map(|c| c.get())
-            .unwrap_or(1);
-        let expected_gain = if cores > 1 { 1.5 } else { 0.5 };
-        assert!(
-            best >= expected_gain * tput[0],
-            "best {best} vs smallest-batch {} on {cores} cores",
-            tput[0]
-        );
+    fn cpu_curve_has_one_measured_row_per_batch() {
+        // Shape only. How much throughput batching buys is a wall-clock
+        // ratio that depends on the host and on what else it is running,
+        // so it is gated by `repro bench` (`fig3_cpu` in
+        // `BENCH_kernels.json`), not by tier-1.
+        let (_, curve) = cpu_curve(Scale::Quick);
+        let batches: Vec<usize> = curve.iter().map(|&(b, _)| b).collect();
+        assert_eq!(batches, [2, 4, 8, 16, 32, 64, 128, 256]);
+        for (b, us) in curve {
+            assert!(us.is_finite() && us > 0.0, "batch {b}: {us} µs");
+        }
+        assert_eq!(cpu_table(Scale::Quick).row_count(), batches.len());
     }
 }

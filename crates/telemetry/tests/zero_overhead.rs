@@ -2,7 +2,10 @@
 //! global allocator.
 //!
 //! Isolated in its own integration-test binary because the allocator
-//! hook is process-global. Two properties:
+//! hook is process-global. The count itself is per thread — libtest runs
+//! the tests of a binary on parallel threads (and allocates on its own),
+//! so each test sees only what its own thread allocated and passes at
+//! any `--test-threads`. Two properties:
 //!
 //! - recording into `Counter`/`Gauge`/`Histogram` never allocates once
 //!   the handle exists (the per-thread shard assignment happens on the
@@ -11,17 +14,22 @@
 //!   costs one branch and zero allocations.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use bm_telemetry::{Counter, Telemetry};
 
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // Const-initialised and without a destructor: touching it from inside
+    // the allocator never allocates and is valid for the thread's whole
+    // life.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        ALLOCATIONS.with(|n| n.set(n.get() + 1));
         unsafe { System.alloc(layout) }
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
@@ -32,8 +40,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
+/// Allocations made so far by the calling thread.
 fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::SeqCst)
+    ALLOCATIONS.with(Cell::get)
 }
 
 #[test]

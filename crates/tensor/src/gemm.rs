@@ -7,6 +7,19 @@
 //! [`crate::Matrix`]; this module holds the packed representation and the
 //! micro-kernels.
 //!
+//! # One pass over the weights per row block
+//!
+//! Batching pays because one fetch of the weights serves every row of a
+//! step (§2.2, Figure 3), so the kernel family is built around that:
+//! the left-hand side is cut into row blocks of up to [`MR`] rows, and a
+//! block of *any* height 1..=`MR` is exactly one pass over the packed
+//! weights, in `R x P` register tiles (`kernel`) that keep every
+//! accumulator in registers across the whole `k` loop. Cellular batching
+//! forms tasks of one to a few rows most of the time; those pay for one
+//! pass, not one pass per row. The tile width `P` is sized to each ISA
+//! tier's register file (`gemm_block`), and is the only thing that
+//! differs between tiers.
+//!
 //! # Bitwise stability
 //!
 //! Every output element is the ascending-`k` fold
@@ -22,30 +35,51 @@
 
 use crate::pool::ComputePool;
 
-/// Panel width (output columns per packed panel / micro-kernel).
-///
-/// With `MR = 4` row blocking the kernel keeps `MR` accumulator arrays of
-/// `NR` lanes each — 8 SSE2 registers of accumulators plus the panel row
-/// — which fits the baseline x86-64 register budget without spills.
-pub const NR: usize = 8;
+/// Panel width: output columns per packed panel. One accumulator of
+/// `NR` `f32` lanes is one 512-bit register, two 256-bit or four 128-bit
+/// ones.
+pub const NR: usize = 16;
 
-/// Row-block height of the micro-kernel.
+/// Tallest register tile: the most rows that share one pass over the
+/// packed weights. With `MR = 4` the widest tier holds `4 x 4`
+/// accumulators in 16 of its 32 registers (see `gemm_block` for each
+/// tier's budget).
 pub const MR: usize = 4;
+
+/// One `k`-step of one panel: `NR` adjacent output columns, aligned to a
+/// cache line so a full-width vector load never straddles two lines.
+#[derive(Clone, Copy)]
+#[repr(C, align(64))]
+struct Lanes([f32; NR]);
 
 /// A weight matrix repacked into `NR`-wide, k-major column panels.
 ///
 /// Panel `p` covers output columns `p*NR .. min((p+1)*NR, n)` and stores
-/// `k * NR` floats (`panel[kk*NR + jj] = b[kk][p*NR + jj]`), zero-padded
-/// on ragged right edges. Padded lanes are computed but never written
+/// `k` rows of `NR` lanes (`panel[kk][jj] = b[kk][p*NR + jj]`), zero-padded on
+/// the ragged right edge. Padded lanes are computed but never written
 /// back, so the padding can't leak into results.
-#[derive(Debug, Clone)]
 pub struct PackedWeights {
     k: usize,
     n: usize,
-    panels: Vec<f32>,
+    /// The panels, starting at the first cache-line boundary of a plain
+    /// `f32` allocation one line longer than they need. Not a
+    /// `Vec<Lanes>`: an over-aligned allocation goes through the
+    /// allocator's `posix_memalign` path, which cost 6-14 % of peak RSS
+    /// on the benchmark's chain workloads; unaligned panels cost the
+    /// 1-row call half its speed.
+    buf: Vec<f32>,
 }
 
 impl PackedWeights {
+    /// All-zero panels for a `(k, n)` matrix.
+    fn zeroed(k: usize, n: usize) -> Self {
+        PackedWeights {
+            k,
+            n,
+            buf: vec![0.0; (n.div_ceil(NR) * k + 1) * NR],
+        }
+    }
+
     /// Packs a row-major `(k, n)` matrix into column panels.
     ///
     /// # Panics
@@ -53,18 +87,31 @@ impl PackedWeights {
     /// Panics if `b.len() != k * n`.
     pub fn pack(k: usize, n: usize, b: &[f32]) -> Self {
         assert_eq!(b.len(), k * n, "pack: data does not match shape");
-        let npanels = n.div_ceil(NR);
-        let mut panels = vec![0.0f32; npanels * k * NR];
-        for p in 0..npanels {
+        let mut packed = Self::zeroed(k, n);
+        let panels = packed.panels_mut();
+        for p in 0..n.div_ceil(NR) {
             let j0 = p * NR;
             let w = NR.min(n - j0);
-            let panel = &mut panels[p * k * NR..(p + 1) * k * NR];
-            for kk in 0..k {
-                let brow = &b[kk * n + j0..kk * n + j0 + w];
-                panel[kk * NR..kk * NR + w].copy_from_slice(brow);
+            for (kk, lanes) in panels[p * k..(p + 1) * k].iter_mut().enumerate() {
+                lanes.0[..w].copy_from_slice(&b[kk * n + j0..kk * n + j0 + w]);
             }
         }
-        PackedWeights { k, n, panels }
+        packed
+    }
+
+    /// All panels back to back, `k` [`Lanes`] each.
+    fn panels(&self) -> &[Lanes] {
+        // SAFETY: `Lanes` is `repr(C)` over `[f32; NR]`, so any `NR`
+        // floats at a 64-byte boundary are a valid `Lanes`; `align_to`
+        // returns only such correctly aligned, in-bounds elements.
+        let (_, panels, _) = unsafe { self.buf.align_to::<Lanes>() };
+        &panels[..self.n.div_ceil(NR) * self.k]
+    }
+
+    fn panels_mut(&mut self) -> &mut [Lanes] {
+        // SAFETY: as in `panels`; the borrow of `buf` is unique.
+        let (_, panels, _) = unsafe { self.buf.align_to_mut::<Lanes>() };
+        &mut panels[..self.n.div_ceil(NR) * self.k]
     }
 
     /// Inner dimension (rows of the original weight matrix).
@@ -77,6 +124,25 @@ impl PackedWeights {
     #[inline]
     pub fn n(&self) -> usize {
         self.n
+    }
+}
+
+impl Clone for PackedWeights {
+    fn clone(&self) -> Self {
+        // The copy's buffer may sit at another offset within its cache
+        // line, so copy panel to panel, not buffer to buffer.
+        let mut copy = Self::zeroed(self.k, self.n);
+        copy.panels_mut().copy_from_slice(self.panels());
+        copy
+    }
+}
+
+impl std::fmt::Debug for PackedWeights {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("PackedWeights")
+            .field("k", &self.k)
+            .field("n", &self.n)
+            .finish_non_exhaustive()
     }
 }
 
@@ -100,8 +166,8 @@ impl SendPtr {
 /// `bias`, when present, must have length `n` and is added once per
 /// output element after the full-k fold (the fused `affine`).
 ///
-/// With a pool of more than one thread and enough rows, output rows are
-/// chunked in `MR` multiples across the pool; chunks write disjoint
+/// With a pool of more than one thread and more than `MR` rows, output
+/// rows are chunked evenly across the pool; chunks write disjoint
 /// slices, so results are bitwise identical regardless of pool size.
 ///
 /// # Panics
@@ -168,10 +234,13 @@ fn gemm_into_seeded(
         assert_eq!(b.len(), n, "gemm: bias length mismatch");
     }
     let threads = pool.map_or(1, ComputePool::threads);
+    // Up to `MR` rows share one pass over the weights, so a split only
+    // pays from the second row block on, and never into more chunks than
+    // there are row blocks. Chunks are as even as possible, not rounded
+    // to `MR`: a tail block costs no more than a full one.
     if threads > 1 && m > MR {
         let pool = pool.expect("threads > 1 implies a pool");
-        let blocks = m.div_ceil(MR);
-        let rows_per = blocks.div_ceil(threads.min(blocks)) * MR;
+        let rows_per = m.div_ceil(threads.min(m.div_ceil(MR)));
         let chunks = m.div_ceil(rows_per);
         let out_ptr = SendPtr(out.as_mut_ptr());
         pool.run(chunks, &|c| {
@@ -181,26 +250,25 @@ fn gemm_into_seeded(
             // pool blocks until every chunk completes.
             let out_chunk =
                 unsafe { std::slice::from_raw_parts_mut(out_ptr.get().add(r0 * n), (r1 - r0) * n) };
-            gemm_block(a, k, packed, bias, out_chunk, r0, seed);
+            gemm_block(a, packed, bias, out_chunk, r0, seed);
         });
     } else {
-        gemm_block(a, k, packed, bias, out, 0, seed);
+        gemm_block(a, packed, bias, out, 0, seed);
     }
 }
 
 /// Computes output rows `row0 ..` of the product into `out_chunk`
 /// (`out_chunk.len() / n` rows), dispatching to the widest vector ISA
-/// the host supports (AVX-512F, then AVX2, then baseline SSE2).
+/// the host supports (AVX-512F, then AVX2, then the baseline build).
 ///
-/// The vector clones are the *same* element-wise mul/add fold recompiled
-/// with wider lanes; IEEE-754 multiplies and adds are value-identical
-/// at any vector width and Rust never contracts them to FMA, so every
-/// path produces bit-identical output (the proptests in
-/// `tests/proptests.rs` pin this down).
-#[allow(clippy::too_many_arguments)]
+/// The tiers are the *same* element-wise mul/add fold compiled with
+/// wider lanes and a register tile sized to the tier's register file;
+/// IEEE-754 multiplies and adds are value-identical at any vector width
+/// and Rust never contracts them to FMA, so every tier produces
+/// bit-identical output (`tests::every_isa_tier_agrees_bit_for_bit` and
+/// the proptests in `tests/proptests.rs` pin this down).
 fn gemm_block(
     a: &[f32],
-    k: usize,
     packed: &PackedWeights,
     bias: Option<&[f32]>,
     out_chunk: &mut [f32],
@@ -212,201 +280,215 @@ fn gemm_block(
         if std::arch::is_x86_feature_detected!("avx512f") {
             // SAFETY: the feature check above guarantees AVX-512F is
             // available.
-            unsafe { gemm_block_avx512(a, k, packed, bias, out_chunk, row0, seed) };
+            unsafe { gemm_block_avx512(a, packed, bias, out_chunk, row0, seed) };
             return;
         }
         if std::arch::is_x86_feature_detected!("avx2") {
             // SAFETY: the feature check above guarantees AVX2 is available.
-            unsafe { gemm_block_avx2(a, k, packed, bias, out_chunk, row0, seed) };
+            unsafe { gemm_block_avx2(a, packed, bias, out_chunk, row0, seed) };
             return;
         }
     }
-    gemm_block_impl(a, k, packed, bias, out_chunk, row0, seed);
+    gemm_block_baseline(a, packed, bias, out_chunk, row0, seed);
 }
 
-/// [`gemm_block_impl`] recompiled for AVX-512F. The vectorized axis is
-/// the `NR`-wide accumulator arrays (output columns `jj`), never the
-/// `k` fold, so lane width cannot change the per-element fold order:
-/// with `NR = 8` the accumulators occupy one 256-bit lane group and the
-/// win over AVX2 comes from the doubled register file (32 vector
-/// registers keep all four row accumulators plus the panel row resident)
-/// and EVEX encodings, not from a different expression tree.
+/// AVX-512F tier: a panel step is one zmm, so of the 32 registers a
+/// 4x4 / 3x4 / 2x4 tile holds at most 16 accumulators plus the 4 panel
+/// vectors of the current `k` step. A lone row takes 4 panels too: four
+/// independent add chains already outrun the weight stream.
+///
+/// # Safety
+///
+/// The caller must have checked that the host supports AVX-512F.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
-#[allow(clippy::too_many_arguments)]
 unsafe fn gemm_block_avx512(
     a: &[f32],
-    k: usize,
     packed: &PackedWeights,
     bias: Option<&[f32]>,
     out_chunk: &mut [f32],
     row0: usize,
     seed: bool,
 ) {
-    gemm_block_impl(a, k, packed, bias, out_chunk, row0, seed);
+    gemm_block_impl::<4, 4>(a, packed, bias, out_chunk, row0, seed);
 }
 
-/// [`gemm_block_impl`] recompiled for AVX2 so the `[f32; NR]`
-/// accumulator arrays lower to single 256-bit registers instead of
-/// SSE2 pairs (~2x the arithmetic throughput on the hot panel loop).
+/// AVX2 tier: a panel step is two ymm, so of the 16 registers an Rx1
+/// tile holds at most 8 accumulators plus the 2 panel vectors, and a
+/// lone row takes 4 panels (8 accumulators).
+///
+/// # Safety
+///
+/// The caller must have checked that the host supports AVX2.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-#[allow(clippy::too_many_arguments)]
 unsafe fn gemm_block_avx2(
     a: &[f32],
-    k: usize,
     packed: &PackedWeights,
     bias: Option<&[f32]>,
     out_chunk: &mut [f32],
     row0: usize,
     seed: bool,
 ) {
-    gemm_block_impl(a, k, packed, bias, out_chunk, row0, seed);
+    gemm_block_impl::<1, 4>(a, packed, bias, out_chunk, row0, seed);
 }
 
-/// Portable body of the block loop; `#[inline(always)]` so each ISA
-/// wrapper specialises the kernels under its own target features.
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-fn gemm_block_impl(
+/// Baseline tier (SSE2 on x86-64, NEON on aarch64): a panel step is
+/// four 128-bit registers, so tiles are one panel wide and a lone row
+/// takes 2 panels (8 accumulators).
+fn gemm_block_baseline(
     a: &[f32],
-    k: usize,
     packed: &PackedWeights,
     bias: Option<&[f32]>,
     out_chunk: &mut [f32],
     row0: usize,
     seed: bool,
 ) {
-    let n = packed.n;
+    gemm_block_impl::<1, 2>(a, packed, bias, out_chunk, row0, seed);
+}
+
+/// Portable body of the block loop: every row block of 1..=[`MR`] rows,
+/// full or tail, is one pass over the packed weights in register tiles
+/// of `PM` panels (2..=4 rows) or `P1` panels (a lone row).
+/// `#[inline(always)]` so each ISA wrapper specialises the kernels under
+/// its own target features.
+#[inline(always)]
+fn gemm_block_impl<const PM: usize, const P1: usize>(
+    a: &[f32],
+    packed: &PackedWeights,
+    bias: Option<&[f32]>,
+    out_chunk: &mut [f32],
+    row0: usize,
+    seed: bool,
+) {
+    let (k, n) = (packed.k, packed.n);
     if n == 0 {
         return;
     }
+    let w = Panels {
+        k,
+        n,
+        lanes: packed.panels(),
+    };
     let rows = out_chunk.len() / n;
-    let npanels = n.div_ceil(NR);
     let mut i0 = 0;
     while i0 < rows {
         let mr = MR.min(rows - i0);
-        for p in 0..npanels {
-            let j0 = p * NR;
-            let w = NR.min(n - j0);
-            let panel = &packed.panels[p * k * NR..(p + 1) * k * NR];
-            if mr == MR {
-                kernel_4xnr(a, k, panel, bias, out_chunk, row0, i0, n, j0, w, seed);
-            } else {
-                for ii in 0..mr {
-                    kernel_1xnr(a, k, panel, bias, out_chunk, row0, i0 + ii, n, j0, w, seed);
-                }
-            }
+        let a_blk = &a[(row0 + i0) * k..(row0 + i0 + mr) * k];
+        let out_blk = &mut out_chunk[i0 * n..(i0 + mr) * n];
+        match mr {
+            4 => row_block::<4, PM>(a_blk, w, bias, out_blk, seed),
+            3 => row_block::<3, PM>(a_blk, w, bias, out_blk, seed),
+            2 => row_block::<2, PM>(a_blk, w, bias, out_blk, seed),
+            _ => row_block::<1, P1>(a_blk, w, bias, out_blk, seed),
         }
         i0 += mr;
     }
 }
 
-/// MR=4 micro-kernel: four rows against one panel, 4×NR accumulators
-/// held in registers across the whole k loop. `#[inline(always)]` so
-/// the body is specialised under each caller's target features.
-#[allow(clippy::too_many_arguments)]
-#[inline(always)]
-fn kernel_4xnr(
-    a: &[f32],
+/// The packed `(k, n)` weights as the kernels see them.
+#[derive(Clone, Copy)]
+struct Panels<'a> {
     k: usize,
-    panel: &[f32],
-    bias: Option<&[f32]>,
-    out_chunk: &mut [f32],
-    row0: usize,
-    i0: usize,
     n: usize,
-    j0: usize,
-    w: usize,
+    lanes: &'a [Lanes],
+}
+
+/// One pass over the packed weights for `R` rows, `P` panels at a time.
+#[inline(always)]
+fn row_block<const R: usize, const P: usize>(
+    a: &[f32],
+    w: Panels<'_>,
+    bias: Option<&[f32]>,
+    out: &mut [f32],
     seed: bool,
 ) {
-    let a0 = &a[(row0 + i0) * k..(row0 + i0 + 1) * k];
-    let a1 = &a[(row0 + i0 + 1) * k..(row0 + i0 + 2) * k];
-    let a2 = &a[(row0 + i0 + 2) * k..(row0 + i0 + 3) * k];
-    let a3 = &a[(row0 + i0 + 3) * k..(row0 + i0 + 4) * k];
-    let mut acc0 = [0.0f32; NR];
-    let mut acc1 = [0.0f32; NR];
-    let mut acc2 = [0.0f32; NR];
-    let mut acc3 = [0.0f32; NR];
+    for p0 in (0..w.n.div_ceil(NR)).step_by(P) {
+        kernel::<R, P>(a, w, p0, bias, out, seed);
+    }
+}
+
+/// The micro-kernel: `R` rows of `a` against panels `p0 .. p0 + P`,
+/// `R x P` accumulators of `NR` lanes held in registers across the whole
+/// `k` loop, each the ascending-`k` fold of separate multiply and add.
+///
+/// A ragged last group (fewer than `P` panels left) re-reads the final
+/// panel in the surplus positions and discards those accumulators, so
+/// there is one kernel per row count and no per-panel tail.
+#[inline(always)]
+fn kernel<const R: usize, const P: usize>(
+    a: &[f32],
+    Panels { k, n, lanes }: Panels<'_>,
+    p0: usize,
+    bias: Option<&[f32]>,
+    out: &mut [f32],
+    seed: bool,
+) {
+    let last = n.div_ceil(NR) - 1;
+    // Slices of length exactly `k`, so the `k` loop indexes them without
+    // bounds checks. Rows `R..MR` alias a live row and are never read.
+    let a_rows: [&[f32]; MR] = std::array::from_fn(|r| &a[(r % R) * k..][..k]);
+    let panels: [&[Lanes]; P] = std::array::from_fn(|p| &lanes[(p0 + p).min(last) * k..][..k]);
+    // Panels of this group that exist, and the output columns of one.
+    let live = P.min(last + 1 - p0);
+    let cols = |p: usize| ((p0 + p) * NR, NR.min(n - (p0 + p) * NR));
+
+    let mut acc = [[[0.0f32; NR]; P]; MR];
     if seed {
         // Padded lanes (`w..NR`) stay zero and are never written back.
-        for (ii, acc) in [&mut acc0, &mut acc1, &mut acc2, &mut acc3]
-            .into_iter()
-            .enumerate()
-        {
-            let o0 = (i0 + ii) * n + j0;
-            acc[..w].copy_from_slice(&out_chunk[o0..o0 + w]);
-        }
-    }
-    for kk in 0..k {
-        let bp: &[f32; NR] = panel[kk * NR..(kk + 1) * NR].try_into().unwrap();
-        let (v0, v1, v2, v3) = (a0[kk], a1[kk], a2[kk], a3[kk]);
-        for jj in 0..NR {
-            acc0[jj] += v0 * bp[jj];
-        }
-        for jj in 0..NR {
-            acc1[jj] += v1 * bp[jj];
-        }
-        for jj in 0..NR {
-            acc2[jj] += v2 * bp[jj];
-        }
-        for jj in 0..NR {
-            acc3[jj] += v3 * bp[jj];
-        }
-    }
-    for (ii, acc) in [acc0, acc1, acc2, acc3].iter().enumerate() {
-        let o0 = (i0 + ii) * n + j0;
-        let orow = &mut out_chunk[o0..o0 + w];
-        match bias {
-            Some(b) => {
-                for jj in 0..w {
-                    orow[jj] = acc[jj] + b[j0 + jj];
-                }
+        for (r, acc_r) in acc.iter_mut().enumerate().take(R) {
+            for (p, acc_rp) in acc_r.iter_mut().enumerate().take(live) {
+                let (j0, w) = cols(p);
+                acc_rp[..w].copy_from_slice(&out[r * n + j0..][..w]);
             }
-            None => orow.copy_from_slice(&acc[..w]),
+        }
+    }
+    // One binding per row rather than one indexed array: LLVM promotes an
+    // accumulator array to registers only while it is small, and the
+    // 1 KiB of a 4x4 tile would be stored back to the stack every step.
+    let [mut c0, mut c1, mut c2, mut c3] = acc;
+    for kk in 0..k {
+        let mut b = [[0.0f32; NR]; P];
+        for p in 0..P {
+            b[p] = panels[p][kk].0;
+        }
+        c0 = axpy(c0, a_rows[0][kk], &b);
+        if R > 1 {
+            c1 = axpy(c1, a_rows[1][kk], &b);
+        }
+        if R > 2 {
+            c2 = axpy(c2, a_rows[2][kk], &b);
+        }
+        if R > 3 {
+            c3 = axpy(c3, a_rows[3][kk], &b);
+        }
+    }
+    for (r, acc_r) in [c0, c1, c2, c3].iter().enumerate().take(R) {
+        for (p, acc_rp) in acc_r.iter().enumerate().take(live) {
+            let (j0, w) = cols(p);
+            let orow = &mut out[r * n + j0..][..w];
+            match bias {
+                Some(b) => {
+                    for jj in 0..w {
+                        orow[jj] = acc_rp[jj] + b[j0 + jj];
+                    }
+                }
+                None => orow.copy_from_slice(&acc_rp[..w]),
+            }
         }
     }
 }
 
-/// Single-row tail kernel (rows beyond the last full MR block).
-#[allow(clippy::too_many_arguments)]
+/// One `k` step of one row: `acc[p][j] += v * b[p][j]`, multiply and add
+/// kept separate. By value, so the accumulators never have an address.
 #[inline(always)]
-fn kernel_1xnr(
-    a: &[f32],
-    k: usize,
-    panel: &[f32],
-    bias: Option<&[f32]>,
-    out_chunk: &mut [f32],
-    row0: usize,
-    i: usize,
-    n: usize,
-    j0: usize,
-    w: usize,
-    seed: bool,
-) {
-    let a_row = &a[(row0 + i) * k..(row0 + i + 1) * k];
-    let mut acc = [0.0f32; NR];
-    if seed {
-        let o0 = i * n + j0;
-        acc[..w].copy_from_slice(&out_chunk[o0..o0 + w]);
-    }
-    for kk in 0..k {
-        let bp: &[f32; NR] = panel[kk * NR..(kk + 1) * NR].try_into().unwrap();
-        let v = a_row[kk];
+fn axpy<const P: usize>(mut acc: [[f32; NR]; P], v: f32, b: &[[f32; NR]; P]) -> [[f32; NR]; P] {
+    for p in 0..P {
         for jj in 0..NR {
-            acc[jj] += v * bp[jj];
+            acc[p][jj] += v * b[p][jj];
         }
     }
-    let o0 = i * n + j0;
-    let orow = &mut out_chunk[o0..o0 + w];
-    match bias {
-        Some(b) => {
-            for jj in 0..w {
-                orow[jj] = acc[jj] + b[j0 + jj];
-            }
-        }
-        None => orow.copy_from_slice(&acc[..w]),
-    }
+    acc
 }
 
 #[cfg(test)]
@@ -447,6 +529,68 @@ mod tests {
             let mut out = vec![0.0f32; m * n];
             gemm_into(&a, m, k, &packed, None, &mut out, None);
             assert_eq!(out, naive(&a, m, k, &b, n), "shape ({m},{k},{n})");
+        }
+    }
+
+    type Tier = fn(&[f32], &PackedWeights, Option<&[f32]>, &mut [f32], usize, bool);
+
+    /// Every tier body this host can execute, narrowest first.
+    fn tiers() -> Vec<(&'static str, Tier)> {
+        let mut tiers: Vec<(&'static str, Tier)> = vec![("baseline", gemm_block_baseline)];
+        #[cfg(target_arch = "x86_64")]
+        {
+            if std::arch::is_x86_feature_detected!("avx2") {
+                // SAFETY: AVX2 support was just checked.
+                tiers.push(("avx2", |a, p, b, o, r0, s| unsafe {
+                    gemm_block_avx2(a, p, b, o, r0, s)
+                }));
+            }
+            if std::arch::is_x86_feature_detected!("avx512f") {
+                // SAFETY: AVX-512F support was just checked.
+                tiers.push(("avx512", |a, p, b, o, r0, s| unsafe {
+                    gemm_block_avx512(a, p, b, o, r0, s)
+                }));
+            }
+        }
+        tiers
+    }
+
+    #[test]
+    fn every_isa_tier_agrees_bit_for_bit() {
+        // `gemm_block` only ever runs the widest tier the host has, so
+        // call each body directly: every row-block height and tail,
+        // over panel groups that are ragged for each tier's tile width.
+        for m in 1..=9 {
+            for &(k, n) in &[
+                (1, 1),
+                (5, 15),
+                (9, 16),
+                (33, 17),
+                (12, 65),
+                (7, 127),
+                (3, 300),
+            ] {
+                let a = seq(m * k, 0.25);
+                let b = seq(k * n, 0.5);
+                let bias = seq(n, 1.3);
+                let packed = PackedWeights::pack(k, n, &b);
+                let want = naive(&a, m, k, &b, n);
+                for (name, tier) in tiers() {
+                    let mut plain = vec![f32::NAN; m * n];
+                    tier(&a, &packed, None, &mut plain, 0, false);
+                    assert_eq!(plain, want, "{name} ({m},{k},{n})");
+                    // Seeded with the product itself, bias at the end:
+                    // the fold over `[a|a] * [b;b]`.
+                    let mut seeded = want.clone();
+                    tier(&a, &packed, Some(&bias), &mut seeded, 0, true);
+                    let aa: Vec<f32> = a.chunks(k).flat_map(|r| [r, r].concat()).collect();
+                    let mut twice = naive(&aa, m, 2 * k, &[&b[..], &b[..]].concat(), n);
+                    for row in twice.chunks_mut(n) {
+                        row.iter_mut().zip(&bias).for_each(|(o, bv)| *o += bv);
+                    }
+                    assert_eq!(seeded, twice, "{name} seeded ({m},{k},{n})");
+                }
+            }
         }
     }
 

@@ -331,12 +331,19 @@ impl Matrix {
 
 /// Picks the pool for a product of the given shape: `None` (run on the
 /// caller) unless the work dwarfs the pool handoff cost and the global
-/// pool actually has extra threads.
+/// pool actually has extra threads. A pure function of `(m, k, n)` and
+/// the pool size, so a shape always takes the same path.
 pub(crate) fn auto_pool(m: usize, k: usize, n: usize) -> Option<&'static ComputePool> {
-    // Pool handoff costs a channel send per worker (~1 µs), far below the
-    // tens of µs the old per-call thread spawns cost, so the threshold
-    // can sit much lower than before.
-    const PAR_THRESHOLD_FLOPS: usize = 4_000_000;
+    // Handing half the rows to a parked worker costs 40-50 µs back to
+    // back and 50-200 µs once its core has gone idle (2-core build host,
+    // serial kernel at ~75 GFLOP/s). Measured serial vs 2-thread pool:
+    // (8, 256, 1024) = 4.2 MFLOP loses, 53 vs 67 µs; 8-17 MFLOP breaks
+    // even (108 vs 93, 271 vs 281 µs); (16, 512, 1024) = 16.8 MFLOP
+    // wins, 247 vs 215 µs, and 33.6 MFLOP clearly, 650 vs 368 µs. Below
+    // the threshold the second core only adds CPU time.
+    const PAR_THRESHOLD_FLOPS: usize = 16_000_000;
+    // Up to `MR` rows are one pass over the weights whatever the shape:
+    // splitting them streams the weights once per thread for nothing.
     if 2 * m * k * n < PAR_THRESHOLD_FLOPS || m <= gemm::MR {
         return None;
     }

@@ -90,8 +90,8 @@ pub fn affine_into(x: &Matrix, w: &Matrix, b: &Matrix, out: &mut Matrix) {
 /// This is the resident-state entry point: the resident batch matrix is
 /// allocated at capacity but only its occupied prefix carries live
 /// requests, so the GEMM must run over a row prefix without reshaping
-/// or copying. The pool parallelizes the batch-row dimension (disjoint
-/// `MR`-multiple row chunks); per-row folds are independent, so results
+/// or copying. The pool parallelizes the batch-row dimension (disjoint,
+/// evenly sized row chunks); per-row folds are independent, so results
 /// are bitwise identical to [`affine_into`] on the same rows at any
 /// pool size.
 ///

@@ -29,8 +29,9 @@ fn matmul_pair(max: usize) -> impl Strategy<Value = (Matrix, Matrix)> {
 }
 
 /// Like [`matmul_pair`] but with dimensions that deliberately straddle
-/// the GEMM block sizes (`MR = 4`, `NR = 8`): rows = 1, exact multiples,
-/// one-off-a-multiple, and ragged tails all get generated.
+/// the GEMM tile sizes (`MR = 4` rows, `NR = 16` columns per panel, up
+/// to 4 panels = 64 columns per register tile): rows = 1, exact
+/// multiples, one-off-a-multiple, and ragged tails all get generated.
 fn blocky_matmul_pair() -> impl Strategy<Value = (Matrix, Matrix)> {
     fn dim() -> impl Strategy<Value = usize> {
         prop_oneof![
@@ -46,13 +47,72 @@ fn blocky_matmul_pair() -> impl Strategy<Value = (Matrix, Matrix)> {
             1usize..=33,
         ]
     }
-    (dim(), dim(), dim()).prop_flat_map(|(m, k, n)| {
+    fn cols() -> impl Strategy<Value = usize> {
+        prop_oneof![dim(), Just(63usize), Just(64), Just(65), Just(129)]
+    }
+    (dim(), dim(), cols()).prop_flat_map(|(m, k, n)| {
         let a = proptest::collection::vec(-4.0f32..4.0, m * k)
             .prop_map(move |d| Matrix::from_vec(m, k, d));
         let b = proptest::collection::vec(-4.0f32..4.0, k * n)
             .prop_map(move |d| Matrix::from_vec(k, n, d));
         (a, b)
     })
+}
+
+/// Every row-block height (1..=4, then a full block plus each tail)
+/// against every panel-group edge: one lane short of a panel, exact, one
+/// over; the same around one 4-panel tile (64) and two (128); and the
+/// decoder's ragged vocabulary width. `gemm_into` and the seeded
+/// `gemm_acc_into`, each with and without bias, must reproduce the
+/// serial reference fold bit for bit.
+#[test]
+fn every_tile_edge_matches_the_serial_reference() {
+    use bm_tensor::gemm::{gemm_acc_into, gemm_into};
+    use rand::{Rng, SeedableRng};
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0x71_1e);
+    let mut random = |r: usize, c: usize| {
+        Matrix::from_vec(r, c, (0..r * c).map(|_| rng.gen_range(-4.0..4.0)).collect())
+    };
+    // Inner dimension e + h, split where the resident plane splits it.
+    let (e, h) = (7usize, 12usize);
+    for n in [15usize, 16, 17, 63, 64, 65, 127, 129, 1000] {
+        let w = random(e + h, n);
+        let bias = random(1, n);
+        let wx = bm_tensor::PackedWeights::pack(e, n, &w.as_slice()[..e * n]);
+        let wh = bm_tensor::PackedWeights::pack(h, n, &w.as_slice()[e * n..]);
+        for m in 1usize..=9 {
+            let x = random(m, e);
+            let hs = random(m, h);
+            let xh = ops::concat_cols(&[&x, &hs]);
+            let plain = xh.matmul_serial(&w);
+            let mut biased = plain.clone();
+            for r in 0..m {
+                for (o, &bv) in biased.row_mut(r).iter_mut().zip(bias.row(0)) {
+                    *o += bv;
+                }
+            }
+            for (bias, want) in [(None, &plain), (Some(bias.row(0)), &biased)] {
+                let mut got = vec![f32::NAN; m * n];
+                gemm_into(xh.as_slice(), m, e + h, w.packed(), bias, &mut got, None);
+                assert_eq!(
+                    got,
+                    want.as_slice(),
+                    "gemm_into m={m} n={n} bias={}",
+                    bias.is_some()
+                );
+                // Seed with the x-half fold, continue over the h-half.
+                let mut got = vec![f32::NAN; m * n];
+                gemm_into(x.as_slice(), m, e, &wx, None, &mut got, None);
+                gemm_acc_into(hs.as_slice(), m, h, &wh, bias, &mut got, None);
+                assert_eq!(
+                    got,
+                    want.as_slice(),
+                    "gemm_acc_into m={m} n={n} bias={}",
+                    bias.is_some()
+                );
+            }
+        }
+    }
 }
 
 proptest! {
