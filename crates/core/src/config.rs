@@ -3,7 +3,7 @@
 //! [`ServeConfig`] collects every knob that used to be duplicated
 //! across [`crate::SchedulerConfig`], [`crate::RuntimeOptions`] and
 //! `bm_sim::SimOptions` — batch-formation policy, deadlines, admission
-//! caps, queue bounds, pipelining, observability sinks — plus the knobs
+//! caps, queue bounds, observability sinks — plus the knobs
 //! introduced by the sharded control plane (shard count, per-tenant
 //! rate limits). All three option structs embed one `ServeConfig`, so a
 //! deployment configures these once regardless of whether it runs the
@@ -117,14 +117,12 @@ pub struct ServeConfig {
     /// beyond it fail with `SubmitError::AtCapacity`. `None` admits
     /// everything.
     pub max_active: Option<usize>,
-    /// Bound on the manager's message queue; when full, submissions
+    /// Bound on each shard's arrival inbox; when full, submissions
     /// fail with `SubmitError::QueueFull`. `None` leaves it unbounded.
     pub queue_cap: Option<usize>,
-    /// Per-worker in-flight window (≥ 1; 1 disables pipelining).
-    pub pipeline_depth: usize,
     /// Execute eligible chain cells through the resident-state plane
     /// ([`crate::ResidentBatch`]): each active request's recurrent state
-    /// stays parked as a row of a per-worker persistent batch matrix,
+    /// stays parked as a row of a per-shard persistent batch matrix,
     /// eliminating the per-step gather. **On by default** since the
     /// plane soaked through a full PR cycle with bit-identity pinned by
     /// the `resident_identity` proptests; the gather path remains the
@@ -132,23 +130,14 @@ pub struct ServeConfig {
     /// bitwise identical either way. The discrete-event simulator
     /// (duration-based, no real state movement) ignores it.
     pub resident_state: bool,
-    /// Batch the manager's channel traffic: submit all tasks formed for
-    /// a worker in one message per dispatch pass, and let callers
-    /// coalesce many client submissions into one manager message
-    /// (`Runtime::submit_batch_tagged`; the network front door batches
-    /// every frame decoded in one readiness pass). On by default; turn
-    /// off to reproduce the per-message baseline the `repro serve`
-    /// manager-batching comparison measures against. Outputs are
-    /// identical either way — this only changes how many channel
-    /// round-trips carry them.
-    pub batched_dispatch: bool,
     /// Readiness backend for the network front door's event loop
     /// ([`ReadinessMode`]); in-process drivers ignore it.
     pub readiness: ReadinessMode,
-    /// Scheduler shards for the sharded runtime (each owns its own
-    /// engine, queues and deadline heap). The plain threaded runtime
-    /// and the simulator ignore it. Defaults to half the host's cores,
-    /// at least 1.
+    /// Scheduler shards for the sharded runtime: each is one thread
+    /// owning its own engine, inbox and deadline heap, so this is the
+    /// multi-core knob. The plain threaded runtime (one shard) and the
+    /// simulator ignore it. Defaults to half the host's cores, at
+    /// least 1.
     pub shards: usize,
     /// Per-tenant token-bucket rate limit enforced at the network front
     /// door. `None` disables tenant rate limiting.
@@ -162,8 +151,9 @@ pub struct ServeConfig {
     pub telemetry: Arc<Telemetry>,
 }
 
-/// Half the host's cores (the default shard count): one scheduler
-/// thread per two cores leaves headroom for the workers.
+/// Half the host's cores (the default shard count): one shard thread
+/// per two cores leaves headroom for the front door's event loop and
+/// the compute pool.
 pub(crate) fn default_shards() -> usize {
     std::thread::available_parallelism()
         .map(|n| (n.get() / 2).max(1))
@@ -177,9 +167,7 @@ impl Default for ServeConfig {
             deadline_us: None,
             max_active: None,
             queue_cap: None,
-            pipeline_depth: 2,
             resident_state: true,
-            batched_dispatch: true,
             readiness: ReadinessMode::Auto,
             shards: default_shards(),
             tenant_rate: None,
@@ -191,10 +179,9 @@ impl Default for ServeConfig {
 
 impl ServeConfig {
     /// The default configuration (start of the builder chain): no
-    /// policy override, no deadline, no admission cap, unbounded queue,
-    /// depth-2 pipeline, resident state and batched dispatch on, auto
-    /// readiness, cores/2 shards, no tenant limits, tracing and
-    /// telemetry off.
+    /// policy override, no deadline, no admission cap, unbounded inbox,
+    /// resident state on, auto readiness, cores/2 shards, no tenant
+    /// limits, tracing and telemetry off.
     pub fn new() -> Self {
         Self::default()
     }
@@ -217,16 +204,9 @@ impl ServeConfig {
         self
     }
 
-    /// Bounds the manager's message queue.
+    /// Bounds each shard's arrival inbox.
     pub fn queue_cap(mut self, cap: usize) -> Self {
         self.queue_cap = Some(cap);
-        self
-    }
-
-    /// Sets the per-worker in-flight window (≥ 1; 1 disables
-    /// pipelining).
-    pub fn pipeline_depth(mut self, depth: usize) -> Self {
-        self.pipeline_depth = depth;
         self
     }
 
@@ -235,14 +215,6 @@ impl ServeConfig {
     /// oracle.
     pub fn resident_state(mut self, on: bool) -> Self {
         self.resident_state = on;
-        self
-    }
-
-    /// Enables (or disables) batched manager dispatch and coalesced
-    /// submission. On by default; `false` reproduces the per-message
-    /// baseline.
-    pub fn batched_dispatch(mut self, on: bool) -> Self {
-        self.batched_dispatch = on;
         self
     }
 

@@ -47,7 +47,7 @@ const ROW_COST_EWMA_ALPHA: f64 = 0.2;
 pub struct SchedulerConfig {
     /// The shared serving knobs ([`ServeConfig`]): the engine reads the
     /// batch-formation policy, trace sink and telemetry registry from
-    /// it; the admission/queue/pipelining knobs are consumed by the
+    /// it; the admission and queue knobs are consumed by the
     /// drivers embedding this config.
     pub serve: ServeConfig,
     /// "The maximum number of tasks that can be submitted to a worker"

@@ -9,9 +9,9 @@
 //!   selection by (saturation, starvation, priority), batched task
 //!   formation across subgraphs, `MaxTasksToSubmit`, subgraph pinning
 //!   for worker locality, and gather/transfer accounting;
-//! - [`Runtime`] — a threaded real-time driver (manager + worker
-//!   threads) that executes real cell math on CPU and returns results
-//!   bit-identical to the unbatched reference executor;
+//! - [`Runtime`] — a real-time driver (one thread per shard that
+//!   schedules, executes and resolves) running real cell math on CPU,
+//!   with results bit-identical to the unbatched reference executor;
 //! - [`ResidentBatch`] — the resident-state execution plane for chain
 //!   cells (on by default via [`ServeConfig::resident_state`]): each active
 //!   request's recurrent state stays parked as a row of a persistent

@@ -43,8 +43,8 @@
 //! `request` and its recorded `last_node` equals `dep` — the node whose
 //! output this step consumes. Node ids are unique within a request, so
 //! the check is exact regardless of how the row migrated or how long
-//! ago it was written. A stale row (the request stepped on another
-//! worker in between) is repaired from the slot arena; a chain-start
+//! ago it was written. A stale row (the request stepped somewhere else
+//! in between) is repaired from the slot arena; a chain-start
 //! entry (`dep == None`) zeroes the state portion, matching the gather
 //! path's implicit zero initial state.
 
@@ -57,7 +57,7 @@ use bm_tensor::Matrix;
 use crate::ids::RequestId;
 
 /// Churn counters of one resident batch, mirrored into telemetry by the
-/// owning worker (`bm_resident_joins_total` / `bm_resident_leaves_total`
+/// owning shard (`bm_resident_joins_total` / `bm_resident_leaves_total`
 /// / `bm_resident_compactions_total`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ResidentStats {
@@ -68,8 +68,8 @@ pub struct ResidentStats {
     /// Row moves keeping the occupied prefix dense: swap-remove fills
     /// on leave, displacements on join, and placement swaps.
     pub compaction_moves: u64,
-    /// Stale rows repaired from the state arena (the request stepped on
-    /// another worker since this row was written).
+    /// Stale rows repaired from the state arena (the request stepped
+    /// outside this batch since the row was written).
     pub refetches: u64,
 }
 
@@ -83,11 +83,11 @@ struct RowMeta {
 }
 
 /// A persistent batch matrix pair holding the resident recurrent state
-/// of every request currently parked on one worker for one cell type.
+/// of every request currently parked on one shard for one cell type.
 ///
 /// See the module docs for the protocol. The matrices grow
 /// geometrically and never shrink; [`ResidentBatch::clear`] releases
-/// all rows (but not the allocation) when the owning worker flushes.
+/// all rows (but not the allocation).
 #[derive(Debug)]
 pub struct ResidentBatch {
     layout: ResidentLayout,
@@ -104,7 +104,7 @@ pub struct ResidentBatch {
     stats: ResidentStats,
 }
 
-/// First allocation, rows. Small: a worker's steady batch is usually a
+/// First allocation, rows. Small: a shard's steady batch is usually a
 /// handful of requests, and growth is geometric from here.
 const INITIAL_ROWS: usize = 8;
 
@@ -261,10 +261,9 @@ impl ResidentBatch {
         true
     }
 
-    /// Releases every row (allocation retained). Used by the owning
-    /// worker to bound memory when eviction notices pile up; stale rows
-    /// would be repaired by the freshness check anyway, so this is pure
-    /// hygiene.
+    /// Releases every row (allocation retained). Rows of requests that
+    /// step again are rebuilt from the slot arena by the freshness
+    /// check.
     pub fn clear(&mut self) {
         self.meta.clear();
         self.map.clear();

@@ -1,44 +1,48 @@
-//! The threaded real-time runtime: BatchMaker's manager/worker
-//! architecture (§4.2, Figure 6) executing *real* cell math on CPU
-//! threads.
+//! The threaded real-time runtime: one scheduler shard executing *real*
+//! cell math on one CPU thread.
 //!
-//! - The **manager thread** owns the [`CellularEngine`]: it admits
-//!   arriving requests, keeps each worker's FIFO queue filled to a
-//!   depth-`k` in-flight window ([`RuntimeOptions::pipeline_depth`]),
-//!   processes completion notifications and expires requests whose
-//!   deadline passes before they finish. All pending completions are
-//!   drained before each dispatch pass, so one completion never costs
-//!   one dispatch round-trip.
-//! - Each **worker thread** owns one task queue. It pops a task,
-//!   gathers the batched inputs by reading state-arena rows in place,
-//!   executes the cell once at the batch size, scatters outputs into
-//!   its own arena rows and pushes a completion record — the CPU
-//!   analogue of the paper's GPU worker with its in-progress queue and
-//!   signaling kernel (§5's per-device queues hiding launch gaps).
+//! A shard is a single loop on a single thread:
+//!
+//! 1. drain the arrival inbox without blocking, admitting each request
+//!    (slot block, engine bookkeeping, deadline-heap entry);
+//! 2. expire requests whose deadline has passed;
+//! 3. ask the [`CellularEngine`] for the next tasks (Algorithm 1, up to
+//!    `MaxTasksToSubmit` of them) and execute them inline, in order —
+//!    gather or resident step — telling the engine about each start and
+//!    completion and resolving every request that finishes into its
+//!    [`ResponseHandle`] or tagged [`CompletionQueue`];
+//! 4. repeat, blocking on the inbox (no longer than the nearest deadline
+//!    or the policy's requested wake-up) only when a pass did no work.
+//!
+//! Requests that arrive while tasks execute therefore join at the next
+//! scheduling boundary, exactly as in the paper. What the paper's
+//! manager/worker split (§4.2, Figure 6), its per-device FIFO queues
+//! (§5) and `MaxTasksToSubmit`'s latency hiding (§4.3) buy is overlap
+//! between a host CPU and a GPU; here the "device" is the same CPU, a
+//! cell step takes 10–30 µs, and a thread boundary between planner and
+//! executor costs a sleep/wake round trip longer than the step it
+//! hands over. Multi-core scaling lives in [`crate::ShardedRuntime`]
+//! placement: N shards are N such threads.
 //!
 //! ## The state plane
 //!
 //! Node outputs live in per-request slot blocks
 //! (`crate::state_plane::SlotBlock`): dense slot rows allocated at
-//! admission, written exactly once by the executing worker and read in
-//! place by every later gather. There is no global state map, no lock
-//! on the data path and no per-dependency `CellOutput` clone; a node's
-//! output is copied exactly once, into the [`GraphResult`] handed back
-//! to the client. Cross-task visibility is a per-node
-//! `Release`/`Acquire` publication word, and FIFO per-worker queues
-//! plus the engine's completion-driven dependency tracking guarantee a
-//! dependency's rows are published before any task that gathers them
-//! starts (§5 FIFO stream semantics).
+//! admission, written exactly once by the step that computes them and
+//! read in place by every later gather. There is no global state map
+//! and no per-dependency `CellOutput` clone; a node's output is copied
+//! exactly once, into the [`GraphResult`] handed back to the client.
+//! The engine submits a node only after its dependencies completed and
+//! the loop executes tasks in submission order, so a dependency's rows
+//! are always published before a task that gathers them starts.
 //!
-//! With [`RuntimeOptions::resident_state`] enabled, workers additionally
-//! keep a resident-state plane: one [`crate::ResidentBatch`] per chain
+//! With [`RuntimeOptions::resident_state`] enabled the loop additionally
+//! keeps a resident-state plane: one [`crate::ResidentBatch`] per chain
 //! cell type whose rows park each active request's recurrent state
 //! between steps, so steady-state chain execution skips the gather
 //! entirely (the scatter — publication to the slot block — remains, and
-//! outputs stay bit-identical). The manager piggybacks eviction notices
-//! for resolved requests onto dispatched tasks so workers can release
-//! rows; stale rows left by worker migration are repaired from the slot
-//! arena by a per-row freshness check.
+//! outputs stay bit-identical). A request's row is released the moment
+//! the request resolves.
 //!
 //! ## Overload behaviour
 //!
@@ -51,22 +55,23 @@
 //! - **Deadlines** ([`RuntimeOptions::deadline_us`] or per-request via
 //!   [`crate::Request::deadline_us`]) cancel requests that cannot
 //!   meet their SLA: unsubmitted cells are dropped through
-//!   [`CellularEngine::cancel_request`], in-flight tasks drain, and the
-//!   handle resolves to [`ServedOutcome::Expired`].
+//!   [`CellularEngine::cancel_request`] and the handle resolves to
+//!   [`ServedOutcome::Expired`].
 //!
 //! ## Observability
 //!
 //! Passing a [`TraceSink`] via [`RuntimeOptions::trace`] captures the
 //! full request lifecycle — arrival, admission rejections, batch
 //! formation (with the Algorithm 1 branch that chose the cell type),
-//! per-worker task execution, pinning/migration, expiry and completion —
-//! as structured [`bm_trace`] events, exportable to Chrome trace JSON.
+//! task execution, expiry and completion — as structured [`bm_trace`]
+//! events, exportable to Chrome trace JSON.
 //!
 //! The runtime exists to prove the scheduler end-to-end: its results are
 //! compared bit-for-bit against the unbatched reference executor
 //! (`bm_model::reference`), while the latency/throughput experiments use
 //! the discrete-event simulator over the same engine.
 
+use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -77,17 +82,17 @@ use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender,
 
 use bm_cell::{Cell, CellRegistry, CellTypeId, ResidentLayout, RowInvocation, Scratch, StateRef};
 use bm_device::CpuTimer;
-use bm_model::{reference::GraphResult, CellGraph, Model, RequestInput, TokenSource};
+use bm_model::{reference::GraphResult, CellGraph, Model, NodeId, TokenSource};
 use bm_telemetry::{Counter, Gauge, Histogram, Telemetry};
 use bm_trace::{EventKind, RejectReason, TraceEvent, TraceSink};
 
 use crate::config::ServeConfig;
 use crate::engine::{CancelOutcome, CellularEngine, SchedulerConfig};
-use crate::ids::{RequestId, TaskId, WorkerId};
+use crate::ids::{RequestId, WorkerId};
 use crate::request::Request;
 use crate::resident::{ResidentBatch, ResidentStats};
 use crate::state_plane::SlotBlock;
-use crate::task::{CompletedRequest, Task};
+use crate::task::{CompletedRequest, Task, TaskEntry};
 
 /// Why a submission was refused.
 ///
@@ -100,7 +105,7 @@ pub enum SubmitError {
     /// The input failed model validation (wrong variant, empty
     /// sequence, out-of-vocabulary tokens). No work was done.
     Invalid(String),
-    /// The manager's bounded message queue ([`RuntimeOptions::queue_cap`])
+    /// The shard's bounded arrival inbox ([`RuntimeOptions::queue_cap`])
     /// was full. No work was done.
     QueueFull,
     /// The concurrent-request cap ([`RuntimeOptions::max_active`]) was
@@ -114,7 +119,7 @@ impl std::fmt::Display for SubmitError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             SubmitError::Invalid(msg) => write!(f, "invalid request: {msg}"),
-            SubmitError::QueueFull => write!(f, "manager queue full"),
+            SubmitError::QueueFull => write!(f, "shard inbox full"),
             SubmitError::AtCapacity => write!(f, "active-request cap reached"),
             SubmitError::ShuttingDown => write!(f, "runtime shutting down"),
         }
@@ -279,7 +284,7 @@ impl std::fmt::Debug for CompletionQueue {
 }
 
 impl CompletionQueue {
-    /// Attaches a waker called (on the resolving manager thread) after
+    /// Attaches a waker called (on the resolving shard thread) after
     /// every outcome is queued. Must be cheap and non-blocking; an
     /// eventfd write qualifies.
     pub fn with_waker(mut self, waker: Arc<dyn Fn() + Send + Sync>) -> Self {
@@ -331,11 +336,10 @@ impl Respond {
     }
 }
 
-/// Runtime construction knobs: worker count plus the scheduler
-/// tunables, whose embedded [`ServeConfig`] carries the shared serving
-/// knobs (policy, deadlines, admission caps, queue bound, pipelining,
-/// observability). The fluent setters below delegate into it, so
-/// existing builder chains read unchanged.
+/// Runtime construction knobs: the scheduler tunables, whose embedded
+/// [`ServeConfig`] carries the shared serving knobs (policy, deadlines,
+/// admission caps, queue bound, observability). The fluent setters
+/// below delegate into it.
 ///
 /// Built fluently (`#[non_exhaustive]` forbids literal construction so
 /// new knobs can be added compatibly):
@@ -344,20 +348,20 @@ impl Respond {
 /// use bm_core::{RuntimeOptions, SchedulerConfig};
 ///
 /// let opts = RuntimeOptions::new()
-///     .workers(4)
 ///     .scheduler(SchedulerConfig::new().max_tasks_to_submit(2))
-///     .pipeline_depth(3)
 ///     .max_active(64)
 ///     .deadline_us(50_000)
 ///     .queue_cap(256);
-/// assert_eq!(opts.workers, 4);
-/// assert_eq!(opts.serve().pipeline_depth, 3);
+/// assert_eq!(opts.scheduler.max_tasks_to_submit, 2);
 /// assert_eq!(opts.serve().max_active, Some(64));
 /// ```
 #[derive(Debug, Clone)]
 #[non_exhaustive]
 pub struct RuntimeOptions {
-    /// Worker threads executing batched tasks. Must be ≥ 1.
+    /// Executing threads per shard. Always 1 — a shard schedules and
+    /// executes on one thread — and [`Runtime::start`] refuses anything
+    /// else; scale across cores with [`ServeConfig::shards`]. Kept so
+    /// deployment records can report it.
     pub workers: usize,
     /// Scheduler tunables (Algorithm 1), including the embedded
     /// [`ServeConfig`] (reachable via [`RuntimeOptions::serve`]).
@@ -374,8 +378,8 @@ impl Default for RuntimeOptions {
 }
 
 impl RuntimeOptions {
-    /// Default options: one worker, default scheduler, depth-2 pipeline,
-    /// no admission cap, no deadline, unbounded queue, tracing off.
+    /// Default options: default scheduler, no admission cap, no
+    /// deadline, unbounded inbox, tracing off.
     pub fn new() -> Self {
         Self::default()
     }
@@ -386,7 +390,7 @@ impl RuntimeOptions {
         &self.scheduler.serve
     }
 
-    /// Sets the number of worker threads.
+    /// Sets [`RuntimeOptions::workers`]; only 1 is accepted at start.
     pub fn workers(mut self, n: usize) -> Self {
         self.workers = n;
         self
@@ -394,7 +398,8 @@ impl RuntimeOptions {
 
     /// Sets the scheduler tunables. Replaces the whole config including
     /// its embedded [`ServeConfig`], so call it before the delegating
-    /// setters below (they edit the embedded serve config in place).
+    /// setters below (they edit the embedded serve config in place):
+    /// `.max_active(64).scheduler(cfg)` silently drops the cap.
     pub fn scheduler(mut self, cfg: SchedulerConfig) -> Self {
         self.scheduler = cfg;
         self
@@ -415,16 +420,6 @@ impl RuntimeOptions {
         self
     }
 
-    /// Sets the per-worker in-flight window (≥ 1; 1 disables
-    /// pipelining): the manager refills a worker's FIFO queue whenever
-    /// fewer than this many of its tasks are unfinished, so the next
-    /// batch is already queued when the current one drains. Depth 1
-    /// reproduces the classic dispatch-on-drain behaviour.
-    pub fn pipeline_depth(mut self, depth: usize) -> Self {
-        self.scheduler.serve.pipeline_depth = depth;
-        self
-    }
-
     /// Caps concurrently admitted (unresolved) requests; submissions
     /// beyond the cap fail with [`SubmitError::AtCapacity`].
     pub fn max_active(mut self, cap: usize) -> Self {
@@ -439,17 +434,16 @@ impl RuntimeOptions {
         self
     }
 
-    /// Bounds the manager's message queue. When full, new submissions
-    /// fail with [`SubmitError::QueueFull`]; workers reporting
-    /// completions block briefly instead (backpressure, never dropped).
+    /// Bounds the shard's arrival inbox. When full, new submissions
+    /// fail with [`SubmitError::QueueFull`].
     pub fn queue_cap(mut self, cap: usize) -> Self {
         self.scheduler.serve.queue_cap = Some(cap);
         self
     }
 
     /// Enables the resident-state execution plane for chain cells
-    /// (shorthand for setting it on the embedded [`ServeConfig`]):
-    /// workers keep each active request's recurrent state parked in a
+    /// (shorthand for setting it on the embedded [`ServeConfig`]): the
+    /// shard keeps each active request's recurrent state parked in a
     /// [`crate::ResidentBatch`] row, skipping the per-step gather.
     /// Outputs stay bit-identical to the gather path.
     pub fn resident_state(mut self, on: bool) -> Self {
@@ -465,15 +459,16 @@ impl RuntimeOptions {
 
     /// Records serving metrics into `tel`: admission/rejection/expiry
     /// counters, queue-depth gauges, per-stage latency and batch-size
-    /// histograms, and per-worker busy time. The default disabled
-    /// registry keeps every instrumentation site to a single branch.
+    /// histograms, and the shard thread's execution time. The default
+    /// disabled registry keeps every instrumentation site to a single
+    /// branch.
     pub fn telemetry(mut self, tel: Arc<Telemetry>) -> Self {
         self.scheduler.serve.telemetry = tel;
         self
     }
 }
 
-/// One admitted request on its way to the manager.
+/// One admitted request on its way to the shard thread.
 struct Arrival {
     id: RequestId,
     graph: CellGraph,
@@ -483,69 +478,22 @@ struct Arrival {
     respond: Respond,
 }
 
-enum ManagerMsg {
-    /// One admitted request (the unbatched submission path).
-    Arrive(Box<Arrival>),
-    /// Many admitted requests coalesced into one manager wakeup
-    /// ([`Runtime::submit_batch_tagged`]). Never empty.
-    ArriveBatch(Vec<Arrival>),
-    TaskDone {
-        task: TaskId,
-        worker: WorkerId,
-        started_us: u64,
-        finished_us: u64,
-        tokens: Vec<Option<u32>>,
-    },
+enum ShardMsg {
+    /// Admitted requests: one per single submission, many from
+    /// [`Runtime::submit_batch_tagged`]. Never empty.
+    Arrive(Vec<Arrival>),
     Shutdown,
 }
 
-impl ManagerMsg {
-    /// How many logical items this message carries (requests for
-    /// arrivals, 1 otherwise) — the unit `bm_manager_drained_per_wakeup`
-    /// counts, so coalescing shows up as amortization rather than
-    /// hiding it.
-    fn items(&self) -> u64 {
-        match self {
-            ManagerMsg::ArriveBatch(v) => v.len() as u64,
-            _ => 1,
-        }
-    }
-}
-
-/// A dispatched task plus the state blocks its entries live in (one per
-/// entry, parallel to `task.entries`), so the worker can gather and
-/// scatter without any shared map.
-struct WorkerTask {
-    task: Task,
-    blocks: Vec<Arc<SlotBlock>>,
-}
-
-/// One manager→worker message: every task formed for this worker in one
-/// dispatch pass (a batch of subgraph executions), plus the resident
-/// plane's eviction piggyback. With batched dispatch off, each task
-/// rides its own message — the per-message baseline.
-struct WorkerBatch {
-    tasks: Vec<WorkerTask>,
-    /// Requests that resolved since this worker's last message; the
-    /// worker releases their resident rows before executing. Always
-    /// empty when the resident plane is off.
-    evict: Vec<RequestId>,
-    /// Tells the worker to clear every resident batch outright — set
-    /// when the eviction backlog for an idle worker grew past
-    /// [`EVICT_FLUSH_THRESHOLD`] (memory hygiene; stale rows are
-    /// repaired by the freshness check, so correctness is unaffected).
-    flush_resident: bool,
-}
-
-/// The multi-threaded serving runtime.
+/// One scheduler shard: a thread that schedules, executes and resolves.
 pub struct Runtime {
-    manager_tx: Sender<ManagerMsg>,
-    manager: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
+    inbox: Sender<ShardMsg>,
+    thread: Option<JoinHandle<()>>,
     model: Arc<dyn Model>,
     timer: CpuTimer,
     next_request: AtomicU64,
-    /// Requests admitted and not yet resolved; shared with the manager.
+    /// Requests admitted and not yet resolved; shared with the shard
+    /// thread.
     active: Arc<AtomicUsize>,
     /// `bm_requests_rejected_total{reason}` counters, indexed
     /// at_capacity / queue_full; `None` when telemetry is disabled.
@@ -554,91 +502,63 @@ pub struct Runtime {
 }
 
 impl Runtime {
-    /// Starts a runtime serving `model` with the given options (worker
-    /// count included — see [`RuntimeOptions::workers`]).
+    /// Starts a shard serving `model` with the given options.
     ///
     /// # Panics
     ///
-    /// Panics if `opts.workers` or the serve config's `pipeline_depth`
-    /// is zero.
+    /// Panics if `opts.workers` is not 1.
     pub fn start(model: Arc<dyn Model>, opts: RuntimeOptions) -> Self {
-        let num_workers = opts.workers;
-        let pipeline_depth = opts.serve().pipeline_depth;
-        assert!(num_workers > 0, "need at least one worker");
-        assert!(pipeline_depth > 0, "pipeline depth must be >= 1");
+        Self::start_at(model, opts, CpuTimer::new())
+    }
+
+    /// [`Runtime::start`] on a caller-supplied clock, so the shards of
+    /// one [`crate::ShardedRuntime`] stamp requests on one epoch.
+    pub(crate) fn start_at(model: Arc<dyn Model>, opts: RuntimeOptions, timer: CpuTimer) -> Self {
+        assert!(
+            opts.workers == 1,
+            "a shard schedules and executes on one thread (workers = {}): \
+             scale across cores with ServeConfig::shards",
+            opts.workers
+        );
         let registry: Arc<CellRegistry> = Arc::new(model.registry().clone());
-        let timer = CpuTimer::new();
         let active = Arc::new(AtomicUsize::new(0));
-
-        let (mgr_tx, mgr_rx) = match opts.serve().queue_cap {
-            Some(cap) => bounded::<ManagerMsg>(cap.max(1)),
-            None => unbounded::<ManagerMsg>(),
+        let (inbox, rx) = match opts.serve().queue_cap {
+            Some(cap) => bounded::<ShardMsg>(cap.max(1)),
+            None => unbounded::<ShardMsg>(),
         };
-        let tel = Arc::clone(&opts.serve().telemetry);
-        let tel = &tel;
-        let mut worker_txs = Vec::new();
-        let mut workers = Vec::new();
-        let resident_on = opts.serve().resident_state;
-        for w in 0..num_workers {
-            let busy = tel.enabled().then(|| {
-                tel.counter_with("bm_worker_busy_us_total", &[("worker", &w.to_string())])
-            });
-            let resident_tel = (resident_on && tel.enabled()).then(|| {
-                let lbl = w.to_string();
-                ResidentTelemetry {
-                    rows: tel.gauge_with("bm_resident_rows", &[("worker", &lbl)]),
-                    joins: tel.counter_with("bm_resident_joins_total", &[("worker", &lbl)]),
-                    leaves: tel.counter_with("bm_resident_leaves_total", &[("worker", &lbl)]),
-                    compactions: tel
-                        .counter_with("bm_resident_compactions_total", &[("worker", &lbl)]),
-                }
-            });
-            // The manager stops refilling a worker at `pipeline_depth`
-            // unfinished tasks and each refill overshoots by at most
-            // one dispatch (`max_tasks_to_submit` tasks); every message
-            // carries at least one task, so this bound is never hit and
-            // the manager never blocks on a worker — in batched mode a
-            // whole refill is one message, in the per-message baseline
-            // it is one message per task.
-            let bound = pipeline_depth + opts.scheduler.max_tasks_to_submit.max(1);
-            let (tx, rx) = bounded::<WorkerBatch>(bound);
-            worker_txs.push(tx);
-            workers.push(spawn_worker(
-                WorkerId(w as u32),
-                rx,
-                mgr_tx.clone(),
-                Arc::clone(&registry),
-                timer.clone(),
-                busy,
-                resident_on,
-                resident_tel,
-            ));
-        }
-
-        let manager = spawn_manager(ManagerArgs {
-            rx: mgr_rx,
-            worker_txs,
-            registry,
-            cfg: opts.scheduler.clone(),
-            pipeline_depth,
-            num_workers,
-            timer: timer.clone(),
-            active: Arc::clone(&active),
-            trace: Arc::clone(&opts.serve().trace),
-            telemetry: Arc::clone(tel),
-        });
-
+        let tel = &opts.serve().telemetry;
         let reject_counters = tel.enabled().then(|| {
             [
                 tel.counter_with("bm_requests_rejected_total", &[("reason", "at_capacity")]),
                 tel.counter_with("bm_requests_rejected_total", &[("reason", "queue_full")]),
             ]
         });
+        let shard = Shard {
+            rx,
+            metrics: tel
+                .enabled()
+                .then(|| ShardMetrics::new(tel, opts.serve().resident_state)),
+            plane: opts.serve().resident_state.then(HashMap::new),
+            trace: Arc::clone(&opts.serve().trace),
+            // The engine installs its own trace/telemetry sinks from
+            // the serve config embedded in the scheduler config.
+            engine: CellularEngine::new(Arc::clone(&registry), opts.scheduler.clone()),
+            registry,
+            timer: timer.clone(),
+            active: Arc::clone(&active),
+            live: HashMap::new(),
+            deadlines: BinaryHeap::new(),
+            stale_deadlines: 0,
+            scratch: Scratch::new(),
+        };
+        let thread = std::thread::Builder::new()
+            .name("bm-shard".into())
+            .spawn(move || shard.run())
+            .expect("spawn shard thread");
 
         Runtime {
-            manager_tx: mgr_tx,
-            manager: Some(manager),
-            workers,
+            inbox,
+            thread: Some(thread),
             model,
             timer,
             next_request: AtomicU64::new(0),
@@ -648,17 +568,7 @@ impl Runtime {
         }
     }
 
-    /// Starts a runtime with an explicit worker count.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `Runtime::start(model, opts.workers(num_workers))`"
-    )]
-    pub fn start_with(model: Arc<dyn Model>, num_workers: usize, opts: RuntimeOptions) -> Self {
-        Runtime::start(model, opts.workers(num_workers))
-    }
-
-    /// Submits a [`Request`] — the single submission entry point; the
-    /// deprecated `submit`/`try_submit` trio are shims over it.
+    /// Submits a [`Request`] — the single submission entry point.
     ///
     /// Fails fast with a typed [`SubmitError`] — invalid input,
     /// admission-control refusal ([`SubmitError::AtCapacity`],
@@ -680,7 +590,7 @@ impl Runtime {
     pub fn submit_request(&self, req: impl Into<Request>) -> Result<ResponseHandle, SubmitError> {
         let (tx, rx) = unbounded();
         let arrival = self.prepare(&req.into(), Respond::Handle(tx))?;
-        self.send_arrival(arrival)?;
+        self.send(vec![arrival])?;
         Ok(ResponseHandle { rx })
     }
 
@@ -688,8 +598,7 @@ impl Runtime {
     /// [`CompletionQueue`] tagged with `tag`, instead of a per-request
     /// [`ResponseHandle`]. Admission semantics are identical to
     /// [`Runtime::submit_request`]; `Ok(())` means the outcome will
-    /// eventually appear on the queue (a runtime shutting down delivers
-    /// [`ServedOutcome::ShutDown`]).
+    /// eventually appear on the queue.
     pub fn submit_request_tagged(
         &self,
         req: impl Into<Request>,
@@ -701,29 +610,19 @@ impl Runtime {
             tag,
         };
         let arrival = self.prepare(&req.into(), respond)?;
-        self.send_arrival(arrival)
+        self.send(vec![arrival])
     }
 
-    /// Submits many tagged requests in **one manager message**, so a
-    /// burst of arrivals costs the manager one wakeup instead of one
-    /// per request. Per-request admission still applies: the returned
+    /// Submits many tagged requests in **one inbox message**, so a
+    /// burst of arrivals wakes an idle shard once instead of once per
+    /// request. Per-request admission still applies: the returned
     /// vector gives each request's verdict in order, and only `Ok`
     /// entries were admitted (their outcomes arrive on `queue`).
-    ///
-    /// With [`ServeConfig::batched_dispatch`] off this degrades to a
-    /// loop of single submissions — the per-message baseline the serve
-    /// benchmark compares against.
     pub fn submit_batch_tagged(
         &self,
         reqs: impl IntoIterator<Item = (u64, Request)>,
         queue: &CompletionQueue,
     ) -> Vec<Result<(), SubmitError>> {
-        if !self.opts.serve().batched_dispatch {
-            return reqs
-                .into_iter()
-                .map(|(tag, req)| self.submit_request_tagged(req, tag, queue))
-                .collect();
-        }
         let mut results = Vec::new();
         let mut arrivals = Vec::new();
         // Indices in `results` whose arrival rides the batch message,
@@ -746,34 +645,18 @@ impl Runtime {
         if arrivals.is_empty() {
             return results;
         }
-        match self.manager_tx.try_send(ManagerMsg::ArriveBatch(arrivals)) {
-            Ok(()) => {}
-            Err(e) => {
-                // The whole batch missed the queue: release every
-                // reserved slot and report per-request.
-                let (err, returned) = match e {
-                    TrySendError::Full(m) => (SubmitError::QueueFull, m),
-                    TrySendError::Disconnected(m) => (SubmitError::ShuttingDown, m),
-                };
-                if let ManagerMsg::ArriveBatch(batch) = returned {
-                    for a in &batch {
-                        self.active.fetch_sub(1, Ordering::AcqRel);
-                        if matches!(err, SubmitError::QueueFull) {
-                            self.trace_rejection(a.id, RejectReason::QueueFull);
-                        }
-                    }
-                }
-                for idx in admitted_idx {
-                    results[idx] = Err(err.clone());
-                }
+        if let Err(err) = self.send(arrivals) {
+            // The whole batch missed the inbox: report per-request.
+            for idx in admitted_idx {
+                results[idx] = Err(err.clone());
             }
         }
         results
     }
 
     /// Validates, unfolds and admits one request, reserving an active
-    /// slot. On success the caller owns the reserved slot and must ship
-    /// the [`Arrival`] to the manager or release the slot.
+    /// slot. On success the caller owns the reserved slot and must hand
+    /// the [`Arrival`] to [`Runtime::send`].
     fn prepare(&self, req: &Request, respond: Respond) -> Result<Arrival, SubmitError> {
         self.model
             .validate(&req.input)
@@ -813,65 +696,25 @@ impl Runtime {
         })
     }
 
-    /// Ships one prepared arrival, releasing its reserved slot on
-    /// failure.
-    fn send_arrival(&self, arrival: Arrival) -> Result<(), SubmitError> {
-        let id = arrival.id;
-        match self
-            .manager_tx
-            .try_send(ManagerMsg::Arrive(Box::new(arrival)))
-        {
-            Ok(()) => Ok(()),
-            Err(TrySendError::Full(_)) => {
-                // Queue full (overload): release the reserved slot.
+    /// Ships prepared arrivals to the shard thread as one inbox
+    /// message; on failure every reserved slot is released.
+    fn send(&self, arrivals: Vec<Arrival>) -> Result<(), SubmitError> {
+        let (err, returned) = match self.inbox.try_send(ShardMsg::Arrive(arrivals)) {
+            Ok(()) => return Ok(()),
+            // Inbox full (overload).
+            Err(TrySendError::Full(m)) => (SubmitError::QueueFull, m),
+            // Shard thread gone (shutdown race).
+            Err(TrySendError::Disconnected(m)) => (SubmitError::ShuttingDown, m),
+        };
+        if let ShardMsg::Arrive(arrivals) = returned {
+            for a in &arrivals {
                 self.active.fetch_sub(1, Ordering::AcqRel);
-                self.trace_rejection(id, RejectReason::QueueFull);
-                Err(SubmitError::QueueFull)
-            }
-            Err(TrySendError::Disconnected(_)) => {
-                // Manager gone (shutdown race).
-                self.active.fetch_sub(1, Ordering::AcqRel);
-                Err(SubmitError::ShuttingDown)
+                if err == SubmitError::QueueFull {
+                    self.trace_rejection(a.id, RejectReason::QueueFull);
+                }
             }
         }
-    }
-
-    /// Submits a request; returns a handle resolving to its outcome.
-    ///
-    /// # Panics
-    ///
-    /// Panics on any [`SubmitError`] (invalid input or overload
-    /// refusal); use [`Runtime::submit_request`] to handle those.
-    #[deprecated(since = "0.3.0", note = "use `submit_request(Request::new(input))`")]
-    pub fn submit(&self, input: &RequestInput) -> ResponseHandle {
-        self.submit_request(Request::from(input))
-            .unwrap_or_else(|e| panic!("submit failed: {e}"))
-    }
-
-    /// Submits a request with the runtime's default deadline (if any).
-    #[deprecated(since = "0.3.0", note = "use `submit_request(Request::new(input))`")]
-    pub fn try_submit(&self, input: &RequestInput) -> Result<ResponseHandle, SubmitError> {
-        self.submit_request(Request::from(input))
-    }
-
-    /// Submits a request with an explicit relative deadline (µs from
-    /// arrival; `None` disables the deadline for this request even if
-    /// the runtime has a default).
-    #[deprecated(
-        since = "0.3.0",
-        note = "use `submit_request(Request::new(input).deadline_us(..))` \
-                (or `.no_deadline()` for an explicit None)"
-    )]
-    pub fn try_submit_with_deadline(
-        &self,
-        input: &RequestInput,
-        deadline_us: Option<u64>,
-    ) -> Result<ResponseHandle, SubmitError> {
-        let req = match deadline_us {
-            Some(d) => Request::from(input).deadline_us(d),
-            None => Request::from(input).no_deadline(),
-        };
-        self.submit_request(req)
+        Err(err)
     }
 
     fn trace_rejection(&self, id: RequestId, reason: RejectReason) {
@@ -909,20 +752,17 @@ impl Runtime {
     }
 
     /// Shuts the runtime down after draining in-flight requests, joining
-    /// all threads.
+    /// the shard thread.
     pub fn shutdown(mut self) {
         self.shutdown_inner();
     }
 
     fn shutdown_inner(&mut self) {
-        // `send` (not `try_send`): on a bounded queue the shutdown
+        // `send` (not `try_send`): on a bounded inbox the shutdown
         // message must wait for a slot rather than be dropped.
-        let _ = self.manager_tx.send(ManagerMsg::Shutdown);
-        if let Some(m) = self.manager.take() {
-            let _ = m.join();
-        }
-        for w in self.workers.drain(..) {
-            let _ = w.join();
+        let _ = self.inbox.send(ShardMsg::Shutdown);
+        if let Some(t) = self.thread.take() {
+            let _ = t.join();
         }
     }
 }
@@ -933,664 +773,467 @@ impl Drop for Runtime {
     }
 }
 
-struct ManagerArgs {
-    rx: Receiver<ManagerMsg>,
-    worker_txs: Vec<Sender<WorkerBatch>>,
-    registry: Arc<CellRegistry>,
-    cfg: SchedulerConfig,
-    pipeline_depth: usize,
-    num_workers: usize,
-    timer: CpuTimer,
-    active: Arc<AtomicUsize>,
-    trace: Arc<dyn TraceSink>,
-    telemetry: Arc<Telemetry>,
-}
+/// Rebuild the deadline heap once stale (already-resolved) entries
+/// outnumber live ones; below this size the waste is not worth the
+/// rebuild.
+const DEADLINE_PRUNE_MIN: usize = 64;
 
-/// The client side of one admitted request, kept by the manager until
-/// the request resolves.
-struct Responder {
+/// One admitted request as the shard thread holds it until it resolves.
+struct LiveRequest {
     respond: Respond,
+    /// The request's state rows; every task entry of the request gathers
+    /// from and scatters into them.
+    block: SlotBlock,
     n_nodes: usize,
     /// Whether the deadline heap still holds this request's entry; used
     /// to count entries that go stale when the request resolves first.
     has_deadline: bool,
 }
 
-/// Rebuild the deadline heap once stale (already-resolved) entries
-/// outnumber live ones; below this size the waste is not worth the
-/// rebuild.
-const DEADLINE_PRUNE_MIN: usize = 64;
+/// The shard thread's telemetry handles (`None` as a whole when
+/// telemetry is disabled, so each site stays one branch). The
+/// `bm_manager_*` / `bm_worker_*` names predate the one-thread shard and
+/// are kept because dashboards and the benchmark read them.
+struct ShardMetrics {
+    expired: Counter,
+    /// `bm_stage_us{stage="scatter_resolve"}`: from the engine declaring
+    /// a request complete to the loop resolving it. Outside the
+    /// four-stage tiling.
+    scatter_resolve: Histogram,
+    /// `bm_manager_wakeups_total`: returns from a blocking wait — an
+    /// arrival reaching an idle shard, or a deadline/policy timer.
+    wakeups: Counter,
+    /// `bm_manager_drained_per_wakeup`: arrivals admitted right after
+    /// such a wake.
+    drained: Histogram,
+    /// `bm_manager_submit_batch`: tasks one `dispatch` returned.
+    submit_batch: Histogram,
+    /// `bm_worker_busy_us_total{worker="0"}`: time inside task
+    /// execution.
+    busy: Counter,
+    resident: Option<ResidentTelemetry>,
+}
 
-/// When an idle worker's resident-eviction backlog exceeds this many
-/// requests, the manager drops the list and tells the worker to clear
-/// its resident batches wholesale instead — bounding manager-side
-/// memory without a correctness cost (stale rows are repaired by the
-/// freshness check).
-const EVICT_FLUSH_THRESHOLD: usize = 4096;
-
-/// Per-worker telemetry handles for the resident-state plane: the
-/// occupancy gauge plus churn counters, updated by the worker after
-/// each task from [`ResidentStats`] deltas.
+/// Telemetry of the resident-state plane: the occupancy gauge plus
+/// churn counters, advanced from [`ResidentStats`] deltas.
 struct ResidentTelemetry {
     rows: Gauge,
     joins: Counter,
     leaves: Counter,
     compactions: Counter,
+    last: ResidentStats,
 }
 
-fn spawn_manager(args: ManagerArgs) -> JoinHandle<()> {
-    let ManagerArgs {
-        rx,
-        worker_txs,
-        registry,
-        cfg,
-        pipeline_depth,
-        num_workers,
-        timer,
-        active,
-        trace,
-        telemetry,
-    } = args;
-    std::thread::Builder::new()
-        .name("bm-manager".into())
-        .spawn(move || {
-            let resident_state = cfg.serve.resident_state;
-            let batched_dispatch = cfg.serve.batched_dispatch;
-            // The engine installs its own trace/telemetry sinks from
-            // the serve config embedded in `cfg`.
-            let mut engine = CellularEngine::new(Arc::clone(&registry), cfg);
-            // Manager-side telemetry handles; all `None` when disabled
-            // so each site below stays one branch.
-            let expired_counter = telemetry
-                .enabled()
-                .then(|| telemetry.counter("bm_requests_expired_total"));
-            let depth_gauges: Option<Vec<Gauge>> = telemetry.enabled().then(|| {
-                (0..num_workers)
-                    .map(|w| {
-                        telemetry
-                            .gauge_with("bm_worker_pipeline_depth", &[("worker", &w.to_string())])
-                    })
-                    .collect()
-            });
-            // Scatter→completion: time from the engine declaring a
-            // request complete to the manager resolving its handle
-            // (output copy-out). Outside the four-stage tiling.
-            let scatter_hist = telemetry
-                .enabled()
-                .then(|| telemetry.histogram_with("bm_stage_us", &[("stage", "scatter_resolve")]));
-            // Manager hot-path amortization metrics: how often the
-            // manager wakes, how many logical items (requests +
-            // completions) each wakeup drains, and how many tasks each
-            // worker message carries. drained-per-wakeup > 1 under load
-            // is the whole point of batched dispatch.
-            let wakeup_counter = telemetry
-                .enabled()
-                .then(|| telemetry.counter("bm_manager_wakeups_total"));
-            let drained_hist = telemetry
-                .enabled()
-                .then(|| telemetry.histogram("bm_manager_drained_per_wakeup"));
-            let submit_hist = telemetry
-                .enabled()
-                .then(|| telemetry.histogram("bm_manager_submit_batch"));
-            let mut responders: HashMap<RequestId, Responder> = HashMap::new();
-            // Per-request state blocks; workers hold per-task `Arc`
-            // clones, so dropping an entry here reclaims the storage as
-            // soon as the last in-flight task finishes.
-            let mut blocks: HashMap<RequestId, Arc<SlotBlock>> = HashMap::new();
-            // Min-heap of (absolute deadline µs, request). Entries for
-            // already-resolved requests are discarded when popped and
-            // pruned wholesale when they outnumber live entries.
-            let mut deadlines: BinaryHeap<std::cmp::Reverse<(u64, RequestId)>> = BinaryHeap::new();
-            let mut stale_deadlines = 0usize;
-            let mut inflight_per_worker = vec![0usize; num_workers];
-            // Resident-plane eviction: requests retired since each
-            // worker's last task. A request's row may live on any
-            // worker (migration), so retirements broadcast to all.
-            let mut retired: Vec<RequestId> = Vec::new();
-            let mut pending_evict: Vec<Vec<RequestId>> = vec![Vec::new(); num_workers];
-            let mut pending_flush = vec![false; num_workers];
-            // Last traced queue depth per worker; MAX forces an initial
-            // zero sample so counter tracks start at a baseline.
-            let mut traced_depth = vec![usize::MAX; num_workers];
-            let mut shutting_down = false;
-
-            loop {
-                // Wait for the next message, but never past the nearest
-                // pending deadline or the policy's requested wake-up
-                // (the release point of a held batch).
-                let now = timer.now_us();
-                let next_deadline = deadlines.peek().map(|&std::cmp::Reverse((d, _))| d);
-                let next_wake = match (next_deadline, engine.next_wakeup(now)) {
-                    (Some(a), Some(b)) => Some(a.min(b)),
-                    (a, b) => a.or(b),
-                };
-                let first = match next_wake {
-                    Some(d) => {
-                        if d <= now {
-                            None
-                        } else {
-                            match rx.recv_timeout(Duration::from_micros(d - now)) {
-                                Ok(m) => Some(m),
-                                Err(RecvTimeoutError::Timeout) => None,
-                                Err(RecvTimeoutError::Disconnected) => break,
-                            }
-                        }
-                    }
-                    None => match rx.recv() {
-                        Ok(m) => Some(m),
-                        Err(_) => break,
-                    },
-                };
-
-                // Drain every pending message before dispatching, so a
-                // burst of completions triggers one dispatch pass (and
-                // one batching decision), not one per completion.
-                let mut drained_items = 0u64;
-                let mut msg = first;
-                loop {
-                    if let Some(m) = msg {
-                        drained_items += m.items();
-                        match m {
-                            ManagerMsg::Arrive(a) => admit_arrival(
-                                *a,
-                                &mut engine,
-                                &mut responders,
-                                &mut blocks,
-                                &mut deadlines,
-                                &registry,
-                            ),
-                            ManagerMsg::ArriveBatch(batch) => {
-                                for a in batch {
-                                    admit_arrival(
-                                        a,
-                                        &mut engine,
-                                        &mut responders,
-                                        &mut blocks,
-                                        &mut deadlines,
-                                        &registry,
-                                    );
-                                }
-                            }
-                            ManagerMsg::TaskDone {
-                                task,
-                                worker,
-                                started_us,
-                                finished_us,
-                                tokens,
-                            } => {
-                                inflight_per_worker[worker.index()] -= 1;
-                                engine.on_task_started(task, started_us);
-                                let done = engine.on_task_completed(task, &tokens, finished_us);
-                                for c in done {
-                                    resolve(
-                                        &mut responders,
-                                        &mut blocks,
-                                        &active,
-                                        &mut stale_deadlines,
-                                        &mut retired,
-                                        c,
-                                        scatter_hist.as_ref(),
-                                        &timer,
-                                    );
-                                }
-                            }
-                            ManagerMsg::Shutdown => {
-                                shutting_down = true;
-                            }
-                        }
-                    }
-                    match rx.try_recv() {
-                        Ok(m) => msg = Some(m),
-                        Err(_) => break,
-                    }
-                }
-                if let Some(c) = &wakeup_counter {
-                    c.inc();
-                }
-                if let Some(h) = &drained_hist {
-                    h.record(drained_items);
-                }
-
-                // Expire overdue requests: cancel unsubmitted work now;
-                // requests with in-flight tasks resolve (as cancelled)
-                // when those drain through TaskDone.
-                let now = timer.now_us();
-                while let Some(&std::cmp::Reverse((d, id))) = deadlines.peek() {
-                    if d > now {
-                        break;
-                    }
-                    deadlines.pop();
-                    let Some(r) = responders.get_mut(&id) else {
-                        // Resolved before its deadline — a stale entry
-                        // counted at resolve time, now consumed.
-                        stale_deadlines = stale_deadlines.saturating_sub(1);
-                        continue;
-                    };
-                    r.has_deadline = false;
-                    if let Some(c) = &expired_counter {
-                        c.inc();
-                    }
-                    if trace.enabled() {
-                        trace.record(TraceEvent {
-                            ts_us: now,
-                            kind: EventKind::RequestExpired { request: id.0 },
-                        });
-                    }
-                    if let CancelOutcome::Finished(done) = engine.cancel_request(id, now) {
-                        resolve(
-                            &mut responders,
-                            &mut blocks,
-                            &active,
-                            &mut stale_deadlines,
-                            &mut retired,
-                            done,
-                            scatter_hist.as_ref(),
-                            &timer,
-                        );
-                    }
-                }
-                // Opportunistic prune: without it, a long-running server
-                // whose requests complete ahead of their deadlines grows
-                // the heap without bound.
-                if deadlines.len() >= DEADLINE_PRUNE_MIN && stale_deadlines > deadlines.len() / 2 {
-                    let live: Vec<_> = deadlines
-                        .drain()
-                        .filter(|&std::cmp::Reverse((_, id))| responders.contains_key(&id))
-                        .collect();
-                    deadlines = BinaryHeap::from(live);
-                    stale_deadlines = 0;
-                }
-
-                // Broadcast retirements to every worker's eviction
-                // backlog (a migrated request's row may sit anywhere);
-                // an idle worker's backlog degrades to one flush bit.
-                if resident_state {
-                    for id in retired.drain(..) {
-                        for w in 0..num_workers {
-                            if !pending_flush[w] {
-                                pending_evict[w].push(id);
-                                if pending_evict[w].len() > EVICT_FLUSH_THRESHOLD {
-                                    pending_evict[w].clear();
-                                    pending_flush[w] = true;
-                                }
-                            }
-                        }
-                    }
-                } else {
-                    retired.clear();
-                }
-
-                // Refill every worker's pipeline window (§5: per-device
-                // FIFO queues + MaxTasksToSubmit hide the completion
-                // round-trip; depth 1 degenerates to dispatch-on-drain).
-                // All tasks formed for a worker this pass ride one
-                // message — a batch of subgraph executions — so a full
-                // refill costs one channel send, not one per task.
-                engine.advance_clock(now);
-                for (w, tx) in worker_txs.iter().enumerate() {
-                    let mut formed: Vec<WorkerTask> = Vec::new();
-                    while inflight_per_worker[w] < pipeline_depth {
-                        let tasks = engine.dispatch(WorkerId(w as u32));
-                        if tasks.is_empty() {
-                            break;
-                        }
-                        for t in tasks {
-                            inflight_per_worker[w] += 1;
-                            formed.push(WorkerTask {
-                                blocks: t
-                                    .entries
-                                    .iter()
-                                    .map(|e| {
-                                        Arc::clone(
-                                            blocks
-                                                .get(&e.request)
-                                                .expect("state block for dispatched request"),
-                                        )
-                                    })
-                                    .collect(),
-                                task: t,
-                            });
-                        }
-                    }
-                    if formed.is_empty() {
-                        continue;
-                    }
-                    if batched_dispatch {
-                        if let Some(h) = &submit_hist {
-                            h.record(formed.len() as u64);
-                        }
-                        let _ = tx.send(WorkerBatch {
-                            tasks: formed,
-                            evict: std::mem::take(&mut pending_evict[w]),
-                            flush_resident: std::mem::replace(&mut pending_flush[w], false),
-                        });
-                    } else {
-                        // Per-message baseline: one task per send, the
-                        // eviction piggyback on the first.
-                        let mut first_msg = true;
-                        for wt in formed {
-                            if let Some(h) = &submit_hist {
-                                h.record(1);
-                            }
-                            let _ = tx.send(WorkerBatch {
-                                tasks: vec![wt],
-                                evict: if first_msg {
-                                    std::mem::take(&mut pending_evict[w])
-                                } else {
-                                    Vec::new()
-                                },
-                                flush_resident: first_msg
-                                    && std::mem::replace(&mut pending_flush[w], false),
-                            });
-                            first_msg = false;
-                        }
-                    }
-                }
-                if trace.enabled() || depth_gauges.is_some() {
-                    for (w, &depth) in inflight_per_worker.iter().enumerate() {
-                        if traced_depth[w] != depth {
-                            traced_depth[w] = depth;
-                            if trace.enabled() {
-                                trace.record(TraceEvent {
-                                    ts_us: now,
-                                    kind: EventKind::WorkerQueueDepth {
-                                        worker: w as u32,
-                                        depth: depth as u32,
-                                    },
-                                });
-                            }
-                            if let Some(g) = &depth_gauges {
-                                g[w].set(depth as i64);
-                            }
-                        }
-                    }
-                }
-                if shutting_down && engine.active_requests() == 0 {
-                    break;
-                }
-            }
-            // Dropping the worker senders makes workers exit; dropping
-            // the responders resolves outstanding handles to ShutDown.
-        })
-        .expect("spawn manager")
-}
-
-/// Books one arrival into the manager's state: responder, slot block,
-/// engine admission, deadline-heap entry. Shared by the single-arrival
-/// and coalesced-batch message paths.
-fn admit_arrival(
-    a: Arrival,
-    engine: &mut CellularEngine,
-    responders: &mut HashMap<RequestId, Responder>,
-    blocks: &mut HashMap<RequestId, Arc<SlotBlock>>,
-    deadlines: &mut BinaryHeap<std::cmp::Reverse<(u64, RequestId)>>,
-    registry: &CellRegistry,
-) {
-    let Arrival {
-        id,
-        graph,
-        arrival_us,
-        deadline_us,
-        priority,
-        respond,
-    } = a;
-    responders.insert(
-        id,
-        Responder {
-            respond,
-            n_nodes: graph.len(),
-            has_deadline: deadline_us.is_some(),
-        },
-    );
-    blocks.insert(id, Arc::new(SlotBlock::for_graph(&graph, registry)));
-    engine.on_arrival_full(id, graph, arrival_us, deadline_us, priority);
-    if let Some(d) = deadline_us {
-        deadlines.push(std::cmp::Reverse((d, id)));
+impl ShardMetrics {
+    fn new(tel: &Telemetry, resident: bool) -> Self {
+        let worker = [("worker", "0")];
+        ShardMetrics {
+            expired: tel.counter("bm_requests_expired_total"),
+            scatter_resolve: tel.histogram_with("bm_stage_us", &[("stage", "scatter_resolve")]),
+            wakeups: tel.counter("bm_manager_wakeups_total"),
+            drained: tel.histogram("bm_manager_drained_per_wakeup"),
+            submit_batch: tel.histogram("bm_manager_submit_batch"),
+            busy: tel.counter_with("bm_worker_busy_us_total", &worker),
+            resident: resident.then(|| ResidentTelemetry {
+                rows: tel.gauge_with("bm_resident_rows", &worker),
+                joins: tel.counter_with("bm_resident_joins_total", &worker),
+                leaves: tel.counter_with("bm_resident_leaves_total", &worker),
+                compactions: tel.counter_with("bm_resident_compactions_total", &worker),
+                last: ResidentStats::default(),
+            }),
+        }
     }
 }
 
-/// Resolves one completion record: removes the responder and the
-/// request's state block, and sends the outcome (Completed, or Expired
-/// for a cancelled record).
-///
-/// The engine reports a request finished only after every task touching
-/// it has drained, so no worker reads the block's rows concurrently;
-/// output extraction is a plain copy on the manager with no lock held
-/// anywhere.
-#[allow(clippy::too_many_arguments)]
-fn resolve(
-    responders: &mut HashMap<RequestId, Responder>,
-    blocks: &mut HashMap<RequestId, Arc<SlotBlock>>,
-    active: &AtomicUsize,
-    stale_deadlines: &mut usize,
-    retired: &mut Vec<RequestId>,
-    done: CompletedRequest,
-    scatter_hist: Option<&Histogram>,
-    timer: &CpuTimer,
-) {
-    let Some(r) = responders.remove(&done.id) else {
-        return;
-    };
-    // Request ids are never reused, so eviction is memory hygiene for
-    // the workers' resident batches — correctness never depends on it.
-    retired.push(done.id);
-    if let Some(h) = scatter_hist {
-        h.record(timer.now_us().saturating_sub(done.completion_us));
-    }
-    let block = blocks.remove(&done.id);
-    if r.has_deadline {
-        // The heap entry now points at a resolved request.
-        *stale_deadlines += 1;
-    }
-    active.fetch_sub(1, Ordering::AcqRel);
-    let timing = ServedTiming {
-        arrival_us: done.arrival_us,
-        start_us: done.start_us,
-        completion_us: done.completion_us,
-    };
-    let outcome = if done.cancelled {
-        // Partial outputs die with the block dropped above.
-        ServedOutcome::Expired(timing)
-    } else {
-        let block = block.expect("state block for completed request");
-        let outputs = (0..r.n_nodes).map(|i| block.output(i)).collect();
-        ServedOutcome::Completed(ServedResult {
-            result: GraphResult { outputs },
-            timing,
-        })
-    };
-    r.respond.deliver(outcome);
+/// What a blocking wait on the inbox returned.
+enum Parked {
+    /// A deadline or policy wake-up was already due: no wait happened.
+    Due,
+    /// The thread blocked and woke: on a message, or on the timer.
+    Woke(Option<ShardMsg>),
+    /// Every sender is gone.
+    Closed,
 }
 
-#[allow(clippy::too_many_arguments)]
-fn spawn_worker(
-    id: WorkerId,
-    rx: Receiver<WorkerBatch>,
-    mgr_tx: Sender<ManagerMsg>,
+/// Everything the shard thread owns.
+struct Shard {
+    rx: Receiver<ShardMsg>,
+    engine: CellularEngine,
     registry: Arc<CellRegistry>,
     timer: CpuTimer,
-    busy_counter: Option<Counter>,
-    resident: bool,
-    resident_tel: Option<ResidentTelemetry>,
-) -> JoinHandle<()> {
-    std::thread::Builder::new()
-        .name(format!("bm-worker-{}", id.0))
-        .spawn(move || {
-            // One scratch arena per worker thread: batch intermediates
-            // are recycled across tasks, so steady-state execution does
-            // no per-step heap allocation.
-            let mut scratch = Scratch::new();
-            // The resident-state plane: one persistent batch per chain
-            // cell type, rows owned by this worker's active requests.
-            let mut plane: Option<HashMap<CellTypeId, ResidentBatch>> = resident.then(HashMap::new);
-            let mut last_stats = ResidentStats::default();
-            'recv: while let Ok(wb) = rx.recv() {
-                if let Some(plane) = plane.as_mut() {
-                    if wb.flush_resident {
-                        for rb in plane.values_mut() {
-                            rb.clear();
+    active: Arc<AtomicUsize>,
+    trace: Arc<dyn TraceSink>,
+    metrics: Option<ShardMetrics>,
+    live: HashMap<RequestId, LiveRequest>,
+    /// Min-heap of (absolute deadline µs, request). Entries for
+    /// already-resolved requests are discarded when popped and pruned
+    /// wholesale when they outnumber live entries.
+    deadlines: BinaryHeap<Reverse<(u64, RequestId)>>,
+    stale_deadlines: usize,
+    /// Batch intermediates, recycled across tasks so steady-state
+    /// execution does no per-step heap allocation.
+    scratch: Scratch,
+    /// The resident-state plane: one persistent batch per chain cell
+    /// type, rows owned by this shard's active requests. `None` when
+    /// resident state is off.
+    plane: Option<HashMap<CellTypeId, ResidentBatch>>,
+}
+
+impl Shard {
+    fn run(mut self) {
+        let mut shutting_down = false;
+        // Whether the previous pass found nothing to do. Only then does
+        // the thread block; the first pass has nothing to find.
+        let mut idle = true;
+        loop {
+            let (first, woke) = match idle.then(|| self.park()) {
+                None | Some(Parked::Due) => (None, false),
+                Some(Parked::Woke(m)) => (m, true),
+                Some(Parked::Closed) => break,
+            };
+            // Admit everything that has arrived, so requests that came
+            // in while the last tasks ran join this pass's batches.
+            let mut arrivals = 0u64;
+            let mut next = first.or_else(|| self.rx.try_recv().ok());
+            while let Some(msg) = next {
+                match msg {
+                    ShardMsg::Arrive(batch) => {
+                        arrivals += batch.len() as u64;
+                        for a in batch {
+                            self.admit(a);
                         }
                     }
-                    for id in &wb.evict {
-                        for rb in plane.values_mut() {
-                            rb.remove(*id);
-                        }
-                    }
+                    ShardMsg::Shutdown => shutting_down = true,
                 }
-                // Execute the batch in order, reporting one completion
-                // per task (the engine tracks per-task dependencies);
-                // the manager drains the burst in one wakeup.
-                for wt in &wb.tasks {
-                    let started_us = timer.now_us();
-                    let tokens = execute_task(wt, &registry, &mut scratch, plane.as_mut());
-                    let finished_us = timer.now_us();
-                    if let Some(c) = &busy_counter {
-                        c.add(finished_us - started_us);
-                    }
-                    // Blocking send: completions are backpressure, never
-                    // dropped — the manager always drains its queue.
-                    if mgr_tx
-                        .send(ManagerMsg::TaskDone {
-                            task: wt.task.id,
-                            worker: id,
-                            started_us,
-                            finished_us,
-                            tokens,
-                        })
-                        .is_err()
-                    {
-                        break 'recv;
-                    }
-                }
-                if let (Some(t), Some(plane)) = (&resident_tel, plane.as_ref()) {
-                    let mut occupied = 0usize;
-                    let mut agg = ResidentStats::default();
-                    for rb in plane.values() {
-                        occupied += rb.occupied();
-                        let s = rb.stats();
-                        agg.joins += s.joins;
-                        agg.leaves += s.leaves;
-                        agg.compaction_moves += s.compaction_moves;
-                        agg.refetches += s.refetches;
-                    }
-                    t.rows.set(occupied as i64);
-                    t.joins.add(agg.joins - last_stats.joins);
-                    t.leaves.add(agg.leaves - last_stats.leaves);
-                    t.compactions
-                        .add(agg.compaction_moves - last_stats.compaction_moves);
-                    last_stats = agg;
-                }
+                next = self.rx.try_recv().ok();
             }
-        })
-        .expect("spawn worker")
+            if let (true, Some(m)) = (woke, &self.metrics) {
+                m.wakeups.inc();
+                m.drained.record(arrivals);
+            }
+
+            let now = self.timer.now_us();
+            let expired = self.expire(now);
+            self.engine.advance_clock(now);
+            let ran = self.run_tasks();
+            idle = arrivals == 0 && !expired && !ran;
+            if !idle {
+                self.publish_resident();
+            }
+            if shutting_down && self.engine.active_requests() == 0 {
+                break;
+            }
+        }
+    }
+
+    /// Blocks for the next inbox message, but never past the nearest
+    /// pending deadline or the policy's requested wake-up (the release
+    /// point of a held batch).
+    fn park(&self) -> Parked {
+        let now = self.timer.now_us();
+        let next_deadline = self.deadlines.peek().map(|&Reverse((d, _))| d);
+        let wake_at = match (next_deadline, self.engine.next_wakeup(now)) {
+            (Some(a), Some(b)) => Some(a.min(b)),
+            (a, b) => a.or(b),
+        };
+        match wake_at {
+            Some(d) if d <= now => Parked::Due,
+            Some(d) => match self.rx.recv_timeout(Duration::from_micros(d - now)) {
+                Ok(m) => Parked::Woke(Some(m)),
+                Err(RecvTimeoutError::Timeout) => Parked::Woke(None),
+                Err(RecvTimeoutError::Disconnected) => Parked::Closed,
+            },
+            None => match self.rx.recv() {
+                Ok(m) => Parked::Woke(Some(m)),
+                Err(_) => Parked::Closed,
+            },
+        }
+    }
+
+    /// Books one arrival: live-request entry with its slot block, engine
+    /// admission, deadline-heap entry.
+    fn admit(&mut self, a: Arrival) {
+        let Arrival {
+            id,
+            graph,
+            arrival_us,
+            deadline_us,
+            priority,
+            respond,
+        } = a;
+        self.live.insert(
+            id,
+            LiveRequest {
+                respond,
+                block: SlotBlock::for_graph(&graph, &self.registry),
+                n_nodes: graph.len(),
+                has_deadline: deadline_us.is_some(),
+            },
+        );
+        self.engine
+            .on_arrival_full(id, graph, arrival_us, deadline_us, priority);
+        if let Some(d) = deadline_us {
+            self.deadlines.push(Reverse((d, id)));
+        }
+    }
+
+    /// Expires every request whose deadline is at or before `now`;
+    /// returns whether any live request was expired.
+    fn expire(&mut self, now: u64) -> bool {
+        let mut any = false;
+        while let Some(&Reverse((d, id))) = self.deadlines.peek() {
+            if d > now {
+                break;
+            }
+            self.deadlines.pop();
+            let Some(r) = self.live.get_mut(&id) else {
+                // Resolved before its deadline — a stale entry counted
+                // at resolve time, now consumed.
+                self.stale_deadlines = self.stale_deadlines.saturating_sub(1);
+                continue;
+            };
+            r.has_deadline = false;
+            any = true;
+            if let Some(m) = &self.metrics {
+                m.expired.inc();
+            }
+            if self.trace.enabled() {
+                self.trace.record(TraceEvent {
+                    ts_us: now,
+                    kind: EventKind::RequestExpired { request: id.0 },
+                });
+            }
+            if let CancelOutcome::Finished(done) = self.engine.cancel_request(id, now) {
+                self.resolve(done);
+            }
+        }
+        // Opportunistic prune: without it, a long-running server whose
+        // requests complete ahead of their deadlines grows the heap
+        // without bound.
+        if self.deadlines.len() >= DEADLINE_PRUNE_MIN
+            && self.stale_deadlines > self.deadlines.len() / 2
+        {
+            let live = &self.live;
+            self.deadlines
+                .retain(|&Reverse((_, id))| live.contains_key(&id));
+            self.stale_deadlines = 0;
+        }
+        any
+    }
+
+    /// One scheduling decision: asks the engine for tasks (§4.3: up to
+    /// `MaxTasksToSubmit` consecutive steps of the picked cell type) and
+    /// executes them in order. Returns whether there were any.
+    fn run_tasks(&mut self) -> bool {
+        let tasks = self.engine.dispatch(WorkerId(0));
+        if tasks.is_empty() {
+            return false;
+        }
+        if let Some(m) = &self.metrics {
+            m.submit_batch.record(tasks.len() as u64);
+        }
+        for task in &tasks {
+            let started_us = self.timer.now_us();
+            self.engine.on_task_started(task.id, started_us);
+            let tokens = execute_task(
+                task,
+                &self.live,
+                &self.registry,
+                &mut self.scratch,
+                self.plane.as_mut(),
+            );
+            let finished_us = self.timer.now_us();
+            if let Some(m) = &self.metrics {
+                m.busy.add(finished_us - started_us);
+            }
+            for done in self.engine.on_task_completed(task.id, &tokens, finished_us) {
+                self.resolve(done);
+            }
+        }
+        true
+    }
+
+    /// Resolves one completion record: drops the live entry with its
+    /// state block, releases the request's resident rows and sends the
+    /// outcome (Completed, or Expired for a cancelled record).
+    ///
+    /// The engine reports a request finished only after every task
+    /// touching it has drained, so no later task looks the block up.
+    fn resolve(&mut self, done: CompletedRequest) {
+        let Some(r) = self.live.remove(&done.id) else {
+            return;
+        };
+        if let Some(m) = &self.metrics {
+            m.scatter_resolve
+                .record(self.timer.now_us().saturating_sub(done.completion_us));
+        }
+        if let Some(plane) = &mut self.plane {
+            for rb in plane.values_mut() {
+                rb.remove(done.id);
+            }
+        }
+        if r.has_deadline {
+            // The heap entry now points at a resolved request.
+            self.stale_deadlines += 1;
+        }
+        self.active.fetch_sub(1, Ordering::AcqRel);
+        let timing = ServedTiming {
+            arrival_us: done.arrival_us,
+            start_us: done.start_us,
+            completion_us: done.completion_us,
+        };
+        let outcome = if done.cancelled {
+            // Partial outputs die with the block.
+            ServedOutcome::Expired(timing)
+        } else {
+            let outputs = (0..r.n_nodes).map(|i| r.block.output(i)).collect();
+            ServedOutcome::Completed(ServedResult {
+                result: GraphResult { outputs },
+                timing,
+            })
+        };
+        r.respond.deliver(outcome);
+    }
+
+    /// Mirrors the resident plane's occupancy and churn into telemetry.
+    fn publish_resident(&mut self) {
+        let (Some(plane), Some(t)) = (
+            &self.plane,
+            self.metrics.as_mut().and_then(|m| m.resident.as_mut()),
+        ) else {
+            return;
+        };
+        let mut occupied = 0usize;
+        let mut agg = ResidentStats::default();
+        for rb in plane.values() {
+            occupied += rb.occupied();
+            let s = rb.stats();
+            agg.joins += s.joins;
+            agg.leaves += s.leaves;
+            agg.compaction_moves += s.compaction_moves;
+        }
+        t.rows.set(occupied as i64);
+        t.joins.add(agg.joins - t.last.joins);
+        t.leaves.add(agg.leaves - t.last.leaves);
+        t.compactions
+            .add(agg.compaction_moves - t.last.compaction_moves);
+        t.last = agg;
+    }
+}
+
+/// The token an entry feeds its cell, read from the request's own block
+/// when it comes from a dependency's output.
+fn entry_token(e: &TaskEntry, block: &SlotBlock) -> Option<u32> {
+    match e.token {
+        TokenSource::None => None,
+        TokenSource::Fixed(t) => Some(t),
+        TokenSource::FromDep(k) => Some(
+            block
+                .token(e.deps[k].index())
+                .expect("FromDep dependency emitted no token"),
+        ),
+    }
+}
+
+/// The published state of `e`'s dependency `d`.
+fn dep_state<'a>(e: &TaskEntry, d: NodeId, block: &'a SlotBlock) -> StateRef<'a> {
+    block
+        .state(d.index())
+        .unwrap_or_else(|| panic!("missing dependency {}/{} for {}", e.request, d, e.node))
 }
 
 /// Executes one batched task against the slot-indexed state plane.
 ///
 /// Performs the "gather" (§4.3) by pointing each invocation straight at
-/// its dependencies' published arena rows — no map lookup, no lock, no
-/// `CellOutput` clone — then runs the cell once and scatters each result
-/// row into the entry's own slot. Dependency rows are guaranteed
-/// published: tasks on one worker execute in submission order and the
-/// engine submits a node only once its external dependencies completed
-/// (FIFO stream semantics, §5).
+/// its dependencies' published slot rows — no `CellOutput` clone — then
+/// runs the cell once and scatters each result row into the entry's own
+/// slot. Dependency rows are guaranteed published: tasks execute in
+/// submission order and the engine submits a node only once its
+/// external dependencies completed.
 ///
-/// When the worker carries a resident plane (`plane` is `Some`) and the
+/// When the shard carries a resident plane (`plane` is `Some`) and the
 /// cell supports it, chain tasks take the resident fast path instead:
 /// see [`execute_task_resident`]. Outputs are bitwise identical either
 /// way.
 fn execute_task(
-    wt: &WorkerTask,
-    registry: &Arc<CellRegistry>,
+    task: &Task,
+    live: &HashMap<RequestId, LiveRequest>,
+    registry: &CellRegistry,
     scratch: &mut Scratch,
     plane: Option<&mut HashMap<CellTypeId, ResidentBatch>>,
 ) -> Vec<Option<u32>> {
     const NO_STATE: StateRef<'static> = StateRef { h: &[], c: &[] };
-    let task = &wt.task;
     let cell = registry.cell(task.cell_type);
+    // One block per entry, parallel to `task.entries`.
+    let blocks: Vec<&SlotBlock> = task
+        .entries
+        .iter()
+        .map(|e| {
+            &live
+                .get(&e.request)
+                .expect("state block for dispatched request")
+                .block
+        })
+        .collect();
     if let Some(plane) = plane {
         if let Some(layout) = cell.resident_layout() {
             if !task.entries.is_empty() && task.entries.iter().all(|e| e.deps.len() <= 1) {
-                return execute_task_resident(wt, cell, layout, plane, scratch);
+                return execute_task_resident(task, &blocks, cell, layout, plane, scratch);
             }
         }
     }
     let invocations: Vec<RowInvocation<'_>> = task
         .entries
         .iter()
-        .zip(&wt.blocks)
+        .zip(&blocks)
         .map(|(e, block)| {
             let mut states = [NO_STATE; 2];
             for (slot, d) in states.iter_mut().zip(e.deps.iter()) {
-                *slot = block.state(d.index()).unwrap_or_else(|| {
-                    panic!("missing dependency {}/{} for {}", e.request, d, e.node)
-                });
+                *slot = dep_state(e, *d, block);
             }
-            let token = match e.token {
-                TokenSource::None => None,
-                TokenSource::Fixed(t) => Some(t),
-                TokenSource::FromDep(k) => Some(
-                    block
-                        .token(e.deps[k].index())
-                        .expect("FromDep dependency emitted no token"),
-                ),
-            };
-            RowInvocation::new(token, &states[..e.deps.len()])
+            RowInvocation::new(entry_token(e, block), &states[..e.deps.len()])
         })
         .collect();
     let mut tokens: Vec<Option<u32>> = vec![None; task.entries.len()];
     cell.execute_rows_in(&invocations, scratch, |row, h, c, token| {
-        let e = &task.entries[row];
-        wt.blocks[row].write(e.node.index(), h, c, token);
+        blocks[row].write(task.entries[row].node.index(), h, c, token);
         tokens[row] = token;
     });
     tokens
 }
 
-/// Executes one chain task through the worker's resident-state plane.
+/// Executes one chain task through the shard's resident-state plane.
 ///
 /// Each entry is *placed* at its batch row — a no-op for a request
 /// already parked there from its previous step, one row write for a
-/// join, a slot-arena refetch only when the row went stale (the request
-/// migrated workers) — and then the cell runs one fused step over the
-/// dense prefix in place. The scatter half is unchanged: every row's
-/// output is still published to the request's [`SlotBlock`], keeping
-/// cross-worker gathers and final copy-out oblivious to which path ran.
+/// join, a slot-block refetch only when the row went stale — and then
+/// the cell runs one fused step over the dense prefix in place. The
+/// scatter half is unchanged: every row's output is still published to
+/// the request's [`SlotBlock`], keeping later gathers and the final
+/// copy-out oblivious to which path ran.
 fn execute_task_resident(
-    wt: &WorkerTask,
+    task: &Task,
+    blocks: &[&SlotBlock],
     cell: &Cell,
     layout: ResidentLayout,
     plane: &mut HashMap<CellTypeId, ResidentBatch>,
     scratch: &mut Scratch,
 ) -> Vec<Option<u32>> {
-    let task = &wt.task;
     let rb = plane
         .entry(task.cell_type)
         .or_insert_with(|| ResidentBatch::new(layout));
     let n = task.entries.len();
     let mut tokens_in: Vec<Option<u32>> = Vec::with_capacity(n);
-    for (i, (e, block)) in task.entries.iter().zip(&wt.blocks).enumerate() {
+    for (i, (e, block)) in task.entries.iter().zip(blocks).enumerate() {
         let dep = e.deps.first().copied();
         rb.place(i, e.request, e.node, dep, || {
-            let d = dep.expect("state fetch without a dependency");
-            block
-                .state(d.index())
-                .unwrap_or_else(|| panic!("missing dependency {}/{} for {}", e.request, d, e.node))
+            dep_state(e, dep.expect("state fetch without a dependency"), block)
         });
-        tokens_in.push(match e.token {
-            TokenSource::None => None,
-            TokenSource::Fixed(t) => Some(t),
-            TokenSource::FromDep(k) => Some(
-                block
-                    .token(e.deps[k].index())
-                    .expect("FromDep dependency emitted no token"),
-            ),
-        });
+        tokens_in.push(entry_token(e, block));
     }
     let mut tokens: Vec<Option<u32>> = vec![None; n];
     rb.step(cell, n, &tokens_in, scratch, |row, h, c, token| {
-        let e = &task.entries[row];
-        wt.blocks[row].write(e.node.index(), h, c, token);
+        blocks[row].write(task.entries[row].node.index(), h, c, token);
         tokens[row] = token;
     });
     tokens

@@ -1,12 +1,11 @@
 //! The sharded scheduler control plane.
 //!
-//! BENCH_runtime.json showed the single-threaded manager capping
-//! end-to-end pipelining gains: one thread owns the only
-//! [`CellularEngine`](crate::CellularEngine) and time-shares with the
-//! workers. [`ShardedRuntime`] removes that bottleneck by running N
-//! independent scheduler shards — each a full threaded [`Runtime`] with
-//! its own engine, deadline heap, manager queue and worker pool — behind
-//! one submission front.
+//! A [`Runtime`] is one thread that schedules, executes and resolves.
+//! [`ShardedRuntime`] is how the server uses more than one core: N
+//! independent shards — each a full [`Runtime`] with its own
+//! [`CellularEngine`](crate::CellularEngine), deadline heap, inbox and
+//! state — behind one submission front, all stamping requests on one
+//! shared clock.
 //!
 //! ## Placement
 //!
@@ -33,15 +32,11 @@
 //! [`ShardedRuntime::snapshot`] rolls them up into a single
 //! [`Snapshot`] with a `shard` label on every entry — aggregate totals
 //! fall out of `counter_sum`/`histogram_sum` over the merged view.
-//!
-//! Worker threads are divided across shards (each shard gets at least
-//! one), so a 1-shard and an N-shard runtime with the same
-//! [`RuntimeOptions::workers`] use the same compute and differ only in
-//! control-plane parallelism — the comparison `repro serve` records.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
+use bm_device::CpuTimer;
 use bm_model::{Model, RequestInput};
 use bm_telemetry::{Snapshot, Telemetry};
 
@@ -69,10 +64,7 @@ const SPILL_MARGIN: usize = 16;
 /// # fn demo(model: Arc<dyn bm_model::Model>) {
 /// let rt = ShardedRuntime::start(
 ///     model,
-///     RuntimeOptions::new().workers(8).scheduler(
-///         bm_core::SchedulerConfig::new()
-///             .serve(bm_core::ServeConfig::new().shards(4)),
-///     ),
+///     RuntimeOptions::new().serve_config(bm_core::ServeConfig::new().shards(4)),
 /// );
 /// let handle = rt
 ///     .submit_request(Request::new(RequestInput::Sequence(vec![1, 2])))
@@ -90,31 +82,32 @@ pub struct ShardedRuntime {
 }
 
 impl ShardedRuntime {
-    /// Starts `opts.serve().shards` shards serving `model`, dividing
-    /// `opts.workers` worker threads across them (each shard gets at
-    /// least one).
+    /// Starts `opts.serve().shards` shards (one thread each) serving
+    /// `model`; a shard count of 0 is clamped to 1.
     ///
     /// # Panics
     ///
-    /// Panics if `opts.workers` or the serve config's `pipeline_depth`
-    /// is zero (shard count 0 is clamped to 1).
+    /// Panics if `opts.workers` is not 1 (see [`Runtime::start`]).
     pub fn start(model: Arc<dyn Model>, opts: RuntimeOptions) -> Self {
         let n = opts.serve().shards.max(1);
-        let total_workers = opts.workers.max(1);
         let telemetry_on = opts.serve().telemetry.enabled();
+        // One clock for every shard: a `ServedTiming` from any of them
+        // is on the epoch `now_us` reads.
+        let timer = CpuTimer::new();
         let mut shards = Vec::with_capacity(n);
         let mut registries = Vec::with_capacity(n);
-        for i in 0..n {
-            // Divide workers as evenly as possible: the first
-            // `total_workers % n` shards get one extra.
-            let workers = (total_workers / n + usize::from(i < total_workers % n)).max(1);
-            let mut shard_opts = opts.clone().workers(workers);
+        for _ in 0..n {
+            let mut shard_opts = opts.clone();
             if telemetry_on {
                 let reg = Telemetry::new();
                 registries.push(Arc::clone(&reg));
                 shard_opts = shard_opts.telemetry(reg);
             }
-            shards.push(Runtime::start(Arc::clone(&model), shard_opts));
+            shards.push(Runtime::start_at(
+                Arc::clone(&model),
+                shard_opts,
+                timer.clone(),
+            ));
         }
         ShardedRuntime {
             shards,
@@ -164,7 +157,7 @@ impl ShardedRuntime {
     /// grouped by placement shard (affinity + load-aware rebalancing,
     /// with in-batch assignments projected onto the load estimate so
     /// one burst does not dogpile a single shard) and each group rides
-    /// one manager message into its shard. Requests a shard refuses
+    /// one inbox message into its shard. Requests a shard refuses
     /// for overload get the usual second chance, lightest shard first,
     /// as individual submissions.
     ///
@@ -283,7 +276,8 @@ impl ShardedRuntime {
         self.shards.iter().map(Runtime::active_requests).collect()
     }
 
-    /// Microseconds since the runtime started (shard 0's clock).
+    /// Microseconds since the runtime started, on the clock every shard
+    /// stamps its [`crate::ServedTiming`]s with.
     pub fn now_us(&self) -> u64 {
         self.shards[0].now_us()
     }

@@ -1,13 +1,13 @@
-//! The batched manager hot path: tagged completion-queue submission,
-//! coalesced arrival batches, batched worker dispatch, and the
-//! amortization telemetry — all bit-identical to the per-message
-//! baseline and to the unbatched reference executor.
+//! The shard loop's submission side: tagged completion-queue
+//! submission, coalesced arrival batches joining running work, and the
+//! loop's own telemetry (blocking wake-ups, arrivals drained per wake,
+//! tasks per scheduling decision) — all bit-identical to the unbatched
+//! reference executor.
 
 use std::sync::Arc;
 
 use bm_core::{
-    completion_queue, Runtime, RuntimeOptions, SchedulerConfig, ServeConfig, ServedOutcome,
-    ShardedRuntime,
+    completion_queue, Request, Runtime, RuntimeOptions, ServeConfig, ServedOutcome, ShardedRuntime,
 };
 use bm_model::{reference, LstmLm, Model, RequestInput};
 use bm_telemetry::{MetricValue, Telemetry};
@@ -16,12 +16,6 @@ fn inputs(n: usize) -> Vec<RequestInput> {
     (0..n)
         .map(|i| RequestInput::Sequence((0..(1 + i % 9)).map(|t| (t % 50) as u32).collect()))
         .collect()
-}
-
-fn opts(batched: bool, workers: usize) -> RuntimeOptions {
-    RuntimeOptions::new()
-        .workers(workers)
-        .scheduler(SchedulerConfig::new().serve(ServeConfig::new().batched_dispatch(batched)))
 }
 
 /// Submits `inputs` as one tagged batch and returns the outcomes in
@@ -50,7 +44,7 @@ fn serve_batch(rt: &Runtime, inputs: &[RequestInput]) -> Vec<ServedOutcome> {
 fn batch_tagged_results_match_reference() {
     let model: Arc<dyn Model> = Arc::new(LstmLm::small());
     let inputs = inputs(24);
-    let rt = Runtime::start(Arc::clone(&model), opts(true, 2));
+    let rt = Runtime::start(Arc::clone(&model), RuntimeOptions::new());
     for (input, outcome) in inputs.iter().zip(serve_batch(&rt, &inputs)) {
         let ServedOutcome::Completed(res) = outcome else {
             panic!("expected completion for {input:?}");
@@ -62,32 +56,12 @@ fn batch_tagged_results_match_reference() {
 }
 
 #[test]
-fn batched_and_per_message_dispatch_are_bit_identical() {
-    let model: Arc<dyn Model> = Arc::new(LstmLm::small());
-    let inputs = inputs(20);
-    let batched_rt = Runtime::start(Arc::clone(&model), opts(true, 2));
-    let baseline_rt = Runtime::start(Arc::clone(&model), opts(false, 2));
-    let batched = serve_batch(&batched_rt, &inputs);
-    let baseline = serve_batch(&baseline_rt, &inputs);
-    for ((input, b), p) in inputs.iter().zip(batched).zip(baseline) {
-        let (ServedOutcome::Completed(b), ServedOutcome::Completed(p)) = (b, p) else {
-            panic!("expected completions for {input:?}");
-        };
-        assert_eq!(b.result, p.result, "dispatch modes diverged for {input:?}");
-    }
-    batched_rt.shutdown();
-    baseline_rt.shutdown();
-}
-
-#[test]
 fn sharded_batch_tagged_serves_across_shards() {
     let model: Arc<dyn Model> = Arc::new(LstmLm::small());
     let inputs = inputs(32);
     let rt = ShardedRuntime::start(
         Arc::clone(&model),
-        RuntimeOptions::new()
-            .workers(2)
-            .scheduler(SchedulerConfig::new().serve(ServeConfig::new().shards(2))),
+        RuntimeOptions::new().serve_config(ServeConfig::new().shards(2)),
     );
     let (queue, completions) = completion_queue();
     let reqs = inputs
@@ -120,13 +94,7 @@ fn manager_amortization_metrics_record_batching() {
     let telemetry = Telemetry::new();
     let rt = Runtime::start(
         Arc::clone(&model),
-        RuntimeOptions::new().workers(2).scheduler(
-            SchedulerConfig::new().serve(
-                ServeConfig::new()
-                    .batched_dispatch(true)
-                    .telemetry(Arc::clone(&telemetry)),
-            ),
-        ),
+        RuntimeOptions::new().telemetry(Arc::clone(&telemetry)),
     );
     let inputs = inputs(32);
     let outcomes = serve_batch(&rt, &inputs);
@@ -137,7 +105,7 @@ fn manager_amortization_metrics_record_batching() {
 
     let snap = telemetry.snapshot();
     let wakeups = snap.counter_sum("bm_manager_wakeups_total");
-    assert!(wakeups > 0, "manager never counted a wakeup");
+    assert!(wakeups > 0, "the shard never counted a wakeup");
     let Some(MetricValue::Histogram(drained)) = snap.get_with("bm_manager_drained_per_wakeup", &[])
     else {
         panic!("drained-per-wakeup histogram missing");
@@ -153,9 +121,94 @@ fn manager_amortization_metrics_record_batching() {
     let Some(MetricValue::Histogram(submit)) = snap.get_with("bm_manager_submit_batch", &[]) else {
         panic!("submit-batch histogram missing");
     };
-    assert!(submit.count > 0, "no worker submissions recorded");
+    assert!(submit.count > 0, "no scheduling decision recorded");
     assert!(
         submit.max > 1,
-        "batched dispatch never put two tasks in one worker message"
+        "no scheduling decision ran more than one task"
+    );
+}
+
+/// The hand-off the one-loop shard removed, as a count: a request served
+/// alone blocks the shard thread once for its arrival and once for the
+/// shutdown message — not once per task (a 60-token chain is 60 tasks'
+/// worth of steps).
+#[test]
+fn a_request_served_alone_wakes_the_shard_at_most_twice() {
+    let model: Arc<dyn Model> = Arc::new(LstmLm::small());
+    let telemetry = Telemetry::new();
+    let rt = Runtime::start(
+        Arc::clone(&model),
+        RuntimeOptions::new().telemetry(Arc::clone(&telemetry)),
+    );
+    let input = RequestInput::Sequence((0..60).map(|t| t % 50).collect());
+    let served = rt
+        .submit_request(&input)
+        .expect("submit")
+        .wait()
+        .completed();
+    assert_eq!(
+        served.result,
+        reference::execute_graph(&model.unfold(&input), model.registry())
+    );
+    rt.shutdown();
+    let snap = telemetry.snapshot();
+    assert!(snap.counter_sum("bm_tasks_submitted_total") >= 12);
+    let wakeups = snap.counter_sum("bm_manager_wakeups_total");
+    assert!(
+        (1..=2).contains(&wakeups),
+        "{wakeups} blocking waits for one request"
+    );
+}
+
+/// Arrivals join running work at the next scheduling boundary: two
+/// requests admitted by one inbox message step as one batch, and a third
+/// submitted while they run completes beside them, all bit-identical to
+/// the reference.
+#[test]
+fn arrivals_join_a_running_batch() {
+    let model: Arc<dyn Model> = Arc::new(LstmLm::small());
+    let telemetry = Telemetry::new();
+    let rt = Runtime::start(
+        Arc::clone(&model),
+        RuntimeOptions::new().telemetry(Arc::clone(&telemetry)),
+    );
+    let inputs: Vec<RequestInput> = [40, 40, 25]
+        .iter()
+        .enumerate()
+        .map(|(i, &len)| RequestInput::Sequence((0..len).map(|t| (t + i as u32) % 50).collect()))
+        .collect();
+    let (queue, completions) = completion_queue();
+    let first_two = inputs[..2]
+        .iter()
+        .enumerate()
+        .map(|(i, input)| (i as u64, Request::from(input)));
+    assert!(rt
+        .submit_batch_tagged(first_two, &queue)
+        .iter()
+        .all(Result::is_ok));
+    rt.submit_request_tagged(&inputs[2], 2, &queue)
+        .expect("submit while the first two run");
+    for _ in 0..inputs.len() {
+        let (tag, outcome) = completions
+            .recv_timeout(std::time::Duration::from_secs(30))
+            .expect("completion within timeout");
+        let input = &inputs[tag as usize];
+        let expect = reference::execute_graph(&model.unfold(input), model.registry());
+        assert_eq!(outcome.completed().result, expect, "tag {tag} diverged");
+    }
+    rt.shutdown();
+    let batch_max = telemetry
+        .snapshot()
+        .entries
+        .iter()
+        .filter(|e| e.name == "bm_batch_size")
+        .filter_map(|e| match &e.value {
+            MetricValue::Histogram(h) => Some(h.max),
+            _ => None,
+        })
+        .max();
+    assert!(
+        batch_max >= Some(2),
+        "requests admitted together never shared a task: {batch_max:?}"
     );
 }

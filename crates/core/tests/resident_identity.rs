@@ -1,13 +1,13 @@
 //! The resident-state plane must be invisible to results: a runtime
 //! with `resident_state` on returns outputs bit-identical to the
-//! gather-path runtime, across worker counts × pipeline depths ×
+//! gather-path runtime, across `MaxTasksToSubmit` values ×
 //! batch-formation policies × all model families. The plane may change
-//! *how* state reaches the cell — parked rows, swaps, refetches after
-//! migration — never *what* it computes.
+//! *how* state reaches the cell — parked rows, swaps, refetches —
+//! never *what* it computes.
 
 use std::sync::Arc;
 
-use bm_core::{PolicyKind, Request, Runtime, RuntimeOptions, ServedOutcome};
+use bm_core::{PolicyKind, Request, Runtime, RuntimeOptions, SchedulerConfig, ServedOutcome};
 use bm_model::{GruLm, LstmLm, Model, RequestInput, Seq2Seq, TreeLstm, TreeShape};
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -15,15 +15,9 @@ use proptest::prelude::*;
 /// Vocabulary bound of `LstmLm::small()` / `GruLm::small()`.
 const VOCAB: u32 = 900;
 
-fn opts(
-    workers: usize,
-    depth: usize,
-    policy: Option<PolicyKind>,
-    resident: bool,
-) -> RuntimeOptions {
+fn opts(max_tasks: usize, policy: Option<PolicyKind>, resident: bool) -> RuntimeOptions {
     let mut o = RuntimeOptions::new()
-        .workers(workers)
-        .pipeline_depth(depth)
+        .scheduler(SchedulerConfig::new().max_tasks_to_submit(max_tasks))
         .resident_state(resident);
     if let Some(p) = policy {
         o = o.policy(p);
@@ -50,15 +44,14 @@ fn outputs_of(rt: &Runtime, inputs: &[RequestInput]) -> Vec<Vec<Option<bm_cell::
 fn check_identity(
     model: Arc<dyn Model>,
     inputs: &[RequestInput],
-    workers: usize,
-    depth: usize,
+    max_tasks: usize,
     policy: Option<PolicyKind>,
 ) {
-    let gather = Runtime::start(Arc::clone(&model), opts(workers, depth, policy, false));
+    let gather = Runtime::start(Arc::clone(&model), opts(max_tasks, policy, false));
     let want = outputs_of(&gather, inputs);
     gather.shutdown();
 
-    let resident = Runtime::start(model, opts(workers, depth, policy, true));
+    let resident = Runtime::start(model, opts(max_tasks, policy, true));
     let got = outputs_of(&resident, inputs);
     resident.shutdown();
 
@@ -67,7 +60,7 @@ fn check_identity(
     // paths would fail here.
     assert_eq!(
         want, got,
-        "resident outputs diverged ({workers} workers, depth {depth}, {policy:?})"
+        "resident outputs diverged (max_tasks {max_tasks}, {policy:?})"
     );
 }
 
@@ -95,24 +88,23 @@ proptest! {
     #[test]
     fn lstm_outputs_identical_with_resident_plane(
         seqs in vec(vec(1u32..VOCAB, 1..12), 4..16),
-        workers in 1usize..4,
-        depth in 1usize..4,
+        max_tasks in 1usize..7,
         policy in policy_strategy(),
     ) {
         let inputs: Vec<RequestInput> =
             seqs.into_iter().map(RequestInput::Sequence).collect();
-        check_identity(Arc::new(LstmLm::small()), &inputs, workers, depth, policy);
+        check_identity(Arc::new(LstmLm::small()), &inputs, max_tasks, policy);
     }
 
     #[test]
     fn gru_outputs_identical_with_resident_plane(
         seqs in vec(vec(1u32..VOCAB, 1..12), 4..12),
-        workers in 1usize..4,
+        max_tasks in 1usize..7,
         policy in policy_strategy(),
     ) {
         let inputs: Vec<RequestInput> =
             seqs.into_iter().map(RequestInput::Sequence).collect();
-        check_identity(Arc::new(GruLm::small()), &inputs, workers, 2, policy);
+        check_identity(Arc::new(GruLm::small()), &inputs, max_tasks, policy);
     }
 
     #[test]
@@ -120,15 +112,14 @@ proptest! {
         // Seq2Seq::small has a 500-token vocabulary; 2.. reserves the
         // <go>/<eos> ids.
         pairs in vec((vec(2u32..490, 1..10), 1usize..8), 4..12),
-        workers in 1usize..4,
-        depth in 1usize..4,
+        max_tasks in 1usize..7,
         policy in policy_strategy(),
     ) {
         let inputs: Vec<RequestInput> = pairs
             .into_iter()
             .map(|(src, decode_len)| RequestInput::Pair { src, decode_len })
             .collect();
-        check_identity(Arc::new(Seq2Seq::small()), &inputs, workers, depth, policy);
+        check_identity(Arc::new(Seq2Seq::small()), &inputs, max_tasks, policy);
     }
 
     #[test]
@@ -136,10 +127,10 @@ proptest! {
         // Tree cells have no resident layout; the knob must leave them
         // on the gather path untouched.
         trees in vec(tree_strategy(), 4..10),
-        workers in 1usize..3,
+        max_tasks in 1usize..7,
     ) {
         let inputs: Vec<RequestInput> =
             trees.into_iter().map(RequestInput::Tree).collect();
-        check_identity(Arc::new(TreeLstm::small()), &inputs, workers, 2, None);
+        check_identity(Arc::new(TreeLstm::small()), &inputs, max_tasks, None);
     }
 }

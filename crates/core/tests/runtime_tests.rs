@@ -1,17 +1,21 @@
 //! End-to-end tests of the threaded runtime: results served under
 //! dynamic cellular batching must be bit-identical to the unbatched
-//! reference executor.
+//! reference executor, on one shard and across several.
 
 use std::sync::Arc;
 
-use bm_core::{Runtime, RuntimeOptions};
+use bm_core::{Runtime, RuntimeOptions, ServeConfig, ShardedRuntime};
 use bm_model::{reference, LstmLm, Model, RequestInput, Seq2Seq, Seq2SeqConfig, TreeLstm};
 use bm_workload::{Dataset, LengthDistribution};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-fn check_against_reference(model: Arc<dyn Model>, inputs: &[RequestInput], workers: usize) {
-    let rt = Runtime::start(Arc::clone(&model), RuntimeOptions::new().workers(workers));
+fn sharded(shards: usize) -> RuntimeOptions {
+    RuntimeOptions::new().serve_config(ServeConfig::new().shards(shards))
+}
+
+fn check_against_reference(model: Arc<dyn Model>, inputs: &[RequestInput], shards: usize) {
+    let rt = ShardedRuntime::start(Arc::clone(&model), sharded(shards));
     let handles: Vec<_> = inputs
         .iter()
         .map(|i| rt.submit_request(i).expect("submit"))
@@ -39,7 +43,7 @@ fn lstm_results_match_reference_single_worker() {
 }
 
 #[test]
-fn lstm_results_match_reference_multi_worker() {
+fn lstm_results_match_reference_multi_shard() {
     let model = Arc::new(LstmLm::small());
     let inputs: Vec<RequestInput> = (1..=16)
         .map(|i| RequestInput::Sequence((0..(1 + i % 9)).map(|t| (t % 50) as u32).collect()))
@@ -81,10 +85,7 @@ fn eos_terminated_decode_stops_early() {
         eos_terminates: true,
         ..Default::default()
     }));
-    let rt = Runtime::start(
-        Arc::clone(&model) as Arc<dyn Model>,
-        RuntimeOptions::new().workers(1),
-    );
+    let rt = Runtime::start(Arc::clone(&model) as Arc<dyn Model>, RuntimeOptions::new());
     let input = RequestInput::Pair {
         src: vec![2, 3],
         decode_len: 40,
@@ -111,13 +112,10 @@ fn eos_terminated_decode_stops_early() {
 
 #[test]
 fn throughput_sanity_many_concurrent_requests() {
-    // 200 small requests across 2 workers complete, each matching the
+    // 200 small requests on one shard complete, each matching the
     // reference.
     let model = Arc::new(LstmLm::small());
-    let rt = Runtime::start(
-        Arc::clone(&model) as Arc<dyn Model>,
-        RuntimeOptions::new().workers(2),
-    );
+    let rt = Runtime::start(Arc::clone(&model) as Arc<dyn Model>, RuntimeOptions::new());
     let ds = Dataset::lstm(200, LengthDistribution::Fixed(6), 900, 5);
     let handles: Vec<_> = ds
         .items()
@@ -138,10 +136,7 @@ fn throughput_sanity_many_concurrent_requests() {
 #[test]
 fn handles_resolve_even_when_submitted_after_idle() {
     let model = Arc::new(LstmLm::small());
-    let rt = Runtime::start(
-        Arc::clone(&model) as Arc<dyn Model>,
-        RuntimeOptions::new().workers(1),
-    );
+    let rt = Runtime::start(Arc::clone(&model) as Arc<dyn Model>, RuntimeOptions::new());
     // First burst.
     let a = rt
         .submit_request(RequestInput::Sequence(vec![1, 2, 3]))
@@ -166,17 +161,14 @@ fn handles_resolve_even_when_submitted_after_idle() {
 
 use bm_core::{ServedOutcome, SubmitError};
 
-/// A zero-length deadline expires in the manager iteration that admits
-/// the request — before any dispatch — so the outcome is deterministic:
+/// A zero-length deadline expires in the loop pass that admits the
+/// request — before any dispatch — so the outcome is deterministic:
 /// interleaved no-deadline requests complete (bit-identical to the
 /// reference), zero-deadline ones expire, and nothing panics or hangs.
 #[test]
 fn zero_deadline_requests_expire_while_others_complete() {
     let model = Arc::new(LstmLm::small());
-    let rt = Runtime::start(
-        Arc::clone(&model) as Arc<dyn Model>,
-        RuntimeOptions::new().workers(1),
-    );
+    let rt = Runtime::start(Arc::clone(&model) as Arc<dyn Model>, RuntimeOptions::new());
     let inputs: Vec<RequestInput> = (0..90)
         .map(|i| RequestInput::Sequence((0..(3 + i % 10)).map(|t| (t % 50) as u32).collect()))
         .collect();
@@ -213,7 +205,7 @@ fn zero_deadline_requests_expire_while_others_complete() {
     rt.shutdown();
 }
 
-/// A flood with a short real deadline on one worker: the tail of the
+/// A flood with a short real deadline on one shard: the tail of the
 /// queue cannot meet it, so requests expire — yet every handle resolves
 /// (no panic, no hang) and whatever did complete matches the reference.
 #[test]
@@ -221,7 +213,7 @@ fn deadline_flood_sheds_tail_without_hanging() {
     let model = Arc::new(LstmLm::small());
     let rt = Runtime::start(
         Arc::clone(&model) as Arc<dyn Model>,
-        RuntimeOptions::new().workers(1).deadline_us(1_000),
+        RuntimeOptions::new().deadline_us(1_000),
     );
     let ds = Dataset::lstm(600, LengthDistribution::Fixed(20), 900, 17);
     let handles: Vec<_> = ds
@@ -247,7 +239,7 @@ fn deadline_flood_sheds_tail_without_hanging() {
     assert_eq!(completed + expired, 600);
     assert!(
         expired > 0,
-        "600 x 20-step requests cannot all finish within 1 ms each on one worker"
+        "600 x 20-step requests cannot all finish within 1 ms each on one shard"
     );
     assert_eq!(rt.active_requests(), 0);
     rt.shutdown();
@@ -261,7 +253,7 @@ fn admission_cap_rejects_excess_submissions() {
     let model = Arc::new(LstmLm::small());
     let rt = Runtime::start(
         Arc::clone(&model) as Arc<dyn Model>,
-        RuntimeOptions::new().workers(1).max_active(4),
+        RuntimeOptions::new().max_active(4),
     );
     let ds = Dataset::lstm(200, LengthDistribution::Fixed(40), 900, 23);
     let submissions: Vec<_> = ds.items().iter().map(|i| rt.submit_request(i)).collect();
@@ -288,16 +280,15 @@ fn admission_cap_rejects_excess_submissions() {
     rt.shutdown();
 }
 
-/// A bounded manager queue must never deadlock: worker completions use
-/// blocking sends the manager always drains, and submissions that find
-/// the queue full fail fast with [`SubmitError::QueueFull`] instead of
-/// blocking the caller.
+/// A bounded inbox must never deadlock: submissions that find it full
+/// fail fast with [`SubmitError::QueueFull`] instead of blocking the
+/// caller, and everything admitted still completes.
 #[test]
 fn bounded_manager_queue_never_deadlocks() {
     let model = Arc::new(LstmLm::small());
     let rt = Runtime::start(
         Arc::clone(&model) as Arc<dyn Model>,
-        RuntimeOptions::new().workers(2).queue_cap(2),
+        RuntimeOptions::new().queue_cap(2),
     );
     let ds = Dataset::lstm(80, LengthDistribution::Fixed(10), 900, 31);
     let submissions: Vec<_> = ds.items().iter().map(|i| rt.submit_request(i)).collect();
@@ -321,6 +312,82 @@ fn bounded_manager_queue_never_deadlocks() {
     rt.shutdown();
 }
 
+/// Exactly one terminal outcome per request, against the real loop:
+/// zero-deadline requests interleaved with live ones land on one tagged
+/// queue, each tag shows up once with the outcome its deadline dictates,
+/// every slot is reclaimed and nothing more arrives after shutdown.
+#[test]
+fn every_request_resolves_exactly_once() {
+    let model: Arc<dyn Model> = Arc::new(LstmLm::small());
+    let rt = Runtime::start(Arc::clone(&model), RuntimeOptions::new());
+    let (queue, completions) = bm_core::completion_queue();
+    let n = 60usize;
+    let reqs = (0..n).map(|i| {
+        let req = bm_core::Request::new(RequestInput::Sequence(vec![1 + i as u32; 2 + i % 7]));
+        let req = if i % 2 == 0 { req.deadline_us(0) } else { req };
+        (i as u64, req)
+    });
+    // Half as one coalesced batch, half one by one, so both inbox
+    // message kinds carry zero-deadline requests.
+    let (batch, singles): (Vec<_>, Vec<_>) = reqs.partition(|(tag, _)| *tag < n as u64 / 2);
+    assert!(rt
+        .submit_batch_tagged(batch, &queue)
+        .iter()
+        .all(Result::is_ok));
+    for (tag, req) in singles {
+        rt.submit_request_tagged(req, tag, &queue).expect("submit");
+    }
+    let mut seen = vec![false; n];
+    for _ in 0..n {
+        let (tag, outcome) = completions
+            .recv_timeout(std::time::Duration::from_secs(30))
+            .expect("every request resolves");
+        assert!(
+            !std::mem::replace(&mut seen[tag as usize], true),
+            "tag {tag} twice"
+        );
+        match outcome {
+            ServedOutcome::Expired(_) => assert_eq!(tag % 2, 0, "live request {tag} expired"),
+            ServedOutcome::Completed(_) => assert_eq!(tag % 2, 1, "dead request {tag} ran"),
+            other => panic!("unexpected outcome for {tag}: {other:?}"),
+        }
+    }
+    assert_eq!(rt.active_requests(), 0, "every slot reclaimed");
+    rt.shutdown();
+    assert!(
+        completions.try_recv().is_none(),
+        "an outcome after the last"
+    );
+}
+
+/// Dropping the runtime with requests in flight still resolves every
+/// handle — completed (shutdown drains admitted work) or shut down,
+/// never a hang.
+#[test]
+fn dropping_the_runtime_resolves_every_handle() {
+    let model: Arc<dyn Model> = Arc::new(LstmLm::small());
+    let rt = Runtime::start(Arc::clone(&model), RuntimeOptions::new());
+    let handles: Vec<_> = (0..40)
+        .map(|i| {
+            rt.submit_request(RequestInput::Sequence(vec![1 + i; 30]))
+                .expect("submit")
+        })
+        .collect();
+    drop(rt);
+    for h in handles {
+        let outcome = h
+            .wait_timeout(std::time::Duration::from_secs(30))
+            .expect("handle resolves after the runtime is gone");
+        assert!(
+            matches!(
+                outcome,
+                ServedOutcome::Completed(_) | ServedOutcome::ShutDown
+            ),
+            "unexpected outcome: {outcome:?}"
+        );
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Tracing: every completed request's timeline is causally ordered.
 // ---------------------------------------------------------------------------
@@ -330,15 +397,13 @@ use bm_trace::RingBufferSink;
 
 /// Serving through a traced runtime yields, for every completed request,
 /// a timeline whose arrival, first dispatch and completion appear in
-/// that order — and the deprecated `start_with` shim still works.
+/// that order.
 #[test]
 fn traced_run_yields_ordered_timelines() {
     let model = Arc::new(LstmLm::small());
     let sink = Arc::new(RingBufferSink::new(200_000));
-    #[allow(deprecated)]
-    let rt = Runtime::start_with(
+    let rt = Runtime::start(
         Arc::clone(&model) as Arc<dyn Model>,
-        2,
         RuntimeOptions::new().trace(sink.clone()),
     );
     let ds = Dataset::lstm(40, LengthDistribution::Fixed(8), 900, 41);
@@ -393,8 +458,6 @@ fn builders_preserve_defaults() {
     assert_eq!(opts.serve().max_active, None);
     assert_eq!(opts.serve().deadline_us, None);
     assert_eq!(opts.serve().queue_cap, None);
-    assert_eq!(opts.serve().pipeline_depth, defaults.serve().pipeline_depth);
-    assert_eq!(opts.serve().pipeline_depth, 2);
     assert!(
         !opts.serve().trace.enabled(),
         "default sink must be the no-op"
@@ -411,7 +474,7 @@ fn builders_preserve_defaults() {
     let serve_defaults = bm_core::ServeConfig::default();
     assert_eq!(serve.policy, serve_defaults.policy);
     assert_eq!(serve.policy, None);
-    assert_eq!(serve.pipeline_depth, 2);
+    assert!(serve.resident_state);
     assert_eq!(serve.tenant_rate, None);
 }
 
@@ -422,16 +485,13 @@ fn builders_set_only_the_named_field() {
     // delegating setters after it edit the embedded serve config.
     let opts = RuntimeOptions::new()
         .scheduler(bm_core::SchedulerConfig::new().max_tasks_to_submit(2))
-        .workers(3)
         .max_active(64)
         .deadline_us(50_000)
-        .queue_cap(256)
-        .pipeline_depth(4);
-    assert_eq!(opts.workers, 3);
+        .queue_cap(256);
+    assert_eq!(opts.workers, 1);
     assert_eq!(opts.serve().max_active, Some(64));
     assert_eq!(opts.serve().deadline_us, Some(50_000));
     assert_eq!(opts.serve().queue_cap, Some(256));
-    assert_eq!(opts.serve().pipeline_depth, 4);
     assert_eq!(opts.scheduler.max_tasks_to_submit, 2);
     // Untouched knobs keep their defaults through the chain.
     assert!(!opts.scheduler.retain_completions);
@@ -439,7 +499,7 @@ fn builders_set_only_the_named_field() {
 }
 
 // ---------------------------------------------------------------------------
-// Pipelined dispatch: bit-identity across (workers, depth, submit cap).
+// Bit-identity across (shards, submit cap).
 // ---------------------------------------------------------------------------
 
 use proptest::prelude::*;
@@ -474,25 +534,25 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// The served result must be bit-identical to the unbatched
-    /// reference executor at every (workers, pipeline depth,
-    /// MaxTasksToSubmit) combination, for all three model families —
-    /// pipelining and the slot-indexed state plane change scheduling
-    /// and storage, never values.
+    /// reference executor at every (shards, MaxTasksToSubmit)
+    /// combination, for all three model families — how many steps one
+    /// scheduling decision runs ahead and where a request is placed
+    /// change scheduling and storage, never values.
     #[test]
     fn pipelined_runtime_matches_reference(
-        workers in 1usize..4,
-        depth in 1usize..4,
-        max_tasks in 1usize..6,
+        shards in 1usize..4,
+        max_tasks in 1usize..7,
         kind in 0usize..3,
         seed in 0u64..1_000,
     ) {
         let (model, inputs) = model_and_inputs(kind, seed);
-        let rt = Runtime::start(
+        let rt = ShardedRuntime::start(
             Arc::clone(&model),
-            RuntimeOptions::new()
-                .workers(workers)
-                .pipeline_depth(depth)
-                .scheduler(bm_core::SchedulerConfig::new().max_tasks_to_submit(max_tasks)),
+            RuntimeOptions::new().scheduler(
+                bm_core::SchedulerConfig::new()
+                    .max_tasks_to_submit(max_tasks)
+                    .serve(ServeConfig::new().shards(shards)),
+            ),
         );
         let handles: Vec<_> = inputs.iter().map(|i| rt.submit_request(i).expect("submit")).collect();
         for (input, h) in inputs.iter().zip(handles) {
@@ -501,9 +561,8 @@ proptest! {
             prop_assert_eq!(
                 &served.result,
                 &expect,
-                "diverged at workers={} depth={} max_tasks={} kind={} for {:?}",
-                workers,
-                depth,
+                "diverged at shards={} max_tasks={} kind={} for {:?}",
+                shards,
                 max_tasks,
                 kind,
                 input
@@ -513,60 +572,11 @@ proptest! {
     }
 }
 
-/// Deep pipelining must never outrun state publication: with every
-/// worker holding a deep in-flight window and an aggressive submit cap,
-/// cross-worker dependencies (tree joins whose children ran elsewhere,
-/// encoder-to-decoder handoffs) must find their states published at
-/// gather time. A missed happens-before edge panics the worker
-/// (`missing dependency ...`) and wedges the handle, so completing
-/// bit-identically IS the regression assertion.
-#[test]
-fn deep_pipelining_preserves_cross_worker_dependencies() {
-    let tree = Arc::new(TreeLstm::small());
-    let mut rng = StdRng::seed_from_u64(97);
-    let ds = Dataset::trees(48, LengthDistribution::Fixed(9), 100, 97);
-    let tree_inputs: Vec<RequestInput> = (0..48).map(|_| ds.sample(&mut rng).clone()).collect();
-
-    let s2s = Arc::new(Seq2Seq::small());
-    let s2s_inputs: Vec<RequestInput> = (0..48)
-        .map(|i: u32| RequestInput::Pair {
-            src: (2..(2 + 1 + i % 6)).collect(),
-            decode_len: 1 + (i as usize % 5),
-        })
-        .collect();
-
-    for (model, inputs) in [
-        (tree as Arc<dyn Model>, tree_inputs),
-        (s2s as Arc<dyn Model>, s2s_inputs),
-    ] {
-        let rt = Runtime::start(
-            Arc::clone(&model),
-            RuntimeOptions::new()
-                // scheduler() replaces the whole config, so it comes
-                // before the delegating setters.
-                .scheduler(bm_core::SchedulerConfig::new().max_tasks_to_submit(6))
-                .workers(4)
-                .pipeline_depth(4),
-        );
-        let handles: Vec<_> = inputs
-            .iter()
-            .map(|i| rt.submit_request(i).expect("submit"))
-            .collect();
-        for (input, h) in inputs.iter().zip(handles) {
-            let served = h.wait().completed();
-            let expect = reference::execute_graph(&model.unfold(input), model.registry());
-            assert_eq!(served.result, expect, "diverged for {input:?}");
-        }
-        assert_eq!(rt.active_requests(), 0);
-        rt.shutdown();
-    }
-}
-
 #[test]
 fn wait_timeout_distinguishes_pending_from_resolved() {
     use std::time::Duration;
     let model: Arc<dyn Model> = Arc::new(LstmLm::small());
-    let rt = Runtime::start(Arc::clone(&model), RuntimeOptions::new().workers(1));
+    let rt = Runtime::start(Arc::clone(&model), RuntimeOptions::new());
 
     // A long request polled with a zero-ish timeout: at least the first
     // poll reports TimedOut rather than blocking or fabricating an

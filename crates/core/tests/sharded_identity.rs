@@ -7,8 +7,7 @@
 use std::sync::Arc;
 
 use bm_core::{
-    PolicyKind, Request, Runtime, RuntimeOptions, SchedulerConfig, ServeConfig, ServedOutcome,
-    ShardedRuntime,
+    PolicyKind, Request, Runtime, RuntimeOptions, ServeConfig, ServedOutcome, ShardedRuntime,
 };
 use bm_model::{LstmLm, Model, RequestInput, Seq2Seq, TreeLstm, TreeShape};
 use proptest::collection::vec;
@@ -22,9 +21,7 @@ fn opts(shards: usize, policy: Option<PolicyKind>) -> RuntimeOptions {
     if let Some(p) = policy {
         serve = serve.policy(p);
     }
-    RuntimeOptions::new()
-        .workers(2)
-        .scheduler(SchedulerConfig::new().serve(serve))
+    RuntimeOptions::new().serve_config(serve)
 }
 
 /// Serves every input on `rt`-like runtimes and returns the full
@@ -67,6 +64,35 @@ fn check_identity(
         want, got,
         "sharded outputs diverged ({shards} shards, {policy:?})"
     );
+}
+
+/// Every shard stamps requests on the clock `ShardedRuntime::now_us`
+/// reads: a timing from any shard lies between a reading taken before
+/// the submission and one taken after the wait. (`Pair` inputs have
+/// shard 1 as their home, so a per-shard epoch would show.)
+#[test]
+fn shards_share_one_clock() {
+    let model: Arc<dyn Model> = Arc::new(Seq2Seq::small());
+    let rt = ShardedRuntime::start(Arc::clone(&model), opts(2, None));
+    for i in 0..24u32 {
+        let before = rt.now_us();
+        let outcome = rt
+            .submit_request(RequestInput::Pair {
+                src: (2..4 + i % 5).collect(),
+                decode_len: 1 + (i as usize % 3),
+            })
+            .expect("submit")
+            .wait();
+        let after = rt.now_us();
+        let t = outcome.completed().timing;
+        assert!(
+            before <= t.arrival_us && t.arrival_us <= t.completion_us && t.completion_us <= after,
+            "request {i}: {before} <= {} <= {} <= {after} violated",
+            t.arrival_us,
+            t.completion_us
+        );
+    }
+    rt.shutdown();
 }
 
 fn tree_strategy() -> impl Strategy<Value = TreeShape> {

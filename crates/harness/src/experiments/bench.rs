@@ -18,7 +18,7 @@ use bm_cell::{
     Cell, CellOutput, CellState, InvocationInput, LstmCell, RowInvocation, Scratch, StateRef,
 };
 use bm_core::{Request, RequestId, ResidentBatch, Runtime, RuntimeOptions, SlotBlock};
-use bm_metrics::{LatencyRecorder, RequestTiming, Table};
+use bm_metrics::Table;
 use bm_model::{LstmLm, Model, NodeId, RequestInput};
 use bm_tensor::{gemm, ops, xavier_uniform, ComputePool, Matrix, PackedWeights};
 
@@ -255,105 +255,6 @@ fn serving_rps(scale: Scale) -> f64 {
     let secs = start.elapsed().as_secs_f64();
     rt.shutdown();
     completed as f64 / secs
-}
-
-/// One serving measurement of the threaded runtime at a fixed pipeline
-/// depth: sustained throughput plus latency quantiles.
-#[derive(Debug, Clone)]
-pub struct RuntimeBench {
-    /// Per-worker in-flight window used for the run.
-    pub pipeline_depth: usize,
-    /// Completed requests per second over the measured span.
-    pub throughput_rps: f64,
-    /// Median total latency, ms.
-    pub p50_ms: f64,
-    /// 99th-percentile total latency, ms.
-    pub p99_ms: f64,
-}
-
-/// One serving run: a closed burst of chain-LSTM requests over the
-/// threaded runtime at the given pipeline depth.
-///
-/// The shape targets the regime pipelining exists for: few concurrent
-/// requests over long chains, so batches stay narrow and each task is
-/// short — at depth 1 the worker drains and idles for a manager
-/// round-trip between consecutive dispatch groups, while a depth-2
-/// window keeps it fed.
-fn serve_once(scale: Scale, workers: usize, depth: usize) -> RuntimeBench {
-    let (requests, len) = match scale {
-        Scale::Quick => (4, 256),
-        Scale::Full => (8, 512),
-    };
-    // A narrow cell keeps each task a few microseconds, the regime
-    // where the manager round-trip is the cost being measured.
-    let model = std::sync::Arc::new(LstmLm::new(bm_model::LstmLmConfig {
-        embed_size: 32,
-        hidden_size: 32,
-        ..Default::default()
-    }));
-    // Submit cap 1: each task costs one manager round-trip, so the
-    // depth window is the only lookahead — at depth 1 this IS the
-    // classic single-in-flight dispatch the comparison baselines.
-    let rt = Runtime::start(
-        model,
-        RuntimeOptions::new()
-            .workers(workers)
-            .scheduler(bm_core::SchedulerConfig::new().max_tasks_to_submit(1))
-            .pipeline_depth(depth),
-    );
-    let handles: Vec<_> = (0..requests)
-        .map(|i| {
-            let tokens: Vec<u32> = (0..len).map(|t| ((i * 7 + t * 3) % 1000) as u32).collect();
-            rt.submit_request(Request::new(RequestInput::Sequence(tokens)))
-                .expect("submit")
-        })
-        .collect();
-    let mut rec = LatencyRecorder::new();
-    for h in handles {
-        let served = h.wait().completed();
-        let t = served.timing;
-        rec.record(RequestTiming {
-            arrival_us: t.arrival_us,
-            start_us: t.start_us,
-            completion_us: t.completion_us,
-        });
-    }
-    rt.shutdown();
-    let s = rec.summary();
-    RuntimeBench {
-        pipeline_depth: depth,
-        throughput_rps: s.throughput_rps,
-        p50_ms: s.p50_ms,
-        p99_ms: s.p99_ms,
-    }
-}
-
-/// Measures the threaded runtime's serving data plane: the same closed
-/// burst at pipeline depth 1 (classic dispatch-on-drain, the seed's
-/// behaviour) and at the pipelined default, interleaved so both depths
-/// see the same background load. Each depth keeps its best-throughput
-/// sample; the last element's throughput over the first's is the
-/// pipelining speedup.
-fn runtime_suite(scale: Scale) -> Vec<RuntimeBench> {
-    let workers = 2;
-    let depths = [1usize, RuntimeOptions::new().serve().pipeline_depth];
-    let samples = match scale {
-        Scale::Quick => 2,
-        Scale::Full => 3,
-    };
-    let mut best: Vec<Option<RuntimeBench>> = vec![None; depths.len()];
-    for _ in 0..samples {
-        for (slot, &d) in depths.iter().enumerate() {
-            let run = serve_once(scale, workers, d);
-            if best[slot]
-                .as_ref()
-                .is_none_or(|b| run.throughput_rps > b.throughput_rps)
-            {
-                best[slot] = Some(run);
-            }
-        }
-    }
-    best.into_iter().map(|b| b.expect("sampled")).collect()
 }
 
 /// Head-to-head gather microbench: the slot-indexed state arena against
@@ -812,43 +713,26 @@ fn fig3_cpu(scale: Scale) -> Fig3Cpu {
 }
 
 /// Renders `BENCH_runtime.json` (schema `bm-bench-runtime/v1`): the
-/// serving runs per depth, the end-to-end pipelining speedup, the
-/// state-plane gather pair, and the resident-vs-gather chain step.
+/// state-plane gather pair and the resident-vs-gather chain step.
 fn runtime_to_json(
-    runs: &[RuntimeBench],
-    speedup: f64,
     arena: &KernelBench,
     locked: &KernelBench,
     gather_speedup: f64,
     resident: &ResidentBench,
 ) -> String {
-    let mut s = String::from("{\n  \"schema\": \"bm-bench-runtime/v1\",\n  \"runs\": [\n");
-    for (i, r) in runs.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"pipeline_depth\": {}, \"throughput_rps\": {:.1}, \
-             \"p50_ms\": {:.3}, \"p99_ms\": {:.3}}}{}\n",
-            r.pipeline_depth,
-            r.throughput_rps,
-            r.p50_ms,
-            r.p99_ms,
-            if i + 1 < runs.len() { "," } else { "" }
-        ));
-    }
-    s.push_str(&format!(
-        "  ],\n  \"pipelined_speedup\": {speedup:.2},\n  \"state_plane\": \
-         {{\"slot_arena_ns\": {:.1}, \"locked_map_ns\": {:.1}, \"gather_speedup\": {gather_speedup:.2}}},\n",
-        arena.ns_per_op, locked.ns_per_op
-    ));
-    s.push_str(&format!(
-        "  \"resident\": {{\"gather_step_ns\": {:.1}, \"resident_step_ns\": {:.1}, \
+    format!(
+        "{{\n  \"schema\": \"bm-bench-runtime/v1\",\n  \"state_plane\": \
+         {{\"slot_arena_ns\": {:.1}, \"locked_map_ns\": {:.1}, \"gather_speedup\": {gather_speedup:.2}}},\n  \
+         \"resident\": {{\"gather_step_ns\": {:.1}, \"resident_step_ns\": {:.1}, \
          \"speedup\": {:.2}, \"churn_step_ns\": {:.1}, \"identity\": {}}}\n}}\n",
+        arena.ns_per_op,
+        locked.ns_per_op,
         resident.gather_step_ns,
         resident.resident_step_ns,
         resident.speedup,
         resident.churn_step_ns,
         resident.identity
-    ));
-    s
+    )
 }
 
 /// Renders the machine-readable regression file (schema `bm-bench/v1`).
@@ -912,7 +796,6 @@ fn to_json(
 pub fn run(scale: Scale, out_dir: &Path) -> Vec<Table> {
     let (mut benches, speedup) = kernel_suite(scale);
     let rps = serving_rps(scale);
-    let runtime_runs = runtime_suite(scale);
     let (arena, locked, gather_speedup) = state_plane_suite(scale);
     let resident = resident_suite(scale);
     let (pool, pool_benches) = pool_scaling_suite(scale);
@@ -949,25 +832,6 @@ pub fn run(scale: Scale, out_dir: &Path) -> Vec<Table> {
         "bad speedup {speedup}"
     );
     assert!(rps.is_finite() && rps > 0.0, "bad serving rate {rps}");
-    for r in &runtime_runs {
-        for (metric, v) in [
-            ("throughput_rps", r.throughput_rps),
-            ("p50_ms", r.p50_ms),
-            ("p99_ms", r.p99_ms),
-        ] {
-            assert!(
-                v.is_finite() && v > 0.0,
-                "runtime bench depth {} has bad {metric} {v}",
-                r.pipeline_depth
-            );
-        }
-    }
-    let pipelined_speedup = runtime_runs.last().expect("runs").throughput_rps
-        / runtime_runs.first().expect("runs").throughput_rps;
-    assert!(
-        pipelined_speedup.is_finite() && pipelined_speedup > 0.0,
-        "bad pipelined speedup {pipelined_speedup}"
-    );
     for b in [&arena, &locked] {
         assert!(
             b.ns_per_op.is_finite() && b.ns_per_op > 0.0,
@@ -1013,14 +877,7 @@ pub fn run(scale: Scale, out_dir: &Path) -> Vec<Table> {
     let runtime_path = out_dir.join("BENCH_runtime.json");
     std::fs::write(
         &runtime_path,
-        runtime_to_json(
-            &runtime_runs,
-            pipelined_speedup,
-            &arena,
-            &locked,
-            gather_speedup,
-            &resident,
-        ),
+        runtime_to_json(&arena, &locked, gather_speedup, &resident),
     )
     .expect("write BENCH_runtime.json");
     eprintln!("wrote {}", runtime_path.display());
@@ -1053,18 +910,6 @@ pub fn run(scale: Scale, out_dir: &Path) -> Vec<Table> {
             format!("{:.1}", p.ns_per_op / 1e3),
             format!("{:.1}", p.gflops),
             format!("{:.2}", p.ns_per_op / four.ns_per_op),
-        ]);
-    }
-    let mut runtime = Table::new(
-        "Runtime serving (2 workers, best-of-N)",
-        &["pipeline_depth", "throughput_rps", "p50_ms", "p99_ms"],
-    );
-    for r in &runtime_runs {
-        runtime.push_row(vec![
-            format!("{}", r.pipeline_depth),
-            format!("{:.0}", r.throughput_rps),
-            format!("{:.3}", r.p50_ms),
-            format!("{:.3}", r.p99_ms),
         ]);
     }
     let mut state_plane = Table::new(
@@ -1104,10 +949,6 @@ pub fn run(scale: Scale, out_dir: &Path) -> Vec<Table> {
         format!("{rps:.0}"),
     ]);
     headline.push_row(vec![
-        "pipelined dispatch speedup (depth 1 -> default)".into(),
-        format!("{pipelined_speedup:.2}x"),
-    ]);
-    headline.push_row(vec![
         "state-plane gather speedup (arena vs locked map)".into(),
         format!("{gather_speedup:.2}x"),
     ]);
@@ -1131,7 +972,7 @@ pub fn run(scale: Scale, out_dir: &Path) -> Vec<Table> {
         "Figure 3 CPU throughput, largest batch vs batch 2".into(),
         format!("{:.2}x", fig3.batching_gain()),
     ]);
-    vec![kernels, runtime, state_plane, resident_tbl, headline, sweep]
+    vec![kernels, state_plane, resident_tbl, headline, sweep]
 }
 
 #[cfg(test)]
@@ -1173,20 +1014,6 @@ mod tests {
 
     #[test]
     fn runtime_bench_json_is_well_formed() {
-        let runs = vec![
-            RuntimeBench {
-                pipeline_depth: 1,
-                throughput_rps: 500.0,
-                p50_ms: 1.0,
-                p99_ms: 2.0,
-            },
-            RuntimeBench {
-                pipeline_depth: 2,
-                throughput_rps: 900.0,
-                p50_ms: 0.6,
-                p99_ms: 1.4,
-            },
-        ];
         let arena = KernelBench {
             name: "gather_slot_arena_b64_h64".into(),
             ns_per_op: 1000.0,
@@ -1204,11 +1031,8 @@ mod tests {
             churn_step_ns: 6500.0,
             identity: true,
         };
-        let j = runtime_to_json(&runs, 1.8, &arena, &locked, 2.5, &resident);
+        let j = runtime_to_json(&arena, &locked, 2.5, &resident);
         assert!(j.contains("\"schema\": \"bm-bench-runtime/v1\""));
-        assert!(j.contains("\"pipeline_depth\": 1"));
-        assert!(j.contains("\"pipeline_depth\": 2"));
-        assert!(j.contains("\"pipelined_speedup\": 1.80"));
         assert!(j.contains("\"slot_arena_ns\": 1000.0"));
         assert!(j.contains("\"locked_map_ns\": 2500.0"));
         assert!(j.contains("\"gather_speedup\": 2.50"));

@@ -2,15 +2,14 @@
 //!
 //! Everything the other experiments drive in-process or in virtual time
 //! runs here over a real loopback TCP connection: wire encode →
-//! event-loop ingest → sharded scheduler → threaded workers →
-//! completion-pump write-back → wire decode. Four measurements:
+//! event-loop ingest → shard threads (schedule, execute, resolve) →
+//! completion-pump write-back → wire decode. Three measurements:
 //!
 //! 1. **Shard scaling** — a closed-loop, deeply pipelined load drives
-//!    the front door with 1 scheduler shard and again with N shards,
-//!    *same total worker threads*, so the only difference is
-//!    control-plane parallelism. On a multi-core host the N-shard
-//!    configuration must win; the JSON records `cores` so single-core
-//!    CI doesn't assert an impossibility.
+//!    the front door with 1 scheduler shard (one thread) and again
+//!    with N. On a multi-core host the N-shard configuration must win;
+//!    the JSON records `cores` so single-core CI doesn't assert an
+//!    impossibility.
 //! 2. **SLA sweep over the socket** — the paper's open-loop Poisson
 //!    methodology ([`bm_workload::Pacer`] replays the virtual-µs
 //!    schedule in wall time), reporting client-observed latency
@@ -21,11 +20,6 @@
 //!    pays a read syscall per idle socket per pass, so it degrades with
 //!    idle population; epoll only hears about ready descriptors and
 //!    must not. CI gates `epoll_rps >= polled_rps` here.
-//! 4. **Manager dispatch comparison** — the same load with batched
-//!    manager dispatch on vs off, plus the amortization telemetry
-//!    (wakeups, drained-per-wakeup, submit batch size) from the batched
-//!    arm. CI gates drained-per-wakeup > 1: under load the manager
-//!    must be handling multiple messages per channel wakeup.
 //!
 //! Artifacts: `BENCH_serve.json` (schema `bm-serve/v1`) and the
 //! standard markdown/CSV tables. The smoke run (`--smoke`) is the CI
@@ -38,7 +32,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use bm_core::{ReadinessMode, Request, RuntimeOptions, SchedulerConfig, ServeConfig};
+use bm_core::{ReadinessMode, Request, RuntimeOptions, ServeConfig};
 use bm_metrics::{LatencyRecorder, RequestTiming, Table};
 use bm_model::{LstmLm, Model, RequestInput};
 use bm_net::readiness::SUPPORTED as EPOLL_SUPPORTED;
@@ -50,7 +44,7 @@ use rand::SeedableRng;
 use crate::experiments::Scale;
 
 /// Closed-loop pipelining window per connection: deep enough to keep
-/// the manager queue full, well under the runtime's queue capacity.
+/// every shard busy, well under the runtime's queue capacity.
 const WINDOW: usize = 64;
 
 /// Client connections for the closed-loop throughput runs.
@@ -71,7 +65,6 @@ fn dataset(n: usize) -> Dataset {
 #[derive(Clone, Copy)]
 struct LoadCfg {
     shards: usize,
-    workers: usize,
     total: usize,
     telemetry: bool,
     /// Hot (request-driving) client connections.
@@ -79,7 +72,6 @@ struct LoadCfg {
     /// Sockets that connect and then stay silent for the whole run.
     idle_conns: usize,
     readiness: ReadinessMode,
-    batched_dispatch: bool,
 }
 
 /// Readiness backend for the non-comparative measurements:
@@ -95,67 +87,27 @@ fn default_readiness() -> ReadinessMode {
 }
 
 impl LoadCfg {
-    fn new(shards: usize, workers: usize, total: usize, telemetry: bool) -> Self {
+    fn new(shards: usize, total: usize, telemetry: bool) -> Self {
         LoadCfg {
             shards,
-            workers,
             total,
             telemetry,
             conns: CONNS,
             idle_conns: 0,
             readiness: default_readiness(),
-            batched_dispatch: true,
         }
     }
 
     fn server_options(&self) -> NetServerOptions {
         let mut serve = ServeConfig::new()
             .shards(self.shards)
-            .readiness(self.readiness)
-            .batched_dispatch(self.batched_dispatch);
+            .readiness(self.readiness);
         if self.telemetry {
             serve = serve.telemetry(bm_telemetry::Telemetry::new());
         }
-        NetServerOptions::new().max_inflight(2 * WINDOW).runtime(
-            RuntimeOptions::new()
-                .workers(self.workers)
-                .scheduler(SchedulerConfig::new().serve(serve)),
-        )
-    }
-}
-
-/// Manager hot-path amortization counters, rolled up across shards.
-#[derive(Clone, Copy, Default)]
-struct ManagerStats {
-    wakeups: u64,
-    drained_per_wakeup_mean: f64,
-    submit_batch_mean: f64,
-}
-
-/// Sums a labeled (per-shard) histogram's `(count, sum)` across every
-/// snapshot entry with `name`.
-fn histogram_totals(snapshot: &bm_telemetry::Snapshot, name: &str) -> (u64, u64) {
-    snapshot.entries.iter().filter(|e| e.name == name).fold(
-        (0u64, 0u64),
-        |(count, sum), e| match &e.value {
-            bm_telemetry::MetricValue::Histogram(h) => (count + h.count, sum + h.sum),
-            _ => (count, sum),
-        },
-    )
-}
-
-fn manager_stats(snapshot: &bm_telemetry::Snapshot) -> ManagerStats {
-    let mean = |(count, sum): (u64, u64)| {
-        if count == 0 {
-            0.0
-        } else {
-            sum as f64 / count as f64
-        }
-    };
-    ManagerStats {
-        wakeups: snapshot.counter_sum("bm_manager_wakeups_total"),
-        drained_per_wakeup_mean: mean(histogram_totals(snapshot, "bm_manager_drained_per_wakeup")),
-        submit_batch_mean: mean(histogram_totals(snapshot, "bm_manager_submit_batch")),
+        NetServerOptions::new()
+            .max_inflight(2 * WINDOW)
+            .runtime(RuntimeOptions::new().serve_config(serve))
     }
 }
 
@@ -170,8 +122,6 @@ struct ThroughputPoint {
     /// Snapshot entry count and per-shard completion counters, when
     /// telemetry was on.
     shard_completions: Vec<(String, u64)>,
-    /// Manager amortization counters, when telemetry was on.
-    manager: ManagerStats,
     /// Readiness backend the server actually ran ("polled"/"epoll").
     backend: &'static str,
 }
@@ -261,7 +211,6 @@ fn closed_loop_cfg(cfg: LoadCfg) -> ThroughputPoint {
             (shard, v)
         })
         .collect();
-    let manager = manager_stats(&snapshot);
 
     let stats = server.stats();
     assert_eq!(stats.submitted, total as u64, "every request admitted");
@@ -279,15 +228,14 @@ fn closed_loop_cfg(cfg: LoadCfg) -> ThroughputPoint {
         p50_ms: pct(0.50),
         p99_ms: pct(0.99),
         shard_completions,
-        manager,
         backend,
     }
 }
 
 /// The default-shape closed loop: [`CONNS`] hot connections, no idle
-/// sockets, auto readiness, batched dispatch.
-fn closed_loop(shards: usize, workers: usize, total: usize, telemetry: bool) -> ThroughputPoint {
-    closed_loop_cfg(LoadCfg::new(shards, workers, total, telemetry))
+/// sockets, auto readiness.
+fn closed_loop(shards: usize, total: usize, telemetry: bool) -> ThroughputPoint {
+    closed_loop_cfg(LoadCfg::new(shards, total, telemetry))
 }
 
 /// The idle-connection sweep: 1 hot connection next to `idle_conns`
@@ -302,9 +250,9 @@ struct IdleSweep {
     epoll_wins: bool,
 }
 
-fn idle_sweep(workers: usize, idle_conns: usize, total: usize) -> IdleSweep {
+fn idle_sweep(idle_conns: usize, total: usize) -> IdleSweep {
     let arm = |mode: ReadinessMode| {
-        let mut cfg = LoadCfg::new(1, workers, total, false);
+        let mut cfg = LoadCfg::new(1, total, false);
         cfg.conns = 1;
         cfg.idle_conns = idle_conns;
         cfg.readiness = mode;
@@ -329,29 +277,6 @@ fn idle_sweep(workers: usize, idle_conns: usize, total: usize) -> IdleSweep {
     }
 }
 
-/// Batched vs per-message manager dispatch under the same closed-loop
-/// load, with the batched arm's amortization telemetry.
-struct ManagerCompare {
-    batched_rps: f64,
-    per_message_rps: f64,
-    stats: ManagerStats,
-}
-
-fn manager_compare(shards: usize, workers: usize, total: usize) -> ManagerCompare {
-    let arm = |batched: bool| {
-        let mut cfg = LoadCfg::new(shards, workers, total, true);
-        cfg.batched_dispatch = batched;
-        closed_loop_cfg(cfg)
-    };
-    let batched = arm(true);
-    let per_message = arm(false);
-    ManagerCompare {
-        batched_rps: batched.rps,
-        per_message_rps: per_message.rps,
-        stats: batched.manager,
-    }
-}
-
 /// One open-loop sweep point's client-side outcome.
 struct SweepPoint {
     offered_rps: f64,
@@ -368,10 +293,10 @@ struct SweepPoint {
 /// stamping completions — open-loop, so a slow server shows up as
 /// latency, not as reduced offered load. Latency is measured from the
 /// *scheduled* arrival (coordinated-omission-free).
-fn open_loop_point(shards: usize, workers: usize, rate: f64, n: usize) -> SweepPoint {
+fn open_loop_point(shards: usize, rate: f64, n: usize) -> SweepPoint {
     let server = NetServer::bind(
         model(),
-        LoadCfg::new(shards, workers, n, false).server_options(),
+        LoadCfg::new(shards, n, false).server_options(),
         "127.0.0.1:0",
     )
     .expect("bind loopback");
@@ -479,7 +404,6 @@ fn to_json(
     points: &[ThroughputPoint],
     sweep: &[SweepPoint],
     idle: &IdleSweep,
-    manager: &ManagerCompare,
 ) -> String {
     let best = |shards: usize| {
         points
@@ -528,16 +452,6 @@ fn to_json(
         idle.epoll_rps,
         idle.epoll_wins
     ));
-    s.push_str(&format!(
-        "  \"manager\": {{\"batched_rps\": {:.1}, \"per_message_rps\": {:.1}, \
-         \"wakeups\": {}, \"drained_per_wakeup_mean\": {:.3}, \
-         \"submit_batch_mean\": {:.3}}},\n",
-        manager.batched_rps,
-        manager.per_message_rps,
-        manager.stats.wakeups,
-        manager.stats.drained_per_wakeup_mean,
-        manager.stats.submit_batch_mean
-    ));
     s.push_str("  \"sla_sweep\": [\n");
     for (i, p) in sweep.iter().enumerate() {
         s.push_str(&format!(
@@ -566,7 +480,6 @@ fn to_json(
 /// fail — CI runs this with `--smoke`.
 pub fn run(scale: Scale, out_dir: &Path) -> Vec<Table> {
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let workers = 2;
     let multi_shards = 2.max(cores / 2).min(4);
     let (total, reps) = match scale {
         Scale::Quick => (5_000, 1),
@@ -579,8 +492,8 @@ pub fn run(scale: Scale, out_dir: &Path) -> Vec<Table> {
     let mut points = Vec::new();
     for rep in 0..reps.max(1) {
         let telemetry = rep == 0;
-        points.push(closed_loop(1, workers, total, telemetry));
-        points.push(closed_loop(multi_shards, workers, total, telemetry));
+        points.push(closed_loop(1, total, telemetry));
+        points.push(closed_loop(multi_shards, total, telemetry));
     }
     for p in &points {
         assert_eq!(p.completed, total, "lost responses at {} shards", p.shards);
@@ -596,21 +509,12 @@ pub fn run(scale: Scale, out_dir: &Path) -> Vec<Table> {
     let rollup_sum: u64 = multi_tel.shard_completions.iter().map(|(_, v)| v).sum();
     assert_eq!(rollup_sum, total as u64, "per-shard counters must roll up");
 
-    // Part 2: the idle-connection sweep (1 hot / 512 idle) and the
-    // batched-vs-per-message manager comparison. Under load the
-    // manager must be amortizing: >1 message drained per wakeup.
+    // Part 2: the idle-connection sweep (1 hot / 512 idle).
     let (idle_total, idle_conns) = match scale {
         Scale::Quick => (3_000, 512),
         Scale::Full => (10_000, 512),
     };
-    let idle = idle_sweep(workers, idle_conns, idle_total);
-    let manager = manager_compare(multi_shards, workers, total);
-    assert!(
-        manager.stats.wakeups > 0 && manager.stats.drained_per_wakeup_mean > 1.0,
-        "manager not amortizing under load: {} wakeups, {:.3} drained/wakeup",
-        manager.stats.wakeups,
-        manager.stats.drained_per_wakeup_mean
-    );
+    let idle = idle_sweep(idle_conns, idle_total);
 
     // Part 3: the SLA sweep over the socket, N-shard configuration.
     let full_rates = [500.0, 1_000.0, 2_000.0, 4_000.0];
@@ -619,7 +523,7 @@ pub fn run(scale: Scale, out_dir: &Path) -> Vec<Table> {
         .iter()
         .map(|&rate| {
             let n = ((rate * scale.duration_s()) as usize).clamp(200, scale.max_requests());
-            open_loop_point(multi_shards, workers, rate, n)
+            open_loop_point(multi_shards, rate, n)
         })
         .collect();
     for p in &sweep {
@@ -627,7 +531,7 @@ pub fn run(scale: Scale, out_dir: &Path) -> Vec<Table> {
     }
 
     std::fs::create_dir_all(out_dir).expect("create results dir");
-    let json = to_json(cores, (1, multi_shards), &points, &sweep, &idle, &manager);
+    let json = to_json(cores, (1, multi_shards), &points, &sweep, &idle);
     let json_path = out_dir.join("BENCH_serve.json");
     std::fs::write(&json_path, &json).expect("write BENCH_serve.json");
     eprintln!("wrote {}", json_path.display());
@@ -666,24 +570,6 @@ pub fn run(scale: Scale, out_dir: &Path) -> Vec<Table> {
         ]);
     }
 
-    let mut m = Table::new(
-        "Manager dispatch: batched vs per-message",
-        &[
-            "batched_rps",
-            "per_message_rps",
-            "wakeups",
-            "drained_per_wakeup_mean",
-            "submit_batch_mean",
-        ],
-    );
-    m.push_row(vec![
-        format!("{:.0}", manager.batched_rps),
-        format!("{:.0}", manager.per_message_rps),
-        manager.stats.wakeups.to_string(),
-        format!("{:.2}", manager.stats.drained_per_wakeup_mean),
-        format!("{:.2}", manager.stats.submit_batch_mean),
-    ]);
-
     let mut s = Table::new(
         "SLA sweep over the socket (open loop, client-observed)",
         &[
@@ -705,5 +591,5 @@ pub fn run(scale: Scale, out_dir: &Path) -> Vec<Table> {
             p.max_lateness_us.to_string(),
         ]);
     }
-    vec![t, i, m, s]
+    vec![t, i, s]
 }

@@ -40,7 +40,7 @@ pub const MAX_ACTIVE: usize = 4_096;
 /// `sla` sweep keeps the simulator's depth of 1, where dispatch only
 /// ever happens on an idle device and every pick is saturation- or
 /// starvation-qualified — the three policies are provably identical
-/// there. Under pipelined dispatch (the threaded runtime's behavior)
+/// there. Under pipelined dispatch (a per-device FIFO queue, §5)
 /// batches form while the device is busy, so eager formation submits
 /// undersized priority-tier batches; that is the regime lazy/EDF
 /// policies exist for, and the comparison runs there.

@@ -201,7 +201,6 @@ fn live_run(scale: Scale) -> LiveRun {
         Scale::Quick => 160,
         Scale::Full => 1200,
     };
-    let workers = 2;
     let tel = Telemetry::new();
     let ring = Arc::new(
         RingBufferSink::new(RING_CAPACITY)
@@ -230,7 +229,6 @@ fn live_run(scale: Scale) -> LiveRun {
     let rt = Runtime::start(
         Arc::clone(&model),
         RuntimeOptions::new()
-            .workers(workers)
             .telemetry(Arc::clone(&tel))
             .trace(sampler.clone() as Arc<dyn TraceSink>),
     );

@@ -97,10 +97,7 @@ fn loaded_model_serves_through_runtime() {
     original.save(&path).unwrap();
     let loaded = Arc::new(LstmLm::load(&path, cfg).unwrap());
 
-    let rt = Runtime::start(
-        Arc::clone(&loaded) as Arc<dyn Model>,
-        RuntimeOptions::new().workers(1),
-    );
+    let rt = Runtime::start(Arc::clone(&loaded) as Arc<dyn Model>, RuntimeOptions::new());
     let input = RequestInput::Sequence(vec![1, 2, 3, 4, 5]);
     let served = rt
         .submit_request(&input)

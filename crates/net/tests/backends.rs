@@ -11,7 +11,7 @@
 use std::net::TcpStream;
 use std::sync::Arc;
 
-use bm_core::{ReadinessMode, Request, RuntimeOptions, SchedulerConfig, ServeConfig};
+use bm_core::{ReadinessMode, Request, RuntimeOptions, ServeConfig};
 use bm_model::{LstmLm, LstmLmConfig, Model, RequestInput};
 use bm_net::readiness::SUPPORTED;
 use bm_net::{encode_response, NetClient, NetResponse, NetServer, NetServerOptions};
@@ -21,11 +21,8 @@ fn model() -> Arc<dyn Model> {
 }
 
 fn opts(mode: ReadinessMode) -> NetServerOptions {
-    NetServerOptions::new().runtime(
-        RuntimeOptions::new()
-            .workers(2)
-            .scheduler(SchedulerConfig::new().serve(ServeConfig::new().shards(2).readiness(mode))),
-    )
+    NetServerOptions::new()
+        .runtime(RuntimeOptions::new().serve_config(ServeConfig::new().shards(2).readiness(mode)))
 }
 
 /// Re-encodes a response with its (run-dependent) timing zeroed so two

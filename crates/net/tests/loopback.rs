@@ -5,7 +5,7 @@
 
 use std::sync::Arc;
 
-use bm_core::{Request, RuntimeOptions, SchedulerConfig, ServeConfig, ServedOutcome, TenantRate};
+use bm_core::{Request, RuntimeOptions, ServeConfig, ServedOutcome, TenantRate};
 use bm_model::{LstmLm, LstmLmConfig, Model, RequestInput, TreeShape};
 use bm_net::{NetClient, NetError, NetReject, NetResponse, NetServer, NetServerOptions};
 
@@ -14,11 +14,8 @@ fn model() -> Arc<dyn Model> {
 }
 
 fn opts(shards: usize) -> NetServerOptions {
-    NetServerOptions::new().runtime(
-        RuntimeOptions::new()
-            .workers(2)
-            .scheduler(SchedulerConfig::new().serve(ServeConfig::new().shards(shards))),
-    )
+    NetServerOptions::new()
+        .runtime(RuntimeOptions::new().serve_config(ServeConfig::new().shards(shards)))
 }
 
 #[test]
@@ -81,7 +78,7 @@ fn socket_results_match_in_process_runtime() {
     // skip inputs the model rejects identically on both paths.
     let server = NetServer::bind(model(), opts(2), "127.0.0.1:0").expect("bind");
     let mut client = NetClient::connect(server.local_addr()).expect("connect");
-    let local = bm_core::Runtime::start(model(), RuntimeOptions::new().workers(1));
+    let local = bm_core::Runtime::start(model(), RuntimeOptions::new());
 
     for input in &inputs {
         let over_socket = client.call(&Request::from(input)).expect("call");
@@ -112,12 +109,10 @@ fn socket_results_match_in_process_runtime() {
 #[test]
 fn tenant_rate_limit_rejects_excess() {
     let options = NetServerOptions::new().runtime(
-        RuntimeOptions::new().workers(1).scheduler(
-            SchedulerConfig::new().serve(
-                ServeConfig::new()
-                    .shards(1)
-                    .tenant_rate(TenantRate::new(1.0, 3)),
-            ),
+        RuntimeOptions::new().serve_config(
+            ServeConfig::new()
+                .shards(1)
+                .tenant_rate(TenantRate::new(1.0, 3)),
         ),
     );
     let server = NetServer::bind(model(), options, "127.0.0.1:0").expect("bind");

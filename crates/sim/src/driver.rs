@@ -14,7 +14,7 @@ use crate::server::{Server, SimRequest};
 /// Options controlling one simulation run.
 ///
 /// The serving knobs shared with the threaded runtime — policy,
-/// deadlines, admission cap, pipeline depth, observability sinks — live
+/// deadlines, admission cap, observability sinks — live
 /// in the embedded [`ServeConfig`] (`serve`), so a deployment
 /// configures them once for simulator and runtime alike; the fluent
 /// setters below delegate into it. The remaining fields are
@@ -46,12 +46,16 @@ pub struct SimOptions {
     /// factor. Useful for stall/imbalance injection experiments.
     /// `None` means all workers run at nominal speed.
     pub worker_speeds: Option<Vec<f64>>,
+    /// In-flight window per simulated device (≥ 1): the driver keeps
+    /// asking the server for work until a worker has this many queued
+    /// items — the paper's per-device FIFO queue (§5), which hides the
+    /// host↔GPU gap. Depth 1 (the default) is the classic
+    /// dispatch-on-idle model used by the paper experiments. The
+    /// threaded runtime has no such queue: its shard thread executes
+    /// what it schedules.
+    pub pipeline_depth: usize,
     /// Shared serving knobs (see [`ServeConfig`]):
     ///
-    /// - `pipeline_depth` — in-flight window per worker; the driver
-    ///   keeps asking the server for work until a worker has this many
-    ///   queued items. Depth 1 (the simulator default) is the classic
-    ///   dispatch-on-idle model used by the paper experiments.
     /// - `deadline_us` — default relative deadline; a request not
     ///   completed by its deadline is cancelled on the server (see
     ///   [`Server::cancel`]) and counted in [`SimOutcome::expired`].
@@ -73,9 +77,8 @@ impl Default for SimOptions {
             max_sim_us: 600_000_000, // 10 virtual minutes.
             warmup: 0,
             worker_speeds: None,
-            // The simulator's historical default is the classic
-            // dispatch-on-idle model, not the runtime's depth-2 window.
-            serve: ServeConfig::new().pipeline_depth(1),
+            pipeline_depth: 1,
+            serve: ServeConfig::new(),
         }
     }
 }
@@ -102,7 +105,7 @@ impl SimOptions {
 
     /// Sets the per-worker in-flight window (must be ≥ 1).
     pub fn pipeline_depth(mut self, depth: usize) -> Self {
-        self.serve.pipeline_depth = depth;
+        self.pipeline_depth = depth;
         self
     }
 
@@ -244,7 +247,7 @@ pub fn simulate_requests(
     opts: SimOptions,
 ) -> SimOutcome {
     assert!(opts.workers > 0, "need at least one worker");
-    assert!(opts.serve.pipeline_depth > 0, "pipeline depth must be >= 1");
+    assert!(opts.pipeline_depth > 0, "pipeline depth must be >= 1");
     assert!(!arrivals.is_empty(), "no arrivals");
     if let Some(kind) = opts.serve.policy {
         assert!(
@@ -375,7 +378,7 @@ pub fn simulate_requests(
         }
         // Refill workers whose in-flight window has room. At depth 1
         // this is the classic "refill when idle"; deeper windows model
-        // the threaded runtime's pipelined dispatch.
+        // a per-device FIFO queue (§5).
         for (w, q) in queued.iter_mut().enumerate() {
             let speed = opts
                 .worker_speeds
@@ -383,7 +386,7 @@ pub fn simulate_requests(
                 .map_or(1.0, |s| s.get(w).copied().unwrap_or(1.0));
             assert!(speed > 0.0, "worker speed must be positive");
             let mut at = now.max(busy_until[w]);
-            while *q < opts.serve.pipeline_depth {
+            while *q < opts.pipeline_depth {
                 let items = server.next_work(w, now);
                 if items.is_empty() {
                     break;

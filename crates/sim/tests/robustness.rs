@@ -115,7 +115,7 @@ fn sim_options_builder_preserves_defaults() {
     assert_eq!(opts.serve.deadline_us, None);
     assert_eq!(opts.serve.max_active, None);
     assert_eq!(
-        opts.serve.pipeline_depth, 1,
+        opts.pipeline_depth, 1,
         "simulator default is dispatch-on-idle"
     );
     assert!(opts.worker_speeds.is_none());

@@ -1,9 +1,9 @@
 //! Quickstart: serve LSTM inference requests through BatchMaker.
 //!
 //! Builds a small LSTM language model, starts the threaded runtime
-//! (manager + workers, §4.2 Figure 6), submits a handful of sentences
-//! concurrently, and verifies every result against the unbatched
-//! reference executor.
+//! (one shard: a thread that schedules and executes), submits a
+//! handful of sentences concurrently, and verifies every result against
+//! the unbatched reference executor.
 //!
 //! Run with: `cargo run --release --example quickstart`
 
@@ -22,11 +22,9 @@ fn main() {
         ..Default::default()
     }));
 
-    // Two workers stand in for two GPUs.
-    let runtime = Runtime::start(
-        Arc::clone(&model) as Arc<dyn Model>,
-        RuntimeOptions::new().workers(2),
-    );
+    // One shard; `ShardedRuntime` with `ServeConfig::shards(n)` uses
+    // more cores.
+    let runtime = Runtime::start(Arc::clone(&model) as Arc<dyn Model>, RuntimeOptions::new());
 
     // "system research is", "kids love dogs", ... as token ids.
     let sentences: Vec<RequestInput> = vec![

@@ -34,10 +34,7 @@ fn main() {
         vocab: 500,
         ..Default::default()
     }));
-    let runtime = Runtime::start(
-        Arc::clone(&model) as Arc<dyn Model>,
-        RuntimeOptions::new().workers(1),
-    );
+    let runtime = Runtime::start(Arc::clone(&model) as Arc<dyn Model>, RuntimeOptions::new());
 
     // A mix of random parse trees plus the paper's complete 16-leaf
     // tree (§4.4's running example).

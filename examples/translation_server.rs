@@ -24,10 +24,7 @@ fn main() {
         vocab: 300,
         ..Default::default()
     }));
-    let runtime = Runtime::start(
-        Arc::clone(&model) as Arc<dyn Model>,
-        RuntimeOptions::new().workers(2),
-    );
+    let runtime = Runtime::start(Arc::clone(&model) as Arc<dyn Model>, RuntimeOptions::new());
 
     // Sample "German" sentences of varying length and issue them with
     // small gaps, as a live service would see.

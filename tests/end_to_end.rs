@@ -4,14 +4,17 @@
 
 use std::sync::Arc;
 
-use bm_core::{Runtime, RuntimeOptions, SubmitError};
+use bm_core::{Runtime, RuntimeOptions, ServeConfig, ShardedRuntime, SubmitError};
 use bm_model::{reference, LstmLm, Model, RequestInput, Seq2Seq, TreeLstm};
 use bm_workload::{Dataset, LengthDistribution};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-fn serve_and_verify(model: Arc<dyn Model>, inputs: &[RequestInput], workers: usize) -> Vec<u64> {
-    let rt = Runtime::start(Arc::clone(&model), RuntimeOptions::new().workers(workers));
+fn serve_and_verify(model: Arc<dyn Model>, inputs: &[RequestInput], shards: usize) -> Vec<u64> {
+    let rt = ShardedRuntime::start(
+        Arc::clone(&model),
+        RuntimeOptions::new().serve_config(ServeConfig::new().shards(shards)),
+    );
     let handles: Vec<_> = inputs
         .iter()
         .map(|i| rt.submit_request(i).expect("submit"))
@@ -50,7 +53,7 @@ fn mixed_interleaved_submissions() {
     // Interleave short and long requests: the short ones must not be
     // stuck behind the long ones (continuous leave, §3.2).
     let model: Arc<dyn Model> = Arc::new(LstmLm::small());
-    let rt = Runtime::start(Arc::clone(&model), RuntimeOptions::new().workers(1));
+    let rt = Runtime::start(Arc::clone(&model), RuntimeOptions::new());
     let long = RequestInput::Sequence(vec![1; 120]);
     let short = RequestInput::Sequence(vec![2; 2]);
     let h_long = rt.submit_request(&long).expect("submit");
@@ -74,7 +77,7 @@ fn repeated_identical_requests_are_deterministic() {
     let model: Arc<dyn Model> = Arc::new(TreeLstm::small());
     let ds = Dataset::trees(5, LengthDistribution::Fixed(7), 900, 9);
     let input = ds.items()[0].clone();
-    let rt = Runtime::start(Arc::clone(&model), RuntimeOptions::new().workers(2));
+    let rt = Runtime::start(Arc::clone(&model), RuntimeOptions::new());
     let results: Vec<_> = (0..6)
         .map(|_| rt.submit_request(&input).expect("submit"))
         .collect::<Vec<_>>()
@@ -117,7 +120,7 @@ fn gru_model_end_to_end() {
 #[test]
 fn malformed_requests_rejected_gracefully() {
     let model: Arc<dyn Model> = Arc::new(LstmLm::small());
-    let rt = Runtime::start(Arc::clone(&model), RuntimeOptions::new().workers(1));
+    let rt = Runtime::start(Arc::clone(&model), RuntimeOptions::new());
     // Empty sequence, out-of-vocabulary token, wrong variant — all
     // surface as the typed `SubmitError::Invalid`.
     assert!(matches!(
