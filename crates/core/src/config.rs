@@ -1,14 +1,14 @@
 //! The shared serving configuration.
 //!
-//! [`ServeConfig`] collects every knob that used to be duplicated
-//! across [`crate::SchedulerConfig`], [`crate::RuntimeOptions`] and
-//! `bm_sim::SimOptions` — batch-formation policy, deadlines, admission
-//! caps, queue bounds, observability sinks — plus the knobs
-//! introduced by the sharded control plane (shard count, per-tenant
-//! rate limits). All three option structs embed one `ServeConfig`, so a
-//! deployment configures these once regardless of whether it runs the
-//! threaded runtime, the sharded runtime, the simulator, or the network
-//! front door.
+//! [`ServeConfig`] is the one place a serving knob is set:
+//! batch-formation policy, deadlines, admission caps, queue bounds,
+//! shard count, per-tenant rate limits, observability sinks.
+//! [`crate::SchedulerConfig`] (and through it [`crate::RuntimeOptions`])
+//! and `bm_sim::SimOptions` each embed one, so a deployment configures
+//! these once whether it runs the threaded runtime, the simulator or
+//! the network front door. No field chooses between two implementations
+//! of one behaviour: which execution plane a cell runs on follows from
+//! the cell, and the front door's readiness backend from the platform.
 
 use std::sync::Arc;
 
@@ -16,52 +16,6 @@ use bm_telemetry::Telemetry;
 use bm_trace::TraceSink;
 
 use crate::policy::PolicyKind;
-
-/// How the network front door (`bm-net`) learns that sockets and
-/// completions are ready, i.e. which readiness backend its single
-/// ingest/completion event loop runs on.
-///
-/// Lives here (rather than in `bm-net`) for the same reason as
-/// [`TenantRate`]: it is a serving-deployment knob carried by the one
-/// [`ServeConfig`] every driver embeds. Drivers without sockets (the
-/// in-process runtimes, the simulator) ignore it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ReadinessMode {
-    /// Use the best backend the platform supports: the raw-syscall
-    /// epoll backend on Linux x86_64, the polled scan everywhere else.
-    #[default]
-    Auto,
-    /// Portable fallback: a polled scan of non-blocking sockets with
-    /// adaptive idle backoff. Always available; the bit-identity oracle
-    /// the epoll backend is tested against.
-    Polled,
-    /// Linux x86_64 epoll via `bm-net`'s raw-syscall shim (eventfd
-    /// wakeups, edge-free level-triggered readiness, write-interest
-    /// registration instead of write backoff). Binding a server with
-    /// this mode on an unsupported platform fails with an error.
-    Epoll,
-}
-
-impl ReadinessMode {
-    /// Parses a CLI-style name: `auto`, `polled` or `epoll`.
-    pub fn parse(s: &str) -> Option<ReadinessMode> {
-        match s {
-            "auto" => Some(ReadinessMode::Auto),
-            "polled" => Some(ReadinessMode::Polled),
-            "epoll" => Some(ReadinessMode::Epoll),
-            _ => None,
-        }
-    }
-
-    /// The CLI-style name ([`ReadinessMode::parse`]'s inverse).
-    pub fn label(self) -> &'static str {
-        match self {
-            ReadinessMode::Auto => "auto",
-            ReadinessMode::Polled => "polled",
-            ReadinessMode::Epoll => "epoll",
-        }
-    }
-}
 
 /// A per-tenant token-bucket rate limit, enforced by the network front
 /// door (`bm-net`) before a request reaches a scheduler shard.
@@ -113,31 +67,17 @@ pub struct ServeConfig {
     /// not carry its own ([`crate::Request::deadline_us`]), µs from
     /// arrival. `None` means no default deadline.
     pub deadline_us: Option<u64>,
-    /// Cap on concurrently admitted (unresolved) requests; submissions
-    /// beyond it fail with `SubmitError::AtCapacity`. `None` admits
-    /// everything.
+    /// Cap on each shard's concurrently admitted (unresolved) requests;
+    /// a submission every shard refuses at its cap fails with
+    /// `SubmitError::AtCapacity`. `None` admits everything.
     pub max_active: Option<usize>,
     /// Bound on each shard's arrival inbox; when full, submissions
     /// fail with `SubmitError::QueueFull`. `None` leaves it unbounded.
     pub queue_cap: Option<usize>,
-    /// Execute eligible chain cells through the resident-state plane
-    /// ([`crate::ResidentBatch`]): each active request's recurrent state
-    /// stays parked as a row of a per-shard persistent batch matrix,
-    /// eliminating the per-step gather. **On by default** since the
-    /// plane soaked through a full PR cycle with bit-identity pinned by
-    /// the `resident_identity` proptests; the gather path remains the
-    /// oracle and A/B baseline (`.resident_state(false)`). Outputs are
-    /// bitwise identical either way. The discrete-event simulator
-    /// (duration-based, no real state movement) ignores it.
-    pub resident_state: bool,
-    /// Readiness backend for the network front door's event loop
-    /// ([`ReadinessMode`]); in-process drivers ignore it.
-    pub readiness: ReadinessMode,
-    /// Scheduler shards for the sharded runtime: each is one thread
-    /// owning its own engine, inbox and deadline heap, so this is the
-    /// multi-core knob. The plain threaded runtime (one shard) and the
-    /// simulator ignore it. Defaults to half the host's cores, at
-    /// least 1.
+    /// Scheduler shards of the threaded runtime (≥ 1): each is one
+    /// thread owning its own engine, inbox and deadline heap, so this is
+    /// the multi-core knob. The simulator ignores it. Defaults to half
+    /// the host's cores, at least 1.
     pub shards: usize,
     /// Per-tenant token-bucket rate limit enforced at the network front
     /// door. `None` disables tenant rate limiting.
@@ -147,7 +87,10 @@ pub struct ServeConfig {
     /// site.
     pub trace: Arc<dyn TraceSink>,
     /// Metric registry for live serving telemetry; defaults to the
-    /// disabled registry (one branch per call site, no allocation).
+    /// disabled registry (one branch per call site, no allocation). The
+    /// simulator records into it directly; the threaded runtime takes an
+    /// enabled registry as the switch and records per shard, read back
+    /// through `Runtime::snapshot`.
     pub telemetry: Arc<Telemetry>,
 }
 
@@ -167,8 +110,6 @@ impl Default for ServeConfig {
             deadline_us: None,
             max_active: None,
             queue_cap: None,
-            resident_state: true,
-            readiness: ReadinessMode::Auto,
             shards: default_shards(),
             tenant_rate: None,
             trace: bm_trace::noop(),
@@ -180,8 +121,7 @@ impl Default for ServeConfig {
 impl ServeConfig {
     /// The default configuration (start of the builder chain): no
     /// policy override, no deadline, no admission cap, unbounded inbox,
-    /// resident state on, auto readiness, cores/2 shards, no tenant
-    /// limits, tracing and telemetry off.
+    /// cores/2 shards, no tenant limits, tracing and telemetry off.
     pub fn new() -> Self {
         Self::default()
     }
@@ -198,7 +138,7 @@ impl ServeConfig {
         self
     }
 
-    /// Caps concurrently admitted requests.
+    /// Caps each shard's concurrently admitted requests.
     pub fn max_active(mut self, cap: usize) -> Self {
         self.max_active = Some(cap);
         self
@@ -210,23 +150,9 @@ impl ServeConfig {
         self
     }
 
-    /// Enables (or disables) the resident-state execution plane for
-    /// chain cells. On by default; `false` selects the gather-path
-    /// oracle.
-    pub fn resident_state(mut self, on: bool) -> Self {
-        self.resident_state = on;
-        self
-    }
-
-    /// Selects the network front door's readiness backend.
-    pub fn readiness(mut self, mode: ReadinessMode) -> Self {
-        self.readiness = mode;
-        self
-    }
-
-    /// Sets the scheduler shard count (≥ 1).
+    /// Sets the scheduler shard count; 0 is stored as 1.
     pub fn shards(mut self, n: usize) -> Self {
-        self.shards = n;
+        self.shards = n.max(1);
         self
     }
 

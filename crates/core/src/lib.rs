@@ -9,14 +9,16 @@
 //!   selection by (saturation, starvation, priority), batched task
 //!   formation across subgraphs, `MaxTasksToSubmit`, subgraph pinning
 //!   for worker locality, and gather/transfer accounting;
-//! - [`Runtime`] — a real-time driver (one thread per shard that
-//!   schedules, executes and resolves) running real cell math on CPU,
-//!   with results bit-identical to the unbatched reference executor;
-//! - [`ResidentBatch`] — the resident-state execution plane for chain
-//!   cells (on by default via [`ServeConfig::resident_state`]): each active
-//!   request's recurrent state stays parked as a row of a persistent
-//!   batch matrix, eliminating the per-step gather while remaining
-//!   bit-identical to the gather path.
+//! - [`Runtime`] — the real-time driver: [`ServeConfig::shards`]
+//!   shards, each one thread that schedules, executes and resolves,
+//!   behind one submission front, running real cell math on CPU with
+//!   results bit-identical to the unbatched reference executor;
+//! - [`ResidentBatch`] — the resident-state execution plane every cell
+//!   with a resident layout runs on: each active request's recurrent
+//!   state stays parked as a row of a persistent batch matrix,
+//!   eliminating the per-step gather while remaining bit-identical to
+//!   the gather path (which tree cells and multi-dependency entries
+//!   still take).
 //!
 //! The discrete-event simulator in `bm-sim` drives the same
 //! [`CellularEngine`] under a calibrated GPU cost model to reproduce the
@@ -34,7 +36,7 @@ mod shard;
 mod state_plane;
 mod task;
 
-pub use config::{ReadinessMode, ServeConfig, TenantRate};
+pub use config::{ServeConfig, TenantRate};
 pub use engine::{CancelOutcome, CellularEngine, SchedulerConfig, SchedulerStats, STAGE_NAMES};
 pub use ids::{RequestId, SubgraphId, TaskId, WorkerId};
 pub use partition::{partition, Partition};
@@ -47,6 +49,5 @@ pub use runtime::{
     completion_queue, CompletionQueue, CompletionReceiver, ResponseHandle, Runtime, RuntimeOptions,
     ServedOutcome, ServedResult, ServedTiming, SubmitError, WaitError,
 };
-pub use shard::ShardedRuntime;
 pub use state_plane::SlotBlock;
 pub use task::{CompletedRequest, Task, TaskEntry};

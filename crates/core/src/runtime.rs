@@ -1,5 +1,5 @@
-//! The threaded real-time runtime: one scheduler shard executing *real*
-//! cell math on one CPU thread.
+//! The threaded real-time runtime: N scheduler shards, each executing
+//! *real* cell math on one CPU thread, behind one submission front.
 //!
 //! A shard is a single loop on a single thread:
 //!
@@ -21,8 +21,37 @@
 //! between a host CPU and a GPU; here the "device" is the same CPU, a
 //! cell step takes 10–30 µs, and a thread boundary between planner and
 //! executor costs a sleep/wake round trip longer than the step it
-//! hands over. Multi-core scaling lives in [`crate::ShardedRuntime`]
-//! placement: N shards are N such threads.
+//! hands over. Multi-core scaling is [`ServeConfig::shards`]: N shards
+//! are N such threads, each with its own engine, deadline heap, inbox
+//! and state, all stamping requests on one shared clock. One shard is
+//! simply N = 1.
+//!
+//! ## The front
+//!
+//! [`Runtime::submit_request`], [`Runtime::submit_request_tagged`] and
+//! [`Runtime::submit_batch_tagged`] share one admission path. A request
+//! is validated, given its [`RequestId`], placed, reserved an active
+//! slot on that shard, and only then unfolded and stamped — so a
+//! refusal at the cap never pays for [`Model::unfold`], and every event
+//! one request produces in a shared trace sink carries the same id
+//! whichever shard serves it.
+//!
+//! Requests are placed with **cell-type affinity**: each
+//! [`bm_model::RequestInput`] variant (LSTM-LM sequence, seq2seq pair, TreeLSTM
+//! tree) has a home shard, so a mixed workload keeps each shard's
+//! engine forming large same-type batches instead of splitting every
+//! type's queue N ways. Affinity alone collapses under a skewed type
+//! mix (all-LSTM traffic would fill one shard), so placement is
+//! load-aware: when the home shard's active-request count exceeds the
+//! least-loaded shard's by more than a spill margin, the request is
+//! **rebalanced** to the least-loaded shard. This is admission-time
+//! stealing — once admitted a request never migrates, because its state
+//! rows live in the owning shard's slot blocks.
+//!
+//! Overload refusals get a second chance: a shard refusing with
+//! `AtCapacity`/`QueueFull` does not fail the submission until every
+//! other shard (tried lightest first) has also refused; the request is
+//! not unfolded again on the way.
 //!
 //! ## The state plane
 //!
@@ -36,23 +65,25 @@
 //! the loop executes tasks in submission order, so a dependency's rows
 //! are always published before a task that gathers them starts.
 //!
-//! With [`RuntimeOptions::resident_state`] enabled the loop additionally
-//! keeps a resident-state plane: one [`crate::ResidentBatch`] per chain
-//! cell type whose rows park each active request's recurrent state
-//! between steps, so steady-state chain execution skips the gather
+//! Cells that report a [`Cell::resident_layout`] additionally run
+//! through the shard's resident-state plane: one [`crate::ResidentBatch`]
+//! per chain cell type whose rows park each active request's recurrent
+//! state between steps, so steady-state chain execution skips the gather
 //! entirely (the scatter — publication to the slot block — remains, and
 //! outputs stay bit-identical). A request's row is released the moment
-//! the request resolves.
+//! the request resolves. Tree cells and entries with two or more
+//! dependencies have no resident form and always gather.
 //!
 //! ## Overload behaviour
 //!
 //! Under overload the runtime degrades explicitly instead of letting
 //! queues grow without bound:
 //!
-//! - **Admission control** ([`RuntimeOptions::max_active`],
-//!   [`RuntimeOptions::queue_cap`]) refuses excess submissions with a
-//!   typed [`SubmitError`] without disturbing admitted work.
-//! - **Deadlines** ([`RuntimeOptions::deadline_us`] or per-request via
+//! - **Admission control** ([`ServeConfig::max_active`],
+//!   [`ServeConfig::queue_cap`], both per shard) refuses excess
+//!   submissions with a typed [`SubmitError`] without disturbing
+//!   admitted work.
+//! - **Deadlines** ([`ServeConfig::deadline_us`] or per-request via
 //!   [`crate::Request::deadline_us`]) cancel requests that cannot
 //!   meet their SLA: unsubmitted cells are dropped through
 //!   [`CellularEngine::cancel_request`] and the handle resolves to
@@ -60,11 +91,15 @@
 //!
 //! ## Observability
 //!
-//! Passing a [`TraceSink`] via [`RuntimeOptions::trace`] captures the
-//! full request lifecycle — arrival, admission rejections, batch
-//! formation (with the Algorithm 1 branch that chose the cell type),
-//! task execution, expiry and completion — as structured [`bm_trace`]
-//! events, exportable to Chrome trace JSON.
+//! A [`TraceSink`] in [`ServeConfig::trace`] captures the full request
+//! lifecycle — arrival, admission rejections, batch formation (with the
+//! Algorithm 1 branch that chose the cell type), task execution, expiry
+//! and completion — as structured [`bm_trace`] events, exportable to
+//! Chrome trace JSON. With [`ServeConfig::telemetry`] enabled each
+//! shard records into its **own** registry (so shards never contend on
+//! one) and [`Runtime::snapshot`] rolls them up into a single
+//! [`Snapshot`] with a `shard` label on every entry — aggregate totals
+//! fall out of `counter_sum`/`histogram_sum` over the merged view.
 //!
 //! The runtime exists to prove the scheduler end-to-end: its results are
 //! compared bit-for-bit against the unbatched reference executor
@@ -83,7 +118,7 @@ use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender,
 use bm_cell::{Cell, CellRegistry, CellTypeId, ResidentLayout, RowInvocation, Scratch, StateRef};
 use bm_device::CpuTimer;
 use bm_model::{reference::GraphResult, CellGraph, Model, NodeId, TokenSource};
-use bm_telemetry::{Counter, Gauge, Histogram, Telemetry};
+use bm_telemetry::{Counter, Gauge, Histogram, Snapshot, Telemetry};
 use bm_trace::{EventKind, RejectReason, TraceEvent, TraceSink};
 
 use crate::config::ServeConfig;
@@ -91,6 +126,7 @@ use crate::engine::{CancelOutcome, CellularEngine, SchedulerConfig};
 use crate::ids::{RequestId, WorkerId};
 use crate::request::Request;
 use crate::resident::{ResidentBatch, ResidentStats};
+use crate::shard;
 use crate::state_plane::SlotBlock;
 use crate::task::{CompletedRequest, Task, TaskEntry};
 
@@ -105,11 +141,11 @@ pub enum SubmitError {
     /// The input failed model validation (wrong variant, empty
     /// sequence, out-of-vocabulary tokens). No work was done.
     Invalid(String),
-    /// The shard's bounded arrival inbox ([`RuntimeOptions::queue_cap`])
-    /// was full. No work was done.
+    /// Every shard's bounded arrival inbox ([`ServeConfig::queue_cap`])
+    /// was full.
     QueueFull,
-    /// The concurrent-request cap ([`RuntimeOptions::max_active`]) was
-    /// reached. No work was done.
+    /// Every shard was at its concurrent-request cap
+    /// ([`ServeConfig::max_active`]). The request was not unfolded.
     AtCapacity,
     /// The runtime is shutting down and no longer accepts requests.
     ShuttingDown,
@@ -337,21 +373,20 @@ impl Respond {
 }
 
 /// Runtime construction knobs: the scheduler tunables, whose embedded
-/// [`ServeConfig`] carries the shared serving knobs (policy, deadlines,
-/// admission caps, queue bound, observability). The fluent setters
-/// below delegate into it.
+/// [`ServeConfig`] carries every serving knob (policy, deadlines,
+/// admission caps, queue bound, shard count, observability).
+/// `ServeConfig` is the one place a serving knob is set; hand the
+/// finished config over with [`RuntimeOptions::serve_config`].
 ///
 /// Built fluently (`#[non_exhaustive]` forbids literal construction so
 /// new knobs can be added compatibly):
 ///
 /// ```
-/// use bm_core::{RuntimeOptions, SchedulerConfig};
+/// use bm_core::{RuntimeOptions, SchedulerConfig, ServeConfig};
 ///
 /// let opts = RuntimeOptions::new()
 ///     .scheduler(SchedulerConfig::new().max_tasks_to_submit(2))
-///     .max_active(64)
-///     .deadline_us(50_000)
-///     .queue_cap(256);
+///     .serve_config(ServeConfig::new().max_active(64).deadline_us(50_000));
 /// assert_eq!(opts.scheduler.max_tasks_to_submit, 2);
 /// assert_eq!(opts.serve().max_active, Some(64));
 /// ```
@@ -378,8 +413,7 @@ impl Default for RuntimeOptions {
 }
 
 impl RuntimeOptions {
-    /// Default options: default scheduler, no admission cap, no
-    /// deadline, unbounded inbox, tracing off.
+    /// Default options: default scheduler, default [`ServeConfig`].
     pub fn new() -> Self {
         Self::default()
     }
@@ -390,16 +424,10 @@ impl RuntimeOptions {
         &self.scheduler.serve
     }
 
-    /// Sets [`RuntimeOptions::workers`]; only 1 is accepted at start.
-    pub fn workers(mut self, n: usize) -> Self {
-        self.workers = n;
-        self
-    }
-
     /// Sets the scheduler tunables. Replaces the whole config including
-    /// its embedded [`ServeConfig`], so call it before the delegating
-    /// setters below (they edit the embedded serve config in place):
-    /// `.max_active(64).scheduler(cfg)` silently drops the cap.
+    /// its embedded [`ServeConfig`], so in a chain it comes before
+    /// [`RuntimeOptions::serve_config`] and [`RuntimeOptions::telemetry`]:
+    /// `.serve_config(serve).scheduler(cfg)` silently drops `serve`.
     pub fn scheduler(mut self, cfg: SchedulerConfig) -> Self {
         self.scheduler = cfg;
         self
@@ -412,54 +440,13 @@ impl RuntimeOptions {
         self
     }
 
-    /// Sets the batch-formation policy (shorthand for setting it on the
-    /// embedded [`ServeConfig`]); the threaded runtime and the
-    /// simulator run the same policy objects.
-    pub fn policy(mut self, kind: crate::policy::PolicyKind) -> Self {
-        self.scheduler.serve.policy = Some(kind);
-        self
-    }
-
-    /// Caps concurrently admitted (unresolved) requests; submissions
-    /// beyond the cap fail with [`SubmitError::AtCapacity`].
-    pub fn max_active(mut self, cap: usize) -> Self {
-        self.scheduler.serve.max_active = Some(cap);
-        self
-    }
-
-    /// Sets the default relative deadline, µs from arrival, applied to
-    /// every submission that does not carry its own.
-    pub fn deadline_us(mut self, d: u64) -> Self {
-        self.scheduler.serve.deadline_us = Some(d);
-        self
-    }
-
-    /// Bounds the shard's arrival inbox. When full, new submissions
-    /// fail with [`SubmitError::QueueFull`].
-    pub fn queue_cap(mut self, cap: usize) -> Self {
-        self.scheduler.serve.queue_cap = Some(cap);
-        self
-    }
-
-    /// Enables the resident-state execution plane for chain cells
-    /// (shorthand for setting it on the embedded [`ServeConfig`]): the
-    /// shard keeps each active request's recurrent state parked in a
-    /// [`crate::ResidentBatch`] row, skipping the per-step gather.
-    /// Outputs stay bit-identical to the gather path.
-    pub fn resident_state(mut self, on: bool) -> Self {
-        self.scheduler.serve.resident_state = on;
-        self
-    }
-
-    /// Routes scheduler trace events to `sink`.
-    pub fn trace(mut self, sink: Arc<dyn TraceSink>) -> Self {
-        self.scheduler.serve.trace = sink;
-        self
-    }
-
-    /// Records serving metrics into `tel`: admission/rejection/expiry
+    /// Shorthand for setting [`ServeConfig::telemetry`] on the embedded
+    /// serve config — the one delegating setter, kept because the repo's
+    /// benchmark turns telemetry on through it. An enabled registry
+    /// switches the serving metrics on: admission/rejection/expiry
     /// counters, queue-depth gauges, per-stage latency and batch-size
-    /// histograms, and the shard thread's execution time. The default
+    /// histograms, and each shard thread's execution time, recorded per
+    /// shard and read back through [`Runtime::snapshot`]. The default
     /// disabled registry keeps every instrumentation site to a single
     /// branch.
     pub fn telemetry(mut self, tel: Arc<Telemetry>) -> Self {
@@ -468,7 +455,7 @@ impl RuntimeOptions {
     }
 }
 
-/// One admitted request on its way to the shard thread.
+/// One admitted request on its way to a shard thread.
 struct Arrival {
     id: RequestId,
     graph: CellGraph,
@@ -485,85 +472,164 @@ enum ShardMsg {
     Shutdown,
 }
 
-/// One scheduler shard: a thread that schedules, executes and resolves.
-pub struct Runtime {
+/// The front's half of one shard: how to reach its thread and how
+/// loaded it is.
+struct ShardHandle {
     inbox: Sender<ShardMsg>,
     thread: Option<JoinHandle<()>>,
-    model: Arc<dyn Model>,
-    timer: CpuTimer,
-    next_request: AtomicU64,
     /// Requests admitted and not yet resolved; shared with the shard
     /// thread.
     active: Arc<AtomicUsize>,
     /// `bm_requests_rejected_total{reason}` counters, indexed
     /// at_capacity / queue_full; `None` when telemetry is disabled.
     reject_counters: Option<[Counter; 2]>,
+}
+
+impl ShardHandle {
+    /// Reserves one active slot under `cap`; `false` at the cap.
+    fn reserve(&self, cap: Option<usize>) -> bool {
+        let Some(cap) = cap else {
+            self.active.fetch_add(1, Ordering::AcqRel);
+            return true;
+        };
+        self.active
+            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |n| {
+                (n < cap).then_some(n + 1)
+            })
+            .is_ok()
+    }
+
+    /// Ships arrivals, whose slots the caller reserved here, to the
+    /// shard thread as one inbox message. On failure every reserved slot
+    /// is released and the arrivals come back with the cause:
+    /// `QueueFull` (overload) or `ShuttingDown` (thread gone).
+    fn send(&self, arrivals: Vec<Arrival>) -> Result<(), (SubmitError, Vec<Arrival>)> {
+        let (err, returned) = match self.inbox.try_send(ShardMsg::Arrive(arrivals)) {
+            Ok(()) => return Ok(()),
+            Err(TrySendError::Full(m)) => (SubmitError::QueueFull, m),
+            Err(TrySendError::Disconnected(m)) => (SubmitError::ShuttingDown, m),
+        };
+        let ShardMsg::Arrive(arrivals) = returned else {
+            unreachable!("try_send hands back the message it was given");
+        };
+        self.active.fetch_sub(arrivals.len(), Ordering::AcqRel);
+        Err((err, arrivals))
+    }
+}
+
+/// The threaded runtime: [`ServeConfig::shards`] one-thread scheduler
+/// shards behind one submission front (placement, admission and
+/// telemetry semantics in the module-level docs of `runtime.rs`).
+///
+/// ```no_run
+/// use std::sync::Arc;
+/// use bm_core::{Request, Runtime, RuntimeOptions, ServeConfig};
+/// use bm_model::RequestInput;
+/// # fn demo(model: Arc<dyn bm_model::Model>) {
+/// let rt = Runtime::start(
+///     model,
+///     RuntimeOptions::new().serve_config(ServeConfig::new().shards(4)),
+/// );
+/// let handle = rt
+///     .submit_request(Request::new(RequestInput::Sequence(vec![1, 2])))
+///     .unwrap();
+/// let _ = handle.wait();
+/// # }
+/// ```
+pub struct Runtime {
+    shards: Vec<ShardHandle>,
+    /// Per-shard registries (empty when telemetry is disabled).
+    registries: Vec<Arc<Telemetry>>,
+    /// Round-robin cursor used only to vary the starting shard of the
+    /// load scan, so equal-load ties don't all resolve to shard 0.
+    rr: AtomicUsize,
+    model: Arc<dyn Model>,
+    /// One clock for every shard: a [`ServedTiming`] from any of them
+    /// is on the epoch [`Runtime::now_us`] reads.
+    timer: CpuTimer,
+    /// One id space for every shard, so ids stay distinct in a trace
+    /// sink the shards share.
+    next_request: AtomicU64,
     opts: RuntimeOptions,
 }
 
 impl Runtime {
-    /// Starts a shard serving `model` with the given options.
+    /// Starts `opts.serve().shards` shards (one thread each) serving
+    /// `model`.
     ///
     /// # Panics
     ///
-    /// Panics if `opts.workers` is not 1.
+    /// Panics if `opts.workers` is not 1, or if the shard count is 0.
     pub fn start(model: Arc<dyn Model>, opts: RuntimeOptions) -> Self {
-        Self::start_at(model, opts, CpuTimer::new())
-    }
-
-    /// [`Runtime::start`] on a caller-supplied clock, so the shards of
-    /// one [`crate::ShardedRuntime`] stamp requests on one epoch.
-    pub(crate) fn start_at(model: Arc<dyn Model>, opts: RuntimeOptions, timer: CpuTimer) -> Self {
         assert!(
             opts.workers == 1,
             "a shard schedules and executes on one thread (workers = {}): \
              scale across cores with ServeConfig::shards",
             opts.workers
         );
+        let serve = opts.serve();
+        assert!(serve.shards >= 1, "a runtime needs at least one shard");
         let registry: Arc<CellRegistry> = Arc::new(model.registry().clone());
-        let active = Arc::new(AtomicUsize::new(0));
-        let (inbox, rx) = match opts.serve().queue_cap {
-            Some(cap) => bounded::<ShardMsg>(cap.max(1)),
-            None => unbounded::<ShardMsg>(),
-        };
-        let tel = &opts.serve().telemetry;
-        let reject_counters = tel.enabled().then(|| {
-            [
-                tel.counter_with("bm_requests_rejected_total", &[("reason", "at_capacity")]),
-                tel.counter_with("bm_requests_rejected_total", &[("reason", "queue_full")]),
-            ]
-        });
-        let shard = Shard {
-            rx,
-            metrics: tel
-                .enabled()
-                .then(|| ShardMetrics::new(tel, opts.serve().resident_state)),
-            plane: opts.serve().resident_state.then(HashMap::new),
-            trace: Arc::clone(&opts.serve().trace),
-            // The engine installs its own trace/telemetry sinks from
-            // the serve config embedded in the scheduler config.
-            engine: CellularEngine::new(Arc::clone(&registry), opts.scheduler.clone()),
-            registry,
-            timer: timer.clone(),
-            active: Arc::clone(&active),
-            live: HashMap::new(),
-            deadlines: BinaryHeap::new(),
-            stale_deadlines: 0,
-            scratch: Scratch::new(),
-        };
-        let thread = std::thread::Builder::new()
-            .name("bm-shard".into())
-            .spawn(move || shard.run())
-            .expect("spawn shard thread");
+        let timer = CpuTimer::new();
+        let mut registries = Vec::new();
+        let shards = (0..serve.shards)
+            .map(|i| {
+                // The engine installs its own trace/telemetry sinks from
+                // the serve config embedded in the scheduler config.
+                let mut scheduler = opts.scheduler.clone();
+                if serve.telemetry.enabled() {
+                    scheduler.serve.telemetry = Telemetry::new();
+                    registries.push(Arc::clone(&scheduler.serve.telemetry));
+                }
+                let tel = &scheduler.serve.telemetry;
+                let active = Arc::new(AtomicUsize::new(0));
+                let (inbox, rx) = match serve.queue_cap {
+                    Some(cap) => bounded::<ShardMsg>(cap.max(1)),
+                    None => unbounded::<ShardMsg>(),
+                };
+                let reject_counters = tel.enabled().then(|| {
+                    [
+                        tel.counter_with(
+                            "bm_requests_rejected_total",
+                            &[("reason", "at_capacity")],
+                        ),
+                        tel.counter_with("bm_requests_rejected_total", &[("reason", "queue_full")]),
+                    ]
+                });
+                let shard = Shard {
+                    rx,
+                    metrics: tel.enabled().then(|| ShardMetrics::new(tel)),
+                    plane: HashMap::new(),
+                    trace: Arc::clone(&serve.trace),
+                    engine: CellularEngine::new(Arc::clone(&registry), scheduler),
+                    registry: Arc::clone(&registry),
+                    timer: timer.clone(),
+                    active: Arc::clone(&active),
+                    live: HashMap::new(),
+                    deadlines: BinaryHeap::new(),
+                    stale_deadlines: 0,
+                    scratch: Scratch::new(),
+                };
+                let thread = std::thread::Builder::new()
+                    .name(format!("bm-shard-{i}"))
+                    .spawn(move || shard.run())
+                    .expect("spawn shard thread");
+                ShardHandle {
+                    inbox,
+                    thread: Some(thread),
+                    active,
+                    reject_counters,
+                }
+            })
+            .collect();
 
         Runtime {
-            inbox,
-            thread: Some(thread),
+            shards,
+            registries,
+            rr: AtomicUsize::new(0),
             model,
             timer,
             next_request: AtomicU64::new(0),
-            active,
-            reject_counters,
             opts,
         }
     }
@@ -572,8 +638,9 @@ impl Runtime {
     ///
     /// Fails fast with a typed [`SubmitError`] — invalid input,
     /// admission-control refusal ([`SubmitError::AtCapacity`],
-    /// [`SubmitError::QueueFull`]) or shutdown. A returned handle means
-    /// the request was admitted; it resolves to a [`ServedOutcome`].
+    /// [`SubmitError::QueueFull`], only after every shard refused) or
+    /// shutdown. A returned handle means the request was admitted; it
+    /// resolves to a [`ServedOutcome`].
     ///
     /// ```no_run
     /// # use std::sync::Arc;
@@ -589,8 +656,7 @@ impl Runtime {
     /// ```
     pub fn submit_request(&self, req: impl Into<Request>) -> Result<ResponseHandle, SubmitError> {
         let (tx, rx) = unbounded();
-        let arrival = self.prepare(&req.into(), Respond::Handle(tx))?;
-        self.send(vec![arrival])?;
+        self.submit(&req.into(), Respond::Handle(tx))?;
         Ok(ResponseHandle { rx })
     }
 
@@ -598,7 +664,8 @@ impl Runtime {
     /// [`CompletionQueue`] tagged with `tag`, instead of a per-request
     /// [`ResponseHandle`]. Admission semantics are identical to
     /// [`Runtime::submit_request`]; `Ok(())` means the outcome will
-    /// eventually appear on the queue.
+    /// eventually appear on the queue, whichever shard admits the
+    /// request.
     pub fn submit_request_tagged(
         &self,
         req: impl Into<Request>,
@@ -609,116 +676,160 @@ impl Runtime {
             queue: queue.clone(),
             tag,
         };
-        let arrival = self.prepare(&req.into(), respond)?;
-        self.send(vec![arrival])
+        self.submit(&req.into(), respond)
     }
 
-    /// Submits many tagged requests in **one inbox message**, so a
-    /// burst of arrivals wakes an idle shard once instead of once per
-    /// request. Per-request admission still applies: the returned
-    /// vector gives each request's verdict in order, and only `Ok`
+    /// Submits many tagged requests with **one inbox message per
+    /// shard**, so a burst of arrivals wakes an idle shard once instead
+    /// of once per request. Each request is placed as a single
+    /// submission would be, with this batch's earlier placements
+    /// projected onto the load estimate so one burst does not dogpile a
+    /// single shard. Per-request admission still applies: the returned
+    /// vector gives each request's verdict in input order, and only `Ok`
     /// entries were admitted (their outcomes arrive on `queue`).
     pub fn submit_batch_tagged(
         &self,
         reqs: impl IntoIterator<Item = (u64, Request)>,
         queue: &CompletionQueue,
     ) -> Vec<Result<(), SubmitError>> {
+        let loads = self.loads();
+        let mut projected = loads.clone();
         let mut results = Vec::new();
-        let mut arrivals = Vec::new();
-        // Indices in `results` whose arrival rides the batch message,
-        // parallel to `arrivals`; patched to an error if the send fails.
-        let mut admitted_idx = Vec::new();
-        for (tag, req) in reqs {
+        // Per shard: the arrivals riding its message and, parallel to
+        // them, their indices in `results`.
+        let mut groups: Vec<(Vec<usize>, Vec<Arrival>)> =
+            self.shards.iter().map(|_| Default::default()).collect();
+        for (idx, (tag, req)) in reqs.into_iter().enumerate() {
             let respond = Respond::Queue {
                 queue: queue.clone(),
                 tag,
             };
-            match self.prepare(&req, respond) {
-                Ok(a) => {
-                    admitted_idx.push(results.len());
-                    arrivals.push(a);
-                    results.push(Ok(()));
-                }
-                Err(e) => results.push(Err(e)),
+            results.push(self.admit(&req, respond, &projected).map(|(s, arrival)| {
+                projected[s] += 1;
+                groups[s].0.push(idx);
+                groups[s].1.push(arrival);
+            }));
+        }
+        for (s, (idxs, arrivals)) in groups.into_iter().enumerate() {
+            if arrivals.is_empty() {
+                continue;
             }
-        }
-        if arrivals.is_empty() {
-            return results;
-        }
-        if let Err(err) = self.send(arrivals) {
-            // The whole batch missed the inbox: report per-request.
-            for idx in admitted_idx {
-                results[idx] = Err(err.clone());
+            if let Err((err, returned)) = self.shards[s].send(arrivals) {
+                // The whole message missed the inbox: every arrival gets
+                // its own second chance.
+                for (idx, arrival) in idxs.into_iter().zip(returned) {
+                    results[idx] = self.resend(arrival, s, &loads, err.clone());
+                }
             }
         }
         results
     }
 
-    /// Validates, unfolds and admits one request, reserving an active
-    /// slot. On success the caller owns the reserved slot and must hand
-    /// the [`Arrival`] to [`Runtime::send`].
-    fn prepare(&self, req: &Request, respond: Respond) -> Result<Arrival, SubmitError> {
+    /// One single submission: admit, then ship as a one-arrival message.
+    fn submit(&self, req: &Request, respond: Respond) -> Result<(), SubmitError> {
+        let loads = self.loads();
+        let (s, arrival) = self.admit(req, respond, &loads)?;
+        match self.shards[s].send(vec![arrival]) {
+            Ok(()) => Ok(()),
+            Err((err, mut returned)) => {
+                let arrival = returned.pop().expect("the one arrival sent");
+                self.resend(arrival, s, &loads, err)
+            }
+        }
+    }
+
+    /// Validates one request, gives it its id, reserves it an active
+    /// slot — on its placement shard, else (second chance) on the
+    /// others, lightest first — and only then unfolds and stamps it. On
+    /// success the caller owns the slot on the returned shard and must
+    /// hand the [`Arrival`] to that shard's [`ShardHandle::send`].
+    fn admit(
+        &self,
+        req: &Request,
+        respond: Respond,
+        loads: &[usize],
+    ) -> Result<(usize, Arrival), SubmitError> {
         self.model
             .validate(&req.input)
             .map_err(SubmitError::Invalid)?;
-        let graph = self.model.unfold(&req.input);
         let id = RequestId(self.next_request.fetch_add(1, Ordering::Relaxed));
+        // The scan for the lightest shard starts at a rotating offset so
+        // equal-load ties spread.
+        let start = self.rr.fetch_add(1, Ordering::Relaxed) % loads.len();
+        let first = shard::place(&req.input, loads, start);
+        let s = std::iter::once(first)
+            .chain(std::iter::once_with(|| shard::retry_order(first, loads)).flatten())
+            .find(|&s| self.reserve(s, id))
+            .ok_or(SubmitError::AtCapacity)?;
 
-        // Admission: reserve a slot under the cap or refuse outright.
-        if let Some(cap) = self.opts.serve().max_active {
-            let admitted = self
-                .active
-                .fetch_update(Ordering::AcqRel, Ordering::Acquire, |n| {
-                    if n < cap {
-                        Some(n + 1)
-                    } else {
-                        None
-                    }
-                })
-                .is_ok();
-            if !admitted {
-                self.trace_rejection(id, RejectReason::AtCapacity);
-                return Err(SubmitError::AtCapacity);
-            }
-        } else {
-            self.active.fetch_add(1, Ordering::AcqRel);
-        }
-
+        let graph = self.model.unfold(&req.input);
         let arrival_us = self.timer.now_us();
         let deadline_us = req.effective_deadline_us(self.opts.serve().deadline_us);
-        Ok(Arrival {
+        let arrival = Arrival {
             id,
             graph,
             arrival_us,
             deadline_us: deadline_us.map(|d| arrival_us.saturating_add(d)),
             priority: req.priority,
             respond,
-        })
+        };
+        Ok((s, arrival))
     }
 
-    /// Ships prepared arrivals to the shard thread as one inbox
-    /// message; on failure every reserved slot is released.
-    fn send(&self, arrivals: Vec<Arrival>) -> Result<(), SubmitError> {
-        let (err, returned) = match self.inbox.try_send(ShardMsg::Arrive(arrivals)) {
-            Ok(()) => return Ok(()),
-            // Inbox full (overload).
-            Err(TrySendError::Full(m)) => (SubmitError::QueueFull, m),
-            // Shard thread gone (shutdown race).
-            Err(TrySendError::Disconnected(m)) => (SubmitError::ShuttingDown, m),
-        };
-        if let ShardMsg::Arrive(arrivals) = returned {
-            for a in &arrivals {
-                self.active.fetch_sub(1, Ordering::AcqRel);
-                if err == SubmitError::QueueFull {
-                    self.trace_rejection(a.id, RejectReason::QueueFull);
+    /// Reserves request `id` a slot on shard `s`, recording the refusal
+    /// when the shard is at its cap.
+    fn reserve(&self, s: usize, id: RequestId) -> bool {
+        let admitted = self.shards[s].reserve(self.opts.serve().max_active);
+        if !admitted {
+            self.note_rejection(s, id, RejectReason::AtCapacity);
+        }
+        admitted
+    }
+
+    /// Second chance for an arrival that shard `from` refused with
+    /// `refused`: after an overload refusal the remaining shards are
+    /// tried lightest first, each with its own slot reservation;
+    /// `ShuttingDown` fails immediately — no shard would accept it.
+    fn resend(
+        &self,
+        mut arrival: Arrival,
+        from: usize,
+        loads: &[usize],
+        mut refused: SubmitError,
+    ) -> Result<(), SubmitError> {
+        if refused == SubmitError::ShuttingDown {
+            return Err(refused);
+        }
+        self.note_rejection(from, arrival.id, RejectReason::QueueFull);
+        for s in shard::retry_order(from, loads) {
+            if !self.reserve(s, arrival.id) {
+                refused = SubmitError::AtCapacity;
+                continue;
+            }
+            match self.shards[s].send(vec![arrival]) {
+                Ok(()) => return Ok(()),
+                Err((SubmitError::ShuttingDown, _)) => return Err(SubmitError::ShuttingDown),
+                Err((err, mut returned)) => {
+                    arrival = returned.pop().expect("the one arrival sent");
+                    self.note_rejection(s, arrival.id, RejectReason::QueueFull);
+                    refused = err;
                 }
             }
         }
-        Err(err)
+        Err(refused)
     }
 
-    fn trace_rejection(&self, id: RequestId, reason: RejectReason) {
-        if let Some(c) = &self.reject_counters {
+    /// Per-shard active-request snapshot used for placement.
+    fn loads(&self) -> Vec<usize> {
+        self.shards
+            .iter()
+            .map(|s| s.active.load(Ordering::Acquire))
+            .collect()
+    }
+
+    /// Counts and traces shard `s` refusing request `id`.
+    fn note_rejection(&self, s: usize, id: RequestId, reason: RejectReason) {
+        if let Some(c) = &self.shards[s].reject_counters {
             match reason {
                 RejectReason::AtCapacity => c[0].inc(),
                 RejectReason::QueueFull => c[1].inc(),
@@ -736,9 +847,17 @@ impl Runtime {
         }
     }
 
-    /// Requests admitted and not yet resolved.
+    /// The number of scheduler shards.
+    pub fn num_shards(&self) -> usize {
+        self.shards.len()
+    }
+
+    /// Requests admitted and not yet resolved, summed over all shards.
     pub fn active_requests(&self) -> usize {
-        self.active.load(Ordering::Acquire)
+        self.shards
+            .iter()
+            .map(|s| s.active.load(Ordering::Acquire))
+            .sum()
     }
 
     /// The options this runtime was started with.
@@ -746,23 +865,42 @@ impl Runtime {
         &self.opts
     }
 
-    /// Microseconds since the runtime started.
+    /// Microseconds since the runtime started, on the clock every shard
+    /// stamps its [`ServedTiming`]s with.
     pub fn now_us(&self) -> u64 {
         self.timer.now_us()
     }
 
-    /// Shuts the runtime down after draining in-flight requests, joining
-    /// the shard thread.
+    /// One rolled-up snapshot of every shard's registry: each entry
+    /// carries a `shard` label naming its source shard. Empty when
+    /// telemetry was not enabled at start.
+    pub fn snapshot(&self) -> Snapshot {
+        Snapshot::merge(
+            self.registries
+                .iter()
+                .enumerate()
+                .map(|(i, reg)| reg.snapshot().with_label("shard", &i.to_string())),
+        )
+    }
+
+    /// Shuts every shard down after draining in-flight requests,
+    /// joining all threads.
     pub fn shutdown(mut self) {
         self.shutdown_inner();
     }
 
     fn shutdown_inner(&mut self) {
-        // `send` (not `try_send`): on a bounded inbox the shutdown
-        // message must wait for a slot rather than be dropped.
-        let _ = self.inbox.send(ShardMsg::Shutdown);
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
+        // Every shard hears the shutdown before any is joined, so they
+        // drain in parallel. `send` (not `try_send`): on a bounded inbox
+        // the shutdown message must wait for a slot rather than be
+        // dropped.
+        for s in &self.shards {
+            let _ = s.inbox.send(ShardMsg::Shutdown);
+        }
+        for s in &mut self.shards {
+            if let Some(t) = s.thread.take() {
+                let _ = t.join();
+            }
         }
     }
 }
@@ -811,7 +949,7 @@ struct ShardMetrics {
     /// `bm_worker_busy_us_total{worker="0"}`: time inside task
     /// execution.
     busy: Counter,
-    resident: Option<ResidentTelemetry>,
+    resident: ResidentTelemetry,
 }
 
 /// Telemetry of the resident-state plane: the occupancy gauge plus
@@ -825,7 +963,7 @@ struct ResidentTelemetry {
 }
 
 impl ShardMetrics {
-    fn new(tel: &Telemetry, resident: bool) -> Self {
+    fn new(tel: &Telemetry) -> Self {
         let worker = [("worker", "0")];
         ShardMetrics {
             expired: tel.counter("bm_requests_expired_total"),
@@ -834,13 +972,13 @@ impl ShardMetrics {
             drained: tel.histogram("bm_manager_drained_per_wakeup"),
             submit_batch: tel.histogram("bm_manager_submit_batch"),
             busy: tel.counter_with("bm_worker_busy_us_total", &worker),
-            resident: resident.then(|| ResidentTelemetry {
+            resident: ResidentTelemetry {
                 rows: tel.gauge_with("bm_resident_rows", &worker),
                 joins: tel.counter_with("bm_resident_joins_total", &worker),
                 leaves: tel.counter_with("bm_resident_leaves_total", &worker),
                 compactions: tel.counter_with("bm_resident_compactions_total", &worker),
                 last: ResidentStats::default(),
-            }),
+            },
         }
     }
 }
@@ -874,9 +1012,9 @@ struct Shard {
     /// execution does no per-step heap allocation.
     scratch: Scratch,
     /// The resident-state plane: one persistent batch per chain cell
-    /// type, rows owned by this shard's active requests. `None` when
-    /// resident state is off.
-    plane: Option<HashMap<CellTypeId, ResidentBatch>>,
+    /// type (created at the type's first task), rows owned by this
+    /// shard's active requests.
+    plane: HashMap<CellTypeId, ResidentBatch>,
 }
 
 impl Shard {
@@ -1040,7 +1178,7 @@ impl Shard {
                 &self.live,
                 &self.registry,
                 &mut self.scratch,
-                self.plane.as_mut(),
+                &mut self.plane,
             );
             let finished_us = self.timer.now_us();
             if let Some(m) = &self.metrics {
@@ -1067,10 +1205,8 @@ impl Shard {
             m.scatter_resolve
                 .record(self.timer.now_us().saturating_sub(done.completion_us));
         }
-        if let Some(plane) = &mut self.plane {
-            for rb in plane.values_mut() {
-                rb.remove(done.id);
-            }
+        for rb in self.plane.values_mut() {
+            rb.remove(done.id);
         }
         if r.has_deadline {
             // The heap entry now points at a resolved request.
@@ -1097,15 +1233,12 @@ impl Shard {
 
     /// Mirrors the resident plane's occupancy and churn into telemetry.
     fn publish_resident(&mut self) {
-        let (Some(plane), Some(t)) = (
-            &self.plane,
-            self.metrics.as_mut().and_then(|m| m.resident.as_mut()),
-        ) else {
+        let Some(t) = self.metrics.as_mut().map(|m| &mut m.resident) else {
             return;
         };
         let mut occupied = 0usize;
         let mut agg = ResidentStats::default();
-        for rb in plane.values() {
+        for rb in self.plane.values() {
             occupied += rb.occupied();
             let s = rb.stats();
             agg.joins += s.joins;
@@ -1151,16 +1284,15 @@ fn dep_state<'a>(e: &TaskEntry, d: NodeId, block: &'a SlotBlock) -> StateRef<'a>
 /// submission order and the engine submits a node only once its
 /// external dependencies completed.
 ///
-/// When the shard carries a resident plane (`plane` is `Some`) and the
-/// cell supports it, chain tasks take the resident fast path instead:
-/// see [`execute_task_resident`]. Outputs are bitwise identical either
-/// way.
+/// When the cell has a resident layout and no entry has more than one
+/// dependency, the task takes the resident fast path instead: see
+/// [`execute_task_resident`]. Outputs are bitwise identical either way.
 fn execute_task(
     task: &Task,
     live: &HashMap<RequestId, LiveRequest>,
     registry: &CellRegistry,
     scratch: &mut Scratch,
-    plane: Option<&mut HashMap<CellTypeId, ResidentBatch>>,
+    plane: &mut HashMap<CellTypeId, ResidentBatch>,
 ) -> Vec<Option<u32>> {
     const NO_STATE: StateRef<'static> = StateRef { h: &[], c: &[] };
     let cell = registry.cell(task.cell_type);
@@ -1175,11 +1307,9 @@ fn execute_task(
                 .block
         })
         .collect();
-    if let Some(plane) = plane {
-        if let Some(layout) = cell.resident_layout() {
-            if !task.entries.is_empty() && task.entries.iter().all(|e| e.deps.len() <= 1) {
-                return execute_task_resident(task, &blocks, cell, layout, plane, scratch);
-            }
+    if let Some(layout) = cell.resident_layout() {
+        if !task.entries.is_empty() && task.entries.iter().all(|e| e.deps.len() <= 1) {
+            return execute_task_resident(task, &blocks, cell, layout, plane, scratch);
         }
     }
     let invocations: Vec<RowInvocation<'_>> = task

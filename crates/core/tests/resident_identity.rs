@@ -1,28 +1,32 @@
-//! The resident-state plane must be invisible to results: a runtime
-//! with `resident_state` on returns outputs bit-identical to the
-//! gather-path runtime, across `MaxTasksToSubmit` values ×
-//! batch-formation policies × all model families. The plane may change
-//! *how* state reaches the cell — parked rows, swaps, refetches —
-//! never *what* it computes.
+//! The resident-state plane must be invisible to results: the runtime,
+//! which serves every cell that has a resident layout through it,
+//! returns full per-node outputs bit-identical to the unbatched
+//! reference executor (one cell at a time, no plane, no batch), across
+//! `MaxTasksToSubmit` values × batch-formation policies × all model
+//! families. The plane may change *how* state reaches the cell — parked
+//! rows, swaps, refetches — never *what* it computes.
 
 use std::sync::Arc;
 
-use bm_core::{PolicyKind, Request, Runtime, RuntimeOptions, SchedulerConfig, ServedOutcome};
-use bm_model::{GruLm, LstmLm, Model, RequestInput, Seq2Seq, TreeLstm, TreeShape};
+use bm_core::{
+    PolicyKind, Request, Runtime, RuntimeOptions, SchedulerConfig, ServeConfig, ServedOutcome,
+};
+use bm_model::{reference, GruLm, LstmLm, Model, RequestInput, Seq2Seq, TreeLstm, TreeShape};
 use proptest::collection::vec;
 use proptest::prelude::*;
 
 /// Vocabulary bound of `LstmLm::small()` / `GruLm::small()`.
 const VOCAB: u32 = 900;
 
-fn opts(max_tasks: usize, policy: Option<PolicyKind>, resident: bool) -> RuntimeOptions {
-    let mut o = RuntimeOptions::new()
-        .scheduler(SchedulerConfig::new().max_tasks_to_submit(max_tasks))
-        .resident_state(resident);
+/// One shard, so every request shares one resident plane.
+fn opts(max_tasks: usize, policy: Option<PolicyKind>) -> RuntimeOptions {
+    let mut serve = ServeConfig::new().shards(1);
     if let Some(p) = policy {
-        o = o.policy(p);
+        serve = serve.policy(p);
     }
-    o
+    RuntimeOptions::new()
+        .scheduler(SchedulerConfig::new().max_tasks_to_submit(max_tasks))
+        .serve_config(serve)
 }
 
 /// Serves every input and returns the full per-node outputs (states and
@@ -47,20 +51,21 @@ fn check_identity(
     max_tasks: usize,
     policy: Option<PolicyKind>,
 ) {
-    let gather = Runtime::start(Arc::clone(&model), opts(max_tasks, policy, false));
-    let want = outputs_of(&gather, inputs);
-    gather.shutdown();
+    let want: Vec<_> = inputs
+        .iter()
+        .map(|i| reference::execute_graph(&model.unfold(i), model.registry()).outputs)
+        .collect();
 
-    let resident = Runtime::start(model, opts(max_tasks, policy, true));
-    let got = outputs_of(&resident, inputs);
-    resident.shutdown();
+    let rt = Runtime::start(model, opts(max_tasks, policy));
+    let got = outputs_of(&rt, inputs);
+    rt.shutdown();
 
     // PartialEq on CellOutput compares every f32 exactly: any
-    // accumulation-order or state-placement difference between the
-    // paths would fail here.
+    // accumulation-order or state-placement difference from the
+    // reference would fail here.
     assert_eq!(
         want, got,
-        "resident outputs diverged (max_tasks {max_tasks}, {policy:?})"
+        "served outputs diverged (max_tasks {max_tasks}, {policy:?})"
     );
 }
 
@@ -124,8 +129,7 @@ proptest! {
 
     #[test]
     fn tree_outputs_identical_with_resident_plane_enabled(
-        // Tree cells have no resident layout; the knob must leave them
-        // on the gather path untouched.
+        // Tree cells have no resident layout: every step gathers.
         trees in vec(tree_strategy(), 4..10),
         max_tasks in 1usize..7,
     ) {

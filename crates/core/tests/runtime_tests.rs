@@ -1,21 +1,29 @@
 //! End-to-end tests of the threaded runtime: results served under
 //! dynamic cellular batching must be bit-identical to the unbatched
-//! reference executor, on one shard and across several.
+//! reference executor, on one shard and across several. Tests that
+//! assert what *one* shard does (a cap, a wake-up count, who shares a
+//! batch) pin `.shards(1)`, so they hold on any core count.
 
 use std::sync::Arc;
 
-use bm_core::{Runtime, RuntimeOptions, ServeConfig, ShardedRuntime};
+use bm_core::{Runtime, RuntimeOptions, ServeConfig};
 use bm_model::{reference, LstmLm, Model, RequestInput, Seq2Seq, Seq2SeqConfig, TreeLstm};
 use bm_workload::{Dataset, LengthDistribution};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+/// Options for `serve` on the default scheduler.
+fn serving(serve: ServeConfig) -> RuntimeOptions {
+    RuntimeOptions::new().serve_config(serve)
+}
+
 fn sharded(shards: usize) -> RuntimeOptions {
-    RuntimeOptions::new().serve_config(ServeConfig::new().shards(shards))
+    serving(ServeConfig::new().shards(shards))
 }
 
 fn check_against_reference(model: Arc<dyn Model>, inputs: &[RequestInput], shards: usize) {
-    let rt = ShardedRuntime::start(Arc::clone(&model), sharded(shards));
+    let rt = Runtime::start(Arc::clone(&model), sharded(shards));
+    assert_eq!(rt.num_shards(), shards);
     let handles: Vec<_> = inputs
         .iter()
         .map(|i| rt.submit_request(i).expect("submit"))
@@ -115,7 +123,7 @@ fn throughput_sanity_many_concurrent_requests() {
     // 200 small requests on one shard complete, each matching the
     // reference.
     let model = Arc::new(LstmLm::small());
-    let rt = Runtime::start(Arc::clone(&model) as Arc<dyn Model>, RuntimeOptions::new());
+    let rt = Runtime::start(Arc::clone(&model) as Arc<dyn Model>, sharded(1));
     let ds = Dataset::lstm(200, LengthDistribution::Fixed(6), 900, 5);
     let handles: Vec<_> = ds
         .items()
@@ -213,7 +221,7 @@ fn deadline_flood_sheds_tail_without_hanging() {
     let model = Arc::new(LstmLm::small());
     let rt = Runtime::start(
         Arc::clone(&model) as Arc<dyn Model>,
-        RuntimeOptions::new().deadline_us(1_000),
+        serving(ServeConfig::new().shards(1).deadline_us(1_000)),
     );
     let ds = Dataset::lstm(600, LengthDistribution::Fixed(20), 900, 17);
     let handles: Vec<_> = ds
@@ -253,7 +261,7 @@ fn admission_cap_rejects_excess_submissions() {
     let model = Arc::new(LstmLm::small());
     let rt = Runtime::start(
         Arc::clone(&model) as Arc<dyn Model>,
-        RuntimeOptions::new().max_active(4),
+        serving(ServeConfig::new().shards(1).max_active(4)),
     );
     let ds = Dataset::lstm(200, LengthDistribution::Fixed(40), 900, 23);
     let submissions: Vec<_> = ds.items().iter().map(|i| rt.submit_request(i)).collect();
@@ -288,7 +296,7 @@ fn bounded_manager_queue_never_deadlocks() {
     let model = Arc::new(LstmLm::small());
     let rt = Runtime::start(
         Arc::clone(&model) as Arc<dyn Model>,
-        RuntimeOptions::new().queue_cap(2),
+        serving(ServeConfig::new().shards(1).queue_cap(2)),
     );
     let ds = Dataset::lstm(80, LengthDistribution::Fixed(10), 900, 31);
     let submissions: Vec<_> = ds.items().iter().map(|i| rt.submit_request(i)).collect();
@@ -404,7 +412,7 @@ fn traced_run_yields_ordered_timelines() {
     let sink = Arc::new(RingBufferSink::new(200_000));
     let rt = Runtime::start(
         Arc::clone(&model) as Arc<dyn Model>,
-        RuntimeOptions::new().trace(sink.clone()),
+        serving(ServeConfig::new().trace(sink.clone())),
     );
     let ds = Dataset::lstm(40, LengthDistribution::Fixed(8), 900, 41);
     let handles: Vec<_> = ds
@@ -474,20 +482,24 @@ fn builders_preserve_defaults() {
     let serve_defaults = bm_core::ServeConfig::default();
     assert_eq!(serve.policy, serve_defaults.policy);
     assert_eq!(serve.policy, None);
-    assert!(serve.resident_state);
     assert_eq!(serve.tenant_rate, None);
+    // A runtime has at least one shard, and the config says so.
+    assert_eq!(ServeConfig::new().shards(0).shards, 1);
 }
 
 #[test]
 fn builders_set_only_the_named_field() {
     // `scheduler(..)` replaces the whole SchedulerConfig including its
-    // embedded ServeConfig, so it comes first in the chain; the
-    // delegating setters after it edit the embedded serve config.
+    // embedded ServeConfig, so it comes first in the chain;
+    // `serve_config(..)` after it replaces only the serve config.
     let opts = RuntimeOptions::new()
         .scheduler(bm_core::SchedulerConfig::new().max_tasks_to_submit(2))
-        .max_active(64)
-        .deadline_us(50_000)
-        .queue_cap(256);
+        .serve_config(
+            ServeConfig::new()
+                .max_active(64)
+                .deadline_us(50_000)
+                .queue_cap(256),
+        );
     assert_eq!(opts.workers, 1);
     assert_eq!(opts.serve().max_active, Some(64));
     assert_eq!(opts.serve().deadline_us, Some(50_000));
@@ -546,7 +558,7 @@ proptest! {
         seed in 0u64..1_000,
     ) {
         let (model, inputs) = model_and_inputs(kind, seed);
-        let rt = ShardedRuntime::start(
+        let rt = Runtime::start(
             Arc::clone(&model),
             RuntimeOptions::new().scheduler(
                 bm_core::SchedulerConfig::new()
@@ -606,5 +618,344 @@ fn wait_timeout_distinguishes_pending_from_resolved() {
         .expect("submit");
     let first = h2.wait_timeout(Duration::from_secs(30)).expect("resolves");
     assert!(matches!(first, bm_core::ServedOutcome::Completed(_)));
+    rt.shutdown();
+}
+
+// ---------------------------------------------------------------------------
+// The submission front: tagged completion queues, coalesced arrival
+// batches joining running work, the shard loop's own telemetry, and
+// admission (ids, slot reservation, unfolding) done once.
+// ---------------------------------------------------------------------------
+
+use bm_core::{completion_queue, Request};
+use bm_telemetry::{MetricValue, Telemetry};
+
+fn chain_inputs(n: usize) -> Vec<RequestInput> {
+    (0..n)
+        .map(|i| RequestInput::Sequence((0..(1 + i % 9)).map(|t| (t % 50) as u32).collect()))
+        .collect()
+}
+
+/// One shard with telemetry on; read it back with `Runtime::snapshot`.
+fn one_shard_with_telemetry() -> RuntimeOptions {
+    serving(ServeConfig::new().shards(1).telemetry(Telemetry::new()))
+}
+
+/// Submits `inputs` as one tagged batch and returns the outcomes in
+/// tag order, pulled off the completion queue.
+fn serve_batch(rt: &Runtime, inputs: &[RequestInput]) -> Vec<ServedOutcome> {
+    let (queue, completions) = completion_queue();
+    let reqs = inputs
+        .iter()
+        .enumerate()
+        .map(|(i, input)| (i as u64, input.into()));
+    let results = rt.submit_batch_tagged(reqs, &queue);
+    assert!(results.iter().all(Result::is_ok), "{results:?}");
+    let mut out: Vec<Option<ServedOutcome>> = (0..inputs.len()).map(|_| None).collect();
+    for _ in 0..inputs.len() {
+        let (tag, outcome) = completions
+            .recv_timeout(std::time::Duration::from_secs(30))
+            .expect("completion within timeout");
+        let slot = &mut out[tag as usize];
+        assert!(slot.is_none(), "duplicate completion for tag {tag}");
+        *slot = Some(outcome);
+    }
+    out.into_iter().map(|o| o.expect("all tags seen")).collect()
+}
+
+fn assert_batch_matches_reference(shards: usize, n: usize) {
+    let model: Arc<dyn Model> = Arc::new(LstmLm::small());
+    let inputs = chain_inputs(n);
+    let rt = Runtime::start(Arc::clone(&model), sharded(shards));
+    for (input, outcome) in inputs.iter().zip(serve_batch(&rt, &inputs)) {
+        let expect = reference::execute_graph(&model.unfold(input), model.registry());
+        assert_eq!(
+            outcome.completed().result,
+            expect,
+            "diverged from reference for {input:?}"
+        );
+    }
+    rt.shutdown();
+}
+
+#[test]
+fn batch_tagged_results_match_reference() {
+    assert_batch_matches_reference(1, 24);
+}
+
+#[test]
+fn sharded_batch_tagged_serves_across_shards() {
+    assert_batch_matches_reference(2, 32);
+}
+
+#[test]
+fn manager_amortization_metrics_record_batching() {
+    let model: Arc<dyn Model> = Arc::new(LstmLm::small());
+    let rt = Runtime::start(Arc::clone(&model), one_shard_with_telemetry());
+    let inputs = chain_inputs(32);
+    let outcomes = serve_batch(&rt, &inputs);
+    assert!(outcomes
+        .iter()
+        .all(|o| matches!(o, ServedOutcome::Completed(_))));
+    let snap = rt.snapshot();
+    rt.shutdown();
+
+    let shard0 = [("shard", "0")];
+    let wakeups = snap.counter_sum("bm_manager_wakeups_total");
+    assert!(wakeups > 0, "the shard never counted a wakeup");
+    let Some(MetricValue::Histogram(drained)) =
+        snap.get_with("bm_manager_drained_per_wakeup", &shard0)
+    else {
+        panic!("drained-per-wakeup histogram missing");
+    };
+    assert_eq!(drained.count, wakeups, "one drain sample per wakeup");
+    // The 32-request arrival batch is one message, so its wakeup must
+    // have drained at least the whole batch in one go.
+    assert!(
+        drained.max >= inputs.len() as u64,
+        "coalesced arrivals not drained in one wakeup: max {}",
+        drained.max
+    );
+    let Some(MetricValue::Histogram(submit)) = snap.get_with("bm_manager_submit_batch", &shard0)
+    else {
+        panic!("submit-batch histogram missing");
+    };
+    assert!(submit.count > 0, "no scheduling decision recorded");
+    assert!(
+        submit.max > 1,
+        "no scheduling decision ran more than one task"
+    );
+}
+
+/// The hand-off the one-loop shard removed, as a count: a request served
+/// alone blocks the shard thread once, for its arrival — not once per
+/// task (a 60-token chain is 60 tasks' worth of steps).
+#[test]
+fn a_request_served_alone_wakes_the_shard_at_most_twice() {
+    let model: Arc<dyn Model> = Arc::new(LstmLm::small());
+    let rt = Runtime::start(Arc::clone(&model), one_shard_with_telemetry());
+    let input = RequestInput::Sequence((0..60).map(|t| t % 50).collect());
+    let served = rt
+        .submit_request(&input)
+        .expect("submit")
+        .wait()
+        .completed();
+    assert_eq!(
+        served.result,
+        reference::execute_graph(&model.unfold(&input), model.registry())
+    );
+    let snap = rt.snapshot();
+    rt.shutdown();
+    assert!(snap.counter_sum("bm_tasks_submitted_total") >= 12);
+    let wakeups = snap.counter_sum("bm_manager_wakeups_total");
+    assert!(
+        (1..=2).contains(&wakeups),
+        "{wakeups} blocking waits for one request"
+    );
+}
+
+/// Arrivals join running work at the next scheduling boundary: two
+/// requests admitted by one inbox message step as one batch, and a third
+/// submitted while they run completes beside them, all bit-identical to
+/// the reference.
+#[test]
+fn arrivals_join_a_running_batch() {
+    let model: Arc<dyn Model> = Arc::new(LstmLm::small());
+    let rt = Runtime::start(Arc::clone(&model), one_shard_with_telemetry());
+    let inputs: Vec<RequestInput> = [40, 40, 25]
+        .iter()
+        .enumerate()
+        .map(|(i, &len)| RequestInput::Sequence((0..len).map(|t| (t + i as u32) % 50).collect()))
+        .collect();
+    let (queue, completions) = completion_queue();
+    let first_two = inputs[..2]
+        .iter()
+        .enumerate()
+        .map(|(i, input)| (i as u64, Request::from(input)));
+    assert!(rt
+        .submit_batch_tagged(first_two, &queue)
+        .iter()
+        .all(Result::is_ok));
+    rt.submit_request_tagged(&inputs[2], 2, &queue)
+        .expect("submit while the first two run");
+    for _ in 0..inputs.len() {
+        let (tag, outcome) = completions
+            .recv_timeout(std::time::Duration::from_secs(30))
+            .expect("completion within timeout");
+        let input = &inputs[tag as usize];
+        let expect = reference::execute_graph(&model.unfold(input), model.registry());
+        assert_eq!(outcome.completed().result, expect, "tag {tag} diverged");
+    }
+    let snap = rt.snapshot();
+    rt.shutdown();
+    let batch_max = snap
+        .entries
+        .iter()
+        .filter(|e| e.name == "bm_batch_size")
+        .filter_map(|e| match &e.value {
+            MetricValue::Histogram(h) => Some(h.max),
+            _ => None,
+        })
+        .max();
+    assert!(
+        batch_max >= Some(2),
+        "requests admitted together never shared a task: {batch_max:?}"
+    );
+}
+
+/// An LSTM-LM that also accepts `Pair` inputs (served as their source
+/// sequence), so one runtime sees traffic whose affinity homes differ,
+/// and that counts its `unfold` calls.
+struct TwoShapeLm {
+    inner: LstmLm,
+    unfolds: std::sync::atomic::AtomicUsize,
+}
+
+impl TwoShapeLm {
+    fn new() -> Arc<Self> {
+        Arc::new(TwoShapeLm {
+            inner: LstmLm::small(),
+            unfolds: Default::default(),
+        })
+    }
+
+    fn as_sequence(input: &RequestInput) -> RequestInput {
+        match input {
+            RequestInput::Pair { src, .. } => RequestInput::Sequence(src.clone()),
+            other => other.clone(),
+        }
+    }
+
+    fn unfolds(&self) -> usize {
+        self.unfolds.load(std::sync::atomic::Ordering::SeqCst)
+    }
+}
+
+impl Model for TwoShapeLm {
+    fn registry(&self) -> &bm_cell::CellRegistry {
+        self.inner.registry()
+    }
+
+    fn unfold(&self, input: &RequestInput) -> bm_model::CellGraph {
+        self.unfolds
+            .fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+        self.inner.unfold(&Self::as_sequence(input))
+    }
+
+    fn validate(&self, input: &RequestInput) -> Result<(), String> {
+        self.inner.validate(&Self::as_sequence(input))
+    }
+
+    fn name(&self) -> &str {
+        "two-shape-lm"
+    }
+}
+
+/// Two shards feeding one trace sink: the front allocates request ids,
+/// so every arrival has its own id and each id completes exactly once —
+/// per-shard counters would make both shards emit request 0.
+#[test]
+fn request_ids_are_distinct_across_shards_in_one_sink() {
+    use bm_trace::EventKind;
+    let model = TwoShapeLm::new();
+    let sink = Arc::new(RingBufferSink::new(100_000));
+    let rt = Runtime::start(
+        Arc::clone(&model) as Arc<dyn Model>,
+        serving(ServeConfig::new().shards(2).trace(sink.clone())),
+    );
+    // `Sequence` is at home on shard 0, `Pair` on shard 1.
+    let n = 24u32;
+    let handles: Vec<_> = (0..n)
+        .map(|i| {
+            let tokens: Vec<u32> = (1..4 + i % 5).collect();
+            let input = if i % 2 == 0 {
+                RequestInput::Sequence(tokens)
+            } else {
+                RequestInput::Pair {
+                    src: tokens,
+                    decode_len: 1,
+                }
+            };
+            rt.submit_request(input).expect("submit")
+        })
+        .collect();
+    for h in handles {
+        h.wait().completed();
+    }
+    rt.shutdown();
+
+    assert_eq!(sink.dropped(), 0, "capture buffer must not overflow");
+    let (mut arrived, mut completed) = (Vec::new(), Vec::new());
+    for e in sink.events() {
+        match e.kind {
+            EventKind::RequestArrived { request, .. } => arrived.push(request),
+            EventKind::RequestCompleted { request, .. } => completed.push(request),
+            _ => {}
+        }
+    }
+    arrived.sort_unstable();
+    completed.sort_unstable();
+    let ids: Vec<u64> = (0..u64::from(n)).collect();
+    assert_eq!(arrived, ids, "one arrival per id");
+    assert_eq!(completed, ids, "one completion per id");
+}
+
+/// A refusal at the cap happens before the cell graph is unfolded: with
+/// the one shard's two slots held, further submissions add no `unfold`
+/// call.
+#[test]
+fn refusals_at_the_cap_do_not_unfold() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Barrier;
+
+    let model = TwoShapeLm::new();
+    let rt = Runtime::start(
+        Arc::clone(&model) as Arc<dyn Model>,
+        serving(ServeConfig::new().shards(1).max_active(2)),
+    );
+    // Park the shard thread inside the first outcome's waker (its slot
+    // is already released by then), so what is admitted next stays
+    // active for as long as the test wants.
+    let gate = Arc::new(Barrier::new(2));
+    let armed = Arc::new(AtomicBool::new(true));
+    let (queue, completions) = completion_queue();
+    let queue = queue.with_waker({
+        let (gate, armed) = (Arc::clone(&gate), Arc::clone(&armed));
+        Arc::new(move || {
+            if armed.swap(false, Ordering::SeqCst) {
+                gate.wait(); // parked
+                gate.wait(); // released
+            }
+        })
+    });
+    let input = RequestInput::Sequence(vec![1, 2, 3]);
+    rt.submit_request_tagged(&input, 0, &queue).expect("first");
+    gate.wait();
+    assert_eq!(rt.active_requests(), 0);
+
+    rt.submit_request_tagged(&input, 1, &queue).expect("slot 1");
+    rt.submit_request_tagged(&input, 2, &queue).expect("slot 2");
+    let unfolded = model.unfolds();
+    assert_eq!(unfolded, 3);
+    for tag in 3..40 {
+        assert_eq!(
+            rt.submit_request_tagged(&input, tag, &queue),
+            Err(SubmitError::AtCapacity)
+        );
+    }
+    let batch = (40..60).map(|tag| (tag, Request::from(&input)));
+    assert!(rt
+        .submit_batch_tagged(batch, &queue)
+        .iter()
+        .all(|r| *r == Err(SubmitError::AtCapacity)));
+    assert_eq!(model.unfolds(), unfolded, "a refusal unfolded the graph");
+
+    gate.wait();
+    for _ in 0..3 {
+        let (_, outcome) = completions
+            .recv_timeout(std::time::Duration::from_secs(30))
+            .expect("admitted requests resolve");
+        assert!(outcome.is_completed());
+    }
     rt.shutdown();
 }

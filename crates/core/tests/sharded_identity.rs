@@ -1,14 +1,12 @@
 //! Sharding must be invisible to results: a request served by an
-//! N-shard [`ShardedRuntime`] returns outputs bit-identical to the
-//! single-shard [`Runtime`], across shard counts × batch-formation
+//! N-shard [`Runtime`] returns outputs bit-identical to the same type
+//! started with `.shards(1)`, across shard counts × batch-formation
 //! policies × all three model families. Placement and rebalancing may
 //! move *where* a request runs, never *what* it computes.
 
 use std::sync::Arc;
 
-use bm_core::{
-    PolicyKind, Request, Runtime, RuntimeOptions, ServeConfig, ServedOutcome, ShardedRuntime,
-};
+use bm_core::{PolicyKind, Request, Runtime, RuntimeOptions, ServeConfig, ServedOutcome};
 use bm_model::{LstmLm, Model, RequestInput, Seq2Seq, TreeLstm, TreeShape};
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -24,20 +22,29 @@ fn opts(shards: usize, policy: Option<PolicyKind>) -> RuntimeOptions {
     RuntimeOptions::new().serve_config(serve)
 }
 
-/// Serves every input on `rt`-like runtimes and returns the full
+/// Serves every input on a `shards`-shard runtime and returns the full
 /// per-node outputs (states and tokens) in submission order.
 fn outputs_of(
-    submit: impl Fn(Request) -> bm_core::ResponseHandle,
+    model: Arc<dyn Model>,
     inputs: &[RequestInput],
+    shards: usize,
+    policy: Option<PolicyKind>,
 ) -> Vec<Vec<Option<bm_cell::CellOutput>>> {
-    let handles: Vec<_> = inputs.iter().map(|i| submit(Request::from(i))).collect();
-    handles
+    let rt = Runtime::start(model, opts(shards, policy));
+    assert_eq!(rt.num_shards(), shards);
+    let handles: Vec<_> = inputs
+        .iter()
+        .map(|i| rt.submit_request(Request::from(i)).expect("submit"))
+        .collect();
+    let outputs = handles
         .into_iter()
         .map(|h| match h.wait() {
             ServedOutcome::Completed(res) => res.result.outputs,
             other => panic!("request did not complete: {other:?}"),
         })
-        .collect()
+        .collect();
+    rt.shutdown();
+    outputs
 }
 
 fn check_identity(
@@ -46,17 +53,8 @@ fn check_identity(
     shards: usize,
     policy: Option<PolicyKind>,
 ) {
-    let single = Runtime::start(Arc::clone(&model), opts(1, policy));
-    let want = outputs_of(|r| single.submit_request(r).expect("single submit"), inputs);
-    single.shutdown();
-
-    let sharded = ShardedRuntime::start(model, opts(shards, policy));
-    assert_eq!(sharded.num_shards(), shards);
-    let got = outputs_of(
-        |r| sharded.submit_request(r).expect("sharded submit"),
-        inputs,
-    );
-    sharded.shutdown();
+    let want = outputs_of(Arc::clone(&model), inputs, 1, policy);
+    let got = outputs_of(model, inputs, shards, policy);
 
     // PartialEq on CellOutput compares every f32 exactly: any
     // accumulation-order difference between the paths would fail here.
@@ -66,14 +64,14 @@ fn check_identity(
     );
 }
 
-/// Every shard stamps requests on the clock `ShardedRuntime::now_us`
-/// reads: a timing from any shard lies between a reading taken before
-/// the submission and one taken after the wait. (`Pair` inputs have
-/// shard 1 as their home, so a per-shard epoch would show.)
+/// Every shard stamps requests on the clock `Runtime::now_us` reads: a
+/// timing from any shard lies between a reading taken before the
+/// submission and one taken after the wait. (`Pair` inputs have shard 1
+/// as their home, so a per-shard epoch would show.)
 #[test]
 fn shards_share_one_clock() {
     let model: Arc<dyn Model> = Arc::new(Seq2Seq::small());
-    let rt = ShardedRuntime::start(Arc::clone(&model), opts(2, None));
+    let rt = Runtime::start(Arc::clone(&model), opts(2, None));
     for i in 0..24u32 {
         let before = rt.now_us();
         let outcome = rt

@@ -17,7 +17,7 @@ use std::time::Instant;
 use bm_cell::{
     Cell, CellOutput, CellState, InvocationInput, LstmCell, RowInvocation, Scratch, StateRef,
 };
-use bm_core::{Request, RequestId, ResidentBatch, Runtime, RuntimeOptions, SlotBlock};
+use bm_core::{Request, RequestId, ResidentBatch, Runtime, RuntimeOptions, ServeConfig, SlotBlock};
 use bm_metrics::Table;
 use bm_model::{LstmLm, Model, NodeId, RequestInput};
 use bm_tensor::{gemm, ops, xavier_uniform, ComputePool, Matrix, PackedWeights};
@@ -229,15 +229,18 @@ fn kernel_suite(scale: Scale) -> (Vec<KernelBench>, f64) {
     (out, speedup)
 }
 
-/// A small real serving run: requests/s sustained by the threaded
-/// runtime over the chain LSTM model.
+/// A small real serving run: requests/s sustained by one shard of the
+/// threaded runtime over the chain LSTM model.
 fn serving_rps(scale: Scale) -> f64 {
     let (requests, len) = match scale {
         Scale::Quick => (24, 6),
         Scale::Full => (192, 10),
     };
     let model = std::sync::Arc::new(LstmLm::small());
-    let rt = Runtime::start(model, RuntimeOptions::new());
+    let rt = Runtime::start(
+        model,
+        RuntimeOptions::new().serve_config(ServeConfig::new().shards(1)),
+    );
     let start = Instant::now();
     let handles: Vec<_> = (0..requests)
         .map(|i| {

@@ -3,7 +3,7 @@
 //! Everything the other experiments drive in-process or in virtual time
 //! runs here over a real loopback TCP connection: wire encode →
 //! event-loop ingest → shard threads (schedule, execute, resolve) →
-//! completion-pump write-back → wire decode. Three measurements:
+//! completion-pump write-back → wire decode. Two measurements:
 //!
 //! 1. **Shard scaling** — a closed-loop, deeply pipelined load drives
 //!    the front door with 1 scheduler shard (one thread) and again
@@ -15,11 +15,6 @@
 //!    schedule in wall time), reporting client-observed latency
 //!    percentiles per offered rate — the numbers a network client would
 //!    see, including wire and ingest overhead.
-//! 3. **Idle-connection sweep** — 1 hot closed-loop connection next to
-//!    512 idle sockets, once per readiness backend. The polled scan
-//!    pays a read syscall per idle socket per pass, so it degrades with
-//!    idle population; epoll only hears about ready descriptors and
-//!    must not. CI gates `epoll_rps >= polled_rps` here.
 //!
 //! Artifacts: `BENCH_serve.json` (schema `bm-serve/v1`) and the
 //! standard markdown/CSV tables. The smoke run (`--smoke`) is the CI
@@ -32,10 +27,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use bm_core::{ReadinessMode, Request, RuntimeOptions, ServeConfig};
+use bm_core::{Request, RuntimeOptions, ServeConfig};
 use bm_metrics::{LatencyRecorder, RequestTiming, Table};
 use bm_model::{LstmLm, Model, RequestInput};
-use bm_net::readiness::SUPPORTED as EPOLL_SUPPORTED;
 use bm_net::{wire, NetClient, NetResponse, NetServer, NetServerOptions};
 use bm_workload::{Dataset, LengthDistribution, Pacer, PoissonArrivals};
 use rand::rngs::StdRng;
@@ -60,55 +54,15 @@ fn dataset(n: usize) -> Dataset {
     Dataset::lstm(n, LengthDistribution::Fixed(3), 900, 0x5e7e)
 }
 
-/// One closed-loop load configuration: the serving knobs under test
-/// plus the client shape driving them.
-#[derive(Clone, Copy)]
-struct LoadCfg {
-    shards: usize,
-    total: usize,
-    telemetry: bool,
-    /// Hot (request-driving) client connections.
-    conns: usize,
-    /// Sockets that connect and then stay silent for the whole run.
-    idle_conns: usize,
-    readiness: ReadinessMode,
-}
-
-/// Readiness backend for the non-comparative measurements:
-/// `BM_SERVE_READINESS=auto|polled|epoll` (default `auto`), so CI can
-/// run the whole smoke under each backend. The idle sweep always
-/// measures both explicitly.
-fn default_readiness() -> ReadinessMode {
-    match std::env::var("BM_SERVE_READINESS") {
-        Ok(v) => ReadinessMode::parse(&v)
-            .unwrap_or_else(|| panic!("BM_SERVE_READINESS must be auto|polled|epoll, got {v:?}")),
-        Err(_) => ReadinessMode::Auto,
+/// Front-door options for a `shards`-shard server.
+fn server_options(shards: usize, telemetry: bool) -> NetServerOptions {
+    let mut serve = ServeConfig::new().shards(shards);
+    if telemetry {
+        serve = serve.telemetry(bm_telemetry::Telemetry::new());
     }
-}
-
-impl LoadCfg {
-    fn new(shards: usize, total: usize, telemetry: bool) -> Self {
-        LoadCfg {
-            shards,
-            total,
-            telemetry,
-            conns: CONNS,
-            idle_conns: 0,
-            readiness: default_readiness(),
-        }
-    }
-
-    fn server_options(&self) -> NetServerOptions {
-        let mut serve = ServeConfig::new()
-            .shards(self.shards)
-            .readiness(self.readiness);
-        if self.telemetry {
-            serve = serve.telemetry(bm_telemetry::Telemetry::new());
-        }
-        NetServerOptions::new()
-            .max_inflight(2 * WINDOW)
-            .runtime(RuntimeOptions::new().serve_config(serve))
-    }
+    NetServerOptions::new()
+        .max_inflight(2 * WINDOW)
+        .runtime(RuntimeOptions::new().serve_config(serve))
 }
 
 /// One closed-loop throughput measurement.
@@ -122,31 +76,20 @@ struct ThroughputPoint {
     /// Snapshot entry count and per-shard completion counters, when
     /// telemetry was on.
     shard_completions: Vec<(String, u64)>,
-    /// Readiness backend the server actually ran ("polled"/"epoll").
-    backend: &'static str,
 }
 
-/// Drives `cfg.total` requests through `cfg.conns` connections, each
-/// keeping [`WINDOW`] requests in flight (send-one-per-receive after
-/// the initial burst), with `cfg.idle_conns` silent sockets held open
-/// for the whole run. Returns the aggregate completion rate.
-fn closed_loop_cfg(cfg: LoadCfg) -> ThroughputPoint {
-    let server =
-        NetServer::bind(model(), cfg.server_options(), "127.0.0.1:0").expect("bind loopback");
-    let backend = server.readiness_backend();
+/// Drives `total` requests through [`CONNS`] connections, each keeping
+/// [`WINDOW`] requests in flight (send-one-per-receive after the
+/// initial burst). Returns the aggregate completion rate.
+fn closed_loop(shards: usize, total: usize, telemetry: bool) -> ThroughputPoint {
+    let server = NetServer::bind(model(), server_options(shards, telemetry), "127.0.0.1:0")
+        .expect("bind loopback");
     let addr = server.local_addr();
     let ds = dataset(256);
-    let (total, conns) = (cfg.total, cfg.conns);
-    let per_conn = total / conns;
-
-    // Idle sockets: admitted, registered with the readiness backend,
-    // and silent — pure scan load for the polled backend.
-    let _idle: Vec<TcpStream> = (0..cfg.idle_conns)
-        .map(|_| TcpStream::connect(addr).expect("idle connect"))
-        .collect();
+    let per_conn = total / CONNS;
 
     let t0 = Instant::now();
-    let threads: Vec<_> = (0..conns)
+    let threads: Vec<_> = (0..CONNS)
         .map(|c| {
             let items: Vec<RequestInput> = {
                 let mut rng = StdRng::seed_from_u64(0x10ad ^ c as u64);
@@ -221,59 +164,13 @@ fn closed_loop_cfg(cfg: LoadCfg) -> ThroughputPoint {
     latencies.sort_unstable();
     let pct = |q: f64| latencies[((latencies.len() - 1) as f64 * q) as usize] as f64 / 1e3;
     ThroughputPoint {
-        shards: cfg.shards,
+        shards,
         completed,
         wall_s,
         rps: completed as f64 / wall_s,
         p50_ms: pct(0.50),
         p99_ms: pct(0.99),
         shard_completions,
-        backend,
-    }
-}
-
-/// The default-shape closed loop: [`CONNS`] hot connections, no idle
-/// sockets, auto readiness.
-fn closed_loop(shards: usize, total: usize, telemetry: bool) -> ThroughputPoint {
-    closed_loop_cfg(LoadCfg::new(shards, total, telemetry))
-}
-
-/// The idle-connection sweep: 1 hot connection next to `idle_conns`
-/// silent sockets, per readiness backend.
-struct IdleSweep {
-    idle_conns: usize,
-    requests: usize,
-    polled_rps: f64,
-    epoll_supported: bool,
-    /// 0.0 when epoll is unsupported on this platform.
-    epoll_rps: f64,
-    epoll_wins: bool,
-}
-
-fn idle_sweep(idle_conns: usize, total: usize) -> IdleSweep {
-    let arm = |mode: ReadinessMode| {
-        let mut cfg = LoadCfg::new(1, total, false);
-        cfg.conns = 1;
-        cfg.idle_conns = idle_conns;
-        cfg.readiness = mode;
-        closed_loop_cfg(cfg)
-    };
-    let polled = arm(ReadinessMode::Polled);
-    assert_eq!(polled.backend, "polled");
-    let (epoll_rps, epoll_wins) = if EPOLL_SUPPORTED {
-        let epoll = arm(ReadinessMode::Epoll);
-        assert_eq!(epoll.backend, "epoll");
-        (epoll.rps, epoll.rps >= polled.rps)
-    } else {
-        (0.0, false)
-    };
-    IdleSweep {
-        idle_conns,
-        requests: total,
-        polled_rps: polled.rps,
-        epoll_supported: EPOLL_SUPPORTED,
-        epoll_rps,
-        epoll_wins,
     }
 }
 
@@ -294,12 +191,8 @@ struct SweepPoint {
 /// latency, not as reduced offered load. Latency is measured from the
 /// *scheduled* arrival (coordinated-omission-free).
 fn open_loop_point(shards: usize, rate: f64, n: usize) -> SweepPoint {
-    let server = NetServer::bind(
-        model(),
-        LoadCfg::new(shards, n, false).server_options(),
-        "127.0.0.1:0",
-    )
-    .expect("bind loopback");
+    let server = NetServer::bind(model(), server_options(shards, false), "127.0.0.1:0")
+        .expect("bind loopback");
     let addr = server.local_addr();
     let ds = dataset(256);
     let mut rng = StdRng::seed_from_u64(0x0a11 ^ rate as u64);
@@ -403,7 +296,6 @@ fn to_json(
     shard_counts: (usize, usize),
     points: &[ThroughputPoint],
     sweep: &[SweepPoint],
-    idle: &IdleSweep,
 ) -> String {
     let best = |shards: usize| {
         points
@@ -441,18 +333,7 @@ fn to_json(
             if i + 1 < points.len() { "," } else { "" }
         ));
     }
-    s.push_str(&format!(
-        "  ],\n  \"idle_sweep\": {{\"idle_conns\": {}, \"hot_conns\": 1, \"requests\": {}, \
-         \"polled_rps\": {:.1}, \"epoll_supported\": {}, \"epoll_rps\": {:.1}, \
-         \"epoll_wins\": {}}},\n",
-        idle.idle_conns,
-        idle.requests,
-        idle.polled_rps,
-        idle.epoll_supported,
-        idle.epoll_rps,
-        idle.epoll_wins
-    ));
-    s.push_str("  \"sla_sweep\": [\n");
+    s.push_str("  ],\n  \"sla_sweep\": [\n");
     for (i, p) in sweep.iter().enumerate() {
         s.push_str(&format!(
             "    {{\"offered_rps\": {:.0}, \"completed\": {}, \"throughput_rps\": {:.1}, \
@@ -509,14 +390,7 @@ pub fn run(scale: Scale, out_dir: &Path) -> Vec<Table> {
     let rollup_sum: u64 = multi_tel.shard_completions.iter().map(|(_, v)| v).sum();
     assert_eq!(rollup_sum, total as u64, "per-shard counters must roll up");
 
-    // Part 2: the idle-connection sweep (1 hot / 512 idle).
-    let (idle_total, idle_conns) = match scale {
-        Scale::Quick => (3_000, 512),
-        Scale::Full => (10_000, 512),
-    };
-    let idle = idle_sweep(idle_conns, idle_total);
-
-    // Part 3: the SLA sweep over the socket, N-shard configuration.
+    // Part 2: the SLA sweep over the socket, N-shard configuration.
     let full_rates = [500.0, 1_000.0, 2_000.0, 4_000.0];
     let rates = scale.rates(&full_rates);
     let sweep: Vec<SweepPoint> = rates
@@ -531,7 +405,7 @@ pub fn run(scale: Scale, out_dir: &Path) -> Vec<Table> {
     }
 
     std::fs::create_dir_all(out_dir).expect("create results dir");
-    let json = to_json(cores, (1, multi_shards), &points, &sweep, &idle);
+    let json = to_json(cores, (1, multi_shards), &points, &sweep);
     let json_path = out_dir.join("BENCH_serve.json");
     std::fs::write(&json_path, &json).expect("write BENCH_serve.json");
     eprintln!("wrote {}", json_path.display());
@@ -548,25 +422,6 @@ pub fn run(scale: Scale, out_dir: &Path) -> Vec<Table> {
             format!("{:.0}", p.rps),
             format!("{:.3}", p.p50_ms),
             format!("{:.3}", p.p99_ms),
-        ]);
-    }
-
-    let mut i = Table::new(
-        "Idle-connection sweep: readiness backend rps with 1 hot conn",
-        &["backend", "idle_conns", "requests", "rps"],
-    );
-    i.push_row(vec![
-        "polled".into(),
-        idle.idle_conns.to_string(),
-        idle.requests.to_string(),
-        format!("{:.0}", idle.polled_rps),
-    ]);
-    if idle.epoll_supported {
-        i.push_row(vec![
-            "epoll".into(),
-            idle.idle_conns.to_string(),
-            idle.requests.to_string(),
-            format!("{:.0}", idle.epoll_rps),
         ]);
     }
 
@@ -591,5 +446,5 @@ pub fn run(scale: Scale, out_dir: &Path) -> Vec<Table> {
             p.max_lateness_us.to_string(),
         ]);
     }
-    vec![t, i, s]
+    vec![t, s]
 }

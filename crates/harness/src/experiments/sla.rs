@@ -14,7 +14,7 @@
 use std::path::Path;
 use std::sync::Arc;
 
-use bm_core::PolicyKind;
+use bm_core::{PolicyKind, ServeConfig};
 use bm_metrics::{SlaSummary, Table};
 use bm_model::{LstmLm, LstmLmConfig};
 use bm_sim::{simulate, SimOptions};
@@ -95,14 +95,17 @@ pub fn run_points_with(scale: Scale, policy: Option<PolicyKind>) -> Vec<SlaPoint
         let arr = arrivals(&ds, rate, n, 0x5eed ^ rate as u64);
         let span = arr.last().expect("nonempty").0;
         let mut server = factory.build(&SystemKind::BatchMaker);
-        let mut opts = SimOptions::new()
-            .workers(1)
-            .max_sim_us(span.saturating_mul(4).max(5_000_000))
+        let mut serve = ServeConfig::new()
             .deadline_us(SLA_US)
             .max_active(MAX_ACTIVE);
+        let mut opts = SimOptions::new()
+            .workers(1)
+            .max_sim_us(span.saturating_mul(4).max(5_000_000));
         if let Some(kind) = policy {
-            opts = opts.policy(kind).pipeline_depth(POLICY_PIPELINE_DEPTH);
+            serve = serve.policy(kind);
+            opts = opts.pipeline_depth(POLICY_PIPELINE_DEPTH);
         }
+        let opts = opts.serve_config(serve);
         let out = simulate(server.as_mut(), &arr, opts);
         let summary = SlaSummary::new(
             n,

@@ -10,10 +10,10 @@
 //!    (no real compute, so pure scheduler overhead — the worst case).
 //!    The disabled path must stay a single branch per call site, so the
 //!    enabled/disabled gap bounds the full cost of the metrics plane.
-//! 2. **Live run** — a real threaded [`Runtime`] serves requests with a
-//!    registry attached; a [`Scraper`] thread prints periodic stats
-//!    lines while a [`SamplingSink`] head-samples the trace stream into
-//!    a drop-counting ring buffer.
+//! 2. **Live run** — a real threaded [`Runtime`] serves requests with
+//!    telemetry on; a [`Scraper`] thread reads its per-shard rollup and
+//!    prints periodic stats lines while a [`SamplingSink`] head-samples
+//!    the trace stream into a drop-counting ring buffer.
 //! 3. **Reconciliation** — the four `bm_stage_us` stage histograms
 //!    (exact sums, not bucket approximations) must telescope to exactly
 //!    the end-to-end latency total reported by the per-request
@@ -28,7 +28,7 @@ use std::path::Path;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use bm_core::{Runtime, RuntimeOptions, STAGE_NAMES};
+use bm_core::{Runtime, RuntimeOptions, ServeConfig, STAGE_NAMES};
 use bm_metrics::Table;
 use bm_model::{LstmLm, LstmLmConfig, Model};
 use bm_sim::{simulate, CellularServer, SimOptions};
@@ -61,7 +61,9 @@ fn timed_sim_run(arr: &[(u64, bm_model::RequestInput)], tel: &Arc<Telemetry>) ->
     let out = simulate(
         &mut server,
         arr,
-        SimOptions::new().workers(2).telemetry(Arc::clone(tel)),
+        SimOptions::new()
+            .workers(2)
+            .serve_config(ServeConfig::new().telemetry(Arc::clone(tel))),
     );
     let dt = t0.elapsed().as_secs_f64();
     assert!(!out.saturated, "overhead run must not saturate");
@@ -71,14 +73,14 @@ fn timed_sim_run(arr: &[(u64, bm_model::RequestInput)], tel: &Arc<Telemetry>) ->
 /// Wall-clock seconds of one threaded serving run: every request
 /// submitted up front, timed to the last completion. Real kernel work
 /// dominates here, so this is the serving-throughput overhead the
-/// acceptance bound constrains. One worker: on a small host, extra
-/// worker threads time-share cores and the OS interleaving changes
+/// acceptance bound constrains. One shard: on a small host, extra
+/// shard threads time-share cores and the OS interleaving changes
 /// which batches form, which would vary the measured work itself.
 fn timed_serve_run(ds: &Dataset, tel: &Arc<Telemetry>) -> f64 {
     let model: Arc<dyn Model> = Arc::new(LstmLm::small());
     let rt = Runtime::start(
         model,
-        RuntimeOptions::new().workers(1).telemetry(Arc::clone(tel)),
+        RuntimeOptions::new().serve_config(ServeConfig::new().shards(1).telemetry(Arc::clone(tel))),
     );
     let t0 = Instant::now();
     let handles: Vec<_> = ds
@@ -174,11 +176,17 @@ fn tiling_stage_sum(snap: &Snapshot) -> u64 {
         })
 }
 
+/// Sum of every gauge entry named `name` (one per shard in a runtime
+/// rollup).
 fn gauge(snap: &Snapshot, name: &str) -> i64 {
-    match snap.get_with(name, &[]) {
-        Some(MetricValue::Gauge(g)) => *g,
-        _ => 0,
-    }
+    snap.entries
+        .iter()
+        .filter(|e| e.name == name)
+        .map(|e| match &e.value {
+            MetricValue::Gauge(g) => *g,
+            _ => 0,
+        })
+        .sum()
 }
 
 struct LiveRun {
@@ -208,30 +216,35 @@ fn live_run(scale: Scale) -> LiveRun {
     );
     let sampler = Arc::new(SamplingSink::new(ring.clone(), SAMPLE_RATE));
 
+    let model: Arc<dyn Model> = Arc::new(LstmLm::small());
+    let rt = Arc::new(Runtime::start(
+        Arc::clone(&model),
+        RuntimeOptions::new().serve_config(
+            ServeConfig::new()
+                .telemetry(Arc::clone(&tel))
+                .trace(sampler.clone() as Arc<dyn TraceSink>),
+        ),
+    ));
+
+    // The runtime records per shard; the ring's drop counter lives in
+    // `tel`. One view of both.
+    let source = {
+        let (rt, tel) = (Arc::clone(&rt), Arc::clone(&tel));
+        move || Snapshot::merge([rt.snapshot(), tel.snapshot()])
+    };
     let scrape_count = Arc::new(std::sync::atomic::AtomicU64::new(0));
     let sc = Arc::clone(&scrape_count);
-    let scraper = Scraper::start_with(
-        Arc::clone(&tel),
-        Duration::from_millis(25),
-        move |snap: &Snapshot| {
-            sc.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            eprintln!(
-                "live: completed={} active={} inflight_tasks={} batches={}",
-                snap.counter_sum("bm_requests_completed_total"),
-                gauge(snap, "bm_active_requests"),
-                gauge(snap, "bm_inflight_tasks"),
-                snap.counter_sum("bm_batch_reason_total"),
-            );
-        },
-    );
+    let scraper = Scraper::start_with(source, Duration::from_millis(25), move |snap: &Snapshot| {
+        sc.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        eprintln!(
+            "live: completed={} active={} inflight_tasks={} batches={}",
+            snap.counter_sum("bm_requests_completed_total"),
+            gauge(snap, "bm_active_requests"),
+            gauge(snap, "bm_inflight_tasks"),
+            snap.counter_sum("bm_batch_reason_total"),
+        );
+    });
 
-    let model: Arc<dyn Model> = Arc::new(LstmLm::small());
-    let rt = Runtime::start(
-        Arc::clone(&model),
-        RuntimeOptions::new()
-            .telemetry(Arc::clone(&tel))
-            .trace(sampler.clone() as Arc<dyn TraceSink>),
-    );
     let ds = Dataset::lstm(n, LengthDistribution::wmt15_clipped(24), 900, 0x11fe);
     let t0 = Instant::now();
     // Submit in waves with a short pause so the scraper observes the
@@ -249,8 +262,10 @@ fn live_run(scale: Scale) -> LiveRun {
         completed += 1;
     }
     let wall_s = t0.elapsed().as_secs_f64();
-    rt.shutdown();
+    // Every handle has resolved, so the final scrape is complete; the
+    // runtime shuts down when the scraper drops the last reference.
     let snapshot = scraper.stop();
+    drop(rt);
 
     // Part 3: the stage decomposition must telescope exactly.
     let stage_sum_us = tiling_stage_sum(&snapshot);
@@ -274,7 +289,7 @@ fn live_run(scale: Scale) -> LiveRun {
             let w = e
                 .labels
                 .iter()
-                .find(|(k, _)| k == "worker")
+                .find(|(k, _)| k == "shard")
                 .map(|(_, v)| v.clone())
                 .unwrap_or_default();
             let v = match &e.value {
@@ -383,7 +398,7 @@ pub fn run(scale: Scale, out_dir: &Path) -> Vec<Table> {
         let util = *busy_us as f64 / 1e6 / live.wall_s * 100.0;
         row(
             &mut l,
-            &format!("worker_{w}_utilization_pct"),
+            &format!("shard_{w}_utilization_pct"),
             format!("{util:.1}"),
         );
     }

@@ -19,6 +19,7 @@
 use std::path::Path;
 use std::sync::Arc;
 
+use bm_core::ServeConfig;
 use bm_metrics::{reconstruct_timelines, render_timelines, Table};
 use bm_model::{LstmLm, LstmLmConfig, Model, Seq2Seq};
 use bm_sim::{simulate, CellularServer, SimOptions};
@@ -47,7 +48,9 @@ fn record_run(
     let out = simulate(
         &mut server,
         &arr,
-        SimOptions::new().workers(workers).trace(sink.clone()),
+        SimOptions::new()
+            .workers(workers)
+            .serve_config(ServeConfig::new().trace(sink.clone())),
     );
     let events = sink.events();
 

@@ -269,9 +269,6 @@ pub fn reconstruct_timelines(events: &[TraceEvent]) -> Vec<RequestTimeline> {
                     ),
                 },
             ),
-            // Worker-scoped counter samples; not part of any request's
-            // timeline (they render as a Chrome trace counter track).
-            EventKind::WorkerQueueDepth { .. } => {}
         }
     }
 

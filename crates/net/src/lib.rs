@@ -7,10 +7,10 @@
 //!   Decoding is incremental and total — malformed bytes yield a
 //!   [`WireError`], never a panic.
 //! - [`NetServer`]: a hand-rolled non-blocking TCP event loop over a
-//!   [`ShardedRuntime`](bm_core::ShardedRuntime), with admission
-//!   control at accept time, per-tenant token-bucket rate limiting and
-//!   per-connection backpressure, running on a pluggable [`readiness`]
-//!   backend — raw-syscall epoll + eventfd completion wakeups on Linux
+//!   [`Runtime`](bm_core::Runtime), with admission control at accept
+//!   time, per-tenant token-bucket rate limiting and per-connection
+//!   backpressure, running on the [`readiness`] backend the platform
+//!   offers — raw-syscall epoll + eventfd completion wakeups on Linux
 //!   x86_64, a portable polled scan everywhere else.
 //! - [`NetClient`]: a blocking, pipeline-capable client used by the
 //!   tests and the `repro serve` load generator.

@@ -1,4 +1,4 @@
-//! The TCP front door: a single event loop over a [`ShardedRuntime`].
+//! The TCP front door: a single event loop over a [`Runtime`].
 //!
 //! One **event thread** owns the listener, every connection (both
 //! halves), and the runtime's completion queue. Per pass it accepts
@@ -8,7 +8,7 @@
 //! decodes frames incrementally, applies per-tenant token-bucket rate
 //! limits ([`bm_core::ServeConfig::tenant_rate`]), and submits **every
 //! request decoded in the pass as one batch**
-//! ([`ShardedRuntime::submit_batch_tagged`]) so a manager wakeup
+//! ([`Runtime::submit_batch_tagged`]) so a shard wakeup
 //! amortizes across the burst. Responses come back tagged on one
 //! [`bm_core::CompletionQueue`] — there are no per-connection reaper
 //! threads and no per-request channels — and are written back in
@@ -16,8 +16,9 @@
 //! by correlation id).
 //!
 //! How the loop learns that sockets and completions are ready is the
-//! [`crate::readiness`] backend, selected by
-//! [`bm_core::ServeConfig::readiness`]:
+//! [`crate::readiness`] backend, chosen by the platform at bind time —
+//! epoll where [`readiness::SUPPORTED`] holds and the epoll set
+//! assembles, the polled scan otherwise:
 //!
 //! - **epoll** (Linux x86_64): one blocked `epoll_wait` covers the
 //!   listener, every connection and an eventfd the completion queue's
@@ -25,7 +26,9 @@
 //!   connections register write interest instead of sleeping;
 //!   backpressured connections drop read interest instead of being
 //!   re-scanned.
-//! - **polled** (portable fallback and bit-identity oracle): a scan of
+//! - **polled** (everywhere else, and where the kernel refuses epoll —
+//!   fd limits, seccomp; the in-crate tests hold the two backends
+//!   byte-identical): a scan of
 //!   non-blocking sockets with an adaptive exponential idle backoff
 //!   (50 µs doubling to a 2 ms cap). The same backoff paces write
 //!   retries after `WouldBlock` — there is no constant-sleep retry
@@ -46,8 +49,8 @@ use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use bm_core::{
-    completion_queue, CompletionQueue, CompletionReceiver, ReadinessMode, Request, ServedOutcome,
-    ShardedRuntime, SubmitError,
+    completion_queue, CompletionQueue, CompletionReceiver, Request, Runtime, ServedOutcome,
+    SubmitError, TenantRate,
 };
 use bm_model::Model;
 use bm_telemetry::Snapshot;
@@ -77,16 +80,12 @@ const TOKEN_LISTENER: u64 = u64::MAX;
 const TOKEN_WAKER: u64 = u64::MAX - 1;
 
 /// Front-door configuration on top of the runtime's own options.
-///
-/// The readiness backend is chosen by the embedded serve config:
-/// `opts.runtime(RuntimeOptions::new().serve_config(
-///     ServeConfig::new().readiness(ReadinessMode::Epoll)))`.
 #[derive(Clone)]
 #[non_exhaustive]
 pub struct NetServerOptions {
-    /// Options for the backing [`ShardedRuntime`] (shard count, worker
-    /// threads, policy, deadlines, tenant rate limits, readiness
-    /// backend — all via the embedded [`bm_core::ServeConfig`]).
+    /// Options for the backing [`Runtime`] (shard count, policy,
+    /// deadlines, tenant rate limits — all via the embedded
+    /// [`bm_core::ServeConfig`]).
     pub runtime: bm_core::RuntimeOptions,
     /// Admission control: connections accepted beyond this cap are
     /// closed immediately without reading a byte.
@@ -171,23 +170,67 @@ pub struct NetStatsView {
     pub protocol_errors: u64,
 }
 
-/// A token bucket: `tokens` refills at `per_sec` up to `burst`.
+/// A token bucket: `tokens` refills at the tenant rate up to its burst.
 struct Bucket {
     tokens: f64,
     last: Instant,
 }
 
 impl Bucket {
-    fn admit(&mut self, per_sec: f64, burst: f64, now: Instant) -> bool {
+    /// The tokens this bucket holds at `now`.
+    fn tokens_at(&self, rate: &TenantRate, now: Instant) -> f64 {
         let dt = now.duration_since(self.last).as_secs_f64();
-        self.last = now;
-        self.tokens = (self.tokens + dt * per_sec).min(burst);
-        if self.tokens >= 1.0 {
-            self.tokens -= 1.0;
-            true
-        } else {
-            false
+        (self.tokens + dt * rate.per_sec).min(f64::from(rate.burst))
+    }
+}
+
+/// Tenant buckets the map may hold before refilled ones are dropped.
+const TENANT_BUCKETS_SWEEP: usize = 1024;
+
+/// The per-tenant token buckets of one server. The tenant id comes off
+/// the wire, so the map is bounded: a bucket refilled to `burst` is
+/// indistinguishable from a fresh one and is dropped once the map
+/// reaches [`TENANT_BUCKETS_SWEEP`] entries. What survives a sweep is
+/// tenants that spent a token within the last `burst / per_sec`
+/// seconds; the next sweep waits until the map has doubled past them,
+/// so sweeping stays amortised O(1) per request whatever ids a client
+/// cycles through.
+struct TenantBuckets {
+    rate: TenantRate,
+    buckets: HashMap<u64, Bucket>,
+    sweep_at: usize,
+}
+
+impl TenantBuckets {
+    fn new(rate: TenantRate) -> Self {
+        TenantBuckets {
+            rate,
+            buckets: HashMap::new(),
+            sweep_at: TENANT_BUCKETS_SWEEP,
         }
+    }
+
+    /// Takes one token from `tenant`'s bucket; `false` when it is empty.
+    fn admit(&mut self, tenant: Option<u32>, now: Instant) -> bool {
+        // `None`-tenant requests share bucket 0.
+        let key = tenant.map_or(0, |t| u64::from(t) + 1);
+        let rate = self.rate;
+        if self.buckets.len() >= self.sweep_at && !self.buckets.contains_key(&key) {
+            let burst = f64::from(rate.burst);
+            self.buckets.retain(|_, b| b.tokens_at(&rate, now) < burst);
+            self.sweep_at = TENANT_BUCKETS_SWEEP.max(2 * self.buckets.len());
+        }
+        let bucket = self.buckets.entry(key).or_insert(Bucket {
+            tokens: f64::from(rate.burst),
+            last: now,
+        });
+        bucket.tokens = bucket.tokens_at(&rate, now);
+        bucket.last = now;
+        let admitted = bucket.tokens >= 1.0;
+        if admitted {
+            bucket.tokens -= 1.0;
+        }
+        admitted
     }
 }
 
@@ -262,47 +305,94 @@ impl Backend {
             Backend::Epoll { ep, .. } => Some(ep),
         }
     }
+
+    /// The eventfd that wakes the loop out of `epoll_wait`; `None` on
+    /// the polled backend (its sleep is bounded at 2 ms).
+    fn waker(&self) -> Option<Arc<EventFd>> {
+        match self {
+            Backend::Polled => None,
+            Backend::Epoll { efd, .. } => Some(Arc::clone(efd)),
+        }
+    }
+
+    /// The backend this platform gets: epoll with `listener` and a wake
+    /// eventfd registered where [`readiness::SUPPORTED`] holds and the
+    /// kernel grants the descriptors (fd limits and seccomp can refuse),
+    /// the polled scan otherwise.
+    fn for_platform(listener: &TcpListener) -> Backend {
+        if !readiness::SUPPORTED {
+            return Backend::Polled;
+        }
+        let assemble = || -> Result<Backend, readiness::SysError> {
+            let ep = Epoll::new()?;
+            let efd = Arc::new(EventFd::new()?);
+            ep.register(
+                readiness::raw_fd_of_listener(listener),
+                TOKEN_LISTENER,
+                Interest::READ,
+            )?;
+            ep.register(efd.raw_fd(), TOKEN_WAKER, Interest::READ)?;
+            let events = Events::with_capacity(EVENTS_CAP);
+            Ok(Backend::Epoll { ep, efd, events })
+        };
+        assemble().unwrap_or(Backend::Polled)
+    }
 }
 
 /// The serving front door. Binds, serves until [`NetServer::shutdown`],
-/// and owns the backing [`ShardedRuntime`].
+/// and owns the backing [`Runtime`].
 pub struct NetServer {
     local_addr: std::net::SocketAddr,
-    runtime: Arc<ShardedRuntime>,
+    runtime: Arc<Runtime>,
     stats: Arc<NetStats>,
     stop: Arc<AtomicBool>,
     /// Wakes the epoll loop out of `epoll_wait` for shutdown; `None`
-    /// on the polled backend (its sleep is bounded at 2 ms).
+    /// on the polled backend.
     waker: Option<Arc<EventFd>>,
     ingest: Option<JoinHandle<()>>,
     backend: &'static str,
 }
 
 impl NetServer {
-    /// Starts a sharded runtime for `model` and binds the front door to
-    /// `addr` (use port 0 for an ephemeral port, then
+    /// Starts a runtime for `model` and binds the front door to `addr`
+    /// (use port 0 for an ephemeral port, then
     /// [`local_addr`](Self::local_addr)).
     ///
-    /// The readiness backend follows
-    /// [`bm_core::ServeConfig::readiness`]: `Auto` uses epoll where
-    /// supported and the polled scan elsewhere; an explicit `Epoll` on
-    /// a platform without the backend fails with
-    /// [`std::io::ErrorKind::Unsupported`].
+    /// The event loop runs on epoll where the platform has it
+    /// ([`readiness::SUPPORTED`]) and the epoll set assembles, and on
+    /// the polled scan otherwise; [`NetServer::readiness_backend`]
+    /// reports which.
     pub fn bind<A: ToSocketAddrs>(
         model: Arc<dyn Model>,
         opts: NetServerOptions,
         addr: A,
     ) -> std::io::Result<NetServer> {
         let listener = TcpListener::bind(addr)?;
+        let backend = Backend::for_platform(&listener);
+        NetServer::serve(model, opts, listener, backend)
+    }
+
+    /// Starts the runtime and the event loop on `backend`.
+    fn serve(
+        model: Arc<dyn Model>,
+        opts: NetServerOptions,
+        listener: TcpListener,
+        backend: Backend,
+    ) -> std::io::Result<NetServer> {
         listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
 
-        let (queue, completions) = completion_queue();
-        let (backend, queue, waker) =
-            build_backend(opts.runtime.serve().readiness, &listener, queue)?;
+        let (mut queue, completions) = completion_queue();
+        let waker = backend.waker();
+        if let Some(efd) = &waker {
+            // Completions wake the event loop out of `epoll_wait`;
+            // multiple wakes coalesce in the eventfd counter.
+            let efd = Arc::clone(efd);
+            queue = queue.with_waker(Arc::new(move || efd.wake()));
+        }
         let backend_label = backend.label();
 
-        let runtime = Arc::new(ShardedRuntime::start(model, opts.runtime.clone()));
+        let runtime = Arc::new(Runtime::start(model, opts.runtime.clone()));
         let stats = Arc::new(NetStats::default());
         let stop = Arc::new(AtomicBool::new(false));
 
@@ -342,15 +432,15 @@ impl NetServer {
         self.local_addr
     }
 
-    /// The readiness backend the event loop actually runs on:
-    /// `"epoll"` or `"polled"` (`Auto` resolves at bind time).
+    /// The readiness backend the event loop runs on: `"epoll"` or
+    /// `"polled"`.
     pub fn readiness_backend(&self) -> &'static str {
         self.backend
     }
 
-    /// The backing sharded runtime (placement observability, telemetry
-    /// snapshots).
-    pub fn runtime(&self) -> &ShardedRuntime {
+    /// The backing runtime (in-process submission, shard count, clock,
+    /// telemetry snapshots).
+    pub fn runtime(&self) -> &Runtime {
         &self.runtime
     }
 
@@ -392,80 +482,12 @@ impl NetServer {
     }
 }
 
-/// Resolves the configured [`ReadinessMode`] into a live backend,
-/// wiring the completion queue's waker to the epoll eventfd.
-fn build_backend(
-    mode: ReadinessMode,
-    listener: &TcpListener,
-    queue: CompletionQueue,
-) -> std::io::Result<(Backend, CompletionQueue, Option<Arc<EventFd>>)> {
-    let explicit = match mode {
-        ReadinessMode::Polled => return Ok((Backend::Polled, queue, None)),
-        ReadinessMode::Epoll => true,
-        ReadinessMode::Auto => false,
-    };
-    if !readiness::SUPPORTED {
-        return if explicit {
-            Err(std::io::Error::new(
-                std::io::ErrorKind::Unsupported,
-                "epoll readiness backend requires Linux x86_64",
-            ))
-        } else {
-            Ok((Backend::Polled, queue, None))
-        };
-    }
-    let assemble = || -> Result<(Epoll, Arc<EventFd>), readiness::SysError> {
-        let ep = Epoll::new()?;
-        let efd = Arc::new(EventFd::new()?);
-        ep.register(
-            readiness::raw_fd_of_listener(listener),
-            TOKEN_LISTENER,
-            Interest::READ,
-        )?;
-        ep.register(efd.raw_fd(), TOKEN_WAKER, Interest::READ)?;
-        Ok((ep, efd))
-    };
-    match assemble() {
-        Ok((ep, efd)) => {
-            // Completions wake the event loop out of `epoll_wait`;
-            // multiple wakes coalesce in the eventfd counter.
-            let wake_efd = Arc::clone(&efd);
-            let queue = queue.with_waker(Arc::new(move || wake_efd.wake()));
-            let events = Events::with_capacity(EVENTS_CAP);
-            Ok((
-                Backend::Epoll {
-                    ep,
-                    efd: Arc::clone(&efd),
-                    events,
-                },
-                queue,
-                Some(efd),
-            ))
-        }
-        Err(e) if !explicit => {
-            // Auto mode: a kernel refusing epoll (fd limits, seccomp)
-            // falls back to the polled scan.
-            let _ = e;
-            Ok((Backend::Polled, queue, None))
-        }
-        Err(e) => Err(e.into()),
-    }
-}
-
-/// The key `None`-tenant requests share one bucket under.
-fn tenant_key(tenant: Option<u32>) -> u64 {
-    match tenant {
-        None => 0,
-        Some(t) => u64::from(t) + 1,
-    }
-}
-
 /// Everything the event thread owns.
 struct EventLoop {
     listener: Option<TcpListener>,
     backend: Backend,
     opts: NetServerOptions,
-    runtime: Arc<ShardedRuntime>,
+    runtime: Arc<Runtime>,
     stats: Arc<NetStats>,
     stop: Arc<AtomicBool>,
     queue: CompletionQueue,
@@ -483,8 +505,11 @@ fn event_loop(ctx: EventLoop) {
         queue,
         completions,
     } = ctx;
-    let rate = runtime.serve().tenant_rate;
-    let mut buckets: HashMap<u64, Bucket> = HashMap::new();
+    let mut limiter = runtime
+        .options()
+        .serve()
+        .tenant_rate
+        .map(TenantBuckets::new);
     let mut conns: HashMap<u32, Conn> = HashMap::new();
     let mut next_conn_id: u32 = 0;
     let mut chunk = vec![0u8; READ_CHUNK];
@@ -532,8 +557,7 @@ fn event_loop(ctx: EventLoop) {
                         &mut chunk,
                         &mut batch,
                         &stats,
-                        rate.as_ref(),
-                        &mut buckets,
+                        limiter.as_mut(),
                         opts.max_inflight,
                     );
                 }
@@ -574,8 +598,7 @@ fn event_loop(ctx: EventLoop) {
                                     &mut chunk,
                                     &mut batch,
                                     &stats,
-                                    rate.as_ref(),
-                                    &mut buckets,
+                                    limiter.as_mut(),
                                     opts.max_inflight,
                                 );
                             } else if ev.error {
@@ -754,15 +777,13 @@ fn accept_all(
 
 /// Reads a connection until it would block (or its backpressure window
 /// fills), decoding frames as they complete.
-#[allow(clippy::too_many_arguments)]
 fn read_conn(
     conn_id: u32,
     c: &mut Conn,
     chunk: &mut [u8],
     batch: &mut Vec<(u64, Request)>,
     stats: &NetStats,
-    rate: Option<&bm_core::TenantRate>,
-    buckets: &mut HashMap<u64, Bucket>,
+    mut limiter: Option<&mut TenantBuckets>,
     max_inflight: usize,
 ) -> bool {
     let mut progressed = false;
@@ -775,7 +796,7 @@ fn read_conn(
             Ok(n) => {
                 progressed = true;
                 c.rbuf.extend_from_slice(&chunk[..n]);
-                drain_frames(conn_id, c, batch, stats, rate, buckets);
+                drain_frames(conn_id, c, batch, stats, limiter.as_deref_mut());
                 if c.dead || c.pending.len() >= max_inflight {
                     break;
                 }
@@ -800,8 +821,7 @@ fn drain_frames(
     c: &mut Conn,
     batch: &mut Vec<(u64, Request)>,
     stats: &NetStats,
-    rate: Option<&bm_core::TenantRate>,
-    buckets: &mut HashMap<u64, Bucket>,
+    mut limiter: Option<&mut TenantBuckets>,
 ) {
     loop {
         match wire::decode_frame(&c.rbuf) {
@@ -820,13 +840,8 @@ fn drain_frames(
                     }
                 };
                 let (seq, tag) = c.next_tag(conn_id);
-                if let Some(r) = rate {
-                    let now = Instant::now();
-                    let bucket = buckets.entry(tenant_key(req.tenant)).or_insert(Bucket {
-                        tokens: f64::from(r.burst),
-                        last: now,
-                    });
-                    if !bucket.admit(r.per_sec, f64::from(r.burst), now) {
+                if let Some(l) = &mut limiter {
+                    if !l.admit(req.tenant, Instant::now()) {
                         stats.rate_limited.fetch_add(1, Ordering::Relaxed);
                         c.pending.push_back(PendingResp {
                             corr: frame.correlation,
@@ -939,5 +954,172 @@ fn outcome_response(outcome: ServedOutcome) -> NetResponse {
         }
         ServedOutcome::Expired(timing) => NetResponse::Expired { timing },
         _ => NetResponse::ShutDown,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    //! Polled-vs-epoll readiness backend identity, and the tenant
+    //! limiter's bound.
+    //!
+    //! The platform picks the backend, so only code inside the crate can
+    //! put a server on the polled scan where epoll exists. These tests
+    //! drive the same deterministic workload through a server on each
+    //! backend — including under idle-connection load and mid-stream
+    //! disconnects — and assert the response streams are
+    //! **byte-identical** once run-dependent timing is zeroed
+    //! (wall-clock timing is the one field that legitimately differs
+    //! between two runs of anything).
+
+    use super::*;
+    use crate::{encode_response, NetClient};
+    use bm_core::{RuntimeOptions, ServeConfig};
+    use bm_model::{LstmLm, LstmLmConfig, RequestInput};
+
+    fn model() -> Arc<dyn Model> {
+        Arc::new(LstmLm::new(LstmLmConfig::default()))
+    }
+
+    /// A two-shard server on the platform's backend, or forced onto the
+    /// polled scan.
+    fn bind(polled: bool) -> NetServer {
+        let opts = NetServerOptions::new()
+            .runtime(RuntimeOptions::new().serve_config(ServeConfig::new().shards(2)));
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let backend = if polled {
+            Backend::Polled
+        } else {
+            Backend::for_platform(&listener)
+        };
+        NetServer::serve(model(), opts, listener, backend).expect("serve")
+    }
+
+    /// Re-encodes a response with its (run-dependent) timing zeroed so
+    /// two runs can be byte-compared: everything else — status tags,
+    /// executed counts, every decoded token — must match exactly.
+    fn canonical_bytes(corr: u32, resp: &NetResponse) -> Vec<u8> {
+        let mut resp = resp.clone();
+        match &mut resp {
+            NetResponse::Completed { timing, .. } | NetResponse::Expired { timing } => {
+                timing.arrival_us = 0;
+                timing.start_us = 0;
+                timing.completion_us = 0;
+            }
+            _ => {}
+        }
+        let mut buf = Vec::new();
+        encode_response(&mut buf, corr, &resp);
+        buf
+    }
+
+    /// The deterministic request mix both backends serve.
+    fn request(i: usize) -> Request {
+        let len = 2 + (i % 7);
+        Request::new(RequestInput::Sequence(vec![1 + (i as u32 % 50); len]))
+    }
+
+    /// Runs one server under the shared workload and returns the
+    /// canonical response bytes in submission order. `idle_conns`
+    /// sockets connect and stay silent for the whole run; with
+    /// `disconnect_midstream`, an extra client submits requests and
+    /// vanishes without reading any responses.
+    fn run_workload(polled: bool, idle_conns: usize, disconnect_midstream: bool) -> Vec<Vec<u8>> {
+        let server = bind(polled);
+        if polled {
+            assert_eq!(server.readiness_backend(), "polled");
+        }
+        let addr = server.local_addr();
+
+        let _idle: Vec<TcpStream> = (0..idle_conns)
+            .map(|_| TcpStream::connect(addr).expect("idle connect"))
+            .collect();
+
+        if disconnect_midstream {
+            let mut ghost = NetClient::connect(addr).expect("ghost connect");
+            for i in 0..8 {
+                ghost.send(&request(i)).expect("ghost send");
+            }
+            drop(ghost); // mid-stream disconnect with responses in flight
+        }
+
+        let mut client = NetClient::connect(addr).expect("connect");
+        let n = 48;
+        let corrs: Vec<u32> = (0..n)
+            .map(|i| client.send(&request(i)).expect("send"))
+            .collect();
+        let mut by_corr: Vec<Option<Vec<u8>>> = vec![None; n];
+        for _ in 0..n {
+            let (corr, resp) = client.recv().expect("recv");
+            let idx = corrs.iter().position(|&c| c == corr).expect("known corr");
+            assert!(by_corr[idx].is_none(), "duplicate response for {corr}");
+            assert!(
+                matches!(resp, NetResponse::Completed { .. }),
+                "expected completion, got {resp:?}"
+            );
+            by_corr[idx] = Some(canonical_bytes(corr, &resp));
+        }
+
+        let stats = server.stats();
+        assert_eq!(stats.protocol_errors, 0);
+        assert!(stats.completed >= n as u64);
+        server.shutdown();
+        by_corr
+            .into_iter()
+            .map(|b| b.expect("all answered"))
+            .collect()
+    }
+
+    #[test]
+    fn backends_byte_identical_on_clean_workload() {
+        let polled = run_workload(true, 0, false);
+        if !readiness::SUPPORTED {
+            return; // no epoll to compare against on this platform
+        }
+        let epoll = run_workload(false, 0, false);
+        assert_eq!(polled, epoll, "backends diverged on a clean workload");
+    }
+
+    #[test]
+    fn backends_byte_identical_under_idle_load_and_disconnects() {
+        let polled = run_workload(true, 64, true);
+        if !readiness::SUPPORTED {
+            return;
+        }
+        let epoll = run_workload(false, 64, true);
+        assert_eq!(
+            polled, epoll,
+            "backends diverged under idle connections + mid-stream disconnect"
+        );
+    }
+
+    /// A client cycling through tenant ids must not grow the bucket map
+    /// without bound — and sweeping must not hand an active tenant a
+    /// fresh bucket.
+    #[test]
+    fn cycling_tenants_keep_the_bucket_map_bounded() {
+        // 10 req/s, burst 2: a bucket is back at `burst` 0.2 s after
+        // its last token.
+        let mut limiter = TenantBuckets::new(TenantRate::new(10.0, 2));
+        let t0 = Instant::now();
+        let (mut active_admitted, mut peak) = (0u32, 0usize);
+        // 20 s of traffic at 1 kHz: every millisecond the active tenant
+        // and one never-seen-before tenant each send a request.
+        for ms in 0..20_000u32 {
+            let now = t0 + Duration::from_millis(u64::from(ms));
+            if limiter.admit(Some(7), now) {
+                active_admitted += 1;
+            }
+            assert!(limiter.admit(Some(1_000 + ms), now), "fresh tenant {ms}");
+            peak = peak.max(limiter.buckets.len());
+        }
+        assert!(
+            peak <= 2 * TENANT_BUCKETS_SWEEP,
+            "{peak} buckets for 20 000 tenants"
+        );
+        // 20 s at 10/s plus the initial burst — not the 20 000 asked for.
+        assert!(
+            (200..=203).contains(&active_admitted),
+            "active tenant admitted {active_admitted} times"
+        );
     }
 }

@@ -1,12 +1,9 @@
 //! The open-loop simulation driver.
 
-use std::sync::Arc;
-
 use bm_core::{Request, ServeConfig};
 use bm_metrics::{LatencyRecorder, RequestTiming};
 use bm_model::RequestInput;
-use bm_telemetry::Telemetry;
-use bm_trace::{EventKind, RejectReason, TraceEvent, TraceSink};
+use bm_trace::{EventKind, RejectReason, TraceEvent};
 
 use crate::event::EventQueue;
 use crate::server::{Server, SimRequest};
@@ -16,18 +13,23 @@ use crate::server::{Server, SimRequest};
 /// The serving knobs shared with the threaded runtime — policy,
 /// deadlines, admission cap, observability sinks — live
 /// in the embedded [`ServeConfig`] (`serve`), so a deployment
-/// configures them once for simulator and runtime alike; the fluent
-/// setters below delegate into it. The remaining fields are
-/// simulation-only. (`queue_cap`, `shards` and `tenant_rate` in the
-/// serve config have no simulator equivalent and are ignored.)
+/// configures them once for simulator and runtime alike and hands the
+/// finished config over with [`SimOptions::serve_config`]. The
+/// remaining fields are simulation-only. (`queue_cap`, `shards` and
+/// `tenant_rate` in the serve config have no simulator equivalent and
+/// are ignored.)
 ///
 /// Built fluently (`#[non_exhaustive]` forbids out-of-crate literal
 /// construction so new knobs can be added compatibly):
 ///
 /// ```
+/// use bm_core::ServeConfig;
 /// use bm_sim::SimOptions;
 ///
-/// let opts = SimOptions::new().workers(4).deadline_us(50_000).warmup(100);
+/// let opts = SimOptions::new()
+///     .workers(4)
+///     .serve_config(ServeConfig::new().deadline_us(50_000))
+///     .warmup(100);
 /// assert_eq!(opts.workers, 4);
 /// assert_eq!(opts.serve.deadline_us, Some(50_000));
 /// ```
@@ -56,7 +58,8 @@ pub struct SimOptions {
     pub pipeline_depth: usize,
     /// Shared serving knobs (see [`ServeConfig`]):
     ///
-    /// - `deadline_us` — default relative deadline; a request not
+    /// - `deadline_us` — default relative deadline (overridable per
+    ///   request via [`Request::deadline_us`]); a request not
     ///   completed by its deadline is cancelled on the server (see
     ///   [`Server::cancel`]) and counted in [`SimOutcome::expired`].
     /// - `max_active` — admission cap; arrivals beyond it are dropped
@@ -96,8 +99,7 @@ impl SimOptions {
         self
     }
 
-    /// Replaces the embedded [`ServeConfig`] wholesale; call it before
-    /// the delegating setters below (they edit it in place).
+    /// Sets the embedded [`ServeConfig`].
     pub fn serve_config(mut self, serve: ServeConfig) -> Self {
         self.serve = serve;
         self
@@ -124,37 +126,6 @@ impl SimOptions {
     /// Sets per-worker speed factors.
     pub fn worker_speeds(mut self, speeds: Vec<f64>) -> Self {
         self.worker_speeds = Some(speeds);
-        self
-    }
-
-    /// Applies a default relative deadline to every request, µs from
-    /// arrival (overridable per request via [`Request::deadline_us`]).
-    pub fn deadline_us(mut self, d: u64) -> Self {
-        self.serve.deadline_us = Some(d);
-        self
-    }
-
-    /// Caps concurrently admitted requests.
-    pub fn max_active(mut self, cap: usize) -> Self {
-        self.serve.max_active = Some(cap);
-        self
-    }
-
-    /// Installs a batch-formation policy on the server at run start.
-    pub fn policy(mut self, kind: bm_core::PolicyKind) -> Self {
-        self.serve.policy = Some(kind);
-        self
-    }
-
-    /// Routes driver-level trace events to `sink`.
-    pub fn trace(mut self, sink: Arc<dyn TraceSink>) -> Self {
-        self.serve.trace = sink;
-        self
-    }
-
-    /// Records driver-level metrics into `tel`.
-    pub fn telemetry(mut self, tel: Arc<Telemetry>) -> Self {
-        self.serve.telemetry = tel;
         self
     }
 }

@@ -128,8 +128,7 @@ fn sim_options_builder_preserves_defaults() {
         .workers(4)
         .max_sim_us(1_000)
         .warmup(10)
-        .deadline_us(99)
-        .max_active(7);
+        .serve_config(bm_core::ServeConfig::new().deadline_us(99).max_active(7));
     assert_eq!((opts.workers, opts.max_sim_us, opts.warmup), (4, 1_000, 10));
     assert_eq!(opts.serve.deadline_us, Some(99));
     assert_eq!(opts.serve.max_active, Some(7));

@@ -4,8 +4,10 @@
 //! [`Telemetry`] registry every `period`, keeps the most recent
 //! snapshot for [`Scraper::latest`], and optionally hands each one to a
 //! callback (the harness uses this to print live stats lines during a
-//! load run). [`Scraper::stop`] joins the thread and returns one final,
-//! fresh snapshot so callers always end with a complete view.
+//! load run). [`Scraper::start_with`] scrapes any snapshot source — a
+//! runtime's per-shard rollup, say — the same way. [`Scraper::stop`]
+//! joins the thread and returns one final, fresh snapshot so callers
+//! always end with a complete view.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -16,29 +18,37 @@ use crate::registry::Telemetry;
 use crate::snapshot::Snapshot;
 
 /// Handle to a running scraper thread.
-#[derive(Debug)]
 pub struct Scraper {
     stop: Arc<AtomicBool>,
     latest: Arc<Mutex<Option<Snapshot>>>,
     handle: Option<thread::JoinHandle<()>>,
-    tel: Arc<Telemetry>,
+    source: Arc<dyn Fn() -> Snapshot + Send + Sync>,
+}
+
+impl std::fmt::Debug for Scraper {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Scraper").finish_non_exhaustive()
+    }
 }
 
 impl Scraper {
     /// Starts a scraper that snapshots `tel` every `period`.
     pub fn start(tel: Arc<Telemetry>, period: Duration) -> Scraper {
-        Scraper::start_with(tel, period, |_| {})
+        Scraper::start_with(move || tel.snapshot(), period, |_| {})
     }
 
-    /// Starts a scraper that also passes each snapshot to `observer`.
-    pub fn start_with<F>(tel: Arc<Telemetry>, period: Duration, mut observer: F) -> Scraper
+    /// Starts a scraper that takes a snapshot from `source` every
+    /// `period` and passes each one to `observer`.
+    pub fn start_with<S, F>(source: S, period: Duration, mut observer: F) -> Scraper
     where
+        S: Fn() -> Snapshot + Send + Sync + 'static,
         F: FnMut(&Snapshot) + Send + 'static,
     {
+        let source: Arc<dyn Fn() -> Snapshot + Send + Sync> = Arc::new(source);
         let stop = Arc::new(AtomicBool::new(false));
         let latest = Arc::new(Mutex::new(None));
         let handle = {
-            let tel = Arc::clone(&tel);
+            let source = Arc::clone(&source);
             let stop = Arc::clone(&stop);
             let latest = Arc::clone(&latest);
             thread::Builder::new()
@@ -55,7 +65,7 @@ impl Scraper {
                             let left = deadline.saturating_duration_since(Instant::now());
                             thread::sleep(left.min(Duration::from_millis(5)));
                         }
-                        let snap = tel.snapshot();
+                        let snap = source();
                         observer(&snap);
                         *latest.lock().unwrap() = Some(snap);
                     }
@@ -66,7 +76,7 @@ impl Scraper {
             stop,
             latest,
             handle: Some(handle),
-            tel,
+            source,
         }
     }
 
@@ -81,7 +91,7 @@ impl Scraper {
         if let Some(h) = self.handle.take() {
             let _ = h.join();
         }
-        self.tel.snapshot()
+        (self.source)()
     }
 }
 
@@ -105,9 +115,14 @@ mod tests {
         let c = tel.counter("ticks");
         let seen = Arc::new(AtomicUsize::new(0));
         let seen2 = Arc::clone(&seen);
-        let scraper = Scraper::start_with(Arc::clone(&tel), Duration::from_millis(5), move |_| {
-            seen2.fetch_add(1, Ordering::Relaxed);
-        });
+        let source = Arc::clone(&tel);
+        let scraper = Scraper::start_with(
+            move || source.snapshot(),
+            Duration::from_millis(5),
+            move |_| {
+                seen2.fetch_add(1, Ordering::Relaxed);
+            },
+        );
         c.add(7);
         // Wait for at least one periodic scrape.
         let t0 = Instant::now();

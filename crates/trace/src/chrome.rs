@@ -12,10 +12,8 @@
 //! - **flow arrows per request** (`ph` `s`/`t`/`f`, flow id = request
 //!   id) connecting the batched tasks a request participated in, in
 //!   execution order — the visual form of a per-request timeline;
-//! - a **counter track per worker** (`ph` `C`) sampling its pipeline
-//!   occupancy (tasks dispatched but not completed), so dispatch
-//!   bubbles — a worker idling at depth 0 while work exists — show up
-//!   as gaps in the counter graph.
+//! - a **busy counter track per worker** (`ph` `C`) toggling 1/0 at
+//!   slice edges, so idle gaps show up in the counter graph.
 //!
 //! The output is the JSON-object form (`{"traceEvents": [...]}`), which
 //! both Perfetto and `chrome://tracing` load directly. All timestamps
@@ -227,9 +225,8 @@ pub fn chrome_trace_with_meta(events: &[TraceEvent], dropped_events: u64) -> Str
         );
         // Busy/idle utilization as a 0/1 counter track per worker:
         // workers execute their slices serially, so toggling at slice
-        // edges renders exact busy windows next to the pipeline-depth
-        // track. Rank keeps the falling edge before a back-to-back
-        // rising edge at the same ts.
+        // edges renders exact busy windows. Rank keeps the falling edge
+        // before a back-to-back rising edge at the same ts.
         e.push(
             *start,
             Rank::Begin,
@@ -392,15 +389,6 @@ pub fn chrome_trace_with_meta(events: &[TraceEvent], dropped_events: u64) -> Str
                      \"cancelled\":{cancelled}"
                 ),
             ),
-            EventKind::WorkerQueueDepth { worker, depth } => e.push(
-                ts,
-                Rank::Instant,
-                format!(
-                    "{{\"name\":\"worker {worker} pipeline\",\"cat\":\"scheduler\",\
-                     \"ph\":\"C\",\"ts\":{ts},\"pid\":{PID},\"tid\":{worker},\
-                     \"args\":{{\"depth\":{depth}}}}}"
-                ),
-            ),
             EventKind::TaskStarted { .. } | EventKind::TaskCompleted { .. } => {}
         }
     }
@@ -447,21 +435,6 @@ mod tests {
         let json = chrome_trace(&events);
         assert!(json.contains("\"ph\":\"B\",\"ts\":10"));
         assert!(json.contains("\"ph\":\"E\",\"ts\":11"));
-    }
-
-    #[test]
-    fn queue_depth_becomes_a_counter_event() {
-        let events = vec![TraceEvent {
-            ts_us: 30,
-            kind: EventKind::WorkerQueueDepth {
-                worker: 1,
-                depth: 3,
-            },
-        }];
-        let json = chrome_trace(&events);
-        assert!(json.contains("\"name\":\"worker 1 pipeline\""));
-        assert!(json.contains("\"ph\":\"C\""));
-        assert!(json.contains("\"depth\":3"));
     }
 
     #[test]

@@ -209,21 +209,10 @@ pub enum EventKind {
         /// running to completion.
         cancelled: bool,
     },
-    /// A worker's in-flight task count (pipeline occupancy) changed.
-    /// Sampled by the manager on every change and exported as a Chrome
-    /// trace counter track, so pipeline bubbles — windows where a
-    /// worker's queue drained to zero while work existed — are directly
-    /// visible in Perfetto.
-    WorkerQueueDepth {
-        /// The worker.
-        worker: u32,
-        /// Unfinished tasks dispatched to it (queued + executing).
-        depth: u32,
-    },
 }
 
 /// Number of distinct [`EventKind`] variants (for counter sinks).
-pub const NUM_EVENT_KINDS: usize = 12;
+pub const NUM_EVENT_KINDS: usize = 11;
 
 impl EventKind {
     /// Dense index of the variant, `0..NUM_EVENT_KINDS`.
@@ -240,7 +229,6 @@ impl EventKind {
             EventKind::CancelRequested { .. } => 8,
             EventKind::RequestExpired { .. } => 9,
             EventKind::RequestCompleted { .. } => 10,
-            EventKind::WorkerQueueDepth { .. } => 11,
         }
     }
 
@@ -262,8 +250,7 @@ impl EventKind {
             | EventKind::RequestCompleted { request, .. } => Some(*request),
             EventKind::BatchFormed { .. }
             | EventKind::TaskStarted { .. }
-            | EventKind::TaskCompleted { .. }
-            | EventKind::WorkerQueueDepth { .. } => None,
+            | EventKind::TaskCompleted { .. } => None,
         }
     }
 }
@@ -281,7 +268,6 @@ pub const KIND_NAMES: [&str; NUM_EVENT_KINDS] = [
     "cancel_requested",
     "request_expired",
     "request_completed",
-    "worker_queue_depth",
 ];
 
 #[cfg(test)]
@@ -341,10 +327,6 @@ mod tests {
                 executed: 1,
                 total: 1,
                 cancelled: false,
-            },
-            EventKind::WorkerQueueDepth {
-                worker: 0,
-                depth: 2,
             },
         ];
         assert_eq!(kinds.len(), NUM_EVENT_KINDS);

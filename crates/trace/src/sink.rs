@@ -200,9 +200,7 @@ impl TraceSink for RingBufferSink {
 /// - [`EventKind::BatchFormed`] is kept when *any* member request is
 ///   kept; its task id is then remembered so the matching
 ///   [`EventKind::TaskStarted`]/[`EventKind::TaskCompleted`] pair is
-///   kept too (and forgotten at completion);
-/// - [`EventKind::WorkerQueueDepth`] counter samples are always kept —
-///   they are already bounded and aggregate across requests.
+///   kept too (and forgotten at completion).
 #[derive(Debug)]
 pub struct SamplingSink {
     inner: Arc<dyn TraceSink>,
@@ -269,7 +267,6 @@ impl TraceSink for SamplingSink {
             }
             EventKind::TaskStarted { task, .. } => self.kept_tasks.lock().contains(task),
             EventKind::TaskCompleted { task, .. } => self.kept_tasks.lock().remove(task),
-            EventKind::WorkerQueueDepth { .. } => true,
             kind => match kind.request() {
                 Some(r) => self.keeps(r),
                 // Every remaining variant names exactly one request;
@@ -422,17 +419,9 @@ mod tests {
                 },
             });
         }
-        // Depth samples always pass.
-        s.record(TraceEvent {
-            ts_us: 5,
-            kind: EventKind::WorkerQueueDepth {
-                worker: 0,
-                depth: 1,
-            },
-        });
         let events = ring.events();
-        // All 5 events of the kept request plus the depth sample.
-        assert_eq!(events.len(), 6);
+        // All 5 events of the kept request.
+        assert_eq!(events.len(), 5);
         assert_eq!(s.sampled_out(), 5);
         for e in &events {
             if let Some(r) = e.kind.request() {

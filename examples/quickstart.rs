@@ -22,8 +22,8 @@ fn main() {
         ..Default::default()
     }));
 
-    // One shard; `ShardedRuntime` with `ServeConfig::shards(n)` uses
-    // more cores.
+    // Default options: half the host's cores as scheduler shards
+    // (`ServeConfig::shards(n)` to choose).
     let runtime = Runtime::start(Arc::clone(&model) as Arc<dyn Model>, RuntimeOptions::new());
 
     // "system research is", "kids love dogs", ... as token ids.

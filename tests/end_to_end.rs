@@ -4,14 +4,14 @@
 
 use std::sync::Arc;
 
-use bm_core::{Runtime, RuntimeOptions, ServeConfig, ShardedRuntime, SubmitError};
+use bm_core::{Runtime, RuntimeOptions, ServeConfig, SubmitError};
 use bm_model::{reference, LstmLm, Model, RequestInput, Seq2Seq, TreeLstm};
 use bm_workload::{Dataset, LengthDistribution};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 fn serve_and_verify(model: Arc<dyn Model>, inputs: &[RequestInput], shards: usize) -> Vec<u64> {
-    let rt = ShardedRuntime::start(
+    let rt = Runtime::start(
         Arc::clone(&model),
         RuntimeOptions::new().serve_config(ServeConfig::new().shards(shards)),
     );
