@@ -92,10 +92,10 @@ impl GruCell {
     }
 
     /// Scratch-arena variant of [`GruCell::execute_batch`]: gathers
-    /// straight into a scratch `[x, h]` buffer, runs fused affines with
-    /// in-place activations, and rewrites the buffer's right half to
-    /// `r * h` for the candidate gate instead of concatenating afresh —
-    /// bitwise identical to the unfused chain.
+    /// straight into a scratch `[x, h]` buffer, runs fused affines and
+    /// the two fused gate kernels, and rewrites the buffer's right half
+    /// to `r * h` for the candidate gate instead of concatenating afresh
+    /// — bitwise identical to the unfused chain.
     pub fn execute_batch_in(
         &self,
         inputs: &[InvocationInput<'_>],
@@ -134,29 +134,20 @@ impl GruCell {
                 more => panic!("gru invocation with {} states", more.len()),
             }
         }
-        let mut r_gate = s.take(batch, hsz);
+        // Gate buffers are fully overwritten by the affines.
+        let mut r_gate = s.take_dirty(batch, hsz);
         ops::affine_into(&xh, &self.wr, &self.br, &mut r_gate);
-        ops::sigmoid_inplace(&mut r_gate);
-        let mut z_gate = s.take(batch, hsz);
+        let mut z_gate = s.take_dirty(batch, hsz);
         ops::affine_into(&xh, &self.wz, &self.bz, &mut z_gate);
-        ops::sigmoid_inplace(&mut z_gate);
         // Turn [x, h] into [x, r * h] in place for the candidate gate.
-        for row in 0..batch {
-            let xh_row = xh.row_mut(row);
-            let rr = r_gate.row(row);
-            for j in 0..hsz {
-                xh_row[e + j] = rr[j] * h.row(row)[j];
-            }
-        }
-        let mut n_gate = s.take(batch, hsz);
+        ops::gru_reset_rows(&r_gate, &h, batch, &mut xh);
+        let mut n_gate = s.take_dirty(batch, hsz);
         ops::affine_into(&xh, &self.wn, &self.bn, &mut n_gate);
-        ops::tanh_inplace(&mut n_gate);
-        let mut h_new = s.take(batch, hsz);
-        ops::gru_combine(&z_gate, &n_gate, &h, &mut h_new);
+        ops::gru_update_rows(&z_gate, &n_gate, batch, &mut h);
         for row in 0..batch {
-            emit(row, h_new.row(row), &[], None);
+            emit(row, h.row(row), &[], None);
         }
-        for m in [xh, h, r_gate, z_gate, n_gate, h_new] {
+        for m in [xh, h, r_gate, z_gate, n_gate] {
             s.put(m);
         }
     }
@@ -177,9 +168,10 @@ impl GruCell {
     /// Resident-state executor: refreshes `xh` rows from the resident
     /// `aux` hidden state (one `hidden`-float copy per row — retained
     /// because the candidate gate destroys `xh`'s right half), runs the
-    /// three fused prefix affines, and combines the new hidden state
-    /// into `aux` in place. Emits `(row, h, [], None)` per row, bitwise
-    /// identical to [`GruCell::execute_rows_in`] over equal state rows.
+    /// three fused prefix affines and the two gate kernels, and updates
+    /// the hidden state in `aux` in place. Emits `(row, h, [], None)` per
+    /// row, bitwise identical to [`GruCell::execute_rows_in`] over equal
+    /// state rows.
     pub fn step_resident<F>(
         &self,
         xh: &mut Matrix,
@@ -210,25 +202,13 @@ impl GruCell {
         // Gate buffers are fully overwritten by the affines.
         let mut r_gate = s.take_dirty(rows, hsz);
         ops::affine_rows_into(xh, rows, &self.wr, &self.br, &mut r_gate, pool);
-        ops::sigmoid_inplace(&mut r_gate);
         let mut z_gate = s.take_dirty(rows, hsz);
         ops::affine_rows_into(xh, rows, &self.wz, &self.bz, &mut z_gate, pool);
-        ops::sigmoid_inplace(&mut z_gate);
         // Turn [x, h] into [x, r * h] in place for the candidate gate.
-        for row in 0..rows {
-            let xh_row = xh.row_mut(row);
-            let rr = r_gate.row(row);
-            let hr = aux.row(row);
-            for j in 0..hsz {
-                xh_row[e + j] = rr[j] * hr[j];
-            }
-        }
+        ops::gru_reset_rows(&r_gate, aux, rows, xh);
         let mut n_gate = s.take_dirty(rows, hsz);
         ops::affine_rows_into(xh, rows, &self.wn, &self.bn, &mut n_gate, pool);
-        ops::tanh_inplace(&mut n_gate);
-        for row in 0..rows {
-            ops::gru_combine_row_inplace(z_gate.row(row), n_gate.row(row), aux.row_mut(row));
-        }
+        ops::gru_update_rows(&z_gate, &n_gate, rows, aux);
         for row in 0..rows {
             emit(row, aux.row(row), &[], None);
         }

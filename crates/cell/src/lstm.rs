@@ -130,10 +130,12 @@ impl LstmCore {
         debug_assert_eq!(xh.cols(), self.input_size + self.hidden_size);
         debug_assert_eq!(c_prev.cols(), self.hidden_size);
         let batch = xh.rows();
-        let mut z = s.take(batch, 4 * self.hidden_size);
+        // All three are fully overwritten: `z` by the affine, `h_new`
+        // and `c_new` by the gate kernel.
+        let mut z = s.take_dirty(batch, 4 * self.hidden_size);
         ops::affine_into(xh, &self.w, &self.b, &mut z);
-        let mut h_new = s.take(batch, self.hidden_size);
-        let mut c_new = s.take(batch, self.hidden_size);
+        let mut h_new = s.take_dirty(batch, self.hidden_size);
+        let mut c_new = s.take_dirty(batch, self.hidden_size);
         ops::lstm_gates(&z, c_prev, &mut h_new, &mut c_new);
         s.put(z);
         (h_new, c_new)
@@ -150,14 +152,14 @@ impl LstmCore {
     /// full `[x|h]·W` when `embed == hidden`, and zero state movement
     /// at steady state. Without it (oversized vocabulary), tokens embed
     /// into the left columns of `xh` and one full prefix affine runs as
-    /// the gather path would. Either way the per-row gate kernel then
-    /// overwrites the hidden and cell state in place.
+    /// the gather path would. Either way one gate-kernel call over the
+    /// row prefix then overwrites the hidden and cell state in place.
     ///
     /// Bitwise identical per row to `gather_chain_xh` + [`step_in`]
     /// over the same rows: the split affine continues the same
     /// ascending-`k` fold with the bias added once at the end (see
-    /// [`TokenProj`]), and the gate kernel evaluates the same
-    /// expression tree ([`ops::lstm_gates_row_inplace`]).
+    /// [`TokenProj`]), and the gate kernel is the one [`step_in`] runs
+    /// ([`ops::lstm_gates_rows_inplace`]).
     ///
     /// [`step_in`]: LstmCore::step_in
     pub fn step_resident_chain(
@@ -192,9 +194,7 @@ impl LstmCore {
                 &mut z,
                 ops::auto_pool(rows, hsz, 4 * hsz),
             );
-            for r in 0..rows {
-                ops::lstm_gates_row_inplace(z.row(r), xh.row_mut(r), c.row_mut(r));
-            }
+            ops::lstm_gates_rows_inplace(&z, rows, xh, 0, c);
             s.put(z);
             return;
         }
@@ -219,9 +219,7 @@ impl LstmCore {
             &mut z,
             ops::auto_pool(rows, e + hsz, 4 * hsz),
         );
-        for r in 0..rows {
-            ops::lstm_gates_row_inplace(z.row(r), &mut xh.row_mut(r)[e..], c.row_mut(r));
-        }
+        ops::lstm_gates_rows_inplace(&z, rows, xh, e, c);
         s.put(z);
     }
 }

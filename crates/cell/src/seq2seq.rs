@@ -259,7 +259,8 @@ impl DecoderCell {
             s,
         );
         let (h2, c2) = self.core.step_in(&xh, &c, s);
-        let mut logits = s.take(inputs.len(), self.vocab_size());
+        // Fully overwritten by the affine.
+        let mut logits = s.take_dirty(inputs.len(), self.vocab_size());
         ops::affine_into(&h2, &self.proj_w, &self.proj_b, &mut logits);
         let words = ops::argmax(&logits);
         for (r, w) in words.into_iter().enumerate() {

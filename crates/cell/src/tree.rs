@@ -115,20 +115,19 @@ impl TreeLeafCell {
             .collect();
         let batch = inputs.len();
         let hsz = self.hidden_size;
-        let mut x = s.take(batch, self.embed_size);
+        // Every buffer is fully overwritten: `x` by the lookup, the
+        // pre-activations by the affines, `h`/`c` by the gate kernel.
+        let mut x = s.take_dirty(batch, self.embed_size);
         ops::embedding_into(&self.embed, &ids, &mut x);
-        let mut i = s.take(batch, hsz);
+        let mut i = s.take_dirty(batch, hsz);
         ops::affine_into(&x, &self.wi, &self.bi, &mut i);
-        ops::sigmoid_inplace(&mut i);
-        let mut o = s.take(batch, hsz);
+        let mut o = s.take_dirty(batch, hsz);
         ops::affine_into(&x, &self.wo, &self.bo, &mut o);
-        ops::sigmoid_inplace(&mut o);
-        let mut u = s.take(batch, hsz);
+        let mut u = s.take_dirty(batch, hsz);
         ops::affine_into(&x, &self.wu, &self.bu, &mut u);
-        ops::tanh_inplace(&mut u);
-        let mut h = s.take(batch, hsz);
-        let mut c = s.take(batch, hsz);
-        ops::tree_leaf_combine(&i, &o, &u, &mut h, &mut c);
+        let mut h = s.take_dirty(batch, hsz);
+        let mut c = s.take_dirty(batch, hsz);
+        ops::tree_leaf_gates(&i, &o, &u, &mut h, &mut c);
         emit_states(&h, &c, &mut emit);
         for m in [x, i, o, u, h, c] {
             s.put(m);
@@ -266,9 +265,12 @@ impl TreeInternalCell {
     {
         let batch = inputs.len();
         let hsz = self.hidden_size;
-        let mut hs = s.take(batch, 2 * hsz);
-        let mut cl = s.take(batch, hsz);
-        let mut cr = s.take(batch, hsz);
+        // Every buffer is fully overwritten: the child states by the
+        // copies below, the pre-activations by the affines, `h_out`/`c`
+        // by the gate kernel.
+        let mut hs = s.take_dirty(batch, 2 * hsz);
+        let mut cl = s.take_dirty(batch, hsz);
+        let mut cr = s.take_dirty(batch, hsz);
         for (r, inv) in inputs.iter().enumerate() {
             let [left, right] = match inv.states() {
                 [l, r] => [l, r],
@@ -283,24 +285,19 @@ impl TreeInternalCell {
             cl.row_mut(r).copy_from_slice(left.c);
             cr.row_mut(r).copy_from_slice(right.c);
         }
-        let mut i = s.take(batch, hsz);
+        let mut i = s.take_dirty(batch, hsz);
         ops::affine_into(&hs, &self.wi, &self.bi, &mut i);
-        ops::sigmoid_inplace(&mut i);
-        let mut fl = s.take(batch, hsz);
+        let mut fl = s.take_dirty(batch, hsz);
         ops::affine_into(&hs, &self.wfl, &self.bfl, &mut fl);
-        ops::sigmoid_inplace(&mut fl);
-        let mut fr = s.take(batch, hsz);
+        let mut fr = s.take_dirty(batch, hsz);
         ops::affine_into(&hs, &self.wfr, &self.bfr, &mut fr);
-        ops::sigmoid_inplace(&mut fr);
-        let mut o = s.take(batch, hsz);
+        let mut o = s.take_dirty(batch, hsz);
         ops::affine_into(&hs, &self.wo, &self.bo, &mut o);
-        ops::sigmoid_inplace(&mut o);
-        let mut u = s.take(batch, hsz);
+        let mut u = s.take_dirty(batch, hsz);
         ops::affine_into(&hs, &self.wu, &self.bu, &mut u);
-        ops::tanh_inplace(&mut u);
-        let mut h_out = s.take(batch, hsz);
-        let mut c = s.take(batch, hsz);
-        ops::tree_internal_combine(&i, &fl, &fr, &o, &u, &cl, &cr, &mut h_out, &mut c);
+        let mut h_out = s.take_dirty(batch, hsz);
+        let mut c = s.take_dirty(batch, hsz);
+        ops::tree_internal_gates(&i, &fl, &fr, &o, &u, &cl, &cr, &mut h_out, &mut c);
         emit_states(&h_out, &c, &mut emit);
         for m in [hs, cl, cr, i, fl, fr, o, u, h_out, c] {
             s.put(m);

@@ -4,9 +4,10 @@
 //! assert what *one* shard does (a cap, a wake-up count, who shares a
 //! batch) pin `.shards(1)`, so they hold on any core count.
 
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Barrier};
 
-use bm_core::{Runtime, RuntimeOptions, ServeConfig};
+use bm_core::{CompletionQueue, CompletionReceiver, Runtime, RuntimeOptions, ServeConfig};
 use bm_model::{reference, LstmLm, Model, RequestInput, Seq2Seq, Seq2SeqConfig, TreeLstm};
 use bm_workload::{Dataset, LengthDistribution};
 use rand::rngs::StdRng;
@@ -19,6 +20,26 @@ fn serving(serve: ServeConfig) -> RuntimeOptions {
 
 fn sharded(shards: usize) -> RuntimeOptions {
     serving(ServeConfig::new().shards(shards))
+}
+
+/// A tagged completion queue whose waker parks the thread that delivers
+/// the first outcome — the shard thread — on the returned barrier: the
+/// test's first `wait()` returns once the shard is parked, its second
+/// releases it. Later outcomes wake nothing.
+fn parking_queue() -> (CompletionQueue, CompletionReceiver, Arc<Barrier>) {
+    let gate = Arc::new(Barrier::new(2));
+    let armed = AtomicBool::new(true);
+    let (queue, completions) = bm_core::completion_queue();
+    let queue = queue.with_waker({
+        let gate = Arc::clone(&gate);
+        Arc::new(move || {
+            if armed.swap(false, Ordering::SeqCst) {
+                gate.wait(); // parked
+                gate.wait(); // released
+            }
+        })
+    });
+    (queue, completions, gate)
 }
 
 fn check_against_reference(model: Arc<dyn Model>, inputs: &[RequestInput], shards: usize) {
@@ -587,30 +608,35 @@ proptest! {
 #[test]
 fn wait_timeout_distinguishes_pending_from_resolved() {
     use std::time::Duration;
-    let model: Arc<dyn Model> = Arc::new(LstmLm::small());
-    let rt = Runtime::start(Arc::clone(&model), RuntimeOptions::new());
 
-    // A long request polled with a zero-ish timeout: at least the first
-    // poll reports TimedOut rather than blocking or fabricating an
-    // outcome, and polling eventually yields the real completion.
-    let h = rt
-        .submit_request(RequestInput::Sequence(vec![1; 40]))
+    let model: Arc<dyn Model> = Arc::new(LstmLm::small());
+    let rt = Runtime::start(Arc::clone(&model), serving(ServeConfig::new().shards(1)));
+    // Park the one shard thread, so the request submitted next is
+    // pending for as long as the test wants, however fast a cell step
+    // is.
+    let (queue, completions, gate) = parking_queue();
+    rt.submit_request_tagged(RequestInput::Sequence(vec![1]), 0, &queue)
         .expect("submit");
-    let mut timed_out = false;
-    let outcome = loop {
-        match h.wait_timeout(Duration::from_micros(50)) {
-            Err(bm_core::WaitError::TimedOut) => timed_out = true,
-            Err(e) => panic!("unexpected wait error: {e}"),
-            Ok(outcome) => break outcome,
-        }
-    };
-    assert!(timed_out, "a 40-step request must outlive a 50µs poll");
-    let served = outcome.completed();
-    let expect = reference::execute_graph(
-        &model.unfold(&RequestInput::Sequence(vec![1; 40])),
-        model.registry(),
-    );
+    gate.wait();
+
+    // A pending request polled with a short timeout reports TimedOut
+    // rather than blocking or fabricating an outcome.
+    let input = RequestInput::Sequence(vec![1; 40]);
+    let h = rt.submit_request(&input).expect("submit");
+    assert!(matches!(
+        h.wait_timeout(Duration::from_micros(50)),
+        Err(bm_core::WaitError::TimedOut)
+    ));
+    gate.wait();
+    let served = h
+        .wait_timeout(Duration::from_secs(30))
+        .expect("resolves once the shard runs")
+        .completed();
+    let expect = reference::execute_graph(&model.unfold(&input), model.registry());
     assert_eq!(served.result, expect);
+    assert!(completions
+        .recv_timeout(Duration::from_secs(30))
+        .is_some_and(|(tag, outcome)| tag == 0 && outcome.is_completed()));
 
     // A resolved handle keeps answering without further timeouts.
     let h2 = rt
@@ -905,29 +931,15 @@ fn request_ids_are_distinct_across_shards_in_one_sink() {
 /// call.
 #[test]
 fn refusals_at_the_cap_do_not_unfold() {
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::Barrier;
-
     let model = TwoShapeLm::new();
     let rt = Runtime::start(
         Arc::clone(&model) as Arc<dyn Model>,
         serving(ServeConfig::new().shards(1).max_active(2)),
     );
-    // Park the shard thread inside the first outcome's waker (its slot
-    // is already released by then), so what is admitted next stays
+    // Park the shard thread once the first request has resolved (its
+    // slot is already released by then), so what is admitted next stays
     // active for as long as the test wants.
-    let gate = Arc::new(Barrier::new(2));
-    let armed = Arc::new(AtomicBool::new(true));
-    let (queue, completions) = completion_queue();
-    let queue = queue.with_waker({
-        let (gate, armed) = (Arc::clone(&gate), Arc::clone(&armed));
-        Arc::new(move || {
-            if armed.swap(false, Ordering::SeqCst) {
-                gate.wait(); // parked
-                gate.wait(); // released
-            }
-        })
-    });
+    let (queue, completions, gate) = parking_queue();
     let input = RequestInput::Sequence(vec![1, 2, 3]);
     rt.submit_request_tagged(&input, 0, &queue).expect("first");
     gate.wait();

@@ -1,0 +1,446 @@
+//! Fused gate kernels: one per cell kind, each a single pass from gate
+//! pre-activations to new state.
+//!
+//! After the packed GEMM the element-wise tail — five transcendentals
+//! per LSTM hidden unit — costs more than the product beside it at the
+//! batch sizes the server forms, so it is compiled like the GEMM
+//! (`gemm::gemm_block`): one generic body (`run_impl`) built only from
+//! the [`crate::activation`] scalars and f32 multiply/add, instantiated
+//! under AVX-512F, AVX2 and the baseline target and selected once per
+//! call. The scalars are fixed sequences of correctly rounded IEEE
+//! operations with no FMA, so every tier — and the scalar composition
+//! `sigmoid`/`tanh`/`mul`/`add` of [`crate::ops`] — produces the same
+//! bits (`tests::every_isa_tier_agrees_bit_for_bit`,
+//! `ops::tests::*_matches_composed_ops`).
+//!
+//! The row loops walk `split_at`/zipped slices with no indexing, which
+//! is what lets LLVM vectorise the whole body, transcendentals included
+//! (`scripts/check_kernel_asm.sh` checks that it did).
+
+use crate::activation::{sigmoid, tanh};
+use crate::matrix::Matrix;
+
+/// LSTM step over rows `0..rows`, in place: reads the previous cell
+/// state from `c` and writes the new one back, and writes the new hidden
+/// state into columns `h_col..h_col + hidden` of `h` (a `(.., hidden)`
+/// matrix with `h_col = 0`, or the right half of a resident `[x|h]`
+/// batch).
+///
+/// Per element, with `z = [i|f|g|o]`:
+/// `c' = (sigmoid(f) * c) + (sigmoid(i) * tanh(g))`,
+/// `h' = sigmoid(o) * tanh(c')`.
+///
+/// # Panics
+///
+/// Panics on shape mismatch or if `rows` exceeds any matrix.
+pub fn lstm_gates_rows_inplace(
+    z: &Matrix,
+    rows: usize,
+    h: &mut Matrix,
+    h_col: usize,
+    c: &mut Matrix,
+) {
+    let n = c.cols();
+    assert_eq!(z.cols(), 4 * n, "lstm_gates pre-activation width");
+    assert!(h_col + n <= h.cols(), "lstm_gates h columns");
+    assert!(
+        rows <= z.rows() && rows <= h.rows() && rows <= c.rows(),
+        "lstm_gates: rows exceeds a matrix"
+    );
+    run(GateOp::Lstm {
+        z,
+        rows,
+        h,
+        h_col,
+        c,
+    });
+}
+
+/// Out-of-place LSTM step: from pre-activations `z = [i|f|g|o]`
+/// (`(batch, 4h)`) and the previous cell state `c_prev` (`(batch, h)`),
+/// computes the new cell and hidden states into `c_out`/`h_out`. The
+/// same kernel as [`lstm_gates_rows_inplace`], run on a copy of
+/// `c_prev`.
+///
+/// # Panics
+///
+/// Panics on shape mismatch.
+pub fn lstm_gates(z: &Matrix, c_prev: &Matrix, h_out: &mut Matrix, c_out: &mut Matrix) {
+    let shape = c_prev.shape();
+    assert_eq!(z.rows(), shape.0, "lstm_gates pre-activation rows");
+    assert_eq!(h_out.shape(), shape, "lstm_gates h_out shape");
+    assert_eq!(c_out.shape(), shape, "lstm_gates c_out shape");
+    c_out.as_mut_slice().copy_from_slice(c_prev.as_slice());
+    lstm_gates_rows_inplace(z, shape.0, h_out, 0, c_out);
+}
+
+/// GRU reset over rows `0..rows`: writes `sigmoid(r_pre) * h` into the
+/// right `hidden` columns of `xh`, turning `[x|h]` into the candidate
+/// gate's input `[x|r*h]`.
+///
+/// # Panics
+///
+/// Panics on shape mismatch or if `rows` exceeds any matrix.
+pub fn gru_reset_rows(r_pre: &Matrix, h: &Matrix, rows: usize, xh: &mut Matrix) {
+    let n = h.cols();
+    assert_eq!(r_pre.cols(), n, "gru_reset pre-activation width");
+    assert!(n <= xh.cols(), "gru_reset xh width");
+    assert!(
+        rows <= r_pre.rows() && rows <= h.rows() && rows <= xh.rows(),
+        "gru_reset: rows exceeds a matrix"
+    );
+    run(GateOp::GruReset { r_pre, h, rows, xh });
+}
+
+/// GRU update over rows `0..rows`, in place:
+/// `h' = ((1 - z) * n) + (z * h)` with `z = sigmoid(z_pre)` and
+/// `n = tanh(n_pre)`, each `h` element read before it is overwritten.
+///
+/// # Panics
+///
+/// Panics on shape mismatch or if `rows` exceeds any matrix.
+pub fn gru_update_rows(z_pre: &Matrix, n_pre: &Matrix, rows: usize, h: &mut Matrix) {
+    let n = h.cols();
+    assert_eq!(z_pre.cols(), n, "gru_update z width");
+    assert_eq!(n_pre.cols(), n, "gru_update n width");
+    assert!(
+        rows <= z_pre.rows() && rows <= n_pre.rows() && rows <= h.rows(),
+        "gru_update: rows exceeds a matrix"
+    );
+    run(GateOp::GruUpdate {
+        z_pre,
+        n_pre,
+        rows,
+        h,
+    });
+}
+
+/// TreeLSTM leaf gates from the three pre-activations:
+/// `c = sigmoid(i) * tanh(u)`, `h = sigmoid(o) * tanh(c)`.
+///
+/// # Panics
+///
+/// Panics on shape mismatch.
+pub fn tree_leaf_gates(i: &Matrix, o: &Matrix, u: &Matrix, h_out: &mut Matrix, c_out: &mut Matrix) {
+    let shape = i.shape();
+    assert_eq!(o.shape(), shape, "tree_leaf_gates o shape");
+    assert_eq!(u.shape(), shape, "tree_leaf_gates u shape");
+    assert_eq!(h_out.shape(), shape, "tree_leaf_gates h_out shape");
+    assert_eq!(c_out.shape(), shape, "tree_leaf_gates c_out shape");
+    run(GateOp::TreeLeaf {
+        pre: [i, o, u].map(Matrix::as_slice),
+        h: h_out.as_mut_slice(),
+        c: c_out.as_mut_slice(),
+    });
+}
+
+/// TreeLSTM internal gates from the five pre-activations and the two
+/// children's cell states:
+/// `c = (sigmoid(i) * tanh(u)) + ((sigmoid(fl) * cl) + (sigmoid(fr) * cr))`,
+/// `h = sigmoid(o) * tanh(c)`.
+///
+/// # Panics
+///
+/// Panics on shape mismatch.
+#[allow(clippy::too_many_arguments)]
+pub fn tree_internal_gates(
+    i: &Matrix,
+    fl: &Matrix,
+    fr: &Matrix,
+    o: &Matrix,
+    u: &Matrix,
+    cl: &Matrix,
+    cr: &Matrix,
+    h_out: &mut Matrix,
+    c_out: &mut Matrix,
+) {
+    let shape = i.shape();
+    for (m, what) in [
+        (fl, "fl"),
+        (fr, "fr"),
+        (o, "o"),
+        (u, "u"),
+        (cl, "cl"),
+        (cr, "cr"),
+    ] {
+        assert_eq!(m.shape(), shape, "tree_internal_gates {what} shape");
+    }
+    assert_eq!(h_out.shape(), shape, "tree_internal_gates h_out shape");
+    assert_eq!(c_out.shape(), shape, "tree_internal_gates c_out shape");
+    run(GateOp::TreeInternal {
+        pre: [i, fl, fr, o, u].map(Matrix::as_slice),
+        children: [cl, cr].map(Matrix::as_slice),
+        h: h_out.as_mut_slice(),
+        c: c_out.as_mut_slice(),
+    });
+}
+
+/// One fused gate computation with its shapes already checked.
+enum GateOp<'a> {
+    Lstm {
+        z: &'a Matrix,
+        rows: usize,
+        h: &'a mut Matrix,
+        h_col: usize,
+        c: &'a mut Matrix,
+    },
+    GruReset {
+        r_pre: &'a Matrix,
+        h: &'a Matrix,
+        rows: usize,
+        xh: &'a mut Matrix,
+    },
+    GruUpdate {
+        z_pre: &'a Matrix,
+        n_pre: &'a Matrix,
+        rows: usize,
+        h: &'a mut Matrix,
+    },
+    /// `pre = [i, o, u]`; every slice the same length.
+    TreeLeaf {
+        pre: [&'a [f32]; 3],
+        h: &'a mut [f32],
+        c: &'a mut [f32],
+    },
+    /// `pre = [i, fl, fr, o, u]`, `children = [cl, cr]`; every slice the
+    /// same length.
+    TreeInternal {
+        pre: [&'a [f32]; 5],
+        children: [&'a [f32]; 2],
+        h: &'a mut [f32],
+        c: &'a mut [f32],
+    },
+}
+
+/// Runs `op` on the widest vector ISA the host supports, once per call
+/// (not per row). The tiers are the same scalar expression trees at
+/// different lane counts and so agree bit for bit.
+fn run(op: GateOp<'_>) {
+    #[cfg(target_arch = "x86_64")]
+    {
+        if std::arch::is_x86_feature_detected!("avx512f") {
+            // SAFETY: the feature check above guarantees AVX-512F is
+            // available.
+            unsafe { run_avx512(op) };
+            return;
+        }
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: the feature check above guarantees AVX2 is available.
+            unsafe { run_avx2(op) };
+            return;
+        }
+    }
+    run_baseline(op);
+}
+
+/// AVX-512F tier: 16 hidden units per vector.
+///
+/// # Safety
+///
+/// The caller must have checked that the host supports AVX-512F.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn run_avx512(op: GateOp<'_>) {
+    run_impl(op);
+}
+
+/// AVX2 tier: 8 hidden units per vector.
+///
+/// # Safety
+///
+/// The caller must have checked that the host supports AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn run_avx2(op: GateOp<'_>) {
+    run_impl(op);
+}
+
+/// Baseline tier (SSE2 on x86-64, NEON on aarch64): 4 units per vector.
+fn run_baseline(op: GateOp<'_>) {
+    run_impl(op);
+}
+
+/// Portable body of every kernel. `#[inline(always)]` so each ISA
+/// wrapper compiles the loops, activations included, under its own
+/// target features.
+#[inline(always)]
+fn run_impl(op: GateOp<'_>) {
+    match op {
+        GateOp::Lstm {
+            z,
+            rows,
+            h,
+            h_col,
+            c,
+        } => {
+            let n = c.cols();
+            for r in 0..rows {
+                lstm_row(z.row(r), &mut h.row_mut(r)[h_col..h_col + n], c.row_mut(r));
+            }
+        }
+        GateOp::GruReset { r_pre, h, rows, xh } => {
+            let e = xh.cols() - h.cols();
+            for r in 0..rows {
+                let out = &mut xh.row_mut(r)[e..];
+                for ((o, &rv), &hv) in out.iter_mut().zip(r_pre.row(r)).zip(h.row(r)) {
+                    *o = sigmoid(rv) * hv;
+                }
+            }
+        }
+        GateOp::GruUpdate {
+            z_pre,
+            n_pre,
+            rows,
+            h,
+        } => {
+            for r in 0..rows {
+                let h_row = h.row_mut(r);
+                for ((hv, &zv), &nv) in h_row.iter_mut().zip(z_pre.row(r)).zip(n_pre.row(r)) {
+                    let z = sigmoid(zv);
+                    *hv = ((1.0 - z) * tanh(nv)) + (z * *hv);
+                }
+            }
+        }
+        GateOp::TreeLeaf {
+            pre: [i, o, u],
+            h,
+            c,
+        } => {
+            for ((((hv, cv), &iv), &ov), &uv) in h.iter_mut().zip(c).zip(i).zip(o).zip(u) {
+                let c_new = sigmoid(iv) * tanh(uv);
+                *cv = c_new;
+                *hv = sigmoid(ov) * tanh(c_new);
+            }
+        }
+        GateOp::TreeInternal {
+            pre: [i, fl, fr, o, u],
+            children: [cl, cr],
+            h,
+            c,
+        } => {
+            let gates = i.iter().zip(fl).zip(fr).zip(o).zip(u);
+            let states = h.iter_mut().zip(c).zip(cl).zip(cr);
+            for (((((&iv, &flv), &frv), &ov), &uv), (((hv, cv), &clv), &crv)) in gates.zip(states) {
+                let c_new =
+                    (sigmoid(iv) * tanh(uv)) + ((sigmoid(flv) * clv) + (sigmoid(frv) * crv));
+                *cv = c_new;
+                *hv = sigmoid(ov) * tanh(c_new);
+            }
+        }
+    }
+}
+
+/// One LSTM row: `z = [i|f|g|o]` split into its four gates up front so
+/// the loop body indexes nothing.
+#[inline(always)]
+fn lstm_row(z: &[f32], h: &mut [f32], c: &mut [f32]) {
+    let n = c.len();
+    let (zi, z) = z.split_at(n);
+    let (zf, z) = z.split_at(n);
+    let (zg, zo) = z.split_at(n);
+    let gates = zi.iter().zip(zf).zip(zg).zip(zo);
+    for ((((&iv, &fv), &gv), &ov), (hv, cv)) in gates.zip(h.iter_mut().zip(c)) {
+        let c_new = (sigmoid(fv) * *cv) + (sigmoid(iv) * tanh(gv));
+        *cv = c_new;
+        *hv = sigmoid(ov) * tanh(c_new);
+    }
+}
+
+#[cfg(test)]
+pub(crate) mod tests {
+    use super::*;
+
+    type Tier = for<'a> fn(GateOp<'a>);
+
+    /// Every tier body this host can execute, narrowest first.
+    fn tiers() -> Vec<(&'static str, Tier)> {
+        let mut tiers: Vec<(&'static str, Tier)> = vec![("baseline", run_baseline)];
+        #[cfg(target_arch = "x86_64")]
+        {
+            if std::arch::is_x86_feature_detected!("avx2") {
+                // SAFETY: AVX2 support was just checked.
+                tiers.push(("avx2", |op| unsafe { run_avx2(op) }));
+            }
+            if std::arch::is_x86_feature_detected!("avx512f") {
+                // SAFETY: AVX-512F support was just checked.
+                tiers.push(("avx512", |op| unsafe { run_avx512(op) }));
+            }
+        }
+        tiers
+    }
+
+    /// `(rows, cols)` of values in `[-scale, scale]`, one sequence per
+    /// `phase`; exact zeros and both saturated ends occur.
+    pub(crate) fn wave(rows: usize, cols: usize, scale: f32, phase: usize) -> Matrix {
+        let data = (0..rows * cols)
+            .map(|i| (((i * 37 + phase * 101) % 401) as f32 - 200.0) * (scale / 200.0))
+            .collect();
+        Matrix::from_vec(rows, cols, data)
+    }
+
+    /// Runs all five kernels at hidden width `n` on `tier` and returns
+    /// everything they wrote.
+    fn outputs(tier: Tier, n: usize) -> Vec<Matrix> {
+        const ROWS: usize = 3;
+        let pre: Vec<Matrix> = (0..5).map(|p| wave(ROWS, n, 20.0, p)).collect();
+        let state: Vec<Matrix> = (5..7).map(|p| wave(ROWS, n, 2.0, p)).collect();
+        let z = wave(ROWS, 4 * n, 20.0, 7);
+        let new = || Matrix::from_vec(ROWS, n, vec![f32::NAN; ROWS * n]);
+
+        // LSTM into the right half of a wider `[x|h]` batch, rows 0..2.
+        let (mut xh, mut c) = (wave(ROWS, n + 2, 1.0, 8), state[0].clone());
+        tier(GateOp::Lstm {
+            z: &z,
+            rows: ROWS - 1,
+            h: &mut xh,
+            h_col: 2,
+            c: &mut c,
+        });
+        let mut gru_xh = wave(ROWS, n + 2, 1.0, 9);
+        tier(GateOp::GruReset {
+            r_pre: &pre[0],
+            h: &state[0],
+            rows: ROWS,
+            xh: &mut gru_xh,
+        });
+        let mut gru_h = state[1].clone();
+        tier(GateOp::GruUpdate {
+            z_pre: &pre[1],
+            n_pre: &pre[2],
+            rows: ROWS,
+            h: &mut gru_h,
+        });
+        let (mut leaf_h, mut leaf_c) = (new(), new());
+        tier(GateOp::TreeLeaf {
+            pre: [&pre[0], &pre[3], &pre[4]].map(Matrix::as_slice),
+            h: leaf_h.as_mut_slice(),
+            c: leaf_c.as_mut_slice(),
+        });
+        let (mut int_h, mut int_c) = (new(), new());
+        tier(GateOp::TreeInternal {
+            pre: [&pre[0], &pre[1], &pre[2], &pre[3], &pre[4]].map(Matrix::as_slice),
+            children: [&state[0], &state[1]].map(Matrix::as_slice),
+            h: int_h.as_mut_slice(),
+            c: int_c.as_mut_slice(),
+        });
+        vec![xh, c, gru_xh, gru_h, leaf_h, leaf_c, int_h, int_c]
+    }
+
+    #[test]
+    fn every_isa_tier_agrees_bit_for_bit() {
+        // `run` only ever takes the widest tier the host has, so call
+        // each body directly, at widths that leave every tier a vector
+        // tail (and, at 1 and 15, no full vector at all).
+        for n in [1, 15, 16, 17, 64, 255, 256] {
+            let want = outputs(run_baseline, n);
+            assert!(
+                want.iter()
+                    .all(|m| m.as_slice().iter().all(|v| !v.is_nan())),
+                "width {n}: an output element was not written"
+            );
+            for (name, tier) in tiers() {
+                assert_eq!(outputs(tier, n), want, "{name}, width {n}");
+            }
+        }
+    }
+}

@@ -29,8 +29,10 @@
 //! assert_eq!(c, a);
 //! ```
 
+pub mod activation;
 mod arena;
 mod error;
+mod gates;
 pub mod gemm;
 mod init;
 pub mod io;

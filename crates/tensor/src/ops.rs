@@ -5,18 +5,21 @@
 //! element-wise activations, row gathers (the §4.3 "gather" memory copy),
 //! concatenation, softmax/argmax (the Seq2Seq output projection) and
 //! embedding lookups.
+//!
+//! The transcendental element-wise operators ([`sigmoid`], [`tanh`],
+//! [`softmax`]) and the fused gate kernels re-exported below all evaluate
+//! the [`crate::activation`] scalars, so every path agrees bitwise.
 
+use crate::activation;
 use crate::error::ShapeError;
 use crate::gemm;
 use crate::matrix::Matrix;
 use crate::pool::ComputePool;
 
-/// The scalar sigmoid `1 / (1 + e^-v)` shared by every sigmoid path
-/// (allocating, in-place and fused), so all of them agree bitwise.
-#[inline]
-fn sigmoid_s(v: f32) -> f32 {
-    1.0 / (1.0 + (-v).exp())
-}
+pub use crate::gates::{
+    gru_reset_rows, gru_update_rows, lstm_gates, lstm_gates_rows_inplace, tree_internal_gates,
+    tree_leaf_gates,
+};
 
 /// Computes `x * w + b`, broadcasting the bias row over the batch.
 ///
@@ -185,12 +188,12 @@ pub fn auto_pool(m: usize, k: usize, n: usize) -> Option<&'static ComputePool> {
 
 /// Element-wise sigmoid `1 / (1 + e^-x)`.
 pub fn sigmoid(x: &Matrix) -> Matrix {
-    map(x, sigmoid_s)
+    map(x, activation::sigmoid)
 }
 
 /// Element-wise hyperbolic tangent.
 pub fn tanh(x: &Matrix) -> Matrix {
-    map(x, f32::tanh)
+    map(x, activation::tanh)
 }
 
 /// Element-wise rectified linear unit.
@@ -217,12 +220,12 @@ pub fn map_inplace(x: &mut Matrix, f: impl Fn(f32) -> f32) {
 
 /// In-place sigmoid; bitwise identical to [`sigmoid`].
 pub fn sigmoid_inplace(x: &mut Matrix) {
-    map_inplace(x, sigmoid_s);
+    map_inplace(x, activation::sigmoid);
 }
 
 /// In-place hyperbolic tangent; bitwise identical to [`tanh`].
 pub fn tanh_inplace(x: &mut Matrix) {
-    map_inplace(x, f32::tanh);
+    map_inplace(x, activation::tanh);
 }
 
 /// In-place rectified linear unit; bitwise identical to [`relu`].
@@ -392,7 +395,7 @@ pub fn softmax(x: &Matrix) -> Matrix {
         let base = data.len();
         let mut sum = 0.0;
         for &v in row {
-            let e = (v - max).exp();
+            let e = activation::exp(v - max);
             sum += e;
             data.push(e);
         }
@@ -451,191 +454,20 @@ pub fn embedding_into(table: &Matrix, ids: &[usize], out: &mut Matrix) {
     gather_rows_into(table, ids, out);
 }
 
-/// Fused LSTM gate kernel: from pre-activations `z = [i|f|g|o]`
-/// (`(batch, 4h)`) and the previous cell state `c_prev` (`(batch, h)`),
-/// computes the new cell and hidden states into `c_out`/`h_out` in one
-/// pass with zero allocations.
-///
-/// Per element this evaluates exactly the composed-op expression trees
-/// `c' = (sigmoid(f) * c_prev) + (sigmoid(i) * tanh(g))` and
-/// `h' = sigmoid(o) * tanh(c')`, so results are bitwise identical to the
-/// unfused `split_cols`/`sigmoid`/`tanh`/`mul`/`add` chain it replaces.
-///
-/// # Panics
-///
-/// Panics on shape mismatch.
-pub fn lstm_gates(z: &Matrix, c_prev: &Matrix, h_out: &mut Matrix, c_out: &mut Matrix) {
-    let (batch, h) = c_prev.shape();
-    assert_eq!(z.shape(), (batch, 4 * h), "lstm_gates pre-activation shape");
-    assert_eq!(h_out.shape(), (batch, h), "lstm_gates h_out shape");
-    assert_eq!(c_out.shape(), (batch, h), "lstm_gates c_out shape");
-    let hs = h_out.as_mut_slice();
-    let cs = c_out.as_mut_slice();
-    for r in 0..batch {
-        let zr = z.row(r);
-        let cp = c_prev.row(r);
-        let hr = &mut hs[r * h..(r + 1) * h];
-        let cr = &mut cs[r * h..(r + 1) * h];
-        for j in 0..h {
-            let i_g = sigmoid_s(zr[j]);
-            let f_g = sigmoid_s(zr[h + j]);
-            let g_g = zr[2 * h + j].tanh();
-            let o_g = sigmoid_s(zr[3 * h + j]);
-            let c_new = (f_g * cp[j]) + (i_g * g_g);
-            cr[j] = c_new;
-            hr[j] = o_g * c_new.tanh();
-        }
-    }
-}
-
-/// Single-row, in-place LSTM gate kernel for resident state rows: the
-/// previous cell state is read from and the new one written back to
-/// `c_row`, and the new hidden state overwrites `h_row` (which may be a
-/// sub-slice of a wider resident `[x|h]` row).
-///
-/// Per element this evaluates exactly the same expression tree as
-/// [`lstm_gates`] — each `c` element is read before it is overwritten —
-/// so a resident step is bitwise identical to the gather-path step.
-///
-/// # Panics
-///
-/// Panics on slice-length mismatch.
-pub fn lstm_gates_row_inplace(z_row: &[f32], h_row: &mut [f32], c_row: &mut [f32]) {
-    let h = c_row.len();
-    assert_eq!(z_row.len(), 4 * h, "lstm_gates_row pre-activation length");
-    assert_eq!(h_row.len(), h, "lstm_gates_row h length");
-    for j in 0..h {
-        let i_g = sigmoid_s(z_row[j]);
-        let f_g = sigmoid_s(z_row[h + j]);
-        let g_g = z_row[2 * h + j].tanh();
-        let o_g = sigmoid_s(z_row[3 * h + j]);
-        let c_new = (f_g * c_row[j]) + (i_g * g_g);
-        c_row[j] = c_new;
-        h_row[j] = o_g * c_new.tanh();
-    }
-}
-
-/// Single-row, in-place GRU combine for resident state rows:
-/// `h[j] = ((1 - z[j]) * n[j]) + (z[j] * h[j])`, each element read
-/// before it is overwritten — the same expression tree as
-/// [`gru_combine`], so resident and gather paths agree bitwise.
-///
-/// # Panics
-///
-/// Panics on slice-length mismatch.
-pub fn gru_combine_row_inplace(z_row: &[f32], n_row: &[f32], h_row: &mut [f32]) {
-    assert_eq!(z_row.len(), h_row.len(), "gru_combine_row z length");
-    assert_eq!(n_row.len(), h_row.len(), "gru_combine_row n length");
-    for ((hv, &zv), &nv) in h_row.iter_mut().zip(z_row).zip(n_row) {
-        *hv = ((1.0 - zv) * nv) + (zv * *hv);
-    }
-}
-
-/// Fused GRU combine: `h' = ((1 - z) * n) + (z * h_prev)` element-wise
-/// into `h_out`; bitwise identical to the unfused `map`/`mul`/`add`
-/// chain.
-///
-/// # Panics
-///
-/// Panics on shape mismatch.
-pub fn gru_combine(z: &Matrix, n: &Matrix, h_prev: &Matrix, h_out: &mut Matrix) {
-    let shape = h_prev.shape();
-    assert_eq!(z.shape(), shape, "gru_combine z shape");
-    assert_eq!(n.shape(), shape, "gru_combine n shape");
-    assert_eq!(h_out.shape(), shape, "gru_combine h_out shape");
-    let out = h_out.as_mut_slice();
-    for (((o, &zv), &nv), &hv) in out
-        .iter_mut()
-        .zip(z.as_slice())
-        .zip(n.as_slice())
-        .zip(h_prev.as_slice())
-    {
-        *o = ((1.0 - zv) * nv) + (zv * hv);
-    }
-}
-
-/// Fused TreeLSTM leaf combine: `c = i * u`, `h = o * tanh(c)`; bitwise
-/// identical to the unfused `mul`/`tanh` chain.
-///
-/// # Panics
-///
-/// Panics on shape mismatch.
-pub fn tree_leaf_combine(
-    i: &Matrix,
-    o: &Matrix,
-    u: &Matrix,
-    h_out: &mut Matrix,
-    c_out: &mut Matrix,
-) {
-    let shape = i.shape();
-    assert_eq!(o.shape(), shape, "tree_leaf_combine o shape");
-    assert_eq!(u.shape(), shape, "tree_leaf_combine u shape");
-    assert_eq!(h_out.shape(), shape, "tree_leaf_combine h_out shape");
-    assert_eq!(c_out.shape(), shape, "tree_leaf_combine c_out shape");
-    let hs = h_out.as_mut_slice();
-    let cs = c_out.as_mut_slice();
-    for ((((hv, cv), &iv), &ov), &uv) in hs
-        .iter_mut()
-        .zip(cs.iter_mut())
-        .zip(i.as_slice())
-        .zip(o.as_slice())
-        .zip(u.as_slice())
-    {
-        let c = iv * uv;
-        *cv = c;
-        *hv = ov * c.tanh();
-    }
-}
-
-/// Fused TreeLSTM internal combine:
-/// `c = (i * u) + ((fl * cl) + (fr * cr))`, `h = o * tanh(c)`; bitwise
-/// identical to the unfused `mul`/`add`/`tanh` chain.
-///
-/// # Panics
-///
-/// Panics on shape mismatch.
-#[allow(clippy::too_many_arguments)]
-pub fn tree_internal_combine(
-    i: &Matrix,
-    fl: &Matrix,
-    fr: &Matrix,
-    o: &Matrix,
-    u: &Matrix,
-    cl: &Matrix,
-    cr: &Matrix,
-    h_out: &mut Matrix,
-    c_out: &mut Matrix,
-) {
-    let shape = i.shape();
-    for (m, what) in [
-        (fl, "fl"),
-        (fr, "fr"),
-        (o, "o"),
-        (u, "u"),
-        (cl, "cl"),
-        (cr, "cr"),
-    ] {
-        assert_eq!(m.shape(), shape, "tree_internal_combine {what} shape");
-    }
-    assert_eq!(h_out.shape(), shape, "tree_internal_combine h_out shape");
-    assert_eq!(c_out.shape(), shape, "tree_internal_combine c_out shape");
-    let hs = h_out.as_mut_slice();
-    let cs = c_out.as_mut_slice();
-    for idx in 0..hs.len() {
-        let c = (i.as_slice()[idx] * u.as_slice()[idx])
-            + ((fl.as_slice()[idx] * cl.as_slice()[idx])
-                + (fr.as_slice()[idx] * cr.as_slice()[idx]));
-        cs[idx] = c;
-        hs[idx] = o.as_slice()[idx] * c.tanh();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn m(rows: &[&[f32]]) -> Matrix {
         Matrix::from_rows(rows)
+    }
+
+    /// Shape of the fused-kernel test inputs: 37 columns give every ISA
+    /// tier a vector body and a scalar tail.
+    const GATE_ROWS: usize = 3;
+    const GATE_COLS: usize = 37;
+    fn wave(cols: usize, scale: f32, phase: usize) -> Matrix {
+        crate::gates::tests::wave(GATE_ROWS, cols, scale, phase)
     }
 
     #[test]
@@ -795,8 +627,10 @@ mod tests {
 
     #[test]
     fn lstm_gates_matches_composed_ops() {
-        let z = m(&[&[0.3, -0.7, 1.2, 0.1, -0.4, 0.9, 2.0, -1.1]]);
-        let c_prev = m(&[&[0.5, -0.25]]);
+        // Pre-activations out to +-9 reach both `tanh` branches and the
+        // saturated ends of `sigmoid`.
+        let z = wave(4 * GATE_COLS, 9.0, 0);
+        let c_prev = wave(GATE_COLS, 2.0, 1);
         let gates = split_cols(&z, 4);
         let (i, f, g, o) = (
             sigmoid(&gates[0]),
@@ -806,8 +640,8 @@ mod tests {
         );
         let c_want = add(&mul(&f, &c_prev), &mul(&i, &g));
         let h_want = mul(&o, &tanh(&c_want));
-        let mut h = Matrix::zeros(1, 2);
-        let mut c = Matrix::zeros(1, 2);
+        let mut h = Matrix::zeros(GATE_ROWS, GATE_COLS);
+        let mut c = Matrix::zeros(GATE_ROWS, GATE_COLS);
         lstm_gates(&z, &c_prev, &mut h, &mut c);
         assert_eq!(c, c_want);
         assert_eq!(h, h_want);
@@ -815,32 +649,29 @@ mod tests {
 
     #[test]
     fn row_inplace_kernels_match_batch_kernels() {
-        // The resident-state step must compute exactly the bits the
-        // gather-path batch kernels compute.
+        // The resident-state step runs the in-place rows-prefix kernel
+        // on the right half of a wider `[x|h]` batch; it must compute
+        // exactly the bits of the gather path's out-of-place call.
         let z = m(&[
             &[0.3, -0.7, 1.2, 0.1, -0.4, 0.9, 2.0, -1.1],
             &[-0.2, 0.5, -1.3, 0.8, 1.1, -0.6, 0.4, 0.7],
+            &[9.0, 9.0, 9.0, 9.0, 9.0, 9.0, 9.0, 9.0], // beyond the prefix
         ]);
-        let c_prev = m(&[&[0.5, -0.25], &[-1.5, 2.0]]);
-        let mut h_want = Matrix::zeros(2, 2);
-        let mut c_want = Matrix::zeros(2, 2);
+        let c_prev = m(&[&[0.5, -0.25], &[-1.5, 2.0], &[7.0, 7.0]]);
+        let mut h_want = Matrix::zeros(3, 2);
+        let mut c_want = Matrix::zeros(3, 2);
         lstm_gates(&z, &c_prev, &mut h_want, &mut c_want);
+        let mut xh = Matrix::from_vec(3, 3, vec![5.0; 9]);
+        let mut c = c_prev.clone();
+        lstm_gates_rows_inplace(&z, 2, &mut xh, 1, &mut c);
         for r in 0..2 {
-            let mut h_row = [0.0f32; 2];
-            let mut c_row: [f32; 2] = c_prev.row(r).try_into().unwrap();
-            lstm_gates_row_inplace(z.row(r), &mut h_row, &mut c_row);
-            assert_eq!(&h_row, h_want.row(r));
-            assert_eq!(&c_row, c_want.row(r));
+            assert_eq!(xh.row(r)[0], 5.0, "x columns untouched");
+            assert_eq!(&xh.row(r)[1..], h_want.row(r));
+            assert_eq!(c.row(r), c_want.row(r));
         }
-
-        let zg = m(&[&[0.2, 0.8, 0.5]]);
-        let n = m(&[&[1.0, -1.0, 0.25]]);
-        let h_prev = m(&[&[0.5, 0.5, -2.0]]);
-        let mut hg_want = Matrix::zeros(1, 3);
-        gru_combine(&zg, &n, &h_prev, &mut hg_want);
-        let mut h_row: [f32; 3] = h_prev.row(0).try_into().unwrap();
-        gru_combine_row_inplace(zg.row(0), n.row(0), &mut h_row);
-        assert_eq!(&h_row, hg_want.row(0));
+        // Rows past the prefix are untouched.
+        assert_eq!(xh.row(2), &[5.0, 5.0, 5.0]);
+        assert_eq!(c.row(2), c_prev.row(2));
     }
 
     #[test]
@@ -866,36 +697,49 @@ mod tests {
 
     #[test]
     fn gru_combine_matches_composed_ops() {
-        let z = m(&[&[0.2, 0.8, 0.5]]);
-        let n = m(&[&[1.0, -1.0, 0.25]]);
-        let h_prev = m(&[&[0.5, 0.5, -2.0]]);
+        let r_pre = wave(GATE_COLS, 9.0, 2);
+        let z_pre = wave(GATE_COLS, 9.0, 3);
+        let n_pre = wave(GATE_COLS, 4.0, 4);
+        let h_prev = wave(GATE_COLS, 1.0, 5);
+
+        // `[x|h]` with two `x` columns the reset must leave alone.
+        let x = wave(2, 1.0, 6);
+        let mut xh = concat_cols(&[&x, &h_prev]);
+        gru_reset_rows(&r_pre, &h_prev, GATE_ROWS, &mut xh);
+        assert_eq!(xh, concat_cols(&[&x, &mul(&sigmoid(&r_pre), &h_prev)]));
+
+        let (z, n) = (sigmoid(&z_pre), tanh(&n_pre));
         let one_minus_z = map(&z, |v| 1.0 - v);
         let want = add(&mul(&one_minus_z, &n), &mul(&z, &h_prev));
-        let mut h = Matrix::zeros(1, 3);
-        gru_combine(&z, &n, &h_prev, &mut h);
+        let mut h = h_prev.clone();
+        gru_update_rows(&z_pre, &n_pre, GATE_ROWS, &mut h);
         assert_eq!(h, want);
     }
 
     #[test]
     fn tree_combines_match_composed_ops() {
-        let i = m(&[&[0.2, 0.9]]);
-        let o = m(&[&[0.6, 0.3]]);
-        let u = m(&[&[-0.5, 1.5]]);
+        let i_pre = wave(GATE_COLS, 9.0, 7);
+        let o_pre = wave(GATE_COLS, 9.0, 8);
+        let u_pre = wave(GATE_COLS, 4.0, 9);
+        let (i, o, u) = (sigmoid(&i_pre), sigmoid(&o_pre), tanh(&u_pre));
         let c_want = mul(&i, &u);
         let h_want = mul(&o, &tanh(&c_want));
-        let mut h = Matrix::zeros(1, 2);
-        let mut c = Matrix::zeros(1, 2);
-        tree_leaf_combine(&i, &o, &u, &mut h, &mut c);
+        let mut h = Matrix::zeros(GATE_ROWS, GATE_COLS);
+        let mut c = Matrix::zeros(GATE_ROWS, GATE_COLS);
+        tree_leaf_gates(&i_pre, &o_pre, &u_pre, &mut h, &mut c);
         assert_eq!(c, c_want);
         assert_eq!(h, h_want);
 
-        let fl = m(&[&[0.7, 0.1]]);
-        let fr = m(&[&[0.4, 0.8]]);
-        let cl = m(&[&[1.0, -0.5]]);
-        let cr = m(&[&[-0.25, 2.0]]);
+        let fl_pre = wave(GATE_COLS, 9.0, 10);
+        let fr_pre = wave(GATE_COLS, 9.0, 11);
+        let (fl, fr) = (sigmoid(&fl_pre), sigmoid(&fr_pre));
+        let cl = wave(GATE_COLS, 2.0, 12);
+        let cr = wave(GATE_COLS, 2.0, 13);
         let c_want = add(&mul(&i, &u), &add(&mul(&fl, &cl), &mul(&fr, &cr)));
         let h_want = mul(&o, &tanh(&c_want));
-        tree_internal_combine(&i, &fl, &fr, &o, &u, &cl, &cr, &mut h, &mut c);
+        tree_internal_gates(
+            &i_pre, &fl_pre, &fr_pre, &o_pre, &u_pre, &cl, &cr, &mut h, &mut c,
+        );
         assert_eq!(c, c_want);
         assert_eq!(h, h_want);
     }

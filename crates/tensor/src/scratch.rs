@@ -44,10 +44,9 @@ impl Scratch {
     /// reusing a retired buffer when possible.
     ///
     /// For buffers every element of which is about to be overwritten
-    /// (GEMM outputs, gathered projections), [`take`]'s zeroing is pure
-    /// waste — the resident-state step uses this variant to keep its
-    /// steady-state memory traffic at zero. Callers must not read an
-    /// element before writing it.
+    /// (GEMM outputs, gathered child states, gate-kernel outputs),
+    /// [`take`]'s zeroing is pure waste; cell steps take all of those
+    /// this way. Callers must not read an element before writing it.
     ///
     /// [`take`]: Scratch::take
     pub fn take_dirty(&mut self, rows: usize, cols: usize) -> Matrix {
