@@ -855,6 +855,19 @@ impl TwoShapeLm {
     fn unfolds(&self) -> usize {
         self.unfolds.load(std::sync::atomic::Ordering::SeqCst)
     }
+
+    /// Request `i` of a mixed stream: `Sequence` (at home on shard 0)
+    /// when `i` is even, `Pair` (at home on shard 1) when odd.
+    fn input(i: u32, tokens: Vec<u32>) -> RequestInput {
+        if i.is_multiple_of(2) {
+            RequestInput::Sequence(tokens)
+        } else {
+            RequestInput::Pair {
+                src: tokens,
+                decode_len: 1,
+            }
+        }
+    }
 }
 
 impl Model for TwoShapeLm {
@@ -889,21 +902,10 @@ fn request_ids_are_distinct_across_shards_in_one_sink() {
         Arc::clone(&model) as Arc<dyn Model>,
         serving(ServeConfig::new().shards(2).trace(sink.clone())),
     );
-    // `Sequence` is at home on shard 0, `Pair` on shard 1.
     let n = 24u32;
     let handles: Vec<_> = (0..n)
-        .map(|i| {
-            let tokens: Vec<u32> = (1..4 + i % 5).collect();
-            let input = if i % 2 == 0 {
-                RequestInput::Sequence(tokens)
-            } else {
-                RequestInput::Pair {
-                    src: tokens,
-                    decode_len: 1,
-                }
-            };
-            rt.submit_request(input).expect("submit")
-        })
+        .map(|i| TwoShapeLm::input(i, (1..4 + i % 5).collect()))
+        .map(|input| rt.submit_request(input).expect("submit"))
         .collect();
     for h in handles {
         h.wait().completed();
@@ -924,6 +926,104 @@ fn request_ids_are_distinct_across_shards_in_one_sink() {
     let ids: Vec<u64> = (0..u64::from(n)).collect();
     assert_eq!(arrived, ids, "one arrival per id");
     assert_eq!(completed, ids, "one completion per id");
+}
+
+/// The live telemetry plane on a threaded runtime, read the way an
+/// operator reads it: a [`Scraper`] over [`Runtime::snapshot`] while a
+/// head-sampled trace streams into a ring buffer. The latency
+/// decomposition loses nothing — the four tiling `bm_stage_us` stages,
+/// summed over shards and cell types, equal the end-to-end latency total
+/// of the returned timings exactly — the counters and gauges agree with
+/// the resolved handles, and the final snapshot survives its JSON form.
+fn assert_live_telemetry_reconciles(shards: usize) {
+    use bm_telemetry::{Scraper, Snapshot};
+    use bm_trace::SamplingSink;
+
+    let model = TwoShapeLm::new();
+    let ring = Arc::new(RingBufferSink::new(1 << 16));
+    let sampler = Arc::new(SamplingSink::new(ring.clone(), 0.25));
+    let rt = Arc::new(Runtime::start(
+        Arc::clone(&model) as Arc<dyn Model>,
+        serving(
+            ServeConfig::new()
+                .shards(shards)
+                .telemetry(Telemetry::new())
+                .trace(sampler.clone()),
+        ),
+    ));
+    let source = Arc::clone(&rt);
+    let scraper = Scraper::start_with(
+        move || source.snapshot(),
+        std::time::Duration::from_millis(2),
+        |_| {},
+    );
+
+    let handles: Vec<_> = (0..96u32)
+        .map(|i| TwoShapeLm::input(i, (1..3 + i % 23).collect()))
+        .map(|input| rt.submit_request(input).expect("submit"))
+        .collect();
+    let resolved = handles.len() as u64;
+    let e2e_sum_us: u64 = handles
+        .into_iter()
+        .map(|h| h.wait().completed().timing)
+        .map(|t| t.completion_us - t.arrival_us)
+        .sum();
+    // Every handle has resolved, so the final scrape is complete.
+    let snap = scraper.stop();
+
+    let tiling_stage_sum_us: u64 = snap
+        .entries
+        .iter()
+        .filter(|e| {
+            let tiling = |(k, v): &(String, String)| {
+                k == "stage" && bm_core::STAGE_NAMES.contains(&v.as_str())
+            };
+            e.name == "bm_stage_us" && e.labels.iter().any(tiling)
+        })
+        .map(|e| match &e.value {
+            MetricValue::Histogram(h) => h.sum,
+            other => panic!("bm_stage_us is a histogram, got {other:?}"),
+        })
+        .sum();
+    assert_eq!(
+        tiling_stage_sum_us, e2e_sum_us,
+        "stage sums must telescope to the end-to-end latencies"
+    );
+    assert_eq!(snap.counter_sum("bm_requests_completed_total"), resolved);
+    for gauge in ["bm_active_requests", "bm_inflight_tasks"] {
+        let per_shard: Vec<_> = snap.entries.iter().filter(|e| e.name == gauge).collect();
+        assert_eq!(per_shard.len(), shards, "one {gauge} per shard");
+        for e in per_shard {
+            assert_eq!(e.value, MetricValue::Gauge(0), "{gauge} at rest");
+        }
+    }
+
+    let reparsed = Snapshot::from_json(&snap.to_json()).expect("snapshot JSON reparses");
+    assert_eq!(reparsed, snap, "snapshot must round-trip exactly");
+    assert!(snap
+        .to_prometheus()
+        .contains("# TYPE bm_requests_completed_total counter"));
+
+    // Head sampling is by request: what reached the ring tells whole
+    // stories of kept requests only.
+    assert_eq!(ring.dropped(), 0, "capture buffer must not overflow");
+    let kept: Vec<u64> = ring
+        .events()
+        .iter()
+        .filter_map(|e| e.kind.request())
+        .collect();
+    assert!(!kept.is_empty() && sampler.sampled_out() > 0);
+    assert!(kept.iter().all(|&r| sampler.keeps(r)));
+}
+
+#[test]
+fn live_telemetry_reconciles_on_one_shard() {
+    assert_live_telemetry_reconciles(1);
+}
+
+#[test]
+fn live_telemetry_reconciles_across_two_shards() {
+    assert_live_telemetry_reconciles(2);
 }
 
 /// A refusal at the cap happens before the cell graph is unfolded: with

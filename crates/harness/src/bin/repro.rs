@@ -6,22 +6,25 @@
 //! ```
 //!
 //! Experiments: fig3 fig5 fig7a fig7b fig8 fig9 fig10 fig11 fig13 fig14
-//! fig15 headline ablation sla policies trace bench stats serve.
-//! Results land
-//! in `results/` as markdown + CSV and are echoed to stdout; `trace`
+//! fig15 headline ablation sla policies trace bench. Results land in
+//! `results/` as markdown + CSV and are echoed to stdout; `trace`
 //! additionally writes Chrome trace JSON (Perfetto-loadable) and
-//! per-request timelines, `bench` writes machine-readable
-//! `BENCH_kernels.json` kernel timings for benchmark regression checks,
-//! `stats` exercises the live telemetry plane (scraper, head-sampled
-//! tracing, stage-latency reconciliation) and writes
-//! `BENCH_telemetry.json` plus a Prometheus exposition, and `policies`
-//! compares the batch-formation policies (paper/lazy/edf) across the
-//! SLA load sweep, writing `BENCH_policies.json`. `repro sla --policy
-//! lazy` runs the SLA sweep under one alternative policy (results land
-//! under `sla_<policy>` so the default `sla` outputs stay untouched),
-//! and `serve` drives the full socket path — wire protocol, TCP front
-//! door, sharded scheduler — writing `BENCH_serve.json` with the 1-vs-N
-//! shard throughput comparison and a client-observed SLA sweep.
+//! per-request timelines, and `policies` compares the batch-formation
+//! policies (paper/lazy/edf) across the SLA load sweep, writing
+//! `BENCH_policies.json`. `repro sla --policy lazy` runs the SLA sweep
+//! under one alternative policy (results land under `sla_<policy>` so
+//! the default `sla` outputs stay untouched). Every experiment but two
+//! runs in virtual time and is reproducible byte for byte; the two that
+//! read the wall clock are `fig3`'s CPU curve and `bench`, a
+//! same-process check that a 1–3-row packed-GEMM call costs no more
+//! than the 4-row call (it panics, so `repro` exits non-zero, when the
+//! rule is violated). How fast the server is — kernels, runtime, socket
+//! path, telemetry overhead — is measured by the repo's benchmark
+//! (`benchmark/README.md`), not here.
+//!
+//! Every name is checked against the experiment list before anything
+//! runs, and a name given twice (or once and again through `all`) runs
+//! once.
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -29,48 +32,71 @@ use std::process::ExitCode;
 use bm_core::PolicyKind;
 use bm_harness::experiments::{
     ablation, bench, fig10, fig11, fig13, fig14, fig15, fig3, fig5, fig7, fig8, fig9, headline,
-    serve, sla, stats, trace, Scale,
+    sla, trace, Scale,
 };
 use bm_harness::write_results;
 use bm_metrics::Table;
 
-const EXPERIMENTS: &[&str] = &[
-    "fig3", "fig5", "fig7a", "fig7b", "fig8", "fig9", "fig10", "fig11", "fig13", "fig14", "fig15",
-    "headline", "ablation", "sla", "policies", "trace", "bench", "stats", "serve",
+/// Runs one experiment: scale, output directory (for the experiments
+/// that write files of their own) and the `--policy` override.
+type Runner = fn(Scale, &Path, Option<PolicyKind>) -> Vec<Table>;
+
+/// An experiment's name on the command line and what runs it.
+type Experiment = (&'static str, Runner);
+
+/// Every experiment, in `repro all` order: the one list both the usage
+/// text and the dispatch read.
+static EXPERIMENTS: &[Experiment] = &[
+    ("fig3", |scale, _, _| fig3::run(scale)),
+    ("fig5", |scale, _, _| fig5::run(scale)),
+    ("fig7a", |scale, _, _| fig7::run_a(scale)),
+    ("fig7b", |scale, _, _| fig7::run_b(scale)),
+    ("fig8", |scale, _, _| fig8::run(scale)),
+    ("fig9", |scale, _, _| fig9::run(scale)),
+    ("fig10", |scale, _, _| fig10::run(scale)),
+    ("fig11", |scale, _, _| fig11::run(scale)),
+    ("fig13", |scale, _, _| fig13::run(scale)),
+    ("fig14", |scale, _, _| fig14::run(scale)),
+    ("fig15", |scale, _, _| fig15::run(scale)),
+    ("headline", |scale, _, _| headline::run(scale)),
+    ("ablation", |scale, _, _| ablation::run(scale)),
+    ("sla", |scale, _, policy| match policy {
+        Some(kind) => sla::run_with_policy(scale, kind),
+        None => sla::run(scale),
+    }),
+    ("policies", |scale, out_dir, _| {
+        sla::run_policies(scale, out_dir)
+    }),
+    ("trace", |scale, out_dir, _| trace::run(scale, out_dir)),
+    ("bench", |scale, _, _| bench::run(scale)),
 ];
 
-fn run_one(
-    name: &str,
-    scale: Scale,
-    out_dir: &Path,
-    policy: Option<PolicyKind>,
-) -> Option<Vec<Table>> {
-    let tables = match name {
-        "fig3" => fig3::run(scale),
-        "fig5" => fig5::run(scale),
-        "fig7a" => fig7::run_a(scale),
-        "fig7b" => fig7::run_b(scale),
-        "fig8" => fig8::run(scale),
-        "fig9" => fig9::run(scale),
-        "fig10" => fig10::run(scale),
-        "fig11" => fig11::run(scale),
-        "fig13" => fig13::run(scale),
-        "fig14" => fig14::run(scale),
-        "fig15" => fig15::run(scale),
-        "headline" => headline::run(scale),
-        "ablation" => ablation::run(scale),
-        "sla" => match policy {
-            Some(kind) => sla::run_with_policy(scale, kind),
-            None => sla::run(scale),
-        },
-        "policies" => sla::run_policies(scale, out_dir),
-        "trace" => trace::run(scale, out_dir),
-        "bench" => bench::run(scale, out_dir),
-        "stats" => stats::run(scale, out_dir),
-        "serve" => serve::run(scale, out_dir),
-        _ => return None,
-    };
-    Some(tables)
+fn known() -> String {
+    let names: Vec<&str> = EXPERIMENTS.iter().map(|(name, _)| *name).collect();
+    names.join(" ")
+}
+
+/// The experiments `names` selects, in the order first named: `all`
+/// expands to the whole list, and a repeat (adjacent or not, spelled out
+/// or through `all`) runs once. An unknown name is an error before
+/// anything runs.
+fn select(names: &[String]) -> Result<Vec<&'static Experiment>, String> {
+    let mut selected: Vec<&'static Experiment> = Vec::new();
+    for name in names {
+        let mut named = EXPERIMENTS
+            .iter()
+            .filter(|e| name == "all" || name == e.0)
+            .peekable();
+        if named.peek().is_none() {
+            return Err(format!("unknown experiment {name}; known: {} all", known()));
+        }
+        for entry in named {
+            if !selected.iter().any(|s| std::ptr::eq(*s, entry)) {
+                selected.push(entry);
+            }
+        }
+    }
+    Ok(selected)
 }
 
 fn main() -> ExitCode {
@@ -78,7 +104,7 @@ fn main() -> ExitCode {
     let mut scale = Scale::Full;
     let mut out_dir = PathBuf::from("results");
     let mut policy: Option<PolicyKind> = None;
-    let mut selected: Vec<String> = Vec::new();
+    let mut names: Vec<String> = Vec::new();
     let mut iter = args.into_iter();
     while let Some(a) = iter.next() {
         match a.as_str() {
@@ -97,38 +123,74 @@ fn main() -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             },
-            "all" => selected.extend(EXPERIMENTS.iter().map(|s| s.to_string())),
-            other => selected.push(other.to_string()),
+            _ => names.push(a),
         }
     }
-    if selected.is_empty() {
+    if names.is_empty() {
         eprintln!("usage: repro <experiment>... [--quick|--smoke] [--out DIR] [--policy NAME]");
-        eprintln!("experiments: {} all", EXPERIMENTS.join(" "));
+        eprintln!("experiments: {} all", known());
         return ExitCode::FAILURE;
     }
-    selected.dedup();
-    for name in &selected {
+    let selected = match select(&names) {
+        Ok(selected) => selected,
+        Err(unknown) => {
+            eprintln!("{unknown}");
+            return ExitCode::FAILURE;
+        }
+    };
+    for &(name, run) in selected {
         eprintln!("== running {name} ({scale:?}) ==");
         let start = std::time::Instant::now();
-        match run_one(name, scale, &out_dir, policy) {
-            Some(tables) => {
-                // A policy-variant sla run lands under its own name so
-                // the default sla outputs stay byte-stable.
-                let out_name = match policy {
-                    Some(k) if name == "sla" => format!("sla_{}", k.label()),
-                    _ => name.clone(),
-                };
-                write_results(&out_dir, &out_name, &tables);
-                eprintln!("== {out_name} done in {:.1?} ==\n", start.elapsed());
-            }
-            None => {
-                eprintln!(
-                    "unknown experiment {name}; known: {}",
-                    EXPERIMENTS.join(" ")
-                );
-                return ExitCode::FAILURE;
-            }
-        }
+        let tables = run(scale, &out_dir, policy);
+        // A policy-variant sla run lands under its own name so the
+        // default sla outputs stay byte-stable.
+        let out_name = match policy {
+            Some(k) if name == "sla" => format!("sla_{}", k.label()),
+            _ => name.to_string(),
+        };
+        write_results(&out_dir, &out_name, &tables);
+        eprintln!("== {out_name} done in {:.1?} ==\n", start.elapsed());
     }
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn names(args: &[&str]) -> Result<Vec<&'static str>, String> {
+        let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+        Ok(select(&args)?.iter().map(|e| e.0).collect())
+    }
+
+    /// Name and runner are one table entry, so no name lacks a runner
+    /// and no runner lacks a name; what is left to check is that each
+    /// name selects its own entry and only that.
+    #[test]
+    fn every_experiment_is_dispatched_under_its_own_name() {
+        assert_eq!(EXPERIMENTS.len(), 17);
+        for (i, (name, _)) in EXPERIMENTS.iter().enumerate() {
+            let picked = select(&[name.to_string()]).expect("listed name");
+            assert_eq!(picked.len(), 1, "{name}");
+            assert!(std::ptr::eq(picked[0], &EXPERIMENTS[i]), "{name}");
+        }
+        let all: Vec<&str> = EXPERIMENTS.iter().map(|e| e.0).collect();
+        assert_eq!(names(&["all"]).unwrap(), all);
+    }
+
+    #[test]
+    fn repeats_run_once_in_first_named_order() {
+        assert_eq!(names(&["all", "fig3"]).unwrap().len(), EXPERIMENTS.len());
+        assert_eq!(names(&["sla", "fig3", "sla"]).unwrap(), ["sla", "fig3"]);
+        let fig9_first = names(&["fig9", "all"]).unwrap();
+        assert_eq!(fig9_first[0], "fig9");
+        assert_eq!(fig9_first.len(), EXPERIMENTS.len());
+    }
+
+    #[test]
+    fn an_unknown_name_is_refused_before_anything_runs() {
+        let err = names(&["all", "typo"]).expect_err("typo is not an experiment");
+        assert!(err.contains("unknown experiment typo"), "{err}");
+        assert!(err.contains("fig3") && err.contains("bench"), "{err}");
+    }
 }

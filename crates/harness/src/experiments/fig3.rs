@@ -106,10 +106,10 @@ mod tests {
 
     #[test]
     fn cpu_curve_has_one_measured_row_per_batch() {
-        // Shape only. How much throughput batching buys is a wall-clock
-        // ratio that depends on the host and on what else it is running,
-        // so it is gated by `repro bench` (`fig3_cpu` in
-        // `BENCH_kernels.json`), not by tier-1.
+        // Shape only. How much throughput batching buys on this CPU is a
+        // wall-clock ratio that depends on the host and on what else it
+        // is running; it is reported in the table and no longer gated
+        // anywhere, here or in CI.
         let (_, curve) = cpu_curve(Scale::Quick);
         let batches: Vec<usize> = curve.iter().map(|&(b, _)| b).collect();
         assert_eq!(batches, [2, 4, 8, 16, 32, 64, 128, 256]);

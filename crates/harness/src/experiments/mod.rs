@@ -13,10 +13,8 @@ pub mod fig7;
 pub mod fig8;
 pub mod fig9;
 pub mod headline;
-pub mod serve;
 pub mod serving;
 pub mod sla;
-pub mod stats;
 pub mod trace;
 
 /// Experiment size: `Quick` for tests and benches, `Full` for the real

@@ -13,7 +13,7 @@
 //!   offers — raw-syscall epoll + eventfd completion wakeups on Linux
 //!   x86_64, a portable polled scan everywhere else.
 //! - [`NetClient`]: a blocking, pipeline-capable client used by the
-//!   tests and the `repro serve` load generator.
+//!   tests and the repo's benchmark (`benchmark/`).
 //!
 //! ```no_run
 //! use std::sync::Arc;

@@ -20,7 +20,11 @@ fn opts(shards: usize) -> NetServerOptions {
 
 #[test]
 fn pipelined_submits_all_complete() {
-    let server = NetServer::bind(model(), opts(2), "127.0.0.1:0").expect("bind");
+    let serve = ServeConfig::new()
+        .shards(2)
+        .telemetry(bm_telemetry::Telemetry::new());
+    let options = NetServerOptions::new().runtime(RuntimeOptions::new().serve_config(serve));
+    let server = NetServer::bind(model(), options, "127.0.0.1:0").expect("bind");
     let mut client = NetClient::connect(server.local_addr()).expect("connect");
 
     let n = 64;
@@ -55,6 +59,21 @@ fn pipelined_submits_all_complete() {
     assert_eq!(stats.submitted, n as u64);
     assert_eq!(stats.completed, n as u64);
     assert_eq!(stats.protocol_errors, 0);
+
+    // The server's snapshot is the per-shard rollup: one completion
+    // counter per shard, and together they account for every request.
+    let snapshot = server.snapshot();
+    let completed = "bm_requests_completed_total";
+    let mut shards: Vec<_> = snapshot
+        .entries
+        .iter()
+        .filter(|e| e.name == completed)
+        .map(|e| e.labels.as_slice())
+        .collect();
+    shards.sort();
+    let shard = |i: &str| vec![("shard".to_string(), i.to_string())];
+    assert_eq!(shards, [shard("0"), shard("1")], "one entry per shard");
+    assert_eq!(snapshot.counter_sum(completed), n as u64);
     server.shutdown();
 }
 

@@ -3,8 +3,8 @@
 //! [`Scraper::start`] spawns a background thread that snapshots a
 //! [`Telemetry`] registry every `period`, keeps the most recent
 //! snapshot for [`Scraper::latest`], and optionally hands each one to a
-//! callback (the harness uses this to print live stats lines during a
-//! load run). [`Scraper::start_with`] scrapes any snapshot source — a
+//! callback (to print live stats lines during a load run, say).
+//! [`Scraper::start_with`] scrapes any snapshot source — a
 //! runtime's per-shard rollup, say — the same way. [`Scraper::stop`]
 //! joins the thread and returns one final, fresh snapshot so callers
 //! always end with a complete view.
