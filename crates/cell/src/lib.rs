@@ -308,18 +308,46 @@ impl Cell {
 /// Used to build [`CellSignature`]s: two cells share a type only if their
 /// weights are bit-identical.
 pub(crate) fn fingerprint_weights(mats: &[&Matrix]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for m in mats {
-        for d in [m.rows() as u64, m.cols() as u64] {
-            for b in d.to_le_bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
+    fingerprint_blocks(mats.iter().map(|m| (*m, 0..m.cols())))
+}
+
+/// A column block of a matrix, fingerprinted as a matrix of its own.
+pub(crate) type ColumnBlock<'a> = (&'a Matrix, std::ops::Range<usize>);
+
+/// The blocks `W_0, b_0, W_1, b_1, ..` of fused gate weights
+/// `w = [W_0|W_1|..]` and biases `b = [b_0|b_1|..]`, `gates` equal
+/// column blocks each: what a cell with one product per step feeds
+/// [`fingerprint_blocks`] to keep the fingerprint it had when it stored
+/// its weights per gate, without slicing them out.
+pub(crate) fn gate_blocks<'a>(
+    w: &'a Matrix,
+    b: &'a Matrix,
+    gates: usize,
+) -> impl Iterator<Item = ColumnBlock<'a>> {
+    (0..gates).flat_map(move |g| {
+        [w, b].map(|m| {
+            let width = m.cols() / gates;
+            (m, g * width..(g + 1) * width)
+        })
+    })
+}
+
+/// [`fingerprint_weights`] over column blocks: each block hashes exactly
+/// as the standalone `(rows, block width)` matrix of its values would.
+pub(crate) fn fingerprint_blocks<'a>(blocks: impl IntoIterator<Item = ColumnBlock<'a>>) -> u64 {
+    fn fnv(h: u64, bytes: &[u8]) -> u64 {
+        bytes.iter().fold(h, |h, &b| {
+            (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+    let mut h = 0xcbf2_9ce4_8422_2325;
+    for (m, cols) in blocks {
+        for d in [m.rows() as u64, cols.len() as u64] {
+            h = fnv(h, &d.to_le_bytes());
         }
-        for v in m.as_slice() {
-            for b in v.to_le_bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        for r in 0..m.rows() {
+            for v in &m.row(r)[cols.clone()] {
+                h = fnv(h, &v.to_le_bytes());
             }
         }
     }

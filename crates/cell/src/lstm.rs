@@ -21,10 +21,12 @@ use bm_tensor::{gemm, ops, xavier_uniform, Matrix, PackedWeights, Scratch};
 use crate::persist::{expect, expect_shape};
 use crate::state::{collect_outputs, CellOutput, InvocationInput, RowInvocation};
 
-/// Cap on cached token-projection size (`vocab * 4 * hidden` floats,
-/// 16 MiB of f32). Above it the resident path falls back to gathering
-/// the embedded input into a `[x|h]` batch like the gather path does.
-const MAX_PROJ_ELEMS: usize = 1 << 22;
+/// Cap on a per-token cache, in floats (16 MiB of f32): the cached
+/// token projection (`vocab * 4 * hidden`), above which the resident
+/// path falls back to gathering the embedded input into a `[x|h]` batch
+/// like the gather path does, and the tree leaf memo
+/// (`vocab * 2 * hidden`).
+pub(crate) const MAX_PROJ_ELEMS: usize = 1 << 22;
 
 /// The cached input half of the resident split affine.
 ///

@@ -2,7 +2,7 @@
 //! each cell's definition and its pre-trained weights from files").
 
 use bm_tensor::io::WeightBundle;
-use bm_tensor::Matrix;
+use bm_tensor::{ops, Matrix};
 
 /// Fetches a required matrix from a bundle.
 pub(crate) fn expect<'a>(b: &'a WeightBundle, name: &str) -> Result<&'a Matrix, String> {
@@ -19,6 +19,43 @@ pub(crate) fn expect_shape(m: &Matrix, shape: (usize, usize), name: &str) -> Res
         ));
     }
     Ok(())
+}
+
+/// Slices fused gate weights `w = [W_g|..]` and biases `b = [b_g|..]`
+/// back into the per-gate matrices the bundle format names — `w<g>`,
+/// `b<g>` for each `g` of `gates`, in that order. Cells that run one
+/// product per step keep only the fused pair; bundles still hold the
+/// per-gate matrices.
+pub(crate) fn split_gates(w: &Matrix, b: &Matrix, gates: &[&str]) -> Vec<(String, Matrix)> {
+    let ws = ops::split_cols(w, gates.len());
+    let bs = ops::split_cols(b, gates.len());
+    let mut out = Vec::with_capacity(2 * gates.len());
+    for ((g, w_g), b_g) in gates.iter().zip(ws).zip(bs) {
+        out.push((format!("w{g}"), w_g));
+        out.push((format!("b{g}"), b_g));
+    }
+    out
+}
+
+/// Inverse of [`split_gates`]: fetches `w<g>` (`(rows, hidden)`) and
+/// `b<g>` (`(1, hidden)`) for each gate and fuses them column-wise.
+pub(crate) fn fuse_gates(
+    bundle: &WeightBundle,
+    gates: &[&str],
+    rows: usize,
+    hidden: usize,
+) -> Result<(Matrix, Matrix), String> {
+    let fetch = |prefix: &str, shape: (usize, usize)| -> Result<Matrix, String> {
+        let mut parts = Vec::with_capacity(gates.len());
+        for g in gates {
+            let name = format!("{prefix}{g}");
+            let m = expect(bundle, &name)?;
+            expect_shape(m, shape, &name)?;
+            parts.push(m);
+        }
+        Ok(ops::concat_cols(&parts))
+    };
+    Ok((fetch("w", (rows, hidden))?, fetch("b", (1, hidden))?))
 }
 
 #[cfg(test)]

@@ -262,9 +262,9 @@ impl DecoderCell {
         // Fully overwritten by the affine.
         let mut logits = s.take_dirty(inputs.len(), self.vocab_size());
         ops::affine_into(&h2, &self.proj_w, &self.proj_b, &mut logits);
-        let words = ops::argmax(&logits);
-        for (r, w) in words.into_iter().enumerate() {
-            emit(r, h2.row(r), c2.row(r), Some(w as u32));
+        for r in 0..inputs.len() {
+            let word = ops::argmax_row(logits.row(r)) as u32;
+            emit(r, h2.row(r), c2.row(r), Some(word));
         }
         for m in [xh, c, h2, c2, logits] {
             s.put(m);
@@ -281,13 +281,14 @@ impl DecoderCell {
     }
 
     /// Resident-state executor: the fused chain step updates `xh`/`aux`
-    /// in place, then the new hidden rows are gathered into a scratch
-    /// matrix for the vocabulary projection (the projection GEMM needs a
-    /// contiguous `(rows, hidden)` operand; this one `hidden`-float copy
-    /// per row is the decoder's only resident-path state movement, and
-    /// the projection itself dominates decode cost, §7.4). Emits
-    /// `(row, h, c, Some(word))` per row, bitwise identical to
-    /// [`DecoderCell::execute_rows_in`] over equal state rows.
+    /// in place, then the vocabulary projection (which dominates decode
+    /// cost, §7.4) runs over the new hidden rows. With a cached token
+    /// projection the resident rows are `h`-only, so the occupied prefix
+    /// of `xh` already is the contiguous `(rows, hidden)` operand and no
+    /// state moves; only the `[x|h]` fallback of an oversized vocabulary
+    /// copies `h` out first. Emits `(row, h, c, Some(word))` per row,
+    /// bitwise identical to [`DecoderCell::execute_rows_in`] over equal
+    /// state rows.
     pub fn step_resident<F>(
         &self,
         xh: &mut Matrix,
@@ -302,21 +303,25 @@ impl DecoderCell {
         self.core
             .step_resident_chain(&self.embed, xh, aux, rows, tokens, s);
         let e = self.core.resident_layout().x_width;
-        let hsz = self.core.hidden_size;
-        // Both buffers are fully overwritten before being read.
-        let mut h2 = s.take_dirty(rows, hsz);
+        let (hsz, vocab) = (self.core.hidden_size, self.vocab_size());
+        // Fully overwritten by the affine.
+        let mut logits = s.take_dirty(rows, vocab);
+        if e == 0 {
+            let pool = ops::auto_pool(rows, hsz, vocab);
+            ops::affine_rows_into(xh, rows, &self.proj_w, &self.proj_b, &mut logits, pool);
+        } else {
+            let mut h2 = s.take_dirty(rows, hsz);
+            for r in 0..rows {
+                h2.row_mut(r).copy_from_slice(&xh.row(r)[e..]);
+            }
+            ops::affine_into(&h2, &self.proj_w, &self.proj_b, &mut logits);
+            s.put(h2);
+        }
         for r in 0..rows {
-            h2.row_mut(r).copy_from_slice(&xh.row(r)[e..]);
+            let word = ops::argmax_row(logits.row(r)) as u32;
+            emit(r, &xh.row(r)[e..], aux.row(r), Some(word));
         }
-        let mut logits = s.take_dirty(rows, self.vocab_size());
-        ops::affine_into(&h2, &self.proj_w, &self.proj_b, &mut logits);
-        let words = ops::argmax(&logits);
-        for (r, w) in words.into_iter().enumerate() {
-            emit(r, &xh.row(r)[e..], aux.row(r), Some(w as u32));
-        }
-        for m in [h2, logits] {
-            s.put(m);
-        }
+        s.put(logits);
     }
 
     /// Strips the cached token projection so tests can exercise the

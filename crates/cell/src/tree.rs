@@ -8,13 +8,78 @@
 //! per-child forget gates (the *N*-ary TreeLSTM of Tai et al. with
 //! `N = 2`, which is all the TreeBank dataset requires — §7.5 notes the
 //! dataset "contains only binary tree samples").
+//!
+//! Each cell holds its gate weights as one fused matrix and runs one
+//! packed product per step, like the LSTM's `[i|f|g|o]`: tree tasks are
+//! one to a few rows, so a step costs what streaming its weights costs,
+//! and one 2.6 MB stream (hidden 256) is walked once, serpentine, where
+//! five separate 512 KB products were each walked in the same order
+//! (`bm_tensor::gemm`, "Serpentine passes"). The per-gate matrices exist
+//! only in the bundle format and the weight fingerprint.
+
+use std::sync::OnceLock;
 
 use bm_tensor::io::WeightBundle;
 use bm_tensor::{ops, xavier_uniform, Matrix, Scratch};
 
-use crate::lstm::emit_states;
-use crate::persist::{expect, expect_shape};
+use crate::gate_blocks;
+use crate::lstm::{emit_states, MAX_PROJ_ELEMS};
+use crate::persist::{expect, fuse_gates, split_gates};
 use crate::state::{collect_outputs, CellOutput, InvocationInput, RowInvocation};
+
+/// Gate order of the leaf cell's fused weights and of its bundle.
+const LEAF_GATES: [&str; 3] = ["i", "o", "u"];
+
+/// Gate order of the internal cell's fused weights and of its bundle.
+const INTERNAL_GATES: [&str; 5] = ["i", "fl", "fr", "o", "u"];
+
+/// `[G_0|G_1|..]` of `(rows, hidden)` Xavier gates, one per seed,
+/// generated one at a time so that construction never holds the weights
+/// twice (freed transients stay in the process's peak RSS).
+fn fused_xavier(rows: usize, hidden: usize, seeds: &[u64]) -> Matrix {
+    let mut w = Matrix::zeros(rows, seeds.len() * hidden);
+    for (g, &seed) in seeds.iter().enumerate() {
+        let gate = xavier_uniform(rows, hidden, seed);
+        for r in 0..rows {
+            w.row_mut(r)[g * hidden..(g + 1) * hidden].copy_from_slice(gate.row(r));
+        }
+    }
+    w
+}
+
+/// Packs fused gate weights on the thread that builds the cell, as the
+/// LSTM cells pack their token projection. Left to first use, the panels
+/// (2.6 MB for the internal cell at hidden 256) are allocated by
+/// whichever thread steps the cell first, and the allocator then keeps a
+/// hole of that size in every thread arena a model's life has passed
+/// through: +5 MiB of `tree_bank`'s peak RSS, against +1 MiB packed
+/// here.
+fn packed_now(w: Matrix) -> Matrix {
+    w.packed();
+    w
+}
+
+/// The leaf cell's outputs by token: one lazily computed `[h|c]` row per
+/// vocabulary entry.
+///
+/// A leaf invocation has no state input, so its output is a function of
+/// its token alone and — by batching transparency — of nothing else in
+/// the batch: the first computation of a token is every later one.
+/// Rows fill on first use rather than at construction: the whole table
+/// is `vocab` cell steps (0.39 GFLOP at vocab 1000, hidden 256) that a
+/// cold start would pay before its first response.
+/// `OnceLock` makes a row visible only when complete; threads racing on
+/// one token compute the same bits and the first `set` wins.
+#[derive(Debug)]
+struct LeafMemo(Box<[OnceLock<Box<[f32]>>]>);
+
+impl LeafMemo {
+    /// An empty table, or `None` above the [`MAX_PROJ_ELEMS`] cap.
+    fn new(vocab: usize, hidden: usize) -> Option<Self> {
+        (vocab.saturating_mul(2 * hidden) <= MAX_PROJ_ELEMS)
+            .then(|| LeafMemo((0..vocab).map(|_| OnceLock::new()).collect()))
+    }
+}
 
 /// TreeLSTM leaf cell: token embedding to initial `(h, c)`.
 ///
@@ -25,30 +90,45 @@ use crate::state::{collect_outputs, CellOutput, InvocationInput, RowInvocation};
 /// c = i * u
 /// h = o * tanh(c)
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct TreeLeafCell {
     embed: Matrix,
-    wi: Matrix,
-    bi: Matrix,
-    wo: Matrix,
-    bo: Matrix,
-    wu: Matrix,
-    bu: Matrix,
+    /// `[Wi|Wo|Wu]`, `(embed, 3 * hidden)`.
+    w: Matrix,
+    /// `[bi|bo|bu]`, `(1, 3 * hidden)`.
+    b: Matrix,
     embed_size: usize,
     hidden_size: usize,
+    /// `None` when the vocabulary is too large to memoise.
+    memo: Option<LeafMemo>,
+}
+
+impl Clone for TreeLeafCell {
+    /// The copy starts with an empty memo.
+    fn clone(&self) -> Self {
+        Self::from_parts(self.embed.clone(), self.w.clone(), self.b.clone())
+    }
 }
 
 impl TreeLeafCell {
     /// Creates a cell with seeded Xavier weights.
     pub fn seeded(embed_size: usize, hidden_size: usize, vocab: usize, seed: u64) -> Self {
+        let seeds = [0x1eaf_0002, 0x1eaf_0003, 0x1eaf_0004].map(|salt| seed ^ salt);
+        Self::from_parts(
+            xavier_uniform(vocab, embed_size, seed ^ 0x1eaf_0001),
+            fused_xavier(embed_size, hidden_size, &seeds),
+            Matrix::zeros(1, 3 * hidden_size),
+        )
+    }
+
+    /// The cell over an embedding and fused `[Wi|Wo|Wu]` / `[bi|bo|bu]`.
+    fn from_parts(embed: Matrix, w: Matrix, b: Matrix) -> Self {
+        let (embed_size, hidden_size) = (embed.cols(), w.cols() / 3);
         TreeLeafCell {
-            embed: xavier_uniform(vocab, embed_size, seed ^ 0x1eaf_0001),
-            wi: xavier_uniform(embed_size, hidden_size, seed ^ 0x1eaf_0002),
-            bi: Matrix::zeros(1, hidden_size),
-            wo: xavier_uniform(embed_size, hidden_size, seed ^ 0x1eaf_0003),
-            bo: Matrix::zeros(1, hidden_size),
-            wu: xavier_uniform(embed_size, hidden_size, seed ^ 0x1eaf_0004),
-            bu: Matrix::zeros(1, hidden_size),
+            memo: LeafMemo::new(embed.rows(), hidden_size),
+            embed,
+            w: packed_now(w),
+            b,
             embed_size,
             hidden_size,
         }
@@ -74,17 +154,10 @@ impl TreeLeafCell {
         vec![(1, self.embed_size)]
     }
 
-    /// Fingerprint over all weights.
+    /// Fingerprint over all weights, gate by gate.
     pub fn weight_fingerprint(&self) -> u64 {
-        crate::fingerprint_weights(&[
-            &self.embed,
-            &self.wi,
-            &self.bi,
-            &self.wo,
-            &self.bo,
-            &self.wu,
-            &self.bu,
-        ])
+        let embed = std::iter::once((&self.embed, 0..self.embed_size));
+        crate::fingerprint_blocks(embed.chain(gate_blocks(&self.w, &self.b, LEAF_GATES.len())))
     }
 
     /// Runs one batched step; see [`crate::Cell::execute_batch`].
@@ -101,7 +174,9 @@ impl TreeLeafCell {
         collect_outputs(inputs, |rows, emit| self.execute_rows_in(rows, s, emit))
     }
 
-    /// Row-level executor; see [`crate::Cell::execute_rows_in`].
+    /// Row-level executor; see [`crate::Cell::execute_rows_in`]. Tokens
+    /// the memo has not seen are computed in one batched step and
+    /// recorded; every row is then emitted from the memo.
     pub fn execute_rows_in<F>(&self, inputs: &[RowInvocation<'_>], s: &mut Scratch, mut emit: F)
     where
         F: FnMut(usize, &[f32], &[f32], Option<u32>),
@@ -110,43 +185,72 @@ impl TreeLeafCell {
             .iter()
             .map(|inv| {
                 assert!(inv.states().is_empty(), "leaf cell takes no state inputs");
-                inv.token().expect("leaf invocation requires a token") as usize
+                let id = inv.token().expect("leaf invocation requires a token") as usize;
+                let vocab = self.vocab_size();
+                assert!(id < vocab, "embedding id {id} >= vocab {vocab}");
+                id
             })
             .collect();
-        let batch = inputs.len();
+        let Some(LeafMemo(memo)) = &self.memo else {
+            return self.step(&ids, s, emit);
+        };
+        let mut missing: Vec<usize> = ids
+            .iter()
+            .copied()
+            .filter(|&id| memo[id].get().is_none())
+            .collect();
+        if !missing.is_empty() {
+            missing.sort_unstable();
+            missing.dedup();
+            self.step(&missing, s, |r, h, c, _| {
+                // Losing a race leaves the winner's identical row.
+                let _ = memo[missing[r]].set([h, c].concat().into());
+            });
+        }
+        for (r, &id) in ids.iter().enumerate() {
+            let (h, c) = memo[id]
+                .get()
+                .expect("filled above")
+                .split_at(self.hidden_size);
+            emit(r, h, c, None);
+        }
+    }
+
+    /// One batched cell step over the given tokens.
+    fn step<F>(&self, ids: &[usize], s: &mut Scratch, mut emit: F)
+    where
+        F: FnMut(usize, &[f32], &[f32], Option<u32>),
+    {
+        let batch = ids.len();
         let hsz = self.hidden_size;
         // Every buffer is fully overwritten: `x` by the lookup, the
-        // pre-activations by the affines, `h`/`c` by the gate kernel.
+        // pre-activations by the affine, `h`/`c` by the gate kernel.
         let mut x = s.take_dirty(batch, self.embed_size);
-        ops::embedding_into(&self.embed, &ids, &mut x);
-        let mut i = s.take_dirty(batch, hsz);
-        ops::affine_into(&x, &self.wi, &self.bi, &mut i);
-        let mut o = s.take_dirty(batch, hsz);
-        ops::affine_into(&x, &self.wo, &self.bo, &mut o);
-        let mut u = s.take_dirty(batch, hsz);
-        ops::affine_into(&x, &self.wu, &self.bu, &mut u);
+        ops::embedding_into(&self.embed, ids, &mut x);
+        let mut z = s.take_dirty(batch, 3 * hsz);
+        ops::affine_into(&x, &self.w, &self.b, &mut z);
         let mut h = s.take_dirty(batch, hsz);
         let mut c = s.take_dirty(batch, hsz);
-        ops::tree_leaf_gates(&i, &o, &u, &mut h, &mut c);
+        ops::tree_leaf_gates(&z, &mut h, &mut c);
         emit_states(&h, &c, &mut emit);
-        for m in [x, i, o, u, h, c] {
+        for m in [x, z, h, c] {
             s.put(m);
         }
+    }
+
+    /// Disables the memo so tests can exercise the direct path a
+    /// too-large vocabulary would take.
+    #[cfg(test)]
+    pub(crate) fn drop_memo_for_tests(&mut self) {
+        self.memo = None;
     }
 
     /// Exports the cell's weights (§4.2 persistence).
     pub fn to_bundle(&self) -> WeightBundle {
         let mut b = WeightBundle::new();
         b.insert("embed", self.embed.clone());
-        for (name, m) in [
-            ("wi", &self.wi),
-            ("bi", &self.bi),
-            ("wo", &self.wo),
-            ("bo", &self.bo),
-            ("wu", &self.wu),
-            ("bu", &self.bu),
-        ] {
-            b.insert(name, m.clone());
+        for (name, m) in split_gates(&self.w, &self.b, &LEAF_GATES) {
+            b.insert(name, m);
         }
         b
     }
@@ -154,26 +258,9 @@ impl TreeLeafCell {
     /// Reconstructs the cell from saved weights, inferring shapes.
     pub fn from_bundle(bundle: &WeightBundle) -> Result<Self, String> {
         let embed = expect(bundle, "embed")?;
-        let wi = expect(bundle, "wi")?;
-        let embed_size = embed.cols();
-        let hidden = wi.cols();
-        expect_shape(wi, (embed_size, hidden), "wi")?;
-        let get = |name: &str, shape: (usize, usize)| -> Result<Matrix, String> {
-            let m = expect(bundle, name)?;
-            expect_shape(m, shape, name)?;
-            Ok(m.clone())
-        };
-        Ok(TreeLeafCell {
-            embed: embed.clone(),
-            wi: wi.clone(),
-            bi: get("bi", (1, hidden))?,
-            wo: get("wo", (embed_size, hidden))?,
-            bo: get("bo", (1, hidden))?,
-            wu: get("wu", (embed_size, hidden))?,
-            bu: get("bu", (1, hidden))?,
-            embed_size,
-            hidden_size: hidden,
-        })
+        let hidden = expect(bundle, "wi")?.cols();
+        let (w, b) = fuse_gates(bundle, &LEAF_GATES, embed.cols(), hidden)?;
+        Ok(Self::from_parts(embed.clone(), w, b))
     }
 }
 
@@ -192,34 +279,22 @@ impl TreeLeafCell {
 /// ```
 #[derive(Debug, Clone)]
 pub struct TreeInternalCell {
-    wi: Matrix,
-    bi: Matrix,
-    wfl: Matrix,
-    bfl: Matrix,
-    wfr: Matrix,
-    bfr: Matrix,
-    wo: Matrix,
-    bo: Matrix,
-    wu: Matrix,
-    bu: Matrix,
+    /// `[Wi|Wfl|Wfr|Wo|Wu]`, `(2 * hidden, 5 * hidden)`.
+    w: Matrix,
+    /// `[bi|bfl|bfr|bo|bu]`, `(1, 5 * hidden)`.
+    b: Matrix,
     hidden_size: usize,
 }
 
 impl TreeInternalCell {
     /// Creates a cell with seeded Xavier weights.
     pub fn seeded(hidden_size: usize, seed: u64) -> Self {
-        let hs = 2 * hidden_size;
+        let seeds = [1, 2, 3, 4, 5].map(|g| seed ^ (0x7ee_0000 + g));
+        let zero = Matrix::zeros(1, hidden_size);
+        let one = Matrix::filled(1, hidden_size, 1.0); // Forget bias 1: standard practice.
         TreeInternalCell {
-            wi: xavier_uniform(hs, hidden_size, seed ^ 0x7ee_0001),
-            bi: Matrix::zeros(1, hidden_size),
-            wfl: xavier_uniform(hs, hidden_size, seed ^ 0x7ee_0002),
-            bfl: Matrix::filled(1, hidden_size, 1.0), // Forget bias 1: standard practice.
-            wfr: xavier_uniform(hs, hidden_size, seed ^ 0x7ee_0003),
-            bfr: Matrix::filled(1, hidden_size, 1.0),
-            wo: xavier_uniform(hs, hidden_size, seed ^ 0x7ee_0004),
-            bo: Matrix::zeros(1, hidden_size),
-            wu: xavier_uniform(hs, hidden_size, seed ^ 0x7ee_0005),
-            bu: Matrix::zeros(1, hidden_size),
+            w: packed_now(fused_xavier(2 * hidden_size, hidden_size, &seeds)),
+            b: ops::concat_cols(&[&zero, &one, &one, &zero, &zero]),
             hidden_size,
         }
     }
@@ -234,12 +309,9 @@ impl TreeInternalCell {
         vec![(1, self.hidden_size); 4]
     }
 
-    /// Fingerprint over all weights.
+    /// Fingerprint over all weights, gate by gate.
     pub fn weight_fingerprint(&self) -> u64 {
-        crate::fingerprint_weights(&[
-            &self.wi, &self.bi, &self.wfl, &self.bfl, &self.wfr, &self.bfr, &self.wo, &self.bo,
-            &self.wu, &self.bu,
-        ])
+        crate::fingerprint_blocks(gate_blocks(&self.w, &self.b, INTERNAL_GATES.len()))
     }
 
     /// Runs one batched step; see [`crate::Cell::execute_batch`].
@@ -266,7 +338,7 @@ impl TreeInternalCell {
         let batch = inputs.len();
         let hsz = self.hidden_size;
         // Every buffer is fully overwritten: the child states by the
-        // copies below, the pre-activations by the affines, `h_out`/`c`
+        // copies below, the pre-activations by the affine, `h_out`/`c`
         // by the gate kernel.
         let mut hs = s.take_dirty(batch, 2 * hsz);
         let mut cl = s.take_dirty(batch, hsz);
@@ -285,21 +357,13 @@ impl TreeInternalCell {
             cl.row_mut(r).copy_from_slice(left.c);
             cr.row_mut(r).copy_from_slice(right.c);
         }
-        let mut i = s.take_dirty(batch, hsz);
-        ops::affine_into(&hs, &self.wi, &self.bi, &mut i);
-        let mut fl = s.take_dirty(batch, hsz);
-        ops::affine_into(&hs, &self.wfl, &self.bfl, &mut fl);
-        let mut fr = s.take_dirty(batch, hsz);
-        ops::affine_into(&hs, &self.wfr, &self.bfr, &mut fr);
-        let mut o = s.take_dirty(batch, hsz);
-        ops::affine_into(&hs, &self.wo, &self.bo, &mut o);
-        let mut u = s.take_dirty(batch, hsz);
-        ops::affine_into(&hs, &self.wu, &self.bu, &mut u);
+        let mut z = s.take_dirty(batch, 5 * hsz);
+        ops::affine_into(&hs, &self.w, &self.b, &mut z);
         let mut h_out = s.take_dirty(batch, hsz);
         let mut c = s.take_dirty(batch, hsz);
-        ops::tree_internal_gates(&i, &fl, &fr, &o, &u, &cl, &cr, &mut h_out, &mut c);
+        ops::tree_internal_gates(&z, &cl, &cr, &mut h_out, &mut c);
         emit_states(&h_out, &c, &mut emit);
-        for m in [hs, cl, cr, i, fl, fr, o, u, h_out, c] {
+        for m in [hs, cl, cr, z, h_out, c] {
             s.put(m);
         }
     }
@@ -307,45 +371,19 @@ impl TreeInternalCell {
     /// Exports the cell's weights (§4.2 persistence).
     pub fn to_bundle(&self) -> WeightBundle {
         let mut b = WeightBundle::new();
-        for (name, m) in [
-            ("wi", &self.wi),
-            ("bi", &self.bi),
-            ("wfl", &self.wfl),
-            ("bfl", &self.bfl),
-            ("wfr", &self.wfr),
-            ("bfr", &self.bfr),
-            ("wo", &self.wo),
-            ("bo", &self.bo),
-            ("wu", &self.wu),
-            ("bu", &self.bu),
-        ] {
-            b.insert(name, m.clone());
+        for (name, m) in split_gates(&self.w, &self.b, &INTERNAL_GATES) {
+            b.insert(name, m);
         }
         b
     }
 
     /// Reconstructs the cell from saved weights, inferring shapes.
     pub fn from_bundle(bundle: &WeightBundle) -> Result<Self, String> {
-        let wi = expect(bundle, "wi")?;
-        let hidden = wi.cols();
-        let hs = 2 * hidden;
-        expect_shape(wi, (hs, hidden), "wi")?;
-        let get = |name: &str, shape: (usize, usize)| -> Result<Matrix, String> {
-            let m = expect(bundle, name)?;
-            expect_shape(m, shape, name)?;
-            Ok(m.clone())
-        };
+        let hidden = expect(bundle, "wi")?.cols();
+        let (w, b) = fuse_gates(bundle, &INTERNAL_GATES, 2 * hidden, hidden)?;
         Ok(TreeInternalCell {
-            wi: wi.clone(),
-            bi: get("bi", (1, hidden))?,
-            wfl: get("wfl", (hs, hidden))?,
-            bfl: get("bfl", (1, hidden))?,
-            wfr: get("wfr", (hs, hidden))?,
-            bfr: get("bfr", (1, hidden))?,
-            wo: get("wo", (hs, hidden))?,
-            bo: get("bo", (1, hidden))?,
-            wu: get("wu", (hs, hidden))?,
-            bu: get("bu", (1, hidden))?,
+            w: packed_now(w),
+            b,
             hidden_size: hidden,
         })
     }
@@ -422,6 +460,133 @@ mod tests {
             states: vec![&s],
         };
         let _ = internal.execute_batch(&[bad]);
+    }
+
+    #[test]
+    fn memoised_rows_equal_fresh_computation() {
+        let leaf = TreeLeafCell::seeded(5, 7, 12, 3);
+        let mut direct = leaf.clone();
+        direct.drop_memo_for_tests();
+        let batch = |tokens: &[u32]| -> Vec<InvocationInput<'static>> {
+            tokens
+                .iter()
+                .map(|&t| InvocationInput::token_only(t))
+                .collect()
+        };
+        // Fill 4 and 9; then a batch of hits, misses and repeats.
+        let first = leaf.execute_batch(&batch(&[4, 9]));
+        assert_eq!(first, direct.execute_batch(&batch(&[4, 9])));
+        let mixed = [9, 2, 4, 2, 11, 9];
+        let want = direct.execute_batch(&batch(&mixed));
+        assert_eq!(leaf.execute_batch(&batch(&mixed)), want);
+        // All hits now.
+        assert_eq!(leaf.execute_batch(&batch(&mixed)), want);
+        // A clone starts empty and computes the same rows.
+        assert_eq!(leaf.clone().execute_batch(&batch(&mixed)), want);
+    }
+
+    #[test]
+    fn threads_racing_on_one_token_agree() {
+        let leaf = TreeLeafCell::seeded(5, 7, 12, 3);
+        let mut direct = leaf.clone();
+        direct.drop_memo_for_tests();
+        let want = direct.execute_batch(&[InvocationInput::token_only(6)]);
+        let start = std::sync::Barrier::new(2);
+        let race = || {
+            start.wait();
+            leaf.execute_batch(&[InvocationInput::token_only(6)])
+        };
+        let (a, b) = std::thread::scope(|sc| {
+            let other = sc.spawn(race);
+            (race(), other.join().expect("racing thread"))
+        });
+        assert_eq!(a, want);
+        assert_eq!(b, want);
+    }
+
+    #[test]
+    #[should_panic(expected = "embedding id 12 >= vocab 12")]
+    fn leaf_rejects_out_of_vocabulary_token() {
+        let leaf = TreeLeafCell::seeded(5, 7, 12, 3);
+        let _ = leaf.execute_batch(&[InvocationInput::token_only(12)]);
+    }
+
+    /// The per-gate construction these cells had before their weights
+    /// were fused: what bundles on disk and registered fingerprints hold.
+    fn per_gate_leaf(e: usize, h: usize, vocab: usize, seed: u64) -> Vec<(&'static str, Matrix)> {
+        vec![
+            ("embed", xavier_uniform(vocab, e, seed ^ 0x1eaf_0001)),
+            ("wi", xavier_uniform(e, h, seed ^ 0x1eaf_0002)),
+            ("bi", Matrix::zeros(1, h)),
+            ("wo", xavier_uniform(e, h, seed ^ 0x1eaf_0003)),
+            ("bo", Matrix::zeros(1, h)),
+            ("wu", xavier_uniform(e, h, seed ^ 0x1eaf_0004)),
+            ("bu", Matrix::zeros(1, h)),
+        ]
+    }
+
+    fn per_gate_internal(h: usize, seed: u64) -> Vec<(&'static str, Matrix)> {
+        vec![
+            ("wi", xavier_uniform(2 * h, h, seed ^ 0x7ee_0001)),
+            ("bi", Matrix::zeros(1, h)),
+            ("wfl", xavier_uniform(2 * h, h, seed ^ 0x7ee_0002)),
+            ("bfl", Matrix::filled(1, h, 1.0)),
+            ("wfr", xavier_uniform(2 * h, h, seed ^ 0x7ee_0003)),
+            ("bfr", Matrix::filled(1, h, 1.0)),
+            ("wo", xavier_uniform(2 * h, h, seed ^ 0x7ee_0004)),
+            ("bo", Matrix::zeros(1, h)),
+            ("wu", xavier_uniform(2 * h, h, seed ^ 0x7ee_0005)),
+            ("bu", Matrix::zeros(1, h)),
+        ]
+    }
+
+    #[test]
+    fn bundles_and_fingerprints_are_per_gate() {
+        let leaf = TreeLeafCell::seeded(4, 6, 10, 21);
+        let internal = TreeInternalCell::seeded(6, 22);
+        let old_leaf = per_gate_leaf(4, 6, 10, 21);
+        let old_internal = per_gate_internal(6, 22);
+        let fp = |mats: &[(&str, Matrix)]| {
+            crate::fingerprint_weights(&mats.iter().map(|(_, m)| m).collect::<Vec<_>>())
+        };
+        assert_eq!(leaf.weight_fingerprint(), fp(&old_leaf));
+        assert_eq!(internal.weight_fingerprint(), fp(&old_internal));
+
+        // A bundle as written before the fusion loads, serves the same
+        // outputs and is written back unchanged.
+        let bundle_of = |mats: &[(&str, Matrix)]| {
+            let mut b = WeightBundle::new();
+            for (name, m) in mats {
+                b.insert(*name, m.clone());
+            }
+            b
+        };
+        let (leaf_bundle, internal_bundle) = (bundle_of(&old_leaf), bundle_of(&old_internal));
+        assert_eq!(leaf.to_bundle(), leaf_bundle);
+        assert_eq!(internal.to_bundle(), internal_bundle);
+        let leaf2 = TreeLeafCell::from_bundle(&leaf_bundle).expect("leaf bundle");
+        let internal2 = TreeInternalCell::from_bundle(&internal_bundle).expect("internal bundle");
+        assert_eq!(leaf2.weight_fingerprint(), leaf.weight_fingerprint());
+        assert_eq!(
+            internal2.weight_fingerprint(),
+            internal.weight_fingerprint()
+        );
+        let tokens = [
+            InvocationInput::token_only(1),
+            InvocationInput::token_only(7),
+        ];
+        let kids = leaf.execute_batch(&tokens);
+        assert_eq!(leaf2.execute_batch(&tokens), kids);
+        let pair = [InvocationInput::tree(&kids[0].state, &kids[1].state)];
+        assert_eq!(
+            internal2.execute_batch(&pair),
+            internal.execute_batch(&pair)
+        );
+
+        let mut short = internal_bundle.clone();
+        short.insert("wfr", Matrix::zeros(12, 5));
+        let err = TreeInternalCell::from_bundle(&short).unwrap_err();
+        assert!(err.contains("wfr"), "{err}");
     }
 
     #[test]

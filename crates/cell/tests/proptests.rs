@@ -10,6 +10,8 @@ use bm_cell::{
     Cell, CellState, DecoderCell, EncoderCell, GruCell, InvocationInput, LstmCell,
     TreeInternalCell, TreeLeafCell,
 };
+use bm_tensor::io::WeightBundle;
+use bm_tensor::{ops, Matrix};
 use proptest::prelude::*;
 
 const VOCAB: usize = 24;
@@ -69,8 +71,86 @@ fn state_pool(cell: &Cell) -> Vec<CellState> {
     }
 }
 
+/// `act(x · W_g + b_g)` from the bundle's per-gate matrices: the
+/// serial reference product and the composed scalar activations. The
+/// tree cells run one fused product per step; the per-gate formula of
+/// Tai et al. survives as this oracle.
+fn gate(bundle: &WeightBundle, g: &str, x: &Matrix, act: fn(&Matrix) -> Matrix) -> Matrix {
+    let w = bundle.get(&format!("w{g}")).expect("gate weights");
+    let b = bundle.get(&format!("b{g}")).expect("gate bias");
+    let mut pre = x.matmul_serial(w);
+    for r in 0..pre.rows() {
+        for (v, &bv) in pre.row_mut(r).iter_mut().zip(b.row(0)) {
+            *v += bv;
+        }
+    }
+    act(&pre)
+}
+
+/// Asserts each output's `(h, c)` equals row `r` of `h`/`c`.
+fn assert_rows(out: &[bm_cell::CellOutput], h: &Matrix, c: &Matrix) -> Result<(), TestCaseError> {
+    prop_assert_eq!(out.len(), h.rows());
+    for (r, o) in out.iter().enumerate() {
+        prop_assert_eq!(&o.state.h[..], h.row(r));
+        prop_assert_eq!(&o.state.c[..], c.row(r));
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn fused_tree_steps_equal_the_per_gate_formula(
+        tokens in proptest::collection::vec(0u32..VOCAB as u32, 1..=9),
+        seed in 0u64..1000,
+    ) {
+        // Hidden 20 with embed 7: the fused widths (60, 100) are ragged
+        // for every tier's panel group.
+        let leaf = TreeLeafCell::seeded(7, 20, VOCAB, seed);
+        let lb = leaf.to_bundle();
+        let ids: Vec<usize> = tokens.iter().map(|&t| t as usize).collect();
+        let x = ops::embedding(lb.get("embed").expect("embed"), &ids);
+        let (i, o, u) = (
+            gate(&lb, "i", &x, ops::sigmoid),
+            gate(&lb, "o", &x, ops::sigmoid),
+            gate(&lb, "u", &x, ops::tanh),
+        );
+        let c = ops::mul(&i, &u);
+        let h = ops::mul(&o, &ops::tanh(&c));
+        let invs: Vec<_> = tokens.iter().map(|&t| InvocationInput::token_only(t)).collect();
+        let kids = leaf.execute_batch(&invs);
+        assert_rows(&kids, &h, &c)?;
+
+        // Pair each leaf with its successor (wrapping): as many internal
+        // rows as leaves.
+        let internal = TreeInternalCell::seeded(20, seed ^ 0xabc);
+        let ib = internal.to_bundle();
+        let n = kids.len();
+        let right = |r: usize| &kids[(r + 1) % n].state;
+        let rows = |f: &dyn Fn(usize) -> Vec<f32>| {
+            Matrix::from_vec(n, f(0).len(), (0..n).flat_map(f).collect())
+        };
+        let hs = rows(&|r| [&kids[r].state.h[..], &right(r).h[..]].concat());
+        let cl = rows(&|r| kids[r].state.c.clone());
+        let cr = rows(&|r| right(r).c.clone());
+        let (i, fl, fr, o, u) = (
+            gate(&ib, "i", &hs, ops::sigmoid),
+            gate(&ib, "fl", &hs, ops::sigmoid),
+            gate(&ib, "fr", &hs, ops::sigmoid),
+            gate(&ib, "o", &hs, ops::sigmoid),
+            gate(&ib, "u", &hs, ops::tanh),
+        );
+        let c = ops::add(
+            &ops::mul(&i, &u),
+            &ops::add(&ops::mul(&fl, &cl), &ops::mul(&fr, &cr)),
+        );
+        let h = ops::mul(&o, &ops::tanh(&c));
+        let pairs: Vec<_> = (0..n)
+            .map(|r| InvocationInput::tree(&kids[r].state, right(r)))
+            .collect();
+        assert_rows(&internal.execute_batch(&pairs), &h, &c)?;
+    }
 
     #[test]
     fn batched_execution_is_transparent(

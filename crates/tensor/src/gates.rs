@@ -115,63 +115,55 @@ pub fn gru_update_rows(z_pre: &Matrix, n_pre: &Matrix, rows: usize, h: &mut Matr
     });
 }
 
-/// TreeLSTM leaf gates from the three pre-activations:
+/// TreeLSTM leaf gates from the fused pre-activations `z = [i|o|u]`
+/// (`(batch, 3h)`), each row read by column range as
+/// [`lstm_gates_rows_inplace`] reads `[i|f|g|o]`:
 /// `c = sigmoid(i) * tanh(u)`, `h = sigmoid(o) * tanh(c)`.
 ///
 /// # Panics
 ///
 /// Panics on shape mismatch.
-pub fn tree_leaf_gates(i: &Matrix, o: &Matrix, u: &Matrix, h_out: &mut Matrix, c_out: &mut Matrix) {
-    let shape = i.shape();
-    assert_eq!(o.shape(), shape, "tree_leaf_gates o shape");
-    assert_eq!(u.shape(), shape, "tree_leaf_gates u shape");
+pub fn tree_leaf_gates(z: &Matrix, h_out: &mut Matrix, c_out: &mut Matrix) {
+    let shape = c_out.shape();
+    assert_eq!(z.shape(), (shape.0, 3 * shape.1), "tree_leaf_gates z shape");
     assert_eq!(h_out.shape(), shape, "tree_leaf_gates h_out shape");
-    assert_eq!(c_out.shape(), shape, "tree_leaf_gates c_out shape");
     run(GateOp::TreeLeaf {
-        pre: [i, o, u].map(Matrix::as_slice),
-        h: h_out.as_mut_slice(),
-        c: c_out.as_mut_slice(),
+        z,
+        h: h_out,
+        c: c_out,
     });
 }
 
-/// TreeLSTM internal gates from the five pre-activations and the two
-/// children's cell states:
+/// TreeLSTM internal gates from the fused pre-activations
+/// `z = [i|fl|fr|o|u]` (`(batch, 5h)`) and the two children's cell
+/// states:
 /// `c = (sigmoid(i) * tanh(u)) + ((sigmoid(fl) * cl) + (sigmoid(fr) * cr))`,
 /// `h = sigmoid(o) * tanh(c)`.
 ///
 /// # Panics
 ///
 /// Panics on shape mismatch.
-#[allow(clippy::too_many_arguments)]
 pub fn tree_internal_gates(
-    i: &Matrix,
-    fl: &Matrix,
-    fr: &Matrix,
-    o: &Matrix,
-    u: &Matrix,
+    z: &Matrix,
     cl: &Matrix,
     cr: &Matrix,
     h_out: &mut Matrix,
     c_out: &mut Matrix,
 ) {
-    let shape = i.shape();
-    for (m, what) in [
-        (fl, "fl"),
-        (fr, "fr"),
-        (o, "o"),
-        (u, "u"),
-        (cl, "cl"),
-        (cr, "cr"),
-    ] {
-        assert_eq!(m.shape(), shape, "tree_internal_gates {what} shape");
-    }
+    let shape = c_out.shape();
+    assert_eq!(
+        z.shape(),
+        (shape.0, 5 * shape.1),
+        "tree_internal_gates z shape"
+    );
+    assert_eq!(cl.shape(), shape, "tree_internal_gates cl shape");
+    assert_eq!(cr.shape(), shape, "tree_internal_gates cr shape");
     assert_eq!(h_out.shape(), shape, "tree_internal_gates h_out shape");
-    assert_eq!(c_out.shape(), shape, "tree_internal_gates c_out shape");
     run(GateOp::TreeInternal {
-        pre: [i, fl, fr, o, u].map(Matrix::as_slice),
-        children: [cl, cr].map(Matrix::as_slice),
-        h: h_out.as_mut_slice(),
-        c: c_out.as_mut_slice(),
+        z,
+        children: [cl, cr],
+        h: h_out,
+        c: c_out,
     });
 }
 
@@ -196,19 +188,19 @@ enum GateOp<'a> {
         rows: usize,
         h: &'a mut Matrix,
     },
-    /// `pre = [i, o, u]`; every slice the same length.
+    /// `z = [i|o|u]`, `(batch, 3h)`; `h` and `c` `(batch, h)`.
     TreeLeaf {
-        pre: [&'a [f32]; 3],
-        h: &'a mut [f32],
-        c: &'a mut [f32],
+        z: &'a Matrix,
+        h: &'a mut Matrix,
+        c: &'a mut Matrix,
     },
-    /// `pre = [i, fl, fr, o, u]`, `children = [cl, cr]`; every slice the
-    /// same length.
+    /// `z = [i|fl|fr|o|u]`, `(batch, 5h)`; `children = [cl, cr]`, `h`
+    /// and `c` `(batch, h)`.
     TreeInternal {
-        pre: [&'a [f32]; 5],
-        children: [&'a [f32]; 2],
-        h: &'a mut [f32],
-        c: &'a mut [f32],
+        z: &'a Matrix,
+        children: [&'a Matrix; 2],
+        h: &'a mut Matrix,
+        c: &'a mut Matrix,
     },
 }
 
@@ -301,30 +293,20 @@ fn run_impl(op: GateOp<'_>) {
                 }
             }
         }
-        GateOp::TreeLeaf {
-            pre: [i, o, u],
-            h,
-            c,
-        } => {
-            for ((((hv, cv), &iv), &ov), &uv) in h.iter_mut().zip(c).zip(i).zip(o).zip(u) {
-                let c_new = sigmoid(iv) * tanh(uv);
-                *cv = c_new;
-                *hv = sigmoid(ov) * tanh(c_new);
+        GateOp::TreeLeaf { z, h, c } => {
+            for r in 0..z.rows() {
+                tree_leaf_row(z.row(r), h.row_mut(r), c.row_mut(r));
             }
         }
         GateOp::TreeInternal {
-            pre: [i, fl, fr, o, u],
+            z,
             children: [cl, cr],
             h,
             c,
         } => {
-            let gates = i.iter().zip(fl).zip(fr).zip(o).zip(u);
-            let states = h.iter_mut().zip(c).zip(cl).zip(cr);
-            for (((((&iv, &flv), &frv), &ov), &uv), (((hv, cv), &clv), &crv)) in gates.zip(states) {
-                let c_new =
-                    (sigmoid(iv) * tanh(uv)) + ((sigmoid(flv) * clv) + (sigmoid(frv) * crv));
-                *cv = c_new;
-                *hv = sigmoid(ov) * tanh(c_new);
+            for r in 0..z.rows() {
+                let children = [cl.row(r), cr.row(r)];
+                tree_internal_row(z.row(r), children, h.row_mut(r), c.row_mut(r));
             }
         }
     }
@@ -341,6 +323,36 @@ fn lstm_row(z: &[f32], h: &mut [f32], c: &mut [f32]) {
     let gates = zi.iter().zip(zf).zip(zg).zip(zo);
     for ((((&iv, &fv), &gv), &ov), (hv, cv)) in gates.zip(h.iter_mut().zip(c)) {
         let c_new = (sigmoid(fv) * *cv) + (sigmoid(iv) * tanh(gv));
+        *cv = c_new;
+        *hv = sigmoid(ov) * tanh(c_new);
+    }
+}
+
+/// One TreeLSTM leaf row: `z = [i|o|u]`.
+#[inline(always)]
+fn tree_leaf_row(z: &[f32], h: &mut [f32], c: &mut [f32]) {
+    let n = c.len();
+    let (zi, z) = z.split_at(n);
+    let (zo, zu) = z.split_at(n);
+    for (((&iv, &ov), &uv), (hv, cv)) in zi.iter().zip(zo).zip(zu).zip(h.iter_mut().zip(c)) {
+        let c_new = sigmoid(iv) * tanh(uv);
+        *cv = c_new;
+        *hv = sigmoid(ov) * tanh(c_new);
+    }
+}
+
+/// One TreeLSTM internal row: `z = [i|fl|fr|o|u]`.
+#[inline(always)]
+fn tree_internal_row(z: &[f32], [cl, cr]: [&[f32]; 2], h: &mut [f32], c: &mut [f32]) {
+    let n = c.len();
+    let (zi, z) = z.split_at(n);
+    let (zfl, z) = z.split_at(n);
+    let (zfr, z) = z.split_at(n);
+    let (zo, zu) = z.split_at(n);
+    let gates = zi.iter().zip(zfl).zip(zfr).zip(zo).zip(zu);
+    let states = h.iter_mut().zip(c).zip(cl).zip(cr);
+    for (((((&iv, &flv), &frv), &ov), &uv), (((hv, cv), &clv), &crv)) in gates.zip(states) {
+        let c_new = (sigmoid(iv) * tanh(uv)) + ((sigmoid(flv) * clv) + (sigmoid(frv) * crv));
         *cv = c_new;
         *hv = sigmoid(ov) * tanh(c_new);
     }
@@ -382,7 +394,7 @@ pub(crate) mod tests {
     /// everything they wrote.
     fn outputs(tier: Tier, n: usize) -> Vec<Matrix> {
         const ROWS: usize = 3;
-        let pre: Vec<Matrix> = (0..5).map(|p| wave(ROWS, n, 20.0, p)).collect();
+        let pre: Vec<Matrix> = (0..3).map(|p| wave(ROWS, n, 20.0, p)).collect();
         let state: Vec<Matrix> = (5..7).map(|p| wave(ROWS, n, 2.0, p)).collect();
         let z = wave(ROWS, 4 * n, 20.0, 7);
         let new = || Matrix::from_vec(ROWS, n, vec![f32::NAN; ROWS * n]);
@@ -412,16 +424,16 @@ pub(crate) mod tests {
         });
         let (mut leaf_h, mut leaf_c) = (new(), new());
         tier(GateOp::TreeLeaf {
-            pre: [&pre[0], &pre[3], &pre[4]].map(Matrix::as_slice),
-            h: leaf_h.as_mut_slice(),
-            c: leaf_c.as_mut_slice(),
+            z: &wave(ROWS, 3 * n, 20.0, 10),
+            h: &mut leaf_h,
+            c: &mut leaf_c,
         });
         let (mut int_h, mut int_c) = (new(), new());
         tier(GateOp::TreeInternal {
-            pre: [&pre[0], &pre[1], &pre[2], &pre[3], &pre[4]].map(Matrix::as_slice),
-            children: [&state[0], &state[1]].map(Matrix::as_slice),
-            h: int_h.as_mut_slice(),
-            c: int_c.as_mut_slice(),
+            z: &wave(ROWS, 5 * n, 20.0, 11),
+            children: [&state[0], &state[1]],
+            h: &mut int_h,
+            c: &mut int_c,
         });
         vec![xh, c, gru_xh, gru_h, leaf_h, leaf_c, int_h, int_c]
     }

@@ -7,18 +7,44 @@
 //! [`crate::Matrix`]; this module holds the packed representation and the
 //! micro-kernels.
 //!
-//! # One pass over the weights per row block
+//! # One pass over the weights per call
 //!
 //! Batching pays because one fetch of the weights serves every row of a
-//! step (§2.2, Figure 3), so the kernel family is built around that:
-//! the left-hand side is cut into row blocks of up to [`MR`] rows, and a
-//! block of *any* height 1..=`MR` is exactly one pass over the packed
-//! weights, in `R x P` register tiles (`kernel`) that keep every
-//! accumulator in registers across the whole `k` loop. Cellular batching
-//! forms tasks of one to a few rows most of the time; those pay for one
-//! pass, not one pass per row. The tile width `P` is sized to each ISA
-//! tier's register file (`gemm_block`), and is the only thing that
-//! differs between tiers.
+//! step (§2.2, Figure 3), and at the sizes cellular batching forms — one
+//! to a few rows per task — a step *is* a weight stream: the 1-row call
+//! moves every packed byte once and does two flops on it. So the loop
+//! nest is panel group outer, row block inner (`gemm_block_impl`): a
+//! group of up to four panels is fetched once and every row block of up
+//! to [`MR`] rows runs its `R x P` register tiles (`kernel`, accumulators
+//! in registers across the whole `k` loop) against it while it sits in
+//! L1/L2, then the next group. A call of *any* `m` is therefore exactly
+//! one pass over the packed weights, where a row-outer nest streams the
+//! whole matrix once per 4-row block (a 512x1280 product at 8 rows: two
+//! passes of 2.6 MB). The tile width `P` is sized to
+//! each ISA tier's register file (`gemm_block`), and is the only thing
+//! that differs between tiers.
+//!
+//! # Serpentine passes
+//!
+//! What one pass costs depends on where the bytes are. Measured on the
+//! build host (2 MiB of L2 per core; `k = 512`, best of four processes),
+//! a 1-row call streams packed weights at
+//!
+//! | packed size, MB | 0.5 | 1.0 | 1.6 | 2.1 | 2.6 | 3.0 | 4.1 |
+//! |---|---|---|---|---|---|---|---|
+//! | same order every pass, GB/s | 108 | 108 | 77 | 56 | 35 | 30 | 27 |
+//! | serpentine, GB/s | 106 | 109 | 94 | 72 | 57 | 46 | 39 |
+//!
+//! — walked in the same ascending order every time, a matrix that does
+//! not fit L2 falls to L3 speed *entirely*, not just for the excess: an
+//! LRU-like cache has always just evicted what the next pass reads
+//! first. So each [`PackedWeights`] carries one parity bit, flipped per
+//! call, that selects ascending or descending panel-group order: a pass
+//! starts where the previous pass over the same matrix ended and hits on
+//! whatever that left resident (the tree-internal cell's 2.6 MB at one
+//! row: 75 -> 43 us). Output columns are independent folds, so neither
+//! the direction nor the nest order changes a bit, and a matrix that
+//! fits L2 is unaffected.
 //!
 //! # Bitwise stability
 //!
@@ -32,6 +58,8 @@
 //! blocking changes *which* elements are computed together, never the
 //! per-element fold order. There is deliberately no k-splitting (partial
 //! sums would change the fold shape).
+
+use std::sync::atomic::{AtomicBool, Ordering};
 
 use crate::pool::ComputePool;
 
@@ -68,6 +96,12 @@ pub struct PackedWeights {
     /// on the benchmark's chain workloads; unaligned panels cost the
     /// 1-row call half its speed.
     buf: Vec<f32>,
+    /// Direction of the next pass: set means descending panel-group
+    /// order. Flipped by every call so consecutive passes are serpentine
+    /// (module docs). It publishes nothing — either value gives the same
+    /// bits — so relaxed ordering suffices, and callers sharing one
+    /// matrix across threads merely alternate less regularly.
+    descending: AtomicBool,
 }
 
 impl PackedWeights {
@@ -77,6 +111,7 @@ impl PackedWeights {
             k,
             n,
             buf: vec![0.0; (n.div_ceil(NR) * k + 1) * NR],
+            descending: AtomicBool::new(false),
         }
     }
 
@@ -169,6 +204,8 @@ impl SendPtr {
 /// With a pool of more than one thread and more than `MR` rows, output
 /// rows are chunked evenly across the pool; chunks write disjoint
 /// slices, so results are bitwise identical regardless of pool size.
+/// Each chunk is one pass over the weights, all in the call's one
+/// direction.
 ///
 /// # Panics
 ///
@@ -233,11 +270,12 @@ fn gemm_into_seeded(
     if let Some(b) = bias {
         assert_eq!(b.len(), n, "gemm: bias length mismatch");
     }
+    let descending = packed.descending.fetch_xor(true, Ordering::Relaxed);
     let threads = pool.map_or(1, ComputePool::threads);
-    // Up to `MR` rows share one pass over the weights, so a split only
-    // pays from the second row block on, and never into more chunks than
-    // there are row blocks. Chunks are as even as possible, not rounded
-    // to `MR`: a tail block costs no more than a full one.
+    // Every chunk streams the weights once, so a split only pays from
+    // the second row block on, and never into more chunks than there
+    // are row blocks. Chunks are as even as possible, not rounded to
+    // `MR`: a tail block costs no more than a full one.
     if threads > 1 && m > MR {
         let pool = pool.expect("threads > 1 implies a pool");
         let rows_per = m.div_ceil(threads.min(m.div_ceil(MR)));
@@ -250,16 +288,18 @@ fn gemm_into_seeded(
             // pool blocks until every chunk completes.
             let out_chunk =
                 unsafe { std::slice::from_raw_parts_mut(out_ptr.get().add(r0 * n), (r1 - r0) * n) };
-            gemm_block(a, packed, bias, out_chunk, r0, seed);
+            gemm_block(a, packed, bias, out_chunk, r0, seed, descending);
         });
     } else {
-        gemm_block(a, packed, bias, out, 0, seed);
+        gemm_block(a, packed, bias, out, 0, seed, descending);
     }
 }
 
 /// Computes output rows `row0 ..` of the product into `out_chunk`
-/// (`out_chunk.len() / n` rows), dispatching to the widest vector ISA
-/// the host supports (AVX-512F, then AVX2, then the baseline build).
+/// (`out_chunk.len() / n` rows) in one pass over the weights, panel
+/// groups last to first if `descending`, dispatching to the widest
+/// vector ISA the host supports (AVX-512F, then AVX2, then the baseline
+/// build).
 ///
 /// The tiers are the *same* element-wise mul/add fold compiled with
 /// wider lanes and a register tile sized to the tier's register file;
@@ -274,22 +314,23 @@ fn gemm_block(
     out_chunk: &mut [f32],
     row0: usize,
     seed: bool,
+    descending: bool,
 ) {
     #[cfg(target_arch = "x86_64")]
     {
         if std::arch::is_x86_feature_detected!("avx512f") {
             // SAFETY: the feature check above guarantees AVX-512F is
             // available.
-            unsafe { gemm_block_avx512(a, packed, bias, out_chunk, row0, seed) };
+            unsafe { gemm_block_avx512(a, packed, bias, out_chunk, row0, seed, descending) };
             return;
         }
         if std::arch::is_x86_feature_detected!("avx2") {
             // SAFETY: the feature check above guarantees AVX2 is available.
-            unsafe { gemm_block_avx2(a, packed, bias, out_chunk, row0, seed) };
+            unsafe { gemm_block_avx2(a, packed, bias, out_chunk, row0, seed, descending) };
             return;
         }
     }
-    gemm_block_baseline(a, packed, bias, out_chunk, row0, seed);
+    gemm_block_baseline(a, packed, bias, out_chunk, row0, seed, descending);
 }
 
 /// AVX-512F tier: a panel step is one zmm, so of the 32 registers a
@@ -309,8 +350,9 @@ unsafe fn gemm_block_avx512(
     out_chunk: &mut [f32],
     row0: usize,
     seed: bool,
+    descending: bool,
 ) {
-    gemm_block_impl::<4, 4>(a, packed, bias, out_chunk, row0, seed);
+    gemm_block_impl::<4, 4>(a, packed, bias, out_chunk, row0, seed, descending);
 }
 
 /// AVX2 tier: a panel step is two ymm, so of the 16 registers an Rx1
@@ -329,8 +371,9 @@ unsafe fn gemm_block_avx2(
     out_chunk: &mut [f32],
     row0: usize,
     seed: bool,
+    descending: bool,
 ) {
-    gemm_block_impl::<1, 4>(a, packed, bias, out_chunk, row0, seed);
+    gemm_block_impl::<1, 4>(a, packed, bias, out_chunk, row0, seed, descending);
 }
 
 /// Baseline tier (SSE2 on x86-64, NEON on aarch64): a panel step is
@@ -343,15 +386,18 @@ fn gemm_block_baseline(
     out_chunk: &mut [f32],
     row0: usize,
     seed: bool,
+    descending: bool,
 ) {
-    gemm_block_impl::<1, 2>(a, packed, bias, out_chunk, row0, seed);
+    gemm_block_impl::<1, 2>(a, packed, bias, out_chunk, row0, seed, descending);
 }
 
-/// Portable body of the block loop: every row block of 1..=[`MR`] rows,
-/// full or tail, is one pass over the packed weights in register tiles
-/// of `PM` panels (2..=4 rows) or `P1` panels (a lone row).
-/// `#[inline(always)]` so each ISA wrapper specialises the kernels under
-/// its own target features.
+/// Portable body of the pass: panel groups of `P1` panels outermost, in
+/// ascending or descending order, and inside a group every row block of
+/// 1..=[`MR`] rows, full or tail, in register tiles of `PM` panels (2..=4
+/// rows) or `P1` panels (a lone row). `PM` divides `P1`, so both tile
+/// widths cut a group at the same panels and no output element is
+/// touched twice. `#[inline(always)]` so each ISA wrapper specialises
+/// the kernels under its own target features.
 #[inline(always)]
 fn gemm_block_impl<const PM: usize, const P1: usize>(
     a: &[f32],
@@ -360,7 +406,9 @@ fn gemm_block_impl<const PM: usize, const P1: usize>(
     out_chunk: &mut [f32],
     row0: usize,
     seed: bool,
+    descending: bool,
 ) {
+    const { assert!(P1.is_multiple_of(PM)) };
     let (k, n) = (packed.k, packed.n);
     if n == 0 {
         return;
@@ -371,18 +419,26 @@ fn gemm_block_impl<const PM: usize, const P1: usize>(
         lanes: packed.panels(),
     };
     let rows = out_chunk.len() / n;
-    let mut i0 = 0;
-    while i0 < rows {
-        let mr = MR.min(rows - i0);
-        let a_blk = &a[(row0 + i0) * k..(row0 + i0 + mr) * k];
-        let out_blk = &mut out_chunk[i0 * n..(i0 + mr) * n];
-        match mr {
-            4 => row_block::<4, PM>(a_blk, w, bias, out_blk, seed),
-            3 => row_block::<3, PM>(a_blk, w, bias, out_blk, seed),
-            2 => row_block::<2, PM>(a_blk, w, bias, out_blk, seed),
-            _ => row_block::<1, P1>(a_blk, w, bias, out_blk, seed),
+    let panels = n.div_ceil(NR);
+    let groups = panels.div_ceil(P1);
+    for g in 0..groups {
+        let p0 = P1 * if descending { groups - 1 - g } else { g };
+        let group = p0..(p0 + P1).min(panels);
+        #[cfg(test)]
+        tests::GROUPS_VISITED.with_borrow_mut(|v| v.push(p0));
+        let mut i0 = 0;
+        while i0 < rows {
+            let mr = MR.min(rows - i0);
+            let a_blk = &a[(row0 + i0) * k..(row0 + i0 + mr) * k];
+            let out_blk = &mut out_chunk[i0 * n..(i0 + mr) * n];
+            match mr {
+                4 => row_block::<4, PM>(a_blk, w, group.clone(), bias, out_blk, seed),
+                3 => row_block::<3, PM>(a_blk, w, group.clone(), bias, out_blk, seed),
+                2 => row_block::<2, PM>(a_blk, w, group.clone(), bias, out_blk, seed),
+                _ => row_block::<1, P1>(a_blk, w, group.clone(), bias, out_blk, seed),
+            }
+            i0 += mr;
         }
-        i0 += mr;
     }
 }
 
@@ -394,16 +450,17 @@ struct Panels<'a> {
     lanes: &'a [Lanes],
 }
 
-/// One pass over the packed weights for `R` rows, `P` panels at a time.
+/// `R` rows against the panels of one group, `P` panels at a time.
 #[inline(always)]
 fn row_block<const R: usize, const P: usize>(
     a: &[f32],
     w: Panels<'_>,
+    group: std::ops::Range<usize>,
     bias: Option<&[f32]>,
     out: &mut [f32],
     seed: bool,
 ) {
-    for p0 in (0..w.n.div_ceil(NR)).step_by(P) {
+    for p0 in group.step_by(P) {
         kernel::<R, P>(a, w, p0, bias, out, seed);
     }
 }
@@ -494,6 +551,13 @@ fn axpy<const P: usize>(mut acc: [[f32; NR]; P], v: f32, b: &[[f32; NR]; P]) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::RefCell;
+
+    thread_local! {
+        /// First panel of every panel group `gemm_block_impl` visited on
+        /// this thread, in order: what "one pass" and "serpentine" mean.
+        pub(super) static GROUPS_VISITED: RefCell<Vec<usize>> = const { RefCell::new(Vec::new()) };
+    }
 
     fn naive(a: &[f32], m: usize, k: usize, b: &[f32], n: usize) -> Vec<f32> {
         let mut out = vec![0.0f32; m * n];
@@ -532,7 +596,7 @@ mod tests {
         }
     }
 
-    type Tier = fn(&[f32], &PackedWeights, Option<&[f32]>, &mut [f32], usize, bool);
+    type Tier = fn(&[f32], &PackedWeights, Option<&[f32]>, &mut [f32], usize, bool, bool);
 
     /// Every tier body this host can execute, narrowest first.
     fn tiers() -> Vec<(&'static str, Tier)> {
@@ -541,14 +605,14 @@ mod tests {
         {
             if std::arch::is_x86_feature_detected!("avx2") {
                 // SAFETY: AVX2 support was just checked.
-                tiers.push(("avx2", |a, p, b, o, r0, s| unsafe {
-                    gemm_block_avx2(a, p, b, o, r0, s)
+                tiers.push(("avx2", |a, p, b, o, r0, s, d| unsafe {
+                    gemm_block_avx2(a, p, b, o, r0, s, d)
                 }));
             }
             if std::arch::is_x86_feature_detected!("avx512f") {
                 // SAFETY: AVX-512F support was just checked.
-                tiers.push(("avx512", |a, p, b, o, r0, s| unsafe {
-                    gemm_block_avx512(a, p, b, o, r0, s)
+                tiers.push(("avx512", |a, p, b, o, r0, s, d| unsafe {
+                    gemm_block_avx512(a, p, b, o, r0, s, d)
                 }));
             }
         }
@@ -558,8 +622,11 @@ mod tests {
     #[test]
     fn every_isa_tier_agrees_bit_for_bit() {
         // `gemm_block` only ever runs the widest tier the host has, so
-        // call each body directly: every row-block height and tail,
-        // over panel groups that are ragged for each tier's tile width.
+        // call each body directly: every row-block height and tail, in
+        // both directions, over widths that are ragged for each tier's
+        // group (not a multiple of `NR` times 2 or 4), where on the
+        // AVX2 and baseline tiers the lone-row tile of a tail block is
+        // wider than the multi-row tile of the blocks before it.
         for m in 1..=9 {
             for &(k, n) in &[
                 (1, 1),
@@ -575,23 +642,70 @@ mod tests {
                 let bias = seq(n, 1.3);
                 let packed = PackedWeights::pack(k, n, &b);
                 let want = naive(&a, m, k, &b, n);
+                // Seeded with the product itself, bias at the end: the
+                // fold over `[a|a] * [b;b]`. A seeded element touched
+                // twice would fold `a * b` in a third time.
+                let aa: Vec<f32> = a.chunks(k).flat_map(|r| [r, r].concat()).collect();
+                let mut twice = naive(&aa, m, 2 * k, &[&b[..], &b[..]].concat(), n);
+                for row in twice.chunks_mut(n) {
+                    row.iter_mut().zip(&bias).for_each(|(o, bv)| *o += bv);
+                }
                 for (name, tier) in tiers() {
-                    let mut plain = vec![f32::NAN; m * n];
-                    tier(&a, &packed, None, &mut plain, 0, false);
-                    assert_eq!(plain, want, "{name} ({m},{k},{n})");
-                    // Seeded with the product itself, bias at the end:
-                    // the fold over `[a|a] * [b;b]`.
-                    let mut seeded = want.clone();
-                    tier(&a, &packed, Some(&bias), &mut seeded, 0, true);
-                    let aa: Vec<f32> = a.chunks(k).flat_map(|r| [r, r].concat()).collect();
-                    let mut twice = naive(&aa, m, 2 * k, &[&b[..], &b[..]].concat(), n);
-                    for row in twice.chunks_mut(n) {
-                        row.iter_mut().zip(&bias).for_each(|(o, bv)| *o += bv);
+                    for descending in [false, true] {
+                        let mut plain = vec![f32::NAN; m * n];
+                        tier(&a, &packed, None, &mut plain, 0, false, descending);
+                        assert_eq!(plain, want, "{name} ({m},{k},{n}) {descending}");
+                        let mut seeded = want.clone();
+                        tier(&a, &packed, Some(&bias), &mut seeded, 0, true, descending);
+                        assert_eq!(seeded, twice, "{name} seeded ({m},{k},{n}) {descending}");
                     }
-                    assert_eq!(seeded, twice, "{name} seeded ({m},{k},{n})");
                 }
             }
         }
+    }
+
+    #[test]
+    fn a_call_is_one_pass_and_consecutive_calls_alternate() {
+        // 9 rows are three row blocks; 300 columns are 19 panels, a
+        // ragged last group on every tier.
+        let (m, k, n) = (9, 6, 300);
+        let a = seq(m * k, 0.25);
+        let b = seq(k * n, 0.5);
+        let packed = PackedWeights::pack(k, n, &b);
+        let want = naive(&a, m, k, &b, n);
+        let mut passes = Vec::new();
+        for _ in 0..4 {
+            GROUPS_VISITED.with_borrow_mut(Vec::clear);
+            let mut out = vec![f32::NAN; m * n];
+            gemm_into(&a, m, k, &packed, None, &mut out, None);
+            assert_eq!(out, want);
+            passes.push(GROUPS_VISITED.with_borrow(Vec::clone));
+        }
+        let ascending = &passes[0];
+        assert!(ascending.len() > 1, "several groups: {ascending:?}");
+        assert!(
+            ascending.windows(2).all(|w| w[0] < w[1]),
+            "every group once, in order: {ascending:?}"
+        );
+        assert_eq!(ascending[0], 0);
+        let descending: Vec<usize> = ascending.iter().rev().copied().collect();
+        assert_eq!(passes[1], descending);
+        assert_eq!(&passes[2], ascending);
+        assert_eq!(passes[3], descending);
+        // A clone starts its own serpentine.
+        GROUPS_VISITED.with_borrow_mut(Vec::clear);
+        gemm_into(&a, m, k, &packed.clone(), None, &mut vec![0.0; m * n], None);
+        assert_eq!(&GROUPS_VISITED.with_borrow(Vec::clone), ascending);
+        // A pooled call is one flip however many chunks it splits into:
+        // four calls so far, so it runs ascending and the serial call
+        // after it descending.
+        let pool = ComputePool::new(3);
+        let mut out = vec![f32::NAN; m * n];
+        gemm_into(&a, m, k, &packed, None, &mut out, Some(&pool));
+        assert_eq!(out, want);
+        GROUPS_VISITED.with_borrow_mut(Vec::clear);
+        gemm_into(&a, m, k, &packed, None, &mut out, None);
+        assert_eq!(GROUPS_VISITED.with_borrow(Vec::clone), descending);
     }
 
     #[test]

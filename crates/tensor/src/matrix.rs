@@ -341,9 +341,18 @@ pub(crate) fn auto_pool(m: usize, k: usize, n: usize) -> Option<&'static Compute
     // even (108 vs 93, 271 vs 281 µs); (16, 512, 1024) = 16.8 MFLOP
     // wins, 247 vs 215 µs, and 33.6 MFLOP clearly, 650 vs 368 µs. Below
     // the threshold the second core only adds CPU time.
+    //
+    // The tree-internal cell's fused (512, 1280) product crosses the
+    // threshold at 13 rows (its five (512, 256) products never did
+    // below 61). Re-measured there with each chunk one pass over the
+    // 2.6 MB of weights: 13 rows 231 vs 143 µs, 16: 276 vs 179, 24: 407
+    // vs 252, 32: 542 vs 327, 48: 817 vs 457, 64: 1089 vs 593 — the
+    // pool wins from the crossover on, so it stays. End to end
+    // (`tree_bank`, 3 seed pairs) never pooling cost 26 % of peak
+    // throughput and saved no CPU per request at the 30 % load.
     const PAR_THRESHOLD_FLOPS: usize = 16_000_000;
-    // Up to `MR` rows are one pass over the weights whatever the shape:
-    // splitting them streams the weights once per thread for nothing.
+    // Up to `MR` rows are one row block: splitting them streams the
+    // weights once per thread for nothing.
     if 2 * m * k * n < PAR_THRESHOLD_FLOPS || m <= gemm::MR {
         return None;
     }

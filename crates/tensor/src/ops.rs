@@ -406,25 +406,26 @@ pub fn softmax(x: &Matrix) -> Matrix {
     Matrix::from_vec(x.rows(), x.cols(), data)
 }
 
-/// Row-wise argmax: index of the largest element in each row.
+/// Row-wise argmax: index of the largest element in each row
+/// ([`argmax_row`]).
+pub fn argmax(x: &Matrix) -> Vec<usize> {
+    (0..x.rows()).map(|r| argmax_row(x.row(r))).collect()
+}
+
+/// Index of the largest element of one row.
 ///
 /// Ties resolve to the lowest index, matching the CUDA argmax kernel the
 /// paper implemented for all evaluated systems (§7.4, footnote 3).
-pub fn argmax(x: &Matrix) -> Vec<usize> {
-    (0..x.rows())
-        .map(|r| {
-            let row = x.row(r);
-            let mut best = 0;
-            let mut best_v = f32::NEG_INFINITY;
-            for (i, &v) in row.iter().enumerate() {
-                if v > best_v {
-                    best_v = v;
-                    best = i;
-                }
-            }
-            best
-        })
-        .collect()
+pub fn argmax_row(row: &[f32]) -> usize {
+    let mut best = 0;
+    let mut best_v = f32::NEG_INFINITY;
+    for (i, &v) in row.iter().enumerate() {
+        if v > best_v {
+            best_v = v;
+            best = i;
+        }
+    }
+    best
 }
 
 /// Embedding lookup: row `ids[i]` of `table` becomes output row `i`.
@@ -726,7 +727,7 @@ mod tests {
         let h_want = mul(&o, &tanh(&c_want));
         let mut h = Matrix::zeros(GATE_ROWS, GATE_COLS);
         let mut c = Matrix::zeros(GATE_ROWS, GATE_COLS);
-        tree_leaf_gates(&i_pre, &o_pre, &u_pre, &mut h, &mut c);
+        tree_leaf_gates(&concat_cols(&[&i_pre, &o_pre, &u_pre]), &mut h, &mut c);
         assert_eq!(c, c_want);
         assert_eq!(h, h_want);
 
@@ -737,9 +738,8 @@ mod tests {
         let cr = wave(GATE_COLS, 2.0, 13);
         let c_want = add(&mul(&i, &u), &add(&mul(&fl, &cl), &mul(&fr, &cr)));
         let h_want = mul(&o, &tanh(&c_want));
-        tree_internal_gates(
-            &i_pre, &fl_pre, &fr_pre, &o_pre, &u_pre, &cl, &cr, &mut h, &mut c,
-        );
+        let z = concat_cols(&[&i_pre, &fl_pre, &fr_pre, &o_pre, &u_pre]);
+        tree_internal_gates(&z, &cl, &cr, &mut h, &mut c);
         assert_eq!(c, c_want);
         assert_eq!(h, h_want);
     }

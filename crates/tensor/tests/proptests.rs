@@ -64,7 +64,8 @@ fn blocky_matmul_pair() -> impl Strategy<Value = (Matrix, Matrix)> {
 /// over; the same around one 4-panel tile (64) and two (128); and the
 /// decoder's ragged vocabulary width. `gemm_into` and the seeded
 /// `gemm_acc_into`, each with and without bias, must reproduce the
-/// serial reference fold bit for bit.
+/// serial reference fold bit for bit, whichever direction the pass over
+/// the weights takes.
 #[test]
 fn every_tile_edge_matches_the_serial_reference() {
     use bm_tensor::gemm::{gemm_acc_into, gemm_into};
@@ -91,6 +92,8 @@ fn every_tile_edge_matches_the_serial_reference() {
                     *o += bv;
                 }
             }
+            // Two cases, and so two consecutive calls on each packing:
+            // one pass in each direction.
             for (bias, want) in [(None, &plain), (Some(bias.row(0)), &biased)] {
                 let mut got = vec![f32::NAN; m * n];
                 gemm_into(xh.as_slice(), m, e + h, w.packed(), bias, &mut got, None);
