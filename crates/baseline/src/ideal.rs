@@ -173,8 +173,6 @@ mod tests {
                 id: 0,
                 input: RequestInput::Tree(TreeShape::leaf(1)),
                 arrival_us: 0,
-                deadline_us: None,
-                priority: 0,
             },
             0,
         );

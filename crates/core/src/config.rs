@@ -1,21 +1,20 @@
 //! The shared serving configuration.
 //!
-//! [`ServeConfig`] is the one place a serving knob is set:
-//! batch-formation policy, deadlines, admission caps, queue bounds,
-//! shard count, per-tenant rate limits, observability sinks.
+//! [`ServeConfig`] is the one place a serving knob is set: deadlines,
+//! admission caps, queue bounds, shard count, per-tenant rate limits,
+//! observability sinks.
 //! [`crate::SchedulerConfig`] (and through it [`crate::RuntimeOptions`])
 //! and `bm_sim::SimOptions` each embed one, so a deployment configures
 //! these once whether it runs the threaded runtime, the simulator or
 //! the network front door. No field chooses between two implementations
 //! of one behaviour: which execution plane a cell runs on follows from
-//! the cell, and the front door's readiness backend from the platform.
+//! the cell, the front door's readiness backend from the platform, and
+//! batch formation is Algorithm 1.
 
 use std::sync::Arc;
 
 use bm_telemetry::Telemetry;
 use bm_trace::TraceSink;
-
-use crate::policy::PolicyKind;
 
 /// A per-tenant token-bucket rate limit, enforced by the network front
 /// door (`bm-net`) before a request reaches a scheduler shard.
@@ -45,24 +44,18 @@ impl TenantRate {
 /// construction so new knobs can be added compatibly):
 ///
 /// ```
-/// use bm_core::{PolicyKind, ServeConfig};
+/// use bm_core::ServeConfig;
 ///
 /// let cfg = ServeConfig::new()
-///     .policy(PolicyKind::DeadlineEdf)
 ///     .deadline_us(50_000)
 ///     .max_active(256)
 ///     .shards(4);
-/// assert_eq!(cfg.policy, Some(PolicyKind::DeadlineEdf));
+/// assert_eq!(cfg.deadline_us, Some(50_000));
 /// assert_eq!(cfg.shards, 4);
 /// ```
 #[derive(Debug, Clone)]
 #[non_exhaustive]
 pub struct ServeConfig {
-    /// Batch-formation policy ([`crate::policy`]). `None` keeps the
-    /// driver's existing policy (the engine default is
-    /// [`PolicyKind::PaperDefault`]; a simulated server keeps whatever
-    /// it was constructed with).
-    pub policy: Option<PolicyKind>,
     /// Default relative deadline applied to every submission that does
     /// not carry its own ([`crate::Request::deadline_us`]), µs from
     /// arrival. `None` means no default deadline.
@@ -106,7 +99,6 @@ pub(crate) fn default_shards() -> usize {
 impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
-            policy: None,
             deadline_us: None,
             max_active: None,
             queue_cap: None,
@@ -120,16 +112,10 @@ impl Default for ServeConfig {
 
 impl ServeConfig {
     /// The default configuration (start of the builder chain): no
-    /// policy override, no deadline, no admission cap, unbounded inbox,
-    /// cores/2 shards, no tenant limits, tracing and telemetry off.
+    /// deadline, no admission cap, unbounded inbox, cores/2 shards, no
+    /// tenant limits, tracing and telemetry off.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Sets the batch-formation policy.
-    pub fn policy(mut self, kind: PolicyKind) -> Self {
-        self.policy = Some(kind);
-        self
     }
 
     /// Sets the default relative deadline, µs from arrival.

@@ -24,18 +24,13 @@ use bm_trace::{BatchReason, EventKind, TraceEvent, TraceSink};
 use crate::config::ServeConfig;
 use crate::ids::{RequestId, SubgraphId, TaskId, WorkerId};
 use crate::partition::{partition, Partition};
-use crate::policy::{FormationOrder, PolicyKind, PolicyView, SchedulingPolicy, TypeCandidate};
 use crate::request::Request;
 use crate::task::{CompletedRequest, Task, TaskEntry};
 
-/// EWMA weight of the newest per-row service-cost sample (the slack
-/// estimator's remaining-work model).
-const ROW_COST_EWMA_ALPHA: f64 = 0.2;
-
 /// Tunables of the scheduler.
 ///
-/// Embeds the shared [`ServeConfig`] (policy, deadlines, observability
-/// sinks) and adds the engine-only knobs. Construct with the builder:
+/// Embeds the shared [`ServeConfig`] (deadlines, observability sinks)
+/// and adds the engine-only knobs. Construct with the builder:
 ///
 /// ```
 /// use bm_core::SchedulerConfig;
@@ -46,9 +41,9 @@ const ROW_COST_EWMA_ALPHA: f64 = 0.2;
 #[non_exhaustive]
 pub struct SchedulerConfig {
     /// The shared serving knobs ([`ServeConfig`]): the engine reads the
-    /// batch-formation policy, trace sink and telemetry registry from
-    /// it; the admission and queue knobs are consumed by the
-    /// drivers embedding this config.
+    /// trace sink and telemetry registry from it; the deadline,
+    /// admission and queue knobs are consumed by the drivers embedding
+    /// this config.
     pub serve: ServeConfig,
     /// "The maximum number of tasks that can be submitted to a worker"
     /// per `Schedule` invocation (Algorithm 1; default 5).
@@ -91,23 +86,10 @@ impl SchedulerConfig {
         self
     }
 
-    /// Sets the batch-formation policy (default
-    /// [`PolicyKind::PaperDefault`]); shorthand for setting it on
-    /// [`SchedulerConfig::serve`].
-    pub fn policy(mut self, kind: PolicyKind) -> Self {
-        self.serve.policy = Some(kind);
-        self
-    }
-
     /// Replaces the embedded [`ServeConfig`].
     pub fn serve(mut self, serve: ServeConfig) -> Self {
         self.serve = serve;
         self
-    }
-
-    /// The effective batch-formation policy.
-    pub fn policy_kind(&self) -> PolicyKind {
-        self.serve.policy.unwrap_or_default()
     }
 }
 
@@ -155,9 +137,9 @@ struct EngineMetrics {
     gather_rows: Counter,
     transfer_rows: Counter,
     nodes_cancelled: Counter,
-    /// Indexed like [`BatchReason`]: saturation, starvation, priority,
-    /// deadline, slack_release, timeout.
-    batch_reason: [Counter; 6],
+    /// Indexed by `BatchReason as usize`: saturation, starvation,
+    /// priority.
+    batch_reason: [Counter; 3],
     active_requests: Gauge,
     ready_nodes: Gauge,
     inflight_tasks: Gauge,
@@ -189,29 +171,16 @@ impl EngineMetrics {
             transfer_rows: tel.counter("bm_transfer_rows_total"),
             nodes_cancelled: tel.counter("bm_nodes_cancelled_total"),
             batch_reason: [
-                tel.counter_with("bm_batch_reason_total", &[("reason", "saturation")]),
-                tel.counter_with("bm_batch_reason_total", &[("reason", "starvation")]),
-                tel.counter_with("bm_batch_reason_total", &[("reason", "priority")]),
-                tel.counter_with("bm_batch_reason_total", &[("reason", "deadline")]),
-                tel.counter_with("bm_batch_reason_total", &[("reason", "slack_release")]),
-                tel.counter_with("bm_batch_reason_total", &[("reason", "timeout")]),
-            ],
+                BatchReason::Saturation,
+                BatchReason::Starvation,
+                BatchReason::Priority,
+            ]
+            .map(|r| tel.counter_with("bm_batch_reason_total", &[("reason", r.label())])),
             active_requests: tel.gauge("bm_active_requests"),
             ready_nodes: tel.gauge("bm_ready_nodes"),
             inflight_tasks: tel.gauge("bm_inflight_tasks"),
             batch_size,
             stage,
-        }
-    }
-
-    fn reason_counter(&self, reason: BatchReason) -> &Counter {
-        match reason {
-            BatchReason::Saturation => &self.batch_reason[0],
-            BatchReason::Starvation => &self.batch_reason[1],
-            BatchReason::Priority => &self.batch_reason[2],
-            BatchReason::Deadline => &self.batch_reason[3],
-            BatchReason::SlackRelease => &self.batch_reason[4],
-            BatchReason::Timeout => &self.batch_reason[5],
         }
     }
 }
@@ -221,13 +190,6 @@ impl EngineMetrics {
 struct RequestState {
     graph: CellGraph,
     arrival_us: u64,
-    /// Absolute completion deadline, when the driver supplied one
-    /// ([`CellularEngine::on_arrival_with_deadline`]); the slack input
-    /// of deadline-aware policies.
-    deadline_us: Option<u64>,
-    /// Request priority ([`Request::priority`]); deadline-EDF batch
-    /// formation prefers higher priorities among equal deadlines.
-    priority: u8,
     start_us: Option<u64>,
     /// When the request's first nodes entered a scheduling queue
     /// (telemetry stage decomposition; stamped only when metrics are
@@ -298,9 +260,6 @@ struct InflightTask {
     worker: WorkerId,
     entries: Vec<(RequestId, NodeId)>,
     subgraphs: Arc<[SubgraphId]>,
-    /// When the task began executing ([`CellularEngine::on_task_started`]);
-    /// feeds the per-row service-cost EWMA on completion.
-    started_us: Option<u64>,
 }
 
 impl InflightTask {
@@ -310,9 +269,57 @@ impl InflightTask {
             worker: t.worker,
             entries: t.entries.iter().map(|e| (e.request, e.node)).collect(),
             subgraphs: Arc::clone(&t.subgraphs),
-            started_us: None,
         }
     }
+}
+
+/// One cell type's inputs to Algorithm 1's cell-type selection.
+#[derive(Debug, Clone, Copy)]
+struct Candidate {
+    cell_type: CellTypeId,
+    ready_nodes: usize,
+    running_tasks: usize,
+    max_batch: usize,
+    priority: u32,
+}
+
+impl Candidate {
+    /// The tier the type qualifies in (Algorithm 1 lines 5–10):
+    /// saturated if its ready nodes fill a batch, else starving if it
+    /// has no running task, else priority-only.
+    fn reason(&self) -> BatchReason {
+        if self.ready_nodes >= self.max_batch {
+            BatchReason::Saturation
+        } else if self.running_tasks == 0 {
+            BatchReason::Starvation
+        } else {
+            BatchReason::Priority
+        }
+    }
+
+    /// Algorithm 1's preference as a total order: tier first, then the
+    /// type's priority, then — the paper scheduler's `max_by_key` keeps
+    /// the *last* maximum — the later registry entry.
+    fn rank(&self) -> (u8, u32, u32) {
+        let tier = match self.reason() {
+            BatchReason::Saturation => 2,
+            BatchReason::Starvation => 1,
+            BatchReason::Priority => 0,
+        };
+        (tier, self.priority, self.cell_type.0)
+    }
+}
+
+/// Algorithm 1 cell-type selection: the best-ranked candidate, or with
+/// `below` set, the best one ranked strictly below it — the next type
+/// to try when the previous pick could form no batch.
+fn paper_pick(
+    candidates: impl Iterator<Item = Candidate>,
+    below: Option<(u8, u32, u32)>,
+) -> Option<Candidate> {
+    candidates
+        .filter(|c| below.is_none_or(|b| c.rank() < b))
+        .max_by_key(Candidate::rank)
 }
 
 /// Cumulative scheduling statistics.
@@ -386,33 +393,23 @@ pub struct CellularEngine {
     /// The latest driver-supplied timestamp, used to stamp events from
     /// methods that take no clock (dispatch).
     clock_us: u64,
-    /// The batch-formation policy ([`crate::policy`]), built from
-    /// `cfg.policy`.
-    policy: Box<dyn SchedulingPolicy>,
-    /// Per cell type: EWMA of observed per-row service cost (µs),
-    /// `0.0` until the first completion. Feeds slack estimation.
-    row_cost_ewma: Vec<f64>,
 }
 
 impl CellularEngine {
     /// Creates an engine over the given registry.
     ///
-    /// The embedded [`ServeConfig`] supplies the batch-formation policy
-    /// and the observability sinks: a configured trace sink or enabled
-    /// telemetry registry is installed directly, as if
-    /// [`CellularEngine::set_trace_sink`] /
+    /// The embedded [`ServeConfig`] supplies the observability sinks: a
+    /// configured trace sink or enabled telemetry registry is installed
+    /// directly, as if [`CellularEngine::set_trace_sink`] /
     /// [`CellularEngine::set_telemetry`] had been called.
     pub fn new(registry: Arc<CellRegistry>, cfg: SchedulerConfig) -> Self {
         let queues = (0..registry.len()).map(|_| TypeQueue::default()).collect();
-        let row_cost_ewma = vec![0.0; registry.len()];
         let metrics = cfg
             .serve
             .telemetry
             .enabled()
             .then(|| EngineMetrics::new(&cfg.serve.telemetry, &registry));
         CellularEngine {
-            policy: cfg.policy_kind().build(),
-            row_cost_ewma,
             trace: Arc::clone(&cfg.serve.trace),
             metrics,
             cfg,
@@ -468,27 +465,6 @@ impl CellularEngine {
         self.stats
     }
 
-    /// Swaps in a different batch-formation policy ([`crate::policy`]).
-    /// Queue state is untouched; only future `dispatch` calls are
-    /// affected.
-    pub fn set_policy_kind(&mut self, kind: PolicyKind) {
-        self.cfg.serve.policy = Some(kind);
-        self.policy = kind.build();
-    }
-
-    /// The kind of the active batch-formation policy.
-    pub fn policy_kind(&self) -> PolicyKind {
-        self.cfg.policy_kind()
-    }
-
-    /// Absolute time (µs) at which the active policy wants a dispatch
-    /// poll even if no new event arrives — the release point of a held
-    /// batch. `None` when nothing is held. Drivers with a real clock
-    /// fold this into their wait; the simulator schedules a wake event.
-    pub fn next_wakeup(&self, now_us: u64) -> Option<u64> {
-        self.policy.next_wakeup(now_us)
-    }
-
     /// Per-cell-type `(ready_nodes, running_tasks)`, indexed by
     /// [`CellTypeId::index`]. Introspection for tests and oracles.
     pub fn queue_depths(&self) -> Vec<(usize, usize)> {
@@ -511,62 +487,6 @@ impl CellularEngine {
     /// Panics if the request id is already active or the graph fails
     /// validation against the registry.
     pub fn on_arrival(&mut self, id: RequestId, graph: CellGraph, now_us: u64) {
-        self.on_arrival_with_deadline(id, graph, now_us, None);
-    }
-
-    /// [`CellularEngine::on_arrival`] with an absolute completion
-    /// deadline (µs) attached. Deadline-aware policies
-    /// ([`crate::policy`]) read it through the per-type slack
-    /// aggregates; the paper-default policy ignores it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the request id is already active or the graph fails
-    /// validation against the registry.
-    pub fn on_arrival_with_deadline(
-        &mut self,
-        id: RequestId,
-        graph: CellGraph,
-        now_us: u64,
-        deadline_us: Option<u64>,
-    ) {
-        self.admit(id, graph, now_us, deadline_us, 0);
-    }
-
-    /// [`CellularEngine::on_arrival_with_deadline`] with a scheduling
-    /// priority attached (see [`Request::priority`]); for drivers that
-    /// resolved the request's deadline to an absolute time at
-    /// submission.
-    pub fn on_arrival_full(
-        &mut self,
-        id: RequestId,
-        graph: CellGraph,
-        now_us: u64,
-        deadline_us: Option<u64>,
-        priority: u8,
-    ) {
-        self.admit(id, graph, now_us, deadline_us, priority);
-    }
-
-    /// Admits a pre-unfolded graph carrying a [`Request`]'s metadata:
-    /// the deadline resolves relative to `now_us` (the engine itself
-    /// has no default deadline — drivers resolve theirs first) and the
-    /// priority feeds deadline-aware batch formation.
-    pub fn on_request(&mut self, id: RequestId, graph: CellGraph, now_us: u64, req: &Request) {
-        let deadline = req
-            .effective_deadline_us(None)
-            .map(|d| now_us.saturating_add(d));
-        self.admit(id, graph, now_us, deadline, req.priority);
-    }
-
-    fn admit(
-        &mut self,
-        id: RequestId,
-        graph: CellGraph,
-        now_us: u64,
-        deadline_us: Option<u64>,
-        priority: u8,
-    ) {
         assert!(
             !self.requests.contains_key(&id),
             "duplicate request id {id}"
@@ -620,8 +540,6 @@ impl CellularEngine {
         let num_subgraphs = part.len() as u32;
         let req = RequestState {
             arrival_us: now_us,
-            deadline_us,
-            priority,
             start_us: None,
             first_enqueue_us: None,
             first_batch_us: None,
@@ -661,6 +579,14 @@ impl CellularEngine {
         if self.metrics.is_some() {
             self.set_ready_gauge();
         }
+    }
+
+    /// [`CellularEngine::on_arrival`] for a graph unfolded from `req`.
+    /// The request's metadata is the driver's business — deadlines
+    /// expire through [`CellularEngine::cancel_request`], tenants are
+    /// billed at the front door — so the engine admits the graph alone.
+    pub fn on_request(&mut self, id: RequestId, graph: CellGraph, now_us: u64, _req: &Request) {
+        self.on_arrival(id, graph, now_us);
     }
 
     /// Publishes the ready-node level (single-writer gauge; the engine
@@ -720,139 +646,72 @@ impl CellularEngine {
         self.total_ready_nodes() > 0
     }
 
-    /// Algorithm 1 `Schedule(worker)`: asks the policy for a cell type
-    /// and forms up to `MaxTasksToSubmit` batched tasks for `worker`.
+    /// Algorithm 1 `Schedule(worker)`: picks a cell type (saturation,
+    /// then starvation, then priority) and forms up to
+    /// `MaxTasksToSubmit` batched tasks of it for `worker`.
     ///
     /// Returns an empty vector when nothing is schedulable: no ready
-    /// nodes, every candidate type's ready subgraphs are pinned to
-    /// other workers, or the policy is holding a batch for more slack.
+    /// nodes, or every type's ready subgraphs are pinned to other
+    /// workers. When nothing is ready the call allocates nothing.
     ///
     /// When the picked type yields no batch because all of its ready
     /// subgraphs are pinned elsewhere, the pick is retried with that
     /// type excluded — a worker never idles while another type has
-    /// runnable unpinned work.
+    /// runnable unpinned work. A failed pick changes no queue state, so
+    /// the retries walk the types in Algorithm 1's rank order.
     pub fn dispatch(&mut self, worker: WorkerId) -> Vec<Task> {
-        let mut excluded = vec![false; self.queues.len()];
-        loop {
-            let view = self.policy_view(worker, &excluded);
-            if view.candidates.is_empty() {
-                return Vec::new();
-            }
-            let Some(pick) = self.policy.pick(&view) else {
-                // The policy holds: nothing this round.
-                return Vec::new();
-            };
-            let tasks = self.batch(pick.cell_type, worker, pick.reason, pick.order);
+        let mut below = None;
+        while let Some(pick) = paper_pick(self.candidates(), below) {
+            let tasks = self.batch(pick.cell_type, worker, pick.reason());
             if !tasks.is_empty() {
                 return tasks;
             }
-            excluded[pick.cell_type.index()] = true;
+            below = Some(pick.rank());
         }
+        Vec::new()
     }
 
-    /// Distills queue state into the policy's input: one candidate per
-    /// cell type with ready nodes, in registry order, minus `excluded`
-    /// types. Slack aggregates are computed only when the policy asks
-    /// for them.
-    fn policy_view(&self, worker: WorkerId, excluded: &[bool]) -> PolicyView {
-        let want_slack = self.policy.needs_slack();
-        let mut candidates = Vec::new();
-        for meta in self.registry.iter() {
-            let i = meta.id.index();
-            let q = &self.queues[i];
-            if excluded[i] || q.ready_nodes == 0 {
-                continue;
-            }
-            let (min_slack_us, earliest_deadline_us) = if want_slack {
-                self.type_slack(meta.id)
-            } else {
-                (None, None)
-            };
-            candidates.push(TypeCandidate {
-                cell_type: meta.id,
-                ready_nodes: q.ready_nodes,
-                running_tasks: q.running_tasks,
-                min_batch: meta.min_batch,
-                max_batch: meta.max_batch,
-                priority: meta.priority,
-                min_slack_us,
-                earliest_deadline_us,
-            });
-        }
-        PolicyView {
-            now_us: self.clock_us,
-            worker,
-            candidates,
-        }
-    }
-
-    /// Minimum slack and earliest absolute deadline across the requests
-    /// with queued ready nodes of this type. Slack = deadline − now −
-    /// estimated remaining work (remaining nodes × the type's EWMA
-    /// per-row cost). The scan is bounded to the first `max_batch`
-    /// queued subgraphs — the members a batch formed now would take.
-    fn type_slack(&self, ct: CellTypeId) -> (Option<i64>, Option<u64>) {
+    /// The selection inputs of one cell type.
+    fn candidate(&self, ct: CellTypeId) -> Candidate {
+        let meta = self.registry.meta(ct);
         let q = &self.queues[ct.index()];
-        let per_row = self.row_cost_ewma[ct.index()];
-        let cap = self.registry.meta(ct).max_batch;
-        let mut min_slack: Option<i64> = None;
-        let mut earliest: Option<u64> = None;
-        for &sg_id in q.subgraphs.iter().take(cap) {
-            let sg = &self.subgraphs[&sg_id];
-            if sg.ready.is_empty() {
-                continue;
-            }
-            let req = &self.requests[&sg.request];
-            let Some(d) = req.deadline_us else { continue };
-            earliest = Some(earliest.map_or(d, |e| e.min(d)));
-            let est = (req.remaining as f64 * per_row) as i64;
-            let slack = d as i64 - self.clock_us as i64 - est;
-            min_slack = Some(min_slack.map_or(slack, |s| s.min(slack)));
+        Candidate {
+            cell_type: ct,
+            ready_nodes: q.ready_nodes,
+            running_tasks: q.running_tasks,
+            max_batch: meta.max_batch,
+            priority: meta.priority,
         }
-        (min_slack, earliest)
     }
 
-    /// Re-derives the Algorithm 1 qualification tier for a follow-on
-    /// task formed in the same `dispatch` call: the selection-time
-    /// reason goes stale once the first task drains the queue below
-    /// `max_batch` (or leaves the type with a running task), so each
-    /// formed task is labelled against the queue state it actually saw.
-    fn requalify(&self, ct: CellTypeId) -> BatchReason {
-        let q = &self.queues[ct.index()];
-        if q.ready_nodes >= self.registry.meta(ct).max_batch {
-            BatchReason::Saturation
-        } else if q.running_tasks == 0 {
-            BatchReason::Starvation
-        } else {
-            BatchReason::Priority
-        }
+    /// Every cell type with ready nodes, in registry order.
+    fn candidates(&self) -> impl Iterator<Item = Candidate> + '_ {
+        self.registry
+            .iter()
+            .map(|meta| self.candidate(meta.id))
+            .filter(|c| c.ready_nodes > 0)
     }
 
     /// Algorithm 1 `Batch(ct, worker)` (lines 12–23).
-    fn batch(
-        &mut self,
-        ct: CellTypeId,
-        worker: WorkerId,
-        reason: BatchReason,
-        order: FormationOrder,
-    ) -> Vec<Task> {
+    fn batch(&mut self, ct: CellTypeId, worker: WorkerId, reason: BatchReason) -> Vec<Task> {
         let meta = self.registry.meta(ct);
         let (min_batch, max_batch) = (meta.min_batch, meta.max_batch);
         let mut tasks = Vec::new();
         while tasks.len() < self.cfg.max_tasks_to_submit {
-            let picks = self.form_batched_task(ct, worker, max_batch, order);
+            let picks = self.form_batched_task(ct, worker, max_batch);
             if picks.is_empty() {
                 break;
             }
             let size: usize = picks.iter().map(|(_, nodes)| nodes.len()).sum();
             if size >= min_batch || tasks.is_empty() {
-                // The policy's reason describes the first task; follow-on
-                // tasks in the same call requalify against the drained
-                // queue so their labels stay truthful.
+                // The selection reason describes the first task;
+                // follow-on tasks in the same call requalify against the
+                // drained queue (below `max_batch`, or with a running
+                // task now) so their labels stay truthful.
                 let r = if tasks.is_empty() {
                     reason
                 } else {
-                    self.requalify(ct)
+                    self.candidate(ct).reason()
                 };
                 tasks.push(self.submit(ct, worker, picks, r));
             } else {
@@ -865,66 +724,27 @@ impl CellularEngine {
     /// Algorithm 1 `FormBatchedTask` (lines 24–32): scans the type's
     /// queue selecting ready nodes from subgraphs pinned to `None` or
     /// `worker`, without mutating state. Returns per-subgraph node
-    /// counts to take from the front of each ready deque.
-    ///
-    /// Under [`FormationOrder::EarliestDeadline`] the eligible
-    /// subgraphs are visited in earliest-request-deadline order
-    /// (deadline-free requests last, queue order breaking ties)
-    /// instead of queue order.
+    /// counts to take from the front of each ready deque, in queue
+    /// order.
     fn form_batched_task(
         &self,
         ct: CellTypeId,
         worker: WorkerId,
         max_batch: usize,
-        order: FormationOrder,
     ) -> Vec<(SubgraphId, Vec<u32>)> {
-        let q = &self.queues[ct.index()];
-        let eligible = |sg: &SubgraphState| {
-            (sg.pinned.is_none() || sg.pinned == Some(worker)) && !sg.ready.is_empty()
-        };
         let mut picks = Vec::new();
         let mut total = 0;
-        let mut take_from = |sg_id: SubgraphId| {
-            let sg = &self.subgraphs[&sg_id];
+        for sg_id in &self.queues[ct.index()].subgraphs {
+            let sg = &self.subgraphs[sg_id];
+            if sg.pinned.is_some_and(|w| w != worker) || sg.ready.is_empty() {
+                continue;
+            }
             let take = sg.ready.len().min(max_batch - total);
             let nodes: Vec<u32> = sg.ready.iter().take(take).copied().collect();
             total += nodes.len();
-            picks.push((sg_id, nodes));
-            total == max_batch
-        };
-        match order {
-            FormationOrder::Fifo => {
-                for &sg_id in &q.subgraphs {
-                    if !eligible(&self.subgraphs[&sg_id]) {
-                        continue;
-                    }
-                    if take_from(sg_id) {
-                        break;
-                    }
-                }
-            }
-            FormationOrder::EarliestDeadline => {
-                // Earliest deadline first; among equal deadlines,
-                // higher request priority first; queue order breaks the
-                // remaining ties (the sort is stable).
-                let mut by_deadline: Vec<((u64, u8), SubgraphId)> = q
-                    .subgraphs
-                    .iter()
-                    .filter(|sg_id| eligible(&self.subgraphs[sg_id]))
-                    .map(|&sg_id| {
-                        let req = &self.requests[&self.subgraphs[&sg_id].request];
-                        (
-                            (req.deadline_us.unwrap_or(u64::MAX), u8::MAX - req.priority),
-                            sg_id,
-                        )
-                    })
-                    .collect();
-                by_deadline.sort_by_key(|&(key, _)| key);
-                for (_, sg_id) in by_deadline {
-                    if take_from(sg_id) {
-                        break;
-                    }
-                }
+            picks.push((*sg_id, nodes));
+            if total == max_batch {
+                break;
             }
         }
         picks
@@ -1045,7 +865,7 @@ impl CellularEngine {
         self.stats.transfers += transfer_rows as u64;
         if let Some(m) = &self.metrics {
             m.tasks_submitted.inc();
-            m.reason_counter(reason).inc();
+            m.batch_reason[reason as usize].inc();
             m.gather_rows.add(gather_rows as u64);
             m.transfer_rows.add(transfer_rows as u64);
             m.batch_size[ct.index()].record(entries.len() as u64);
@@ -1139,10 +959,9 @@ impl CellularEngine {
     /// request whose first cell this is.
     pub fn on_task_started(&mut self, task: TaskId, now_us: u64) {
         self.advance_clock(now_us);
-        let Some(t) = self.inflight.get_mut(&task) else {
+        let Some(t) = self.inflight.get(&task) else {
             return;
         };
-        t.started_us.get_or_insert(now_us);
         let (task_id, worker) = (task.0, t.worker.0);
         for (req_id, _) in &t.entries {
             if let Some(req) = self.requests.get_mut(req_id) {
@@ -1187,17 +1006,6 @@ impl CellularEngine {
             "token vector must match task entries"
         );
         self.queues[t.cell_type.index()].running_tasks -= 1;
-        // Update the per-row service-cost EWMA that backs slack
-        // estimation for deadline-aware policies.
-        if let Some(started) = t.started_us {
-            let per_row = now_us.saturating_sub(started) as f64 / t.entries.len().max(1) as f64;
-            let e = &mut self.row_cost_ewma[t.cell_type.index()];
-            *e = if *e == 0.0 {
-                per_row
-            } else {
-                *e * (1.0 - ROW_COST_EWMA_ALPHA) + per_row * ROW_COST_EWMA_ALPHA
-            };
-        }
         if self.trace.enabled() {
             self.emit(
                 now_us,
@@ -1532,5 +1340,64 @@ impl std::fmt::Debug for CellularEngine {
             .field("inflight", &self.inflight.len())
             .field("ready", &self.total_ready_nodes())
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn cand(i: u32, ready: usize, running: usize, priority: u32) -> Candidate {
+        Candidate {
+            cell_type: CellTypeId(i),
+            ready_nodes: ready,
+            running_tasks: running,
+            max_batch: 8,
+            priority,
+        }
+    }
+
+    fn pick(cands: &[Candidate]) -> Option<(CellTypeId, BatchReason)> {
+        paper_pick(cands.iter().copied(), None).map(|c| (c.cell_type, c.reason()))
+    }
+
+    #[test]
+    fn paper_tiers_and_tie_breaks() {
+        // Saturation beats a higher-priority starving type.
+        let p = pick(&[cand(0, 8, 0, 5), cand(1, 1, 0, 9)]);
+        assert_eq!(p, Some((CellTypeId(0), BatchReason::Saturation)));
+
+        // Within a tier the higher priority wins...
+        let p = pick(&[cand(0, 1, 0, 1), cand(1, 1, 0, 2)]);
+        assert_eq!(p.unwrap().0, CellTypeId(1));
+
+        // ...and an equal-priority tie goes to the later registry entry
+        // (`max_by_key` keeps the last maximum).
+        let p = pick(&[cand(0, 1, 0, 3), cand(1, 1, 0, 3)]);
+        assert_eq!(p.unwrap().0, CellTypeId(1));
+
+        // Starvation outranks priority-only types.
+        let p = pick(&[cand(0, 1, 1, 9), cand(1, 1, 0, 1)]);
+        assert_eq!(p, Some((CellTypeId(1), BatchReason::Starvation)));
+
+        assert!(pick(&[]).is_none());
+
+        // A retry below a failed pick takes the next type in rank order,
+        // into the lower tiers, and runs out after the last one.
+        let cands = [cand(0, 1, 1, 9), cand(1, 8, 1, 0), cand(2, 1, 0, 0)];
+        let mut order = Vec::new();
+        let mut below = None;
+        while let Some(c) = paper_pick(cands.iter().copied(), below) {
+            order.push((c.cell_type.0, c.reason()));
+            below = Some(c.rank());
+        }
+        assert_eq!(
+            order,
+            [
+                (1, BatchReason::Saturation),
+                (2, BatchReason::Starvation),
+                (0, BatchReason::Priority),
+            ]
+        );
     }
 }

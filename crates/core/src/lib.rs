@@ -28,7 +28,6 @@ mod config;
 mod engine;
 mod ids;
 pub mod partition;
-pub mod policy;
 mod request;
 mod resident;
 mod runtime;
@@ -40,9 +39,6 @@ pub use config::{ServeConfig, TenantRate};
 pub use engine::{CancelOutcome, CellularEngine, SchedulerConfig, SchedulerStats, STAGE_NAMES};
 pub use ids::{RequestId, SubgraphId, TaskId, WorkerId};
 pub use partition::{partition, Partition};
-pub use policy::{
-    FormationOrder, PolicyKind, PolicyPick, PolicyView, SchedulingPolicy, TypeCandidate,
-};
 pub use request::{DeadlineSpec, Request};
 pub use resident::{ResidentBatch, ResidentStats};
 pub use runtime::{

@@ -15,9 +15,7 @@
 //!
 //! let req = Request::new(RequestInput::Sequence(vec![1, 2, 3]))
 //!     .deadline_us(50_000)
-//!     .priority(3)
 //!     .tenant(7);
-//! assert_eq!(req.priority, 3);
 //! assert_eq!(req.tenant, Some(7));
 //! assert_eq!(req.effective_deadline_us(None), Some(50_000));
 //! ```
@@ -38,7 +36,8 @@ pub enum DeadlineSpec {
 }
 
 /// One unit of work to serve: the input payload plus its service-level
-/// metadata (deadline, priority, tenant).
+/// metadata (deadline, tenant). Scheduling priority is a property of a
+/// cell type, not of a request (§4.3).
 ///
 /// Build with [`Request::new`] and the fluent setters; the struct is
 /// `#[non_exhaustive]` so new metadata can be added compatibly.
@@ -49,11 +48,6 @@ pub struct Request {
     pub input: RequestInput,
     /// The deadline specification (see [`DeadlineSpec`]).
     pub deadline: DeadlineSpec,
-    /// Scheduling priority, 0 (default) to 255. Deadline-aware batch
-    /// formation ([`crate::PolicyKind::DeadlineEdf`]) prefers
-    /// higher-priority requests among equal deadlines; the paper's
-    /// default policy ignores it (its priority is per cell type).
-    pub priority: u8,
     /// Tenant id for per-tenant rate limiting at the network front
     /// door. `None` (the default) bills the anonymous tenant.
     pub tenant: Option<u32>,
@@ -61,12 +55,11 @@ pub struct Request {
 
 impl Request {
     /// A request for `input` with default metadata: the driver's
-    /// default deadline, priority 0, anonymous tenant.
+    /// default deadline, anonymous tenant.
     pub fn new(input: RequestInput) -> Self {
         Request {
             input,
             deadline: DeadlineSpec::Default,
-            priority: 0,
             tenant: None,
         }
     }
@@ -81,12 +74,6 @@ impl Request {
     /// default.
     pub fn no_deadline(mut self) -> Self {
         self.deadline = DeadlineSpec::None;
-        self
-    }
-
-    /// Sets the scheduling priority (0 = default, 255 = most urgent).
-    pub fn priority(mut self, p: u8) -> Self {
-        self.priority = p;
         self
     }
 

@@ -11,8 +11,8 @@
 //!    gather or resident step — telling the engine about each start and
 //!    completion and resolving every request that finishes into its
 //!    [`ResponseHandle`] or tagged [`CompletionQueue`];
-//! 4. repeat, blocking on the inbox (no longer than the nearest deadline
-//!    or the policy's requested wake-up) only when a pass did no work.
+//! 4. repeat, blocking on the inbox (no longer than the nearest
+//!    deadline) only when a pass did no work.
 //!
 //! Requests that arrive while tasks execute therefore join at the next
 //! scheduling boundary, exactly as in the paper. What the paper's
@@ -373,8 +373,8 @@ impl Respond {
 }
 
 /// Runtime construction knobs: the scheduler tunables, whose embedded
-/// [`ServeConfig`] carries every serving knob (policy, deadlines,
-/// admission caps, queue bound, shard count, observability).
+/// [`ServeConfig`] carries every serving knob (deadlines, admission
+/// caps, queue bound, shard count, observability).
 /// `ServeConfig` is the one place a serving knob is set; hand the
 /// finished config over with [`RuntimeOptions::serve_config`].
 ///
@@ -461,7 +461,6 @@ struct Arrival {
     graph: CellGraph,
     arrival_us: u64,
     deadline_us: Option<u64>,
-    priority: u8,
     respond: Respond,
 }
 
@@ -770,7 +769,6 @@ impl Runtime {
             graph,
             arrival_us,
             deadline_us: deadline_us.map(|d| arrival_us.saturating_add(d)),
-            priority: req.priority,
             respond,
         };
         Ok((s, arrival))
@@ -939,7 +937,7 @@ struct ShardMetrics {
     /// four-stage tiling.
     scatter_resolve: Histogram,
     /// `bm_manager_wakeups_total`: returns from a blocking wait — an
-    /// arrival reaching an idle shard, or a deadline/policy timer.
+    /// arrival reaching an idle shard, or a deadline timer.
     wakeups: Counter,
     /// `bm_manager_drained_per_wakeup`: arrivals admitted right after
     /// such a wake.
@@ -985,7 +983,7 @@ impl ShardMetrics {
 
 /// What a blocking wait on the inbox returned.
 enum Parked {
-    /// A deadline or policy wake-up was already due: no wait happened.
+    /// A deadline was already due: no wait happened.
     Due,
     /// The thread blocked and woke: on a message, or on the timer.
     Woke(Option<ShardMsg>),
@@ -1065,16 +1063,10 @@ impl Shard {
     }
 
     /// Blocks for the next inbox message, but never past the nearest
-    /// pending deadline or the policy's requested wake-up (the release
-    /// point of a held batch).
+    /// pending deadline.
     fn park(&self) -> Parked {
         let now = self.timer.now_us();
-        let next_deadline = self.deadlines.peek().map(|&Reverse((d, _))| d);
-        let wake_at = match (next_deadline, self.engine.next_wakeup(now)) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        };
-        match wake_at {
+        match self.deadlines.peek().map(|&Reverse((d, _))| d) {
             Some(d) if d <= now => Parked::Due,
             Some(d) => match self.rx.recv_timeout(Duration::from_micros(d - now)) {
                 Ok(m) => Parked::Woke(Some(m)),
@@ -1096,7 +1088,6 @@ impl Shard {
             graph,
             arrival_us,
             deadline_us,
-            priority,
             respond,
         } = a;
         self.live.insert(
@@ -1108,8 +1099,7 @@ impl Shard {
                 has_deadline: deadline_us.is_some(),
             },
         );
-        self.engine
-            .on_arrival_full(id, graph, arrival_us, deadline_us, priority);
+        self.engine.on_arrival(id, graph, arrival_us);
         if let Some(d) = deadline_us {
             self.deadlines.push(Reverse((d, id)));
         }
@@ -1162,6 +1152,10 @@ impl Shard {
     /// One scheduling decision: asks the engine for tasks (§4.3: up to
     /// `MaxTasksToSubmit` consecutive steps of the picked cell type) and
     /// executes them in order. Returns whether there were any.
+    ///
+    /// Every task completes before the next `dispatch`, so no type has a
+    /// running task when the engine picks: each pick is saturation- or
+    /// starvation-qualified, never priority-only.
     fn run_tasks(&mut self) -> bool {
         let tasks = self.engine.dispatch(WorkerId(0));
         if tasks.is_empty() {

@@ -1,0 +1,82 @@
+//! `CellularEngine::dispatch` with nothing ready allocates nothing.
+//!
+//! A shard thread calls `dispatch` on every pass of its loop, including
+//! the idle pass right before it parks, so the "no work" answer must be
+//! free. Isolated in its own integration-test binary because the
+//! allocator hook is process-global; the count is per thread (the
+//! pattern of `bm-telemetry`'s `zero_overhead.rs`), so the test passes
+//! at any `--test-threads`.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::sync::Arc;
+
+use bm_core::{CellularEngine, RequestId, SchedulerConfig, WorkerId};
+use bm_model::{Model, RequestInput, Seq2Seq};
+
+struct CountingAlloc;
+
+thread_local! {
+    // Const-initialised and without a destructor: touching it from inside
+    // the allocator never allocates.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        unsafe { System.alloc(layout) }
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
+
+/// Allocations made so far by the calling thread.
+fn allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}
+
+/// Allocations made by 1000 `dispatch` calls that all find nothing.
+fn idle_dispatch_allocations(engine: &mut CellularEngine) -> u64 {
+    let before = allocations();
+    for _ in 0..1000 {
+        assert!(engine.dispatch(WorkerId(0)).is_empty());
+    }
+    allocations() - before
+}
+
+#[test]
+fn dispatch_with_nothing_ready_allocates_nothing() {
+    // Two cell types, so the pick has more than one queue to look at.
+    let model = Seq2Seq::small();
+    let mut engine =
+        CellularEngine::new(Arc::new(model.registry().clone()), SchedulerConfig::new());
+    assert_eq!(
+        idle_dispatch_allocations(&mut engine),
+        0,
+        "an idle engine's dispatch must not allocate"
+    );
+
+    // Requests admitted and their ready nodes in flight: nothing is
+    // ready until a task completes.
+    for i in 0..3 {
+        let input = RequestInput::Pair {
+            src: vec![2, 3],
+            decode_len: 2,
+        };
+        engine.on_arrival(RequestId(i), model.unfold(&input), 0);
+    }
+    while engine.has_ready_work() {
+        assert!(!engine.dispatch(WorkerId(0)).is_empty());
+    }
+    assert!(engine.inflight_tasks() > 0);
+    assert_eq!(
+        idle_dispatch_allocations(&mut engine),
+        0,
+        "dispatch with every ready node in flight must not allocate"
+    );
+}

@@ -2,15 +2,12 @@
 //! which serves every cell that has a resident layout through it,
 //! returns full per-node outputs bit-identical to the unbatched
 //! reference executor (one cell at a time, no plane, no batch), across
-//! `MaxTasksToSubmit` values × batch-formation policies × all model
-//! families. The plane may change *how* state reaches the cell — parked
+//! `MaxTasksToSubmit` values × all model families. The plane may change *how* state reaches the cell — parked
 //! rows, swaps, refetches — never *what* it computes.
 
 use std::sync::Arc;
 
-use bm_core::{
-    PolicyKind, Request, Runtime, RuntimeOptions, SchedulerConfig, ServeConfig, ServedOutcome,
-};
+use bm_core::{Request, Runtime, RuntimeOptions, SchedulerConfig, ServeConfig, ServedOutcome};
 use bm_model::{reference, GruLm, LstmLm, Model, RequestInput, Seq2Seq, TreeLstm, TreeShape};
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -19,14 +16,10 @@ use proptest::prelude::*;
 const VOCAB: u32 = 900;
 
 /// One shard, so every request shares one resident plane.
-fn opts(max_tasks: usize, policy: Option<PolicyKind>) -> RuntimeOptions {
-    let mut serve = ServeConfig::new().shards(1);
-    if let Some(p) = policy {
-        serve = serve.policy(p);
-    }
+fn opts(max_tasks: usize) -> RuntimeOptions {
     RuntimeOptions::new()
         .scheduler(SchedulerConfig::new().max_tasks_to_submit(max_tasks))
-        .serve_config(serve)
+        .serve_config(ServeConfig::new().shards(1))
 }
 
 /// Serves every input and returns the full per-node outputs (states and
@@ -45,37 +38,20 @@ fn outputs_of(rt: &Runtime, inputs: &[RequestInput]) -> Vec<Vec<Option<bm_cell::
         .collect()
 }
 
-fn check_identity(
-    model: Arc<dyn Model>,
-    inputs: &[RequestInput],
-    max_tasks: usize,
-    policy: Option<PolicyKind>,
-) {
+fn check_identity(model: Arc<dyn Model>, inputs: &[RequestInput], max_tasks: usize) {
     let want: Vec<_> = inputs
         .iter()
         .map(|i| reference::execute_graph(&model.unfold(i), model.registry()).outputs)
         .collect();
 
-    let rt = Runtime::start(model, opts(max_tasks, policy));
+    let rt = Runtime::start(model, opts(max_tasks));
     let got = outputs_of(&rt, inputs);
     rt.shutdown();
 
     // PartialEq on CellOutput compares every f32 exactly: any
     // accumulation-order or state-placement difference from the
     // reference would fail here.
-    assert_eq!(
-        want, got,
-        "served outputs diverged (max_tasks {max_tasks}, {policy:?})"
-    );
-}
-
-fn policy_strategy() -> impl Strategy<Value = Option<PolicyKind>> {
-    prop_oneof![
-        Just(None),
-        Just(Some(PolicyKind::PaperDefault)),
-        Just(Some(PolicyKind::lazy_slack())),
-        Just(Some(PolicyKind::DeadlineEdf)),
-    ]
+    assert_eq!(want, got, "served outputs diverged (max_tasks {max_tasks})");
 }
 
 fn tree_strategy() -> impl Strategy<Value = TreeShape> {
@@ -94,22 +70,20 @@ proptest! {
     fn lstm_outputs_identical_with_resident_plane(
         seqs in vec(vec(1u32..VOCAB, 1..12), 4..16),
         max_tasks in 1usize..7,
-        policy in policy_strategy(),
     ) {
         let inputs: Vec<RequestInput> =
             seqs.into_iter().map(RequestInput::Sequence).collect();
-        check_identity(Arc::new(LstmLm::small()), &inputs, max_tasks, policy);
+        check_identity(Arc::new(LstmLm::small()), &inputs, max_tasks);
     }
 
     #[test]
     fn gru_outputs_identical_with_resident_plane(
         seqs in vec(vec(1u32..VOCAB, 1..12), 4..12),
         max_tasks in 1usize..7,
-        policy in policy_strategy(),
     ) {
         let inputs: Vec<RequestInput> =
             seqs.into_iter().map(RequestInput::Sequence).collect();
-        check_identity(Arc::new(GruLm::small()), &inputs, max_tasks, policy);
+        check_identity(Arc::new(GruLm::small()), &inputs, max_tasks);
     }
 
     #[test]
@@ -118,13 +92,12 @@ proptest! {
         // <go>/<eos> ids.
         pairs in vec((vec(2u32..490, 1..10), 1usize..8), 4..12),
         max_tasks in 1usize..7,
-        policy in policy_strategy(),
     ) {
         let inputs: Vec<RequestInput> = pairs
             .into_iter()
             .map(|(src, decode_len)| RequestInput::Pair { src, decode_len })
             .collect();
-        check_identity(Arc::new(Seq2Seq::small()), &inputs, max_tasks, policy);
+        check_identity(Arc::new(Seq2Seq::small()), &inputs, max_tasks);
     }
 
     #[test]
@@ -135,6 +108,6 @@ proptest! {
     ) {
         let inputs: Vec<RequestInput> =
             trees.into_iter().map(RequestInput::Tree).collect();
-        check_identity(Arc::new(TreeLstm::small()), &inputs, max_tasks, None);
+        check_identity(Arc::new(TreeLstm::small()), &inputs, max_tasks);
     }
 }

@@ -501,8 +501,8 @@ fn builders_preserve_defaults() {
 
     let serve = bm_core::ServeConfig::new();
     let serve_defaults = bm_core::ServeConfig::default();
-    assert_eq!(serve.policy, serve_defaults.policy);
-    assert_eq!(serve.policy, None);
+    assert_eq!(serve.deadline_us, serve_defaults.deadline_us);
+    assert_eq!(serve.deadline_us, None);
     assert_eq!(serve.tenant_rate, None);
     // A runtime has at least one shard, and the config says so.
     assert_eq!(ServeConfig::new().shards(0).shards, 1);

@@ -1,12 +1,12 @@
 //! Sharding must be invisible to results: a request served by an
 //! N-shard [`Runtime`] returns outputs bit-identical to the same type
-//! started with `.shards(1)`, across shard counts × batch-formation
-//! policies × all three model families. Placement and rebalancing may
+//! started with `.shards(1)`, across shard counts × all three model
+//! families. Placement and rebalancing may
 //! move *where* a request runs, never *what* it computes.
 
 use std::sync::Arc;
 
-use bm_core::{PolicyKind, Request, Runtime, RuntimeOptions, ServeConfig, ServedOutcome};
+use bm_core::{Request, Runtime, RuntimeOptions, ServeConfig, ServedOutcome};
 use bm_model::{LstmLm, Model, RequestInput, Seq2Seq, TreeLstm, TreeShape};
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -14,12 +14,8 @@ use proptest::prelude::*;
 /// Vocabulary bound shared by the three `small()` models' inputs.
 const VOCAB: u32 = 900;
 
-fn opts(shards: usize, policy: Option<PolicyKind>) -> RuntimeOptions {
-    let mut serve = ServeConfig::new().shards(shards);
-    if let Some(p) = policy {
-        serve = serve.policy(p);
-    }
-    RuntimeOptions::new().serve_config(serve)
+fn opts(shards: usize) -> RuntimeOptions {
+    RuntimeOptions::new().serve_config(ServeConfig::new().shards(shards))
 }
 
 /// Serves every input on a `shards`-shard runtime and returns the full
@@ -28,9 +24,8 @@ fn outputs_of(
     model: Arc<dyn Model>,
     inputs: &[RequestInput],
     shards: usize,
-    policy: Option<PolicyKind>,
 ) -> Vec<Vec<Option<bm_cell::CellOutput>>> {
-    let rt = Runtime::start(model, opts(shards, policy));
+    let rt = Runtime::start(model, opts(shards));
     assert_eq!(rt.num_shards(), shards);
     let handles: Vec<_> = inputs
         .iter()
@@ -47,21 +42,13 @@ fn outputs_of(
     outputs
 }
 
-fn check_identity(
-    model: Arc<dyn Model>,
-    inputs: &[RequestInput],
-    shards: usize,
-    policy: Option<PolicyKind>,
-) {
-    let want = outputs_of(Arc::clone(&model), inputs, 1, policy);
-    let got = outputs_of(model, inputs, shards, policy);
+fn check_identity(model: Arc<dyn Model>, inputs: &[RequestInput], shards: usize) {
+    let want = outputs_of(Arc::clone(&model), inputs, 1);
+    let got = outputs_of(model, inputs, shards);
 
     // PartialEq on CellOutput compares every f32 exactly: any
     // accumulation-order difference between the paths would fail here.
-    assert_eq!(
-        want, got,
-        "sharded outputs diverged ({shards} shards, {policy:?})"
-    );
+    assert_eq!(want, got, "sharded outputs diverged ({shards} shards)");
 }
 
 /// Every shard stamps requests on the clock `Runtime::now_us` reads: a
@@ -71,7 +58,7 @@ fn check_identity(
 #[test]
 fn shards_share_one_clock() {
     let model: Arc<dyn Model> = Arc::new(Seq2Seq::small());
-    let rt = Runtime::start(Arc::clone(&model), opts(2, None));
+    let rt = Runtime::start(Arc::clone(&model), opts(2));
     for i in 0..24u32 {
         let before = rt.now_us();
         let outcome = rt
@@ -102,15 +89,6 @@ fn tree_strategy() -> impl Strategy<Value = TreeShape> {
     )
 }
 
-fn policy_strategy() -> impl Strategy<Value = Option<PolicyKind>> {
-    prop_oneof![
-        Just(None),
-        Just(Some(PolicyKind::PaperDefault)),
-        Just(Some(PolicyKind::lazy_slack())),
-        Just(Some(PolicyKind::DeadlineEdf)),
-    ]
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
@@ -118,11 +96,10 @@ proptest! {
     fn lstm_outputs_identical_across_shards(
         seqs in vec(vec(1u32..VOCAB, 1..12), 4..16),
         shards in 2usize..5,
-        policy in policy_strategy(),
     ) {
         let inputs: Vec<RequestInput> =
             seqs.into_iter().map(RequestInput::Sequence).collect();
-        check_identity(Arc::new(LstmLm::small()), &inputs, shards, policy);
+        check_identity(Arc::new(LstmLm::small()), &inputs, shards);
     }
 
     #[test]
@@ -131,24 +108,22 @@ proptest! {
         // <go>/<eos> ids.
         pairs in vec((vec(2u32..490, 1..10), 1usize..8), 4..12),
         shards in 2usize..5,
-        policy in policy_strategy(),
     ) {
         let inputs: Vec<RequestInput> = pairs
             .into_iter()
             .map(|(src, decode_len)| RequestInput::Pair { src, decode_len })
             .collect();
-        check_identity(Arc::new(Seq2Seq::small()), &inputs, shards, policy);
+        check_identity(Arc::new(Seq2Seq::small()), &inputs, shards);
     }
 
     #[test]
     fn treelstm_outputs_identical_across_shards(
         trees in vec(tree_strategy(), 4..12),
         shards in 2usize..5,
-        policy in policy_strategy(),
     ) {
         let inputs: Vec<RequestInput> =
             trees.into_iter().map(RequestInput::Tree).collect();
-        check_identity(Arc::new(TreeLstm::small()), &inputs, shards, policy);
+        check_identity(Arc::new(TreeLstm::small()), &inputs, shards);
     }
 
     #[test]
@@ -161,6 +136,6 @@ proptest! {
         // still computes the same bits.
         let inputs: Vec<RequestInput> =
             seqs.into_iter().map(RequestInput::Sequence).collect();
-        check_identity(Arc::new(LstmLm::small()), &inputs, shards, None);
+        check_identity(Arc::new(LstmLm::small()), &inputs, shards);
     }
 }

@@ -1,25 +1,21 @@
 //! The reproduction CLI: regenerates every figure of the paper.
 //!
 //! ```text
-//! repro <experiment>... [--quick|--smoke] [--out DIR] [--policy NAME]
+//! repro <experiment>... [--quick|--smoke] [--out DIR]
 //! repro all [--quick]
 //! ```
 //!
 //! Experiments: fig3 fig5 fig7a fig7b fig8 fig9 fig10 fig11 fig13 fig14
-//! fig15 headline ablation sla policies trace bench. Results land in
-//! `results/` as markdown + CSV and are echoed to stdout; `trace`
-//! additionally writes Chrome trace JSON (Perfetto-loadable) and
-//! per-request timelines, and `policies` compares the batch-formation
-//! policies (paper/lazy/edf) across the SLA load sweep, writing
-//! `BENCH_policies.json`. `repro sla --policy lazy` runs the SLA sweep
-//! under one alternative policy (results land under `sla_<policy>` so
-//! the default `sla` outputs stay untouched). Every experiment but two
-//! runs in virtual time and is reproducible byte for byte; the two that
-//! read the wall clock are `fig3`'s CPU curve and `bench`, a
-//! same-process check that a 1–3-row packed-GEMM call costs no more
-//! than the 4-row call (it panics, so `repro` exits non-zero, when the
-//! rule is violated). How fast the server is — kernels, runtime, socket
-//! path, telemetry overhead — is measured by the repo's benchmark
+//! fig15 headline ablation sla trace bench. Results land in `results/`
+//! as markdown + CSV and are echoed to stdout; `trace` additionally
+//! writes Chrome trace JSON (Perfetto-loadable) and per-request
+//! timelines. Every experiment but two runs in virtual time and is
+//! reproducible byte for byte; the two that read the wall clock are
+//! `fig3`'s CPU curve and `bench`, a same-process check that a
+//! 1–3-row packed-GEMM call costs no more than the 4-row call (it
+//! panics, so `repro` exits non-zero, when the rule is violated). How
+//! fast the server is — kernels, runtime, socket path, telemetry
+//! overhead — is measured by the repo's benchmark
 //! (`benchmark/README.md`), not here.
 //!
 //! Every name is checked against the experiment list before anything
@@ -29,7 +25,6 @@
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use bm_core::PolicyKind;
 use bm_harness::experiments::{
     ablation, bench, fig10, fig11, fig13, fig14, fig15, fig3, fig5, fig7, fig8, fig9, headline,
     sla, trace, Scale,
@@ -37,9 +32,9 @@ use bm_harness::experiments::{
 use bm_harness::write_results;
 use bm_metrics::Table;
 
-/// Runs one experiment: scale, output directory (for the experiments
-/// that write files of their own) and the `--policy` override.
-type Runner = fn(Scale, &Path, Option<PolicyKind>) -> Vec<Table>;
+/// Runs one experiment: scale and output directory (for the
+/// experiments that write files of their own).
+type Runner = fn(Scale, &Path) -> Vec<Table>;
 
 /// An experiment's name on the command line and what runs it.
 type Experiment = (&'static str, Runner);
@@ -47,28 +42,22 @@ type Experiment = (&'static str, Runner);
 /// Every experiment, in `repro all` order: the one list both the usage
 /// text and the dispatch read.
 static EXPERIMENTS: &[Experiment] = &[
-    ("fig3", |scale, _, _| fig3::run(scale)),
-    ("fig5", |scale, _, _| fig5::run(scale)),
-    ("fig7a", |scale, _, _| fig7::run_a(scale)),
-    ("fig7b", |scale, _, _| fig7::run_b(scale)),
-    ("fig8", |scale, _, _| fig8::run(scale)),
-    ("fig9", |scale, _, _| fig9::run(scale)),
-    ("fig10", |scale, _, _| fig10::run(scale)),
-    ("fig11", |scale, _, _| fig11::run(scale)),
-    ("fig13", |scale, _, _| fig13::run(scale)),
-    ("fig14", |scale, _, _| fig14::run(scale)),
-    ("fig15", |scale, _, _| fig15::run(scale)),
-    ("headline", |scale, _, _| headline::run(scale)),
-    ("ablation", |scale, _, _| ablation::run(scale)),
-    ("sla", |scale, _, policy| match policy {
-        Some(kind) => sla::run_with_policy(scale, kind),
-        None => sla::run(scale),
-    }),
-    ("policies", |scale, out_dir, _| {
-        sla::run_policies(scale, out_dir)
-    }),
-    ("trace", |scale, out_dir, _| trace::run(scale, out_dir)),
-    ("bench", |scale, _, _| bench::run(scale)),
+    ("fig3", |scale, _| fig3::run(scale)),
+    ("fig5", |scale, _| fig5::run(scale)),
+    ("fig7a", |scale, _| fig7::run_a(scale)),
+    ("fig7b", |scale, _| fig7::run_b(scale)),
+    ("fig8", |scale, _| fig8::run(scale)),
+    ("fig9", |scale, _| fig9::run(scale)),
+    ("fig10", |scale, _| fig10::run(scale)),
+    ("fig11", |scale, _| fig11::run(scale)),
+    ("fig13", |scale, _| fig13::run(scale)),
+    ("fig14", |scale, _| fig14::run(scale)),
+    ("fig15", |scale, _| fig15::run(scale)),
+    ("headline", |scale, _| headline::run(scale)),
+    ("ablation", |scale, _| ablation::run(scale)),
+    ("sla", |scale, _| sla::run(scale)),
+    ("trace", |scale, out_dir| trace::run(scale, out_dir)),
+    ("bench", |scale, _| bench::run(scale)),
 ];
 
 fn known() -> String {
@@ -103,7 +92,6 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut scale = Scale::Full;
     let mut out_dir = PathBuf::from("results");
-    let mut policy: Option<PolicyKind> = None;
     let mut names: Vec<String> = Vec::new();
     let mut iter = args.into_iter();
     while let Some(a) = iter.next() {
@@ -116,18 +104,11 @@ fn main() -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             },
-            "--policy" => match iter.next().as_deref().and_then(PolicyKind::parse) {
-                Some(k) => policy = Some(k),
-                None => {
-                    eprintln!("--policy requires one of: paper lazy edf");
-                    return ExitCode::FAILURE;
-                }
-            },
             _ => names.push(a),
         }
     }
     if names.is_empty() {
-        eprintln!("usage: repro <experiment>... [--quick|--smoke] [--out DIR] [--policy NAME]");
+        eprintln!("usage: repro <experiment>... [--quick|--smoke] [--out DIR]");
         eprintln!("experiments: {} all", known());
         return ExitCode::FAILURE;
     }
@@ -141,15 +122,9 @@ fn main() -> ExitCode {
     for &(name, run) in selected {
         eprintln!("== running {name} ({scale:?}) ==");
         let start = std::time::Instant::now();
-        let tables = run(scale, &out_dir, policy);
-        // A policy-variant sla run lands under its own name so the
-        // default sla outputs stay byte-stable.
-        let out_name = match policy {
-            Some(k) if name == "sla" => format!("sla_{}", k.label()),
-            _ => name.to_string(),
-        };
-        write_results(&out_dir, &out_name, &tables);
-        eprintln!("== {out_name} done in {:.1?} ==\n", start.elapsed());
+        let tables = run(scale, &out_dir);
+        write_results(&out_dir, name, &tables);
+        eprintln!("== {name} done in {:.1?} ==\n", start.elapsed());
     }
     ExitCode::SUCCESS
 }
@@ -168,7 +143,7 @@ mod tests {
     /// name selects its own entry and only that.
     #[test]
     fn every_experiment_is_dispatched_under_its_own_name() {
-        assert_eq!(EXPERIMENTS.len(), 17);
+        assert_eq!(EXPERIMENTS.len(), 16);
         for (i, (name, _)) in EXPERIMENTS.iter().enumerate() {
             let picked = select(&[name.to_string()]).expect("listed name");
             assert_eq!(picked.len(), 1, "{name}");

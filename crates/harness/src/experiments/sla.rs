@@ -11,10 +11,9 @@
 //! serving admitted requests near capacity, instead of letting queues
 //! grow without bound and every request miss its deadline.
 
-use std::path::Path;
 use std::sync::Arc;
 
-use bm_core::{PolicyKind, ServeConfig};
+use bm_core::ServeConfig;
 use bm_metrics::{SlaSummary, Table};
 use bm_model::{LstmLm, LstmLmConfig};
 use bm_sim::{simulate, SimOptions};
@@ -36,16 +35,6 @@ pub const SLA_US: u64 = 100_000;
 /// Admission cap on requests concurrently in the system.
 pub const MAX_ACTIVE: usize = 4_096;
 
-/// Dispatch pipeline depth for the per-policy comparison. The default
-/// `sla` sweep keeps the simulator's depth of 1, where dispatch only
-/// ever happens on an idle device and every pick is saturation- or
-/// starvation-qualified — the three policies are provably identical
-/// there. Under pipelined dispatch (a per-device FIFO queue, §5)
-/// batches form while the device is busy, so eager formation submits
-/// undersized priority-tier batches; that is the regime lazy/EDF
-/// policies exist for, and the comparison runs there.
-pub const POLICY_PIPELINE_DEPTH: usize = 2;
-
 /// One offered-load point of the SLA sweep.
 #[derive(Debug)]
 pub struct SlaPoint {
@@ -59,30 +48,9 @@ pub struct SlaPoint {
     pub saturated: bool,
 }
 
-/// The policies compared by the `repro policies` sweep, in table and
-/// JSON order: paper-default first (the baseline the others are judged
-/// against).
-pub fn policy_lineup() -> Vec<PolicyKind> {
-    vec![
-        PolicyKind::PaperDefault,
-        PolicyKind::lazy_slack(),
-        PolicyKind::DeadlineEdf,
-    ]
-}
-
 /// Runs the sweep: BatchMaker with a 100 ms SLA on the WMT'15 workload
-/// clipped at 50 tokens, one simulated GPU, under the default
-/// (paper-exact) batch-formation policy.
+/// clipped at 50 tokens, one simulated GPU.
 pub fn run_points(scale: Scale) -> Vec<SlaPoint> {
-    run_points_with(scale, None)
-}
-
-/// [`run_points`] under an explicit batch-formation policy; `None`
-/// leaves the server's default (paper-exact) scheduler untouched, which
-/// keeps the default `repro sla` output byte-identical. Policy runs use
-/// [`POLICY_PIPELINE_DEPTH`] so formation decisions actually differ
-/// (see its docs); the policy-less run keeps depth 1.
-pub fn run_points_with(scale: Scale, policy: Option<PolicyKind>) -> Vec<SlaPoint> {
     let model = Arc::new(LstmLm::new(LstmLmConfig {
         max_batch: 512,
         ..Default::default()
@@ -95,17 +63,14 @@ pub fn run_points_with(scale: Scale, policy: Option<PolicyKind>) -> Vec<SlaPoint
         let arr = arrivals(&ds, rate, n, 0x5eed ^ rate as u64);
         let span = arr.last().expect("nonempty").0;
         let mut server = factory.build(&SystemKind::BatchMaker);
-        let mut serve = ServeConfig::new()
-            .deadline_us(SLA_US)
-            .max_active(MAX_ACTIVE);
-        let mut opts = SimOptions::new()
+        let opts = SimOptions::new()
             .workers(1)
-            .max_sim_us(span.saturating_mul(4).max(5_000_000));
-        if let Some(kind) = policy {
-            serve = serve.policy(kind);
-            opts = opts.pipeline_depth(POLICY_PIPELINE_DEPTH);
-        }
-        let opts = opts.serve_config(serve);
+            .max_sim_us(span.saturating_mul(4).max(5_000_000))
+            .serve_config(
+                ServeConfig::new()
+                    .deadline_us(SLA_US)
+                    .max_active(MAX_ACTIVE),
+            );
         let out = simulate(server.as_mut(), &arr, opts);
         let summary = SlaSummary::new(
             n,
@@ -151,122 +116,6 @@ pub fn run(scale: Scale) -> Vec<Table> {
         ]);
     }
     vec![t]
-}
-
-/// Runs the sweep under one explicit policy, returning a result table
-/// labelled with the policy (backs `repro sla --policy NAME`).
-pub fn run_with_policy(scale: Scale, kind: PolicyKind) -> Vec<Table> {
-    let mut t = Table::new(
-        format!(
-            "SLA sweep under policy '{}' (LSTM, WMT clip-50, 100 ms SLA, 1 GPU, pipelined dispatch x2)",
-            kind.label()
-        ),
-        &[
-            "offered_rps",
-            "completed",
-            "expired",
-            "rejected",
-            "goodput_rps",
-            "attainment",
-            "p90_ms",
-        ],
-    );
-    for p in run_points_with(scale, Some(kind)) {
-        t.push_row(vec![
-            format!("{:.0}", p.offered_rps),
-            p.summary.completed.to_string(),
-            p.summary.expired.to_string(),
-            p.summary.rejected.to_string(),
-            format!("{:.0}", p.summary.goodput_rps),
-            format!("{:.3}", p.summary.attainment()),
-            p.p90_ms.map_or_else(|| "-".into(), |v| format!("{v:.1}")),
-        ]);
-    }
-    vec![t]
-}
-
-/// Runs the per-policy comparison sweep (paper-default vs lazy-slack vs
-/// deadline-EDF, same workload and load points) and writes the
-/// machine-readable `BENCH_policies.json` (schema `bm-policies/v1`)
-/// into `out_dir`.
-///
-/// # Panics
-///
-/// Panics if `out_dir` is unwritable.
-pub fn run_policies(scale: Scale, out_dir: &Path) -> Vec<Table> {
-    let mut t = Table::new(
-        "Policy comparison: goodput & SLA attainment per load point \
-         (LSTM, WMT clip-50, 100 ms SLA, 1 GPU, pipelined dispatch x2)",
-        &[
-            "policy",
-            "offered_rps",
-            "completed",
-            "expired",
-            "rejected",
-            "goodput_rps",
-            "attainment",
-            "p90_ms",
-        ],
-    );
-    let mut results: Vec<(PolicyKind, Vec<SlaPoint>)> = Vec::new();
-    for kind in policy_lineup() {
-        let points = run_points_with(scale, Some(kind));
-        for p in &points {
-            t.push_row(vec![
-                kind.label().to_string(),
-                format!("{:.0}", p.offered_rps),
-                p.summary.completed.to_string(),
-                p.summary.expired.to_string(),
-                p.summary.rejected.to_string(),
-                format!("{:.0}", p.summary.goodput_rps),
-                format!("{:.3}", p.summary.attainment()),
-                p.p90_ms.map_or_else(|| "-".into(), |v| format!("{v:.1}")),
-            ]);
-        }
-        results.push((kind, points));
-    }
-    std::fs::create_dir_all(out_dir).expect("create results dir");
-    let path = out_dir.join("BENCH_policies.json");
-    std::fs::write(&path, policies_json(&results)).expect("write BENCH_policies.json");
-    eprintln!("wrote {}", path.display());
-    vec![t]
-}
-
-/// Renders the machine-readable comparison file (schema
-/// `bm-policies/v1`).
-fn policies_json(results: &[(PolicyKind, Vec<SlaPoint>)]) -> String {
-    let mut s = String::from("{\n  \"schema\": \"bm-policies/v1\",\n");
-    s.push_str(&format!(
-        "  \"sla_us\": {SLA_US},\n  \"pipeline_depth\": {POLICY_PIPELINE_DEPTH},\n  \"policies\": [\n"
-    ));
-    for (i, (kind, points)) in results.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"policy\": \"{}\", \"points\": [\n",
-            kind.label()
-        ));
-        for (j, p) in points.iter().enumerate() {
-            s.push_str(&format!(
-                "      {{\"offered_rps\": {:.0}, \"completed\": {}, \"expired\": {}, \
-                 \"rejected\": {}, \"goodput_rps\": {:.1}, \"attainment\": {:.4}, \
-                 \"p90_ms\": {}}}{}\n",
-                p.offered_rps,
-                p.summary.completed,
-                p.summary.expired,
-                p.summary.rejected,
-                p.summary.goodput_rps,
-                p.summary.attainment(),
-                p.p90_ms
-                    .map_or_else(|| "null".into(), |v| format!("{v:.2}")),
-                if j + 1 < points.len() { "," } else { "" }
-            ));
-        }
-        s.push_str(&format!(
-            "    ]}}{}\n",
-            if i + 1 < results.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    s
 }
 
 #[cfg(test)]

@@ -6,8 +6,8 @@
 //! correlation][body]`:
 //!
 //! - **Submit** (client → server): a full [`Request`] — deadline spec,
-//!   priority, tenant, then the input payload (sequence, seq2seq pair,
-//!   or preorder-encoded tree).
+//!   tenant, then the input payload (sequence, seq2seq pair, or
+//!   preorder-encoded tree).
 //! - **Response** (server → client): the correlation id of the submit
 //!   it answers plus a [`NetResponse`] — completed (timing, executed
 //!   node count, decoded tokens), expired (timing), a typed rejection,
@@ -23,8 +23,11 @@
 use bm_core::{DeadlineSpec, Request, ServedTiming};
 use bm_model::{RequestInput, TreeShape};
 
-/// Protocol version carried in every frame.
-pub const PROTOCOL_VERSION: u8 = 1;
+/// Protocol version carried in every frame. Version 2 dropped the
+/// submit body's priority byte (version 1 carried one after the
+/// deadline spec), so a version-1 peer fails with
+/// [`WireError::BadVersion`] instead of a misparsed body.
+pub const PROTOCOL_VERSION: u8 = 2;
 
 /// Upper bound on a frame's payload length. A `len` prefix above this
 /// is rejected as [`WireError::Oversized`] before any buffering.
@@ -205,7 +208,6 @@ pub fn encode_submit(buf: &mut Vec<u8>, correlation: u32, req: &Request) {
             buf.extend_from_slice(&d.to_le_bytes());
         }
     }
-    buf.push(req.priority);
     match req.tenant {
         None => buf.push(0),
         Some(t) => {
@@ -422,7 +424,6 @@ fn read_request(r: &mut Reader<'_>) -> Result<Request, WireError> {
             })
         }
     };
-    let priority = r.u8("priority")?;
     let tenant = match r.u8("tenant tag")? {
         0 => None,
         1 => Some(r.u32("tenant")?),
@@ -470,7 +471,7 @@ fn read_request(r: &mut Reader<'_>) -> Result<Request, WireError> {
             })
         }
     };
-    let mut req = Request::new(input).priority(priority);
+    let mut req = Request::new(input);
     req.deadline = deadline;
     req.tenant = tenant;
     Ok(req)

@@ -41,11 +41,10 @@ fn request_strategy() -> impl Strategy<Value = Request> {
     (
         input_strategy(),
         deadline_strategy(),
-        any::<u8>(),
         prop_oneof![Just(None), any::<u32>().prop_map(Some)],
     )
-        .prop_map(|(input, deadline, priority, tenant)| {
-            let mut req = Request::new(input).priority(priority);
+        .prop_map(|(input, deadline, tenant)| {
+            let mut req = Request::new(input);
             req.deadline = deadline;
             req.tenant = tenant;
             req
@@ -196,6 +195,23 @@ fn wrong_version_is_rejected() {
     encode_submit(&mut buf, 0, &Request::new(RequestInput::Sequence(vec![1])));
     buf[4] = 99; // version byte
     assert_eq!(decode_frame(&buf), Err(WireError::BadVersion { got: 99 }));
+
+    // A version-1 submit (it still carried a priority byte after the
+    // deadline spec) is refused by version, not misparsed.
+    let frame = [
+        1, // version
+        1, // MSG_SUBMIT
+        0, 0, 0, 0, // correlation
+        0, // deadline: default
+        0, // priority
+        0, // tenant: none
+        0, // input: sequence
+        1, 0, 0, 0, // one token
+        1, 0, 0, 0, // token 1
+    ];
+    let mut buf = (frame.len() as u32).to_le_bytes().to_vec();
+    buf.extend_from_slice(&frame);
+    assert_eq!(decode_frame(&buf), Err(WireError::BadVersion { got: 1 }));
 }
 
 #[test]
@@ -203,11 +219,10 @@ fn forged_token_count_cannot_over_allocate() {
     // A sequence claiming u32::MAX tokens with a 12-byte body must fail
     // on the count check, not attempt a 16 GiB allocation.
     let mut frame = vec![
-        1, // version
+        2, // version
         1, // MSG_SUBMIT
         0, 0, 0, 0, // correlation
         0, // deadline: default
-        0, // priority
         0, // tenant: none
         0, // input: sequence
     ];

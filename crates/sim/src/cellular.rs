@@ -90,13 +90,7 @@ impl CellularServer {
 impl Server for CellularServer {
     fn on_arrival(&mut self, req: SimRequest, now_us: u64) {
         let graph = self.model.unfold(&req.input);
-        self.engine.on_arrival_full(
-            RequestId(req.id),
-            graph,
-            now_us,
-            req.deadline_us,
-            req.priority,
-        );
+        self.engine.on_arrival(RequestId(req.id), graph, now_us);
     }
 
     fn next_work(&mut self, worker: usize, now_us: u64) -> Vec<WorkItem> {
@@ -147,15 +141,6 @@ impl Server for CellularServer {
 
     fn pending_requests(&self) -> usize {
         self.engine.active_requests()
-    }
-
-    fn next_wakeup(&self, now_us: u64) -> Option<u64> {
-        self.engine.next_wakeup(now_us)
-    }
-
-    fn set_policy(&mut self, kind: bm_core::PolicyKind) -> bool {
-        self.engine.set_policy_kind(kind);
-        true
     }
 
     fn cancel(&mut self, id: u64, now_us: u64) -> bool {

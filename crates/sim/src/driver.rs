@@ -10,8 +10,8 @@ use crate::server::{Server, SimRequest};
 
 /// Options controlling one simulation run.
 ///
-/// The serving knobs shared with the threaded runtime — policy,
-/// deadlines, admission cap, observability sinks — live
+/// The serving knobs shared with the threaded runtime — deadlines,
+/// admission cap, observability sinks — live
 /// in the embedded [`ServeConfig`] (`serve`), so a deployment
 /// configures them once for simulator and runtime alike and hands the
 /// finished config over with [`SimOptions::serve_config`]. The
@@ -48,14 +48,6 @@ pub struct SimOptions {
     /// factor. Useful for stall/imbalance injection experiments.
     /// `None` means all workers run at nominal speed.
     pub worker_speeds: Option<Vec<f64>>,
-    /// In-flight window per simulated device (≥ 1): the driver keeps
-    /// asking the server for work until a worker has this many queued
-    /// items — the paper's per-device FIFO queue (§5), which hides the
-    /// host↔GPU gap. Depth 1 (the default) is the classic
-    /// dispatch-on-idle model used by the paper experiments. The
-    /// threaded runtime has no such queue: its shard thread executes
-    /// what it schedules.
-    pub pipeline_depth: usize,
     /// Shared serving knobs (see [`ServeConfig`]):
     ///
     /// - `deadline_us` — default relative deadline (overridable per
@@ -64,8 +56,6 @@ pub struct SimOptions {
     ///   [`Server::cancel`]) and counted in [`SimOutcome::expired`].
     /// - `max_active` — admission cap; arrivals beyond it are dropped
     ///   before reaching the server, counted in [`SimOutcome::rejected`].
-    /// - `policy` — installed via [`Server::set_policy`] at run start;
-    ///   `None` leaves the server as constructed.
     /// - `trace` / `telemetry` — driver-level sinks (virtual-time
     ///   stamps). Engine-level events need the sink installed on the
     ///   server too (e.g. [`crate::CellularServer::with_trace`],
@@ -80,7 +70,6 @@ impl Default for SimOptions {
             max_sim_us: 600_000_000, // 10 virtual minutes.
             warmup: 0,
             worker_speeds: None,
-            pipeline_depth: 1,
             serve: ServeConfig::new(),
         }
     }
@@ -102,12 +91,6 @@ impl SimOptions {
     /// Sets the embedded [`ServeConfig`].
     pub fn serve_config(mut self, serve: ServeConfig) -> Self {
         self.serve = serve;
-        self
-    }
-
-    /// Sets the per-worker in-flight window (must be ≥ 1).
-    pub fn pipeline_depth(mut self, depth: usize) -> Self {
-        self.pipeline_depth = depth;
         self
     }
 
@@ -206,8 +189,8 @@ pub fn simulate(
 /// [`simulate`] with full per-request metadata: each arrival is a
 /// `(time_us, Request)` pair, so individual requests can carry their
 /// own deadline ([`Request::deadline_us`], resolved against the serve
-/// config's default) and scheduling priority — the same submission type
-/// the threaded runtime and the network protocol accept.
+/// config's default) — the same submission type the threaded runtime
+/// and the network protocol accept.
 ///
 /// # Panics
 ///
@@ -218,14 +201,7 @@ pub fn simulate_requests(
     opts: SimOptions,
 ) -> SimOutcome {
     assert!(opts.workers > 0, "need at least one worker");
-    assert!(opts.pipeline_depth > 0, "pipeline depth must be >= 1");
     assert!(!arrivals.is_empty(), "no arrivals");
-    if let Some(kind) = opts.serve.policy {
-        assert!(
-            server.set_policy(kind),
-            "server does not support pluggable scheduling policies"
-        );
-    }
 
     let mut events: EventQueue<Event> = EventQueue::new();
     for (idx, (at, _)) in arrivals.iter().enumerate() {
@@ -247,11 +223,8 @@ pub fn simulate_requests(
             .collect::<Vec<_>>()
     });
 
-    // Per-worker: remaining queued items (busy while nonzero) and the
-    // virtual time its current backlog drains (items run serially, so a
-    // refilled item starts when the backlog ends, not at `now`).
+    // Per-worker remaining queued items (busy while nonzero).
     let mut queued = vec![0usize; opts.workers];
-    let mut busy_until = vec![0u64; opts.workers];
     let mut recorder = LatencyRecorder::new();
     let mut completions = Vec::new();
     let mut status = vec![ReqStatus::NotArrived; arrivals.len()];
@@ -299,21 +272,16 @@ pub fn simulate_requests(
                         continue;
                     }
                     status[idx] = ReqStatus::Admitted;
-                    let deadline_us = req
-                        .effective_deadline_us(opts.serve.deadline_us)
-                        .map(|d| at.saturating_add(d));
                     server.on_arrival(
                         SimRequest {
                             id: idx as u64,
                             input: req.input.clone(),
                             arrival_us: *at,
-                            deadline_us,
-                            priority: req.priority,
                         },
                         now,
                     );
-                    if let Some(d) = deadline_us {
-                        events.push(d, Event::Expire(idx));
+                    if let Some(d) = req.effective_deadline_us(opts.serve.deadline_us) {
+                        events.push(at.saturating_add(d), Event::Expire(idx));
                     }
                 }
                 Event::WorkDone { worker, item } => {
@@ -347,38 +315,33 @@ pub fn simulate_requests(
                 }
             }
         }
-        // Refill workers whose in-flight window has room. At depth 1
-        // this is the classic "refill when idle"; deeper windows model
-        // a per-device FIFO queue (§5).
+        // Refill idle workers: a worker with nothing queued asks the
+        // server once and runs the items back to back from `now`.
         for (w, q) in queued.iter_mut().enumerate() {
+            if *q > 0 {
+                continue;
+            }
             let speed = opts
                 .worker_speeds
                 .as_ref()
                 .map_or(1.0, |s| s.get(w).copied().unwrap_or(1.0));
             assert!(speed > 0.0, "worker speed must be positive");
-            let mut at = now.max(busy_until[w]);
-            while *q < opts.pipeline_depth {
-                let items = server.next_work(w, now);
-                if items.is_empty() {
-                    break;
+            let mut at = now;
+            for it in server.next_work(w, now) {
+                server.on_work_started(it.id, at);
+                let scaled = (it.duration_us as f64 / speed).round() as u64;
+                if let Some(cs) = &busy_ctrs {
+                    cs[w].add(scaled);
                 }
-                for it in items {
-                    server.on_work_started(it.id, at);
-                    let scaled = (it.duration_us as f64 / speed).round() as u64;
-                    if let Some(cs) = &busy_ctrs {
-                        cs[w].add(scaled);
-                    }
-                    at += scaled;
-                    *q += 1;
-                    events.push(
-                        at,
-                        Event::WorkDone {
-                            worker: w,
-                            item: it.id,
-                        },
-                    );
-                }
-                busy_until[w] = at;
+                at += scaled;
+                *q += 1;
+                events.push(
+                    at,
+                    Event::WorkDone {
+                        worker: w,
+                        item: it.id,
+                    },
+                );
             }
         }
         // Timeout-based servers may need a poll with no event pending.
@@ -534,21 +497,6 @@ mod tests {
         // Both runs keep up with their offered load.
         assert!(!out1.saturated && !out2.saturated);
         assert!(out2.throughput_rps() > 1.8 * out1.throughput_rps());
-    }
-
-    #[test]
-    fn deeper_pipeline_preserves_serial_fifo_schedule() {
-        // Items on one worker run serially, so a depth-2 window must not
-        // overlap them: the completion schedule is identical to depth 1.
-        let mut s1 = FifoServer::new(100);
-        let out1 = simulate(&mut s1, &arrivals(200, 50), SimOptions::default());
-        let mut s2 = FifoServer::new(100);
-        let out2 = simulate(
-            &mut s2,
-            &arrivals(200, 50),
-            SimOptions::default().pipeline_depth(2),
-        );
-        assert_eq!(out1.completions, out2.completions);
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! The simulated-server protocol.
 
-use bm_core::PolicyKind;
 use bm_model::RequestInput;
 
-/// One arriving request as seen by a simulated server.
+/// One arriving request as seen by a simulated server. Its deadline
+/// stays with the driver, which expires the request through
+/// [`Server::cancel`].
 #[derive(Debug, Clone)]
 pub struct SimRequest {
     /// Driver-assigned id, unique per run.
@@ -12,15 +13,6 @@ pub struct SimRequest {
     pub input: RequestInput,
     /// Arrival time, µs.
     pub arrival_us: u64,
-    /// Absolute completion deadline, µs (the request's own deadline or
-    /// `SimOptions`' default, applied to the arrival time);
-    /// deadline-aware schedulers may consult it, and the driver expires
-    /// the request past it.
-    pub deadline_us: Option<u64>,
-    /// Scheduling priority (see `bm_core::Request::priority`):
-    /// deadline-aware batch formation prefers higher priorities among
-    /// equal deadlines.
-    pub priority: u8,
 }
 
 /// A unit of device occupancy produced by a server: one batched kernel
@@ -67,15 +59,6 @@ pub trait Server {
     fn next_wakeup(&self, now_us: u64) -> Option<u64> {
         let _ = now_us;
         None
-    }
-
-    /// Installs a batch-formation policy ([`bm_core::policy`]).
-    /// Returns `true` if the server honours it; servers without a
-    /// pluggable scheduler return `false` (the default) and the driver
-    /// surfaces the mismatch to the caller.
-    fn set_policy(&mut self, kind: PolicyKind) -> bool {
-        let _ = kind;
-        false
     }
 
     /// Cancels an admitted request (deadline expiry): unscheduled work

@@ -114,10 +114,7 @@ fn sim_options_builder_preserves_defaults() {
     assert_eq!(opts.warmup, defaults.warmup);
     assert_eq!(opts.serve.deadline_us, None);
     assert_eq!(opts.serve.max_active, None);
-    assert_eq!(
-        opts.pipeline_depth, 1,
-        "simulator default is dispatch-on-idle"
-    );
+    assert_eq!(opts.workers, 1, "simulator default is one worker");
     assert!(opts.worker_speeds.is_none());
     assert!(
         !opts.serve.trace.enabled(),

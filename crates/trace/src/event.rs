@@ -21,16 +21,6 @@ pub enum BatchReason {
     /// Fallback (line 9): some type had ready nodes; the highest
     /// priority one wins (e.g. encoder over decoder for Seq2Seq).
     Priority,
-    /// The type was picked because it holds the earliest request
-    /// deadline (deadline-EDF policy, beyond the paper).
-    Deadline,
-    /// A held batch was released because a member's slack dropped below
-    /// the policy threshold or the queue stopped growing (lazy-slack
-    /// policy, beyond the paper).
-    SlackRelease,
-    /// A held batch was released by the policy's max-delay timeout
-    /// (lazy-slack policy, beyond the paper).
-    Timeout,
 }
 
 impl BatchReason {
@@ -40,9 +30,6 @@ impl BatchReason {
             BatchReason::Saturation => "saturation",
             BatchReason::Starvation => "starvation",
             BatchReason::Priority => "priority",
-            BatchReason::Deadline => "deadline",
-            BatchReason::SlackRelease => "slack_release",
-            BatchReason::Timeout => "timeout",
         }
     }
 }

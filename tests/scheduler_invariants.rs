@@ -306,110 +306,6 @@ proptest! {
     }
 }
 
-/// A comparable summary of a dispatch result: (cell type, worker,
-/// entries as (request, node), subgraphs) per task.
-type TaskSig = Vec<(usize, u32, Vec<(u64, u32)>, Vec<bm_core::SubgraphId>)>;
-
-fn sig(tasks: &[bm_core::Task]) -> TaskSig {
-    tasks
-        .iter()
-        .map(|t| {
-            (
-                t.cell_type.index(),
-                t.worker.0,
-                t.entries.iter().map(|e| (e.request.0, e.node.0)).collect(),
-                t.subgraphs.to_vec(),
-            )
-        })
-        .collect()
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// PaperDefault under the policy trait is bit-identical to the
-    /// default-configured scheduler: two engines fed the same arrivals
-    /// and driven in lockstep (across models × workers × pipeline
-    /// depth) produce identical task streams. The second engine also
-    /// round-trips through a policy swap first, so a stale-state
-    /// regression in `set_policy_kind` would surface here.
-    #[test]
-    fn paper_default_under_trait_is_bit_identical(
-        workload in workload_strategy(),
-        workers in 1usize..4,
-        max_tasks in 1usize..6,
-        depth in 1usize..4,
-    ) {
-        use bm_core::PolicyKind;
-
-        let (model, inputs) = build(&workload);
-        let registry = Arc::new(model.registry().clone());
-        let mut a = CellularEngine::new(
-            Arc::clone(&registry),
-            SchedulerConfig::new().max_tasks_to_submit(max_tasks),
-        );
-        let mut b = CellularEngine::new(
-            Arc::clone(&registry),
-            SchedulerConfig::new()
-                .max_tasks_to_submit(max_tasks)
-                .policy(PolicyKind::PaperDefault),
-        );
-        b.set_policy_kind(PolicyKind::lazy_slack());
-        b.set_policy_kind(PolicyKind::PaperDefault);
-
-        for (i, input) in inputs.iter().enumerate() {
-            let now = i as u64;
-            a.on_arrival(RequestId(i as u64), model.unfold(input), now);
-            b.on_arrival(RequestId(i as u64), model.unfold(input), now);
-        }
-
-        let mut inflight: std::collections::VecDeque<(bm_core::Task, bm_core::Task)> =
-            Default::default();
-        let mut now = 1000u64;
-        let mut stalled = 0;
-        while a.active_requests() > 0 {
-            let mut dispatched = false;
-            for w in 0..workers {
-                let ta = a.dispatch(WorkerId(w as u32));
-                let tb = b.dispatch(WorkerId(w as u32));
-                prop_assert_eq!(sig(&ta), sig(&tb), "task streams diverged");
-                dispatched |= !ta.is_empty();
-                inflight.extend(ta.into_iter().zip(tb));
-            }
-            // Hold up to `depth` tasks in flight across rounds; drain
-            // fully when nothing new formed so completions release work.
-            let keep = if dispatched { depth } else { 0 };
-            let mut completed = false;
-            while inflight.len() > keep {
-                let (x, y) = inflight.pop_front().expect("nonempty");
-                now += 1;
-                a.on_task_started(x.id, now);
-                b.on_task_started(y.id, now);
-                let tokens = vec![None; x.entries.len()];
-                let ca: Vec<u64> = a
-                    .on_task_completed(x.id, &tokens, now)
-                    .iter()
-                    .map(|c| c.id.0)
-                    .collect();
-                let cb: Vec<u64> = b
-                    .on_task_completed(y.id, &tokens, now)
-                    .iter()
-                    .map(|c| c.id.0)
-                    .collect();
-                prop_assert_eq!(ca, cb, "completion streams diverged");
-                completed = true;
-            }
-            if !dispatched && !completed {
-                stalled += 1;
-                prop_assert!(stalled < 3, "engines wedged with work remaining");
-            } else {
-                stalled = 0;
-            }
-        }
-        prop_assert_eq!(b.active_requests(), 0);
-    }
-}
-
 /// Re-derives Algorithm 1's cell-type selection (lines 5–10) from the
 /// engine's observable queue depths: saturation, then starvation, then
 /// priority; highest priority wins ties, last registry entry winning
@@ -439,13 +335,18 @@ proptest! {
     /// The engine's picks match an independent re-implementation of
     /// Algorithm 1 derived only from observable queue depths: same cell
     /// type and same recorded `BatchReason`, across all three models
-    /// and pipeline depths. Single worker, so subgraph pinning can
+    /// and in-flight depths. Single worker, so subgraph pinning can
     /// never mask the selection.
+    ///
+    /// Depth 0 is the runtime's drive pattern: a shard completes every
+    /// task of a `dispatch` before the next one, so no type has a
+    /// running task at a pick and the first task is never merely
+    /// priority-qualified.
     #[test]
-    fn paper_default_matches_algorithm1_oracle(
+    fn dispatch_matches_algorithm1_oracle(
         workload in workload_strategy(),
         max_tasks in 1usize..6,
-        depth in 1usize..4,
+        depth in 0usize..4,
     ) {
         use bm_trace::{EventKind, RingBufferSink};
 
@@ -487,6 +388,12 @@ proptest! {
                     prop_assert_eq!(tasks[0].cell_type.index(), ct, "cell type diverged");
                     prop_assert_eq!(formed.len(), tasks.len());
                     prop_assert_eq!(formed[0], reason, "selection reason diverged");
+                    if depth == 0 {
+                        prop_assert!(
+                            formed[0] != bm_trace::BatchReason::Priority,
+                            "a pick with nothing running was priority-only"
+                        );
+                    }
                 }
                 None => prop_assert!(tasks.is_empty(), "batch the oracle ruled out"),
             }
@@ -639,165 +546,4 @@ fn pick_falls_through_type_pinned_to_other_worker() {
     assert_eq!(tasks[0].cell_type, model.encoder_type());
     assert_eq!(tasks[0].entries.len(), 1);
     assert_eq!(tasks[0].entries[0].request, RequestId(1));
-}
-
-/// Under `DeadlineEdf` the formed batch serves requests in earliest-
-/// deadline order, not queue order; `PaperDefault` keeps queue order.
-#[test]
-fn edf_forms_batches_in_deadline_order() {
-    use bm_core::PolicyKind;
-    use bm_model::{LstmLm, LstmLmConfig};
-
-    let model = LstmLm::new(LstmLmConfig {
-        max_batch: 1,
-        ..Default::default()
-    });
-    let registry = Arc::new(model.registry().clone());
-    let arrivals = |engine: &mut CellularEngine| {
-        // r0 queues first but has the laxer deadline; r1 is tighter.
-        engine.on_arrival_with_deadline(
-            RequestId(0),
-            model.unfold(&RequestInput::Sequence(vec![1, 2])),
-            0,
-            Some(200_000),
-        );
-        engine.on_arrival_with_deadline(
-            RequestId(1),
-            model.unfold(&RequestInput::Sequence(vec![1, 2])),
-            10,
-            Some(50_000),
-        );
-    };
-
-    let mut edf = CellularEngine::new(
-        Arc::clone(&registry),
-        SchedulerConfig::new()
-            .max_tasks_to_submit(1)
-            .policy(PolicyKind::DeadlineEdf),
-    );
-    arrivals(&mut edf);
-    let tasks = edf.dispatch(WorkerId(0));
-    assert_eq!(tasks.len(), 1);
-    assert_eq!(
-        tasks[0].entries[0].request,
-        RequestId(1),
-        "EDF must serve the tighter deadline first"
-    );
-
-    let mut paper = CellularEngine::new(
-        Arc::clone(&registry),
-        SchedulerConfig::new().max_tasks_to_submit(1),
-    );
-    arrivals(&mut paper);
-    let tasks = paper.dispatch(WorkerId(0));
-    assert_eq!(tasks.len(), 1);
-    assert_eq!(tasks[0].entries[0].request, RequestId(0));
-}
-
-/// `LazySlack` engine wiring: a merely priority-qualified batch with
-/// ample slack is held (dispatch returns nothing, `next_wakeup`
-/// schedules the release), and the hold is released with `Timeout`
-/// once the max delay elapses.
-#[test]
-fn lazy_slack_holds_then_times_out() {
-    use bm_core::PolicyKind;
-    use bm_model::LstmLm;
-    use bm_trace::{BatchReason, RingBufferSink};
-
-    let model = LstmLm::small();
-    let registry = Arc::new(model.registry().clone());
-    let mut engine = CellularEngine::new(
-        Arc::clone(&registry),
-        SchedulerConfig::new()
-            .max_tasks_to_submit(1)
-            .policy(PolicyKind::LazySlack {
-                slack_threshold_us: 10_000,
-                max_delay_us: 500,
-            }),
-    );
-    let sink = Arc::new(RingBufferSink::new(64));
-    engine.set_trace_sink(sink.clone());
-
-    // Ample slack: the deadline is far beyond the hold window.
-    engine.on_arrival_with_deadline(
-        RequestId(0),
-        model.unfold(&RequestInput::Sequence(vec![1, 2, 3, 4])),
-        1_000,
-        Some(1_000_000),
-    );
-    sink.drain();
-
-    // Starving type: submits immediately, no hold. Keep it in flight so
-    // the next node only priority-qualifies.
-    let first = engine.dispatch(WorkerId(0));
-    assert_eq!(first.len(), 1);
-    assert_eq!(formed_reasons(&sink), vec![BatchReason::Starvation]);
-    engine.on_task_started(first[0].id, 1_000);
-
-    // Priority-qualified with ample slack: held.
-    assert!(engine.dispatch(WorkerId(0)).is_empty(), "hold expected");
-    assert_eq!(engine.next_wakeup(1_000), Some(1_500));
-
-    // At the wakeup the hold times out and the batch is released.
-    engine.advance_clock(1_500);
-    let released = engine.dispatch(WorkerId(0));
-    assert_eq!(released.len(), 1);
-    assert_eq!(formed_reasons(&sink), vec![BatchReason::Timeout]);
-    assert_eq!(engine.next_wakeup(1_500), None);
-}
-
-/// `LazySlack` releases a held batch as soon as the ready queue stops
-/// growing (no point waiting longer — nothing new is coalescing), and
-/// keeps holding while it does grow.
-#[test]
-fn lazy_slack_releases_when_growth_stalls() {
-    use bm_core::PolicyKind;
-    use bm_model::LstmLm;
-    use bm_trace::{BatchReason, RingBufferSink};
-
-    let model = LstmLm::small();
-    let registry = Arc::new(model.registry().clone());
-    let mut engine = CellularEngine::new(
-        Arc::clone(&registry),
-        SchedulerConfig::new()
-            .max_tasks_to_submit(1)
-            .policy(PolicyKind::LazySlack {
-                slack_threshold_us: 10_000,
-                max_delay_us: 100_000,
-            }),
-    );
-    let sink = Arc::new(RingBufferSink::new(64));
-    engine.set_trace_sink(sink.clone());
-
-    engine.on_arrival_with_deadline(
-        RequestId(0),
-        model.unfold(&RequestInput::Sequence(vec![1, 2, 3])),
-        1_000,
-        Some(10_000_000),
-    );
-    let first = engine.dispatch(WorkerId(0));
-    assert_eq!(first.len(), 1);
-    engine.on_task_started(first[0].id, 1_000);
-    sink.drain();
-
-    // Hold starts; a second arrival keeps the queue growing, so the
-    // hold survives the next poll.
-    assert!(engine.dispatch(WorkerId(0)).is_empty(), "hold expected");
-    engine.on_arrival_with_deadline(
-        RequestId(1),
-        model.unfold(&RequestInput::Sequence(vec![1])),
-        1_050,
-        Some(10_000_000),
-    );
-    assert!(
-        engine.dispatch(WorkerId(0)).is_empty(),
-        "growing: keep holding"
-    );
-
-    // No further growth: the next poll releases, well before timeout.
-    engine.advance_clock(1_100);
-    let released = engine.dispatch(WorkerId(0));
-    assert_eq!(released.len(), 1);
-    assert_eq!(released[0].batch_size(), 2, "hold coalesced both requests");
-    assert_eq!(formed_reasons(&sink), vec![BatchReason::SlackRelease]);
 }
