@@ -42,8 +42,8 @@ pub use partition::{partition, Partition};
 pub use request::{DeadlineSpec, Request};
 pub use resident::{ResidentBatch, ResidentStats};
 pub use runtime::{
-    completion_queue, CompletionQueue, CompletionReceiver, ResponseHandle, Runtime, RuntimeOptions,
-    ServedOutcome, ServedResult, ServedTiming, SubmitError, WaitError,
+    completion_queue, CompletionQueue, CompletionReceiver, HostedShard, ResponseHandle, Runtime,
+    RuntimeOptions, ServedOutcome, ServedResult, ServedTiming, SubmitError, WaitError,
 };
 pub use state_plane::SlotBlock;
 pub use task::{CompletedRequest, Task, TaskEntry};

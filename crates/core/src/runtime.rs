@@ -26,6 +26,16 @@
 //! and state, all stamping requests on one shared clock. One shard is
 //! simply N = 1.
 //!
+//! Steps 1–3 are one *pass*, and a pass has two drivers. A shard thread
+//! blocks on its inbox between passes. A **hosted** shard
+//! ([`Runtime::start_hosted`]) has no thread: shard 0 is driven by
+//! whichever thread owns its [`HostedShard`], through
+//! [`HostedShard::pass`] — the network front door runs it on its event
+//! loop, so a request read off a socket is admitted, executed and
+//! answered without a thread hand-off. Every submission to a hosted
+//! shard calls the `wake` hook its host supplied; the front door's hook
+//! does nothing when it runs on the loop itself.
+//!
 //! ## The front
 //!
 //! [`Runtime::submit_request`], [`Runtime::submit_request_tagged`] and
@@ -471,13 +481,19 @@ enum ShardMsg {
     Shutdown,
 }
 
-/// The front's half of one shard: how to reach its thread and how
-/// loaded it is.
+/// Called after every inbox message sent to a hosted shard, so its
+/// host leaves whatever wait it is in.
+type Wake = Arc<dyn Fn() + Send + Sync>;
+
+/// The front's half of one shard: how to reach it and how loaded it is.
+/// A shard has either a thread of its own or a wake hook for its host.
 struct ShardHandle {
     inbox: Sender<ShardMsg>,
+    /// The shard's own thread, until joined.
     thread: Option<JoinHandle<()>>,
-    /// Requests admitted and not yet resolved; shared with the shard
-    /// thread.
+    /// Set instead for a hosted shard: how to wake its host.
+    wake: Option<Wake>,
+    /// Requests admitted and not yet resolved; shared with the shard.
     active: Arc<AtomicUsize>,
     /// `bm_requests_rejected_total{reason}` counters, indexed
     /// at_capacity / queue_full; `None` when telemetry is disabled.
@@ -499,12 +515,18 @@ impl ShardHandle {
     }
 
     /// Ships arrivals, whose slots the caller reserved here, to the
-    /// shard thread as one inbox message. On failure every reserved slot
-    /// is released and the arrivals come back with the cause:
-    /// `QueueFull` (overload) or `ShuttingDown` (thread gone).
+    /// shard as one inbox message, then calls a hosted shard's wake
+    /// hook. On failure every reserved slot is released and the
+    /// arrivals come back with the cause: `QueueFull` (overload) or
+    /// `ShuttingDown` (shard gone).
     fn send(&self, arrivals: Vec<Arrival>) -> Result<(), (SubmitError, Vec<Arrival>)> {
         let (err, returned) = match self.inbox.try_send(ShardMsg::Arrive(arrivals)) {
-            Ok(()) => return Ok(()),
+            Ok(()) => {
+                if let Some(wake) = &self.wake {
+                    wake();
+                }
+                return Ok(());
+            }
             Err(TrySendError::Full(m)) => (SubmitError::QueueFull, m),
             Err(TrySendError::Disconnected(m)) => (SubmitError::ShuttingDown, m),
         };
@@ -560,6 +582,52 @@ impl Runtime {
     ///
     /// Panics if `opts.workers` is not 1, or if the shard count is 0.
     pub fn start(model: Arc<dyn Model>, opts: RuntimeOptions) -> Self {
+        Self::launch(model, opts, None).0
+    }
+
+    /// Starts the runtime like [`Runtime::start`], except that shard 0
+    /// gets no thread: whichever thread owns the returned
+    /// [`HostedShard`] is its **host** and runs its passes (shards
+    /// 1..N−1 get threads as usual). Every inbox message sent to shard
+    /// 0 is followed by a call to `wake`, which must make the host run
+    /// a pass soon (an eventfd write qualifies). Called on the host
+    /// itself — a submission from the thread that passes next — it need
+    /// do nothing, and a hook that knows its host can skip the call.
+    ///
+    /// The network front door hosts shard 0 on its event loop, so a
+    /// socket request is read, scheduled, executed and answered without
+    /// crossing a thread.
+    ///
+    /// Shutting the runtime down joins shards 1..N−1 only; draining
+    /// shard 0 is the host's job (pass until [`HostedShard::pass`]
+    /// finds no work). Dropping the [`HostedShard`] resolves every
+    /// request it still holds, admitted or in its inbox, as
+    /// [`ServedOutcome::ShutDown`], and later submissions to it fail
+    /// with [`SubmitError::ShuttingDown`]. (A submission from another
+    /// thread that lands while the drop runs is neither: a
+    /// [`ResponseHandle`] then reads `ShutDown` once the runtime is
+    /// gone, a tagged outcome never arrives.)
+    ///
+    /// # Panics
+    ///
+    /// As [`Runtime::start`].
+    pub fn start_hosted(
+        model: Arc<dyn Model>,
+        opts: RuntimeOptions,
+        wake: Arc<dyn Fn() + Send + Sync>,
+    ) -> (Self, HostedShard) {
+        let (rt, shard) = Self::launch(model, opts, Some(wake));
+        let shard = shard.expect("shard 0 is hosted");
+        (rt, HostedShard { shard })
+    }
+
+    /// Starts every shard; with `wake`, shard 0 is handed back for the
+    /// caller to host instead of being given a thread.
+    fn launch(
+        model: Arc<dyn Model>,
+        opts: RuntimeOptions,
+        mut wake: Option<Wake>,
+    ) -> (Self, Option<Shard>) {
         assert!(
             opts.workers == 1,
             "a shard schedules and executes on one thread (workers = {}): \
@@ -571,6 +639,7 @@ impl Runtime {
         let registry: Arc<CellRegistry> = Arc::new(model.registry().clone());
         let timer = CpuTimer::new();
         let mut registries = Vec::new();
+        let mut hosted = None;
         let shards = (0..serve.shards)
             .map(|i| {
                 // The engine installs its own trace/telemetry sinks from
@@ -608,21 +677,32 @@ impl Runtime {
                     deadlines: BinaryHeap::new(),
                     stale_deadlines: 0,
                     scratch: Scratch::new(),
+                    shutting_down: false,
                 };
-                let thread = std::thread::Builder::new()
-                    .name(format!("bm-shard-{i}"))
-                    .spawn(move || shard.run())
-                    .expect("spawn shard thread");
+                let (thread, wake) = match wake.take() {
+                    Some(wake) => {
+                        hosted = Some(shard);
+                        (None, Some(wake))
+                    }
+                    None => {
+                        let thread = std::thread::Builder::new()
+                            .name(format!("bm-shard-{i}"))
+                            .spawn(move || shard.run())
+                            .expect("spawn shard thread");
+                        (Some(thread), None)
+                    }
+                };
                 ShardHandle {
                     inbox,
-                    thread: Some(thread),
+                    thread,
+                    wake,
                     active,
                     reject_counters,
                 }
             })
             .collect();
 
-        Runtime {
+        let rt = Runtime {
             shards,
             registries,
             rr: AtomicUsize::new(0),
@@ -630,7 +710,8 @@ impl Runtime {
             timer,
             next_request: AtomicU64::new(0),
             opts,
-        }
+        };
+        (rt, hosted)
     }
 
     /// Submits a [`Request`] — the single submission entry point.
@@ -888,11 +969,13 @@ impl Runtime {
     }
 
     fn shutdown_inner(&mut self) {
-        // Every shard hears the shutdown before any is joined, so they
-        // drain in parallel. `send` (not `try_send`): on a bounded inbox
-        // the shutdown message must wait for a slot rather than be
-        // dropped.
-        for s in &self.shards {
+        // Every shard thread hears the shutdown before any is joined, so
+        // they drain in parallel. `send` (not `try_send`): on a bounded
+        // inbox the shutdown message must wait for a slot rather than be
+        // dropped — which only a shard thread, draining its inbox on its
+        // own, guarantees. A hosted shard is never sent one: its host
+        // drains it, and may be the thread running this.
+        for s in self.shards.iter().filter(|s| s.thread.is_some()) {
             let _ = s.inbox.send(ShardMsg::Shutdown);
         }
         for s in &mut self.shards {
@@ -906,6 +989,56 @@ impl Runtime {
 impl Drop for Runtime {
     fn drop(&mut self) {
         self.shutdown_inner();
+    }
+}
+
+/// Shard 0 of a runtime started with [`Runtime::start_hosted`], driven
+/// by the thread that owns this handle instead of a thread of its own.
+///
+/// [`HostedShard::pass`] is the same pass a shard thread runs between
+/// two waits: admit the inbox, expire, one `dispatch` of at most
+/// `MaxTasksToSubmit` tasks, resolve. The host calls it whenever it has
+/// submitted something, been woken, or reached
+/// [`HostedShard::next_deadline`], and keeps calling it without
+/// blocking for as long as it reports work, so requests arriving
+/// meanwhile join at the next scheduling boundary.
+pub struct HostedShard {
+    shard: Shard,
+}
+
+impl HostedShard {
+    /// Runs one pass; `woke` says the host has just returned from a
+    /// blocking wait. `bm_manager_wakeups_total` and
+    /// `bm_manager_drained_per_wakeup` count that wait only if it ended
+    /// for this shard's sake — the pass finds an inbox message or a
+    /// deadline due, as every wake-up of a shard thread does — so the
+    /// host's waits that served other work are not this shard's
+    /// wake-ups. Returns whether the pass did any work: while it does,
+    /// the host should pass again without blocking.
+    pub fn pass(&mut self, woke: bool) -> bool {
+        self.shard.pass(None, woke)
+    }
+
+    /// How long the host may block before a pass is due for the nearest
+    /// deadline — zero when one is already due — or `None` when no
+    /// admitted request has a deadline.
+    pub fn next_deadline(&self) -> Option<Duration> {
+        let d = self.shard.next_deadline_us()?;
+        Some(Duration::from_micros(
+            d.saturating_sub(self.shard.timer.now_us()),
+        ))
+    }
+
+    /// Requests placed on this shard and not yet resolved, including
+    /// those still in its inbox.
+    pub fn active(&self) -> usize {
+        self.shard.active.load(Ordering::Acquire)
+    }
+}
+
+impl Drop for HostedShard {
+    fn drop(&mut self) {
+        self.shard.abandon();
     }
 }
 
@@ -936,8 +1069,9 @@ struct ShardMetrics {
     /// a request complete to the loop resolving it. Outside the
     /// four-stage tiling.
     scatter_resolve: Histogram,
-    /// `bm_manager_wakeups_total`: returns from a blocking wait — an
-    /// arrival reaching an idle shard, or a deadline timer.
+    /// `bm_manager_wakeups_total`: returns from a blocking wait that
+    /// ended for this shard — an inbox message reaching an idle shard,
+    /// or a deadline falling due.
     wakeups: Counter,
     /// `bm_manager_drained_per_wakeup`: arrivals admitted right after
     /// such a wake.
@@ -1013,11 +1147,15 @@ struct Shard {
     /// type (created at the type's first task), rows owned by this
     /// shard's active requests.
     plane: HashMap<CellTypeId, ResidentBatch>,
+    /// A `Shutdown` message was drained: the thread exits once the
+    /// engine holds no request.
+    shutting_down: bool,
 }
 
 impl Shard {
+    /// The shard-thread driver: block on the inbox (no longer than the
+    /// nearest deadline) whenever a pass found nothing to do, then pass.
     fn run(mut self) {
-        let mut shutting_down = false;
         // Whether the previous pass found nothing to do. Only then does
         // the thread block; the first pass has nothing to find.
         let mut idle = true;
@@ -1027,46 +1165,82 @@ impl Shard {
                 Some(Parked::Woke(m)) => (m, true),
                 Some(Parked::Closed) => break,
             };
-            // Admit everything that has arrived, so requests that came
-            // in while the last tasks ran join this pass's batches.
-            let mut arrivals = 0u64;
-            let mut next = first.or_else(|| self.rx.try_recv().ok());
-            while let Some(msg) = next {
-                match msg {
-                    ShardMsg::Arrive(batch) => {
-                        arrivals += batch.len() as u64;
-                        for a in batch {
-                            self.admit(a);
-                        }
-                    }
-                    ShardMsg::Shutdown => shutting_down = true,
-                }
-                next = self.rx.try_recv().ok();
-            }
-            if let (true, Some(m)) = (woke, &self.metrics) {
-                m.wakeups.inc();
-                m.drained.record(arrivals);
-            }
-
-            let now = self.timer.now_us();
-            let expired = self.expire(now);
-            self.engine.advance_clock(now);
-            let ran = self.run_tasks();
-            idle = arrivals == 0 && !expired && !ran;
-            if !idle {
-                self.publish_resident();
-            }
-            if shutting_down && self.engine.active_requests() == 0 {
+            idle = !self.pass(first, woke);
+            if self.shutting_down && self.engine.active_requests() == 0 {
                 break;
             }
         }
+    }
+
+    /// One pass — the whole of a shard's work, whichever thread drives
+    /// it: admit everything in the inbox (`first`, if the driver already
+    /// took a message, then the rest), expire overdue requests, run one
+    /// `dispatch`'s tasks and resolve what they finish. `woke` says the
+    /// driver returned from a blocking wait just before, which the
+    /// wake-up metrics count. Returns whether the pass did any work.
+    fn pass(&mut self, first: Option<ShardMsg>, woke: bool) -> bool {
+        // Admit everything that has arrived, so requests that came in
+        // while the last tasks ran join this pass's batches.
+        let (mut messages, mut arrivals) = (0u64, 0u64);
+        let mut next = first.or_else(|| self.rx.try_recv().ok());
+        while let Some(msg) = next {
+            messages += 1;
+            match msg {
+                ShardMsg::Arrive(batch) => {
+                    arrivals += batch.len() as u64;
+                    for a in batch {
+                        self.admit(a);
+                    }
+                }
+                ShardMsg::Shutdown => self.shutting_down = true,
+            }
+            next = self.rx.try_recv().ok();
+        }
+        let now = self.timer.now_us();
+        if let (true, Some(m)) = (woke, &self.metrics) {
+            // Only a wait that ended for this shard is its wake-up: a
+            // shard thread's always did, a host's may have served other
+            // work.
+            if messages > 0 || self.next_deadline_us().is_some_and(|d| d <= now) {
+                m.wakeups.inc();
+                m.drained.record(arrivals);
+            }
+        }
+        let expired = self.expire(now);
+        self.engine.advance_clock(now);
+        let ran = self.run_tasks();
+        let worked = arrivals > 0 || expired || ran;
+        if worked {
+            self.publish_resident();
+        }
+        worked
+    }
+
+    /// Resolves everything the shard still holds — admitted, or still
+    /// in its inbox — as [`ServedOutcome::ShutDown`].
+    fn abandon(&mut self) {
+        let held = self.live.drain().map(|(_, r)| r.respond);
+        let queued = std::iter::from_fn(|| self.rx.try_recv().ok()).flat_map(|msg| match msg {
+            ShardMsg::Arrive(batch) => batch,
+            ShardMsg::Shutdown => Vec::new(),
+        });
+        for respond in held.chain(queued.map(|a| a.respond)) {
+            self.active.fetch_sub(1, Ordering::AcqRel);
+            respond.deliver(ServedOutcome::ShutDown);
+        }
+    }
+
+    /// The nearest pending deadline, µs on the runtime clock (possibly
+    /// one of a request that already resolved).
+    fn next_deadline_us(&self) -> Option<u64> {
+        self.deadlines.peek().map(|&Reverse((d, _))| d)
     }
 
     /// Blocks for the next inbox message, but never past the nearest
     /// pending deadline.
     fn park(&self) -> Parked {
         let now = self.timer.now_us();
-        match self.deadlines.peek().map(|&Reverse((d, _))| d) {
+        match self.next_deadline_us() {
             Some(d) if d <= now => Parked::Due,
             Some(d) => match self.rx.recv_timeout(Duration::from_micros(d - now)) {
                 Ok(m) => Parked::Woke(Some(m)),

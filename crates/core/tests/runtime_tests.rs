@@ -1071,3 +1071,157 @@ fn refusals_at_the_cap_do_not_unfold() {
     }
     rt.shutdown();
 }
+
+// ---------------------------------------------------------------------------
+// A hosted shard: shard 0 driven by the thread that started the runtime.
+// ---------------------------------------------------------------------------
+
+use std::sync::atomic::AtomicUsize;
+use std::time::Duration;
+
+use bm_core::HostedShard;
+
+/// A runtime whose shard 0 this thread hosts, and a count of the calls
+/// of its wake hook that woke something: like the network front door's,
+/// the hook does nothing when it runs on its host.
+fn hosted(serve: ServeConfig) -> (Runtime, HostedShard, Arc<AtomicUsize>) {
+    let wakes = Arc::new(AtomicUsize::new(0));
+    let hook = {
+        let wakes = Arc::clone(&wakes);
+        let host = std::thread::current().id();
+        Arc::new(move || {
+            if std::thread::current().id() != host {
+                wakes.fetch_add(1, Ordering::SeqCst);
+            }
+        })
+    };
+    let (rt, shard) = Runtime::start_hosted(Arc::new(LstmLm::small()), serving(serve), hook);
+    (rt, shard, wakes)
+}
+
+/// Passes until a pass finds nothing to do.
+fn drain(shard: &mut HostedShard) {
+    while shard.pass(false) {}
+}
+
+/// A submission from the host lands in shard 0's inbox without waking
+/// anything; one from another thread wakes the host once per inbox
+/// message — once for a single request, once for a whole batch — and
+/// resolving wakes nothing.
+#[test]
+fn a_hosted_shard_wakes_its_host_once_per_foreign_message() {
+    let (rt, mut shard, wakes) = hosted(ServeConfig::new().shards(1));
+    let (queue, completions) = completion_queue();
+    let input = RequestInput::Sequence(vec![1, 2, 3]);
+    let batch = |tags: std::ops::Range<u64>| tags.map(|t| (t, Request::from(&input)));
+
+    let local = rt.submit_request(&input).expect("host submit");
+    assert!(rt
+        .submit_batch_tagged(batch(0..3), &queue)
+        .iter()
+        .all(Result::is_ok));
+    assert_eq!(wakes.load(Ordering::SeqCst), 0, "the host woke itself");
+
+    let foreign = std::thread::scope(|s| {
+        s.spawn(|| {
+            let h = rt.submit_request(&input).expect("foreign submit");
+            assert!(rt
+                .submit_batch_tagged(batch(3..6), &queue)
+                .iter()
+                .all(Result::is_ok));
+            h
+        })
+        .join()
+        .expect("foreign thread")
+    });
+    assert_eq!(wakes.load(Ordering::SeqCst), 2, "one wake per message");
+
+    assert_eq!(shard.active(), 8, "inbox arrivals count as active");
+    drain(&mut shard);
+    assert_eq!(shard.active(), 0);
+    assert!(local.wait().is_completed());
+    assert!(foreign.wait().is_completed());
+    for _ in 0..6 {
+        let (_, outcome) = completions.try_recv().expect("resolved by the passes");
+        assert!(outcome.is_completed());
+    }
+    assert_eq!(wakes.load(Ordering::SeqCst), 2, "resolving woke the host");
+    rt.shutdown();
+}
+
+/// The host learns from `next_deadline` how long it may block: the
+/// admitted request's deadline while it runs, zero once it is due — and
+/// the pass after that expires it.
+#[test]
+fn a_hosted_shard_reports_its_nearest_deadline() {
+    let (rt, mut shard, _) = hosted(ServeConfig::new().shards(1));
+    assert_eq!(shard.next_deadline(), None);
+    // 200 steps: one pass runs at most `MaxTasksToSubmit` of them.
+    let long = RequestInput::Sequence((0..200).map(|t| t % 50).collect());
+    let h = rt
+        .submit_request(Request::from(&long).deadline_us(200_000))
+        .expect("submit");
+    assert!(shard.pass(false));
+    let left = shard
+        .next_deadline()
+        .expect("the admitted request's deadline");
+    assert!(left <= Duration::from_millis(200), "{left:?}");
+    assert!(h.try_wait().is_none(), "one pass finished 200 steps");
+
+    std::thread::sleep(left);
+    assert_eq!(shard.next_deadline(), Some(Duration::ZERO));
+    assert!(shard.pass(false));
+    assert!(matches!(h.wait(), ServedOutcome::Expired(_)));
+    assert_eq!(shard.active(), 0);
+    rt.shutdown();
+}
+
+/// Shutting the runtime down never sends into a hosted shard's inbox —
+/// with a one-slot inbox that nobody but the host drains, a blocking
+/// send would hang — and what the host drains afterwards still
+/// completes. Once the hosted shard is gone, submissions to it fail.
+#[test]
+fn shutdown_never_blocks_on_a_hosted_shards_full_inbox() {
+    let (rt, mut shard, _) = hosted(ServeConfig::new().shards(1).queue_cap(1));
+    let input = RequestInput::Sequence(vec![4, 5, 6]);
+    let h = rt.submit_request(&input).expect("fills the inbox");
+    assert_eq!(
+        rt.submit_request(&input).err(),
+        Some(SubmitError::QueueFull)
+    );
+    rt.shutdown();
+    drain(&mut shard);
+    assert!(h.wait().is_completed());
+
+    let (rt, shard, _) = hosted(ServeConfig::new().shards(2));
+    drop(shard);
+    let refused = rt.submit_request(&input).err();
+    assert_eq!(refused, Some(SubmitError::ShuttingDown));
+    drop(rt);
+}
+
+/// Dropping a hosted shard resolves everything it still holds — a
+/// request part-way through its steps and arrivals still in its inbox,
+/// tagged or not — as `ShutDown`, and releases their slots.
+#[test]
+fn dropping_a_hosted_shard_resolves_what_it_holds() {
+    let (rt, mut shard, _) = hosted(ServeConfig::new().shards(1));
+    let (queue, completions) = completion_queue();
+    let long = RequestInput::Sequence((0..200).map(|t| t % 50).collect());
+    let admitted = rt.submit_request(&long).expect("submit");
+    assert!(shard.pass(false));
+    assert!(admitted.try_wait().is_none(), "one pass finished 200 steps");
+    let queued = rt.submit_request(&long).expect("submit");
+    rt.submit_request_tagged(&long, 7, &queue).expect("submit");
+    assert_eq!(rt.active_requests(), 3);
+
+    drop(shard);
+    assert!(matches!(admitted.try_wait(), Some(ServedOutcome::ShutDown)));
+    assert!(matches!(queued.try_wait(), Some(ServedOutcome::ShutDown)));
+    assert!(matches!(
+        completions.try_recv(),
+        Some((7, ServedOutcome::ShutDown))
+    ));
+    assert_eq!(rt.active_requests(), 0);
+    rt.shutdown();
+}

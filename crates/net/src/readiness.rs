@@ -310,6 +310,10 @@ impl Events {
 #[derive(Debug)]
 pub struct EventFd {
     fd: RawFd,
+    /// Calls of [`EventFd::wake`] on this descriptor, for tests that
+    /// pin who wakes the event loop.
+    #[cfg(test)]
+    wakes: std::sync::atomic::AtomicU64,
 }
 
 impl EventFd {
@@ -317,7 +321,17 @@ impl EventFd {
     /// (`eventfd2(0, EFD_CLOEXEC | EFD_NONBLOCK)`).
     pub fn new() -> Result<EventFd, SysError> {
         let fd = sys::eventfd2(0, sys::EFD_CLOEXEC | sys::EFD_NONBLOCK)?;
-        Ok(EventFd { fd: fd as RawFd })
+        Ok(EventFd {
+            fd: fd as RawFd,
+            #[cfg(test)]
+            wakes: Default::default(),
+        })
+    }
+
+    /// How many times [`EventFd::wake`] was called on this descriptor.
+    #[cfg(test)]
+    pub(crate) fn wakes(&self) -> u64 {
+        self.wakes.load(std::sync::atomic::Ordering::SeqCst)
     }
 
     /// The descriptor, for registration with an [`Epoll`].
@@ -328,6 +342,8 @@ impl EventFd {
     /// Adds 1 to the counter, waking any waiter. A full counter
     /// (`EAGAIN`) is fine — the waiter is already pending a wake.
     pub fn wake(&self) {
+        #[cfg(test)]
+        self.wakes.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
         let _ = sys::write_u64(self.fd, 1);
     }
 

@@ -1,19 +1,27 @@
-//! The TCP front door: a single event loop over a [`Runtime`].
+//! The TCP front door: a single event loop over a [`Runtime`], hosting
+//! the runtime's shard 0.
 //!
 //! One **event thread** owns the listener, every connection (both
-//! halves), and the runtime's completion queue. Per pass it accepts
+//! halves), the runtime's completion queue — and shard 0 itself
+//! ([`Runtime::start_hosted`]). Per pass it accepts
 //! (with admission control — past
 //! [`NetServerOptions::max_connections`] new sockets are closed
 //! immediately), drains readable sockets into per-connection buffers,
 //! decodes frames incrementally, applies per-tenant token-bucket rate
-//! limits ([`bm_core::ServeConfig::tenant_rate`]), and submits **every
+//! limits ([`bm_core::ServeConfig::tenant_rate`]), submits **every
 //! request decoded in the pass as one batch**
-//! ([`Runtime::submit_batch_tagged`]) so a shard wakeup
-//! amortizes across the burst. Responses come back tagged on one
+//! ([`Runtime::submit_batch_tagged`]), then runs **one pass of shard
+//! 0** ([`HostedShard::pass`]: admit, expire, one dispatch of at most
+//! `MaxTasksToSubmit` tasks, resolve). A request placed on shard 0 is
+//! therefore read, executed and answered on this one thread, with no
+//! wake-up in between; requests placed on shards ≥ 1 go to their
+//! threads as before. Responses come back tagged on one
 //! [`bm_core::CompletionQueue`] — there are no per-connection reaper
 //! threads and no per-request channels — and are written back in
 //! submission order per connection (clients match concurrent submits
-//! by correlation id).
+//! by correlation id). While shard 0 has work the loop does not block
+//! (`epoll_wait` with a zero timeout), so arrivals join at the next
+//! scheduling boundary; I/O waits for at most one pass.
 //!
 //! How the loop learns that sockets and completions are ready is the
 //! [`crate::readiness`] backend, chosen by the platform at bind time —
@@ -21,8 +29,11 @@
 //! assembles, the polled scan otherwise:
 //!
 //! - **epoll** (Linux x86_64): one blocked `epoll_wait` covers the
-//!   listener, every connection and an eventfd the completion queue's
-//!   waker signals. Idle connections cost nothing; write-blocked
+//!   listener, every connection and an eventfd that other threads
+//!   signal — shards ≥ 1 after queueing a completion, in-process
+//!   submitters after sending shard 0 a request; the loop never
+//!   signals itself. The wait ends no later than shard 0's nearest
+//!   deadline. Idle connections cost nothing; write-blocked
 //!   connections register write interest instead of sleeping;
 //!   backpressured connections drop read interest instead of being
 //!   re-scanned.
@@ -30,9 +41,15 @@
 //!   fd limits, seccomp; the in-crate tests hold the two backends
 //!   byte-identical): a scan of
 //!   non-blocking sockets with an adaptive exponential idle backoff
-//!   (50 µs doubling to a 2 ms cap). The same backoff paces write
-//!   retries after `WouldBlock` — there is no constant-sleep retry
-//!   loop.
+//!   (50 µs doubling to a 2 ms cap, shortened by shard 0's nearest
+//!   deadline). Nothing wakes it early: completions from shards ≥ 1
+//!   and in-process submissions to shard 0 wait out the backoff. The
+//!   same backoff paces write retries after `WouldBlock` — there is no
+//!   constant-sleep retry loop.
+//!
+//! **Shutdown** stops accepting, flushes every owed response, then
+//! passes shard 0 until it is empty, so in-process requests submitted
+//! before the stop complete as they do on a shard thread.
 //!
 //! **Backpressure** is per-connection: while a connection has
 //! [`NetServerOptions::max_inflight`] unresolved requests, its socket
@@ -44,13 +61,13 @@ use std::collections::{HashMap, VecDeque};
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use bm_core::{
-    completion_queue, CompletionQueue, CompletionReceiver, Request, Runtime, ServedOutcome,
-    SubmitError, TenantRate,
+    completion_queue, CompletionQueue, CompletionReceiver, HostedShard, Request, Runtime,
+    ServedOutcome, SubmitError, TenantRate,
 };
 use bm_model::Model;
 use bm_telemetry::Snapshot;
@@ -65,8 +82,9 @@ const READ_CHUNK: usize = 64 * 1024;
 const EVENTS_CAP: usize = 256;
 
 /// Safety-net timeout for `epoll_wait`: every wake source (sockets,
-/// listener, completion eventfd, shutdown wake) is registered, so this
-/// only bounds how stale a missed edge could get.
+/// listener, completion eventfd, shutdown wake) is registered and the
+/// hosted shard's deadlines shorten the wait, so this only bounds how
+/// stale a missed edge could get.
 const EPOLL_TIMEOUT_MS: i32 = 100;
 
 /// How long shutdown keeps flushing pending responses to clients that
@@ -372,7 +390,8 @@ impl NetServer {
         NetServer::serve(model, opts, listener, backend)
     }
 
-    /// Starts the runtime and the event loop on `backend`.
+    /// Starts the runtime and the event loop on `backend`, handing the
+    /// runtime's shard 0 to the loop to host.
     fn serve(
         model: Arc<dyn Model>,
         opts: NetServerOptions,
@@ -381,38 +400,51 @@ impl NetServer {
     ) -> std::io::Result<NetServer> {
         listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
-
-        let (mut queue, completions) = completion_queue();
         let waker = backend.waker();
-        if let Some(efd) = &waker {
-            // Completions wake the event loop out of `epoll_wait`;
-            // multiple wakes coalesce in the eventfd counter.
-            let efd = Arc::clone(efd);
-            queue = queue.with_waker(Arc::new(move || efd.wake()));
-        }
         let backend_label = backend.label();
-
-        let runtime = Arc::new(Runtime::start(model, opts.runtime.clone()));
         let stats = Arc::new(NetStats::default());
         let stop = Arc::new(AtomicBool::new(false));
 
+        // Wakes the loop out of `epoll_wait` from any other thread — a
+        // shard ≥ 1 queueing a completion, an in-process submission to
+        // shard 0 — and does nothing on the loop itself, which is awake
+        // (the loop records its thread before it reads a byte). Wakes
+        // coalesce in the eventfd counter; the polled scan needs none
+        // (its sleep is at most 2 ms).
+        let loop_thread = Arc::new(OnceLock::new());
+        let wake: Arc<dyn Fn() + Send + Sync> = match backend.waker() {
+            Some(efd) => {
+                let loop_thread = Arc::clone(&loop_thread);
+                Arc::new(move || {
+                    if loop_thread.get() != Some(&thread::current().id()) {
+                        efd.wake();
+                    }
+                })
+            }
+            None => Arc::new(|| {}),
+        };
+        let (queue, completions) = completion_queue();
+        let queue = queue.with_waker(Arc::clone(&wake));
+        let (runtime, hosted) = Runtime::start_hosted(model, opts.runtime.clone(), wake);
+        let runtime = Arc::new(runtime);
+
         let ingest = {
-            let runtime = Arc::clone(&runtime);
-            let stats = Arc::clone(&stats);
-            let stop = Arc::clone(&stop);
+            let ctx = EventLoop {
+                listener: Some(listener),
+                backend,
+                opts,
+                runtime: Arc::clone(&runtime),
+                hosted,
+                stats: Arc::clone(&stats),
+                stop: Arc::clone(&stop),
+                queue,
+                completions,
+            };
             thread::Builder::new()
                 .name("bm-net-events".into())
                 .spawn(move || {
-                    event_loop(EventLoop {
-                        listener: Some(listener),
-                        backend,
-                        opts,
-                        runtime,
-                        stats,
-                        stop,
-                        queue,
-                        completions,
-                    })
+                    let _ = loop_thread.set(thread::current().id());
+                    event_loop(ctx)
                 })?
         };
 
@@ -466,19 +498,27 @@ impl NetServer {
         self.runtime.snapshot()
     }
 
-    /// Stops accepting, drains every pending response to its client,
-    /// then shuts the runtime down, joining all threads.
-    pub fn shutdown(mut self) {
+    /// Stops accepting, drains every pending response to its client and
+    /// every request shard 0 holds, then shuts the runtime down, joining
+    /// all threads. Dropping the server does the same; this names it.
+    pub fn shutdown(self) {
+        drop(self);
+    }
+}
+
+impl Drop for NetServer {
+    /// Stops the event loop and joins it. The runtime goes when the
+    /// server's handle on it drops, after this: the loop's was the
+    /// only other one.
+    fn drop(&mut self) {
+        let Some(h) = self.ingest.take() else {
+            return;
+        };
         self.stop.store(true, Ordering::SeqCst);
         if let Some(w) = &self.waker {
             w.wake();
         }
-        if let Some(h) = self.ingest.take() {
-            let _ = h.join();
-        }
-        if let Ok(rt) = Arc::try_unwrap(self.runtime) {
-            rt.shutdown();
-        }
+        let _ = h.join();
     }
 }
 
@@ -488,6 +528,8 @@ struct EventLoop {
     backend: Backend,
     opts: NetServerOptions,
     runtime: Arc<Runtime>,
+    /// Shard 0, whose passes run on this thread.
+    hosted: HostedShard,
     stats: Arc<NetStats>,
     stop: Arc<AtomicBool>,
     queue: CompletionQueue,
@@ -500,6 +542,7 @@ fn event_loop(ctx: EventLoop) {
         mut backend,
         opts,
         runtime,
+        mut hosted,
         stats,
         stop,
         queue,
@@ -520,6 +563,13 @@ fn event_loop(ctx: EventLoop) {
     let mut outstanding: usize = 0;
     let mut idle_passes: u32 = 0;
     let mut stop_deadline: Option<Instant> = None;
+    // Whether shard 0's last pass did work: then the loop must not
+    // block, so what arrives meanwhile joins at the next scheduling
+    // boundary.
+    let mut shard_busy = false;
+    // Whether the loop blocked (a timed `epoll_wait`, a backoff sleep)
+    // since shard 0's last pass: the next pass is a wake-up.
+    let mut parked = false;
 
     loop {
         let stopping = stop.load(Ordering::Relaxed);
@@ -563,8 +613,13 @@ fn event_loop(ctx: EventLoop) {
                 }
             }
             Backend::Epoll { ep, efd, events } => {
-                let timeout = if stopping { 1 } else { EPOLL_TIMEOUT_MS };
+                let timeout = if shard_busy {
+                    0
+                } else {
+                    wait_ms(hosted.next_deadline(), stopping)
+                };
                 let _ = ep.wait(events, timeout);
+                parked = timeout != 0;
                 // Drain the wakeup counter *before* the completion
                 // pump below: a wake posted after the pump empties the
                 // queue then stays pending and re-triggers the next
@@ -634,6 +689,12 @@ fn event_loop(ctx: EventLoop) {
             }
         }
 
+        // ── Shard 0's pass: admit what was just submitted (and what
+        // other threads sent), expire, one dispatch, resolve. ──
+        shard_busy = hosted.pass(parked);
+        parked = false;
+        progressed |= shard_busy;
+
         // ── Completion pump: everything the runtime resolved. ──
         while let Some((tag, outcome)) = completions.try_recv() {
             progressed = true;
@@ -691,7 +752,10 @@ fn event_loop(ctx: EventLoop) {
             }
         }
 
-        if stopping {
+        // The flag is read afresh: a stop whose wake this iteration's
+        // wait already consumed must not cost the next one a timed wait
+        // when there is nothing left to drain.
+        if stop.load(Ordering::Relaxed) {
             let drained = outstanding == 0
                 && conns
                     .values()
@@ -702,20 +766,36 @@ fn event_loop(ctx: EventLoop) {
         }
 
         // The polled scan's pacing: adaptive exponential backoff from
-        // 50 µs to a 2 ms cap whenever a pass makes no progress. This
-        // is also the write-retry backoff — a `WouldBlock`ed write
-        // with nothing else moving retries on this schedule instead
-        // of a constant-sleep spin.
+        // 50 µs to a 2 ms cap (shorter if shard 0 has a deadline due)
+        // whenever a pass makes no progress. This is also the
+        // write-retry backoff — a `WouldBlock`ed write with nothing
+        // else moving retries on this schedule instead of a
+        // constant-sleep spin.
         if let Backend::Polled = &backend {
             if progressed {
                 idle_passes = 0;
             } else {
                 idle_passes = idle_passes.saturating_add(1);
-                let us = (50u64 << idle_passes.min(6)).min(2_000);
-                thread::sleep(Duration::from_micros(us));
+                let nap = Duration::from_micros((50u64 << idle_passes.min(6)).min(2_000));
+                thread::sleep(hosted.next_deadline().map_or(nap, |d| d.min(nap)));
+                parked = true;
             }
         }
     }
+
+    // Requests submitted in-process before the stop may still be in
+    // shard 0: finish them, as a shard thread does before it exits.
+    while hosted.pass(false) {}
+}
+
+/// How long `epoll_wait` may block while shard 0 has nothing to run:
+/// until its nearest deadline (rounded up to a whole millisecond), at
+/// most the safety-net timeout, and 1 ms while stopping.
+fn wait_ms(deadline: Option<Duration>, stopping: bool) -> i32 {
+    let cap = if stopping { 1 } else { EPOLL_TIMEOUT_MS };
+    deadline.map_or(cap, |d| {
+        i32::try_from(d.as_micros().div_ceil(1000)).map_or(cap, |ms| ms.min(cap))
+    })
 }
 
 /// Accepts until the listener would block, applying the admission cap
@@ -974,7 +1054,7 @@ mod tests {
     use super::*;
     use crate::{encode_response, NetClient};
     use bm_core::{RuntimeOptions, ServeConfig};
-    use bm_model::{LstmLm, LstmLmConfig, RequestInput};
+    use bm_model::{LstmLm, LstmLmConfig, RequestInput, Seq2Seq};
 
     fn model() -> Arc<dyn Model> {
         Arc::new(LstmLm::new(LstmLmConfig::default()))
@@ -1090,6 +1170,87 @@ mod tests {
             polled, epoll,
             "backends diverged under idle connections + mid-stream disconnect"
         );
+    }
+
+    /// Serves `n` requests pipelined on one connection by a server with
+    /// `shards` shards, and returns the eventfd wakes the event loop was
+    /// sent meanwhile plus the names of the process's threads while it
+    /// served.
+    fn serve_pipelined(
+        model: Arc<dyn Model>,
+        shards: usize,
+        n: usize,
+        request: impl Fn(usize) -> Request,
+    ) -> (u64, Vec<String>) {
+        let opts = NetServerOptions::new()
+            .runtime(RuntimeOptions::new().serve_config(ServeConfig::new().shards(shards)));
+        let server = NetServer::bind(model, opts, "127.0.0.1:0").expect("bind");
+        assert_eq!(server.readiness_backend(), "epoll");
+        let mut client = NetClient::connect(server.local_addr()).expect("connect");
+        for i in 0..n {
+            client.send(&request(i)).expect("send");
+        }
+        for _ in 0..n {
+            let (_, resp) = client.recv().expect("recv");
+            assert!(matches!(resp, NetResponse::Completed { .. }), "{resp:?}");
+        }
+        let wakes = server.waker.as_ref().map_or(0, |w| w.wakes());
+        let threads = std::fs::read_dir("/proc/self/task")
+            .expect("list threads")
+            .filter_map(|t| std::fs::read_to_string(t.ok()?.path().join("comm")).ok())
+            .map(|name| name.trim_end().to_string())
+            .collect();
+        server.shutdown();
+        (wakes, threads)
+    }
+
+    /// Shard 0 runs on the event loop: a one-shard server answers
+    /// socket requests with no thread of its own for the shard and
+    /// without a single completion wake.
+    #[test]
+    fn shard_zero_answers_socket_requests_without_waking_the_loop() {
+        if !readiness::SUPPORTED {
+            return;
+        }
+        let (wakes, threads) = serve_pipelined(model(), 1, 48, request);
+        assert_eq!(wakes, 0, "completion wakes from the hosted shard");
+        assert!(
+            !threads.iter().any(|t| t == "bm-shard-0"),
+            "shard 0 got a thread: {threads:?}"
+        );
+    }
+
+    /// Completions resolved on another shard's thread still wake the
+    /// loop: seq2seq pairs are placed on shard 1 of 2.
+    #[test]
+    fn completions_from_shard_one_wake_the_loop() {
+        if !readiness::SUPPORTED {
+            return;
+        }
+        let pair = |i: usize| {
+            Request::new(RequestInput::Pair {
+                src: vec![1 + i as u32 % 50; 3],
+                decode_len: 2,
+            })
+        };
+        let (wakes, _) = serve_pipelined(Arc::new(Seq2Seq::small()), 2, 16, pair);
+        assert!(wakes > 0, "shard 1's completions never woke the loop");
+    }
+
+    /// `epoll_wait` blocks until shard 0's nearest deadline, rounded up
+    /// to a millisecond and capped by the safety net (1 ms once
+    /// stopping).
+    #[test]
+    fn the_wait_follows_the_nearest_deadline() {
+        let ms = Duration::from_millis;
+        assert_eq!(wait_ms(None, false), EPOLL_TIMEOUT_MS);
+        assert_eq!(wait_ms(Some(Duration::ZERO), false), 0);
+        assert_eq!(wait_ms(Some(Duration::from_micros(1_500)), false), 2);
+        assert_eq!(wait_ms(Some(ms(7)), false), 7);
+        assert_eq!(wait_ms(Some(ms(10_000)), false), EPOLL_TIMEOUT_MS);
+        assert_eq!(wait_ms(Some(Duration::MAX), false), EPOLL_TIMEOUT_MS);
+        assert_eq!(wait_ms(None, true), 1);
+        assert_eq!(wait_ms(Some(Duration::ZERO), true), 0);
     }
 
     /// A client cycling through tenant ids must not grow the bucket map

@@ -8,6 +8,7 @@ use std::sync::Arc;
 use bm_core::{Request, RuntimeOptions, ServeConfig, ServedOutcome, TenantRate};
 use bm_model::{LstmLm, LstmLmConfig, Model, RequestInput, TreeShape};
 use bm_net::{NetClient, NetError, NetReject, NetResponse, NetServer, NetServerOptions};
+use bm_telemetry::MetricValue;
 
 fn model() -> Arc<dyn Model> {
     Arc::new(LstmLm::new(LstmLmConfig::default()))
@@ -74,6 +75,102 @@ fn pipelined_submits_all_complete() {
     let shard = |i: &str| vec![("shard".to_string(), i.to_string())];
     assert_eq!(shards, [shard("0"), shard("1")], "one entry per shard");
     assert_eq!(snapshot.counter_sum(completed), n as u64);
+
+    // Shard 0 runs on the event loop: a blocking wait of the loop that
+    // brought it arrivals is its wake-up, so both wake-up metrics exist
+    // there, with one drain sample per wake-up. Waits that brought shard
+    // 0 nothing (the safety-net timeout, shard 1's completions) are not
+    // counted, so the pair is at rest once every response is in — and
+    // stays there across two safety-net timeouts of the idle loop.
+    let wakeups_and_drains = || {
+        let snapshot = server.snapshot();
+        let on_shard0 = |name| snapshot.get_with(name, &[("shard", "0")]).cloned();
+        match (
+            on_shard0("bm_manager_wakeups_total"),
+            on_shard0("bm_manager_drained_per_wakeup"),
+        ) {
+            (Some(MetricValue::Counter(w)), Some(MetricValue::Histogram(d))) => (w, d.count),
+            other => panic!("wake-up metrics missing on shard 0: {other:?}"),
+        }
+    };
+    let (wakeups, drains) = wakeups_and_drains();
+    assert!(wakeups >= 1, "shard 0 never woke");
+    assert_eq!(drains, wakeups, "one drain sample per wake-up");
+    std::thread::sleep(std::time::Duration::from_millis(250));
+    assert_eq!(
+        wakeups_and_drains(),
+        (wakeups, drains),
+        "idle loop waits counted"
+    );
+    server.shutdown();
+}
+
+/// Stopping a server — by `shutdown()` or by plain drop — closes its
+/// listener and resolves every request submitted in-process before the
+/// stop as completed, whether shard 0 (hosted by the event loop) or a
+/// shard thread holds it.
+#[test]
+fn stopping_the_server_closes_it_and_completes_in_process_requests() {
+    for (shards, explicit) in [(1, true), (1, false), (2, true), (2, false)] {
+        let server = NetServer::bind(model(), opts(shards), "127.0.0.1:0").expect("bind");
+        let addr = server.local_addr();
+        let handles: Vec<_> = (0..12u32)
+            .map(|i| {
+                let req = Request::new(RequestInput::Sequence(vec![1 + i; 20]));
+                server.runtime().submit_request(req).expect("submit")
+            })
+            .collect();
+        if explicit {
+            server.shutdown();
+        } else {
+            drop(server);
+        }
+        assert!(
+            std::net::TcpStream::connect(addr).is_err(),
+            "{shards} shard(s), explicit shutdown {explicit}: still listening"
+        );
+        for h in handles {
+            let outcome = h.wait();
+            assert!(outcome.is_completed(), "{outcome:?}");
+        }
+    }
+}
+
+/// A one-slot inbox on the hosted shard neither loses a request nor
+/// stalls shutdown: the runtime never sends its shutdown message into
+/// the inbox of the shard the event loop hosts.
+#[test]
+fn a_one_slot_inbox_does_not_stall_shutdown() {
+    let serve = ServeConfig::new().shards(1).queue_cap(1);
+    let options = NetServerOptions::new().runtime(RuntimeOptions::new().serve_config(serve));
+    let server = NetServer::bind(model(), options, "127.0.0.1:0").expect("bind");
+    let mut client = NetClient::connect(server.local_addr()).expect("connect");
+    let req = Request::new(RequestInput::Sequence(vec![7, 8, 9]));
+    assert!(matches!(
+        client.call(&req).expect("call"),
+        NetResponse::Completed { .. }
+    ));
+    let handle = server.runtime().submit_request(req);
+    server.shutdown();
+    match handle {
+        Ok(h) => assert!(h.wait().is_completed()),
+        Err(e) => assert_eq!(e, bm_core::SubmitError::QueueFull),
+    }
+}
+
+/// A request whose deadline passes while it runs is answered `Expired`
+/// with no further bytes from its client: shard 0's passes on the event
+/// loop keep running, and expiring, without socket traffic to wake them.
+#[test]
+fn a_deadline_expires_without_socket_traffic() {
+    let server = NetServer::bind(model(), opts(1), "127.0.0.1:0").expect("bind");
+    let mut client = NetClient::connect(server.local_addr()).expect("connect");
+    let long = Request::new(RequestInput::Sequence(vec![3; 20_000])).deadline_us(1_000);
+    match client.call(&long).expect("call") {
+        NetResponse::Expired { timing } => assert!(timing.completion_us >= timing.arrival_us),
+        other => panic!("expected expiry, got {other:?}"),
+    }
+    assert_eq!(server.stats().expired, 1);
     server.shutdown();
 }
 
