@@ -405,6 +405,7 @@ mod tests {
                 id: 0,
                 input: RequestInput::Tree(TreeShape::leaf(1)),
                 arrival_us: 0,
+                deadline_us: None,
             },
             0,
         );

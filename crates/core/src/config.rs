@@ -68,8 +68,8 @@ pub struct ServeConfig {
     /// fail with `SubmitError::QueueFull`. `None` leaves it unbounded.
     pub queue_cap: Option<usize>,
     /// Scheduler shards of the threaded runtime (≥ 1): each is one
-    /// thread owning its own engine, inbox and deadline heap, so this is
-    /// the multi-core knob. The simulator ignores it. Defaults to half
+    /// thread owning its own engine and inbox, so this is the
+    /// multi-core knob. The simulator ignores it. Defaults to half
     /// the host's cores, at least 1.
     pub shards: usize,
     /// Per-tenant token-bucket rate limit enforced at the network front

@@ -2,7 +2,8 @@
 //!
 //! This is the paper's manager (§4.2 Figure 6) as a *pure state
 //! machine*: it owns no threads and no clock. Drivers feed it events —
-//! request arrivals, task starts, task completions — and pull batched
+//! request arrivals, task starts, task completions, the time at which
+//! deadlines fall due ([`CellularEngine::expire`]) — and pull batched
 //! tasks for idle workers via [`CellularEngine::dispatch`], which
 //! implements Algorithm 1 verbatim (Schedule / Batch / FormBatchedTask,
 //! including cell-type selection order, `MaxTasksToSubmit`, subgraph
@@ -13,7 +14,7 @@
 //! `bm-sim`. Both therefore benchmark exactly the scheduling policy that
 //! the correctness tests validate.
 
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
 use bm_cell::{CellRegistry, CellTypeId};
@@ -41,19 +42,13 @@ use crate::task::{CompletedRequest, Task, TaskEntry};
 #[non_exhaustive]
 pub struct SchedulerConfig {
     /// The shared serving knobs ([`ServeConfig`]): the engine reads the
-    /// trace sink and telemetry registry from it; the deadline,
-    /// admission and queue knobs are consumed by the drivers embedding
-    /// this config.
+    /// trace sink, the telemetry registry and the default deadline
+    /// ([`CellularEngine::on_request`]) from it; the admission and queue
+    /// knobs are consumed by the drivers embedding this config.
     pub serve: ServeConfig,
     /// "The maximum number of tasks that can be submitted to a worker"
     /// per `Schedule` invocation (Algorithm 1; default 5).
     pub max_tasks_to_submit: usize,
-    /// Whether the engine accumulates completion records for
-    /// [`CellularEngine::drain_completions`]. Drivers that consume the
-    /// return value of [`CellularEngine::on_task_completed`] directly
-    /// must leave this off (the default) — otherwise the undrained
-    /// records grow without bound.
-    pub retain_completions: bool,
 }
 
 impl Default for SchedulerConfig {
@@ -61,7 +56,6 @@ impl Default for SchedulerConfig {
         SchedulerConfig {
             serve: ServeConfig::default(),
             max_tasks_to_submit: 5,
-            retain_completions: false,
         }
     }
 }
@@ -79,13 +73,6 @@ impl SchedulerConfig {
         self
     }
 
-    /// Sets whether completion records accumulate for
-    /// [`CellularEngine::drain_completions`] (default off).
-    pub fn retain_completions(mut self, retain: bool) -> Self {
-        self.retain_completions = retain;
-        self
-    }
-
     /// Replaces the embedded [`ServeConfig`].
     pub fn serve(mut self, serve: ServeConfig) -> Self {
         self.serve = serve;
@@ -93,22 +80,14 @@ impl SchedulerConfig {
     }
 }
 
-/// The result of [`CellularEngine::cancel_request`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CancelOutcome {
-    /// The request is not active: it never arrived, already completed,
-    /// or was already cancelled and retired.
-    Unknown,
-    /// Unsubmitted nodes were cancelled, but tasks containing the
-    /// request's nodes are still in flight. The request resolves (with
-    /// [`CompletedRequest::cancelled`] set) from a later
-    /// [`CellularEngine::on_task_completed`] once they drain — in-flight
-    /// work is never revoked, matching the paper's task model where a
-    /// submitted kernel sequence runs to completion.
-    Draining,
-    /// The request had no in-flight work; it was retired immediately and
-    /// this is its (cancelled) completion record.
-    Finished(CompletedRequest),
+/// Which unsubmitted nodes of a request
+/// [`CellularEngine::cancel_nodes`] cancels.
+#[derive(Debug, Clone, Copy)]
+enum Doomed {
+    /// Every node not yet handed to a worker (deadline expiry).
+    Unsubmitted,
+    /// The nodes transitively downstream of an `<eos>` node.
+    DownstreamOf(NodeId),
 }
 
 /// The latency-decomposition stage labels of `bm_stage_us`, in
@@ -133,6 +112,7 @@ struct EngineMetrics {
     requests_admitted: Counter,
     requests_completed: Counter,
     requests_cancelled: Counter,
+    requests_expired: Counter,
     tasks_submitted: Counter,
     gather_rows: Counter,
     transfer_rows: Counter,
@@ -166,6 +146,7 @@ impl EngineMetrics {
             requests_admitted: tel.counter("bm_requests_admitted_total"),
             requests_completed: tel.counter("bm_requests_completed_total"),
             requests_cancelled: tel.counter("bm_requests_cancelled_total"),
+            requests_expired: tel.counter("bm_requests_expired_total"),
             tasks_submitted: tel.counter("bm_tasks_submitted_total"),
             gather_rows: tel.counter("bm_gather_rows_total"),
             transfer_rows: tel.counter("bm_transfer_rows_total"),
@@ -190,6 +171,10 @@ impl EngineMetrics {
 struct RequestState {
     graph: CellGraph,
     arrival_us: u64,
+    /// Absolute deadline, µs; its `(deadline, id)` entry sits in
+    /// [`CellularEngine`]'s deadline set until the request expires or
+    /// retires.
+    deadline_us: Option<u64>,
     start_us: Option<u64>,
     /// When the request's first nodes entered a scheduling queue
     /// (telemetry stage decomposition; stamped only when metrics are
@@ -207,7 +192,8 @@ struct RequestState {
     submitted: Vec<bool>,
     /// Per node: whether it has completed.
     completed: Vec<bool>,
-    /// Per node: whether it was cancelled by `<eos>` termination.
+    /// Per node: whether it was cancelled, by `<eos>` termination or
+    /// deadline expiry.
     cancelled: Vec<bool>,
     /// Local subgraph index per node.
     node_subgraph: Vec<usize>,
@@ -217,9 +203,9 @@ struct RequestState {
     remaining: usize,
     /// Nodes executed so far.
     executed: usize,
-    /// Whether [`CellularEngine::cancel_request`] was called; the
-    /// completion record carries this flag.
-    cancel_requested: bool,
+    /// Whether the deadline passed; the completion record carries this
+    /// flag.
+    expired: bool,
 }
 
 /// Per-subgraph scheduler state.
@@ -337,13 +323,15 @@ pub struct SchedulerStats {
     pub gathered_rows: u64,
     /// Subgraph migrations across workers.
     pub transfers: u64,
-    /// Nodes cancelled by `<eos>` early termination or
-    /// [`CellularEngine::cancel_request`].
+    /// Nodes cancelled by `<eos>` early termination or deadline expiry.
     pub cancelled_nodes: u64,
     /// Requests completed normally.
     pub requests_completed: u64,
     /// Requests resolved as cancelled.
     pub requests_cancelled: u64,
+    /// Requests whose deadline passed before they completed
+    /// ([`CellularEngine::expire`]); each later resolves as cancelled.
+    pub requests_expired: u64,
 }
 
 impl SchedulerStats {
@@ -381,8 +369,9 @@ pub struct CellularEngine {
     last_composition: HashMap<(WorkerId, CellTypeId), Arc<[SubgraphId]>>,
     next_subgraph: u64,
     next_task: u64,
-    /// Completed requests not yet drained by the driver.
-    completions: Vec<CompletedRequest>,
+    /// `(absolute deadline µs, request)` of every admitted request that
+    /// has a deadline and has neither expired nor retired.
+    deadlines: BTreeSet<(u64, RequestId)>,
     stats: SchedulerStats,
     /// Structured event sink ([`bm_trace`]); defaults to the no-op sink,
     /// whose `enabled() == false` keeps instrumentation off hot paths.
@@ -421,7 +410,7 @@ impl CellularEngine {
             last_composition: HashMap::new(),
             next_subgraph: 0,
             next_task: 0,
-            completions: Vec::new(),
+            deadlines: BTreeSet::new(),
             stats: SchedulerStats::default(),
             clock_us: 0,
         }
@@ -480,13 +469,22 @@ impl CellularEngine {
     }
 
     /// Admits a request: unfolds bookkeeping, partitions the graph and
-    /// releases dependency-free subgraphs to the scheduler.
+    /// releases dependency-free subgraphs to the scheduler. A request
+    /// given an absolute `deadline_us` is cancelled by the first
+    /// [`CellularEngine::expire`] at or after it, unless it has
+    /// completed by then.
     ///
     /// # Panics
     ///
     /// Panics if the request id is already active or the graph fails
     /// validation against the registry.
-    pub fn on_arrival(&mut self, id: RequestId, graph: CellGraph, now_us: u64) {
+    pub fn on_arrival(
+        &mut self,
+        id: RequestId,
+        graph: CellGraph,
+        now_us: u64,
+        deadline_us: Option<u64>,
+    ) {
         assert!(
             !self.requests.contains_key(&id),
             "duplicate request id {id}"
@@ -540,6 +538,7 @@ impl CellularEngine {
         let num_subgraphs = part.len() as u32;
         let req = RequestState {
             arrival_us: now_us,
+            deadline_us,
             start_us: None,
             first_enqueue_us: None,
             first_batch_us: None,
@@ -552,10 +551,13 @@ impl CellularEngine {
             subgraph_ids: subgraph_ids.clone(),
             remaining: n,
             executed: 0,
-            cancel_requested: false,
+            expired: false,
             graph,
         };
         self.requests.insert(id, req);
+        if let Some(d) = deadline_us {
+            self.deadlines.insert((d, id));
+        }
 
         if self.trace.enabled() {
             self.emit(
@@ -581,12 +583,22 @@ impl CellularEngine {
         }
     }
 
-    /// [`CellularEngine::on_arrival`] for a graph unfolded from `req`.
-    /// The request's metadata is the driver's business — deadlines
-    /// expire through [`CellularEngine::cancel_request`], tenants are
-    /// billed at the front door — so the engine admits the graph alone.
-    pub fn on_request(&mut self, id: RequestId, graph: CellGraph, now_us: u64, _req: &Request) {
-        self.on_arrival(id, graph, now_us);
+    /// [`CellularEngine::on_arrival`] for a graph unfolded from `req`,
+    /// which arrives at `now_us`: its [`crate::DeadlineSpec`] is
+    /// resolved against the configured default deadline
+    /// ([`ServeConfig::deadline_us`]). Tenants are billed at the front
+    /// door, not here.
+    pub fn on_request(&mut self, id: RequestId, graph: CellGraph, now_us: u64, req: &Request) {
+        let deadline = req
+            .effective_deadline_us(self.cfg.serve.deadline_us)
+            .map(|d| now_us.saturating_add(d));
+        self.on_arrival(id, graph, now_us, deadline);
+    }
+
+    /// The earliest deadline of an admitted request that has neither
+    /// expired nor retired, µs — `None` when no such request has one.
+    pub fn next_deadline(&self) -> Option<u64> {
+        self.deadlines.first().map(|&(d, _)| d)
     }
 
     /// Publishes the ready-node level (single-writer gauge; the engine
@@ -1067,7 +1079,7 @@ impl CellularEngine {
             };
 
             if eos_hit {
-                self.cancel_downstream(*req_id, *node);
+                self.cancel_nodes(*req_id, Doomed::DownstreamOf(*node));
             }
 
             // Phase 2: release subgraphs whose last external dependency
@@ -1086,7 +1098,7 @@ impl CellularEngine {
                     completion_us: now_us,
                     executed_nodes: req.executed,
                     total_nodes: req.graph.len(),
-                    cancelled: req.cancel_requested,
+                    cancelled: req.expired,
                 };
                 completed_requests.push(done);
                 if done.cancelled {
@@ -1129,66 +1141,51 @@ impl CellularEngine {
             }
         }
         self.set_ready_gauge();
-        if self.cfg.retain_completions {
-            self.completions.extend(completed_requests.iter().copied());
-        }
         completed_requests
     }
 
-    /// Cancels a request (§overload handling): every node not yet
-    /// submitted to a worker is cancelled and removed from the
-    /// scheduling queues; in-flight tasks are left to drain.
+    /// Expires every request whose deadline is at or before `now_us`, in
+    /// `(deadline, id)` order, recording `RequestExpired` and
+    /// `bm_requests_expired_total` for each: every node not yet
+    /// submitted to a worker is cancelled and leaves the scheduling
+    /// queues; in-flight tasks are left to drain — in-flight work is
+    /// never revoked, matching the paper's task model where a submitted
+    /// kernel sequence runs to completion.
     ///
-    /// If no task of the request is in flight the request retires
-    /// immediately and its (cancelled) completion record is returned;
-    /// otherwise the record is produced by the
-    /// [`CellularEngine::on_task_completed`] call that drains the last
-    /// in-flight task. Either way the driver observes exactly one
-    /// completion record per cancelled request, with
-    /// [`CompletedRequest::cancelled`] set.
-    pub fn cancel_request(&mut self, id: RequestId, now_us: u64) -> CancelOutcome {
-        self.advance_clock(now_us);
-        if !self.requests.contains_key(&id) {
-            return CancelOutcome::Unknown;
-        }
-
-        // Cancel every node that has not been handed to a worker.
-        let newly_cancelled: Vec<usize> = {
-            let req = self.requests.get_mut(&id).expect("live request");
-            req.cancel_requested = true;
-            let mut cancelled = Vec::new();
-            for i in 0..req.graph.len() {
-                if !req.submitted[i] && !req.cancelled[i] {
-                    req.cancelled[i] = true;
-                    req.remaining -= 1;
-                    self.stats.cancelled_nodes += 1;
-                    cancelled.push(i);
-                }
+    /// Returns the (cancelled) completion records of the requests that
+    /// had no task in flight and so retired at once. Each other expired
+    /// request resolves, with [`CompletedRequest::cancelled`] set, from
+    /// the [`CellularEngine::on_task_completed`] call that drains its
+    /// last in-flight task. Either way the driver sees exactly one
+    /// record per expired request. With nothing due the call allocates
+    /// nothing.
+    pub fn expire(&mut self, now_us: u64) -> Vec<CompletedRequest> {
+        let mut finished = Vec::new();
+        while let Some(&(d, id)) = self.deadlines.first() {
+            if d > now_us {
+                break;
             }
-            cancelled
-        };
-
-        let dropped = newly_cancelled.len() as u32;
-        if let Some(m) = &self.metrics {
-            m.nodes_cancelled.add(dropped as u64);
-        }
-
-        // Remove the cancelled nodes from their subgraphs' ready queues,
-        // keeping per-type ready counters consistent.
-        for i in newly_cancelled {
-            let req = &self.requests[&id];
-            let sg_id = req.subgraph_ids[req.node_subgraph[i]];
-            let sg = self.subgraphs.get_mut(&sg_id).expect("live subgraph");
-            let before = sg.ready.len();
-            sg.ready.retain(|&x| x != i as u32);
-            let removed = before - sg.ready.len();
-            if removed > 0 && sg.in_queue {
-                self.queues[sg.cell_type.index()].ready_nodes -= removed;
+            self.deadlines.pop_first();
+            self.advance_clock(now_us);
+            self.stats.requests_expired += 1;
+            if let Some(m) = &self.metrics {
+                m.requests_expired.inc();
             }
+            if self.trace.enabled() {
+                self.emit(now_us, EventKind::RequestExpired { request: id.0 });
+            }
+            finished.extend(self.cancel_request(id, now_us));
         }
-        for ct in 0..self.queues.len() {
-            self.compact_queue(CellTypeId(ct as u32));
-        }
+        finished
+    }
+
+    /// Cancels a live request: every node not yet submitted to a worker
+    /// is cancelled. Returns its completion record if no task of it is
+    /// in flight, retiring it; otherwise the last in-flight task's
+    /// completion resolves it.
+    fn cancel_request(&mut self, id: RequestId, now_us: u64) -> Option<CompletedRequest> {
+        self.requests.get_mut(&id).expect("live request").expired = true;
+        let dropped = self.cancel_nodes(id, Doomed::Unsubmitted);
         self.set_ready_gauge();
 
         let req = &self.requests[&id];
@@ -1206,9 +1203,8 @@ impl CellularEngine {
         if draining {
             // Submitted-but-uncompleted nodes remain: resolve when the
             // in-flight tasks drain.
-            return CancelOutcome::Draining;
+            return None;
         }
-        let req = &self.requests[&id];
         let done = CompletedRequest {
             id,
             arrival_us: req.arrival_us,
@@ -1235,10 +1231,7 @@ impl CellularEngine {
             );
         }
         self.retire(id);
-        if self.cfg.retain_completions {
-            self.completions.push(done);
-        }
-        CancelOutcome::Finished(done)
+        Some(done)
     }
 
     /// Queues every dependency-free node of a just-released subgraph.
@@ -1272,27 +1265,36 @@ impl CellularEngine {
         }
     }
 
-    /// Cancels all unsubmitted nodes transitively downstream of `from`.
-    fn cancel_downstream(&mut self, req_id: RequestId, from: NodeId) {
+    /// Cancels the unsubmitted nodes of a live request that `doomed`
+    /// selects, strips them from their subgraphs' ready queues (keeping
+    /// the per-type ready counters consistent) and compacts every type
+    /// queue. Returns how many nodes it cancelled.
+    fn cancel_nodes(&mut self, req_id: RequestId, doomed: Doomed) -> u32 {
         let req = self.requests.get_mut(&req_id).expect("live request");
         let n = req.graph.len();
-        let mut downstream = vec![false; n];
-        downstream[from.index()] = true;
-        let mut newly_cancelled: Vec<usize> = Vec::new();
-        for i in from.index() + 1..n {
-            let node = req.graph.node(NodeId(i as u32));
-            if node.deps.iter().any(|d| downstream[d.index()]) {
-                downstream[i] = true;
-                if !req.submitted[i] && !req.cancelled[i] {
-                    req.cancelled[i] = true;
-                    req.remaining -= 1;
-                    self.stats.cancelled_nodes += 1;
-                    newly_cancelled.push(i);
+        let selected = match doomed {
+            Doomed::Unsubmitted => vec![true; n],
+            Doomed::DownstreamOf(from) => {
+                // A graph lists every node after its dependencies.
+                let mut downstream = vec![false; n];
+                downstream[from.index()] = true;
+                for i in from.index() + 1..n {
+                    let node = req.graph.node(NodeId(i as u32));
+                    downstream[i] = node.deps.iter().any(|d| downstream[d.index()]);
                 }
+                downstream
+            }
+        };
+        let mut newly_cancelled: Vec<usize> = Vec::new();
+        for (i, doomed) in selected.into_iter().enumerate() {
+            if doomed && !req.submitted[i] && !req.cancelled[i] {
+                req.cancelled[i] = true;
+                req.remaining -= 1;
+                newly_cancelled.push(i);
             }
         }
-        let n_cancelled = newly_cancelled.len() as u64;
-        // Remove cancelled nodes from their subgraphs' ready queues.
+        let n_cancelled = newly_cancelled.len() as u32;
+        self.stats.cancelled_nodes += u64::from(n_cancelled);
         for i in newly_cancelled {
             let sg_id = req.subgraph_ids[req.node_subgraph[i]];
             let sg = self.subgraphs.get_mut(&sg_id).expect("live subgraph");
@@ -1308,13 +1310,18 @@ impl CellularEngine {
             self.compact_queue(CellTypeId(ct as u32));
         }
         if let Some(m) = &self.metrics {
-            m.nodes_cancelled.add(n_cancelled);
+            m.nodes_cancelled.add(u64::from(n_cancelled));
         }
+        n_cancelled
     }
 
-    /// Removes a finished request and its subgraphs.
+    /// Removes a finished request, its pending deadline and its
+    /// subgraphs.
     fn retire(&mut self, req_id: RequestId) {
         let req = self.requests.remove(&req_id).expect("live request");
+        if let Some(d) = req.deadline_us {
+            self.deadlines.remove(&(d, req_id));
+        }
         for sg_id in req.subgraph_ids {
             if let Some(sg) = self.subgraphs.remove(&sg_id) {
                 debug_assert!(sg.ready.is_empty(), "retiring subgraph with ready nodes");
@@ -1324,11 +1331,6 @@ impl CellularEngine {
                 }
             }
         }
-    }
-
-    /// Drains the accumulated completion records.
-    pub fn drain_completions(&mut self) -> Vec<CompletedRequest> {
-        std::mem::take(&mut self.completions)
     }
 }
 

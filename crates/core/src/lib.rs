@@ -36,7 +36,7 @@ mod state_plane;
 mod task;
 
 pub use config::{ServeConfig, TenantRate};
-pub use engine::{CancelOutcome, CellularEngine, SchedulerConfig, SchedulerStats, STAGE_NAMES};
+pub use engine::{CellularEngine, SchedulerConfig, SchedulerStats, STAGE_NAMES};
 pub use ids::{RequestId, SubgraphId, TaskId, WorkerId};
 pub use partition::{partition, Partition};
 pub use request::{DeadlineSpec, Request};

@@ -4,8 +4,9 @@
 //! A shard is a single loop on a single thread:
 //!
 //! 1. drain the arrival inbox without blocking, admitting each request
-//!    (slot block, engine bookkeeping, deadline-heap entry);
-//! 2. expire requests whose deadline has passed;
+//!    (slot block, engine bookkeeping with its deadline);
+//! 2. expire requests whose deadline has passed
+//!    ([`CellularEngine::expire`]);
 //! 3. ask the [`CellularEngine`] for the next tasks (Algorithm 1, up to
 //!    `MaxTasksToSubmit` of them) and execute them inline, in order —
 //!    gather or resident step — telling the engine about each start and
@@ -22,9 +23,8 @@
 //! cell step takes 10–30 µs, and a thread boundary between planner and
 //! executor costs a sleep/wake round trip longer than the step it
 //! hands over. Multi-core scaling is [`ServeConfig::shards`]: N shards
-//! are N such threads, each with its own engine, deadline heap, inbox
-//! and state, all stamping requests on one shared clock. One shard is
-//! simply N = 1.
+//! are N such threads, each with its own engine, inbox and state, all
+//! stamping requests on one shared clock. One shard is simply N = 1.
 //!
 //! Steps 1–3 are one *pass*, and a pass has two drivers. A shard thread
 //! blocks on its inbox between passes. A **hosted** shard
@@ -95,19 +95,24 @@
 //!   admitted work.
 //! - **Deadlines** ([`ServeConfig::deadline_us`] or per-request via
 //!   [`crate::Request::deadline_us`]) cancel requests that cannot
-//!   meet their SLA: unsubmitted cells are dropped through
-//!   [`CellularEngine::cancel_request`] and the handle resolves to
-//!   [`ServedOutcome::Expired`].
+//!   meet their SLA. The front resolves each request's absolute
+//!   deadline and the shard's engine keeps it: every pass calls
+//!   [`CellularEngine::expire`], which drops the unsubmitted cells of
+//!   every request due, and each such handle resolves to
+//!   [`ServedOutcome::Expired`]. A shard blocks no longer than
+//!   [`CellularEngine::next_deadline`], which names only requests
+//!   still waiting for their deadline.
 //!
 //! ## Observability
 //!
-//! A [`TraceSink`] in [`ServeConfig::trace`] captures the full request
-//! lifecycle — arrival, admission rejections, batch formation (with the
-//! Algorithm 1 branch that chose the cell type), task execution, expiry
-//! and completion — as structured [`bm_trace`] events, exportable to
-//! Chrome trace JSON. With [`ServeConfig::telemetry`] enabled each
-//! shard records into its **own** registry (so shards never contend on
-//! one) and [`Runtime::snapshot`] rolls them up into a single
+//! A [`bm_trace::TraceSink`] in [`ServeConfig::trace`] captures the
+//! full request lifecycle — arrival, admission rejections, batch
+//! formation (with the Algorithm 1 branch that chose the cell type),
+//! task execution, expiry and completion — as structured [`bm_trace`]
+//! events, exportable to Chrome trace JSON. With
+//! [`ServeConfig::telemetry`] enabled each shard records into its
+//! **own** registry (so shards never contend on one) and
+//! [`Runtime::snapshot`] rolls them up into a single
 //! [`Snapshot`] with a `shard` label on every entry — aggregate totals
 //! fall out of `counter_sum`/`histogram_sum` over the merged view.
 //!
@@ -116,8 +121,7 @@
 //! (`bm_model::reference`), while the latency/throughput experiments use
 //! the discrete-event simulator over the same engine.
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -129,10 +133,10 @@ use bm_cell::{Cell, CellRegistry, CellTypeId, ResidentLayout, RowInvocation, Scr
 use bm_device::CpuTimer;
 use bm_model::{reference::GraphResult, CellGraph, Model, NodeId, TokenSource};
 use bm_telemetry::{Counter, Gauge, Histogram, Snapshot, Telemetry};
-use bm_trace::{EventKind, RejectReason, TraceEvent, TraceSink};
+use bm_trace::{EventKind, RejectReason, TraceEvent};
 
 use crate::config::ServeConfig;
-use crate::engine::{CancelOutcome, CellularEngine, SchedulerConfig};
+use crate::engine::{CellularEngine, SchedulerConfig};
 use crate::ids::{RequestId, WorkerId};
 use crate::request::Request;
 use crate::resident::{ResidentBatch, ResidentStats};
@@ -668,14 +672,11 @@ impl Runtime {
                     rx,
                     metrics: tel.enabled().then(|| ShardMetrics::new(tel)),
                     plane: HashMap::new(),
-                    trace: Arc::clone(&serve.trace),
                     engine: CellularEngine::new(Arc::clone(&registry), scheduler),
                     registry: Arc::clone(&registry),
                     timer: timer.clone(),
                     active: Arc::clone(&active),
                     live: HashMap::new(),
-                    deadlines: BinaryHeap::new(),
-                    stale_deadlines: 0,
                     scratch: Scratch::new(),
                     shutting_down: false,
                 };
@@ -1021,9 +1022,10 @@ impl HostedShard {
 
     /// How long the host may block before a pass is due for the nearest
     /// deadline — zero when one is already due — or `None` when no
-    /// admitted request has a deadline.
+    /// request the shard holds is waiting on a deadline (a request that
+    /// resolved took its deadline with it).
     pub fn next_deadline(&self) -> Option<Duration> {
-        let d = self.shard.next_deadline_us()?;
+        let d = self.shard.engine.next_deadline()?;
         Some(Duration::from_micros(
             d.saturating_sub(self.shard.timer.now_us()),
         ))
@@ -1042,11 +1044,6 @@ impl Drop for HostedShard {
     }
 }
 
-/// Rebuild the deadline heap once stale (already-resolved) entries
-/// outnumber live ones; below this size the waste is not worth the
-/// rebuild.
-const DEADLINE_PRUNE_MIN: usize = 64;
-
 /// One admitted request as the shard thread holds it until it resolves.
 struct LiveRequest {
     respond: Respond,
@@ -1054,9 +1051,6 @@ struct LiveRequest {
     /// from and scatters into them.
     block: SlotBlock,
     n_nodes: usize,
-    /// Whether the deadline heap still holds this request's entry; used
-    /// to count entries that go stale when the request resolves first.
-    has_deadline: bool,
 }
 
 /// The shard thread's telemetry handles (`None` as a whole when
@@ -1064,7 +1058,6 @@ struct LiveRequest {
 /// `bm_manager_*` / `bm_worker_*` names predate the one-thread shard and
 /// are kept because dashboards and the benchmark read them.
 struct ShardMetrics {
-    expired: Counter,
     /// `bm_stage_us{stage="scatter_resolve"}`: from the engine declaring
     /// a request complete to the loop resolving it. Outside the
     /// four-stage tiling.
@@ -1098,7 +1091,6 @@ impl ShardMetrics {
     fn new(tel: &Telemetry) -> Self {
         let worker = [("worker", "0")];
         ShardMetrics {
-            expired: tel.counter("bm_requests_expired_total"),
             scatter_resolve: tel.histogram_with("bm_stage_us", &[("stage", "scatter_resolve")]),
             wakeups: tel.counter("bm_manager_wakeups_total"),
             drained: tel.histogram("bm_manager_drained_per_wakeup"),
@@ -1132,14 +1124,8 @@ struct Shard {
     registry: Arc<CellRegistry>,
     timer: CpuTimer,
     active: Arc<AtomicUsize>,
-    trace: Arc<dyn TraceSink>,
     metrics: Option<ShardMetrics>,
     live: HashMap<RequestId, LiveRequest>,
-    /// Min-heap of (absolute deadline µs, request). Entries for
-    /// already-resolved requests are discarded when popped and pruned
-    /// wholesale when they outnumber live entries.
-    deadlines: BinaryHeap<Reverse<(u64, RequestId)>>,
-    stale_deadlines: usize,
     /// Batch intermediates, recycled across tasks so steady-state
     /// execution does no per-step heap allocation.
     scratch: Scratch,
@@ -1201,15 +1187,21 @@ impl Shard {
             // Only a wait that ended for this shard is its wake-up: a
             // shard thread's always did, a host's may have served other
             // work.
-            if messages > 0 || self.next_deadline_us().is_some_and(|d| d <= now) {
+            if messages > 0 || self.engine.next_deadline().is_some_and(|d| d <= now) {
                 m.wakeups.inc();
                 m.drained.record(arrivals);
             }
         }
-        let expired = self.expire(now);
+        // Every task of the last pass completed, so each request due
+        // retires at once.
+        let expired = self.engine.expire(now);
+        let any_expired = !expired.is_empty();
+        for done in expired {
+            self.resolve(done);
+        }
         self.engine.advance_clock(now);
         let ran = self.run_tasks();
-        let worked = arrivals > 0 || expired || ran;
+        let worked = arrivals > 0 || any_expired || ran;
         if worked {
             self.publish_resident();
         }
@@ -1230,17 +1222,11 @@ impl Shard {
         }
     }
 
-    /// The nearest pending deadline, µs on the runtime clock (possibly
-    /// one of a request that already resolved).
-    fn next_deadline_us(&self) -> Option<u64> {
-        self.deadlines.peek().map(|&Reverse((d, _))| d)
-    }
-
     /// Blocks for the next inbox message, but never past the nearest
     /// pending deadline.
     fn park(&self) -> Parked {
         let now = self.timer.now_us();
-        match self.next_deadline_us() {
+        match self.engine.next_deadline() {
             Some(d) if d <= now => Parked::Due,
             Some(d) => match self.rx.recv_timeout(Duration::from_micros(d - now)) {
                 Ok(m) => Parked::Woke(Some(m)),
@@ -1255,7 +1241,7 @@ impl Shard {
     }
 
     /// Books one arrival: live-request entry with its slot block, engine
-    /// admission, deadline-heap entry.
+    /// admission with its deadline.
     fn admit(&mut self, a: Arrival) {
         let Arrival {
             id,
@@ -1270,57 +1256,9 @@ impl Shard {
                 respond,
                 block: SlotBlock::for_graph(&graph, &self.registry),
                 n_nodes: graph.len(),
-                has_deadline: deadline_us.is_some(),
             },
         );
-        self.engine.on_arrival(id, graph, arrival_us);
-        if let Some(d) = deadline_us {
-            self.deadlines.push(Reverse((d, id)));
-        }
-    }
-
-    /// Expires every request whose deadline is at or before `now`;
-    /// returns whether any live request was expired.
-    fn expire(&mut self, now: u64) -> bool {
-        let mut any = false;
-        while let Some(&Reverse((d, id))) = self.deadlines.peek() {
-            if d > now {
-                break;
-            }
-            self.deadlines.pop();
-            let Some(r) = self.live.get_mut(&id) else {
-                // Resolved before its deadline — a stale entry counted
-                // at resolve time, now consumed.
-                self.stale_deadlines = self.stale_deadlines.saturating_sub(1);
-                continue;
-            };
-            r.has_deadline = false;
-            any = true;
-            if let Some(m) = &self.metrics {
-                m.expired.inc();
-            }
-            if self.trace.enabled() {
-                self.trace.record(TraceEvent {
-                    ts_us: now,
-                    kind: EventKind::RequestExpired { request: id.0 },
-                });
-            }
-            if let CancelOutcome::Finished(done) = self.engine.cancel_request(id, now) {
-                self.resolve(done);
-            }
-        }
-        // Opportunistic prune: without it, a long-running server whose
-        // requests complete ahead of their deadlines grows the heap
-        // without bound.
-        if self.deadlines.len() >= DEADLINE_PRUNE_MIN
-            && self.stale_deadlines > self.deadlines.len() / 2
-        {
-            let live = &self.live;
-            self.deadlines
-                .retain(|&Reverse((_, id))| live.contains_key(&id));
-            self.stale_deadlines = 0;
-        }
-        any
+        self.engine.on_arrival(id, graph, arrival_us, deadline_us);
     }
 
     /// One scheduling decision: asks the engine for tasks (§4.3: up to
@@ -1375,10 +1313,6 @@ impl Shard {
         }
         for rb in self.plane.values_mut() {
             rb.remove(done.id);
-        }
-        if r.has_deadline {
-            // The heap entry now points at a resolved request.
-            self.stale_deadlines += 1;
         }
         self.active.fetch_sub(1, Ordering::AcqRel);
         let timing = ServedTiming {

@@ -74,10 +74,10 @@ pub struct CompletedRequest {
     pub executed_nodes: usize,
     /// Total nodes in the unfolded graph.
     pub total_nodes: usize,
-    /// Whether the request resolved via
-    /// [`crate::CellularEngine::cancel_request`] rather than running to
-    /// completion. Cancelled records carry timings for accounting but no
-    /// usable outputs.
+    /// Whether the request's deadline passed
+    /// ([`crate::CellularEngine::expire`]) before it ran to completion.
+    /// Cancelled records carry timings for accounting but no usable
+    /// outputs.
     pub cancelled: bool,
 }
 

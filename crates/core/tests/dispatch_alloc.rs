@@ -1,8 +1,9 @@
-//! `CellularEngine::dispatch` with nothing ready allocates nothing.
+//! `CellularEngine::dispatch` with nothing ready, and
+//! `CellularEngine::expire` with nothing due, allocate nothing.
 //!
-//! A shard thread calls `dispatch` on every pass of its loop, including
-//! the idle pass right before it parks, so the "no work" answer must be
-//! free. Isolated in its own integration-test binary because the
+//! A shard thread calls both on every pass of its loop, including the
+//! idle pass right before it parks, so the "nothing to do" answers must
+//! be free. Isolated in its own integration-test binary because the
 //! allocator hook is process-global; the count is per thread (the
 //! pattern of `bm-telemetry`'s `zero_overhead.rs`), so the test passes
 //! at any `--test-threads`.
@@ -68,7 +69,7 @@ fn dispatch_with_nothing_ready_allocates_nothing() {
             src: vec![2, 3],
             decode_len: 2,
         };
-        engine.on_arrival(RequestId(i), model.unfold(&input), 0);
+        engine.on_arrival(RequestId(i), model.unfold(&input), 0, None);
     }
     while engine.has_ready_work() {
         assert!(!engine.dispatch(WorkerId(0)).is_empty());
@@ -78,5 +79,41 @@ fn dispatch_with_nothing_ready_allocates_nothing() {
         idle_dispatch_allocations(&mut engine),
         0,
         "dispatch with every ready node in flight must not allocate"
+    );
+}
+
+#[test]
+fn expire_with_nothing_due_allocates_nothing() {
+    let model = Seq2Seq::small();
+    let mut engine =
+        CellularEngine::new(Arc::new(model.registry().clone()), SchedulerConfig::new());
+    let expire_allocations = |engine: &mut CellularEngine, now: u64| {
+        let before = allocations();
+        for _ in 0..1000 {
+            assert!(engine.expire(now).is_empty());
+        }
+        allocations() - before
+    };
+    assert_eq!(
+        expire_allocations(&mut engine, 0),
+        0,
+        "an empty engine's expire must not allocate"
+    );
+
+    // Admitted requests, some with deadlines, some in flight: none due
+    // before 100.
+    let input = RequestInput::Pair {
+        src: vec![2, 3],
+        decode_len: 2,
+    };
+    for (i, deadline) in [Some(100), None, Some(250)].into_iter().enumerate() {
+        engine.on_arrival(RequestId(i as u64), model.unfold(&input), 0, deadline);
+    }
+    assert!(!engine.dispatch(WorkerId(0)).is_empty());
+    assert_eq!(engine.next_deadline(), Some(100));
+    assert_eq!(
+        expire_allocations(&mut engine, 99),
+        0,
+        "expire with nothing due must not allocate"
     );
 }

@@ -3,7 +3,7 @@
 
 use std::sync::Arc;
 
-use bm_core::{CancelOutcome, CellularEngine, RequestId, SchedulerConfig, Task, WorkerId};
+use bm_core::{CellularEngine, RequestId, SchedulerConfig, Task, WorkerId};
 use bm_model::{LstmLm, Model, RequestInput, Seq2Seq, TreeLstm, TreeShape};
 
 fn engine_for(model: &dyn Model, max_tasks: usize) -> CellularEngine {
@@ -25,7 +25,12 @@ fn single_chain_request_executes_in_order() {
     let m = LstmLm::small();
     let mut eng = engine_for(&m, 5);
     let req = RequestId(0);
-    eng.on_arrival(req, m.unfold(&RequestInput::Sequence(vec![1, 2, 3])), 0);
+    eng.on_arrival(
+        req,
+        m.unfold(&RequestInput::Sequence(vec![1, 2, 3])),
+        0,
+        None,
+    );
 
     // A chain exposes one ready node; MaxTasksToSubmit lets the scheduler
     // submit successive steps as successive tasks.
@@ -57,6 +62,7 @@ fn max_tasks_to_submit_caps_consecutive_tasks() {
         RequestId(0),
         m.unfold(&RequestInput::Sequence(vec![1; 10])),
         0,
+        None,
     );
     let tasks = eng.dispatch(WorkerId(0));
     assert_eq!(tasks.len(), 2, "capped at MaxTasksToSubmit");
@@ -73,6 +79,7 @@ fn new_request_joins_ongoing_execution() {
         RequestId(0),
         m.unfold(&RequestInput::Sequence(vec![1; 5])),
         0,
+        None,
     );
 
     // Execute two steps of request 0 alone.
@@ -87,6 +94,7 @@ fn new_request_joins_ongoing_execution() {
         RequestId(1),
         m.unfold(&RequestInput::Sequence(vec![2; 4])),
         2,
+        None,
     );
 
     // The next task batches step 3 of req0 with step 1 of req1.
@@ -106,11 +114,13 @@ fn short_request_leaves_before_long_one() {
         RequestId(0),
         m.unfold(&RequestInput::Sequence(vec![1; 2])),
         0,
+        None,
     );
     eng.on_arrival(
         RequestId(1),
         m.unfold(&RequestInput::Sequence(vec![1; 6])),
         0,
+        None,
     );
 
     let mut completions = Vec::new();
@@ -143,6 +153,7 @@ fn batch_respects_max_batch_size() {
             RequestId(i),
             m.unfold(&RequestInput::Sequence(vec![1; 3])),
             0,
+            None,
         );
     }
     let tasks = eng.dispatch(WorkerId(0));
@@ -154,7 +165,7 @@ fn tree_leaves_batch_then_internals_release() {
     let m = TreeLstm::small();
     let mut eng = engine_for(&m, 1);
     let shape = TreeShape::complete(4, 100); // 4 leaves, 3 internal.
-    eng.on_arrival(RequestId(0), m.unfold(&RequestInput::Tree(shape)), 0);
+    eng.on_arrival(RequestId(0), m.unfold(&RequestInput::Tree(shape)), 0, None);
 
     // First dispatch: all 4 leaves in one task (leaf subgraphs all
     // released on arrival).
@@ -192,6 +203,7 @@ fn tree_levels_pipeline_within_one_dispatch() {
         RequestId(0),
         m.unfold(&RequestInput::Tree(TreeShape::complete(8, 100))),
         0,
+        None,
     );
     let leaves = eng.dispatch(WorkerId(0));
     assert_eq!(leaves.len(), 1, "all 8 leaves fit one task");
@@ -217,6 +229,7 @@ fn seq2seq_decoder_has_priority_once_ready() {
             decode_len: 2,
         }),
         0,
+        None,
     );
     let enc = eng.dispatch(WorkerId(0));
     assert_eq!(enc[0].cell_type, m.encoder_type());
@@ -229,6 +242,7 @@ fn seq2seq_decoder_has_priority_once_ready() {
             decode_len: 1,
         }),
         1,
+        None,
     );
 
     // Both a decoder node (req0) and an encoder node (req1) are ready;
@@ -246,6 +260,7 @@ fn subgraph_pinning_excludes_other_workers() {
         RequestId(0),
         m.unfold(&RequestInput::Sequence(vec![1; 4])),
         0,
+        None,
     );
 
     let t0 = eng.dispatch(WorkerId(0));
@@ -277,11 +292,13 @@ fn gather_free_when_composition_repeats() {
         RequestId(0),
         m.unfold(&RequestInput::Sequence(vec![1; 5])),
         0,
+        None,
     );
     eng.on_arrival(
         RequestId(1),
         m.unfold(&RequestInput::Sequence(vec![1; 5])),
         0,
+        None,
     );
 
     let tasks = eng.dispatch(WorkerId(0));
@@ -301,6 +318,7 @@ fn composition_change_triggers_gather() {
         RequestId(0),
         m.unfold(&RequestInput::Sequence(vec![1; 2])),
         0,
+        None,
     );
     let t0 = eng.dispatch(WorkerId(0));
     complete(&mut eng, &t0[0], 1);
@@ -310,6 +328,7 @@ fn composition_change_triggers_gather() {
         RequestId(1),
         m.unfold(&RequestInput::Sequence(vec![1; 2])),
         1,
+        None,
     );
     let t1 = eng.dispatch(WorkerId(0));
     assert_eq!(t1[0].batch_size(), 2);
@@ -330,6 +349,7 @@ fn min_batch_gate_stops_tiny_followup_tasks() {
         RequestId(0),
         m.unfold(&RequestInput::Sequence(vec![1; 9])),
         0,
+        None,
     );
     let tasks = eng.dispatch(WorkerId(0));
     assert_eq!(tasks.len(), 1, "follow-ups below min_batch suppressed");
@@ -351,6 +371,7 @@ fn eos_token_cancels_remaining_decode_steps() {
             decode_len: 6,
         }),
         0,
+        None,
     );
     // Encoder.
     let enc = eng.dispatch(WorkerId(0));
@@ -382,6 +403,7 @@ fn ready_type_with_full_batch_beats_priority() {
         RequestId(0),
         m.unfold(&RequestInput::Tree(TreeShape::complete(4, 100))),
         0,
+        None,
     );
     let leaves = eng.dispatch(WorkerId(0));
     complete(&mut eng, &leaves[0], 1);
@@ -393,6 +415,7 @@ fn ready_type_with_full_batch_beats_priority() {
             RequestId(i),
             m.unfold(&RequestInput::Tree(TreeShape::leaf(1))),
             1,
+            None,
         );
     }
     let next = eng.dispatch(WorkerId(0));
@@ -419,6 +442,7 @@ fn starved_type_without_running_tasks_preferred() {
             decode_len: 3,
         }),
         0,
+        None,
     );
     let enc = eng.dispatch(WorkerId(0));
     complete(&mut eng, &enc[0], 1);
@@ -432,6 +456,7 @@ fn starved_type_without_running_tasks_preferred() {
             decode_len: 1,
         }),
         2,
+        None,
     );
     // Worker 1 asks for work: decoder has a running task, encoder has
     // none -> encoder chosen despite lower priority.
@@ -452,6 +477,7 @@ fn many_requests_all_complete() {
             RequestId(i),
             m.unfold(&RequestInput::Sequence(vec![1; len])),
             i,
+            None,
         );
         expected += 1;
     }
@@ -481,11 +507,13 @@ fn scheduler_stats_account_for_everything() {
         RequestId(0),
         m.unfold(&RequestInput::Sequence(vec![1; 4])),
         0,
+        None,
     );
     eng.on_arrival(
         RequestId(1),
         m.unfold(&RequestInput::Sequence(vec![1; 4])),
         0,
+        None,
     );
     let mut now = 0;
     while eng.active_requests() > 0 {
@@ -514,21 +542,27 @@ fn cancel_before_start_retires_immediately() {
         RequestId(0),
         m.unfold(&RequestInput::Sequence(vec![1; 4])),
         0,
+        Some(7),
     );
-    let out = eng.cancel_request(RequestId(0), 7);
-    let CancelOutcome::Finished(c) = out else {
+    assert_eq!(eng.next_deadline(), Some(7));
+    assert!(eng.expire(6).is_empty(), "not due before its deadline");
+    let out = eng.expire(7);
+    let [c] = out[..] else {
         panic!("expected immediate retire, got {out:?}");
     };
     assert!(c.cancelled);
     assert_eq!(c.executed_nodes, 0);
     assert_eq!(c.arrival_us, 0);
-    assert_eq!(c.start_us, 7, "never started: cancellation stamps start");
+    assert_eq!(c.start_us, 7, "never started: expiry stamps start");
     assert_eq!(c.completion_us, 7);
     assert_eq!(eng.active_requests(), 0);
     assert!(!eng.has_ready_work());
-    // Cancelling a retired request is a no-op.
-    assert_eq!(eng.cancel_request(RequestId(0), 8), CancelOutcome::Unknown);
+    // An expired request leaves no deadline behind; expiring again is a
+    // no-op.
+    assert_eq!(eng.next_deadline(), None);
+    assert!(eng.expire(8).is_empty());
     let s = eng.stats();
+    assert_eq!(s.requests_expired, 1);
     assert_eq!(s.requests_cancelled, 1);
     assert_eq!(s.requests_completed, 0);
     assert_eq!(s.cancelled_nodes, 4);
@@ -542,13 +576,18 @@ fn cancel_in_flight_drains_then_resolves_once() {
         RequestId(0),
         m.unfold(&RequestInput::Sequence(vec![1; 4])),
         0,
+        Some(5),
     );
     let t = eng.dispatch(WorkerId(0));
     assert_eq!(t.len(), 1);
-    // Step 0 in flight, step 1 ready: cancelling drops the ready tail
-    // but leaves the in-flight task alone.
+    // Step 0 in flight, step 1 ready: expiry drops the ready tail but
+    // leaves the in-flight task alone.
     assert!(eng.has_ready_work());
-    assert_eq!(eng.cancel_request(RequestId(0), 5), CancelOutcome::Draining);
+    assert!(
+        eng.expire(5).is_empty(),
+        "a draining request has no record yet"
+    );
+    assert_eq!(eng.next_deadline(), None, "expired, though still draining");
     assert!(!eng.has_ready_work(), "unsubmitted nodes leave the queues");
     assert!(eng.dispatch(WorkerId(0)).is_empty());
     // Draining the in-flight task produces the single cancelled record.
@@ -559,13 +598,14 @@ fn cancel_in_flight_drains_then_resolves_once() {
     assert_eq!(done[0].completion_us, 9);
     assert_eq!(eng.active_requests(), 0);
     assert_eq!(eng.inflight_tasks(), 0);
+    assert_eq!(eng.stats().requests_expired, 1);
 }
 
 #[test]
 fn cancel_retires_subgraphs_that_never_queued() {
     // Seq2Seq: the decoder subgraph still has unmet external deps when
-    // the encoder is cancelled mid-flight; retirement must clean it up
-    // even though it never entered a scheduling queue.
+    // the request expires with its encoder mid-flight; retirement must
+    // clean it up even though it never entered a scheduling queue.
     let m = Seq2Seq::small();
     let mut eng = engine_for(&m, 1);
     eng.on_arrival(
@@ -575,10 +615,11 @@ fn cancel_retires_subgraphs_that_never_queued() {
             decode_len: 3,
         }),
         0,
+        Some(4),
     );
     let enc = eng.dispatch(WorkerId(0));
     assert_eq!(enc[0].cell_type, m.encoder_type());
-    assert_eq!(eng.cancel_request(RequestId(0), 4), CancelOutcome::Draining);
+    assert!(eng.expire(4).is_empty(), "the encoder step is in flight");
     let done = complete(&mut eng, &enc[0], 8);
     assert_eq!(done.len(), 1);
     assert!(done[0].cancelled);
@@ -602,15 +643,16 @@ fn cancel_coexists_with_eos_termination() {
             decode_len: 6,
         }),
         0,
+        Some(2),
     );
     let enc = eng.dispatch(WorkerId(0));
     complete(&mut eng, &enc[0], 1);
     let dec = eng.dispatch(WorkerId(0));
-    // Cancel while the decode step that will emit <eos> is in flight:
-    // the request cancel already dropped the downstream steps, so the
-    // <eos> cancellation path finds nothing left and the request still
+    // Expire while the decode step that will emit <eos> is in flight:
+    // expiry already dropped the downstream steps, so the <eos>
+    // cancellation path finds nothing left and the request still
     // resolves exactly once.
-    assert_eq!(eng.cancel_request(RequestId(0), 2), CancelOutcome::Draining);
+    assert!(eng.expire(2).is_empty(), "the decode step is in flight");
     eng.on_task_started(dec[0].id, 3);
     let done = eng.on_task_completed(dec[0].id, &[Some(bm_model::EOS_TOKEN)], 3);
     assert_eq!(done.len(), 1);
@@ -622,59 +664,64 @@ fn cancel_coexists_with_eos_termination() {
 }
 
 #[test]
-fn completion_records_not_retained_by_default() {
-    // Drivers consume `on_task_completed`'s return value directly; the
-    // engine must not grow a second, never-drained copy of every record.
-    let m = LstmLm::small();
-    let mut eng = engine_for(&m, 5);
-    for i in 0..20u64 {
-        eng.on_arrival(
-            RequestId(i),
-            m.unfold(&RequestInput::Sequence(vec![1; 3])),
-            i,
-        );
-    }
-    let mut now = 0;
-    let mut returned = 0;
-    while eng.active_requests() > 0 {
-        for t in eng.dispatch(WorkerId(0)) {
-            now += 1;
-            returned += complete(&mut eng, &t, now).len();
-        }
-    }
-    assert_eq!(returned, 20);
-    assert!(
-        eng.drain_completions().is_empty(),
-        "completion records leaked"
-    );
-}
+fn requests_expire_in_deadline_order_and_only_when_due() {
+    // `on_request` resolves each request's deadline against the
+    // configured default; `expire` takes every request due, earliest
+    // deadline first, and a request that completes first leaves no
+    // deadline behind.
+    use bm_core::{Request, ServeConfig};
+    use bm_trace::{EventKind, RingBufferSink};
 
-#[test]
-fn completion_records_retained_on_request() {
     let m = LstmLm::small();
     let mut eng = CellularEngine::new(
         Arc::new(m.registry().clone()),
-        SchedulerConfig::new().retain_completions(true),
+        SchedulerConfig::new().serve(ServeConfig::new().deadline_us(50)),
     );
-    for i in 0..10u64 {
-        eng.on_arrival(
-            RequestId(i),
-            m.unfold(&RequestInput::Sequence(vec![1; 2])),
-            i,
-        );
-    }
-    let mut now = 0;
-    while eng.active_requests() > 0 {
+    let sink = Arc::new(RingBufferSink::new(64));
+    eng.set_trace_sink(sink.clone());
+    let input = RequestInput::Sequence(vec![1; 2]);
+    let arrive = |eng: &mut CellularEngine, id: u64, now: u64, req: Request| {
+        eng.on_request(RequestId(id), m.unfold(&input), now, &req);
+    };
+    arrive(&mut eng, 0, 0, Request::from(&input)); // default: due at 50
+    arrive(&mut eng, 1, 0, Request::from(&input).deadline_us(30)); // due at 30
+    arrive(&mut eng, 2, 10, Request::from(&input).no_deadline());
+    arrive(&mut eng, 3, 10, Request::from(&input).deadline_us(5)); // due at 15
+    assert_eq!(eng.next_deadline(), Some(15));
+
+    // Request 3 completes before its deadline: nothing of it stays due.
+    let mut now = 10;
+    while eng.active_requests() == 4 {
         for t in eng.dispatch(WorkerId(0)) {
             now += 1;
             complete(&mut eng, &t, now);
         }
     }
-    assert_eq!(eng.drain_completions().len(), 10);
-    assert!(
-        eng.drain_completions().is_empty(),
-        "drain empties the buffer"
-    );
+    assert!(now < 15, "the batch of four finished by {now}");
+    assert_eq!(eng.active_requests(), 0, "all four were two steps long");
+    assert_eq!(eng.next_deadline(), None);
+    sink.drain();
+
+    for id in 4..8 {
+        arrive(&mut eng, id, 100, Request::from(&input).deadline_us(8 - id));
+    }
+    let ids = |done: Vec<bm_core::CompletedRequest>| -> Vec<u64> {
+        done.iter().map(|c| c.id.0).collect()
+    };
+    assert!(eng.expire(100).is_empty());
+    assert_eq!(ids(eng.expire(102)), [7, 6]);
+    assert_eq!(ids(eng.expire(104)), [5, 4]);
+    let expired: Vec<u64> = sink
+        .drain()
+        .into_iter()
+        .filter_map(|e| match e.kind {
+            EventKind::RequestExpired { request } => Some(request),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(expired, [7, 6, 5, 4]);
+    assert_eq!(eng.stats().requests_expired, 4);
+    assert_eq!(eng.next_deadline(), None);
 }
 
 #[test]
@@ -696,6 +743,7 @@ fn telemetry_reconciles_with_scheduler_stats() {
             RequestId(r),
             m.unfold(&RequestInput::Sequence(vec![1; 2 + (r as usize % 5)])),
             r * 5,
+            None,
         );
     }
     let mut now = 40;
@@ -780,6 +828,7 @@ fn detached_telemetry_records_nothing() {
         RequestId(0),
         m.unfold(&RequestInput::Sequence(vec![1; 3])),
         0,
+        None,
     );
     for t in eng.dispatch(WorkerId(0)) {
         complete(&mut eng, &t, 10);

@@ -497,7 +497,6 @@ fn builders_preserve_defaults() {
     let cfg_defaults = bm_core::SchedulerConfig::default();
     assert_eq!(cfg.max_tasks_to_submit, cfg_defaults.max_tasks_to_submit);
     assert_eq!(cfg.max_tasks_to_submit, 5);
-    assert!(!cfg.retain_completions);
 
     let serve = bm_core::ServeConfig::new();
     let serve_defaults = bm_core::ServeConfig::default();
@@ -527,7 +526,6 @@ fn builders_set_only_the_named_field() {
     assert_eq!(opts.serve().queue_cap, Some(256));
     assert_eq!(opts.scheduler.max_tasks_to_submit, 2);
     // Untouched knobs keep their defaults through the chain.
-    assert!(!opts.scheduler.retain_completions);
     assert!(!opts.serve().trace.enabled());
 }
 
@@ -1173,6 +1171,24 @@ fn a_hosted_shard_reports_its_nearest_deadline() {
     assert!(shard.pass(false));
     assert!(matches!(h.wait(), ServedOutcome::Expired(_)));
     assert_eq!(shard.active(), 0);
+    rt.shutdown();
+}
+
+/// A request that completes before its deadline takes the deadline
+/// with it: the host is not told to wake for a request that no longer
+/// exists.
+#[test]
+fn a_resolved_request_leaves_no_deadline_behind() {
+    let (rt, mut shard, _) = hosted(ServeConfig::new().shards(1));
+    let h = rt
+        .submit_request(
+            Request::from(&RequestInput::Sequence(vec![1, 2, 3])).deadline_us(10_000_000),
+        )
+        .expect("submit");
+    drain(&mut shard);
+    assert!(h.wait().is_completed());
+    assert_eq!(shard.active(), 0);
+    assert_eq!(shard.next_deadline(), None);
     rt.shutdown();
 }
 

@@ -70,17 +70,17 @@ impl CellularServer {
 
     /// Routes the engine's scheduler trace events (batch formation,
     /// pinning, migration, task lifecycle) to `sink`, stamped in virtual
-    /// time. Pair with `SimOptions::trace` to also capture driver-level
-    /// rejections and expiries.
+    /// time, expiries included. Pair with `SimOptions::trace` to also
+    /// capture driver-level rejections.
     pub fn with_trace(mut self, sink: Arc<dyn bm_trace::TraceSink>) -> Self {
         self.engine.set_trace_sink(sink);
         self
     }
 
     /// Records the engine's scheduler metrics (admissions, batch sizes,
-    /// per-stage latency decomposition) into `tel`, in virtual time.
-    /// Pair with `SimOptions::telemetry` to also capture driver-level
-    /// rejections, expiries, and worker busy time.
+    /// per-stage latency decomposition, expiries) into `tel`, in virtual
+    /// time. Pair with `SimOptions::telemetry` to also capture
+    /// driver-level rejections and worker busy time.
     pub fn with_telemetry(mut self, tel: &bm_telemetry::Telemetry) -> Self {
         self.engine.set_telemetry(tel);
         self
@@ -90,7 +90,8 @@ impl CellularServer {
 impl Server for CellularServer {
     fn on_arrival(&mut self, req: SimRequest, now_us: u64) {
         let graph = self.model.unfold(&req.input);
-        self.engine.on_arrival(RequestId(req.id), graph, now_us);
+        self.engine
+            .on_arrival(RequestId(req.id), graph, now_us, req.deadline_us);
     }
 
     fn next_work(&mut self, worker: usize, now_us: u64) -> Vec<WorkItem> {
@@ -126,8 +127,8 @@ impl Server for CellularServer {
         let tokens = vec![None; batch];
         let done = self.engine.on_task_completed(TaskId(item), &tokens, now_us);
         for c in done {
-            // Cancelled requests resolve through the driver's expiry
-            // accounting, not as completions.
+            // Expired requests were counted by `expire`; they are not
+            // completions.
             if !c.cancelled {
                 self.completions
                     .push((c.id.0, c.arrival_us, c.start_us, c.completion_us));
@@ -143,11 +144,13 @@ impl Server for CellularServer {
         self.engine.active_requests()
     }
 
-    fn cancel(&mut self, id: u64, now_us: u64) -> bool {
-        !matches!(
-            self.engine.cancel_request(RequestId(id), now_us),
-            bm_core::CancelOutcome::Unknown
-        )
+    fn expire(&mut self, now_us: u64) -> usize {
+        // The records of requests that retire at once are cancelled, so
+        // none is a completion; the ones still draining resolve in
+        // `on_work_done`.
+        let before = self.engine.stats().requests_expired;
+        self.engine.expire(now_us);
+        (self.engine.stats().requests_expired - before) as usize
     }
 }
 

@@ -51,14 +51,16 @@ pub struct SimOptions {
     /// Shared serving knobs (see [`ServeConfig`]):
     ///
     /// - `deadline_us` — default relative deadline (overridable per
-    ///   request via [`Request::deadline_us`]); a request not
-    ///   completed by its deadline is cancelled on the server (see
-    ///   [`Server::cancel`]) and counted in [`SimOutcome::expired`].
+    ///   request via [`Request::deadline_us`]), handed to the server as
+    ///   [`SimRequest::deadline_us`]; a request the server sheds at its
+    ///   deadline (see [`Server::expire`]) is counted in
+    ///   [`SimOutcome::expired`].
     /// - `max_active` — admission cap; arrivals beyond it are dropped
     ///   before reaching the server, counted in [`SimOutcome::rejected`].
     /// - `trace` / `telemetry` — driver-level sinks (virtual-time
-    ///   stamps). Engine-level events need the sink installed on the
-    ///   server too (e.g. [`crate::CellularServer::with_trace`],
+    ///   stamps) for rejections and worker busy time. Engine-level
+    ///   events, expiries included, need the sink installed on the
+    ///   server (e.g. [`crate::CellularServer::with_trace`],
     ///   [`crate::CellularServer::with_telemetry`]).
     pub serve: ServeConfig,
 }
@@ -128,7 +130,7 @@ pub struct SimOutcome {
     /// Whether the run hit the virtual-time cap before completing all
     /// arrivals — the saturation signal for load sweeps.
     pub saturated: bool,
-    /// Requests whose deadline passed before completion.
+    /// Requests the server shed at their deadline ([`Server::expire`]).
     pub expired: usize,
     /// Requests dropped by the admission cap before reaching the server.
     pub rejected: usize,
@@ -152,18 +154,8 @@ enum Event {
         item: u64,
     },
     Wake,
-    /// Deadline check for one request (index into `arrivals`).
-    Expire(usize),
-}
-
-/// Per-request lifecycle tracked by the driver.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ReqStatus {
-    NotArrived,
-    Admitted,
-    Completed,
-    Expired,
-    Rejected,
+    /// An admitted request's deadline: the server expires what is due.
+    Deadline,
 }
 
 /// Runs one open-loop simulation: `arrivals` are `(time_us, input)`
@@ -214,9 +206,6 @@ pub fn simulate_requests(
     let rejected_ctr = tel
         .enabled()
         .then(|| tel.counter_with("bm_requests_rejected_total", &[("reason", "at_capacity")]));
-    let expired_ctr = tel
-        .enabled()
-        .then(|| tel.counter("bm_requests_expired_total"));
     let busy_ctrs = tel.enabled().then(|| {
         (0..opts.workers)
             .map(|w| tel.counter_with("bm_worker_busy_us_total", &[("worker", &w.to_string())]))
@@ -227,7 +216,6 @@ pub fn simulate_requests(
     let mut queued = vec![0usize; opts.workers];
     let mut recorder = LatencyRecorder::new();
     let mut completions = Vec::new();
-    let mut status = vec![ReqStatus::NotArrived; arrivals.len()];
     let mut expired = 0usize;
     let mut rejected = 0usize;
     let mut now = 0;
@@ -241,11 +229,16 @@ pub fn simulate_requests(
             break;
         }
         // Process every event at this timestamp before scheduling new
-        // work, so simultaneous arrivals can batch together.
+        // work, so simultaneous arrivals can batch together. Arrivals go
+        // first, where the cap check still counts a request due now;
+        // then expiry, so a task completing at a request's deadline
+        // finishes it too late; then the completions.
         let mut batch_events = vec![ev];
         while events.peek_time() == Some(now) {
             batch_events.push(events.pop().expect("peeked").1);
         }
+        let mut deadline_due = false;
+        let mut work_done = Vec::new();
         for ev in batch_events {
             match ev {
                 Event::Arrival(idx) => {
@@ -255,7 +248,6 @@ pub fn simulate_requests(
                         .max_active
                         .is_some_and(|cap| server.pending_requests() >= cap)
                     {
-                        status[idx] = ReqStatus::Rejected;
                         rejected += 1;
                         if let Some(c) = &rejected_ctr {
                             c.inc();
@@ -271,49 +263,35 @@ pub fn simulate_requests(
                         }
                         continue;
                     }
-                    status[idx] = ReqStatus::Admitted;
+                    let deadline_us = req
+                        .effective_deadline_us(opts.serve.deadline_us)
+                        .map(|d| at.saturating_add(d));
                     server.on_arrival(
                         SimRequest {
                             id: idx as u64,
                             input: req.input.clone(),
                             arrival_us: *at,
+                            deadline_us,
                         },
                         now,
                     );
-                    if let Some(d) = req.effective_deadline_us(opts.serve.deadline_us) {
-                        events.push(at.saturating_add(d), Event::Expire(idx));
+                    if let Some(d) = deadline_us {
+                        events.push(d, Event::Deadline);
                     }
                 }
-                Event::WorkDone { worker, item } => {
-                    queued[worker] -= 1;
-                    server.on_work_done(worker, item, now);
-                }
+                Event::WorkDone { worker, item } => work_done.push((worker, item)),
                 Event::Wake => {
                     next_wake = None;
                 }
-                Event::Expire(idx) => {
-                    if status[idx] == ReqStatus::Admitted {
-                        status[idx] = ReqStatus::Expired;
-                        expired += 1;
-                        if let Some(c) = &expired_ctr {
-                            c.inc();
-                        }
-                        if opts.serve.trace.enabled() {
-                            opts.serve.trace.record(TraceEvent {
-                                ts_us: now,
-                                kind: EventKind::RequestExpired {
-                                    request: idx as u64,
-                                },
-                            });
-                        }
-                        // Best-effort shed: a server without cancel
-                        // support keeps the work but the request is
-                        // still accounted as expired (its eventual
-                        // completion is discarded below).
-                        let _ = server.cancel(idx as u64, now);
-                    }
-                }
+                Event::Deadline => deadline_due = true,
             }
+        }
+        if deadline_due {
+            expired += server.expire(now);
+        }
+        for (worker, item) in work_done {
+            queued[worker] -= 1;
+            server.on_work_done(worker, item, now);
         }
         // Refill idle workers: a worker with nothing queued asks the
         // server once and runs the items back to back from `now`.
@@ -352,16 +330,7 @@ pub fn simulate_requests(
             }
         }
         for c in server.drain_completions() {
-            let (id, arrival, start, completion) = c;
-            let idx = id as usize;
-            if status.get(idx) == Some(&ReqStatus::Expired) {
-                // A server that could not shed the request finished it
-                // after its deadline: useless work, not goodput.
-                continue;
-            }
-            if let Some(s) = status.get_mut(idx) {
-                *s = ReqStatus::Completed;
-            }
+            let (_, arrival, start, completion) = c;
             recorder.record(RequestTiming {
                 arrival_us: arrival,
                 start_us: start,

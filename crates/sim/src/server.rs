@@ -2,9 +2,7 @@
 
 use bm_model::RequestInput;
 
-/// One arriving request as seen by a simulated server. Its deadline
-/// stays with the driver, which expires the request through
-/// [`Server::cancel`].
+/// One arriving request as seen by a simulated server.
 #[derive(Debug, Clone)]
 pub struct SimRequest {
     /// Driver-assigned id, unique per run.
@@ -13,6 +11,9 @@ pub struct SimRequest {
     pub input: RequestInput,
     /// Arrival time, µs.
     pub arrival_us: u64,
+    /// Absolute deadline, µs, if the request has one. A server that can
+    /// shed load keeps it and sheds the request from [`Server::expire`].
+    pub deadline_us: Option<u64>,
 }
 
 /// A unit of device occupancy produced by a server: one batched kernel
@@ -61,15 +62,17 @@ pub trait Server {
         None
     }
 
-    /// Cancels an admitted request (deadline expiry): unscheduled work
-    /// for it should be dropped; in-flight device work may drain.
-    /// Returns `true` if the server shed the request — it will then no
-    /// longer emit a completion tuple for it. Servers without
-    /// load-shedding support return `false` (the default); the driver
-    /// still accounts the request as expired but its work runs to
-    /// completion and occupies the device.
-    fn cancel(&mut self, id: u64, now_us: u64) -> bool {
-        let _ = (id, now_us);
-        false
+    /// Sheds every admitted request whose deadline
+    /// ([`SimRequest::deadline_us`]) is at or before `now_us` and that
+    /// has not completed: its unscheduled work is dropped, in-flight
+    /// device work may drain, and it emits no completion tuple. Returns
+    /// how many requests it shed. The driver calls it at each admitted
+    /// request's deadline, after that timestamp's arrivals and before
+    /// its work completions. Servers without load shedding keep the default,
+    /// which sheds nothing: their requests run to completion and count
+    /// as completions.
+    fn expire(&mut self, now_us: u64) -> usize {
+        let _ = now_us;
+        0
     }
 }

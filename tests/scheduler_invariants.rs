@@ -96,7 +96,7 @@ proptest! {
         for (i, input) in inputs.iter().enumerate() {
             let graph = model.unfold(input);
             expected_nodes.insert(i as u64, graph.len());
-            engine.on_arrival(RequestId(i as u64), graph, i as u64 * arrival_spread);
+            engine.on_arrival(RequestId(i as u64), graph, i as u64 * arrival_spread, None);
         }
 
         // Drive to completion round-robin over workers, one task at a
@@ -180,16 +180,20 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Cancellation invariants: under arbitrary cancel timing each
-    /// request resolves exactly once (a normal completion or one
-    /// cancelled record), no node of a cancelled request is dispatched
-    /// after the cancel, and the engine always drains.
+    /// Expiry invariants: under arbitrary deadlines and `expire` timing
+    /// each request resolves exactly once (a normal completion or one
+    /// cancelled record), no node of an expired request is dispatched
+    /// after its expiry, the engine always drains, and after every step
+    /// `next_deadline` is the earliest deadline of a request that has
+    /// neither resolved nor expired.
     #[test]
     fn cancellation_resolves_each_request_exactly_once(
         workload in workload_strategy(),
         workers in 1usize..4,
         max_tasks in 1usize..6,
-        cancels in proptest::collection::vec((0usize..12, 0u64..30), 1..8),
+        // Per request: a deadline offset from t = 1000, or none (≥ 50).
+        offsets in proptest::collection::vec(0u64..80, 12..13),
+        expire_rounds in proptest::collection::vec(0u64..30, 1..8),
     ) {
         let (model, inputs) = build(&workload);
         let registry = Arc::new(model.registry().clone());
@@ -199,64 +203,70 @@ proptest! {
         );
 
         let mut expected_nodes: HashMap<u64, usize> = HashMap::new();
+        let mut deadline: HashMap<u64, u64> = HashMap::new();
         for (i, input) in inputs.iter().enumerate() {
             let graph = model.unfold(input);
             expected_nodes.insert(i as u64, graph.len());
-            engine.on_arrival(RequestId(i as u64), graph, i as u64);
+            let d = (offsets[i] < 50).then_some(1000 + offsets[i]);
+            if let Some(d) = d {
+                deadline.insert(i as u64, d);
+            }
+            engine.on_arrival(RequestId(i as u64), graph, i as u64, d);
         }
-        // (round, request) cancel schedule, normalized to valid ids.
-        let cancels: Vec<(u64, u64)> = cancels
-            .iter()
-            .map(|&(req, round)| (round, (req % inputs.len()) as u64))
-            .collect();
 
-        let mut cancel_requested: HashSet<u64> = HashSet::new();
+        let mut expired: HashSet<u64> = HashSet::new();
         // request -> cancelled flag of its single completion record.
         let mut resolved: HashMap<u64, bool> = HashMap::new();
+        // The earliest deadline still pending: of a request that has
+        // neither resolved nor expired.
+        let pending_min = |resolved: &HashMap<u64, bool>, expired: &HashSet<u64>| {
+            deadline
+                .iter()
+                .filter(|(r, _)| !resolved.contains_key(r) && !expired.contains(r))
+                .map(|(_, &d)| d)
+                .min()
+        };
+        prop_assert_eq!(engine.next_deadline(), pending_min(&resolved, &expired));
         let mut now = 1000u64;
         let mut round = 0u64;
         let mut stalled = 0;
         while engine.active_requests() > 0 {
-            // Dispatch first so this round's cancels land while tasks
-            // are in flight, exercising the Draining path.
+            // Dispatch first so this round's expiry lands while tasks
+            // are in flight, exercising the draining path.
             let mut inflight = Vec::new();
             for w in 0..workers {
                 for t in engine.dispatch(WorkerId(w as u32)) {
                     for e in &t.entries {
                         prop_assert!(
-                            !cancel_requested.contains(&e.request.0),
-                            "dispatched a node of cancelled request {}", e.request.0
+                            !expired.contains(&e.request.0),
+                            "dispatched a node of expired request {}", e.request.0
                         );
                     }
                     inflight.push(t);
                 }
+                prop_assert_eq!(engine.next_deadline(), pending_min(&resolved, &expired));
             }
 
-            for &(at, req) in &cancels {
-                if at != round {
-                    continue;
+            if expire_rounds.contains(&round) {
+                let due: HashSet<u64> = deadline
+                    .iter()
+                    .filter(|&(r, &d)| d <= now && !resolved.contains_key(r) && !expired.contains(r))
+                    .map(|(&r, _)| r)
+                    .collect();
+                let before = engine.stats().requests_expired;
+                for c in engine.expire(now) {
+                    prop_assert!(c.cancelled);
+                    prop_assert!(due.contains(&c.id.0), "expired request {} not due", c.id.0);
+                    prop_assert!(
+                        resolved.insert(c.id.0, true).is_none(),
+                        "request {} resolved twice", c.id.0
+                    );
                 }
-                match engine.cancel_request(RequestId(req), now) {
-                    bm_core::CancelOutcome::Finished(c) => {
-                        prop_assert!(c.cancelled);
-                        prop_assert!(
-                            resolved.insert(req, true).is_none(),
-                            "request {} resolved twice", req
-                        );
-                    }
-                    bm_core::CancelOutcome::Draining => {
-                        prop_assert!(!resolved.contains_key(&req), "draining after resolution");
-                    }
-                    bm_core::CancelOutcome::Unknown => {
-                        prop_assert!(
-                            resolved.contains_key(&req),
-                            "unknown id {} that never resolved", req
-                        );
-                    }
-                }
-                if !resolved.contains_key(&req) {
-                    cancel_requested.insert(req);
-                }
+                // Exactly the due requests expired: none that resolved
+                // first, none twice; the ones without a record drain.
+                prop_assert_eq!(engine.stats().requests_expired - before, due.len() as u64);
+                expired.extend(due);
+                prop_assert_eq!(engine.next_deadline(), pending_min(&resolved, &expired));
             }
             round += 1;
 
@@ -268,7 +278,7 @@ proptest! {
                 for c in engine.on_task_completed(t.id, &tokens, now) {
                     prop_assert_eq!(
                         c.cancelled,
-                        cancel_requested.contains(&c.id.0),
+                        expired.contains(&c.id.0),
                         "cancelled flag mismatch for request {}", c.id.0
                     );
                     if !c.cancelled {
@@ -279,6 +289,7 @@ proptest! {
                         "request {} resolved twice", c.id.0
                     );
                 }
+                prop_assert_eq!(engine.next_deadline(), pending_min(&resolved, &expired));
             }
             if !progressed {
                 stalled += 1;
@@ -291,6 +302,7 @@ proptest! {
         // Fully drained, every request resolved exactly once, and the
         // stats ledger agrees with the records.
         prop_assert_eq!(resolved.len(), inputs.len());
+        prop_assert_eq!(engine.next_deadline(), None);
         for w in 0..workers {
             prop_assert!(engine.dispatch(WorkerId(w as u32)).is_empty());
         }
@@ -303,6 +315,8 @@ proptest! {
             stats.requests_cancelled,
             resolved.values().filter(|&&c| c).count() as u64
         );
+        prop_assert_eq!(stats.requests_expired, expired.len() as u64);
+        prop_assert_eq!(stats.requests_cancelled, stats.requests_expired);
     }
 }
 
@@ -364,7 +378,7 @@ proptest! {
         engine.set_trace_sink(sink.clone());
 
         for (i, input) in inputs.iter().enumerate() {
-            engine.on_arrival(RequestId(i as u64), model.unfold(input), i as u64);
+            engine.on_arrival(RequestId(i as u64), model.unfold(input), i as u64, None);
         }
         sink.drain();
 
@@ -455,6 +469,7 @@ fn follow_on_tasks_requalify_their_reason() {
             RequestId(i),
             model.unfold(&RequestInput::Sequence(vec![1])),
             0,
+            None,
         );
     }
     sink.drain();
@@ -502,6 +517,7 @@ fn pick_falls_through_type_pinned_to_other_worker() {
             decode_len: 3,
         }),
         now,
+        None,
     );
     for _ in 0..2 {
         let t = engine.dispatch(WorkerId(0));
@@ -523,6 +539,7 @@ fn pick_falls_through_type_pinned_to_other_worker() {
             decode_len: 1,
         }),
         now,
+        None,
     );
     let enc = engine.dispatch(WorkerId(0));
     assert_eq!(enc.len(), 1);
@@ -540,6 +557,7 @@ fn pick_falls_through_type_pinned_to_other_worker() {
             decode_len: 1,
         }),
         now,
+        None,
     );
     let tasks = engine.dispatch(WorkerId(1));
     assert_eq!(tasks.len(), 1, "worker 1 idled despite unpinned ready work");
