@@ -1,8 +1,8 @@
 //! The shared serving configuration.
 //!
 //! [`ServeConfig`] is the one place a serving knob is set: deadlines,
-//! admission caps, queue bounds, shard count, per-tenant rate limits,
-//! observability sinks.
+//! the admission cap, shard count, observability sinks. The first two
+//! are the only overload controls between a socket and the engine.
 //! [`crate::SchedulerConfig`] (and through it [`crate::RuntimeOptions`])
 //! and `bm_sim::SimOptions` each embed one, so a deployment configures
 //! these once whether it runs the threaded runtime, the simulator or
@@ -16,32 +16,14 @@ use std::sync::Arc;
 use bm_telemetry::Telemetry;
 use bm_trace::TraceSink;
 
-/// A per-tenant token-bucket rate limit, enforced by the network front
-/// door (`bm-net`) before a request reaches a scheduler shard.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TenantRate {
-    /// Sustained refill rate, requests per second.
-    pub per_sec: f64,
-    /// Bucket capacity: the largest burst admitted at once.
-    pub burst: u32,
-}
-
-impl TenantRate {
-    /// A limit of `per_sec` sustained requests/second with bursts up to
-    /// `burst`.
-    pub fn new(per_sec: f64, burst: u32) -> Self {
-        TenantRate { per_sec, burst }
-    }
-}
-
 /// Serving knobs shared by every driver of the cellular-batching
 /// engine.
 ///
 /// Embedded by [`crate::SchedulerConfig`] (and therefore
 /// [`crate::RuntimeOptions`]) and `bm_sim::SimOptions`; the network
-/// front door reads the shard count and tenant limits from the same
-/// struct. Built fluently (`#[non_exhaustive]` forbids literal
-/// construction so new knobs can be added compatibly):
+/// front door serves through a runtime started from the same struct.
+/// Built fluently (`#[non_exhaustive]` forbids literal construction so
+/// new knobs can be added compatibly):
 ///
 /// ```
 /// use bm_core::ServeConfig;
@@ -60,21 +42,16 @@ pub struct ServeConfig {
     /// not carry its own ([`crate::Request::deadline_us`]), µs from
     /// arrival. `None` means no default deadline.
     pub deadline_us: Option<u64>,
-    /// Cap on each shard's concurrently admitted (unresolved) requests;
-    /// a submission every shard refuses at its cap fails with
-    /// `SubmitError::AtCapacity`. `None` admits everything.
+    /// Cap on each shard's concurrently admitted (unresolved) requests,
+    /// those still in its inbox included; a submission every shard
+    /// refuses at its cap fails with `SubmitError::AtCapacity`. `None`
+    /// admits everything.
     pub max_active: Option<usize>,
-    /// Bound on each shard's arrival inbox; when full, submissions
-    /// fail with `SubmitError::QueueFull`. `None` leaves it unbounded.
-    pub queue_cap: Option<usize>,
     /// Scheduler shards of the threaded runtime (≥ 1): each is one
     /// thread owning its own engine and inbox, so this is the
     /// multi-core knob. The simulator ignores it. Defaults to half
     /// the host's cores, at least 1.
     pub shards: usize,
-    /// Per-tenant token-bucket rate limit enforced at the network front
-    /// door. `None` disables tenant rate limiting.
-    pub tenant_rate: Option<TenantRate>,
     /// Destination for scheduler trace events; the default no-op sink
     /// reports itself disabled, so instrumentation costs one branch per
     /// site.
@@ -87,9 +64,9 @@ pub struct ServeConfig {
     pub telemetry: Arc<Telemetry>,
 }
 
-/// Half the host's cores (the default shard count): one shard thread
-/// per two cores leaves headroom for the front door's event loop and
-/// the compute pool.
+/// Half the host's cores, at least 1: the default shard count. The
+/// value is not measured yet (ROADMAP item 4 will); the front door's
+/// event loop is shard 0, not a thread beside the shards.
 pub(crate) fn default_shards() -> usize {
     std::thread::available_parallelism()
         .map(|n| (n.get() / 2).max(1))
@@ -101,9 +78,7 @@ impl Default for ServeConfig {
         ServeConfig {
             deadline_us: None,
             max_active: None,
-            queue_cap: None,
             shards: default_shards(),
-            tenant_rate: None,
             trace: bm_trace::noop(),
             telemetry: Telemetry::disabled(),
         }
@@ -112,8 +87,8 @@ impl Default for ServeConfig {
 
 impl ServeConfig {
     /// The default configuration (start of the builder chain): no
-    /// deadline, no admission cap, unbounded inbox, cores/2 shards, no
-    /// tenant limits, tracing and telemetry off.
+    /// deadline, no admission cap, cores/2 shards, tracing and
+    /// telemetry off.
     pub fn new() -> Self {
         Self::default()
     }
@@ -130,21 +105,9 @@ impl ServeConfig {
         self
     }
 
-    /// Bounds each shard's arrival inbox.
-    pub fn queue_cap(mut self, cap: usize) -> Self {
-        self.queue_cap = Some(cap);
-        self
-    }
-
     /// Sets the scheduler shard count; 0 is stored as 1.
     pub fn shards(mut self, n: usize) -> Self {
         self.shards = n.max(1);
-        self
-    }
-
-    /// Sets the per-tenant token-bucket rate limit.
-    pub fn tenant_rate(mut self, rate: TenantRate) -> Self {
-        self.tenant_rate = Some(rate);
         self
     }
 

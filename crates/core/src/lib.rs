@@ -35,7 +35,7 @@ mod shard;
 mod state_plane;
 mod task;
 
-pub use config::{ServeConfig, TenantRate};
+pub use config::ServeConfig;
 pub use engine::{CellularEngine, SchedulerConfig, SchedulerStats, STAGE_NAMES};
 pub use ids::{RequestId, SubgraphId, TaskId, WorkerId};
 pub use partition::{partition, Partition};

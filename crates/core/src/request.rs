@@ -14,9 +14,7 @@
 //! use bm_model::RequestInput;
 //!
 //! let req = Request::new(RequestInput::Sequence(vec![1, 2, 3]))
-//!     .deadline_us(50_000)
-//!     .tenant(7);
-//! assert_eq!(req.tenant, Some(7));
+//!     .deadline_us(50_000);
 //! assert_eq!(req.effective_deadline_us(None), Some(50_000));
 //! ```
 
@@ -36,7 +34,7 @@ pub enum DeadlineSpec {
 }
 
 /// One unit of work to serve: the input payload plus its service-level
-/// metadata (deadline, tenant). Scheduling priority is a property of a
+/// metadata (its deadline). Scheduling priority is a property of a
 /// cell type, not of a request (§4.3).
 ///
 /// Build with [`Request::new`] and the fluent setters; the struct is
@@ -48,19 +46,15 @@ pub struct Request {
     pub input: RequestInput,
     /// The deadline specification (see [`DeadlineSpec`]).
     pub deadline: DeadlineSpec,
-    /// Tenant id for per-tenant rate limiting at the network front
-    /// door. `None` (the default) bills the anonymous tenant.
-    pub tenant: Option<u32>,
 }
 
 impl Request {
     /// A request for `input` with default metadata: the driver's
-    /// default deadline, anonymous tenant.
+    /// default deadline.
     pub fn new(input: RequestInput) -> Self {
         Request {
             input,
             deadline: DeadlineSpec::Default,
-            tenant: None,
         }
     }
 
@@ -74,12 +68,6 @@ impl Request {
     /// default.
     pub fn no_deadline(mut self) -> Self {
         self.deadline = DeadlineSpec::None;
-        self
-    }
-
-    /// Attributes the request to a tenant for rate limiting.
-    pub fn tenant(mut self, id: u32) -> Self {
-        self.tenant = Some(id);
         self
     }
 

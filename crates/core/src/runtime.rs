@@ -58,10 +58,10 @@
 //! stealing — once admitted a request never migrates, because its state
 //! rows live in the owning shard's slot blocks.
 //!
-//! Overload refusals get a second chance: a shard refusing with
-//! `AtCapacity`/`QueueFull` does not fail the submission until every
-//! other shard (tried lightest first) has also refused; the request is
-//! not unfolded again on the way.
+//! Overload refusals get a second chance: a shard at its cap does not
+//! fail the submission with `AtCapacity` until every other shard (tried
+//! lightest first) has also refused; the request is not unfolded before
+//! one accepts it.
 //!
 //! ## The state plane
 //!
@@ -87,12 +87,14 @@
 //! ## Overload behaviour
 //!
 //! Under overload the runtime degrades explicitly instead of letting
-//! queues grow without bound:
+//! queues grow without bound, through two controls:
 //!
-//! - **Admission control** ([`ServeConfig::max_active`],
-//!   [`ServeConfig::queue_cap`], both per shard) refuses excess
-//!   submissions with a typed [`SubmitError`] without disturbing
-//!   admitted work.
+//! - **Admission control** ([`ServeConfig::max_active`], per shard)
+//!   refuses excess submissions with [`SubmitError::AtCapacity`]
+//!   without disturbing admitted work. A shard's active count includes
+//!   the requests still in its inbox, so the cap bounds the inbox too;
+//!   the inbox itself is unbounded and a send to it fails only when
+//!   the shard is gone.
 //! - **Deadlines** ([`ServeConfig::deadline_us`] or per-request via
 //!   [`crate::Request::deadline_us`]) cancel requests that cannot
 //!   meet their SLA. The front resolves each request's absolute
@@ -127,7 +129,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender, TrySendError};
+use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 
 use bm_cell::{Cell, CellRegistry, CellTypeId, ResidentLayout, RowInvocation, Scratch, StateRef};
 use bm_device::CpuTimer;
@@ -147,17 +149,12 @@ use crate::task::{CompletedRequest, Task, TaskEntry};
 /// Why a submission was refused.
 ///
 /// Validation failures and overload refusals are both surfaced here so
-/// callers can match on the cause; the enum is `#[non_exhaustive]`
-/// because future policies (e.g. per-tenant quotas) may add variants.
+/// callers can match on the cause.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[non_exhaustive]
 pub enum SubmitError {
     /// The input failed model validation (wrong variant, empty
     /// sequence, out-of-vocabulary tokens). No work was done.
     Invalid(String),
-    /// Every shard's bounded arrival inbox ([`ServeConfig::queue_cap`])
-    /// was full.
-    QueueFull,
     /// Every shard was at its concurrent-request cap
     /// ([`ServeConfig::max_active`]). The request was not unfolded.
     AtCapacity,
@@ -169,7 +166,6 @@ impl std::fmt::Display for SubmitError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             SubmitError::Invalid(msg) => write!(f, "invalid request: {msg}"),
-            SubmitError::QueueFull => write!(f, "shard inbox full"),
             SubmitError::AtCapacity => write!(f, "active-request cap reached"),
             SubmitError::ShuttingDown => write!(f, "runtime shutting down"),
         }
@@ -388,7 +384,7 @@ impl Respond {
 
 /// Runtime construction knobs: the scheduler tunables, whose embedded
 /// [`ServeConfig`] carries every serving knob (deadlines, admission
-/// caps, queue bound, shard count, observability).
+/// cap, shard count, observability).
 /// `ServeConfig` is the one place a serving knob is set; hand the
 /// finished config over with [`RuntimeOptions::serve_config`].
 ///
@@ -499,9 +495,9 @@ struct ShardHandle {
     wake: Option<Wake>,
     /// Requests admitted and not yet resolved; shared with the shard.
     active: Arc<AtomicUsize>,
-    /// `bm_requests_rejected_total{reason}` counters, indexed
-    /// at_capacity / queue_full; `None` when telemetry is disabled.
-    reject_counters: Option<[Counter; 2]>,
+    /// `bm_requests_rejected_total{reason="at_capacity"}`; `None` when
+    /// telemetry is disabled.
+    rejected: Option<Counter>,
 }
 
 impl ShardHandle {
@@ -520,25 +516,18 @@ impl ShardHandle {
 
     /// Ships arrivals, whose slots the caller reserved here, to the
     /// shard as one inbox message, then calls a hosted shard's wake
-    /// hook. On failure every reserved slot is released and the
-    /// arrivals come back with the cause: `QueueFull` (overload) or
-    /// `ShuttingDown` (shard gone).
-    fn send(&self, arrivals: Vec<Arrival>) -> Result<(), (SubmitError, Vec<Arrival>)> {
-        let (err, returned) = match self.inbox.try_send(ShardMsg::Arrive(arrivals)) {
-            Ok(()) => {
-                if let Some(wake) = &self.wake {
-                    wake();
-                }
-                return Ok(());
-            }
-            Err(TrySendError::Full(m)) => (SubmitError::QueueFull, m),
-            Err(TrySendError::Disconnected(m)) => (SubmitError::ShuttingDown, m),
-        };
-        let ShardMsg::Arrive(arrivals) = returned else {
-            unreachable!("try_send hands back the message it was given");
-        };
-        self.active.fetch_sub(arrivals.len(), Ordering::AcqRel);
-        Err((err, arrivals))
+    /// hook. The inbox is unbounded, so this fails only when the shard
+    /// is gone: every reserved slot is then released.
+    fn send(&self, arrivals: Vec<Arrival>) -> Result<(), SubmitError> {
+        let n = arrivals.len();
+        if self.inbox.send(ShardMsg::Arrive(arrivals)).is_err() {
+            self.active.fetch_sub(n, Ordering::AcqRel);
+            return Err(SubmitError::ShuttingDown);
+        }
+        if let Some(wake) = &self.wake {
+            wake();
+        }
+        Ok(())
     }
 }
 
@@ -655,18 +644,9 @@ impl Runtime {
                 }
                 let tel = &scheduler.serve.telemetry;
                 let active = Arc::new(AtomicUsize::new(0));
-                let (inbox, rx) = match serve.queue_cap {
-                    Some(cap) => bounded::<ShardMsg>(cap.max(1)),
-                    None => unbounded::<ShardMsg>(),
-                };
-                let reject_counters = tel.enabled().then(|| {
-                    [
-                        tel.counter_with(
-                            "bm_requests_rejected_total",
-                            &[("reason", "at_capacity")],
-                        ),
-                        tel.counter_with("bm_requests_rejected_total", &[("reason", "queue_full")]),
-                    ]
+                let (inbox, rx) = unbounded::<ShardMsg>();
+                let rejected = tel.enabled().then(|| {
+                    tel.counter_with("bm_requests_rejected_total", &[("reason", "at_capacity")])
                 });
                 let shard = Shard {
                     rx,
@@ -698,7 +678,7 @@ impl Runtime {
                     thread,
                     wake,
                     active,
-                    reject_counters,
+                    rejected,
                 }
             })
             .collect();
@@ -718,10 +698,9 @@ impl Runtime {
     /// Submits a [`Request`] — the single submission entry point.
     ///
     /// Fails fast with a typed [`SubmitError`] — invalid input,
-    /// admission-control refusal ([`SubmitError::AtCapacity`],
-    /// [`SubmitError::QueueFull`], only after every shard refused) or
-    /// shutdown. A returned handle means the request was admitted; it
-    /// resolves to a [`ServedOutcome`].
+    /// admission-control refusal ([`SubmitError::AtCapacity`], only
+    /// after every shard refused) or shutdown. A returned handle means
+    /// the request was admitted; it resolves to a [`ServedOutcome`].
     ///
     /// ```no_run
     /// # use std::sync::Arc;
@@ -773,8 +752,7 @@ impl Runtime {
         reqs: impl IntoIterator<Item = (u64, Request)>,
         queue: &CompletionQueue,
     ) -> Vec<Result<(), SubmitError>> {
-        let loads = self.loads();
-        let mut projected = loads.clone();
+        let mut projected = self.loads();
         let mut results = Vec::new();
         // Per shard: the arrivals riding its message and, parallel to
         // them, their indices in `results`.
@@ -795,11 +773,9 @@ impl Runtime {
             if arrivals.is_empty() {
                 continue;
             }
-            if let Err((err, returned)) = self.shards[s].send(arrivals) {
-                // The whole message missed the inbox: every arrival gets
-                // its own second chance.
-                for (idx, arrival) in idxs.into_iter().zip(returned) {
-                    results[idx] = self.resend(arrival, s, &loads, err.clone());
+            if let Err(err) = self.shards[s].send(arrivals) {
+                for idx in idxs {
+                    results[idx] = Err(err.clone());
                 }
             }
         }
@@ -808,15 +784,8 @@ impl Runtime {
 
     /// One single submission: admit, then ship as a one-arrival message.
     fn submit(&self, req: &Request, respond: Respond) -> Result<(), SubmitError> {
-        let loads = self.loads();
-        let (s, arrival) = self.admit(req, respond, &loads)?;
-        match self.shards[s].send(vec![arrival]) {
-            Ok(()) => Ok(()),
-            Err((err, mut returned)) => {
-                let arrival = returned.pop().expect("the one arrival sent");
-                self.resend(arrival, s, &loads, err)
-            }
-        }
+        let (s, arrival) = self.admit(req, respond, &self.loads())?;
+        self.shards[s].send(vec![arrival])
     }
 
     /// Validates one request, gives it its id, reserves it an active
@@ -856,47 +825,26 @@ impl Runtime {
         Ok((s, arrival))
     }
 
-    /// Reserves request `id` a slot on shard `s`, recording the refusal
-    /// when the shard is at its cap.
+    /// Reserves request `id` a slot on shard `s`; when the shard is at
+    /// its cap, counts and traces the refusal instead.
     fn reserve(&self, s: usize, id: RequestId) -> bool {
-        let admitted = self.shards[s].reserve(self.opts.serve().max_active);
-        if !admitted {
-            self.note_rejection(s, id, RejectReason::AtCapacity);
+        if self.shards[s].reserve(self.opts.serve().max_active) {
+            return true;
         }
-        admitted
-    }
-
-    /// Second chance for an arrival that shard `from` refused with
-    /// `refused`: after an overload refusal the remaining shards are
-    /// tried lightest first, each with its own slot reservation;
-    /// `ShuttingDown` fails immediately — no shard would accept it.
-    fn resend(
-        &self,
-        mut arrival: Arrival,
-        from: usize,
-        loads: &[usize],
-        mut refused: SubmitError,
-    ) -> Result<(), SubmitError> {
-        if refused == SubmitError::ShuttingDown {
-            return Err(refused);
+        if let Some(c) = &self.shards[s].rejected {
+            c.inc();
         }
-        self.note_rejection(from, arrival.id, RejectReason::QueueFull);
-        for s in shard::retry_order(from, loads) {
-            if !self.reserve(s, arrival.id) {
-                refused = SubmitError::AtCapacity;
-                continue;
-            }
-            match self.shards[s].send(vec![arrival]) {
-                Ok(()) => return Ok(()),
-                Err((SubmitError::ShuttingDown, _)) => return Err(SubmitError::ShuttingDown),
-                Err((err, mut returned)) => {
-                    arrival = returned.pop().expect("the one arrival sent");
-                    self.note_rejection(s, arrival.id, RejectReason::QueueFull);
-                    refused = err;
-                }
-            }
+        let trace = &self.opts.serve().trace;
+        if trace.enabled() {
+            trace.record(TraceEvent {
+                ts_us: self.timer.now_us(),
+                kind: EventKind::RequestRejected {
+                    request: id.0,
+                    reason: RejectReason::AtCapacity,
+                },
+            });
         }
-        Err(refused)
+        false
     }
 
     /// Per-shard active-request snapshot used for placement.
@@ -905,26 +853,6 @@ impl Runtime {
             .iter()
             .map(|s| s.active.load(Ordering::Acquire))
             .collect()
-    }
-
-    /// Counts and traces shard `s` refusing request `id`.
-    fn note_rejection(&self, s: usize, id: RequestId, reason: RejectReason) {
-        if let Some(c) = &self.shards[s].reject_counters {
-            match reason {
-                RejectReason::AtCapacity => c[0].inc(),
-                RejectReason::QueueFull => c[1].inc(),
-            }
-        }
-        let trace = &self.opts.serve().trace;
-        if trace.enabled() {
-            trace.record(TraceEvent {
-                ts_us: self.timer.now_us(),
-                kind: EventKind::RequestRejected {
-                    request: id.0,
-                    reason,
-                },
-            });
-        }
     }
 
     /// The number of scheduler shards.
@@ -938,11 +866,6 @@ impl Runtime {
             .iter()
             .map(|s| s.active.load(Ordering::Acquire))
             .sum()
-    }
-
-    /// The options this runtime was started with.
-    pub fn options(&self) -> &RuntimeOptions {
-        &self.opts
     }
 
     /// Microseconds since the runtime started, on the clock every shard
@@ -971,11 +894,8 @@ impl Runtime {
 
     fn shutdown_inner(&mut self) {
         // Every shard thread hears the shutdown before any is joined, so
-        // they drain in parallel. `send` (not `try_send`): on a bounded
-        // inbox the shutdown message must wait for a slot rather than be
-        // dropped — which only a shard thread, draining its inbox on its
-        // own, guarantees. A hosted shard is never sent one: its host
-        // drains it, and may be the thread running this.
+        // they drain in parallel. A hosted shard is never sent one: its
+        // host drains it, and may be the thread running this.
         for s in self.shards.iter().filter(|s| s.thread.is_some()) {
             let _ = s.inbox.send(ShardMsg::Shutdown);
         }

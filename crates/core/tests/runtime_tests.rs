@@ -309,15 +309,16 @@ fn admission_cap_rejects_excess_submissions() {
     rt.shutdown();
 }
 
-/// A bounded inbox must never deadlock: submissions that find it full
-/// fail fast with [`SubmitError::QueueFull`] instead of blocking the
-/// caller, and everything admitted still completes.
+/// A shard at its cap must never deadlock: its active count includes
+/// its inbox, so submissions that find the cap reached fail fast with
+/// [`SubmitError::AtCapacity`] instead of blocking the caller, and
+/// everything admitted still completes.
 #[test]
 fn bounded_manager_queue_never_deadlocks() {
     let model = Arc::new(LstmLm::small());
     let rt = Runtime::start(
         Arc::clone(&model) as Arc<dyn Model>,
-        serving(ServeConfig::new().shards(1).queue_cap(2)),
+        serving(ServeConfig::new().shards(1).max_active(2)),
     );
     let ds = Dataset::lstm(80, LengthDistribution::Fixed(10), 900, 31);
     let submissions: Vec<_> = ds.items().iter().map(|i| rt.submit_request(i)).collect();
@@ -332,7 +333,7 @@ fn bounded_manager_queue_never_deadlocks() {
                 }
                 other => panic!("unexpected outcome: {other:?}"),
             },
-            Err(SubmitError::QueueFull) => resolved += 1,
+            Err(SubmitError::AtCapacity) => resolved += 1,
             Err(other) => panic!("unexpected submit error: {other}"),
         }
     }
@@ -486,7 +487,6 @@ fn builders_preserve_defaults() {
     assert_eq!(opts.serve().max_active, defaults.serve().max_active);
     assert_eq!(opts.serve().max_active, None);
     assert_eq!(opts.serve().deadline_us, None);
-    assert_eq!(opts.serve().queue_cap, None);
     assert!(
         !opts.serve().trace.enabled(),
         "default sink must be the no-op"
@@ -502,7 +502,6 @@ fn builders_preserve_defaults() {
     let serve_defaults = bm_core::ServeConfig::default();
     assert_eq!(serve.deadline_us, serve_defaults.deadline_us);
     assert_eq!(serve.deadline_us, None);
-    assert_eq!(serve.tenant_rate, None);
     // A runtime has at least one shard, and the config says so.
     assert_eq!(ServeConfig::new().shards(0).shards, 1);
 }
@@ -514,16 +513,10 @@ fn builders_set_only_the_named_field() {
     // `serve_config(..)` after it replaces only the serve config.
     let opts = RuntimeOptions::new()
         .scheduler(bm_core::SchedulerConfig::new().max_tasks_to_submit(2))
-        .serve_config(
-            ServeConfig::new()
-                .max_active(64)
-                .deadline_us(50_000)
-                .queue_cap(256),
-        );
+        .serve_config(ServeConfig::new().max_active(64).deadline_us(50_000));
     assert_eq!(opts.workers, 1);
     assert_eq!(opts.serve().max_active, Some(64));
     assert_eq!(opts.serve().deadline_us, Some(50_000));
-    assert_eq!(opts.serve().queue_cap, Some(256));
     assert_eq!(opts.scheduler.max_tasks_to_submit, 2);
     // Untouched knobs keep their defaults through the chain.
     assert!(!opts.serve().trace.enabled());
@@ -1193,17 +1186,17 @@ fn a_resolved_request_leaves_no_deadline_behind() {
 }
 
 /// Shutting the runtime down never sends into a hosted shard's inbox —
-/// with a one-slot inbox that nobody but the host drains, a blocking
-/// send would hang — and what the host drains afterwards still
-/// completes. Once the hosted shard is gone, submissions to it fail.
+/// nobody but the host drains it, and the host may be the thread
+/// shutting down — and what the host drains afterwards still completes.
+/// Once the hosted shard is gone, submissions to it fail.
 #[test]
 fn shutdown_never_blocks_on_a_hosted_shards_full_inbox() {
-    let (rt, mut shard, _) = hosted(ServeConfig::new().shards(1).queue_cap(1));
+    let (rt, mut shard, _) = hosted(ServeConfig::new().shards(1).max_active(1));
     let input = RequestInput::Sequence(vec![4, 5, 6]);
-    let h = rt.submit_request(&input).expect("fills the inbox");
+    let h = rt.submit_request(&input).expect("fills the shard");
     assert_eq!(
         rt.submit_request(&input).err(),
-        Some(SubmitError::QueueFull)
+        Some(SubmitError::AtCapacity)
     );
     rt.shutdown();
     drain(&mut shard);

@@ -8,10 +8,10 @@
 //!   [`WireError`], never a panic.
 //! - [`NetServer`]: a hand-rolled non-blocking TCP event loop over a
 //!   [`Runtime`](bm_core::Runtime), with admission control at accept
-//!   time, per-tenant token-bucket rate limiting and per-connection
-//!   backpressure, running on the [`readiness`] backend the platform
-//!   offers — raw-syscall epoll + eventfd completion wakeups on Linux
-//!   x86_64, a portable polled scan everywhere else.
+//!   time and per-connection backpressure, running on the
+//!   [`readiness`] backend the platform offers — raw-syscall epoll +
+//!   eventfd completion wakeups on Linux x86_64, a portable polled scan
+//!   everywhere else.
 //! - [`NetClient`]: a blocking, pipeline-capable client used by the
 //!   tests and the repo's benchmark (`benchmark/`).
 //!

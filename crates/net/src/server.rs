@@ -7,9 +7,8 @@
 //! (with admission control — past
 //! [`NetServerOptions::max_connections`] new sockets are closed
 //! immediately), drains readable sockets into per-connection buffers,
-//! decodes frames incrementally, applies per-tenant token-bucket rate
-//! limits ([`bm_core::ServeConfig::tenant_rate`]), submits **every
-//! request decoded in the pass as one batch**
+//! decodes frames incrementally, submits **every request decoded in
+//! the pass as one batch**
 //! ([`Runtime::submit_batch_tagged`]), then runs **one pass of shard
 //! 0** ([`HostedShard::pass`]: admit, expire, one dispatch of at most
 //! `MaxTasksToSubmit` tasks, resolve). A request placed on shard 0 is
@@ -51,6 +50,11 @@
 //! passes shard 0 until it is empty, so in-process requests submitted
 //! before the stop complete as they do on a shard thread.
 //!
+//! **Overload** is the runtime's: a request every shard refuses at
+//! [`bm_core::ServeConfig::max_active`] is answered
+//! [`NetReject::AtCapacity`], and one that misses its deadline
+//! [`NetResponse::Expired`]. The front door adds no refusal of its own.
+//!
 //! **Backpressure** is per-connection: while a connection has
 //! [`NetServerOptions::max_inflight`] unresolved requests, its socket
 //! is not read, so the kernel receive buffer fills and TCP flow
@@ -67,7 +71,7 @@ use std::time::{Duration, Instant};
 
 use bm_core::{
     completion_queue, CompletionQueue, CompletionReceiver, HostedShard, Request, Runtime,
-    ServedOutcome, SubmitError, TenantRate,
+    ServedOutcome, SubmitError,
 };
 use bm_model::Model;
 use bm_telemetry::Snapshot;
@@ -101,9 +105,8 @@ const TOKEN_WAKER: u64 = u64::MAX - 1;
 #[derive(Clone)]
 #[non_exhaustive]
 pub struct NetServerOptions {
-    /// Options for the backing [`Runtime`] (shard count, policy,
-    /// deadlines, tenant rate limits — all via the embedded
-    /// [`bm_core::ServeConfig`]).
+    /// Options for the backing [`Runtime`] (shard count, admission
+    /// cap, deadlines — all via the embedded [`bm_core::ServeConfig`]).
     pub runtime: bm_core::RuntimeOptions,
     /// Admission control: connections accepted beyond this cap are
     /// closed immediately without reading a byte.
@@ -159,7 +162,6 @@ struct NetStats {
     completed: AtomicU64,
     expired: AtomicU64,
     rejected: AtomicU64,
-    rate_limited: AtomicU64,
     protocol_errors: AtomicU64,
 }
 
@@ -179,77 +181,11 @@ pub struct NetStatsView {
     pub completed: u64,
     /// Responses that expired at their deadline.
     pub expired: u64,
-    /// Submissions the runtime refused (invalid / queue full / at
-    /// capacity).
+    /// Submissions the runtime refused (invalid / at capacity /
+    /// shutting down).
     pub rejected: u64,
-    /// Submissions refused by a tenant token bucket.
-    pub rate_limited: u64,
     /// Connections closed for undecodable bytes.
     pub protocol_errors: u64,
-}
-
-/// A token bucket: `tokens` refills at the tenant rate up to its burst.
-struct Bucket {
-    tokens: f64,
-    last: Instant,
-}
-
-impl Bucket {
-    /// The tokens this bucket holds at `now`.
-    fn tokens_at(&self, rate: &TenantRate, now: Instant) -> f64 {
-        let dt = now.duration_since(self.last).as_secs_f64();
-        (self.tokens + dt * rate.per_sec).min(f64::from(rate.burst))
-    }
-}
-
-/// Tenant buckets the map may hold before refilled ones are dropped.
-const TENANT_BUCKETS_SWEEP: usize = 1024;
-
-/// The per-tenant token buckets of one server. The tenant id comes off
-/// the wire, so the map is bounded: a bucket refilled to `burst` is
-/// indistinguishable from a fresh one and is dropped once the map
-/// reaches [`TENANT_BUCKETS_SWEEP`] entries. What survives a sweep is
-/// tenants that spent a token within the last `burst / per_sec`
-/// seconds; the next sweep waits until the map has doubled past them,
-/// so sweeping stays amortised O(1) per request whatever ids a client
-/// cycles through.
-struct TenantBuckets {
-    rate: TenantRate,
-    buckets: HashMap<u64, Bucket>,
-    sweep_at: usize,
-}
-
-impl TenantBuckets {
-    fn new(rate: TenantRate) -> Self {
-        TenantBuckets {
-            rate,
-            buckets: HashMap::new(),
-            sweep_at: TENANT_BUCKETS_SWEEP,
-        }
-    }
-
-    /// Takes one token from `tenant`'s bucket; `false` when it is empty.
-    fn admit(&mut self, tenant: Option<u32>, now: Instant) -> bool {
-        // `None`-tenant requests share bucket 0.
-        let key = tenant.map_or(0, |t| u64::from(t) + 1);
-        let rate = self.rate;
-        if self.buckets.len() >= self.sweep_at && !self.buckets.contains_key(&key) {
-            let burst = f64::from(rate.burst);
-            self.buckets.retain(|_, b| b.tokens_at(&rate, now) < burst);
-            self.sweep_at = TENANT_BUCKETS_SWEEP.max(2 * self.buckets.len());
-        }
-        let bucket = self.buckets.entry(key).or_insert(Bucket {
-            tokens: f64::from(rate.burst),
-            last: now,
-        });
-        bucket.tokens = bucket.tokens_at(&rate, now);
-        bucket.last = now;
-        let admitted = bucket.tokens >= 1.0;
-        if admitted {
-            bucket.tokens -= 1.0;
-        }
-        admitted
-    }
 }
 
 /// One response slot in a connection's FIFO. `ready` is `None` while
@@ -487,7 +423,6 @@ impl NetServer {
             completed: s.completed.load(Ordering::Relaxed),
             expired: s.expired.load(Ordering::Relaxed),
             rejected: s.rejected.load(Ordering::Relaxed),
-            rate_limited: s.rate_limited.load(Ordering::Relaxed),
             protocol_errors: s.protocol_errors.load(Ordering::Relaxed),
         }
     }
@@ -548,11 +483,6 @@ fn event_loop(ctx: EventLoop) {
         queue,
         completions,
     } = ctx;
-    let mut limiter = runtime
-        .options()
-        .serve()
-        .tenant_rate
-        .map(TenantBuckets::new);
     let mut conns: HashMap<u32, Conn> = HashMap::new();
     let mut next_conn_id: u32 = 0;
     let mut chunk = vec![0u8; READ_CHUNK];
@@ -601,15 +531,8 @@ fn event_loop(ctx: EventLoop) {
                     if c.dead || stopping || c.pending.len() >= opts.max_inflight {
                         continue;
                     }
-                    progressed |= read_conn(
-                        id,
-                        c,
-                        &mut chunk,
-                        &mut batch,
-                        &stats,
-                        limiter.as_mut(),
-                        opts.max_inflight,
-                    );
+                    progressed |=
+                        read_conn(id, c, &mut chunk, &mut batch, &stats, opts.max_inflight);
                 }
             }
             Backend::Epoll { ep, efd, events } => {
@@ -653,7 +576,6 @@ fn event_loop(ctx: EventLoop) {
                                     &mut chunk,
                                     &mut batch,
                                     &stats,
-                                    limiter.as_mut(),
                                     opts.max_inflight,
                                 );
                             } else if ev.error {
@@ -863,7 +785,6 @@ fn read_conn(
     chunk: &mut [u8],
     batch: &mut Vec<(u64, Request)>,
     stats: &NetStats,
-    mut limiter: Option<&mut TenantBuckets>,
     max_inflight: usize,
 ) -> bool {
     let mut progressed = false;
@@ -876,7 +797,7 @@ fn read_conn(
             Ok(n) => {
                 progressed = true;
                 c.rbuf.extend_from_slice(&chunk[..n]);
-                drain_frames(conn_id, c, batch, stats, limiter.as_deref_mut());
+                drain_frames(conn_id, c, batch, stats);
                 if c.dead || c.pending.len() >= max_inflight {
                     break;
                 }
@@ -892,17 +813,9 @@ fn read_conn(
     progressed
 }
 
-/// Decodes every complete frame in `conn.rbuf`: each submit either
-/// joins the pass's batch (tagged, response slot queued) or is
-/// rejected on the spot (rate limit), which still occupies its FIFO
-/// slot so response order matches submission order.
-fn drain_frames(
-    conn_id: u32,
-    c: &mut Conn,
-    batch: &mut Vec<(u64, Request)>,
-    stats: &NetStats,
-    mut limiter: Option<&mut TenantBuckets>,
-) {
+/// Decodes every complete frame in `conn.rbuf`: each submit joins the
+/// pass's batch, tagged, with its response slot queued.
+fn drain_frames(conn_id: u32, c: &mut Conn, batch: &mut Vec<(u64, Request)>, stats: &NetStats) {
     loop {
         match wire::decode_frame(&c.rbuf) {
             Ok(None) => break,
@@ -920,17 +833,6 @@ fn drain_frames(
                     }
                 };
                 let (seq, tag) = c.next_tag(conn_id);
-                if let Some(l) = &mut limiter {
-                    if !l.admit(req.tenant, Instant::now()) {
-                        stats.rate_limited.fetch_add(1, Ordering::Relaxed);
-                        c.pending.push_back(PendingResp {
-                            corr: frame.correlation,
-                            seq,
-                            ready: Some(NetResponse::Rejected(NetReject::RateLimited)),
-                        });
-                        continue;
-                    }
-                }
                 c.pending.push_back(PendingResp {
                     corr: frame.correlation,
                     seq,
@@ -1006,12 +908,8 @@ fn flush_wbuf(c: &mut Conn) -> bool {
 fn submit_error_response(e: SubmitError) -> NetResponse {
     match e {
         SubmitError::Invalid(msg) => NetResponse::Rejected(NetReject::Invalid(msg)),
-        SubmitError::QueueFull => NetResponse::Rejected(NetReject::QueueFull),
         SubmitError::AtCapacity => NetResponse::Rejected(NetReject::AtCapacity),
         SubmitError::ShuttingDown => NetResponse::ShutDown,
-        // SubmitError is non-exhaustive-ready; treat unknown refusals
-        // as capacity.
-        _ => NetResponse::Rejected(NetReject::AtCapacity),
     }
 }
 
@@ -1039,8 +937,7 @@ fn outcome_response(outcome: ServedOutcome) -> NetResponse {
 
 #[cfg(test)]
 mod tests {
-    //! Polled-vs-epoll readiness backend identity, and the tenant
-    //! limiter's bound.
+    //! Polled-vs-epoll readiness backend identity.
     //!
     //! The platform picks the backend, so only code inside the crate can
     //! put a server on the polled scan where epoll exists. These tests
@@ -1251,36 +1148,5 @@ mod tests {
         assert_eq!(wait_ms(Some(Duration::MAX), false), EPOLL_TIMEOUT_MS);
         assert_eq!(wait_ms(None, true), 1);
         assert_eq!(wait_ms(Some(Duration::ZERO), true), 0);
-    }
-
-    /// A client cycling through tenant ids must not grow the bucket map
-    /// without bound — and sweeping must not hand an active tenant a
-    /// fresh bucket.
-    #[test]
-    fn cycling_tenants_keep_the_bucket_map_bounded() {
-        // 10 req/s, burst 2: a bucket is back at `burst` 0.2 s after
-        // its last token.
-        let mut limiter = TenantBuckets::new(TenantRate::new(10.0, 2));
-        let t0 = Instant::now();
-        let (mut active_admitted, mut peak) = (0u32, 0usize);
-        // 20 s of traffic at 1 kHz: every millisecond the active tenant
-        // and one never-seen-before tenant each send a request.
-        for ms in 0..20_000u32 {
-            let now = t0 + Duration::from_millis(u64::from(ms));
-            if limiter.admit(Some(7), now) {
-                active_admitted += 1;
-            }
-            assert!(limiter.admit(Some(1_000 + ms), now), "fresh tenant {ms}");
-            peak = peak.max(limiter.buckets.len());
-        }
-        assert!(
-            peak <= 2 * TENANT_BUCKETS_SWEEP,
-            "{peak} buckets for 20 000 tenants"
-        );
-        // 20 s at 10/s plus the initial burst — not the 20 000 asked for.
-        assert!(
-            (200..=203).contains(&active_admitted),
-            "active tenant admitted {active_admitted} times"
-        );
     }
 }

@@ -6,7 +6,7 @@
 //! correlation][body]`:
 //!
 //! - **Submit** (client → server): a full [`Request`] — deadline spec,
-//!   tenant, then the input payload (sequence, seq2seq pair, or
+//!   then the input payload (sequence, seq2seq pair, or
 //!   preorder-encoded tree).
 //! - **Response** (server → client): the correlation id of the submit
 //!   it answers plus a [`NetResponse`] — completed (timing, executed
@@ -23,11 +23,16 @@
 use bm_core::{DeadlineSpec, Request, ServedTiming};
 use bm_model::{RequestInput, TreeShape};
 
-/// Protocol version carried in every frame. Version 2 dropped the
-/// submit body's priority byte (version 1 carried one after the
-/// deadline spec), so a version-1 peer fails with
-/// [`WireError::BadVersion`] instead of a misparsed body.
-pub const PROTOCOL_VERSION: u8 = 2;
+/// Protocol version carried in every frame. Each version removed a
+/// submit-body field, so an older peer fails with
+/// [`WireError::BadVersion`] instead of a misparsed body:
+///
+/// - version 2 dropped the priority byte version 1 carried after the
+///   deadline spec;
+/// - version 3 dropped the tenant tag (and its `u32` id) version 2
+///   carried there, and response statuses 3 and 5 (inbox full, rate
+///   limited) with it.
+pub const PROTOCOL_VERSION: u8 = 3;
 
 /// Upper bound on a frame's payload length. A `len` prefix above this
 /// is rejected as [`WireError::Oversized`] before any buffering.
@@ -109,12 +114,8 @@ impl std::error::Error for WireError {}
 pub enum NetReject {
     /// The input failed model validation; carries the message.
     Invalid(String),
-    /// A scheduler shard's manager queue was full.
-    QueueFull,
-    /// The concurrent-request cap was reached.
+    /// Every shard was at its concurrent-request cap.
     AtCapacity,
-    /// The tenant's token bucket was empty.
-    RateLimited,
 }
 
 /// The server's answer to one submit.
@@ -208,13 +209,6 @@ pub fn encode_submit(buf: &mut Vec<u8>, correlation: u32, req: &Request) {
             buf.extend_from_slice(&d.to_le_bytes());
         }
     }
-    match req.tenant {
-        None => buf.push(0),
-        Some(t) => {
-            buf.push(1);
-            buf.extend_from_slice(&t.to_le_bytes());
-        }
-    }
     match &req.input {
         RequestInput::Sequence(tokens) => {
             buf.push(0);
@@ -280,9 +274,7 @@ pub fn encode_response(buf: &mut Vec<u8>, correlation: u32, resp: &NetResponse) 
             buf.extend_from_slice(&(len as u32).to_le_bytes());
             buf.extend_from_slice(&bytes[..len]);
         }
-        NetResponse::Rejected(NetReject::QueueFull) => buf.push(3),
         NetResponse::Rejected(NetReject::AtCapacity) => buf.push(4),
-        NetResponse::Rejected(NetReject::RateLimited) => buf.push(5),
         NetResponse::ShutDown => buf.push(6),
     }
     backpatch_len(buf, len_at);
@@ -424,16 +416,6 @@ fn read_request(r: &mut Reader<'_>) -> Result<Request, WireError> {
             })
         }
     };
-    let tenant = match r.u8("tenant tag")? {
-        0 => None,
-        1 => Some(r.u32("tenant")?),
-        tag => {
-            return Err(WireError::UnknownTag {
-                field: "tenant tag",
-                tag,
-            })
-        }
-    };
     let input = match r.u8("input tag")? {
         0 => {
             let n = checked_count(r, MAX_TOKENS, 4, "sequence length")?;
@@ -473,7 +455,6 @@ fn read_request(r: &mut Reader<'_>) -> Result<Request, WireError> {
     };
     let mut req = Request::new(input);
     req.deadline = deadline;
-    req.tenant = tenant;
     Ok(req)
 }
 
@@ -523,9 +504,7 @@ fn read_response(r: &mut Reader<'_>) -> Result<NetResponse, WireError> {
                 .to_string();
             Ok(NetResponse::Rejected(NetReject::Invalid(msg)))
         }
-        3 => Ok(NetResponse::Rejected(NetReject::QueueFull)),
         4 => Ok(NetResponse::Rejected(NetReject::AtCapacity)),
-        5 => Ok(NetResponse::Rejected(NetReject::RateLimited)),
         6 => Ok(NetResponse::ShutDown),
         tag => Err(WireError::UnknownTag {
             field: "response status",

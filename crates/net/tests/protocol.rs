@@ -6,7 +6,7 @@ use bm_core::{DeadlineSpec, Request, ServedTiming};
 use bm_model::{RequestInput, TreeShape};
 use bm_net::wire::{
     decode_frame, encode_response, encode_submit, Message, NetReject, NetResponse, WireError,
-    MAX_FRAME_LEN,
+    MAX_FRAME_LEN, PROTOCOL_VERSION,
 };
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -38,17 +38,11 @@ fn deadline_strategy() -> impl Strategy<Value = DeadlineSpec> {
 }
 
 fn request_strategy() -> impl Strategy<Value = Request> {
-    (
-        input_strategy(),
-        deadline_strategy(),
-        prop_oneof![Just(None), any::<u32>().prop_map(Some)],
-    )
-        .prop_map(|(input, deadline, tenant)| {
-            let mut req = Request::new(input);
-            req.deadline = deadline;
-            req.tenant = tenant;
-            req
-        })
+    (input_strategy(), deadline_strategy()).prop_map(|(input, deadline)| {
+        let mut req = Request::new(input);
+        req.deadline = deadline;
+        req
+    })
 }
 
 fn timing_strategy() -> impl Strategy<Value = ServedTiming> {
@@ -76,9 +70,7 @@ fn response_strategy() -> impl Strategy<Value = NetResponse> {
             let msg: String = b.iter().map(|&x| char::from(b'a' + x % 26)).collect();
             NetResponse::Rejected(NetReject::Invalid(msg))
         }),
-        Just(NetResponse::Rejected(NetReject::QueueFull)),
         Just(NetResponse::Rejected(NetReject::AtCapacity)),
-        Just(NetResponse::Rejected(NetReject::RateLimited)),
         Just(NetResponse::ShutDown),
     ]
 }
@@ -189,16 +181,24 @@ fn trailing_bytes_inside_a_frame_are_an_error() {
     );
 }
 
+/// Prefixes a hand-built payload with its length.
+fn framed(payload: &[u8]) -> Vec<u8> {
+    let mut buf = (payload.len() as u32).to_le_bytes().to_vec();
+    buf.extend_from_slice(payload);
+    buf
+}
+
 #[test]
 fn wrong_version_is_rejected() {
+    assert_eq!(PROTOCOL_VERSION, 3);
     let mut buf = Vec::new();
     encode_submit(&mut buf, 0, &Request::new(RequestInput::Sequence(vec![1])));
     buf[4] = 99; // version byte
     assert_eq!(decode_frame(&buf), Err(WireError::BadVersion { got: 99 }));
 
-    // A version-1 submit (it still carried a priority byte after the
-    // deadline spec) is refused by version, not misparsed.
-    let frame = [
+    // A version-1 submit (it carried a priority byte and a tenant tag
+    // after the deadline spec) is refused by version, not misparsed.
+    let v1 = [
         1, // version
         1, // MSG_SUBMIT
         0, 0, 0, 0, // correlation
@@ -209,9 +209,48 @@ fn wrong_version_is_rejected() {
         1, 0, 0, 0, // one token
         1, 0, 0, 0, // token 1
     ];
-    let mut buf = (frame.len() as u32).to_le_bytes().to_vec();
-    buf.extend_from_slice(&frame);
-    assert_eq!(decode_frame(&buf), Err(WireError::BadVersion { got: 1 }));
+    assert_eq!(
+        decode_frame(&framed(&v1)),
+        Err(WireError::BadVersion { got: 1 })
+    );
+
+    // So is a version-2 submit: its tenant tag would read as the input
+    // tag of a version-3 body.
+    let v2 = [
+        2, // version
+        1, // MSG_SUBMIT
+        0, 0, 0, 0, // correlation
+        0, // deadline: default
+        0, // tenant: none
+        0, // input: sequence
+        1, 0, 0, 0, // one token
+        1, 0, 0, 0, // token 1
+    ];
+    assert_eq!(
+        decode_frame(&framed(&v2)),
+        Err(WireError::BadVersion { got: 2 })
+    );
+}
+
+/// Response statuses 3 (inbox full) and 5 (rate limited) were retired
+/// with version 3: they are unknown tags, not a refusal.
+#[test]
+fn retired_response_statuses_are_unknown_tags() {
+    for tag in [3, 5] {
+        let payload = [
+            3, // version
+            2, // MSG_RESPONSE
+            0, 0, 0, 0,   // correlation
+            tag, // status
+        ];
+        assert_eq!(
+            decode_frame(&framed(&payload)),
+            Err(WireError::UnknownTag {
+                field: "response status",
+                tag,
+            })
+        );
+    }
 }
 
 #[test]
@@ -219,18 +258,15 @@ fn forged_token_count_cannot_over_allocate() {
     // A sequence claiming u32::MAX tokens with a 12-byte body must fail
     // on the count check, not attempt a 16 GiB allocation.
     let mut frame = vec![
-        2, // version
+        3, // version
         1, // MSG_SUBMIT
         0, 0, 0, 0, // correlation
         0, // deadline: default
-        0, // tenant: none
         0, // input: sequence
     ];
     frame.extend_from_slice(&u32::MAX.to_le_bytes());
-    let mut buf = (frame.len() as u32).to_le_bytes().to_vec();
-    buf.extend_from_slice(&frame);
     assert_eq!(
-        decode_frame(&buf),
+        decode_frame(&framed(&frame)),
         Err(WireError::BadValue {
             field: "sequence length"
         })

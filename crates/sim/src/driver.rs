@@ -15,9 +15,8 @@ use crate::server::{Server, SimRequest};
 /// in the embedded [`ServeConfig`] (`serve`), so a deployment
 /// configures them once for simulator and runtime alike and hands the
 /// finished config over with [`SimOptions::serve_config`]. The
-/// remaining fields are simulation-only. (`queue_cap`, `shards` and
-/// `tenant_rate` in the serve config have no simulator equivalent and
-/// are ignored.)
+/// remaining fields are simulation-only. (`shards` in the serve config
+/// has no simulator equivalent and is ignored.)
 ///
 /// Built fluently (`#[non_exhaustive]` forbids out-of-crate literal
 /// construction so new knobs can be added compatibly):

@@ -45,8 +45,6 @@ impl fmt::Display for BatchReason {
 pub enum RejectReason {
     /// The active-request cap was reached.
     AtCapacity,
-    /// The manager's bounded message queue was full.
-    QueueFull,
 }
 
 impl RejectReason {
@@ -54,7 +52,6 @@ impl RejectReason {
     pub fn label(self) -> &'static str {
         match self {
             RejectReason::AtCapacity => "at_capacity",
-            RejectReason::QueueFull => "queue_full",
         }
     }
 }

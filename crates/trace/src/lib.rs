@@ -8,8 +8,6 @@
 //!
 //! - [`NoopSink`] — the default; [`TraceSink::enabled`] returns `false`
 //!   so instrumented hot paths skip event construction entirely;
-//! - [`CounterSink`] — per-event-kind atomic counters for cheap
-//!   always-on accounting;
 //! - [`RingBufferSink`] — a bounded drop-oldest buffer capturing full
 //!   events for export, counting what it drops;
 //! - [`SamplingSink`] — per-request head sampling in front of another
@@ -40,4 +38,4 @@ pub use bm_telemetry::json;
 
 pub use chrome::{chrome_trace, chrome_trace_with_meta};
 pub use event::{BatchReason, EventKind, RejectReason, TraceEvent, KIND_NAMES, NUM_EVENT_KINDS};
-pub use sink::{noop, CounterSink, NoopSink, RingBufferSink, SamplingSink, TraceSink};
+pub use sink::{noop, NoopSink, RingBufferSink, SamplingSink, TraceSink};

@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use crate::event::{EventKind, TraceEvent, KIND_NAMES, NUM_EVENT_KINDS};
+use crate::event::{EventKind, TraceEvent};
 
 /// A destination for trace events.
 ///
@@ -47,45 +47,6 @@ impl TraceSink for NoopSink {
 /// A shared no-op sink — the default for every options struct.
 pub fn noop() -> Arc<dyn TraceSink> {
     Arc::new(NoopSink)
-}
-
-/// Counts events per kind with relaxed atomics — cheap enough to leave
-/// on in production for always-on counters.
-#[derive(Debug, Default)]
-pub struct CounterSink {
-    counts: [AtomicU64; NUM_EVENT_KINDS],
-}
-
-impl CounterSink {
-    /// A fresh zeroed counter sink.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The count recorded for one event kind (by [`EventKind::index`]).
-    pub fn count(&self, kind_index: usize) -> u64 {
-        self.counts[kind_index].load(Ordering::Relaxed)
-    }
-
-    /// Snapshot of `(kind name, count)` pairs, all kinds.
-    pub fn snapshot(&self) -> Vec<(&'static str, u64)> {
-        KIND_NAMES
-            .iter()
-            .zip(&self.counts)
-            .map(|(n, c)| (*n, c.load(Ordering::Relaxed)))
-            .collect()
-    }
-
-    /// Total events recorded.
-    pub fn total(&self) -> u64 {
-        self.counts.iter().map(|c| c.load(Ordering::Relaxed)).sum()
-    }
-}
-
-impl TraceSink for CounterSink {
-    fn record(&self, event: TraceEvent) {
-        self.counts[event.kind.index()].fetch_add(1, Ordering::Relaxed);
-    }
 }
 
 #[derive(Debug)]
@@ -285,7 +246,7 @@ impl TraceSink for SamplingSink {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{EventKind, RejectReason};
+    use crate::event::EventKind;
 
     fn ev(ts: u64) -> TraceEvent {
         TraceEvent {
@@ -299,36 +260,6 @@ mod tests {
         let s = NoopSink;
         assert!(!s.enabled());
         s.record(ev(1)); // must not panic
-    }
-
-    #[test]
-    fn counter_sink_counts_per_kind() {
-        let s = CounterSink::new();
-        s.record(ev(1));
-        s.record(ev(2));
-        s.record(TraceEvent {
-            ts_us: 3,
-            kind: EventKind::RequestRejected {
-                request: 0,
-                reason: RejectReason::QueueFull,
-            },
-        });
-        assert_eq!(s.total(), 3);
-        let snap = s.snapshot();
-        assert_eq!(
-            snap.iter()
-                .find(|(n, _)| *n == "request_expired")
-                .unwrap()
-                .1,
-            2
-        );
-        assert_eq!(
-            snap.iter()
-                .find(|(n, _)| *n == "request_rejected")
-                .unwrap()
-                .1,
-            1
-        );
     }
 
     #[test]
@@ -364,12 +295,18 @@ mod tests {
 
     #[test]
     fn sampling_rate_extremes() {
-        let all = SamplingSink::new(Arc::new(CounterSink::new()), 1.0);
-        let none = SamplingSink::new(Arc::new(CounterSink::new()), 0.0);
+        let kept = Arc::new(RingBufferSink::new(1000));
+        let dropped = Arc::new(RingBufferSink::new(1000));
+        let all = SamplingSink::new(kept.clone(), 1.0);
+        let none = SamplingSink::new(dropped.clone(), 0.0);
         for r in 0..1000 {
             assert!(all.keeps(r), "rate 1.0 must keep request {r}");
             assert!(!none.keeps(r), "rate 0.0 must keep nothing, kept {r}");
+            all.record(ev(r));
+            none.record(ev(r));
         }
+        assert_eq!((kept.len(), all.sampled_out()), (1000, 0));
+        assert_eq!((dropped.len(), none.sampled_out()), (0, 1000));
     }
 
     #[test]
