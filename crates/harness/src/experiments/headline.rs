@@ -49,7 +49,12 @@ pub fn run(scale: Scale) -> Vec<Table> {
 
     // Seq2Seq (Figure 13, 2 GPUs).
     let (s2s, _) = fig13::run_points(scale, 2);
-    let by = |name: &str| &s2s.iter().find(|(n, _)| n == name).unwrap().1;
+    let by = |name: &str| {
+        &s2s.iter()
+            .find(|(n, _)| n == name)
+            .unwrap_or_else(|| panic!("fig13 ran no system named {name}"))
+            .1
+    };
     let bm_s2s = peak_throughput(by("BatchMaker-512,256"), "BatchMaker");
     let mx_s2s = peak_throughput(by("MXNet"), "MXNet");
     t.push_row(vec![

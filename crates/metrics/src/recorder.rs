@@ -146,8 +146,18 @@ impl LatencyRecorder {
     pub fn summary(&self) -> Summary {
         assert!(!self.timings.is_empty(), "summary of empty recorder");
         let lat = self.latency_cdf();
-        let first_arrival = self.timings.iter().map(|t| t.arrival_us).min().unwrap();
-        let last_completion = self.timings.iter().map(|t| t.completion_us).max().unwrap();
+        let first_arrival = self
+            .timings
+            .iter()
+            .map(|t| t.arrival_us)
+            .min()
+            .expect("non-empty");
+        let last_completion = self
+            .timings
+            .iter()
+            .map(|t| t.completion_us)
+            .max()
+            .expect("non-empty");
         let span_s = ((last_completion - first_arrival).max(1)) as f64 / 1e6;
         Summary {
             count: self.timings.len(),

@@ -8,10 +8,10 @@
 //!   [`WireError`], never a panic.
 //! - [`NetServer`]: a hand-rolled non-blocking TCP event loop over a
 //!   [`Runtime`](bm_core::Runtime), with admission control at accept
-//!   time and per-connection backpressure, running on the
-//!   [`readiness`] backend the platform offers — raw-syscall epoll +
-//!   eventfd completion wakeups on Linux x86_64, a portable polled scan
-//!   everywhere else.
+//!   time and per-connection backpressure. One loop body learns what is
+//!   ready from the [`readiness`] poller the platform offers —
+//!   raw-syscall epoll + eventfd completion wakeups on Linux x86_64, a
+//!   portable polled scan everywhere else.
 //! - [`NetClient`]: a blocking, pipeline-capable client used by the
 //!   tests and the repo's benchmark (`benchmark/`).
 //!
@@ -38,7 +38,6 @@ pub mod server;
 pub mod wire;
 
 pub use client::{NetClient, NetError};
-pub use readiness::{Epoll, Event, EventFd, Events, Interest, SysError, SysErrorKind};
 pub use server::{NetServer, NetServerOptions, NetStatsView};
 pub use wire::{
     decode_frame, encode_response, encode_submit, Frame, Message, NetReject, NetResponse,

@@ -18,33 +18,22 @@
 //! [`bm_core::CompletionQueue`] — there are no per-connection reaper
 //! threads and no per-request channels — and are written back in
 //! submission order per connection (clients match concurrent submits
-//! by correlation id). While shard 0 has work the loop does not block
-//! (`epoll_wait` with a zero timeout), so arrivals join at the next
-//! scheduling boundary; I/O waits for at most one pass.
+//! by correlation id).
 //!
-//! How the loop learns that sockets and completions are ready is the
-//! [`crate::readiness`] backend, chosen by the platform at bind time —
-//! epoll where [`readiness::SUPPORTED`] holds and the epoll set
-//! assembles, the polled scan otherwise:
-//!
-//! - **epoll** (Linux x86_64): one blocked `epoll_wait` covers the
-//!   listener, every connection and an eventfd that other threads
-//!   signal — shards ≥ 1 after queueing a completion, in-process
-//!   submitters after sending shard 0 a request; the loop never
-//!   signals itself. The wait ends no later than shard 0's nearest
-//!   deadline. Idle connections cost nothing; write-blocked
-//!   connections register write interest instead of sleeping;
-//!   backpressured connections drop read interest instead of being
-//!   re-scanned.
-//! - **polled** (everywhere else, and where the kernel refuses epoll —
-//!   fd limits, seccomp; the in-crate tests hold the two backends
-//!   byte-identical): a scan of
-//!   non-blocking sockets with an adaptive exponential idle backoff
-//!   (50 µs doubling to a 2 ms cap, shortened by shard 0's nearest
-//!   deadline). Nothing wakes it early: completions from shards ≥ 1
-//!   and in-process submissions to shard 0 wait out the backoff. The
-//!   same backoff paces write retries after `WouldBlock` — there is no
-//!   constant-sleep retry loop.
+//! The loop has one body. Each iteration starts with one wait on the
+//! [`crate::readiness`] poller, which reports the ready listener and
+//! connections: epoll on Linux x86_64 ([`readiness::SUPPORTED`]), a
+//! polled scan elsewhere or where the kernel refuses the epoll set.
+//! [`NetServer::readiness_backend`] says which. The wait does not block
+//! while shard 0 has work, so arrivals join at the next scheduling
+//! boundary, and otherwise ends no later than shard 0's nearest
+//! deadline. Other threads end it early through the poller's waker:
+//! shards ≥ 1 after queueing a completion, in-process submitters after
+//! sending shard 0 a request; the loop never wakes itself (the scan
+//! has no waker; its sleep is at most 2 ms). Every connection is
+//! registered with the interest it has now — read unless paused, write
+//! while bytes are queued — so write-blocked connections wait for
+//! writability and backpressured ones are not read.
 //!
 //! **Shutdown** stops accepting, flushes every owed response, then
 //! passes shard 0 until it is empty, so in-process requests submitted
@@ -76,30 +65,21 @@ use bm_core::{
 use bm_model::Model;
 use bm_telemetry::Snapshot;
 
-use crate::readiness::{self, Epoll, EventFd, Events, Interest};
+use crate::readiness::{self, Event, Interest, Poller, Waker, LISTENER};
 use crate::wire::{self, Message, NetReject, NetResponse};
 
 /// Bytes read from a socket per `read` call.
 const READ_CHUNK: usize = 64 * 1024;
 
-/// Events buffered per `epoll_wait`.
-const EVENTS_CAP: usize = 256;
-
-/// Safety-net timeout for `epoll_wait`: every wake source (sockets,
-/// listener, completion eventfd, shutdown wake) is registered and the
-/// hosted shard's deadlines shorten the wait, so this only bounds how
-/// stale a missed edge could get.
-const EPOLL_TIMEOUT_MS: i32 = 100;
+/// Safety-net bound on a wait: every wake source (sockets, listener,
+/// completion wakes, shutdown wake) is registered and the hosted
+/// shard's deadlines shorten the wait, so this only bounds how stale a
+/// missed edge could get.
+const WAIT_CAP: Duration = Duration::from_millis(100);
 
 /// How long shutdown keeps flushing pending responses to clients that
 /// have stopped reading before giving up on them.
 const SHUTDOWN_FLUSH: Duration = Duration::from_secs(5);
-
-/// Epoll token for the listener (connection ids are `u32`, so the top
-/// two `u64` values can never collide with one).
-const TOKEN_LISTENER: u64 = u64::MAX;
-/// Epoll token for the completion-queue eventfd.
-const TOKEN_WAKER: u64 = u64::MAX - 1;
 
 /// Front-door configuration on top of the runtime's own options.
 #[derive(Clone)]
@@ -171,7 +151,9 @@ struct NetStats {
 pub struct NetStatsView {
     /// Connections accepted.
     pub accepted: u64,
-    /// Connections refused at the admission cap.
+    /// Connections refused: at the admission cap, or because the socket
+    /// could not be made non-blocking and no-delay or be registered
+    /// with the readiness poller.
     pub refused: u64,
     /// Well-formed frames decoded.
     pub frames_in: u64,
@@ -217,8 +199,7 @@ struct Conn {
     /// Write side failed: responses are discarded (the counts still
     /// tick) and the connection is retired immediately.
     write_broken: bool,
-    /// The interest currently registered with the epoll (unused by
-    /// the polled backend).
+    /// The interest currently registered with the poller.
     cur_interest: Interest,
 }
 
@@ -233,66 +214,6 @@ impl Conn {
     }
 }
 
-/// The readiness backend driving the event loop.
-enum Backend {
-    /// Portable polled scan with adaptive idle backoff.
-    Polled,
-    /// Linux x86_64 epoll + eventfd (see [`crate::readiness`]).
-    Epoll {
-        ep: Epoll,
-        efd: Arc<EventFd>,
-        events: Events,
-    },
-}
-
-impl Backend {
-    fn label(&self) -> &'static str {
-        match self {
-            Backend::Polled => "polled",
-            Backend::Epoll { .. } => "epoll",
-        }
-    }
-
-    fn epoll(&self) -> Option<&Epoll> {
-        match self {
-            Backend::Polled => None,
-            Backend::Epoll { ep, .. } => Some(ep),
-        }
-    }
-
-    /// The eventfd that wakes the loop out of `epoll_wait`; `None` on
-    /// the polled backend (its sleep is bounded at 2 ms).
-    fn waker(&self) -> Option<Arc<EventFd>> {
-        match self {
-            Backend::Polled => None,
-            Backend::Epoll { efd, .. } => Some(Arc::clone(efd)),
-        }
-    }
-
-    /// The backend this platform gets: epoll with `listener` and a wake
-    /// eventfd registered where [`readiness::SUPPORTED`] holds and the
-    /// kernel grants the descriptors (fd limits and seccomp can refuse),
-    /// the polled scan otherwise.
-    fn for_platform(listener: &TcpListener) -> Backend {
-        if !readiness::SUPPORTED {
-            return Backend::Polled;
-        }
-        let assemble = || -> Result<Backend, readiness::SysError> {
-            let ep = Epoll::new()?;
-            let efd = Arc::new(EventFd::new()?);
-            ep.register(
-                readiness::raw_fd_of_listener(listener),
-                TOKEN_LISTENER,
-                Interest::READ,
-            )?;
-            ep.register(efd.raw_fd(), TOKEN_WAKER, Interest::READ)?;
-            let events = Events::with_capacity(EVENTS_CAP);
-            Ok(Backend::Epoll { ep, efd, events })
-        };
-        assemble().unwrap_or(Backend::Polled)
-    }
-}
-
 /// The serving front door. Binds, serves until [`NetServer::shutdown`],
 /// and owns the backing [`Runtime`].
 pub struct NetServer {
@@ -300,11 +221,9 @@ pub struct NetServer {
     runtime: Arc<Runtime>,
     stats: Arc<NetStats>,
     stop: Arc<AtomicBool>,
-    /// Wakes the epoll loop out of `epoll_wait` for shutdown; `None`
-    /// on the polled backend.
-    waker: Option<Arc<EventFd>>,
+    /// Wakes the event loop's wait for shutdown.
+    waker: Waker,
     ingest: Option<JoinHandle<()>>,
-    backend: &'static str,
 }
 
 impl NetServer {
@@ -322,42 +241,36 @@ impl NetServer {
         addr: A,
     ) -> std::io::Result<NetServer> {
         let listener = TcpListener::bind(addr)?;
-        let backend = Backend::for_platform(&listener);
-        NetServer::serve(model, opts, listener, backend)
+        let poller = Poller::for_platform(&listener);
+        NetServer::serve(model, opts, listener, poller)
     }
 
-    /// Starts the runtime and the event loop on `backend`, handing the
+    /// Starts the runtime and the event loop on `poller`, handing the
     /// runtime's shard 0 to the loop to host.
     fn serve(
         model: Arc<dyn Model>,
         opts: NetServerOptions,
         listener: TcpListener,
-        backend: Backend,
+        poller: Poller,
     ) -> std::io::Result<NetServer> {
         listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
-        let waker = backend.waker();
-        let backend_label = backend.label();
+        let waker = poller.waker();
         let stats = Arc::new(NetStats::default());
         let stop = Arc::new(AtomicBool::new(false));
 
-        // Wakes the loop out of `epoll_wait` from any other thread — a
-        // shard ≥ 1 queueing a completion, an in-process submission to
-        // shard 0 — and does nothing on the loop itself, which is awake
-        // (the loop records its thread before it reads a byte). Wakes
-        // coalesce in the eventfd counter; the polled scan needs none
-        // (its sleep is at most 2 ms).
+        // Wakes the loop's wait from any other thread — a shard ≥ 1
+        // queueing a completion, an in-process submission to shard 0 —
+        // and does nothing on the loop itself, which is awake (the loop
+        // records its thread before it reads a byte).
         let loop_thread = Arc::new(OnceLock::new());
-        let wake: Arc<dyn Fn() + Send + Sync> = match backend.waker() {
-            Some(efd) => {
-                let loop_thread = Arc::clone(&loop_thread);
-                Arc::new(move || {
-                    if loop_thread.get() != Some(&thread::current().id()) {
-                        efd.wake();
-                    }
-                })
-            }
-            None => Arc::new(|| {}),
+        let wake: Arc<dyn Fn() + Send + Sync> = {
+            let (loop_thread, waker) = (Arc::clone(&loop_thread), waker.clone());
+            Arc::new(move || {
+                if loop_thread.get() != Some(&thread::current().id()) {
+                    waker.wake();
+                }
+            })
         };
         let (queue, completions) = completion_queue();
         let queue = queue.with_waker(Arc::clone(&wake));
@@ -367,7 +280,7 @@ impl NetServer {
         let ingest = {
             let ctx = EventLoop {
                 listener: Some(listener),
-                backend,
+                poller,
                 opts,
                 runtime: Arc::clone(&runtime),
                 hosted,
@@ -391,7 +304,6 @@ impl NetServer {
             stop,
             waker,
             ingest: Some(ingest),
-            backend: backend_label,
         })
     }
 
@@ -403,7 +315,7 @@ impl NetServer {
     /// The readiness backend the event loop runs on: `"epoll"` or
     /// `"polled"`.
     pub fn readiness_backend(&self) -> &'static str {
-        self.backend
+        self.waker.label()
     }
 
     /// The backing runtime (in-process submission, shard count, clock,
@@ -450,9 +362,7 @@ impl Drop for NetServer {
             return;
         };
         self.stop.store(true, Ordering::SeqCst);
-        if let Some(w) = &self.waker {
-            w.wake();
-        }
+        self.waker.wake();
         let _ = h.join();
     }
 }
@@ -460,7 +370,7 @@ impl Drop for NetServer {
 /// Everything the event thread owns.
 struct EventLoop {
     listener: Option<TcpListener>,
-    backend: Backend,
+    poller: Poller,
     opts: NetServerOptions,
     runtime: Arc<Runtime>,
     /// Shard 0, whose passes run on this thread.
@@ -474,7 +384,7 @@ struct EventLoop {
 fn event_loop(ctx: EventLoop) {
     let EventLoop {
         mut listener,
-        mut backend,
+        mut poller,
         opts,
         runtime,
         mut hosted,
@@ -486,109 +396,63 @@ fn event_loop(ctx: EventLoop) {
     let mut conns: HashMap<u32, Conn> = HashMap::new();
     let mut next_conn_id: u32 = 0;
     let mut chunk = vec![0u8; READ_CHUNK];
+    // What the last wait reported ready, reused across iterations.
+    let mut ready: Vec<Event> = Vec::new();
     // Requests decoded this pass, submitted as one batch below.
     let mut batch: Vec<(u64, Request)> = Vec::new();
     // Tagged submissions the runtime has accepted but not yet
     // resolved; shutdown drains to zero before exiting.
     let mut outstanding: usize = 0;
-    let mut idle_passes: u32 = 0;
     let mut stop_deadline: Option<Instant> = None;
     // Whether shard 0's last pass did work: then the loop must not
     // block, so what arrives meanwhile joins at the next scheduling
     // boundary.
     let mut shard_busy = false;
-    // Whether the loop blocked (a timed `epoll_wait`, a backoff sleep)
-    // since shard 0's last pass: the next pass is a wake-up.
-    let mut parked = false;
+    // Whether the iteration did any work; the next wait reads it (the
+    // scan sleeps only after an idle iteration).
+    let mut progressed = true;
 
     loop {
         let stopping = stop.load(Ordering::Relaxed);
-        if stopping && listener.is_some() {
-            // Stop accepting: close the listener (which also removes
-            // it from the epoll set) and start the flush deadline.
-            if let (Some(ep), Some(l)) = (backend.epoll(), &listener) {
-                let _ = ep.deregister(readiness::raw_fd_of_listener(l));
+        if stopping {
+            // Stop accepting: close the listener and start the flush
+            // deadline.
+            if let Some(l) = listener.take() {
+                poller.deregister(readiness::raw_fd_of_listener(&l), LISTENER);
+                stop_deadline = Some(Instant::now() + SHUTDOWN_FLUSH);
             }
-            listener = None;
-            stop_deadline = Some(Instant::now() + SHUTDOWN_FLUSH);
         }
 
-        let mut progressed = false;
-
         // ── Input phase: learn what is ready; read and decode it. ──
-        match &mut backend {
-            Backend::Polled => {
+        let timeout = if shard_busy {
+            Duration::ZERO
+        } else {
+            wait_timeout(hosted.next_deadline(), stopping)
+        };
+        // Whether the loop blocked since shard 0's last pass: the next
+        // pass is a wake-up.
+        let parked = poller.wait(&mut ready, timeout, progressed);
+        progressed = false;
+        for ev in &ready {
+            if ev.token == LISTENER {
                 if let Some(l) = &listener {
-                    progressed |= accept_all(l, None, &mut conns, &mut next_conn_id, &opts, &stats);
-                }
-                let ids: Vec<u32> = conns.keys().copied().collect();
-                for id in ids {
-                    let Some(c) = conns.get_mut(&id) else {
-                        continue;
-                    };
-                    // Backpressure: stop reading while the window is
-                    // full, so TCP flow control reaches the client.
-                    if c.dead || stopping || c.pending.len() >= opts.max_inflight {
-                        continue;
-                    }
                     progressed |=
-                        read_conn(id, c, &mut chunk, &mut batch, &stats, opts.max_inflight);
+                        accept_all(l, &mut poller, &mut conns, &mut next_conn_id, &opts, &stats);
                 }
+                continue;
             }
-            Backend::Epoll { ep, efd, events } => {
-                let timeout = if shard_busy {
-                    0
-                } else {
-                    wait_ms(hosted.next_deadline(), stopping)
-                };
-                let _ = ep.wait(events, timeout);
-                parked = timeout != 0;
-                // Drain the wakeup counter *before* the completion
-                // pump below: a wake posted after the pump empties the
-                // queue then stays pending and re-triggers the next
-                // wait, so no completion is ever stranded.
-                efd.drain();
-                let ready: Vec<readiness::Event> = events.iter().collect();
-                for ev in ready {
-                    match ev.token {
-                        TOKEN_WAKER => {}
-                        TOKEN_LISTENER => {
-                            if let Some(l) = &listener {
-                                progressed |= accept_all(
-                                    l,
-                                    Some(ep),
-                                    &mut conns,
-                                    &mut next_conn_id,
-                                    &opts,
-                                    &stats,
-                                );
-                            }
-                        }
-                        token => {
-                            let id = token as u32;
-                            let Some(c) = conns.get_mut(&id) else {
-                                continue;
-                            };
-                            if ev.readable && !c.dead && !stopping {
-                                progressed |= read_conn(
-                                    id,
-                                    c,
-                                    &mut chunk,
-                                    &mut batch,
-                                    &stats,
-                                    opts.max_inflight,
-                                );
-                            } else if ev.error {
-                                // Error/hangup with nothing readable:
-                                // the peer is gone.
-                                c.dead = true;
-                            }
-                            if ev.writable && !c.wbuf.is_empty() {
-                                progressed |= flush_wbuf(c);
-                            }
-                        }
-                    }
-                }
+            let id = ev.token as u32;
+            let Some(c) = conns.get_mut(&id) else {
+                continue;
+            };
+            if ev.readable && !c.dead && !stopping {
+                progressed |= read_conn(id, c, &mut chunk, &mut batch, &stats, opts.max_inflight);
+            } else if ev.error {
+                // Error/hangup with nothing readable: the peer is gone.
+                c.dead = true;
+            }
+            if ev.writable && !c.wbuf.is_empty() {
+                progressed |= flush_wbuf(c);
             }
         }
 
@@ -614,7 +478,6 @@ fn event_loop(ctx: EventLoop) {
         // ── Shard 0's pass: admit what was just submitted (and what
         // other threads sent), expire, one dispatch, resolve. ──
         shard_busy = hosted.pass(parked);
-        parked = false;
         progressed |= shard_busy;
 
         // ── Completion pump: everything the runtime resolved. ──
@@ -648,29 +511,23 @@ fn event_loop(ctx: EventLoop) {
         }
 
         // ── Retire finished connections. ──
-        let ep = backend.epoll();
-        conns.retain(|_, c| {
+        conns.retain(|id, c| {
             let finished = c.write_broken || (c.dead && c.pending.is_empty() && c.wbuf.is_empty());
             if finished {
-                if let Some(ep) = ep {
-                    // Tolerant deregister: closing the fd (on drop
-                    // below) removes it from the set anyway.
-                    let _ = ep.deregister(c.fd);
-                }
+                poller.deregister(c.fd, u64::from(*id));
             }
             !finished
         });
 
-        // ── Interest maintenance (epoll only): read unless paused,
-        // write while bytes are queued. ──
-        if let Some(ep) = ep {
-            for (id, c) in conns.iter_mut() {
-                let read_on = !c.dead && !stopping && c.pending.len() < opts.max_inflight;
-                let write_on = !c.wbuf.is_empty() && !c.write_broken;
-                let want = Interest::new(read_on, write_on);
-                if want != c.cur_interest && ep.reregister(c.fd, u64::from(*id), want).is_ok() {
-                    c.cur_interest = want;
-                }
+        // ── Interest maintenance: read unless paused (backpressure:
+        // with the window full the socket is not read, so TCP flow
+        // control reaches the client), write while bytes are queued. ──
+        for (id, c) in conns.iter_mut() {
+            let read_on = !c.dead && !stopping && c.pending.len() < opts.max_inflight;
+            let write_on = !c.wbuf.is_empty() && !c.write_broken;
+            let want = Interest::new(read_on, write_on);
+            if want != c.cur_interest && poller.reregister(c.fd, u64::from(*id), want).is_ok() {
+                c.cur_interest = want;
             }
         }
 
@@ -686,23 +543,6 @@ fn event_loop(ctx: EventLoop) {
                 break;
             }
         }
-
-        // The polled scan's pacing: adaptive exponential backoff from
-        // 50 µs to a 2 ms cap (shorter if shard 0 has a deadline due)
-        // whenever a pass makes no progress. This is also the
-        // write-retry backoff — a `WouldBlock`ed write with nothing
-        // else moving retries on this schedule instead of a
-        // constant-sleep spin.
-        if let Backend::Polled = &backend {
-            if progressed {
-                idle_passes = 0;
-            } else {
-                idle_passes = idle_passes.saturating_add(1);
-                let nap = Duration::from_micros((50u64 << idle_passes.min(6)).min(2_000));
-                thread::sleep(hosted.next_deadline().map_or(nap, |d| d.min(nap)));
-                parked = true;
-            }
-        }
     }
 
     // Requests submitted in-process before the stop may still be in
@@ -710,21 +550,23 @@ fn event_loop(ctx: EventLoop) {
     while hosted.pass(false) {}
 }
 
-/// How long `epoll_wait` may block while shard 0 has nothing to run:
-/// until its nearest deadline (rounded up to a whole millisecond), at
-/// most the safety-net timeout, and 1 ms while stopping.
-fn wait_ms(deadline: Option<Duration>, stopping: bool) -> i32 {
-    let cap = if stopping { 1 } else { EPOLL_TIMEOUT_MS };
-    deadline.map_or(cap, |d| {
-        i32::try_from(d.as_micros().div_ceil(1000)).map_or(cap, |ms| ms.min(cap))
-    })
+/// How long the wait may block while shard 0 has nothing to run: until
+/// its nearest deadline, at most the safety-net cap, and 1 ms while
+/// stopping.
+fn wait_timeout(deadline: Option<Duration>, stopping: bool) -> Duration {
+    let cap = if stopping {
+        Duration::from_millis(1)
+    } else {
+        WAIT_CAP
+    };
+    deadline.map_or(cap, |d| d.min(cap))
 }
 
 /// Accepts until the listener would block, applying the admission cap
-/// and (in epoll mode) registering each new socket.
+/// and registering each new socket with the poller.
 fn accept_all(
     listener: &TcpListener,
-    ep: Option<&Epoll>,
+    poller: &mut Poller,
     conns: &mut HashMap<u32, Conn>,
     next_conn_id: &mut u32,
     opts: &NetServerOptions,
@@ -747,11 +589,9 @@ fn accept_all(
                 let id = *next_conn_id;
                 *next_conn_id = next_conn_id.wrapping_add(1);
                 let fd = readiness::raw_fd_of(&stream);
-                if let Some(ep) = ep {
-                    if ep.register(fd, u64::from(id), Interest::READ).is_err() {
-                        stats.refused.fetch_add(1, Ordering::Relaxed);
-                        continue;
-                    }
+                if poller.register(fd, u64::from(id), Interest::READ).is_err() {
+                    stats.refused.fetch_add(1, Ordering::Relaxed);
+                    continue;
                 }
                 stats.accepted.fetch_add(1, Ordering::Relaxed);
                 conns.insert(
@@ -874,10 +714,9 @@ fn mark_ready(conns: &mut HashMap<u32, Conn>, tag: u64, resp: NetResponse) {
 }
 
 /// Writes as much queued output as the socket accepts right now.
-/// `WouldBlock` leaves the remainder queued (the epoll backend
-/// registers write interest; the polled backend retries next pass
-/// under the adaptive backoff). A hard error marks the write side
-/// broken.
+/// `WouldBlock` leaves the remainder queued under write interest (the
+/// scan retries it after its idle backoff). A hard error marks the
+/// write side broken.
 fn flush_wbuf(c: &mut Conn) -> bool {
     let mut written = 0usize;
     while written < c.wbuf.len() {
@@ -937,12 +776,12 @@ fn outcome_response(outcome: ServedOutcome) -> NetResponse {
 
 #[cfg(test)]
 mod tests {
-    //! Polled-vs-epoll readiness backend identity.
+    //! Polled-vs-epoll readiness identity.
     //!
-    //! The platform picks the backend, so only code inside the crate can
+    //! The platform picks the poller, so only code inside the crate can
     //! put a server on the polled scan where epoll exists. These tests
-    //! drive the same deterministic workload through a server on each
-    //! backend — including under idle-connection load and mid-stream
+    //! drive the same deterministic workload through the one loop body
+    //! on each — including under idle-connection load and mid-stream
     //! disconnects — and assert the response streams are
     //! **byte-identical** once run-dependent timing is zeroed
     //! (wall-clock timing is the one field that legitimately differs
@@ -963,12 +802,12 @@ mod tests {
         let opts = NetServerOptions::new()
             .runtime(RuntimeOptions::new().serve_config(ServeConfig::new().shards(2)));
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-        let backend = if polled {
-            Backend::Polled
+        let poller = if polled {
+            Poller::scan()
         } else {
-            Backend::for_platform(&listener)
+            Poller::for_platform(&listener)
         };
-        NetServer::serve(model(), opts, listener, backend).expect("serve")
+        NetServer::serve(model(), opts, listener, poller).expect("serve")
     }
 
     /// Re-encodes a response with its (run-dependent) timing zeroed so
@@ -1071,14 +910,14 @@ mod tests {
 
     /// Serves `n` requests pipelined on one connection by a server with
     /// `shards` shards, and returns the eventfd wakes the event loop was
-    /// sent meanwhile plus the names of the process's threads while it
-    /// served.
+    /// sent meanwhile, the eventfd reads it made, and the names of the
+    /// process's threads while it served.
     fn serve_pipelined(
         model: Arc<dyn Model>,
         shards: usize,
         n: usize,
         request: impl Fn(usize) -> Request,
-    ) -> (u64, Vec<String>) {
+    ) -> (u64, u64, Vec<String>) {
         let opts = NetServerOptions::new()
             .runtime(RuntimeOptions::new().serve_config(ServeConfig::new().shards(shards)));
         let server = NetServer::bind(model, opts, "127.0.0.1:0").expect("bind");
@@ -1091,26 +930,27 @@ mod tests {
             let (_, resp) = client.recv().expect("recv");
             assert!(matches!(resp, NetResponse::Completed { .. }), "{resp:?}");
         }
-        let wakes = server.waker.as_ref().map_or(0, |w| w.wakes());
+        let (wakes, reads) = server.waker.counts();
         let threads = std::fs::read_dir("/proc/self/task")
             .expect("list threads")
             .filter_map(|t| std::fs::read_to_string(t.ok()?.path().join("comm")).ok())
             .map(|name| name.trim_end().to_string())
             .collect();
         server.shutdown();
-        (wakes, threads)
+        (wakes, reads, threads)
     }
 
     /// Shard 0 runs on the event loop: a one-shard server answers
-    /// socket requests with no thread of its own for the shard and
-    /// without a single completion wake.
+    /// socket requests with no thread of its own for the shard, without
+    /// a single completion wake, and so without reading the eventfd.
     #[test]
     fn shard_zero_answers_socket_requests_without_waking_the_loop() {
         if !readiness::SUPPORTED {
             return;
         }
-        let (wakes, threads) = serve_pipelined(model(), 1, 48, request);
+        let (wakes, reads, threads) = serve_pipelined(model(), 1, 48, request);
         assert_eq!(wakes, 0, "completion wakes from the hosted shard");
+        assert_eq!(reads, 0, "eventfd reads with no wake to consume");
         assert!(
             !threads.iter().any(|t| t == "bm-shard-0"),
             "shard 0 got a thread: {threads:?}"
@@ -1118,7 +958,9 @@ mod tests {
     }
 
     /// Completions resolved on another shard's thread still wake the
-    /// loop: seq2seq pairs are placed on shard 1 of 2.
+    /// loop: seq2seq pairs are placed on shard 1 of 2. The loop reads
+    /// the eventfd only when a wait reports it, which needs a wake since
+    /// the last read.
     #[test]
     fn completions_from_shard_one_wake_the_loop() {
         if !readiness::SUPPORTED {
@@ -1130,8 +972,9 @@ mod tests {
                 decode_len: 2,
             })
         };
-        let (wakes, _) = serve_pipelined(Arc::new(Seq2Seq::small()), 2, 16, pair);
+        let (wakes, reads, _) = serve_pipelined(Arc::new(Seq2Seq::small()), 2, 16, pair);
         assert!(wakes > 0, "shard 1's completions never woke the loop");
+        assert!(reads <= wakes, "{reads} eventfd reads for {wakes} wakes");
     }
 
     /// `epoll_wait` blocks until shard 0's nearest deadline, rounded up
@@ -1140,12 +983,15 @@ mod tests {
     #[test]
     fn the_wait_follows_the_nearest_deadline() {
         let ms = Duration::from_millis;
-        assert_eq!(wait_ms(None, false), EPOLL_TIMEOUT_MS);
+        let wait_ms = |d, stopping| readiness::timeout_ms(wait_timeout(d, stopping));
+        let cap = readiness::timeout_ms(WAIT_CAP);
+        assert_eq!(cap, 100);
+        assert_eq!(wait_ms(None, false), cap);
         assert_eq!(wait_ms(Some(Duration::ZERO), false), 0);
         assert_eq!(wait_ms(Some(Duration::from_micros(1_500)), false), 2);
         assert_eq!(wait_ms(Some(ms(7)), false), 7);
-        assert_eq!(wait_ms(Some(ms(10_000)), false), EPOLL_TIMEOUT_MS);
-        assert_eq!(wait_ms(Some(Duration::MAX), false), EPOLL_TIMEOUT_MS);
+        assert_eq!(wait_ms(Some(ms(10_000)), false), cap);
+        assert_eq!(wait_ms(Some(Duration::MAX), false), cap);
         assert_eq!(wait_ms(None, true), 1);
         assert_eq!(wait_ms(Some(Duration::ZERO), true), 0);
     }

@@ -78,7 +78,7 @@ impl Telemetry {
     /// calls with the same key return handles to the same shards.
     pub fn counter_with(&self, name: &str, labels: &[(&str, &str)]) -> Counter {
         let key = make_key(name, labels);
-        let mut g = self.inner.lock().unwrap();
+        let mut g = self.inner.lock().expect("metric registry lock poisoned");
         assert_unique(name, &key, &g.gauges, "gauge");
         assert_unique(name, &key, &g.histograms, "histogram");
         g.counters.entry(key).or_default().clone()
@@ -92,7 +92,7 @@ impl Telemetry {
     /// The gauge `name{labels}`, creating it on first use.
     pub fn gauge_with(&self, name: &str, labels: &[(&str, &str)]) -> Gauge {
         let key = make_key(name, labels);
-        let mut g = self.inner.lock().unwrap();
+        let mut g = self.inner.lock().expect("metric registry lock poisoned");
         assert_unique(name, &key, &g.counters, "counter");
         assert_unique(name, &key, &g.histograms, "histogram");
         g.gauges.entry(key).or_default().clone()
@@ -106,7 +106,7 @@ impl Telemetry {
     /// The histogram `name{labels}`, creating it on first use.
     pub fn histogram_with(&self, name: &str, labels: &[(&str, &str)]) -> Histogram {
         let key = make_key(name, labels);
-        let mut g = self.inner.lock().unwrap();
+        let mut g = self.inner.lock().expect("metric registry lock poisoned");
         assert_unique(name, &key, &g.counters, "counter");
         assert_unique(name, &key, &g.gauges, "gauge");
         g.histograms.entry(key).or_default().clone()
@@ -115,7 +115,7 @@ impl Telemetry {
     /// A point-in-time snapshot of every registered metric, entries
     /// sorted by `(name, labels)`.
     pub fn snapshot(&self) -> Snapshot {
-        let g = self.inner.lock().unwrap();
+        let g = self.inner.lock().expect("metric registry lock poisoned");
         let mut entries: Vec<MetricEntry> =
             Vec::with_capacity(g.counters.len() + g.gauges.len() + g.histograms.len());
         for ((name, labels), c) in &g.counters {

@@ -67,7 +67,7 @@ impl Scraper {
                         }
                         let snap = source();
                         observer(&snap);
-                        *latest.lock().unwrap() = Some(snap);
+                        *latest.lock().expect("scraper snapshot lock poisoned") = Some(snap);
                     }
                 })
                 .expect("spawn scraper thread")
@@ -82,7 +82,10 @@ impl Scraper {
 
     /// The most recent periodic snapshot, if one has been taken yet.
     pub fn latest(&self) -> Option<Snapshot> {
-        self.latest.lock().unwrap().clone()
+        self.latest
+            .lock()
+            .expect("scraper snapshot lock poisoned")
+            .clone()
     }
 
     /// Stops the thread, joins it, and returns a final fresh snapshot.

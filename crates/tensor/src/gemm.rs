@@ -184,7 +184,12 @@ impl std::fmt::Debug for PackedWeights {
 /// `*mut f32` that may cross threads; used to hand each pool chunk its
 /// own disjoint output rows. All unsafety stays inside [`gemm_into`].
 struct SendPtr(*mut f32);
+// SAFETY: the one field is a pointer into the caller's output slice,
+// which `gemm_into` keeps borrowed until the pool has finished every
+// chunk; each chunk derives a slice over rows no other chunk touches.
 unsafe impl Send for SendPtr {}
+// SAFETY: shared access only copies the pointer out (`get`); every
+// write through it goes to a chunk's own disjoint rows, as for `Send`.
 unsafe impl Sync for SendPtr {}
 
 impl SendPtr {

@@ -42,6 +42,8 @@ struct Job {
 // keeps alive until every chunk has executed (enforced by the blocking
 // wait in `ComputePool::run`); all other fields are Sync.
 unsafe impl Send for Job {}
+// SAFETY: as for `Send`: the closure behind `work` is `Sync`, and the
+// remaining fields are atomics and a mutex-guarded count.
 unsafe impl Sync for Job {}
 
 impl Job {
