@@ -20,7 +20,7 @@ use bm_tensor::io::WeightBundle;
 use bm_tensor::{ops, xavier_uniform, Matrix, Scratch};
 
 use crate::persist::{expect, expect_shape};
-use crate::state::{collect_outputs, CellOutput, InvocationInput, RowInvocation};
+use crate::state::RowInvocation;
 
 /// A GRU cell with its own embedding table.
 #[derive(Debug, Clone)]
@@ -86,27 +86,12 @@ impl GruCell {
         ])
     }
 
-    /// Runs one batched step; see [`crate::Cell::execute_batch`].
-    pub fn execute_batch(&self, inputs: &[InvocationInput<'_>]) -> Vec<CellOutput> {
-        self.execute_batch_in(inputs, &mut Scratch::new())
-    }
-
-    /// Scratch-arena variant of [`GruCell::execute_batch`]: gathers
+    /// Gather executor; see [`crate::Cell::execute_rows_in`]. Gathers
     /// straight into a scratch `[x, h]` buffer, runs fused affines and
     /// the two fused gate kernels, and rewrites the buffer's right half
     /// to `r * h` for the candidate gate instead of concatenating afresh
-    /// — bitwise identical to the unfused chain.
-    pub fn execute_batch_in(
-        &self,
-        inputs: &[InvocationInput<'_>],
-        s: &mut Scratch,
-    ) -> Vec<CellOutput> {
-        collect_outputs(inputs, |rows, emit| self.execute_rows_in(rows, s, emit))
-    }
-
-    /// Row-level executor; see [`crate::Cell::execute_rows_in`]. The
-    /// emitted `c` slice is always empty — a GRU state has no memory
-    /// cell.
+    /// — bitwise identical to the unfused chain. The emitted `c` slice
+    /// is always empty — a GRU state has no memory cell.
     pub fn execute_rows_in<F>(&self, inputs: &[RowInvocation<'_>], s: &mut Scratch, mut emit: F)
     where
         F: FnMut(usize, &[f32], &[f32], Option<u32>),
@@ -264,7 +249,8 @@ impl GruCell {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::state::CellState;
+    use crate::state::{CellState, StateRef};
+    use crate::tests::Outputs;
 
     fn cell() -> GruCell {
         GruCell::seeded(4, 5, 12, 77)
@@ -273,7 +259,7 @@ mod tests {
     #[test]
     fn state_has_no_memory_cell() {
         let c = cell();
-        let out = c.execute_batch(&[InvocationInput::token_only(2)]);
+        let out = c.outputs(&[RowInvocation::token_only(2)]);
         assert_eq!(out[0].state.h.len(), 5);
         assert!(out[0].state.c.is_empty());
     }
@@ -281,12 +267,9 @@ mod tests {
     #[test]
     fn batched_equals_sequential() {
         let c = cell();
-        let a = c.execute_batch(&[InvocationInput::token_only(1)]);
-        let b = c.execute_batch(&[InvocationInput::token_only(7)]);
-        let both = c.execute_batch(&[
-            InvocationInput::token_only(1),
-            InvocationInput::token_only(7),
-        ]);
+        let a = c.outputs(&[RowInvocation::token_only(1)]);
+        let b = c.outputs(&[RowInvocation::token_only(7)]);
+        let both = c.outputs(&[RowInvocation::token_only(1), RowInvocation::token_only(7)]);
         assert_eq!(both[0], a[0]);
         assert_eq!(both[1], b[0]);
     }
@@ -299,7 +282,7 @@ mod tests {
             c: Vec::new(),
         };
         for t in 0..20 {
-            let out = c.execute_batch(&[InvocationInput::chain(t % 12, &s)]);
+            let out = c.outputs(&[RowInvocation::chain(t % 12, StateRef::of(&s))]);
             s = out.into_iter().next().unwrap().state;
             assert!(s.h.iter().all(|v| v.abs() <= 1.0));
         }
@@ -308,8 +291,8 @@ mod tests {
     #[test]
     fn chain_changes_state() {
         let c = cell();
-        let a = c.execute_batch(&[InvocationInput::token_only(3)]);
-        let b = c.execute_batch(&[InvocationInput::chain(3, &a[0].state)]);
+        let a = c.outputs(&[RowInvocation::token_only(3)]);
+        let b = c.outputs(&[RowInvocation::chain(3, StateRef::of(&a[0].state))]);
         assert_ne!(a[0].state, b[0].state);
     }
 }

@@ -12,10 +12,10 @@
 //!   [`EncoderCell`], [`DecoderCell`], [`TreeLeafCell`],
 //!   [`TreeInternalCell`], all expressed over `bm-tensor` kernels;
 //! - the type-erased [`Cell`] enum with two batched execution paths:
-//!   the §4.3 gather path ([`Cell::execute_batch`] /
-//!   [`Cell::execute_rows_in`] — rows from many requests are copied
-//!   into one contiguous batch, the cell runs once, and results scatter
-//!   back per request) and the resident-state path
+//!   the §4.3 gather path ([`Cell::execute_rows_in`] over
+//!   [`RowInvocation`]s — rows from many requests are copied into one
+//!   contiguous batch, the cell runs once, and results scatter back per
+//!   request through an emit callback) and the resident-state path
 //!   ([`Cell::step_resident`] — chain cells keep each request's state
 //!   parked in a row of a persistent batch matrix described by
 //!   [`ResidentLayout`], so the steady-state step moves no state and
@@ -43,7 +43,7 @@ pub use lstm::LstmCell;
 pub use registry::{CellMeta, CellRegistry};
 pub use seq2seq::{DecoderCell, EncoderCell};
 pub use signature::{CellSignature, CellTypeId};
-pub use state::{CellOutput, CellState, InvocationInput, ResidentLayout, RowInvocation, StateRef};
+pub use state::{CellOutput, CellState, ResidentLayout, RowInvocation, StateRef};
 pub use tree::{TreeInternalCell, TreeLeafCell};
 
 pub use bm_tensor::Scratch;
@@ -124,56 +124,20 @@ impl Cell {
         }
     }
 
-    /// Executes the cell once over a batch of invocations.
+    /// The §4.3 gather executor: runs the cell once over a batch of
+    /// invocations.
     ///
-    /// The executor gathers per-invocation rows into contiguous matrices,
-    /// runs the cell's dataflow once at batch size `inputs.len()`, and
-    /// scatters the rows of the result back into per-invocation outputs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `inputs` is empty or any invocation does not match the
-    /// cell's arity (wrong number of states, missing token).
-    pub fn execute_batch(&self, inputs: &[InvocationInput<'_>]) -> Vec<CellOutput> {
-        self.execute_batch_in(inputs, &mut Scratch::new())
-    }
-
-    /// Scratch-arena variant of [`Cell::execute_batch`] used by runtime
-    /// workers: batch intermediates are recycled through `scratch`
-    /// instead of allocated per step, so steady-state serving does no
-    /// per-step heap traffic. Results are bitwise identical to
-    /// [`Cell::execute_batch`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `inputs` is empty or any invocation does not match the
-    /// cell's arity (wrong number of states, missing token).
-    pub fn execute_batch_in(
-        &self,
-        inputs: &[InvocationInput<'_>],
-        scratch: &mut Scratch,
-    ) -> Vec<CellOutput> {
-        assert!(!inputs.is_empty(), "execute_batch on empty batch");
-        match self {
-            Cell::Lstm(c) => c.execute_batch_in(inputs, scratch),
-            Cell::Gru(c) => c.execute_batch_in(inputs, scratch),
-            Cell::Encoder(c) => c.execute_batch_in(inputs, scratch),
-            Cell::Decoder(c) => c.execute_batch_in(inputs, scratch),
-            Cell::TreeLeaf(c) => c.execute_batch_in(inputs, scratch),
-            Cell::TreeInternal(c) => c.execute_batch_in(inputs, scratch),
-        }
-    }
-
-    /// Zero-copy executor used by the runtime's state-arena data plane.
-    ///
-    /// Gathers borrowed state rows ([`RowInvocation`]) straight into the
-    /// batch matrices, runs the cell once, and hands each result row to
+    /// Gathers the borrowed state rows of each [`RowInvocation`] into
+    /// contiguous batch matrices (reused through `scratch`, so steady
+    /// state does no per-step heap traffic), runs the cell's dataflow
+    /// once at batch size `inputs.len()`, and hands each result row to
     /// `emit(row_index, h, c, token)` while it still lives in scratch —
-    /// the caller scatters rows wherever they belong (e.g. arena slots)
-    /// with no intermediate [`CellOutput`] allocation. Rows are emitted
-    /// in batch order; `c` is empty for cells without a memory cell and
-    /// `token` is `Some` only for token-emitting cells. Numerically
-    /// bit-identical to [`Cell::execute_batch`].
+    /// the caller scatters rows wherever they belong (state-arena
+    /// slots, or owned [`CellOutput`]s). Rows are emitted exactly once
+    /// each, in batch order; `c` is empty for cells without a memory
+    /// cell and `token` is `Some` only for token-emitting cells. Each
+    /// row is bit-identical to running its invocation alone, in any
+    /// batch and with any scratch history.
     ///
     /// # Panics
     ///
@@ -183,7 +147,7 @@ impl Cell {
     where
         F: FnMut(usize, &[f32], &[f32], Option<u32>),
     {
-        assert!(!inputs.is_empty(), "execute_batch on empty batch");
+        assert!(!inputs.is_empty(), "execute_rows_in on empty batch");
         match self {
             Cell::Lstm(c) => c.execute_rows_in(inputs, scratch, emit),
             Cell::Gru(c) => c.execute_rows_in(inputs, scratch, emit),
@@ -355,8 +319,63 @@ pub(crate) fn fingerprint_blocks<'a>(blocks: impl IntoIterator<Item = ColumnBloc
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// A row callback, as `execute_rows_in` takes it.
+    type Emit<'e> = dyn FnMut(usize, &[f32], &[f32], Option<u32>) + 'e;
+
+    /// Owned outputs for tests: runs a cell's one gather entry point,
+    /// `execute_rows_in`, and copies each emitted row into a
+    /// [`CellOutput`], asserting in every build that the cell keeps the
+    /// `emit` contract the scatter relies on — one row per invocation,
+    /// in batch order.
+    pub(crate) trait Outputs {
+        /// Forwards to the cell's `execute_rows_in`.
+        fn rows_in(&self, inputs: &[RowInvocation<'_>], s: &mut Scratch, emit: &mut Emit<'_>);
+
+        /// One batched step with a fresh scratch arena.
+        fn outputs(&self, inputs: &[RowInvocation<'_>]) -> Vec<CellOutput> {
+            let mut outs: Vec<CellOutput> = Vec::with_capacity(inputs.len());
+            self.rows_in(inputs, &mut Scratch::new(), &mut |row, h, c, token| {
+                assert_eq!(row, outs.len(), "cells emit rows in batch order");
+                outs.push(CellOutput {
+                    state: CellState {
+                        h: h.to_vec(),
+                        c: c.to_vec(),
+                    },
+                    token,
+                });
+            });
+            assert_eq!(outs.len(), inputs.len(), "one row per invocation");
+            outs
+        }
+    }
+
+    macro_rules! outputs_via_rows_in {
+        ($($cell:ty),*) => {$(
+            impl Outputs for $cell {
+                fn rows_in(
+                    &self,
+                    inputs: &[RowInvocation<'_>],
+                    s: &mut Scratch,
+                    emit: &mut Emit<'_>,
+                ) {
+                    self.execute_rows_in(inputs, s, emit)
+                }
+            }
+        )*};
+    }
+
+    outputs_via_rows_in!(
+        Cell,
+        LstmCell,
+        GruCell,
+        EncoderCell,
+        DecoderCell,
+        TreeLeafCell,
+        TreeInternalCell
+    );
 
     #[test]
     fn fingerprint_distinguishes_values_and_shapes() {
@@ -373,14 +392,14 @@ mod tests {
     /// resident path and asserts bitwise-equal outputs.
     fn assert_resident_matches_gather(cell: &Cell, steps: &[(u32, Option<CellState>)]) {
         let layout = cell.resident_layout().expect("chain cell");
-        let invs: Vec<InvocationInput<'_>> = steps
+        let invs: Vec<RowInvocation<'_>> = steps
             .iter()
             .map(|(t, st)| match st {
-                Some(s) => InvocationInput::chain(*t, s),
-                None => InvocationInput::token_only(*t),
+                Some(s) => RowInvocation::chain(*t, StateRef::of(s)),
+                None => RowInvocation::token_only(*t),
             })
             .collect();
-        let want = cell.execute_batch(&invs);
+        let want = cell.outputs(&invs);
 
         let batch = steps.len();
         let mut xh = Matrix::zeros(batch, layout.xh_width());
@@ -428,7 +447,7 @@ mod tests {
         for cell in &cells {
             // Build distinct non-zero states by stepping once.
             let mk_state = |tok: u32| {
-                cell.execute_batch(&[InvocationInput::token_only(tok)])
+                cell.outputs(&[RowInvocation::token_only(tok)])
                     .into_iter()
                     .next()
                     .unwrap()
@@ -460,7 +479,7 @@ mod tests {
                 "fallback keeps x columns"
             );
             let mk_state = |tok: u32| {
-                cell.execute_batch(&[InvocationInput::token_only(tok)])
+                cell.outputs(&[RowInvocation::token_only(tok)])
                     .into_iter()
                     .next()
                     .unwrap()

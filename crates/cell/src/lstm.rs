@@ -19,7 +19,7 @@ use bm_tensor::io::WeightBundle;
 use bm_tensor::{gemm, ops, xavier_uniform, Matrix, PackedWeights, Scratch};
 
 use crate::persist::{expect, expect_shape};
-use crate::state::{collect_outputs, CellOutput, InvocationInput, RowInvocation};
+use crate::state::RowInvocation;
 
 /// Cap on a per-token cache, in floats (16 MiB of f32): the cached
 /// token projection (`vocab * 4 * hidden`), above which the resident
@@ -322,25 +322,9 @@ impl LstmCell {
         crate::fingerprint_weights(&[&self.embed, &self.core.w, &self.core.b])
     }
 
-    /// Runs one batched step; see [`crate::Cell::execute_batch`].
-    pub fn execute_batch(&self, inputs: &[InvocationInput<'_>]) -> Vec<CellOutput> {
-        self.execute_batch_in(inputs, &mut Scratch::new())
-    }
-
-    /// Scratch-arena variant of [`LstmCell::execute_batch`]: every batch
-    /// intermediate is taken from (and returned to) `s`.
-    pub fn execute_batch_in(
-        &self,
-        inputs: &[InvocationInput<'_>],
-        s: &mut Scratch,
-    ) -> Vec<CellOutput> {
-        collect_outputs(inputs, |rows, emit| self.execute_rows_in(rows, s, emit))
-    }
-
-    /// Row-level executor: gathers borrowed state rows, runs one batched
-    /// step and emits `(row, h, c, token)` per invocation instead of
-    /// materializing owned [`CellOutput`]s; see
-    /// [`crate::Cell::execute_rows_in`].
+    /// Gather executor: gathers borrowed state rows into a scratch
+    /// `[x, h]` batch, runs one fused step and emits `(row, h, c, token)`
+    /// per invocation; see [`crate::Cell::execute_rows_in`].
     pub fn execute_rows_in<F>(&self, inputs: &[RowInvocation<'_>], s: &mut Scratch, mut emit: F)
     where
         F: FnMut(usize, &[f32], &[f32], Option<u32>),
@@ -434,7 +418,8 @@ impl LstmCell {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::state::CellState;
+    use crate::state::{CellState, StateRef};
+    use crate::tests::Outputs;
 
     fn cell() -> LstmCell {
         LstmCell::seeded(4, 6, 20, 42)
@@ -443,7 +428,7 @@ mod tests {
     #[test]
     fn step_shapes() {
         let c = cell();
-        let out = c.execute_batch(&[InvocationInput::token_only(3)]);
+        let out = c.outputs(&[RowInvocation::token_only(3)]);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].state.h.len(), 6);
         assert_eq!(out[0].state.c.len(), 6);
@@ -455,12 +440,9 @@ mod tests {
         // The core correctness property of batching: executing requests
         // together must give bit-identical results to one-at-a-time.
         let c = cell();
-        let s1 = c.execute_batch(&[InvocationInput::token_only(3)]);
-        let s2 = c.execute_batch(&[InvocationInput::token_only(9)]);
-        let both = c.execute_batch(&[
-            InvocationInput::token_only(3),
-            InvocationInput::token_only(9),
-        ]);
+        let s1 = c.outputs(&[RowInvocation::token_only(3)]);
+        let s2 = c.outputs(&[RowInvocation::token_only(9)]);
+        let both = c.outputs(&[RowInvocation::token_only(3), RowInvocation::token_only(9)]);
         assert_eq!(both[0], s1[0]);
         assert_eq!(both[1], s2[0]);
     }
@@ -468,8 +450,8 @@ mod tests {
     #[test]
     fn chained_steps_differ_from_first() {
         let c = cell();
-        let first = c.execute_batch(&[InvocationInput::token_only(1)]);
-        let second = c.execute_batch(&[InvocationInput::chain(1, &first[0].state)]);
+        let first = c.outputs(&[RowInvocation::token_only(1)]);
+        let second = c.outputs(&[RowInvocation::chain(1, StateRef::of(&first[0].state))]);
         assert_ne!(first[0].state, second[0].state);
     }
 
@@ -478,7 +460,7 @@ mod tests {
         let c = cell();
         let mut state = CellState::zeros(6);
         for t in 0..10 {
-            let out = c.execute_batch(&[InvocationInput::chain(t % 20, &state)]);
+            let out = c.outputs(&[RowInvocation::chain(t % 20, StateRef::of(&state))]);
             state = out.into_iter().next().unwrap().state;
             assert!(state.h.iter().all(|v| v.abs() <= 1.0));
         }
@@ -488,8 +470,8 @@ mod tests {
     fn deterministic_across_clones() {
         let c = cell();
         let d = c.clone();
-        let a = c.execute_batch(&[InvocationInput::token_only(5)]);
-        let b = d.execute_batch(&[InvocationInput::token_only(5)]);
+        let a = c.outputs(&[RowInvocation::token_only(5)]);
+        let b = d.outputs(&[RowInvocation::token_only(5)]);
         assert_eq!(a, b);
     }
 
@@ -497,12 +479,7 @@ mod tests {
     #[should_panic]
     fn missing_token_panics() {
         let c = cell();
-        let s = CellState::zeros(6);
-        let bad = InvocationInput {
-            token: None,
-            states: vec![&s],
-        };
-        let _ = c.execute_batch(&[bad]);
+        let _ = c.outputs(&[RowInvocation::new(None, &[])]);
     }
 
     #[test]

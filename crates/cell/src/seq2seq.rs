@@ -14,7 +14,7 @@ use bm_tensor::{ops, xavier_uniform, Matrix, Scratch};
 
 use crate::lstm::{emit_states, gather_chain_xh, LstmCore};
 use crate::persist::{expect, expect_shape};
-use crate::state::{collect_outputs, CellOutput, InvocationInput, RowInvocation};
+use crate::state::RowInvocation;
 
 /// A Seq2Seq encoder step: embedding lookup followed by an LSTM step.
 #[derive(Debug, Clone)]
@@ -61,21 +61,7 @@ impl EncoderCell {
         crate::fingerprint_weights(&[&self.embed, &self.core.w, &self.core.b])
     }
 
-    /// Runs one batched step; see [`crate::Cell::execute_batch`].
-    pub fn execute_batch(&self, inputs: &[InvocationInput<'_>]) -> Vec<CellOutput> {
-        self.execute_batch_in(inputs, &mut Scratch::new())
-    }
-
-    /// Scratch-arena variant of [`EncoderCell::execute_batch`].
-    pub fn execute_batch_in(
-        &self,
-        inputs: &[InvocationInput<'_>],
-        s: &mut Scratch,
-    ) -> Vec<CellOutput> {
-        collect_outputs(inputs, |rows, emit| self.execute_rows_in(rows, s, emit))
-    }
-
-    /// Row-level executor; see [`crate::Cell::execute_rows_in`].
+    /// Gather executor; see [`crate::Cell::execute_rows_in`].
     pub fn execute_rows_in<F>(&self, inputs: &[RowInvocation<'_>], s: &mut Scratch, mut emit: F)
     where
         F: FnMut(usize, &[f32], &[f32], Option<u32>),
@@ -231,21 +217,7 @@ impl DecoderCell {
         ])
     }
 
-    /// Runs one batched step; see [`crate::Cell::execute_batch`].
-    pub fn execute_batch(&self, inputs: &[InvocationInput<'_>]) -> Vec<CellOutput> {
-        self.execute_batch_in(inputs, &mut Scratch::new())
-    }
-
-    /// Scratch-arena variant of [`DecoderCell::execute_batch`].
-    pub fn execute_batch_in(
-        &self,
-        inputs: &[InvocationInput<'_>],
-        s: &mut Scratch,
-    ) -> Vec<CellOutput> {
-        collect_outputs(inputs, |rows, emit| self.execute_rows_in(rows, s, emit))
-    }
-
-    /// Row-level executor; see [`crate::Cell::execute_rows_in`]. Each
+    /// Gather executor; see [`crate::Cell::execute_rows_in`]. Each
     /// emitted row carries the argmax-projected output word as its token.
     pub fn execute_rows_in<F>(&self, inputs: &[RowInvocation<'_>], s: &mut Scratch, mut emit: F)
     where
@@ -378,17 +350,15 @@ impl DecoderCell {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::state::CellState;
+    use crate::state::{CellState, StateRef};
+    use crate::tests::Outputs;
 
     #[test]
     fn encoder_batched_equals_sequential() {
         let e = EncoderCell::seeded(4, 6, 15, 5);
-        let a = e.execute_batch(&[InvocationInput::token_only(2)]);
-        let b = e.execute_batch(&[InvocationInput::token_only(11)]);
-        let both = e.execute_batch(&[
-            InvocationInput::token_only(2),
-            InvocationInput::token_only(11),
-        ]);
+        let a = e.outputs(&[RowInvocation::token_only(2)]);
+        let b = e.outputs(&[RowInvocation::token_only(11)]);
+        let both = e.outputs(&[RowInvocation::token_only(2), RowInvocation::token_only(11)]);
         assert_eq!(both[0], a[0]);
         assert_eq!(both[1], b[0]);
     }
@@ -396,7 +366,7 @@ mod tests {
     #[test]
     fn decoder_emits_token_in_vocab() {
         let d = DecoderCell::seeded(4, 6, 15, 6);
-        let out = d.execute_batch(&[InvocationInput::token_only(0)]);
+        let out = d.outputs(&[RowInvocation::token_only(0)]);
         let tok = out[0].token.expect("decoder must emit a token");
         assert!((tok as usize) < d.vocab_size());
     }
@@ -409,7 +379,7 @@ mod tests {
             let mut state = CellState::zeros(8);
             let mut tok = 0u32; // <go>
             for _ in 0..steps {
-                let out = d.execute_batch(&[InvocationInput::chain(tok, &state)]);
+                let out = d.outputs(&[RowInvocation::chain(tok, StateRef::of(&state))]);
                 let o = out.into_iter().next().unwrap();
                 tok = o.token.unwrap();
                 state = o.state;
@@ -434,14 +404,14 @@ mod tests {
         let d = DecoderCell::seeded(4, 6, 25, 13);
         let s1 = CellState::zeros(6);
         let s2 = {
-            let out = d.execute_batch(&[InvocationInput::token_only(3)]);
+            let out = d.outputs(&[RowInvocation::token_only(3)]);
             out.into_iter().next().unwrap().state
         };
-        let a = d.execute_batch(&[InvocationInput::chain(1, &s1)]);
-        let b = d.execute_batch(&[InvocationInput::chain(2, &s2)]);
-        let both = d.execute_batch(&[
-            InvocationInput::chain(1, &s1),
-            InvocationInput::chain(2, &s2),
+        let a = d.outputs(&[RowInvocation::chain(1, StateRef::of(&s1))]);
+        let b = d.outputs(&[RowInvocation::chain(2, StateRef::of(&s2))]);
+        let both = d.outputs(&[
+            RowInvocation::chain(1, StateRef::of(&s1)),
+            RowInvocation::chain(2, StateRef::of(&s2)),
         ]);
         assert_eq!(both[0], a[0]);
         assert_eq!(both[1], b[0]);

@@ -1,15 +1,18 @@
 //! Per-invocation cell state, inputs and outputs.
 //!
-//! In the real runtime, outputs of each executed cell node live as
-//! per-request row vectors owned by the request processor. The §4.3
-//! gather path assembles a batched task by copying the relevant rows
-//! into contiguous matrices before execution and scattering results
-//! back afterwards; the resident-state path ([`ResidentLayout`],
-//! `Cell::step_resident`) instead keeps each chain request's recurrent
-//! state parked in a row of a persistent batch matrix, so steady-state
-//! steps move no state at all and only the scatter (publication of
-//! results to the state arena) remains. These types are the per-row
-//! currency of both protocols.
+//! The runtime keeps the outputs of each executed cell node as
+//! per-request rows in its state arena. The §4.3 gather path
+//! (`Cell::execute_rows_in`) assembles a batched task by copying the
+//! rows each [`RowInvocation`] borrows into contiguous matrices, runs
+//! the cell once and hands every result row to the caller to scatter;
+//! the resident-state path ([`ResidentLayout`], `Cell::step_resident`)
+//! instead keeps each chain request's recurrent state parked in a row
+//! of a persistent batch matrix, so steady-state steps move no state at
+//! all and only the scatter (publication of results to the state arena)
+//! remains. [`StateRef`] and [`RowInvocation`] are the borrowed per-row
+//! inputs of both; [`CellState`] and [`CellOutput`] are owned copies of
+//! one emitted row, for callers that keep results outside the arena
+//! (the reference executor, tests).
 
 /// The recurrent state one cell invocation produces for one request.
 ///
@@ -35,47 +38,6 @@ impl CellState {
     /// Width of the hidden state.
     pub fn width(&self) -> usize {
         self.h.len()
-    }
-}
-
-/// One invocation's inputs within a batched task.
-///
-/// `states` carries 0, 1 or 2 predecessor states depending on the cell's
-/// arity (0 for tree leaves, 1 for chain cells, 2 for tree internal
-/// cells). `token` is the input word id for token-taking cells.
-#[derive(Debug, Clone)]
-pub struct InvocationInput<'a> {
-    /// Input token id, if the cell consumes one.
-    pub token: Option<u32>,
-    /// Predecessor recurrent states, in cell-defined order
-    /// (e.g. `[left, right]` for tree internal cells).
-    pub states: Vec<&'a CellState>,
-}
-
-impl<'a> InvocationInput<'a> {
-    /// An invocation with only a token (tree leaf, or chain start with an
-    /// implicit zero state).
-    pub fn token_only(token: u32) -> Self {
-        InvocationInput {
-            token: Some(token),
-            states: Vec::new(),
-        }
-    }
-
-    /// A chain-cell invocation: one token plus the predecessor state.
-    pub fn chain(token: u32, prev: &'a CellState) -> Self {
-        InvocationInput {
-            token: Some(token),
-            states: vec![prev],
-        }
-    }
-
-    /// A tree-internal invocation combining two child states.
-    pub fn tree(left: &'a CellState, right: &'a CellState) -> Self {
-        InvocationInput {
-            token: None,
-            states: vec![left, right],
-        }
     }
 }
 
@@ -144,10 +106,12 @@ const EMPTY_STATE: StateRef<'static> = StateRef { h: &[], c: &[] };
 
 /// One invocation's inputs within a batched task, as borrowed rows.
 ///
-/// The zero-copy counterpart of [`InvocationInput`]: predecessor states
-/// are raw row slices stored inline (no per-invocation `Vec`), so the
-/// runtime can point invocations straight at state-arena rows when
-/// gathering a batch.
+/// `states` holds 0, 1 or 2 predecessor states depending on the cell's
+/// arity (0 for tree leaves and chain starts, 1 for chain cells, 2 for
+/// tree internal cells); `token` is the input word id for token-taking
+/// cells. States are raw row slices stored inline (no per-invocation
+/// `Vec`), so the runtime can point invocations straight at state-arena
+/// rows when gathering a batch.
 #[derive(Debug, Clone, Copy)]
 pub struct RowInvocation<'a> {
     token: Option<u32>,
@@ -216,47 +180,6 @@ impl<'a> RowInvocation<'a> {
     }
 }
 
-impl<'a> From<&InvocationInput<'a>> for RowInvocation<'a> {
-    fn from(inv: &InvocationInput<'a>) -> Self {
-        assert!(
-            inv.states.len() <= 2,
-            "invocation with {} states",
-            inv.states.len()
-        );
-        let mut states = [EMPTY_STATE; 2];
-        for (slot, st) in states.iter_mut().zip(&inv.states) {
-            *slot = StateRef::of(st);
-        }
-        RowInvocation {
-            token: inv.token,
-            states,
-            n_states: inv.states.len() as u8,
-        }
-    }
-}
-
-/// Runs a row-emitting executor over owned-state invocations and
-/// collects its rows into [`CellOutput`]s — the compatibility bridge
-/// that keeps `execute_batch` bit-identical to the zero-copy path.
-pub(crate) fn collect_outputs(
-    inputs: &[InvocationInput<'_>],
-    run: impl FnOnce(&[RowInvocation<'_>], &mut dyn FnMut(usize, &[f32], &[f32], Option<u32>)),
-) -> Vec<CellOutput> {
-    let rows: Vec<RowInvocation<'_>> = inputs.iter().map(RowInvocation::from).collect();
-    let mut outs: Vec<CellOutput> = Vec::with_capacity(inputs.len());
-    run(&rows, &mut |row, h, c, token| {
-        debug_assert_eq!(row, outs.len(), "cells emit rows in batch order");
-        outs.push(CellOutput {
-            state: CellState {
-                h: h.to_vec(),
-                c: c.to_vec(),
-            },
-            token,
-        });
-    });
-    outs
-}
-
 /// One invocation's outputs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CellOutput {
@@ -264,13 +187,6 @@ pub struct CellOutput {
     pub state: CellState,
     /// The produced token (decoder cells only).
     pub token: Option<u32>,
-}
-
-impl CellOutput {
-    /// An output carrying only a state.
-    pub fn state_only(state: CellState) -> Self {
-        CellOutput { state, token: None }
-    }
 }
 
 #[cfg(test)]
@@ -283,22 +199,6 @@ mod tests {
         assert_eq!(s.width(), 4);
         assert_eq!(s.c.len(), 4);
         assert!(s.h.iter().chain(s.c.iter()).all(|&v| v == 0.0));
-    }
-
-    #[test]
-    fn invocation_constructors() {
-        let s = CellState::zeros(2);
-        let t = InvocationInput::token_only(7);
-        assert_eq!(t.token, Some(7));
-        assert!(t.states.is_empty());
-
-        let c = InvocationInput::chain(3, &s);
-        assert_eq!(c.states.len(), 1);
-
-        let s2 = CellState::zeros(2);
-        let tr = InvocationInput::tree(&s, &s2);
-        assert_eq!(tr.token, None);
-        assert_eq!(tr.states.len(), 2);
     }
 
     #[test]
@@ -315,10 +215,5 @@ mod tests {
         let tree = RowInvocation::tree(StateRef::of(&s), StateRef::of(&s));
         assert_eq!(tree.token(), None);
         assert_eq!(tree.states().len(), 2);
-
-        let owned = InvocationInput::chain(5, &s);
-        let converted = RowInvocation::from(&owned);
-        assert_eq!(converted.token(), Some(5));
-        assert_eq!(converted.states().len(), 1);
     }
 }

@@ -25,7 +25,7 @@ use bm_tensor::{ops, xavier_uniform, Matrix, Scratch};
 use crate::gate_blocks;
 use crate::lstm::{emit_states, MAX_PROJ_ELEMS};
 use crate::persist::{expect, fuse_gates, split_gates};
-use crate::state::{collect_outputs, CellOutput, InvocationInput, RowInvocation};
+use crate::state::RowInvocation;
 
 /// Gate order of the leaf cell's fused weights and of its bundle.
 const LEAF_GATES: [&str; 3] = ["i", "o", "u"];
@@ -160,21 +160,7 @@ impl TreeLeafCell {
         crate::fingerprint_blocks(embed.chain(gate_blocks(&self.w, &self.b, LEAF_GATES.len())))
     }
 
-    /// Runs one batched step; see [`crate::Cell::execute_batch`].
-    pub fn execute_batch(&self, inputs: &[InvocationInput<'_>]) -> Vec<CellOutput> {
-        self.execute_batch_in(inputs, &mut Scratch::new())
-    }
-
-    /// Scratch-arena variant of [`TreeLeafCell::execute_batch`].
-    pub fn execute_batch_in(
-        &self,
-        inputs: &[InvocationInput<'_>],
-        s: &mut Scratch,
-    ) -> Vec<CellOutput> {
-        collect_outputs(inputs, |rows, emit| self.execute_rows_in(rows, s, emit))
-    }
-
-    /// Row-level executor; see [`crate::Cell::execute_rows_in`]. Tokens
+    /// Gather executor; see [`crate::Cell::execute_rows_in`]. Tokens
     /// the memo has not seen are computed in one batched step and
     /// recorded; every row is then emitted from the memo.
     pub fn execute_rows_in<F>(&self, inputs: &[RowInvocation<'_>], s: &mut Scratch, mut emit: F)
@@ -314,23 +300,9 @@ impl TreeInternalCell {
         crate::fingerprint_blocks(gate_blocks(&self.w, &self.b, INTERNAL_GATES.len()))
     }
 
-    /// Runs one batched step; see [`crate::Cell::execute_batch`].
-    pub fn execute_batch(&self, inputs: &[InvocationInput<'_>]) -> Vec<CellOutput> {
-        self.execute_batch_in(inputs, &mut Scratch::new())
-    }
-
-    /// Scratch-arena variant of [`TreeInternalCell::execute_batch`]:
-    /// gathers child states straight into a scratch `[h_left, h_right]`
-    /// buffer and fuses the gate combine.
-    pub fn execute_batch_in(
-        &self,
-        inputs: &[InvocationInput<'_>],
-        s: &mut Scratch,
-    ) -> Vec<CellOutput> {
-        collect_outputs(inputs, |rows, emit| self.execute_rows_in(rows, s, emit))
-    }
-
-    /// Row-level executor; see [`crate::Cell::execute_rows_in`].
+    /// Gather executor; see [`crate::Cell::execute_rows_in`]. Gathers
+    /// child states straight into a scratch `[h_left, h_right]` buffer
+    /// and fuses the gate combine.
     pub fn execute_rows_in<F>(&self, inputs: &[RowInvocation<'_>], s: &mut Scratch, mut emit: F)
     where
         F: FnMut(usize, &[f32], &[f32], Option<u32>),
@@ -392,12 +364,19 @@ impl TreeInternalCell {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::state::CellState;
+    use crate::state::{CellState, StateRef};
+    use crate::tests::Outputs;
+    use crate::CellOutput;
+
+    /// A tree-internal invocation over two computed children.
+    fn children<'a>(left: &'a CellOutput, right: &'a CellOutput) -> RowInvocation<'a> {
+        RowInvocation::tree(StateRef::of(&left.state), StateRef::of(&right.state))
+    }
 
     #[test]
     fn leaf_produces_state() {
         let leaf = TreeLeafCell::seeded(4, 6, 10, 1);
-        let out = leaf.execute_batch(&[InvocationInput::token_only(3)]);
+        let out = leaf.outputs(&[RowInvocation::token_only(3)]);
         assert_eq!(out[0].state.h.len(), 6);
         assert_eq!(out[0].state.c.len(), 6);
     }
@@ -406,11 +385,8 @@ mod tests {
     fn internal_combines_children() {
         let leaf = TreeLeafCell::seeded(4, 6, 10, 1);
         let internal = TreeInternalCell::seeded(6, 2);
-        let kids = leaf.execute_batch(&[
-            InvocationInput::token_only(1),
-            InvocationInput::token_only(2),
-        ]);
-        let out = internal.execute_batch(&[InvocationInput::tree(&kids[0].state, &kids[1].state)]);
+        let kids = leaf.outputs(&[RowInvocation::token_only(1), RowInvocation::token_only(2)]);
+        let out = internal.outputs(&[children(&kids[0], &kids[1])]);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].state.h.len(), 6);
     }
@@ -421,12 +397,9 @@ mod tests {
         // must change the output.
         let leaf = TreeLeafCell::seeded(4, 6, 10, 1);
         let internal = TreeInternalCell::seeded(6, 2);
-        let kids = leaf.execute_batch(&[
-            InvocationInput::token_only(1),
-            InvocationInput::token_only(2),
-        ]);
-        let ab = internal.execute_batch(&[InvocationInput::tree(&kids[0].state, &kids[1].state)]);
-        let ba = internal.execute_batch(&[InvocationInput::tree(&kids[1].state, &kids[0].state)]);
+        let kids = leaf.outputs(&[RowInvocation::token_only(1), RowInvocation::token_only(2)]);
+        let ab = internal.outputs(&[children(&kids[0], &kids[1])]);
+        let ba = internal.outputs(&[children(&kids[1], &kids[0])]);
         assert_ne!(ab[0].state, ba[0].state);
     }
 
@@ -434,18 +407,15 @@ mod tests {
     fn batched_equals_sequential() {
         let leaf = TreeLeafCell::seeded(4, 6, 10, 1);
         let internal = TreeInternalCell::seeded(6, 2);
-        let kids = leaf.execute_batch(&[
-            InvocationInput::token_only(1),
-            InvocationInput::token_only(2),
-            InvocationInput::token_only(3),
-            InvocationInput::token_only(4),
+        let kids = leaf.outputs(&[
+            RowInvocation::token_only(1),
+            RowInvocation::token_only(2),
+            RowInvocation::token_only(3),
+            RowInvocation::token_only(4),
         ]);
-        let a = internal.execute_batch(&[InvocationInput::tree(&kids[0].state, &kids[1].state)]);
-        let b = internal.execute_batch(&[InvocationInput::tree(&kids[2].state, &kids[3].state)]);
-        let both = internal.execute_batch(&[
-            InvocationInput::tree(&kids[0].state, &kids[1].state),
-            InvocationInput::tree(&kids[2].state, &kids[3].state),
-        ]);
+        let a = internal.outputs(&[children(&kids[0], &kids[1])]);
+        let b = internal.outputs(&[children(&kids[2], &kids[3])]);
+        let both = internal.outputs(&[children(&kids[0], &kids[1]), children(&kids[2], &kids[3])]);
         assert_eq!(both[0], a[0]);
         assert_eq!(both[1], b[0]);
     }
@@ -455,11 +425,8 @@ mod tests {
     fn internal_rejects_single_child() {
         let internal = TreeInternalCell::seeded(6, 2);
         let s = CellState::zeros(6);
-        let bad = InvocationInput {
-            token: None,
-            states: vec![&s],
-        };
-        let _ = internal.execute_batch(&[bad]);
+        let bad = RowInvocation::new(None, &[StateRef::of(&s)]);
+        let _ = internal.outputs(&[bad]);
     }
 
     #[test]
@@ -467,22 +434,22 @@ mod tests {
         let leaf = TreeLeafCell::seeded(5, 7, 12, 3);
         let mut direct = leaf.clone();
         direct.drop_memo_for_tests();
-        let batch = |tokens: &[u32]| -> Vec<InvocationInput<'static>> {
+        let batch = |tokens: &[u32]| -> Vec<RowInvocation<'static>> {
             tokens
                 .iter()
-                .map(|&t| InvocationInput::token_only(t))
+                .map(|&t| RowInvocation::token_only(t))
                 .collect()
         };
         // Fill 4 and 9; then a batch of hits, misses and repeats.
-        let first = leaf.execute_batch(&batch(&[4, 9]));
-        assert_eq!(first, direct.execute_batch(&batch(&[4, 9])));
+        let first = leaf.outputs(&batch(&[4, 9]));
+        assert_eq!(first, direct.outputs(&batch(&[4, 9])));
         let mixed = [9, 2, 4, 2, 11, 9];
-        let want = direct.execute_batch(&batch(&mixed));
-        assert_eq!(leaf.execute_batch(&batch(&mixed)), want);
+        let want = direct.outputs(&batch(&mixed));
+        assert_eq!(leaf.outputs(&batch(&mixed)), want);
         // All hits now.
-        assert_eq!(leaf.execute_batch(&batch(&mixed)), want);
+        assert_eq!(leaf.outputs(&batch(&mixed)), want);
         // A clone starts empty and computes the same rows.
-        assert_eq!(leaf.clone().execute_batch(&batch(&mixed)), want);
+        assert_eq!(leaf.clone().outputs(&batch(&mixed)), want);
     }
 
     #[test]
@@ -490,11 +457,11 @@ mod tests {
         let leaf = TreeLeafCell::seeded(5, 7, 12, 3);
         let mut direct = leaf.clone();
         direct.drop_memo_for_tests();
-        let want = direct.execute_batch(&[InvocationInput::token_only(6)]);
+        let want = direct.outputs(&[RowInvocation::token_only(6)]);
         let start = std::sync::Barrier::new(2);
         let race = || {
             start.wait();
-            leaf.execute_batch(&[InvocationInput::token_only(6)])
+            leaf.outputs(&[RowInvocation::token_only(6)])
         };
         let (a, b) = std::thread::scope(|sc| {
             let other = sc.spawn(race);
@@ -508,7 +475,7 @@ mod tests {
     #[should_panic(expected = "embedding id 12 >= vocab 12")]
     fn leaf_rejects_out_of_vocabulary_token() {
         let leaf = TreeLeafCell::seeded(5, 7, 12, 3);
-        let _ = leaf.execute_batch(&[InvocationInput::token_only(12)]);
+        let _ = leaf.outputs(&[RowInvocation::token_only(12)]);
     }
 
     /// The per-gate construction these cells had before their weights
@@ -571,17 +538,11 @@ mod tests {
             internal2.weight_fingerprint(),
             internal.weight_fingerprint()
         );
-        let tokens = [
-            InvocationInput::token_only(1),
-            InvocationInput::token_only(7),
-        ];
-        let kids = leaf.execute_batch(&tokens);
-        assert_eq!(leaf2.execute_batch(&tokens), kids);
-        let pair = [InvocationInput::tree(&kids[0].state, &kids[1].state)];
-        assert_eq!(
-            internal2.execute_batch(&pair),
-            internal.execute_batch(&pair)
-        );
+        let tokens = [RowInvocation::token_only(1), RowInvocation::token_only(7)];
+        let kids = leaf.outputs(&tokens);
+        assert_eq!(leaf2.outputs(&tokens), kids);
+        let pair = [children(&kids[0], &kids[1])];
+        assert_eq!(internal2.outputs(&pair), internal.outputs(&pair));
 
         let mut short = internal_bundle.clone();
         short.insert("wfr", Matrix::zeros(12, 5));
@@ -592,12 +553,9 @@ mod tests {
     #[test]
     fn leaf_batched_equals_sequential() {
         let leaf = TreeLeafCell::seeded(4, 6, 10, 9);
-        let a = leaf.execute_batch(&[InvocationInput::token_only(5)]);
-        let b = leaf.execute_batch(&[InvocationInput::token_only(6)]);
-        let both = leaf.execute_batch(&[
-            InvocationInput::token_only(5),
-            InvocationInput::token_only(6),
-        ]);
+        let a = leaf.outputs(&[RowInvocation::token_only(5)]);
+        let b = leaf.outputs(&[RowInvocation::token_only(6)]);
+        let both = leaf.outputs(&[RowInvocation::token_only(5), RowInvocation::token_only(6)]);
         assert_eq!(both[0], a[0]);
         assert_eq!(both[1], b[0]);
     }

@@ -1,10 +1,13 @@
 //! Every cell kind round-trips through its weight bundle with identical
 //! identity (signature) and identical batched outputs.
 
+mod support;
+
 use bm_cell::{
-    Cell, DecoderCell, EncoderCell, GruCell, InvocationInput, LstmCell, TreeInternalCell,
-    TreeLeafCell,
+    Cell, CellState, DecoderCell, EncoderCell, GruCell, LstmCell, RowInvocation, Scratch, StateRef,
+    TreeInternalCell, TreeLeafCell,
 };
+use support::outputs_in;
 
 fn cells() -> Vec<Cell> {
     vec![
@@ -18,16 +21,12 @@ fn cells() -> Vec<Cell> {
 }
 
 fn sample_invocations(cell: &Cell) -> Vec<bm_cell::CellOutput> {
-    match cell.state_arity() {
-        2 => {
-            let z = bm_cell::CellState::zeros(cell.hidden_size());
-            cell.execute_batch(&[InvocationInput::tree(&z, &z), InvocationInput::tree(&z, &z)])
-        }
-        _ => cell.execute_batch(&[
-            InvocationInput::token_only(1),
-            InvocationInput::token_only(7),
-        ]),
-    }
+    let z = CellState::zeros(cell.hidden_size());
+    let invs = match cell.state_arity() {
+        2 => [RowInvocation::tree(StateRef::of(&z), StateRef::of(&z)); 2],
+        _ => [RowInvocation::token_only(1), RowInvocation::token_only(7)],
+    };
+    outputs_in(cell, &invs, &mut Scratch::new())
 }
 
 #[test]

@@ -6,15 +6,23 @@
 //! time (or as any partition into sub-batches). Cellular batching's
 //! correctness rests on this.
 
+mod support;
+
 use bm_cell::{
-    Cell, CellState, DecoderCell, EncoderCell, GruCell, InvocationInput, LstmCell,
-    TreeInternalCell, TreeLeafCell,
+    Cell, CellOutput, CellState, DecoderCell, EncoderCell, GruCell, LstmCell, RowInvocation,
+    Scratch, StateRef, TreeInternalCell, TreeLeafCell,
 };
 use bm_tensor::io::WeightBundle;
 use bm_tensor::{ops, Matrix};
 use proptest::prelude::*;
 
 const VOCAB: usize = 24;
+
+/// One batched step with a fresh scratch arena, through the
+/// batch-order-checking collector.
+fn outputs(cell: &Cell, inputs: &[RowInvocation<'_>]) -> Vec<CellOutput> {
+    support::outputs_in(cell, inputs, &mut Scratch::new())
+}
 
 fn cells() -> Vec<Cell> {
     vec![
@@ -33,12 +41,13 @@ fn invocation<'a>(
     token: u32,
     pool: &'a [CellState],
     pick: usize,
-) -> InvocationInput<'a> {
+) -> RowInvocation<'a> {
     let n = pool.len();
+    let state = |i: usize| StateRef::of(&pool[i % n]);
     match cell.state_arity() {
-        0 => InvocationInput::token_only(token),
-        1 => InvocationInput::chain(token, &pool[pick % n]),
-        2 => InvocationInput::tree(&pool[pick % n], &pool[(pick + 1) % n]),
+        0 => RowInvocation::token_only(token),
+        1 => RowInvocation::chain(token, state(pick)),
+        2 => RowInvocation::tree(state(pick), state(pick + 1)),
         _ => unreachable!(),
     }
 }
@@ -53,18 +62,23 @@ fn state_pool(cell: &Cell) -> Vec<CellState> {
             let seedless = match cell {
                 Cell::TreeInternal(_) => {
                     let z = CellState::zeros(cell.hidden_size());
-                    let out = cell.execute_batch(&[InvocationInput::tree(&z, &z)]);
+                    let out = outputs(
+                        cell,
+                        &[RowInvocation::tree(StateRef::of(&z), StateRef::of(&z))],
+                    );
                     out.into_iter().map(|o| o.state).collect::<Vec<_>>()
                 }
-                _ => cell
-                    .execute_batch(&[
-                        InvocationInput::token_only(1),
-                        InvocationInput::token_only(2),
-                        InvocationInput::token_only(3),
-                    ])
-                    .into_iter()
-                    .map(|o| o.state)
-                    .collect::<Vec<_>>(),
+                _ => outputs(
+                    cell,
+                    &[
+                        RowInvocation::token_only(1),
+                        RowInvocation::token_only(2),
+                        RowInvocation::token_only(3),
+                    ],
+                )
+                .into_iter()
+                .map(|o| o.state)
+                .collect::<Vec<_>>(),
             };
             seedless
         }
@@ -88,7 +102,7 @@ fn gate(bundle: &WeightBundle, g: &str, x: &Matrix, act: fn(&Matrix) -> Matrix) 
 }
 
 /// Asserts each output's `(h, c)` equals row `r` of `h`/`c`.
-fn assert_rows(out: &[bm_cell::CellOutput], h: &Matrix, c: &Matrix) -> Result<(), TestCaseError> {
+fn assert_rows(out: &[CellOutput], h: &Matrix, c: &Matrix) -> Result<(), TestCaseError> {
     prop_assert_eq!(out.len(), h.rows());
     for (r, o) in out.iter().enumerate() {
         prop_assert_eq!(&o.state.h[..], h.row(r));
@@ -107,7 +121,7 @@ proptest! {
     ) {
         // Hidden 20 with embed 7: the fused widths (60, 100) are ragged
         // for every tier's panel group.
-        let leaf = TreeLeafCell::seeded(7, 20, VOCAB, seed);
+        let leaf = Cell::TreeLeaf(TreeLeafCell::seeded(7, 20, VOCAB, seed));
         let lb = leaf.to_bundle();
         let ids: Vec<usize> = tokens.iter().map(|&t| t as usize).collect();
         let x = ops::embedding(lb.get("embed").expect("embed"), &ids);
@@ -118,13 +132,13 @@ proptest! {
         );
         let c = ops::mul(&i, &u);
         let h = ops::mul(&o, &ops::tanh(&c));
-        let invs: Vec<_> = tokens.iter().map(|&t| InvocationInput::token_only(t)).collect();
-        let kids = leaf.execute_batch(&invs);
+        let invs: Vec<_> = tokens.iter().map(|&t| RowInvocation::token_only(t)).collect();
+        let kids = outputs(&leaf, &invs);
         assert_rows(&kids, &h, &c)?;
 
         // Pair each leaf with its successor (wrapping): as many internal
         // rows as leaves.
-        let internal = TreeInternalCell::seeded(20, seed ^ 0xabc);
+        let internal = Cell::TreeInternal(TreeInternalCell::seeded(20, seed ^ 0xabc));
         let ib = internal.to_bundle();
         let n = kids.len();
         let right = |r: usize| &kids[(r + 1) % n].state;
@@ -147,42 +161,44 @@ proptest! {
         );
         let h = ops::mul(&o, &ops::tanh(&c));
         let pairs: Vec<_> = (0..n)
-            .map(|r| InvocationInput::tree(&kids[r].state, right(r)))
+            .map(|r| RowInvocation::tree(StateRef::of(&kids[r].state), StateRef::of(right(r))))
             .collect();
-        assert_rows(&internal.execute_batch(&pairs), &h, &c)?;
+        assert_rows(&outputs(&internal, &pairs), &h, &c)?;
     }
 
     #[test]
     fn batched_execution_is_transparent(
         tokens in proptest::collection::vec(0u32..VOCAB as u32, 1..12),
         picks in proptest::collection::vec(0usize..8, 12),
-        cell_idx in 0usize..6,
     ) {
-        let cell = &cells()[cell_idx];
-        let pool = state_pool(cell);
-        let invs: Vec<InvocationInput<'_>> = tokens
-            .iter()
-            .enumerate()
-            .map(|(i, &t)| invocation(cell, t, &pool, picks[i % picks.len()]))
-            .collect();
+        // Every case runs all six cell kinds, so each kind's `emit`
+        // order is checked by the collector on every case.
+        for cell in &cells() {
+            let pool = state_pool(cell);
+            let invs: Vec<RowInvocation<'_>> = tokens
+                .iter()
+                .enumerate()
+                .map(|(i, &t)| invocation(cell, t, &pool, picks[i % picks.len()]))
+                .collect();
 
-        // One big batch.
-        let batched = cell.execute_batch(&invs);
+            // One big batch.
+            let batched = outputs(cell, &invs);
 
-        // One at a time.
-        let sequential: Vec<_> = invs
-            .iter()
-            .flat_map(|inv| cell.execute_batch(std::slice::from_ref(inv)))
-            .collect();
+            // One at a time.
+            let sequential: Vec<_> = invs
+                .iter()
+                .flat_map(|inv| outputs(cell, std::slice::from_ref(inv)))
+                .collect();
 
-        prop_assert_eq!(&batched, &sequential);
+            prop_assert_eq!(&batched, &sequential);
 
-        // An arbitrary split into two sub-batches.
-        if invs.len() >= 2 {
-            let mid = invs.len() / 2;
-            let mut split = cell.execute_batch(&invs[..mid]);
-            split.extend(cell.execute_batch(&invs[mid..]));
-            prop_assert_eq!(&batched, &split);
+            // An arbitrary split into two sub-batches.
+            if invs.len() >= 2 {
+                let mid = invs.len() / 2;
+                let mut split = outputs(cell, &invs[..mid]);
+                split.extend(outputs(cell, &invs[mid..]));
+                prop_assert_eq!(&batched, &split);
+            }
         }
     }
 
@@ -196,25 +212,25 @@ proptest! {
         // buffers must never leak state between steps or change a bit.
         let cell = &cells()[cell_idx];
         let pool = state_pool(cell);
-        let invs: Vec<InvocationInput<'_>> = tokens
+        let invs: Vec<RowInvocation<'_>> = tokens
             .iter()
             .enumerate()
             .map(|(i, &t)| invocation(cell, t, &pool, picks[i % picks.len()]))
             .collect();
         let fresh: Vec<_> = invs
             .iter()
-            .map(|inv| cell.execute_batch(std::slice::from_ref(inv)))
+            .map(|inv| outputs(cell, std::slice::from_ref(inv)))
             .collect();
-        let mut scratch = bm_cell::Scratch::new();
+        let mut scratch = Scratch::new();
         for _ in 0..2 {
             let reused: Vec<_> = invs
                 .iter()
-                .map(|inv| cell.execute_batch_in(std::slice::from_ref(inv), &mut scratch))
+                .map(|inv| support::outputs_in(cell, std::slice::from_ref(inv), &mut scratch))
                 .collect();
             prop_assert_eq!(&fresh, &reused);
         }
-        let batched = cell.execute_batch_in(&invs, &mut scratch);
-        prop_assert_eq!(cell.execute_batch(&invs), batched);
+        let batched = support::outputs_in(cell, &invs, &mut scratch);
+        prop_assert_eq!(outputs(cell, &invs), batched);
     }
 
     #[test]
@@ -224,11 +240,11 @@ proptest! {
     ) {
         let cell = &cells()[cell_idx];
         let pool = state_pool(cell);
-        let invs: Vec<InvocationInput<'_>> = tokens
+        let invs: Vec<RowInvocation<'_>> = tokens
             .iter()
             .map(|&t| invocation(cell, t, &pool, t as usize))
             .collect();
-        for out in cell.execute_batch(&invs) {
+        for out in outputs(cell, &invs) {
             prop_assert!(out.state.h.iter().all(|v| v.is_finite()));
             prop_assert!(out.state.c.iter().all(|v| v.is_finite()));
             if let Some(tok) = out.token {

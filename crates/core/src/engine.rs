@@ -586,8 +586,7 @@ impl CellularEngine {
     /// [`CellularEngine::on_arrival`] for a graph unfolded from `req`,
     /// which arrives at `now_us`: its [`crate::DeadlineSpec`] is
     /// resolved against the configured default deadline
-    /// ([`ServeConfig::deadline_us`]). Tenants are billed at the front
-    /// door, not here.
+    /// ([`ServeConfig::deadline_us`]).
     pub fn on_request(&mut self, id: RequestId, graph: CellGraph, now_us: u64, req: &Request) {
         let deadline = req
             .effective_deadline_us(self.cfg.serve.deadline_us)

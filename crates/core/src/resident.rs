@@ -346,10 +346,23 @@ fn copy_row(m: &mut Matrix, src: usize, dst: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bm_cell::{Cell, CellState, InvocationInput, LstmCell};
+    use bm_cell::{Cell, CellState, LstmCell, RowInvocation};
 
     fn lstm() -> Cell {
         Cell::Lstm(LstmCell::seeded(4, 6, 50, 9))
+    }
+
+    /// The gather path's state for one invocation run alone.
+    fn gather_step(cell: &Cell, inv: RowInvocation<'_>) -> CellState {
+        let mut out = None;
+        cell.execute_rows_in(&[inv], &mut Scratch::new(), |row, h, c, _| {
+            assert_eq!(row, 0, "a batch of one emits row 0");
+            out = Some(CellState {
+                h: h.to_vec(),
+                c: c.to_vec(),
+            });
+        });
+        out.expect("a batch of one emits one row")
     }
 
     fn unreachable_fetch<'a>() -> StateRef<'a> {
@@ -400,11 +413,10 @@ mod tests {
                 let dep = n.checked_sub(1).map(NodeId);
                 *n += 1;
                 let prev = truth.get(&req).map(|(_, s)| s.clone());
-                let want = match &prev {
-                    Some(s) => cell.execute_batch(&[InvocationInput::chain(tok, s)]),
-                    None => cell.execute_batch(&[InvocationInput::token_only(tok)]),
-                };
-                expected.push(want.into_iter().next().unwrap());
+                expected.push(match &prev {
+                    Some(s) => gather_step(&cell, RowInvocation::chain(tok, StateRef::of(s))),
+                    None => gather_step(&cell, RowInvocation::token_only(tok)),
+                });
                 placements.push((req, node, dep, prev));
             }
             for (idx, (req, node, dep, prev)) in placements.iter().enumerate() {
@@ -422,8 +434,8 @@ mod tests {
             for (idx, &(r, _)) in batch.iter().enumerate() {
                 let req = RequestId(r);
                 let (h, c, _) = &got[idx];
-                assert_eq!(&expected[idx].state.h, h, "req {r} h mismatch");
-                assert_eq!(&expected[idx].state.c, c, "req {r} c mismatch");
+                assert_eq!(&expected[idx].h, h, "req {r} h mismatch");
+                assert_eq!(&expected[idx].c, c, "req {r} c mismatch");
                 assert!(h.iter().chain(c.iter()).all(|v| v.is_finite()));
                 truth.insert(
                     req,
@@ -480,8 +492,8 @@ mod tests {
             let req = RequestId(1);
             let n = next_node[&req];
             let (_, prev) = truth[&req].clone();
-            let out = cell.execute_batch(&[InvocationInput::chain(11, &prev)]);
-            truth.insert(req, (n, out[0].state.clone()));
+            let out = gather_step(&cell, RowInvocation::chain(11, StateRef::of(&prev)));
+            truth.insert(req, (n, out));
             next_node.insert(req, n + 1);
         }
         let refetches_before = rb.stats().refetches;

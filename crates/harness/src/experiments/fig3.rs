@@ -4,7 +4,7 @@
 
 use std::time::Instant;
 
-use bm_cell::{Cell, InvocationInput, LstmCell};
+use bm_cell::{Cell, LstmCell, RowInvocation, Scratch};
 use bm_device::GpuCostModel;
 use bm_metrics::Table;
 
@@ -34,9 +34,11 @@ pub fn gpu_table() -> Table {
 }
 
 /// The real-CPU curve: measured wall time of one batched LSTM step on
-/// our tensor engine. A smaller hidden size keeps the measurement quick;
-/// the *shape* (flat floor, then linear growth, throughput saturating)
-/// is what Figure 3 (top) demonstrates.
+/// our tensor engine, through the gather entry point a shard runs
+/// (`execute_rows_in` with a scratch arena reused across steps; the
+/// emitted rows are only read, not copied). A smaller hidden size keeps
+/// the measurement quick; the *shape* (flat floor, then linear growth,
+/// throughput saturating) is what Figure 3 (top) demonstrates.
 pub fn cpu_table(scale: Scale) -> Table {
     let (hidden, curve) = cpu_curve(scale);
     let mut t = Table::new(
@@ -66,18 +68,34 @@ pub fn cpu_curve(scale: Scale) -> (usize, Vec<(usize, f64)>) {
         Scale::Full => 1024,
     };
     let cell = LstmCell::seeded(hidden, hidden, 64, 7);
+    let mut scratch = Scratch::new();
+    let mut step = |invs: &[RowInvocation<'_>]| {
+        cell.execute_rows_in(invs, &mut scratch, |row, h, c, token| {
+            std::hint::black_box((row, h, c, token));
+        })
+    };
+    let tokens = |b: usize| -> Vec<RowInvocation<'_>> {
+        (0..b)
+            .map(|i| RowInvocation::token_only((i % 64) as u32))
+            .collect()
+    };
+    // Warm the arena at the largest batch first: its buffers swap roles
+    // from step to step, so a few steps grow every one of them to full
+    // size, and each timed step below reuses them as a long-lived shard
+    // would instead of timing their growth.
+    let largest = tokens(max_batch);
+    for _ in 0..8 {
+        step(&largest);
+    }
     let mut curve = Vec::new();
     for &b in BATCHES.iter().filter(|&&b| b <= max_batch) {
-        let invs: Vec<InvocationInput<'_>> = (0..b)
-            .map(|i| InvocationInput::token_only((i % 64) as u32))
-            .collect();
+        let invs = tokens(b);
         // Warm up, then time a few iterations.
-        let _ = cell.execute_batch(&invs);
+        step(&invs);
         let iters = (8 / (b / 64).max(1)).max(2);
         let start = Instant::now();
         for _ in 0..iters {
-            let out = cell.execute_batch(&invs);
-            std::hint::black_box(&out);
+            step(&invs);
         }
         curve.push((b, start.elapsed().as_secs_f64() * 1e6 / iters as f64));
     }

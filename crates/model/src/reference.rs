@@ -5,9 +5,13 @@
 //! runtime — which executes the same nodes in dynamically formed batches,
 //! interleaved with other requests — must produce bit-identical outputs,
 //! because batched cell execution is transparent (see the `bm-cell`
-//! property tests).
+//! property tests). It has no kernel of its own: each node is one
+//! `Cell::execute_rows_in` call over a batch of one, whose emitted row
+//! is copied into an owned [`CellOutput`]. Its independence from the
+//! runtime is the schedule — no batching, no resident rows, no state
+//! arena — not the arithmetic.
 
-use bm_cell::{CellOutput, CellRegistry, InvocationInput};
+use bm_cell::{CellOutput, CellRegistry, CellState, RowInvocation, Scratch, StateRef};
 
 use crate::graph::{CellGraph, NodeId, TokenSource};
 
@@ -64,24 +68,36 @@ pub fn execute_graph(graph: &CellGraph, registry: &CellRegistry) -> GraphResult 
             outputs.push(None);
             continue;
         }
-        let states: Vec<_> = node
+        let states: Vec<StateRef<'_>> = node
             .deps
             .iter()
             .map(|d| {
-                &outputs[d.index()]
-                    .as_ref()
-                    .expect("dependency executed")
-                    .state
+                StateRef::of(
+                    &outputs[d.index()]
+                        .as_ref()
+                        .expect("dependency executed")
+                        .state,
+                )
             })
             .collect();
         let token = resolve_token(node.token, &node.deps, &outputs);
-        let inv = InvocationInput { token, states };
-        let out = registry
-            .cell(node.cell_type)
-            .execute_batch(std::slice::from_ref(&inv))
-            .into_iter()
-            .next()
-            .expect("batch of one yields one output");
+        let mut out = None;
+        registry.cell(node.cell_type).execute_rows_in(
+            &[RowInvocation::new(token, &states)],
+            // A fresh arena per node: no scratch history to share
+            // with the runtime's recycled buffers.
+            &mut Scratch::new(),
+            |_, h, c, token| {
+                out = Some(CellOutput {
+                    state: CellState {
+                        h: h.to_vec(),
+                        c: c.to_vec(),
+                    },
+                    token,
+                })
+            },
+        );
+        let out = out.expect("batch of one yields one output");
         // <eos> termination: this node still completes, but everything
         // downstream of it is cancelled.
         if let (Some(eos), Some(tok)) = (node.eos, out.token) {

@@ -48,6 +48,3 @@ pub use init::{xavier_uniform, zeros_like, WeightInit};
 pub use matrix::Matrix;
 pub use pool::ComputePool;
 pub use scratch::Scratch;
-
-/// Numerical tolerance used by tests and by [`Matrix::approx_eq`].
-pub const DEFAULT_TOL: f32 = 1e-4;

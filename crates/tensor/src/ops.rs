@@ -3,12 +3,12 @@
 //! Every function here operates on `(batch, features)` matrices. These are
 //! the operators a BatchMaker "cell" is composed of: affine transforms,
 //! element-wise activations, row gathers (the §4.3 "gather" memory copy),
-//! concatenation, softmax/argmax (the Seq2Seq output projection) and
+//! column concatenation and splitting, the decoder's [`argmax_row`] and
 //! embedding lookups.
 //!
-//! The transcendental element-wise operators ([`sigmoid`], [`tanh`],
-//! [`softmax`]) and the fused gate kernels re-exported below all evaluate
-//! the [`crate::activation`] scalars, so every path agrees bitwise.
+//! The transcendental element-wise operators ([`sigmoid`], [`tanh`]) and
+//! the fused gate kernels re-exported below all evaluate the
+//! [`crate::activation`] scalars, so every path agrees bitwise.
 
 use crate::activation;
 use crate::error::ShapeError;
@@ -196,11 +196,6 @@ pub fn tanh(x: &Matrix) -> Matrix {
     map(x, activation::tanh)
 }
 
-/// Element-wise rectified linear unit.
-pub fn relu(x: &Matrix) -> Matrix {
-    map(x, |v| v.max(0.0))
-}
-
 /// Applies `f` element-wise, producing a new matrix.
 ///
 /// Single-pass: the output is built directly from the input, rather than
@@ -209,28 +204,6 @@ pub fn map(x: &Matrix, f: impl Fn(f32) -> f32) -> Matrix {
     let mut data = Vec::with_capacity(x.len());
     data.extend(x.as_slice().iter().map(|&v| f(v)));
     Matrix::from_vec(x.rows(), x.cols(), data)
-}
-
-/// Applies `f` element-wise in place.
-pub fn map_inplace(x: &mut Matrix, f: impl Fn(f32) -> f32) {
-    for v in x.as_mut_slice() {
-        *v = f(*v);
-    }
-}
-
-/// In-place sigmoid; bitwise identical to [`sigmoid`].
-pub fn sigmoid_inplace(x: &mut Matrix) {
-    map_inplace(x, activation::sigmoid);
-}
-
-/// In-place hyperbolic tangent; bitwise identical to [`tanh`].
-pub fn tanh_inplace(x: &mut Matrix) {
-    map_inplace(x, activation::tanh);
-}
-
-/// In-place rectified linear unit; bitwise identical to [`relu`].
-pub fn relu_inplace(x: &mut Matrix) {
-    map_inplace(x, |v| v.max(0.0));
 }
 
 /// Element-wise addition.
@@ -293,44 +266,9 @@ pub fn concat_cols(parts: &[&Matrix]) -> Matrix {
     out
 }
 
-/// Stacks matrices along the batch (row) axis.
-///
-/// All inputs must share the same feature width. This is the "gather"
-/// copy performed when cells from different requests are packed into one
-/// contiguous batched input (§4.3).
-///
-/// # Panics
-///
-/// Panics if the parts list is empty or widths disagree.
-pub fn concat_rows(parts: &[&Matrix]) -> Matrix {
-    assert!(!parts.is_empty(), "concat_rows of zero matrices");
-    let cols = parts[0].cols();
-    let rows: usize = parts.iter().map(|p| p.rows()).sum();
-    let mut out = Matrix::zeros(rows, cols);
-    let mut r = 0;
-    for p in parts {
-        assert_eq!(p.cols(), cols, "concat_rows width mismatch");
-        for pr in 0..p.rows() {
-            out.row_mut(r).copy_from_slice(p.row(pr));
-            r += 1;
-        }
-    }
-    out
-}
-
-/// Selects the listed rows into a new matrix (batched gather).
-///
-/// # Panics
-///
-/// Panics if any index is out of bounds.
-pub fn gather_rows(x: &Matrix, indices: &[usize]) -> Matrix {
-    let mut out = Matrix::zeros(indices.len(), x.cols());
-    gather_rows_into(x, indices, &mut out);
-    out
-}
-
-/// [`gather_rows`] into an existing `(indices.len(), x.cols())` matrix,
-/// allocating nothing (the scratch-arena gather of §4.3).
+/// Copies the listed rows of `x` into an existing
+/// `(indices.len(), x.cols())` matrix, allocating nothing (the
+/// scratch-arena gather of §4.3).
 ///
 /// # Panics
 ///
@@ -343,21 +281,6 @@ pub fn gather_rows_into(x: &Matrix, indices: &[usize], out: &mut Matrix) {
     );
     for (i, &idx) in indices.iter().enumerate() {
         out.row_mut(i).copy_from_slice(x.row(idx));
-    }
-}
-
-/// Writes each row of `src` into `dst` at the corresponding index
-/// (batched scatter, the inverse of [`gather_rows`]).
-///
-/// # Panics
-///
-/// Panics if widths differ, `src.rows() != indices.len()`, or an index is
-/// out of bounds.
-pub fn scatter_rows(dst: &mut Matrix, src: &Matrix, indices: &[usize]) {
-    assert_eq!(src.rows(), indices.len(), "scatter_rows index count");
-    assert_eq!(src.cols(), dst.cols(), "scatter_rows width mismatch");
-    for (i, &idx) in indices.iter().enumerate() {
-        dst.row_mut(idx).copy_from_slice(src.row(i));
     }
 }
 
@@ -384,32 +307,6 @@ pub fn split_cols(x: &Matrix, n: usize) -> Vec<Matrix> {
         }
     }
     parts
-}
-
-/// Row-wise softmax.
-pub fn softmax(x: &Matrix) -> Matrix {
-    let mut data = Vec::with_capacity(x.len());
-    for r in 0..x.rows() {
-        let row = x.row(r);
-        let max = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-        let base = data.len();
-        let mut sum = 0.0;
-        for &v in row {
-            let e = activation::exp(v - max);
-            sum += e;
-            data.push(e);
-        }
-        for v in &mut data[base..] {
-            *v /= sum;
-        }
-    }
-    Matrix::from_vec(x.rows(), x.cols(), data)
-}
-
-/// Row-wise argmax: index of the largest element in each row
-/// ([`argmax_row`]).
-pub fn argmax(x: &Matrix) -> Vec<usize> {
-    (0..x.rows()).map(|r| argmax_row(x.row(r))).collect()
 }
 
 /// Index of the largest element of one row.
@@ -505,12 +402,6 @@ mod tests {
     }
 
     #[test]
-    fn relu_clamps_negatives() {
-        let y = relu(&m(&[&[-1.0, 0.0, 2.0]]));
-        assert_eq!(y, m(&[&[0.0, 0.0, 2.0]]));
-    }
-
-    #[test]
     fn add_and_mul_elementwise() {
         let a = m(&[&[1.0, 2.0]]);
         let b = m(&[&[3.0, 4.0]]);
@@ -533,27 +424,6 @@ mod tests {
     }
 
     #[test]
-    fn concat_rows_layout() {
-        let a = m(&[&[1.0, 2.0]]);
-        let b = m(&[&[3.0, 4.0], &[5.0, 6.0]]);
-        let c = concat_rows(&[&a, &b]);
-        assert_eq!(c.shape(), (3, 2));
-        assert_eq!(c.row(2), &[5.0, 6.0]);
-    }
-
-    #[test]
-    fn gather_scatter_round_trip() {
-        let x = m(&[&[1.0, 1.0], &[2.0, 2.0], &[3.0, 3.0]]);
-        let g = gather_rows(&x, &[2, 0]);
-        assert_eq!(g, m(&[&[3.0, 3.0], &[1.0, 1.0]]));
-        let mut dst = Matrix::zeros(3, 2);
-        scatter_rows(&mut dst, &g, &[2, 0]);
-        assert_eq!(dst.row(0), &[1.0, 1.0]);
-        assert_eq!(dst.row(2), &[3.0, 3.0]);
-        assert_eq!(dst.row(1), &[0.0, 0.0]);
-    }
-
-    #[test]
     fn split_cols_inverts_concat() {
         let a = m(&[&[1.0, 2.0], &[5.0, 6.0]]);
         let b = m(&[&[3.0, 4.0], &[7.0, 8.0]]);
@@ -564,28 +434,9 @@ mod tests {
     }
 
     #[test]
-    fn softmax_rows_sum_to_one() {
-        let x = m(&[&[1.0, 2.0, 3.0], &[0.0, 0.0, 0.0]]);
-        let y = softmax(&x);
-        for r in 0..2 {
-            let s: f32 = y.row(r).iter().sum();
-            assert!((s - 1.0).abs() < 1e-5);
-        }
-        // Uniform logits give uniform probabilities.
-        assert!((y.get(1, 0) - 1.0 / 3.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn softmax_is_shift_invariant() {
-        let x = m(&[&[1.0, 2.0, 3.0]]);
-        let shifted = map(&x, |v| v + 1000.0);
-        assert!(softmax(&x).approx_eq(&softmax(&shifted), 1e-5));
-    }
-
-    #[test]
     fn argmax_ties_go_low() {
-        let x = m(&[&[1.0, 3.0, 3.0], &[5.0, 2.0, 1.0]]);
-        assert_eq!(argmax(&x), vec![1, 0]);
+        assert_eq!(argmax_row(&[1.0, 3.0, 3.0]), 1);
+        assert_eq!(argmax_row(&[5.0, 2.0, 1.0]), 0);
     }
 
     #[test]
@@ -600,20 +451,6 @@ mod tests {
     fn embedding_oov_panics() {
         let table = Matrix::zeros(3, 2);
         let _ = embedding(&table, &[3]);
-    }
-
-    #[test]
-    fn inplace_activations_match_allocating() {
-        let x = m(&[&[-2.0, -0.5, 0.0, 0.5, 2.0], &[1.0, -1.0, 3.0, -3.0, 0.1]]);
-        let mut s = x.clone();
-        sigmoid_inplace(&mut s);
-        assert_eq!(s, sigmoid(&x));
-        let mut t = x.clone();
-        tanh_inplace(&mut t);
-        assert_eq!(t, tanh(&x));
-        let mut r = x.clone();
-        relu_inplace(&mut r);
-        assert_eq!(r, relu(&x));
     }
 
     #[test]
@@ -749,7 +586,7 @@ mod tests {
         let x = m(&[&[1.0, 1.0], &[2.0, 2.0], &[3.0, 3.0]]);
         let mut out = Matrix::zeros(2, 2);
         gather_rows_into(&x, &[2, 0], &mut out);
-        assert_eq!(out, gather_rows(&x, &[2, 0]));
+        assert_eq!(out, m(&[&[3.0, 3.0], &[1.0, 1.0]]));
         let mut e = Matrix::zeros(2, 2);
         embedding_into(&x, &[1, 1], &mut e);
         assert_eq!(e, embedding(&x, &[1, 1]));
