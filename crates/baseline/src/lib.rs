@@ -25,6 +25,8 @@
 //! driver and cost model as the cellular server, so the comparisons
 //! isolate the *batching policy*.
 
+#![forbid(unsafe_code)]
+
 mod dyngraph;
 mod ideal;
 mod levels;

@@ -28,6 +28,8 @@
 //! - analytic FLOP accounting ([`cost`]) used to calibrate the simulated
 //!   device in `bm-device`.
 
+#![forbid(unsafe_code)]
+
 pub mod cost;
 mod gru;
 mod lstm;
@@ -116,7 +118,7 @@ impl Cell {
 
     /// Width of the memory-cell (`c`) row this cell produces: 0 for
     /// cells whose state has no memory component (GRU), the hidden
-    /// width otherwise. Used by the runtime to size state-arena slots.
+    /// width otherwise. Used by the runtime to check slot-block writes.
     pub fn memory_width(&self) -> usize {
         match self {
             Cell::Gru(_) => 0,
@@ -132,8 +134,8 @@ impl Cell {
     /// state does no per-step heap traffic), runs the cell's dataflow
     /// once at batch size `inputs.len()`, and hands each result row to
     /// `emit(row_index, h, c, token)` while it still lives in scratch —
-    /// the caller scatters rows wherever they belong (state-arena
-    /// slots, or owned [`CellOutput`]s). Rows are emitted exactly once
+    /// the caller scatters rows wherever they belong (slot blocks, or
+    /// owned [`CellOutput`]s). Rows are emitted exactly once
     /// each, in batch order; `c` is empty for cells without a memory
     /// cell and `token` is `Some` only for token-emitting cells. Each
     /// row is bit-identical to running its invocation alone, in any

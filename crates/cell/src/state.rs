@@ -1,18 +1,18 @@
 //! Per-invocation cell state, inputs and outputs.
 //!
 //! The runtime keeps the outputs of each executed cell node as
-//! per-request rows in its state arena. The §4.3 gather path
+//! per-request rows in its slot blocks. The §4.3 gather path
 //! (`Cell::execute_rows_in`) assembles a batched task by copying the
 //! rows each [`RowInvocation`] borrows into contiguous matrices, runs
 //! the cell once and hands every result row to the caller to scatter;
 //! the resident-state path ([`ResidentLayout`], `Cell::step_resident`)
 //! instead keeps each chain request's recurrent state parked in a row
 //! of a persistent batch matrix, so steady-state steps move no state at
-//! all and only the scatter (publication of results to the state arena)
+//! all and only the scatter (the write of results to the slot block)
 //! remains. [`StateRef`] and [`RowInvocation`] are the borrowed per-row
 //! inputs of both; [`CellState`] and [`CellOutput`] are owned copies of
-//! one emitted row, for callers that keep results outside the arena
-//! (the reference executor, tests).
+//! one emitted row, which the slot block stores per node and the
+//! reference executor and tests keep.
 
 /// The recurrent state one cell invocation produces for one request.
 ///
@@ -80,7 +80,7 @@ impl ResidentLayout {
 }
 
 /// A borrowed view of one predecessor state: raw rows living in someone
-/// else's storage (a state-arena slot, an owned [`CellState`], a batch
+/// else's storage (a slot-block output, an owned [`CellState`], a batch
 /// matrix).
 ///
 /// `c` is empty for cells without a memory component (GRU).
@@ -110,7 +110,7 @@ const EMPTY_STATE: StateRef<'static> = StateRef { h: &[], c: &[] };
 /// arity (0 for tree leaves and chain starts, 1 for chain cells, 2 for
 /// tree internal cells); `token` is the input word id for token-taking
 /// cells. States are raw row slices stored inline (no per-invocation
-/// `Vec`), so the runtime can point invocations straight at state-arena
+/// `Vec`), so the runtime can point invocations straight at slot-block
 /// rows when gathering a batch.
 #[derive(Debug, Clone, Copy)]
 pub struct RowInvocation<'a> {

@@ -65,8 +65,9 @@ pub struct ServeConfig {
 }
 
 /// Half the host's cores, at least 1: the default shard count. The
-/// value is not measured yet (ROADMAP item 4 will); the front door's
-/// event loop is shard 0, not a thread beside the shards.
+/// value is not measured yet (whether a second shard pays is ROADMAP
+/// item 8's question); the front door's event loop is shard 0, not a
+/// thread beside the shards.
 pub(crate) fn default_shards() -> usize {
     std::thread::available_parallelism()
         .map(|n| (n.get() / 2).max(1))

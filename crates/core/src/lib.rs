@@ -24,6 +24,8 @@
 //! [`CellularEngine`] under a calibrated GPU cost model to reproduce the
 //! paper's latency/throughput experiments.
 
+#![forbid(unsafe_code)]
+
 mod config;
 mod engine;
 mod ids;

@@ -16,14 +16,15 @@
 //!   the rows in place;
 //! - **leave** swap-removes the last occupied row into the hole, so the
 //!   occupied rows always form a dense prefix;
-//! - **migration** (the request executed its previous node elsewhere)
-//!   is detected by a freshness check and repaired by re-fetching the
-//!   authoritative state from the arena — correctness never depends on
-//!   a row being current.
+//! - **staleness** (the request's previous step ran on the gather path,
+//!   because its task held an entry with two or more dependencies, so
+//!   the row missed that step's output) is detected by a freshness check
+//!   and repaired by re-fetching the authoritative state from the slot
+//!   block — correctness never depends on a row being current.
 //!
-//! The scatter half remains: every node's output is still published to
+//! The scatter half remains: every node's output is still written to
 //! the request's [`crate::SlotBlock`] so later gathers (tree phases,
-//! migrated tasks) and the final output copy-out observe it.
+//! gather-path steps) and the request's final result observe it.
 //!
 //! ## Row placement
 //!
@@ -42,9 +43,9 @@
 //! A row is *fresh* for entry `(request, node, dep)` iff it belongs to
 //! `request` and its recorded `last_node` equals `dep` — the node whose
 //! output this step consumes. Node ids are unique within a request, so
-//! the check is exact regardless of how the row migrated or how long
-//! ago it was written. A stale row (the request stepped somewhere else
-//! in between) is repaired from the slot arena; a chain-start
+//! the check is exact regardless of how the row moved or how long
+//! ago it was written. A stale row (the request took a gather-path step
+//! in between) is repaired from the slot block; a chain-start
 //! entry (`dep == None`) zeroes the state portion, matching the gather
 //! path's implicit zero initial state.
 
@@ -68,8 +69,8 @@ pub struct ResidentStats {
     /// Row moves keeping the occupied prefix dense: swap-remove fills
     /// on leave, displacements on join, and placement swaps.
     pub compaction_moves: u64,
-    /// Stale rows repaired from the state arena (the request stepped
-    /// outside this batch since the row was written).
+    /// Stale rows repaired from the slot block (the request took a
+    /// gather-path step since the row was written).
     pub refetches: u64,
 }
 
@@ -148,7 +149,7 @@ impl ResidentBatch {
     /// Must be called for a task's entries in order, `i = 0, 1, …` —
     /// the placement invariant (module docs) depends on it. `fetch` is
     /// consulted only when the row is missing or stale; it returns the
-    /// authoritative state of `dep` (normally a slot-arena read).
+    /// authoritative state of `dep` (normally a slot-block read).
     ///
     /// # Panics
     ///
@@ -262,7 +263,7 @@ impl ResidentBatch {
     }
 
     /// Releases every row (allocation retained). Rows of requests that
-    /// step again are rebuilt from the slot arena by the freshness
+    /// step again are rebuilt from the slot block by the freshness
     /// check.
     pub fn clear(&mut self) {
         self.meta.clear();
@@ -379,7 +380,7 @@ mod tests {
     }
 
     /// Steps requests through a ResidentBatch under churn (joins,
-    /// leaves, reorderings, a simulated migration) and checks every
+    /// leaves, reorderings, a simulated gather-path step) and checks every
     /// output bitwise against the gather path, with vacated rows
     /// NaN-poisoned to prove they are never read.
     #[test]
@@ -388,7 +389,7 @@ mod tests {
         let layout = cell.resident_layout().unwrap();
         let mut rb = ResidentBatch::new(layout);
         let mut scratch = Scratch::new();
-        // Authoritative per-request state, as the slot arena would hold
+        // Authoritative per-request state, as the slot block would hold
         // it: (last node id, state).
         let mut truth: HashMap<RequestId, (u32, CellState)> = HashMap::new();
         let mut next_node: HashMap<RequestId, u32> = HashMap::new();
@@ -485,7 +486,7 @@ mod tests {
             &[(3, 5), (1, 8), (2, 6)],
         );
         assert_eq!(rb.occupied(), 3);
-        // Simulated migration: request 1 steps elsewhere (truth
+        // Simulated gather-path step: request 1 steps elsewhere (truth
         // advances, resident row goes stale), then returns — the
         // freshness check must trigger a refetch.
         {

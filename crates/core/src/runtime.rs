@@ -66,20 +66,22 @@
 //! ## The state plane
 //!
 //! Node outputs live in per-request slot blocks
-//! (`crate::state_plane::SlotBlock`): dense slot rows allocated at
-//! admission, written exactly once by the step that computes them and
-//! read in place by every later gather. There is no global state map
-//! and no per-dependency `CellOutput` clone; a node's output is copied
-//! exactly once, into the [`GraphResult`] handed back to the client.
-//! The engine submits a node only after its dependencies completed and
-//! the loop executes tasks in submission order, so a dependency's rows
-//! are always published before a task that gathers them starts.
+//! (`crate::state_plane::SlotBlock`): one write-once output per node,
+//! written exactly once by the step that computes it and read in place
+//! by every later gather. A request and its block live on the shard's
+//! thread, so the block needs no lock and no atomics. There is no
+//! global state map and no per-dependency `CellOutput` clone; a node's
+//! output is copied once, out of the batch, and then moved into the
+//! [`GraphResult`] handed back to the client. The engine submits a node
+//! only after its dependencies completed and the loop executes tasks in
+//! submission order, so a dependency's rows are always written before a
+//! task that gathers them starts.
 //!
 //! Cells that report a [`Cell::resident_layout`] additionally run
 //! through the shard's resident-state plane: one [`crate::ResidentBatch`]
 //! per chain cell type whose rows park each active request's recurrent
 //! state between steps, so steady-state chain execution skips the gather
-//! entirely (the scatter — publication to the slot block — remains, and
+//! entirely (the scatter — the write to the slot block — remains, and
 //! outputs stay bit-identical). A request's row is released the moment
 //! the request resolves. Tree cells and entries with two or more
 //! dependencies have no resident form and always gather.
@@ -113,7 +115,8 @@
 //! task execution, expiry and completion — as structured [`bm_trace`]
 //! events, exportable to Chrome trace JSON. With
 //! [`ServeConfig::telemetry`] enabled each shard records into its
-//! **own** registry (so shards never contend on one) and
+//! **own** registry, written by the shard's thread alone (the
+//! submitting threads only tick its at-capacity refusal counter), and
 //! [`Runtime::snapshot`] rolls them up into a single
 //! [`Snapshot`] with a `shard` label on every entry — aggregate totals
 //! fall out of `counter_sum`/`histogram_sum` over the merged view.
@@ -807,10 +810,14 @@ impl Runtime {
         // equal-load ties spread.
         let start = self.rr.fetch_add(1, Ordering::Relaxed) % loads.len();
         let first = shard::place(&req.input, loads, start);
-        let s = std::iter::once(first)
+        let cap = self.opts.serve().max_active;
+        let Some(s) = std::iter::once(first)
             .chain(std::iter::once_with(|| shard::retry_order(first, loads)).flatten())
-            .find(|&s| self.reserve(s, id))
-            .ok_or(SubmitError::AtCapacity)?;
+            .find(|&s| self.shards[s].reserve(cap))
+        else {
+            self.refuse(first, id);
+            return Err(SubmitError::AtCapacity);
+        };
 
         let graph = self.model.unfold(&req.input);
         let arrival_us = self.timer.now_us();
@@ -825,13 +832,11 @@ impl Runtime {
         Ok((s, arrival))
     }
 
-    /// Reserves request `id` a slot on shard `s`; when the shard is at
-    /// its cap, counts and traces the refusal instead.
-    fn reserve(&self, s: usize, id: RequestId) -> bool {
-        if self.shards[s].reserve(self.opts.serve().max_active) {
-            return true;
-        }
-        if let Some(c) = &self.shards[s].rejected {
+    /// Counts and traces request `id`'s refusal, once, after every shard
+    /// turned it away: on the registry of `first`, the shard it was
+    /// offered to first.
+    fn refuse(&self, first: usize, id: RequestId) {
+        if let Some(c) = &self.shards[first].rejected {
             c.inc();
         }
         let trace = &self.opts.serve().trace;
@@ -844,7 +849,6 @@ impl Runtime {
                 },
             });
         }
-        false
     }
 
     /// Per-shard active-request snapshot used for placement.
@@ -970,7 +974,6 @@ struct LiveRequest {
     /// The request's state rows; every task entry of the request gathers
     /// from and scatters into them.
     block: SlotBlock,
-    n_nodes: usize,
 }
 
 /// The shard thread's telemetry handles (`None` as a whole when
@@ -1175,7 +1178,6 @@ impl Shard {
             LiveRequest {
                 respond,
                 block: SlotBlock::for_graph(&graph, &self.registry),
-                n_nodes: graph.len(),
             },
         );
         self.engine.on_arrival(id, graph, arrival_us, deadline_us);
@@ -1244,9 +1246,8 @@ impl Shard {
             // Partial outputs die with the block.
             ServedOutcome::Expired(timing)
         } else {
-            let outputs = (0..r.n_nodes).map(|i| r.block.output(i)).collect();
             ServedOutcome::Completed(ServedResult {
-                result: GraphResult { outputs },
+                result: r.block.into_result(),
                 timing,
             })
         };
@@ -1290,7 +1291,7 @@ fn entry_token(e: &TaskEntry, block: &SlotBlock) -> Option<u32> {
     }
 }
 
-/// The published state of `e`'s dependency `d`.
+/// The written state of `e`'s dependency `d`.
 fn dep_state<'a>(e: &TaskEntry, d: NodeId, block: &'a SlotBlock) -> StateRef<'a> {
     block
         .state(d.index())
@@ -1300,9 +1301,9 @@ fn dep_state<'a>(e: &TaskEntry, d: NodeId, block: &'a SlotBlock) -> StateRef<'a>
 /// Executes one batched task against the slot-indexed state plane.
 ///
 /// Performs the "gather" (§4.3) by pointing each invocation straight at
-/// its dependencies' published slot rows — no `CellOutput` clone — then
+/// its dependencies' slot rows — no `CellOutput` clone — then
 /// runs the cell once and scatters each result row into the entry's own
-/// slot. Dependency rows are guaranteed published: tasks execute in
+/// slot. Dependency rows are guaranteed written: tasks execute in
 /// submission order and the engine submits a node only once its
 /// external dependencies completed.
 ///
@@ -1360,7 +1361,7 @@ fn execute_task(
 /// already parked there from its previous step, one row write for a
 /// join, a slot-block refetch only when the row went stale — and then
 /// the cell runs one fused step over the dense prefix in place. The
-/// scatter half is unchanged: every row's output is still published to
+/// scatter half is unchanged: every row's output is still written to
 /// the request's [`SlotBlock`], keeping later gathers and the final
 /// copy-out oblivious to which path ran.
 fn execute_task_resident(

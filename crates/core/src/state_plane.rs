@@ -1,103 +1,85 @@
 //! The per-request slot-indexed state plane.
 //!
-//! One [`SlotBlock`] backs each admitted request: a [`RowArena`] holding
-//! two rows per graph node (hidden state and memory cell, sized from the
-//! node's cell type) plus one atomic publication word per node. Workers
-//! *scatter* a node's output by writing its rows and then storing the
-//! word with `Release`; any later *gather* (on any worker) loads the
-//! word with `Acquire` and reads the rows in place — so dependency
-//! states flow between tasks with zero copies, no `CellOutput`
-//! materialization and no lock.
+//! One [`SlotBlock`] backs each admitted request: one write-once cell
+//! per graph node holding the node's [`CellOutput`] (hidden state,
+//! memory cell and emitted token), plus each node's expected row widths,
+//! sized from its cell type. The step that computes a node *scatters*
+//! its output by writing the cell; any later *gather* of the same
+//! request borrows the rows in place — so dependency states flow between
+//! tasks with no per-dependency copy — and the finished request moves
+//! every output into its [`GraphResult`].
 //!
-//! Publication protocol, per node:
-//!
-//! - `0` — empty (node not executed; reads report "missing").
-//! - `CLAIMED` — a writer won the (panicking) claim CAS and is filling
-//!   the rows. Readers still report "missing": the write is not
-//!   published.
-//! - `WRITTEN | [HAS_TOKEN | token]` — rows are final and immutable;
-//!   the `Release`/`Acquire` pair orders the row bytes.
-//!
-//! The claim CAS makes the API safe: a node's rows are written at most
-//! once ever (a second writer panics — the engine's exactly-once
-//! submission invariant, so this is a scheduler-bug detector, not a
-//! recoverable path), and once `WRITTEN` is observed the rows can never
-//! be written again, so shared row views handed to gathers are sound.
+//! A request lives on its shard's thread from admission to resolution,
+//! so the block is plain single-threaded storage: no lock and no
+//! atomics. A node is written at most once ever (a second write
+//! panics — the engine's exactly-once submission invariant, so this is
+//! a scheduler-bug detector, not a recoverable path), which is what lets
+//! gathers hold shared row views while later nodes are written.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::OnceCell;
 
 use bm_cell::{CellOutput, CellRegistry, CellState, StateRef};
-use bm_model::CellGraph;
-use bm_tensor::RowArena;
+use bm_model::{reference::GraphResult, CellGraph};
 
-const CLAIMED: u64 = 1 << 62;
-const WRITTEN: u64 = 1 << 63;
-const HAS_TOKEN: u64 = 1 << 32;
-const TOKEN_MASK: u64 = u32::MAX as u64;
-
-/// State storage for one request: slot rows plus publication words,
-/// indexed by node.
+/// State storage for one request: one write-once output per node.
 #[derive(Debug)]
 pub struct SlotBlock {
-    arena: RowArena,
-    meta: Box<[AtomicU64]>,
+    outputs: Box<[OnceCell<CellOutput>]>,
+    /// Node `i`'s `(h, c)` row widths.
+    widths: Box<[(usize, usize)]>,
 }
 
 impl SlotBlock {
-    /// Allocates zeroed slots for every node of `graph`, sized from each
-    /// node's cell type (`h` row of `hidden_size`, `c` row of
+    /// Empty slots for every node of `graph`, expecting from each node
+    /// the widths of its cell type (`h` row of `hidden_size`, `c` row of
     /// `memory_width` — 0 for cells without a memory cell).
     pub fn for_graph(graph: &CellGraph, registry: &CellRegistry) -> Self {
-        let mut widths = Vec::with_capacity(2 * graph.len());
-        for node in graph.nodes() {
-            let cell = registry.cell(node.cell_type);
-            widths.push(cell.hidden_size());
-            widths.push(cell.memory_width());
-        }
+        let widths = graph
+            .nodes()
+            .iter()
+            .map(|node| {
+                let cell = registry.cell(node.cell_type);
+                (cell.hidden_size(), cell.memory_width())
+            })
+            .collect();
+        Self::with_widths(widths)
+    }
+
+    fn with_widths(widths: Box<[(usize, usize)]>) -> Self {
         SlotBlock {
-            arena: RowArena::new(&widths),
-            meta: (0..graph.len()).map(|_| AtomicU64::new(0)).collect(),
+            outputs: widths.iter().map(|_| OnceCell::new()).collect(),
+            widths,
         }
     }
 
-    /// Writes node `i`'s output rows and publishes them.
+    /// Writes node `i`'s output rows and token.
     ///
     /// # Panics
     ///
-    /// Panics if the node was already claimed or written (each node
-    /// executes exactly once), or on a row-width mismatch.
+    /// Panics if the node was already written (each node executes
+    /// exactly once), or if a row's width is not its cell type's.
     pub fn write(&self, i: usize, h: &[f32], c: &[f32], token: Option<u32>) {
-        self.meta[i]
-            .compare_exchange(0, CLAIMED, Ordering::Acquire, Ordering::Relaxed)
-            .unwrap_or_else(|_| panic!("state slot {i} written twice"));
-        // SAFETY: the claim CAS above makes this thread the only writer
-        // of node `i`'s rows, ever; readers wait for WRITTEN.
-        unsafe {
-            self.arena.row_mut(2 * i).copy_from_slice(h);
-            self.arena.row_mut(2 * i + 1).copy_from_slice(c);
+        assert_eq!(
+            (h.len(), c.len()),
+            self.widths[i],
+            "state slot {i} written with the wrong row widths"
+        );
+        let out = CellOutput {
+            state: CellState {
+                h: h.to_vec(),
+                c: c.to_vec(),
+            },
+            token,
+        };
+        if self.outputs[i].set(out).is_err() {
+            panic!("state slot {i} written twice");
         }
-        let mut m = WRITTEN;
-        if let Some(t) = token {
-            m |= HAS_TOKEN | t as u64;
-        }
-        self.meta[i].store(m, Ordering::Release);
     }
 
-    /// Borrows node `i`'s published state rows, or `None` if the node
-    /// has not (finished) executing.
+    /// Borrows node `i`'s state rows, or `None` if the node has not
+    /// executed.
     pub fn state(&self, i: usize) -> Option<StateRef<'_>> {
-        if self.meta[i].load(Ordering::Acquire) & WRITTEN == 0 {
-            return None;
-        }
-        // SAFETY: WRITTEN was observed with Acquire, so the final row
-        // write happened-before this read and no writer can ever touch
-        // these rows again.
-        Some(unsafe {
-            StateRef {
-                h: self.arena.row(2 * i),
-                c: self.arena.row(2 * i + 1),
-            }
-        })
+        self.outputs[i].get().map(|out| StateRef::of(&out.state))
     }
 
     /// The token node `i` emitted, if any.
@@ -105,28 +87,22 @@ impl SlotBlock {
     /// Meaningful only after [`SlotBlock::state`] returned `Some` for
     /// the node.
     pub fn token(&self, i: usize) -> Option<u32> {
-        let m = self.meta[i].load(Ordering::Acquire);
-        debug_assert_ne!(m & WRITTEN, 0, "token read before publication");
-        if m & HAS_TOKEN != 0 {
-            Some((m & TOKEN_MASK) as u32)
-        } else {
-            None
-        }
+        let out = self.outputs[i].get();
+        debug_assert!(out.is_some(), "token read before the node was written");
+        out.and_then(|out| out.token)
     }
 
-    /// Copies node `i`'s published output out as an owned [`CellOutput`]
-    /// (`None` for never-executed nodes, e.g. past an `<eos>` cancel).
-    /// The one copy of the state plane's lifecycle, made once per node
-    /// when the finished request is handed back to the client.
-    pub fn output(&self, i: usize) -> Option<CellOutput> {
-        let st = self.state(i)?;
-        Some(CellOutput {
-            state: CellState {
-                h: st.h.to_vec(),
-                c: st.c.to_vec(),
-            },
-            token: self.token(i),
-        })
+    /// Moves every node's output into the request's result (`None` for
+    /// never-executed nodes, e.g. past an `<eos>` cancel).
+    pub fn into_result(self) -> GraphResult {
+        GraphResult {
+            outputs: self
+                .outputs
+                .into_vec()
+                .into_iter()
+                .map(OnceCell::into_inner)
+                .collect(),
+        }
     }
 }
 
@@ -135,29 +111,40 @@ mod tests {
     use super::*;
 
     fn block(widths: &[(usize, usize)]) -> SlotBlock {
-        let flat: Vec<usize> = widths.iter().flat_map(|&(h, c)| [h, c]).collect();
-        SlotBlock {
-            arena: RowArena::new(&flat),
-            meta: (0..widths.len()).map(|_| AtomicU64::new(0)).collect(),
-        }
+        SlotBlock::with_widths(widths.into())
     }
 
     #[test]
-    fn publish_then_read_round_trips() {
-        let b = block(&[(3, 3), (2, 0)]);
+    fn write_then_read_round_trips() {
+        let b = block(&[(3, 3), (2, 0), (1, 1)]);
         assert!(b.state(0).is_none());
         b.write(0, &[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0], None);
-        let st = b.state(0).expect("published");
+        let st = b.state(0).expect("written");
         assert_eq!(st.h, &[1.0, 2.0, 3.0]);
         assert_eq!(st.c, &[4.0, 5.0, 6.0]);
         assert_eq!(b.token(0), None);
 
         b.write(1, &[7.0, 8.0], &[], Some(42));
         assert_eq!(b.token(1), Some(42));
-        let out = b.output(1).expect("published");
+        let outputs = b.into_result().outputs;
+        let out = outputs[1].as_ref().expect("written");
         assert_eq!(out.state.h, vec![7.0, 8.0]);
         assert!(out.state.c.is_empty());
         assert_eq!(out.token, Some(42));
+        assert!(outputs[2].is_none(), "a never-executed node has no output");
+    }
+
+    #[test]
+    fn into_result_moves_the_rows_gathers_read() {
+        let b = block(&[(2, 2)]);
+        b.write(0, &[1.0, 2.0], &[3.0, 4.0], None);
+        let (h, c) = {
+            let st = b.state(0).expect("written");
+            (st.h.as_ptr(), st.c.as_ptr())
+        };
+        let out = b.into_result().outputs.remove(0).expect("written");
+        assert_eq!(out.state.h.as_ptr(), h, "h row copied, not moved");
+        assert_eq!(out.state.c.as_ptr(), c, "c row copied, not moved");
     }
 
     #[test]
@@ -166,5 +153,12 @@ mod tests {
         let b = block(&[(1, 1)]);
         b.write(0, &[1.0], &[2.0], None);
         b.write(0, &[1.0], &[2.0], None);
+    }
+
+    #[test]
+    #[should_panic(expected = "wrong row widths")]
+    fn width_mismatch_panics() {
+        let b = block(&[(2, 2)]);
+        b.write(0, &[1.0, 2.0], &[3.0], None);
     }
 }

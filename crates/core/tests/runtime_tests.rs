@@ -1209,6 +1209,64 @@ fn shutdown_never_blocks_on_a_hosted_shards_full_inbox() {
     drop(rt);
 }
 
+/// A capacity refusal is counted and traced once, on the shard the
+/// request was offered to first, and only when every shard refused it:
+/// a request the second chance admits leaves no refusal behind.
+#[test]
+fn a_refusal_is_counted_once_and_only_when_every_shard_refuses() {
+    use bm_trace::EventKind;
+    let sink = Arc::new(RingBufferSink::new(100_000));
+    let (rt, mut shard, _) = hosted(
+        ServeConfig::new()
+            .shards(2)
+            .max_active(1)
+            .telemetry(Telemetry::new())
+            .trace(sink.clone()),
+    );
+    let input = RequestInput::Sequence(vec![1, 2, 3]);
+    // Every sequence is offered to shard 0 first; this thread hosts it
+    // and does not pass it yet, so its one slot stays held.
+    let held = rt.submit_request(&input).expect("fills shard 0");
+    // Shard 1 parks after resolving the first spill, so the second one
+    // keeps its slot for as long as the test wants.
+    let (queue, completions, gate) = parking_queue();
+    rt.submit_request_tagged(&input, 0, &queue)
+        .expect("spills to shard 1");
+    gate.wait();
+    let parked = rt.submit_request(&input).expect("spills to shard 1");
+    let refusals: Vec<_> = (0..3).map(|_| rt.submit_request(&input).err()).collect();
+    let snap = rt.snapshot();
+    // Release shard 1 before asserting: a failed assertion must not
+    // leave its thread parked while the runtime joins it.
+    gate.wait();
+    drain(&mut shard);
+    assert!(held.wait().is_completed());
+    assert!(parked.wait().is_completed());
+    let (_, outcome) = completions.try_recv().expect("resolved before parking");
+    assert!(outcome.is_completed());
+    rt.shutdown();
+
+    assert!(refusals.iter().all(|r| *r == Some(SubmitError::AtCapacity)));
+    let rejected = |shard: &str| {
+        snap.get_with(
+            "bm_requests_rejected_total",
+            &[("reason", "at_capacity"), ("shard", shard)],
+        )
+        .cloned()
+    };
+    assert_eq!(rejected("0"), Some(MetricValue::Counter(3)));
+    assert_eq!(rejected("1"), Some(MetricValue::Counter(0)));
+    let refused: Vec<u64> = sink
+        .events()
+        .iter()
+        .filter_map(|e| match e.kind {
+            EventKind::RequestRejected { request, .. } => Some(request),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(refused, [3, 4, 5], "one refusal per refused request");
+}
+
 /// Dropping a hosted shard resolves everything it still holds — a
 /// request part-way through its steps and arrivals still in its inbox,
 /// tagged or not — as `ShutDown`, and releases their slots.

@@ -17,6 +17,8 @@
 //! memory copies when batch composition changes, and cross-GPU state
 //! transfers (§4.3).
 
+#![forbid(unsafe_code)]
+
 mod cost;
 mod profile;
 mod timer;

@@ -11,6 +11,8 @@
 //! (padding + bucketing), TensorFlow Fold and DyNet (dynamic graph
 //! merging), and the Figure 15 ideal static graph.
 
+#![forbid(unsafe_code)]
+
 pub mod experiments;
 pub mod output;
 pub mod systems;

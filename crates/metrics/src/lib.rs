@@ -9,6 +9,8 @@
 //! All timestamps are in **microseconds**; latencies are reported in
 //! milliseconds.
 
+#![forbid(unsafe_code)]
+
 mod cdf;
 mod recorder;
 mod sla;

@@ -15,6 +15,8 @@
 //! correct, unbatched executor used as the oracle that the cellular
 //! batching runtime must match bit-for-bit.
 
+#![forbid(unsafe_code)]
+
 pub mod graph;
 mod gru_lm;
 mod lstm_lm;

@@ -15,6 +15,8 @@
 //! - [`simulate`] — the open-loop driver: injects Poisson arrivals,
 //!   tracks worker busy/idle state, and collects per-request timings.
 
+#![forbid(unsafe_code)]
+
 mod cellular;
 mod driver;
 mod event;

@@ -5,11 +5,12 @@
 //! ([`Telemetry`]) cheap enough to leave enabled on the serving hot
 //! path:
 //!
-//! - [`Counter`] / [`Gauge`] — sharded relaxed atomics, one
-//!   cache-line-padded cell per write shard, summed at snapshot time;
+//! - [`Counter`] / [`Gauge`] — one relaxed atomic each, shared by
+//!   every clone of the handle (a registry has one writer in practice:
+//!   its shard's thread, or the simulator's);
 //! - [`Histogram`] — log-bucketed HDR-style buckets (exact below 16,
 //!   then 8 sub-buckets per power of two, ≤ 12.5% quantile error) with
-//!   exact `sum`/`count`/`min`/`max`, mergeable across shards;
+//!   exact `sum`/`count`/`min`/`max`, mergeable across registries;
 //! - [`Snapshot`] — an immutable sorted view with a strict
 //!   `bm-telemetry/v1` JSON encoding ([`Snapshot::to_json`] /
 //!   [`Snapshot::from_json`]) and Prometheus text exposition
@@ -27,13 +28,15 @@
 //! The strict [`json`] parser lives here for the same reason;
 //! `bm_trace::json` re-exports it.
 
+#![forbid(unsafe_code)]
+
 pub mod json;
 mod metrics;
 mod registry;
 mod scrape;
 mod snapshot;
 
-pub use metrics::{bucket_bounds, bucket_index, Counter, Gauge, Histogram, NUM_BUCKETS, SHARDS};
+pub use metrics::{bucket_bounds, bucket_index, Counter, Gauge, Histogram, NUM_BUCKETS};
 pub use registry::Telemetry;
 pub use scrape::Scraper;
 pub use snapshot::{HistogramSnapshot, MetricEntry, MetricValue, Snapshot, SNAPSHOT_SCHEMA};

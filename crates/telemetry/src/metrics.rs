@@ -1,62 +1,23 @@
-//! Lock-free sharded metric primitives.
+//! Metric primitives: one relaxed atomic per value.
 //!
-//! Every handle fans writes out across [`SHARDS`] cache-line-padded
-//! atomic cells indexed by a thread-local shard id, so concurrent
-//! recorders on different threads never contend on one cache line.
-//! Reads (snapshots) sum the shards; they are racy-by-design and see a
-//! value that was true at *some* interleaving, which is all a scrape
-//! needs. All atomics use relaxed ordering — metrics carry no
+//! Each registry has one writer in practice — its shard's thread, or
+//! the simulator's — so a handle is a single atomic (a histogram, one
+//! atomic per bucket plus count, sum, min and max) shared by every
+//! clone. Writes from other threads are still exact: every update is
+//! one atomic read-modify-write. Reads (snapshots) are racy-by-design
+//! and see a value that was true at *some* interleaving, which is all a
+//! scrape needs. All atomics use relaxed ordering — metrics carry no
 //! happens-before obligations.
 
-use std::cell::Cell;
-use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::snapshot::HistogramSnapshot;
 
-/// Write shards per metric. Eight covers the worker counts this
-/// workspace runs (2–8) without making snapshot sums expensive.
-pub const SHARDS: usize = 8;
-
-static NEXT_SHARD: AtomicUsize = AtomicUsize::new(0);
-
-thread_local! {
-    static SHARD: Cell<usize> = const { Cell::new(usize::MAX) };
-}
-
-/// The calling thread's shard index, assigned round-robin on first use.
-#[inline]
-fn shard_index() -> usize {
-    SHARD.with(|s| {
-        let v = s.get();
-        if v != usize::MAX {
-            v
-        } else {
-            let v = NEXT_SHARD.fetch_add(1, Ordering::Relaxed) % SHARDS;
-            s.set(v);
-            v
-        }
-    })
-}
-
-/// One atomic on its own cache line, so shards never false-share.
-#[repr(align(64))]
-#[derive(Default)]
-struct PaddedU64(AtomicU64);
-
-#[repr(align(64))]
-#[derive(Default)]
-struct PaddedI64(AtomicI64);
-
-#[derive(Default)]
-struct CounterCore {
-    shards: [PaddedU64; SHARDS],
-}
-
 /// A monotonically increasing counter. Cloning shares the underlying
-/// shards — handles are cheap to clone and `Send + Sync`.
+/// atomic — handles are cheap to clone and `Send + Sync`.
 #[derive(Clone, Default)]
-pub struct Counter(Arc<CounterCore>);
+pub struct Counter(Arc<AtomicU64>);
 
 impl Counter {
     /// A fresh zeroed counter (normally obtained from the registry).
@@ -64,12 +25,10 @@ impl Counter {
         Self::default()
     }
 
-    /// Adds `n` to the calling thread's shard.
+    /// Adds `n`.
     #[inline]
     pub fn add(&self, n: u64) {
-        self.0.shards[shard_index()]
-            .0
-            .fetch_add(n, Ordering::Relaxed);
+        self.0.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Adds one.
@@ -78,13 +37,9 @@ impl Counter {
         self.add(1);
     }
 
-    /// The current total across all shards.
+    /// The current total.
     pub fn value(&self) -> u64 {
-        self.0
-            .shards
-            .iter()
-            .map(|s| s.0.load(Ordering::Relaxed))
-            .sum()
+        self.0.load(Ordering::Relaxed)
     }
 }
 
@@ -94,20 +49,15 @@ impl std::fmt::Debug for Counter {
     }
 }
 
-#[derive(Default)]
-struct GaugeCore {
-    shards: [PaddedI64; SHARDS],
-}
-
 /// A signed instantaneous value (queue depth, active requests).
 ///
-/// [`Gauge::add`]/[`Gauge::sub`] are sharded and safe from any thread.
-/// [`Gauge::set`] overwrites the whole gauge and is only meaningful
-/// when a single thread owns the value (e.g. the engine's manager
-/// thread publishing a level it computes itself) — do not mix `set`
-/// with concurrent `add`/`sub` from other threads.
+/// [`Gauge::add`]/[`Gauge::sub`] are exact from any thread.
+/// [`Gauge::set`] overwrites the value, so an `add` racing it from
+/// another thread may be lost: use `set` only on a gauge whose one
+/// writer computes the level itself (e.g. a shard publishing its own
+/// queue depth).
 #[derive(Clone, Default)]
-pub struct Gauge(Arc<GaugeCore>);
+pub struct Gauge(Arc<AtomicI64>);
 
 impl Gauge {
     /// A fresh zeroed gauge (normally obtained from the registry).
@@ -115,42 +65,27 @@ impl Gauge {
         Self::default()
     }
 
-    /// Adds `n` (may be negative) to the calling thread's shard.
+    /// Adds `n` (may be negative).
     #[inline]
     pub fn add(&self, n: i64) {
-        self.0.shards[shard_index()]
-            .0
-            .fetch_add(n, Ordering::Relaxed);
+        self.0.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Subtracts `n` from the calling thread's shard.
+    /// Subtracts `n`.
     #[inline]
     pub fn sub(&self, n: i64) {
         self.add(-n);
     }
 
-    /// Sets the gauge to `v` (single-writer: stores `v` in shard 0 and
-    /// zeroes the rest).
+    /// Sets the gauge to `v`.
     #[inline]
     pub fn set(&self, v: i64) {
-        self.0.shards[0].0.store(v, Ordering::Relaxed);
-        for s in &self.0.shards[1..] {
-            // Loads are far cheaper than stores here: after the first
-            // `set`, the non-owner shards stay zero, so a steady-state
-            // single-writer `set` touches one cache line, not eight.
-            if s.0.load(Ordering::Relaxed) != 0 {
-                s.0.store(0, Ordering::Relaxed);
-            }
-        }
+        self.0.store(v, Ordering::Relaxed);
     }
 
-    /// The current level across all shards.
+    /// The current level.
     pub fn value(&self) -> i64 {
-        self.0
-            .shards
-            .iter()
-            .map(|s| s.0.load(Ordering::Relaxed))
-            .sum()
+        self.0.load(Ordering::Relaxed)
     }
 }
 
@@ -206,26 +141,10 @@ pub fn bucket_bounds(i: usize) -> (u64, u64) {
     }
 }
 
-struct HistShard {
+struct HistogramCore {
     buckets: Box<[AtomicU64]>, // NUM_BUCKETS long
     count: AtomicU64,
     sum: AtomicU64,
-}
-
-impl Default for HistShard {
-    fn default() -> Self {
-        let mut v = Vec::with_capacity(NUM_BUCKETS);
-        v.resize_with(NUM_BUCKETS, AtomicU64::default);
-        HistShard {
-            buckets: v.into_boxed_slice(),
-            count: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
-        }
-    }
-}
-
-struct HistogramCore {
-    shards: [HistShard; SHARDS],
     min: AtomicU64,
     max: AtomicU64,
 }
@@ -233,7 +152,9 @@ struct HistogramCore {
 impl Default for HistogramCore {
     fn default() -> Self {
         HistogramCore {
-            shards: Default::default(),
+            buckets: (0..NUM_BUCKETS).map(|_| AtomicU64::new(0)).collect(),
+            count: AtomicU64::new(0),
+            sum: AtomicU64::new(0),
             min: AtomicU64::new(u64::MAX),
             max: AtomicU64::new(0),
         }
@@ -245,8 +166,9 @@ impl Default for HistogramCore {
 /// Bucket layout: values `< 16` get exact buckets; above that, each
 /// power of two is split into 8 sub-buckets, so any quantile estimate
 /// overshoots the exact sample by at most 12.5% (`sum`, `count`, `min`
-/// and `max` stay exact). Recording touches one shard's bucket, count
-/// and sum plus the shared min/max pair — no locks, no allocation.
+/// and `max` stay exact). Recording touches one bucket, the count and
+/// the sum, plus min/max only when the sample extends them — no locks,
+/// no allocation.
 #[derive(Clone, Default)]
 pub struct Histogram(Arc<HistogramCore>);
 
@@ -259,69 +181,55 @@ impl Histogram {
     /// Records one sample.
     #[inline]
     pub fn record(&self, v: u64) {
-        let shard = &self.0.shards[shard_index()];
-        shard.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
-        shard.count.fetch_add(1, Ordering::Relaxed);
-        shard.sum.fetch_add(v, Ordering::Relaxed);
+        let h = &*self.0;
+        h.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
+        h.count.fetch_add(1, Ordering::Relaxed);
+        h.sum.fetch_add(v, Ordering::Relaxed);
         // Check before the RMW: once min/max have settled (almost every
-        // record in steady state), the shared pair costs two loads
-        // instead of two cross-core atomic RMWs. Racing improvements
-        // still land — fetch_min/fetch_max re-check atomically.
-        if v < self.0.min.load(Ordering::Relaxed) {
-            self.0.min.fetch_min(v, Ordering::Relaxed);
+        // record in steady state), they cost two loads instead of two
+        // atomic RMWs. Racing improvements still land — fetch_min and
+        // fetch_max re-check atomically.
+        if v < h.min.load(Ordering::Relaxed) {
+            h.min.fetch_min(v, Ordering::Relaxed);
         }
-        if v > self.0.max.load(Ordering::Relaxed) {
-            self.0.max.fetch_max(v, Ordering::Relaxed);
+        if v > h.max.load(Ordering::Relaxed) {
+            h.max.fetch_max(v, Ordering::Relaxed);
         }
     }
 
     /// Total samples recorded.
     pub fn count(&self) -> u64 {
-        self.0
-            .shards
-            .iter()
-            .map(|s| s.count.load(Ordering::Relaxed))
-            .sum()
+        self.0.count.load(Ordering::Relaxed)
     }
 
     /// Exact sum of all samples (wrapping on overflow past `u64::MAX`).
     pub fn sum(&self) -> u64 {
-        self.0
-            .shards
-            .iter()
-            .map(|s| s.sum.load(Ordering::Relaxed))
-            .fold(0u64, u64::wrapping_add)
+        self.0.sum.load(Ordering::Relaxed)
     }
 
-    /// Merges the shards into an immutable [`HistogramSnapshot`]
-    /// (only non-empty buckets are retained).
+    /// An immutable [`HistogramSnapshot`] (only non-empty buckets are
+    /// retained).
     pub fn snapshot(&self) -> HistogramSnapshot {
-        let mut merged = [0u64; NUM_BUCKETS];
-        let mut count = 0u64;
-        let mut sum = 0u64;
-        for shard in &self.0.shards {
-            count += shard.count.load(Ordering::Relaxed);
-            sum = sum.wrapping_add(shard.sum.load(Ordering::Relaxed));
-            for (m, b) in merged.iter_mut().zip(shard.buckets.iter()) {
-                *m += b.load(Ordering::Relaxed);
-            }
-        }
-        let buckets: Vec<(u64, u64)> = merged
+        let h = &*self.0;
+        let count = self.count();
+        let buckets: Vec<(u64, u64)> = h
+            .buckets
             .iter()
             .enumerate()
-            .filter(|(_, c)| **c > 0)
-            .map(|(i, c)| (bucket_bounds(i).1, *c))
+            .map(|(i, c)| (i, c.load(Ordering::Relaxed)))
+            .filter(|&(_, c)| c > 0)
+            .map(|(i, c)| (bucket_bounds(i).1, c))
             .collect();
         let min = if count == 0 {
             0
         } else {
-            self.0.min.load(Ordering::Relaxed)
+            h.min.load(Ordering::Relaxed)
         };
         HistogramSnapshot {
             count,
-            sum,
+            sum: self.sum(),
             min,
-            max: self.0.max.load(Ordering::Relaxed),
+            max: h.max.load(Ordering::Relaxed),
             buckets,
         }
     }

@@ -75,7 +75,7 @@ impl Telemetry {
     }
 
     /// The counter `name{labels}`, creating it on first use. Repeated
-    /// calls with the same key return handles to the same shards.
+    /// calls with the same key return handles to the same metric.
     pub fn counter_with(&self, name: &str, labels: &[(&str, &str)]) -> Counter {
         let key = make_key(name, labels);
         let mut g = self.inner.lock().expect("metric registry lock poisoned");

@@ -1,6 +1,8 @@
-//! Concurrent-merge test: many threads hammer shared handles; the
-//! merged totals must be exact, not approximate — the sharding must
-//! never lose an update.
+//! Concurrent-update test: many threads hammer shared handles; the
+//! totals must be exact, not approximate — a registry has one writer
+//! in practice, but a handle written from several threads (the
+//! runtime's at-capacity refusal counter is ticked by every submitting
+//! thread) must never lose an update.
 
 use std::sync::Arc;
 use std::thread;

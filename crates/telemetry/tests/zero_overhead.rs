@@ -8,8 +8,7 @@
 //! any `--test-threads`. Two properties:
 //!
 //! - recording into `Counter`/`Gauge`/`Histogram` never allocates once
-//!   the handle exists (the per-thread shard assignment happens on the
-//!   first touch, which the warm-up absorbs);
+//!   the handle exists;
 //! - the disabled path is a `None` handle, so an instrumented call site
 //!   costs one branch and zero allocations.
 
@@ -51,10 +50,6 @@ fn recording_allocates_nothing() {
     let counter = tel.counter("hot_total");
     let gauge = tel.gauge("hot_depth");
     let hist = tel.histogram("hot_us");
-    // Warm up: first touch assigns this thread its shard index.
-    counter.inc();
-    gauge.add(1);
-    hist.record(1);
 
     let before = allocations();
     for i in 0..100_000u64 {

@@ -30,7 +30,6 @@
 //! ```
 
 pub mod activation;
-mod arena;
 mod error;
 mod gates;
 pub mod gemm;
@@ -41,7 +40,6 @@ pub mod ops;
 pub mod pool;
 mod scratch;
 
-pub use arena::RowArena;
 pub use error::{ShapeError, TensorError};
 pub use gemm::PackedWeights;
 pub use init::{xavier_uniform, zeros_like, WeightInit};

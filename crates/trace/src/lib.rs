@@ -27,6 +27,8 @@
 //! runtime, discrete-event simulator, harness — can share it without
 //! cycles.
 
+#![forbid(unsafe_code)]
+
 mod chrome;
 mod event;
 mod sink;

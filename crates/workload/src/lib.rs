@@ -22,6 +22,8 @@
 //!   wall-clock [`Pacer`] the socket load generator uses to replay a
 //!   virtual-µs schedule in real time.
 
+#![forbid(unsafe_code)]
+
 pub mod arrivals;
 pub mod datasets;
 pub mod dist;
