@@ -22,13 +22,6 @@ pub fn lstm_flops(batch: usize, e: usize, h: usize) -> u64 {
     matmul_flops(batch, e + h, 4 * h) + 9 * batch as u64 * h as u64
 }
 
-/// FLOPs of one GRU step with input width `e` and hidden width `h`.
-///
-/// Three `(batch, e + h) x (e + h, h)` matmuls plus element-wise math.
-pub fn gru_flops(batch: usize, e: usize, h: usize) -> u64 {
-    3 * matmul_flops(batch, e + h, h) + 7 * batch as u64 * h as u64
-}
-
 /// FLOPs of the decoder output projection `(batch, h) x (h, vocab)`
 /// plus the row-wise argmax.
 pub fn projection_flops(batch: usize, h: usize, vocab: usize) -> u64 {
@@ -85,7 +78,6 @@ mod tests {
     fn all_costs_monotone_in_batch() {
         for b in 1..16 {
             assert!(lstm_flops(b + 1, 32, 32) > lstm_flops(b, 32, 32));
-            assert!(gru_flops(b + 1, 32, 32) > gru_flops(b, 32, 32));
             assert!(projection_flops(b + 1, 32, 100) > projection_flops(b, 32, 100));
             assert!(tree_leaf_flops(b + 1, 32, 32) > tree_leaf_flops(b, 32, 32));
             assert!(tree_internal_flops(b + 1, 32) > tree_internal_flops(b, 32));

@@ -8,9 +8,11 @@
 //!
 //! This crate provides:
 //!
-//! - concrete cell implementations: [`LstmCell`], [`GruCell`],
-//!   [`EncoderCell`], [`DecoderCell`], [`TreeLeafCell`],
-//!   [`TreeInternalCell`], all expressed over `bm-tensor` kernels;
+//! - concrete cell implementations for the paper's three applications
+//!   (§7): [`LstmCell`] (language model), [`EncoderCell`] and
+//!   [`DecoderCell`] (Seq2Seq), [`TreeLeafCell`] and
+//!   [`TreeInternalCell`] (TreeLSTM), all expressed over `bm-tensor`
+//!   kernels;
 //! - the type-erased [`Cell`] enum with two batched execution paths:
 //!   the §4.3 gather path ([`Cell::execute_rows_in`] over
 //!   [`RowInvocation`]s — rows from many requests are copied into one
@@ -31,7 +33,6 @@
 #![forbid(unsafe_code)]
 
 pub mod cost;
-mod gru;
 mod lstm;
 mod persist;
 mod registry;
@@ -40,7 +41,6 @@ mod signature;
 mod state;
 mod tree;
 
-pub use gru::GruCell;
 pub use lstm::LstmCell;
 pub use registry::{CellMeta, CellRegistry};
 pub use seq2seq::{DecoderCell, EncoderCell};
@@ -60,8 +60,6 @@ use bm_tensor::Matrix;
 pub enum Cell {
     /// Plain LSTM step over an embedded token.
     Lstm(LstmCell),
-    /// GRU step over an embedded token (extension beyond the paper).
-    Gru(GruCell),
     /// Seq2Seq encoder step (embedding + LSTM).
     Encoder(EncoderCell),
     /// Seq2Seq decoder step (embedding + LSTM + vocab projection + argmax).
@@ -77,7 +75,6 @@ impl Cell {
     pub fn kind_name(&self) -> &'static str {
         match self {
             Cell::Lstm(_) => "lstm",
-            Cell::Gru(_) => "gru",
             Cell::Encoder(_) => "encoder",
             Cell::Decoder(_) => "decoder",
             Cell::TreeLeaf(_) => "tree_leaf",
@@ -89,7 +86,6 @@ impl Cell {
     pub fn hidden_size(&self) -> usize {
         match self {
             Cell::Lstm(c) => c.hidden_size(),
-            Cell::Gru(c) => c.hidden_size(),
             Cell::Encoder(c) => c.hidden_size(),
             Cell::Decoder(c) => c.hidden_size(),
             Cell::TreeLeaf(c) => c.hidden_size(),
@@ -100,7 +96,7 @@ impl Cell {
     /// Number of recurrent state inputs an invocation of this cell takes.
     pub fn state_arity(&self) -> usize {
         match self {
-            Cell::Lstm(_) | Cell::Gru(_) | Cell::Encoder(_) | Cell::Decoder(_) => 1,
+            Cell::Lstm(_) | Cell::Encoder(_) | Cell::Decoder(_) => 1,
             Cell::TreeLeaf(_) => 0,
             Cell::TreeInternal(_) => 2,
         }
@@ -116,14 +112,11 @@ impl Cell {
         matches!(self, Cell::Decoder(_))
     }
 
-    /// Width of the memory-cell (`c`) row this cell produces: 0 for
-    /// cells whose state has no memory component (GRU), the hidden
-    /// width otherwise. Used by the runtime to check slot-block writes.
+    /// Width of the memory-cell (`c`) row this cell produces: the
+    /// hidden width, as every cell kind carries an LSTM memory cell.
+    /// Used by the runtime to check slot-block writes.
     pub fn memory_width(&self) -> usize {
-        match self {
-            Cell::Gru(_) => 0,
-            _ => self.hidden_size(),
-        }
+        self.hidden_size()
     }
 
     /// The §4.3 gather executor: runs the cell once over a batch of
@@ -136,10 +129,9 @@ impl Cell {
     /// `emit(row_index, h, c, token)` while it still lives in scratch —
     /// the caller scatters rows wherever they belong (slot blocks, or
     /// owned [`CellOutput`]s). Rows are emitted exactly once
-    /// each, in batch order; `c` is empty for cells without a memory
-    /// cell and `token` is `Some` only for token-emitting cells. Each
-    /// row is bit-identical to running its invocation alone, in any
-    /// batch and with any scratch history.
+    /// each, in batch order; `token` is `Some` only for token-emitting
+    /// cells. Each row is bit-identical to running its invocation
+    /// alone, in any batch and with any scratch history.
     ///
     /// # Panics
     ///
@@ -152,7 +144,6 @@ impl Cell {
         assert!(!inputs.is_empty(), "execute_rows_in on empty batch");
         match self {
             Cell::Lstm(c) => c.execute_rows_in(inputs, scratch, emit),
-            Cell::Gru(c) => c.execute_rows_in(inputs, scratch, emit),
             Cell::Encoder(c) => c.execute_rows_in(inputs, scratch, emit),
             Cell::Decoder(c) => c.execute_rows_in(inputs, scratch, emit),
             Cell::TreeLeaf(c) => c.execute_rows_in(inputs, scratch, emit),
@@ -167,7 +158,6 @@ impl Cell {
     pub fn resident_layout(&self) -> Option<ResidentLayout> {
         match self {
             Cell::Lstm(c) => Some(c.resident_layout()),
-            Cell::Gru(c) => Some(c.resident_layout()),
             Cell::Encoder(c) => Some(c.resident_layout()),
             Cell::Decoder(c) => Some(c.resident_layout()),
             Cell::TreeLeaf(_) | Cell::TreeInternal(_) => None,
@@ -203,7 +193,6 @@ impl Cell {
         assert!(rows > 0, "step_resident on empty batch");
         match self {
             Cell::Lstm(c) => c.step_resident(xh, aux, rows, tokens, scratch, emit),
-            Cell::Gru(c) => c.step_resident(xh, aux, rows, tokens, scratch, emit),
             Cell::Encoder(c) => c.step_resident(xh, aux, rows, tokens, scratch, emit),
             Cell::Decoder(c) => c.step_resident(xh, aux, rows, tokens, scratch, emit),
             Cell::TreeLeaf(_) | Cell::TreeInternal(_) => {
@@ -217,7 +206,6 @@ impl Cell {
     pub fn flops(&self, batch: usize) -> u64 {
         match self {
             Cell::Lstm(c) => cost::lstm_flops(batch, c.embed_size(), c.hidden_size()),
-            Cell::Gru(c) => cost::gru_flops(batch, c.embed_size(), c.hidden_size()),
             Cell::Encoder(c) => cost::lstm_flops(batch, c.embed_size(), c.hidden_size()),
             Cell::Decoder(c) => {
                 cost::lstm_flops(batch, c.embed_size(), c.hidden_size())
@@ -232,7 +220,6 @@ impl Cell {
     pub fn to_bundle(&self) -> bm_tensor::io::WeightBundle {
         match self {
             Cell::Lstm(c) => c.to_bundle(),
-            Cell::Gru(c) => c.to_bundle(),
             Cell::Encoder(c) => c.to_bundle(),
             Cell::Decoder(c) => c.to_bundle(),
             Cell::TreeLeaf(c) => c.to_bundle(),
@@ -246,7 +233,6 @@ impl Cell {
     pub fn from_bundle(kind: &str, bundle: &bm_tensor::io::WeightBundle) -> Result<Self, String> {
         Ok(match kind {
             "lstm" => Cell::Lstm(LstmCell::from_bundle(bundle)?),
-            "gru" => Cell::Gru(GruCell::from_bundle(bundle)?),
             "encoder" => Cell::Encoder(EncoderCell::from_bundle(bundle)?),
             "decoder" => Cell::Decoder(DecoderCell::from_bundle(bundle)?),
             "tree_leaf" => Cell::TreeLeaf(TreeLeafCell::from_bundle(bundle)?),
@@ -259,7 +245,6 @@ impl Cell {
     pub fn signature(&self) -> CellSignature {
         let (shapes, fp): (Vec<(usize, usize)>, u64) = match self {
             Cell::Lstm(c) => (c.input_shapes(), c.weight_fingerprint()),
-            Cell::Gru(c) => (c.input_shapes(), c.weight_fingerprint()),
             Cell::Encoder(c) => (c.input_shapes(), c.weight_fingerprint()),
             Cell::Decoder(c) => (c.input_shapes(), c.weight_fingerprint()),
             Cell::TreeLeaf(c) => (c.input_shapes(), c.weight_fingerprint()),
@@ -372,7 +357,6 @@ pub(crate) mod tests {
     outputs_via_rows_in!(
         Cell,
         LstmCell,
-        GruCell,
         EncoderCell,
         DecoderCell,
         TreeLeafCell,
@@ -408,12 +392,8 @@ pub(crate) mod tests {
         let mut aux = Matrix::zeros(batch, layout.aux_width);
         for (r, (_, st)) in steps.iter().enumerate() {
             if let Some(s) = st {
-                if layout.h_in_xh {
-                    xh.row_mut(r)[layout.x_width..].copy_from_slice(&s.h);
-                    aux.row_mut(r).copy_from_slice(&s.c);
-                } else {
-                    aux.row_mut(r).copy_from_slice(&s.h);
-                }
+                xh.row_mut(r)[layout.x_width..].copy_from_slice(&s.h);
+                aux.row_mut(r).copy_from_slice(&s.c);
             }
         }
         let tokens: Vec<Option<u32>> = steps.iter().map(|(t, _)| Some(*t)).collect();
@@ -442,7 +422,6 @@ pub(crate) mod tests {
     fn resident_step_is_bit_identical_to_gather_step() {
         let cells = [
             Cell::Lstm(LstmCell::seeded(4, 6, 20, 42)),
-            Cell::Gru(GruCell::seeded(4, 5, 12, 77)),
             Cell::Encoder(EncoderCell::seeded(4, 6, 15, 5)),
             Cell::Decoder(DecoderCell::seeded(4, 6, 25, 13)),
         ];

@@ -116,7 +116,6 @@ impl LstmCore {
         crate::state::ResidentLayout {
             x_width,
             hidden: self.hidden_size,
-            h_in_xh: true,
             aux_width: self.hidden_size,
         }
     }

@@ -78,7 +78,7 @@ mod tests {
     fn signature_equality_requires_all_components() {
         let a = CellSignature::new("lstm", vec![(1, 4)], 99);
         assert_eq!(a, CellSignature::new("lstm", vec![(1, 4)], 99));
-        assert_ne!(a, CellSignature::new("gru", vec![(1, 4)], 99));
+        assert_ne!(a, CellSignature::new("encoder", vec![(1, 4)], 99));
         assert_ne!(a, CellSignature::new("lstm", vec![(1, 8)], 99));
         assert_ne!(a, CellSignature::new("lstm", vec![(1, 4)], 100));
     }

@@ -14,15 +14,14 @@
 //! one emitted row, which the slot block stores per node and the
 //! reference executor and tests keep.
 
-/// The recurrent state one cell invocation produces for one request.
-///
-/// For LSTM-family cells both `h` and `c` are populated; for GRU cells
-/// `c` is empty.
+/// The recurrent state one cell invocation produces for one request:
+/// the hidden row `h` and the memory-cell row `c` every cell kind
+/// carries.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct CellState {
     /// Hidden state row.
     pub h: Vec<f32>,
-    /// Memory cell row (empty for cells without a memory cell).
+    /// Memory cell row.
     pub c: Vec<f32>,
 }
 
@@ -52,23 +51,15 @@ impl CellState {
 /// - `aux`, a `(capacity, aux_width)` side matrix for the state
 ///   component that cannot live inside `xh`.
 ///
-/// LSTM-family cells park `h` in `xh`'s right columns (the fused affine
-/// reads `[x|h]` directly, zero copies at steady state) and `c` in
-/// `aux`. GRU cells park `h` in `aux` instead, because the candidate
-/// gate rewrites `xh`'s right half to `r * h` in place each step — the
-/// one retained per-step copy (`aux` row into `xh`) is documented on
-/// `GruCell::step_resident`.
+/// `h` sits in `xh`'s right columns (the fused affine reads `[x|h]`
+/// directly, zero copies at steady state) and `c` in `aux`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ResidentLayout {
     /// Embedded-input width: the left columns of `xh` rewritten per step.
     pub x_width: usize,
     /// Hidden-state width.
     pub hidden: usize,
-    /// `true` when `h` lives in `xh`'s right `hidden` columns
-    /// (LSTM-family); `false` when it lives in `aux` (GRU).
-    pub h_in_xh: bool,
-    /// Row width of the `aux` matrix (`c` width for LSTM-family cells,
-    /// `h` width for GRU).
+    /// Row width of the `aux` matrix: the `c` width, equal to `hidden`.
     pub aux_width: usize,
 }
 
@@ -82,13 +73,11 @@ impl ResidentLayout {
 /// A borrowed view of one predecessor state: raw rows living in someone
 /// else's storage (a slot-block output, an owned [`CellState`], a batch
 /// matrix).
-///
-/// `c` is empty for cells without a memory component (GRU).
 #[derive(Debug, Clone, Copy)]
 pub struct StateRef<'a> {
     /// Hidden state row.
     pub h: &'a [f32],
-    /// Memory cell row (empty for cells without a memory cell).
+    /// Memory cell row.
     pub c: &'a [f32],
 }
 

@@ -9,8 +9,8 @@
 mod support;
 
 use bm_cell::{
-    Cell, CellOutput, CellState, DecoderCell, EncoderCell, GruCell, LstmCell, RowInvocation,
-    Scratch, StateRef, TreeInternalCell, TreeLeafCell,
+    Cell, CellOutput, CellState, DecoderCell, EncoderCell, LstmCell, RowInvocation, Scratch,
+    StateRef, TreeInternalCell, TreeLeafCell,
 };
 use bm_tensor::io::WeightBundle;
 use bm_tensor::{ops, Matrix};
@@ -27,7 +27,6 @@ fn outputs(cell: &Cell, inputs: &[RowInvocation<'_>]) -> Vec<CellOutput> {
 fn cells() -> Vec<Cell> {
     vec![
         Cell::Lstm(LstmCell::seeded(6, 8, VOCAB, 11)),
-        Cell::Gru(GruCell::seeded(6, 8, VOCAB, 12)),
         Cell::Encoder(EncoderCell::seeded(6, 8, VOCAB, 13)),
         Cell::Decoder(DecoderCell::seeded(6, 8, VOCAB, 14)),
         Cell::TreeLeaf(TreeLeafCell::seeded(6, 8, VOCAB, 15)),
@@ -53,7 +52,7 @@ fn invocation<'a>(
 }
 
 /// A pool of plausible recurrent states produced by actually running the
-/// cell (so GRU states have empty `c`, LSTM states a populated one).
+/// cell.
 fn state_pool(cell: &Cell) -> Vec<CellState> {
     match cell.state_arity() {
         0 => vec![CellState::zeros(cell.hidden_size())],
@@ -171,7 +170,7 @@ proptest! {
         tokens in proptest::collection::vec(0u32..VOCAB as u32, 1..12),
         picks in proptest::collection::vec(0usize..8, 12),
     ) {
-        // Every case runs all six cell kinds, so each kind's `emit`
+        // Every case runs every cell kind, so each kind's `emit`
         // order is checked by the collector on every case.
         for cell in &cells() {
             let pool = state_pool(cell);
@@ -206,7 +205,7 @@ proptest! {
     fn scratch_reuse_is_transparent(
         tokens in proptest::collection::vec(0u32..VOCAB as u32, 1..10),
         picks in proptest::collection::vec(0usize..8, 10),
-        cell_idx in 0usize..6,
+        cell_idx in 0..cells().len(),
     ) {
         // A worker reuses one Scratch arena across many steps; recycled
         // buffers must never leak state between steps or change a bit.
@@ -236,7 +235,7 @@ proptest! {
     #[test]
     fn outputs_are_finite(
         tokens in proptest::collection::vec(0u32..VOCAB as u32, 1..8),
-        cell_idx in 0usize..6,
+        cell_idx in 0..cells().len(),
     ) {
         let cell = &cells()[cell_idx];
         let pool = state_pool(cell);
@@ -254,7 +253,7 @@ proptest! {
     }
 
     #[test]
-    fn flops_monotone_and_positive(batch in 1usize..64, cell_idx in 0usize..6) {
+    fn flops_monotone_and_positive(batch in 1usize..64, cell_idx in 0..cells().len()) {
         let cell = &cells()[cell_idx];
         prop_assert!(cell.flops(batch) > 0);
         prop_assert!(cell.flops(batch + 1) > cell.flops(batch));

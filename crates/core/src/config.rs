@@ -65,9 +65,16 @@ pub struct ServeConfig {
 }
 
 /// Half the host's cores, at least 1: the default shard count. The
-/// value is not measured yet (whether a second shard pays is ROADMAP
-/// item 8's question); the front door's event loop is shard 0, not a
-/// thread beside the shards.
+/// front door's event loop is shard 0, not a thread beside the shards.
+///
+/// A second shard pays where it was measured: on a 2-vCPU AVX-512 host
+/// (where this default is one shard), `shards(2)` raised the benchmark's
+/// closed-loop `peak_rps` in every interleaved pair — medians `chain_wmt`
+/// 2564 → 3426 (+34 %), `seq2seq_wmt` 807 → 1353 (+68 %), `tree_bank`
+/// 1896 → 2114 (+12 %) — at 0–6 % more CPU per request and ≤ 2.4 MiB
+/// more peak RSS (EXPERIMENTS.md lists every run). Whether the default
+/// should be every core rather than half is open: it moves CPU per
+/// request.
 pub(crate) fn default_shards() -> usize {
     std::thread::available_parallelism()
         .map(|n| (n.get() / 2).max(1))

@@ -16,11 +16,14 @@
 //!   the rows in place;
 //! - **leave** swap-removes the last occupied row into the hole, so the
 //!   occupied rows always form a dense prefix;
-//! - **staleness** (the request's previous step ran on the gather path,
-//!   because its task held an entry with two or more dependencies, so
-//!   the row missed that step's output) is detected by a freshness check
-//!   and repaired by re-fetching the authoritative state from the slot
-//!   block — correctness never depends on a row being current.
+//! - **staleness** (the step's dependency is not the request's previous
+//!   step of this cell type — e.g. in a model that alternates two chain
+//!   cell types — so the row does not hold the state this step reads) is
+//!   detected by a freshness check and repaired by re-fetching the
+//!   authoritative state from the slot block — correctness never depends
+//!   on a row being current. No shipped model goes stale: every chain
+//!   step's one dependency is the request's previous step of the same
+//!   type, or an encoder's last step feeding a decoder's first (a join).
 //!
 //! The scatter half remains: every node's output is still written to
 //! the request's [`crate::SlotBlock`] so later gathers (tree phases,
@@ -44,8 +47,8 @@
 //! `request` and its recorded `last_node` equals `dep` — the node whose
 //! output this step consumes. Node ids are unique within a request, so
 //! the check is exact regardless of how the row moved or how long
-//! ago it was written. A stale row (the request took a gather-path step
-//! in between) is repaired from the slot block; a chain-start
+//! ago it was written. A stale row (the dependency was computed by
+//! another cell type) is repaired from the slot block; a chain-start
 //! entry (`dep == None`) zeroes the state portion, matching the gather
 //! path's implicit zero initial state.
 
@@ -59,7 +62,7 @@ use crate::ids::RequestId;
 
 /// Churn counters of one resident batch, mirrored into telemetry by the
 /// owning shard (`bm_resident_joins_total` / `bm_resident_leaves_total`
-/// / `bm_resident_compactions_total`).
+/// / `bm_resident_compactions_total` / `bm_resident_refetches_total`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ResidentStats {
     /// Rows initialized for a newly-resident request.
@@ -69,8 +72,8 @@ pub struct ResidentStats {
     /// Row moves keeping the occupied prefix dense: swap-remove fills
     /// on leave, displacements on join, and placement swaps.
     pub compaction_moves: u64,
-    /// Stale rows repaired from the slot block (the request took a
-    /// gather-path step since the row was written).
+    /// Stale rows repaired from the slot block (the step's dependency
+    /// was not the request's previous step of this cell type).
     pub refetches: u64,
 }
 
@@ -93,11 +96,9 @@ struct RowMeta {
 pub struct ResidentBatch {
     layout: ResidentLayout,
     /// `(capacity, x_width + hidden)` fused-affine input; chain cells
-    /// read `[x|h]` rows directly (LSTM-family park `h` in the right
-    /// columns).
+    /// read `[x|h]` rows directly, `h` parked in the right columns.
     xh: Matrix,
-    /// `(capacity, aux_width)` side matrix: `c` for LSTM-family cells,
-    /// `h` for GRU.
+    /// `(capacity, aux_width)` side matrix holding `c`.
     aux: Matrix,
     /// One entry per occupied row; `meta.len()` is the occupancy.
     meta: Vec<RowMeta>,
@@ -295,25 +296,16 @@ impl ResidentBatch {
 
     /// Zeroes row `i`'s state portion — the implicit zero initial state
     /// of a chain start. The embedded-input columns need no zeroing
-    /// (every step rewrites them), nor does a GRU row's `xh` right half
-    /// (the step refreshes it from `aux`).
+    /// (every step rewrites them).
     fn zero_state(&mut self, i: usize) {
-        if self.layout.h_in_xh {
-            self.xh.row_mut(i)[self.layout.x_width..].fill(0.0);
-        }
-        if self.layout.aux_width > 0 {
-            self.aux.row_mut(i).fill(0.0);
-        }
+        self.xh.row_mut(i)[self.layout.x_width..].fill(0.0);
+        self.aux.row_mut(i).fill(0.0);
     }
 
     /// Writes an authoritative state into row `i` per the layout.
     fn write_state(&mut self, i: usize, st: StateRef<'_>) {
-        if self.layout.h_in_xh {
-            self.xh.row_mut(i)[self.layout.x_width..].copy_from_slice(st.h);
-            self.aux.row_mut(i).copy_from_slice(st.c);
-        } else {
-            self.aux.row_mut(i).copy_from_slice(st.h);
-        }
+        self.xh.row_mut(i)[self.layout.x_width..].copy_from_slice(st.h);
+        self.aux.row_mut(i).copy_from_slice(st.c);
     }
 }
 

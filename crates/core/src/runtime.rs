@@ -83,8 +83,10 @@
 //! state between steps, so steady-state chain execution skips the gather
 //! entirely (the scatter — the write to the slot block — remains, and
 //! outputs stay bit-identical). A request's row is released the moment
-//! the request resolves. Tree cells and entries with two or more
-//! dependencies have no resident form and always gather.
+//! the request resolves. Tree cells have no resident form and always
+//! gather; so would a chain-cell task holding an entry with two or more
+//! dependencies, which no shipped model builds (every chain node has at
+//! most one).
 //!
 //! ## Overload behaviour
 //!
@@ -1007,6 +1009,7 @@ struct ResidentTelemetry {
     joins: Counter,
     leaves: Counter,
     compactions: Counter,
+    refetches: Counter,
     last: ResidentStats,
 }
 
@@ -1024,6 +1027,7 @@ impl ShardMetrics {
                 joins: tel.counter_with("bm_resident_joins_total", &worker),
                 leaves: tel.counter_with("bm_resident_leaves_total", &worker),
                 compactions: tel.counter_with("bm_resident_compactions_total", &worker),
+                refetches: tel.counter_with("bm_resident_refetches_total", &worker),
                 last: ResidentStats::default(),
             },
         }
@@ -1267,12 +1271,14 @@ impl Shard {
             agg.joins += s.joins;
             agg.leaves += s.leaves;
             agg.compaction_moves += s.compaction_moves;
+            agg.refetches += s.refetches;
         }
         t.rows.set(occupied as i64);
         t.joins.add(agg.joins - t.last.joins);
         t.leaves.add(agg.leaves - t.last.leaves);
         t.compactions
             .add(agg.compaction_moves - t.last.compaction_moves);
+        t.refetches.add(agg.refetches - t.last.refetches);
         t.last = agg;
     }
 }

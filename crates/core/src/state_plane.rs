@@ -32,7 +32,7 @@ pub struct SlotBlock {
 impl SlotBlock {
     /// Empty slots for every node of `graph`, expecting from each node
     /// the widths of its cell type (`h` row of `hidden_size`, `c` row of
-    /// `memory_width` — 0 for cells without a memory cell).
+    /// `memory_width`).
     pub fn for_graph(graph: &CellGraph, registry: &CellRegistry) -> Self {
         let widths = graph
             .nodes()

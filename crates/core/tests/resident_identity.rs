@@ -8,11 +8,11 @@
 use std::sync::Arc;
 
 use bm_core::{Request, Runtime, RuntimeOptions, SchedulerConfig, ServeConfig, ServedOutcome};
-use bm_model::{reference, GruLm, LstmLm, Model, RequestInput, Seq2Seq, TreeLstm, TreeShape};
+use bm_model::{reference, LstmLm, Model, RequestInput, Seq2Seq, TreeLstm, TreeShape};
 use proptest::collection::vec;
 use proptest::prelude::*;
 
-/// Vocabulary bound of `LstmLm::small()` / `GruLm::small()`.
+/// Vocabulary bound of `LstmLm::small()`.
 const VOCAB: u32 = 900;
 
 /// One shard, so every request shares one resident plane.
@@ -74,16 +74,6 @@ proptest! {
         let inputs: Vec<RequestInput> =
             seqs.into_iter().map(RequestInput::Sequence).collect();
         check_identity(Arc::new(LstmLm::small()), &inputs, max_tasks);
-    }
-
-    #[test]
-    fn gru_outputs_identical_with_resident_plane(
-        seqs in vec(vec(1u32..VOCAB, 1..12), 4..12),
-        max_tasks in 1usize..7,
-    ) {
-        let inputs: Vec<RequestInput> =
-            seqs.into_iter().map(RequestInput::Sequence).collect();
-        check_identity(Arc::new(GruLm::small()), &inputs, max_tasks);
     }
 
     #[test]

@@ -744,6 +744,49 @@ fn manager_amortization_metrics_record_batching() {
     );
 }
 
+/// The resident plane's churn reaches telemetry, refetches included:
+/// chain traffic joins rows, and since every shipped chain step's one
+/// dependency is the request's previous step of the same cell type (or,
+/// for a decoder's first step, the encoder's last — a join), no row goes
+/// stale, so `bm_resident_refetches_total` is published and stays 0.
+#[test]
+fn resident_churn_publishes_joins_and_refetches() {
+    let seq2seq: Vec<RequestInput> = (0..24u32)
+        .map(|i| RequestInput::Pair {
+            src: (0..2 + i % 7).map(|t| 2 + (t * 31 + i) % 400).collect(),
+            decode_len: 1 + (i % 5) as usize,
+        })
+        .collect();
+    let models: [(Arc<dyn Model>, Vec<RequestInput>); 2] = [
+        (Arc::new(Seq2Seq::small()), seq2seq),
+        (Arc::new(LstmLm::small()), chain_inputs(24)),
+    ];
+    for (model, inputs) in models {
+        let rt = Runtime::start(model, one_shard_with_telemetry());
+        assert!(serve_batch(&rt, &inputs)
+            .iter()
+            .all(|o| matches!(o, ServedOutcome::Completed(_))));
+        // The pass that delivered the last outcome publishes its churn
+        // after delivering; one more request is admitted only by a
+        // later pass, so once it resolves that publication is visible.
+        serve_batch(&rt, &inputs[..1]);
+        let snap = rt.snapshot();
+        rt.shutdown();
+
+        let shard0 = [("shard", "0"), ("worker", "0")];
+        let counter = |name: &str| match snap.get_with(name, &shard0) {
+            Some(MetricValue::Counter(v)) => *v,
+            other => panic!("{name} is not a published counter: {other:?}"),
+        };
+        assert!(counter("bm_resident_joins_total") > 0, "no row ever joined");
+        assert_eq!(
+            counter("bm_resident_refetches_total"),
+            0,
+            "a row went stale"
+        );
+    }
+}
+
 /// The hand-off the one-loop shard removed, as a count: a request served
 /// alone blocks the shard thread once, for its arrival — not once per
 /// task (a 60-token chain is 60 tasks' worth of steps).

@@ -32,7 +32,6 @@ impl CostProfile {
             .map(|m| {
                 let f = match m.cell.as_ref() {
                     Cell::Lstm(_) | Cell::Encoder(_) => cost::lstm_flops(1, hidden, hidden),
-                    Cell::Gru(_) => cost::gru_flops(1, hidden, hidden),
                     Cell::Decoder(_) => {
                         cost::lstm_flops(1, hidden, hidden)
                             + cost::projection_flops(1, hidden, vocab)

@@ -18,14 +18,12 @@
 #![forbid(unsafe_code)]
 
 pub mod graph;
-mod gru_lm;
 mod lstm_lm;
 pub mod reference;
 mod seq2seq;
 mod treelstm;
 
 pub use graph::{CellGraph, GraphNode, NodeId, TokenSource};
-pub use gru_lm::{GruLm, GruLmConfig};
 pub use lstm_lm::{LstmLm, LstmLmConfig};
 pub use seq2seq::{Seq2Seq, Seq2SeqConfig};
 pub use treelstm::{TreeLstm, TreeLstmConfig, TreeShape};

@@ -74,47 +74,6 @@ pub fn lstm_gates(z: &Matrix, c_prev: &Matrix, h_out: &mut Matrix, c_out: &mut M
     lstm_gates_rows_inplace(z, shape.0, h_out, 0, c_out);
 }
 
-/// GRU reset over rows `0..rows`: writes `sigmoid(r_pre) * h` into the
-/// right `hidden` columns of `xh`, turning `[x|h]` into the candidate
-/// gate's input `[x|r*h]`.
-///
-/// # Panics
-///
-/// Panics on shape mismatch or if `rows` exceeds any matrix.
-pub fn gru_reset_rows(r_pre: &Matrix, h: &Matrix, rows: usize, xh: &mut Matrix) {
-    let n = h.cols();
-    assert_eq!(r_pre.cols(), n, "gru_reset pre-activation width");
-    assert!(n <= xh.cols(), "gru_reset xh width");
-    assert!(
-        rows <= r_pre.rows() && rows <= h.rows() && rows <= xh.rows(),
-        "gru_reset: rows exceeds a matrix"
-    );
-    run(GateOp::GruReset { r_pre, h, rows, xh });
-}
-
-/// GRU update over rows `0..rows`, in place:
-/// `h' = ((1 - z) * n) + (z * h)` with `z = sigmoid(z_pre)` and
-/// `n = tanh(n_pre)`, each `h` element read before it is overwritten.
-///
-/// # Panics
-///
-/// Panics on shape mismatch or if `rows` exceeds any matrix.
-pub fn gru_update_rows(z_pre: &Matrix, n_pre: &Matrix, rows: usize, h: &mut Matrix) {
-    let n = h.cols();
-    assert_eq!(z_pre.cols(), n, "gru_update z width");
-    assert_eq!(n_pre.cols(), n, "gru_update n width");
-    assert!(
-        rows <= z_pre.rows() && rows <= n_pre.rows() && rows <= h.rows(),
-        "gru_update: rows exceeds a matrix"
-    );
-    run(GateOp::GruUpdate {
-        z_pre,
-        n_pre,
-        rows,
-        h,
-    });
-}
-
 /// TreeLSTM leaf gates from the fused pre-activations `z = [i|o|u]`
 /// (`(batch, 3h)`), each row read by column range as
 /// [`lstm_gates_rows_inplace`] reads `[i|f|g|o]`:
@@ -175,18 +134,6 @@ enum GateOp<'a> {
         h: &'a mut Matrix,
         h_col: usize,
         c: &'a mut Matrix,
-    },
-    GruReset {
-        r_pre: &'a Matrix,
-        h: &'a Matrix,
-        rows: usize,
-        xh: &'a mut Matrix,
-    },
-    GruUpdate {
-        z_pre: &'a Matrix,
-        n_pre: &'a Matrix,
-        rows: usize,
-        h: &'a mut Matrix,
     },
     /// `z = [i|o|u]`, `(batch, 3h)`; `h` and `c` `(batch, h)`.
     TreeLeaf {
@@ -268,29 +215,6 @@ fn run_impl(op: GateOp<'_>) {
             let n = c.cols();
             for r in 0..rows {
                 lstm_row(z.row(r), &mut h.row_mut(r)[h_col..h_col + n], c.row_mut(r));
-            }
-        }
-        GateOp::GruReset { r_pre, h, rows, xh } => {
-            let e = xh.cols() - h.cols();
-            for r in 0..rows {
-                let out = &mut xh.row_mut(r)[e..];
-                for ((o, &rv), &hv) in out.iter_mut().zip(r_pre.row(r)).zip(h.row(r)) {
-                    *o = sigmoid(rv) * hv;
-                }
-            }
-        }
-        GateOp::GruUpdate {
-            z_pre,
-            n_pre,
-            rows,
-            h,
-        } => {
-            for r in 0..rows {
-                let h_row = h.row_mut(r);
-                for ((hv, &zv), &nv) in h_row.iter_mut().zip(z_pre.row(r)).zip(n_pre.row(r)) {
-                    let z = sigmoid(zv);
-                    *hv = ((1.0 - z) * tanh(nv)) + (z * *hv);
-                }
             }
         }
         GateOp::TreeLeaf { z, h, c } => {
@@ -390,11 +314,10 @@ pub(crate) mod tests {
         Matrix::from_vec(rows, cols, data)
     }
 
-    /// Runs all five kernels at hidden width `n` on `tier` and returns
+    /// Runs all three kernels at hidden width `n` on `tier` and returns
     /// everything they wrote.
     fn outputs(tier: Tier, n: usize) -> Vec<Matrix> {
         const ROWS: usize = 3;
-        let pre: Vec<Matrix> = (0..3).map(|p| wave(ROWS, n, 20.0, p)).collect();
         let state: Vec<Matrix> = (5..7).map(|p| wave(ROWS, n, 2.0, p)).collect();
         let z = wave(ROWS, 4 * n, 20.0, 7);
         let new = || Matrix::from_vec(ROWS, n, vec![f32::NAN; ROWS * n]);
@@ -407,20 +330,6 @@ pub(crate) mod tests {
             h: &mut xh,
             h_col: 2,
             c: &mut c,
-        });
-        let mut gru_xh = wave(ROWS, n + 2, 1.0, 9);
-        tier(GateOp::GruReset {
-            r_pre: &pre[0],
-            h: &state[0],
-            rows: ROWS,
-            xh: &mut gru_xh,
-        });
-        let mut gru_h = state[1].clone();
-        tier(GateOp::GruUpdate {
-            z_pre: &pre[1],
-            n_pre: &pre[2],
-            rows: ROWS,
-            h: &mut gru_h,
         });
         let (mut leaf_h, mut leaf_c) = (new(), new());
         tier(GateOp::TreeLeaf {
@@ -435,7 +344,7 @@ pub(crate) mod tests {
             h: &mut int_h,
             c: &mut int_c,
         });
-        vec![xh, c, gru_xh, gru_h, leaf_h, leaf_c, int_h, int_c]
+        vec![xh, c, leaf_h, leaf_c, int_h, int_c]
     }
 
     #[test]

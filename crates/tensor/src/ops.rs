@@ -16,10 +16,7 @@ use crate::gemm;
 use crate::matrix::Matrix;
 use crate::pool::ComputePool;
 
-pub use crate::gates::{
-    gru_reset_rows, gru_update_rows, lstm_gates, lstm_gates_rows_inplace, tree_internal_gates,
-    tree_leaf_gates,
-};
+pub use crate::gates::{lstm_gates, lstm_gates_rows_inplace, tree_internal_gates, tree_leaf_gates};
 
 /// Computes `x * w + b`, broadcasting the bias row over the batch.
 ///
@@ -531,27 +528,6 @@ mod tests {
             // Rows past the prefix are untouched.
             assert_eq!(out.row(2), &[7.0, 7.0]);
         }
-    }
-
-    #[test]
-    fn gru_combine_matches_composed_ops() {
-        let r_pre = wave(GATE_COLS, 9.0, 2);
-        let z_pre = wave(GATE_COLS, 9.0, 3);
-        let n_pre = wave(GATE_COLS, 4.0, 4);
-        let h_prev = wave(GATE_COLS, 1.0, 5);
-
-        // `[x|h]` with two `x` columns the reset must leave alone.
-        let x = wave(2, 1.0, 6);
-        let mut xh = concat_cols(&[&x, &h_prev]);
-        gru_reset_rows(&r_pre, &h_prev, GATE_ROWS, &mut xh);
-        assert_eq!(xh, concat_cols(&[&x, &mul(&sigmoid(&r_pre), &h_prev)]));
-
-        let (z, n) = (sigmoid(&z_pre), tanh(&n_pre));
-        let one_minus_z = map(&z, |v| 1.0 - v);
-        let want = add(&mul(&one_minus_z, &n), &mul(&z, &h_prev));
-        let mut h = h_prev.clone();
-        gru_update_rows(&z_pre, &n_pre, GATE_ROWS, &mut h);
-        assert_eq!(h, want);
     }
 
     #[test]

@@ -109,15 +109,6 @@ fn stress_small_requests_across_models() {
 }
 
 #[test]
-fn gru_model_end_to_end() {
-    // The GRU extension: a cell whose state has no memory component
-    // flows through the whole stack unchanged.
-    use bm_model::GruLm;
-    let ds = Dataset::lstm(30, LengthDistribution::Fixed(5), 900, 41);
-    serve_and_verify(Arc::new(GruLm::small()), ds.items(), 2);
-}
-
-#[test]
 fn malformed_requests_rejected_gracefully() {
     let model: Arc<dyn Model> = Arc::new(LstmLm::small());
     let rt = Runtime::start(Arc::clone(&model), RuntimeOptions::new());
