@@ -23,10 +23,12 @@
 //!   [`ResidentLayout`], so the steady-state step moves no state and
 //!   only the scatter remains); tree cells support only the gather
 //!   path;
-//! - [`CellSignature`]/[`CellTypeId`] identity ("BatchMaker identifies
-//!   the type of each cell by its definition, weights, and input tensor
-//!   shapes", §4.2) and the [`CellRegistry`] that materializes cells at
-//!   startup;
+//! - cell type identity ("BatchMaker identifies the type of each cell
+//!   by its definition, weights, and input tensor shapes", §4.2): the
+//!   [`CellRegistry`] that materializes cells at startup gives a new
+//!   cell an existing [`CellTypeId`] iff it has that type's
+//!   [`CellSignature`] (kind and input shapes) and weights equal to its
+//!   bit for bit;
 //! - analytic FLOP accounting ([`cost`]) used to calibrate the simulated
 //!   device in `bm-device`.
 
@@ -55,7 +57,8 @@ use bm_tensor::Matrix;
 /// A type-erased RNN cell.
 ///
 /// Each variant is one cell *kind*; two cells of the same kind are still
-/// different *types* if their weights differ (see [`CellSignature`]).
+/// different *types* if their input shapes or weights differ (see
+/// [`CellRegistry::register`]).
 #[derive(Debug, Clone)]
 pub enum Cell {
     /// Plain LSTM step over an embedded token.
@@ -241,68 +244,50 @@ impl Cell {
         })
     }
 
-    /// The cell's identity signature (kind, shapes, weight fingerprint).
+    /// The cell's signature: its kind and per-invocation input shapes.
     pub fn signature(&self) -> CellSignature {
-        let (shapes, fp): (Vec<(usize, usize)>, u64) = match self {
-            Cell::Lstm(c) => (c.input_shapes(), c.weight_fingerprint()),
-            Cell::Encoder(c) => (c.input_shapes(), c.weight_fingerprint()),
-            Cell::Decoder(c) => (c.input_shapes(), c.weight_fingerprint()),
-            Cell::TreeLeaf(c) => (c.input_shapes(), c.weight_fingerprint()),
-            Cell::TreeInternal(c) => (c.input_shapes(), c.weight_fingerprint()),
+        let shapes = match self {
+            Cell::Lstm(c) => c.input_shapes(),
+            Cell::Encoder(c) => c.input_shapes(),
+            Cell::Decoder(c) => c.input_shapes(),
+            Cell::TreeLeaf(c) => c.input_shapes(),
+            Cell::TreeInternal(c) => c.input_shapes(),
         };
-        CellSignature::new(self.kind_name(), shapes, fp)
+        CellSignature::new(self.kind_name(), shapes)
     }
-}
 
-/// FNV-1a fingerprint of a set of weight matrices.
-///
-/// Used to build [`CellSignature`]s: two cells share a type only if their
-/// weights are bit-identical.
-pub(crate) fn fingerprint_weights(mats: &[&Matrix]) -> u64 {
-    fingerprint_blocks(mats.iter().map(|m| (*m, 0..m.cols())))
-}
-
-/// A column block of a matrix, fingerprinted as a matrix of its own.
-pub(crate) type ColumnBlock<'a> = (&'a Matrix, std::ops::Range<usize>);
-
-/// The blocks `W_0, b_0, W_1, b_1, ..` of fused gate weights
-/// `w = [W_0|W_1|..]` and biases `b = [b_0|b_1|..]`, `gates` equal
-/// column blocks each: what a cell with one product per step feeds
-/// [`fingerprint_blocks`] to keep the fingerprint it had when it stored
-/// its weights per gate, without slicing them out.
-pub(crate) fn gate_blocks<'a>(
-    w: &'a Matrix,
-    b: &'a Matrix,
-    gates: usize,
-) -> impl Iterator<Item = ColumnBlock<'a>> {
-    (0..gates).flat_map(move |g| {
-        [w, b].map(|m| {
-            let width = m.cols() / gates;
-            (m, g * width..(g + 1) * width)
-        })
-    })
-}
-
-/// [`fingerprint_weights`] over column blocks: each block hashes exactly
-/// as the standalone `(rows, block width)` matrix of its values would.
-pub(crate) fn fingerprint_blocks<'a>(blocks: impl IntoIterator<Item = ColumnBlock<'a>>) -> u64 {
-    fn fnv(h: u64, bytes: &[u8]) -> u64 {
-        bytes.iter().fold(h, |h, &b| {
-            (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
-        })
+    /// Whether `self` and `other` are one cell type (§3.1): the same
+    /// signature and weights equal bit for bit. Weights are read only
+    /// when the signatures match, and only up to the first difference.
+    pub(crate) fn same_type(&self, other: &Cell) -> bool {
+        self.signature() == other.signature()
+            && self
+                .weights()
+                .iter()
+                .zip(other.weights())
+                .all(|(a, b)| bits_equal(a, b))
     }
-    let mut h = 0xcbf2_9ce4_8422_2325;
-    for (m, cols) in blocks {
-        for d in [m.rows() as u64, cols.len() as u64] {
-            h = fnv(h, &d.to_le_bytes());
-        }
-        for r in 0..m.rows() {
-            for v in &m.row(r)[cols.clone()] {
-                h = fnv(h, &v.to_le_bytes());
-            }
+
+    /// The parameter matrices, in an order fixed per kind.
+    fn weights(&self) -> Vec<&Matrix> {
+        match self {
+            Cell::Lstm(c) => c.weights(),
+            Cell::Encoder(c) => c.weights(),
+            Cell::Decoder(c) => c.weights(),
+            Cell::TreeLeaf(c) => c.weights(),
+            Cell::TreeInternal(c) => c.weights(),
         }
     }
-    h
+}
+
+/// Whether two matrices have one shape and the same bits in every
+/// element (so `-0.0` differs from `0.0`, and a NaN equals its copy).
+fn bits_equal(a: &Matrix, b: &Matrix) -> bool {
+    a.shape() == b.shape()
+        && a.as_slice()
+            .iter()
+            .zip(b.as_slice())
+            .all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
 #[cfg(test)]
@@ -364,14 +349,17 @@ pub(crate) mod tests {
     );
 
     #[test]
-    fn fingerprint_distinguishes_values_and_shapes() {
+    fn bit_equality_distinguishes_values_and_shapes() {
         let a = Matrix::filled(2, 2, 1.0);
         let b = Matrix::filled(2, 2, 2.0);
         let c = Matrix::filled(4, 1, 1.0);
-        let fa = fingerprint_weights(&[&a]);
-        assert_eq!(fa, fingerprint_weights(&[&a.clone()]));
-        assert_ne!(fa, fingerprint_weights(&[&b]));
-        assert_ne!(fa, fingerprint_weights(&[&c]));
+        assert!(bits_equal(&a, &a.clone()));
+        assert!(!bits_equal(&a, &b));
+        assert!(!bits_equal(&a, &c));
+        assert!(!bits_equal(
+            &Matrix::zeros(1, 1),
+            &Matrix::filled(1, 1, -0.0)
+        ));
     }
 
     /// Runs the same chain batch through the gather path and the

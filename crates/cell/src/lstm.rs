@@ -316,9 +316,9 @@ impl LstmCell {
         ]
     }
 
-    /// Fingerprint over all weights.
-    pub fn weight_fingerprint(&self) -> u64 {
-        crate::fingerprint_weights(&[&self.embed, &self.core.w, &self.core.b])
+    /// The parameter matrices, for identity checks.
+    pub(crate) fn weights(&self) -> Vec<&Matrix> {
+        vec![&self.embed, &self.core.w, &self.core.b]
     }
 
     /// Gather executor: gathers borrowed state rows into a scratch
@@ -482,9 +482,11 @@ mod tests {
     }
 
     #[test]
-    fn fingerprint_varies_with_seed() {
-        let a = LstmCell::seeded(4, 6, 20, 1);
-        let b = LstmCell::seeded(4, 6, 20, 2);
-        assert_ne!(a.weight_fingerprint(), b.weight_fingerprint());
+    fn seeds_give_different_types() {
+        let a = crate::Cell::Lstm(LstmCell::seeded(4, 6, 20, 1));
+        let b = crate::Cell::Lstm(LstmCell::seeded(4, 6, 20, 2));
+        assert_eq!(a.signature(), b.signature());
+        assert!(!a.same_type(&b));
+        assert!(a.same_type(&a.clone()));
     }
 }

@@ -6,16 +6,16 @@
 //! "Each type of cell has a desired maximum batch size, which is
 //! determined through offline benchmarking."
 //!
-//! The registry deduplicates cells by [`CellSignature`] and records the
-//! scheduling metadata Algorithm 1 consumes: the priority ("one can
-//! achieve better latency by preferentially executing cell types that
-//! occur later in the computation graph", §4.3) and the supported batch
-//! sizes `Bsizes`.
+//! The registry deduplicates cells by exact comparison — same
+//! [`CellSignature`](crate::CellSignature) (kind and input shapes) and
+//! weights equal bit for bit — and records the scheduling metadata
+//! Algorithm 1 consumes: the priority ("one can achieve better latency
+//! by preferentially executing cell types that occur later in the
+//! computation graph", §4.3) and the supported batch sizes `Bsizes`.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
-use crate::signature::{CellSignature, CellTypeId};
+use crate::signature::CellTypeId;
 use crate::Cell;
 
 /// Scheduling metadata and executable cell for one registered cell type.
@@ -36,11 +36,10 @@ pub struct CellMeta {
     pub min_batch: usize,
 }
 
-/// A registry of cell types, deduplicated by signature.
+/// A registry of cell types, deduplicated by exact identity.
 #[derive(Debug, Default, Clone)]
 pub struct CellRegistry {
     metas: Vec<CellMeta>,
-    by_signature: HashMap<CellSignature, CellTypeId>,
 }
 
 impl CellRegistry {
@@ -51,13 +50,17 @@ impl CellRegistry {
 
     /// Registers a cell type, returning its id.
     ///
-    /// If an identical cell (same signature) is already registered, the
-    /// existing id is returned and the new metadata is ignored.
+    /// A cell is an already registered type iff it has the same kind,
+    /// the same input shapes and weights equal bit for bit
+    /// (`f32::to_bits`, so `-0.0` and `0.0` differ): then the existing
+    /// id is returned and the new metadata is ignored. Weights are read
+    /// only for a registered cell of the same kind and shapes, and only
+    /// up to the first differing value.
     ///
     /// # Panics
     ///
     /// Panics if `max_batch` is zero, `min_batch > max_batch`, or the
-    /// name collides with a differently-signed cell.
+    /// name collides with a cell of a different type.
     pub fn register(
         &mut self,
         name: impl Into<String>,
@@ -71,14 +74,13 @@ impl CellRegistry {
             min_batch <= max_batch,
             "min_batch must not exceed max_batch"
         );
-        let sig = cell.signature();
-        if let Some(&id) = self.by_signature.get(&sig) {
-            return id;
+        if let Some(m) = self.metas.iter().find(|m| m.cell.same_type(&cell)) {
+            return m.id;
         }
         let name = name.into();
         assert!(
             self.metas.iter().all(|m| m.name != name),
-            "cell name {name:?} already registered with a different signature"
+            "cell name {name:?} already registered as a different type"
         );
         let id = CellTypeId(self.metas.len() as u32);
         self.metas.push(CellMeta {
@@ -89,7 +91,6 @@ impl CellRegistry {
             max_batch,
             min_batch,
         });
-        self.by_signature.insert(sig, id);
         id
     }
 
@@ -131,7 +132,32 @@ impl CellRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{LstmCell, TreeInternalCell, TreeLeafCell};
+    use crate::{DecoderCell, EncoderCell, LstmCell, TreeInternalCell, TreeLeafCell};
+    use bm_tensor::io::WeightBundle;
+
+    /// One cell of every kind.
+    fn cells() -> Vec<Cell> {
+        vec![
+            Cell::Lstm(LstmCell::seeded(4, 6, 10, 1)),
+            Cell::Encoder(EncoderCell::seeded(4, 6, 10, 2)),
+            Cell::Decoder(DecoderCell::seeded(4, 6, 10, 3)),
+            Cell::TreeLeaf(TreeLeafCell::seeded(4, 6, 10, 4)),
+            Cell::TreeInternal(TreeInternalCell::seeded(6, 5)),
+        ]
+    }
+
+    /// `cell` rebuilt from its bundle after `edit` changed the bundle.
+    fn rebuilt(cell: &Cell, edit: impl FnOnce(&mut WeightBundle)) -> Cell {
+        let mut bundle = cell.to_bundle();
+        edit(&mut bundle);
+        Cell::from_bundle(cell.kind_name(), &bundle).expect("edited bundle loads")
+    }
+
+    /// Registers `a` then `b` and says whether they got one id.
+    fn one_type(a: Cell, b: Cell) -> bool {
+        let mut reg = CellRegistry::new();
+        reg.register("a", a, 0, 1, 8) == reg.register("b", b, 0, 1, 8)
+    }
 
     #[test]
     fn register_and_lookup() {
@@ -162,6 +188,48 @@ mod tests {
         let b = reg.register("b", Cell::Lstm(LstmCell::seeded(4, 6, 10, 2)), 0, 1, 64);
         assert_ne!(a, b);
         assert_eq!(reg.len(), 2);
+    }
+
+    #[test]
+    fn changing_the_last_value_gives_a_new_type() {
+        // One ulp in the last element of the bundle's last matrix (in
+        // name order), each other value unchanged.
+        for cell in cells() {
+            let kind = cell.kind_name();
+            let changed = rebuilt(&cell, |bundle| {
+                let (name, m) = bundle.iter().last().expect("non-empty bundle");
+                let (name, mut m) = (name.to_string(), m.clone());
+                let v = m.as_mut_slice().last_mut().expect("non-empty matrix");
+                *v = f32::from_bits(v.to_bits() ^ 1);
+                bundle.insert(name, m);
+            });
+            assert!(!one_type(cell, changed), "{kind}");
+        }
+    }
+
+    #[test]
+    fn negative_zero_bias_gives_a_new_type() {
+        let cell = Cell::Lstm(LstmCell::seeded(4, 6, 10, 1));
+        let signed = rebuilt(&cell, |bundle| {
+            let mut b = bundle.get("b").expect("bias").clone();
+            assert_eq!(b.get(0, 0).to_bits(), 0.0f32.to_bits());
+            b.set(0, 0, -0.0);
+            bundle.insert("b", b);
+        });
+        assert!(!one_type(cell, signed));
+    }
+
+    #[test]
+    fn kind_alone_separates_types() {
+        // An encoder loaded from an LSTM's bundle has the LSTM's input
+        // shapes and weights, bit for bit.
+        let lstm = Cell::Lstm(LstmCell::seeded(4, 6, 10, 1));
+        let encoder = Cell::from_bundle("encoder", &lstm.to_bundle()).expect("same layout");
+        assert_eq!(
+            lstm.signature().input_shapes(),
+            encoder.signature().input_shapes()
+        );
+        assert!(!one_type(lstm, encoder));
     }
 
     #[test]

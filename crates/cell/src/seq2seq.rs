@@ -56,9 +56,9 @@ impl EncoderCell {
         ]
     }
 
-    /// Fingerprint over all weights.
-    pub fn weight_fingerprint(&self) -> u64 {
-        crate::fingerprint_weights(&[&self.embed, &self.core.w, &self.core.b])
+    /// The parameter matrices, for identity checks.
+    pub(crate) fn weights(&self) -> Vec<&Matrix> {
+        vec![&self.embed, &self.core.w, &self.core.b]
     }
 
     /// Gather executor; see [`crate::Cell::execute_rows_in`].
@@ -206,15 +206,15 @@ impl DecoderCell {
         ]
     }
 
-    /// Fingerprint over all weights.
-    pub fn weight_fingerprint(&self) -> u64 {
-        crate::fingerprint_weights(&[
+    /// The parameter matrices, for identity checks.
+    pub(crate) fn weights(&self) -> Vec<&Matrix> {
+        vec![
             &self.embed,
             &self.core.w,
             &self.core.b,
             &self.proj_w,
             &self.proj_b,
-        ])
+        ]
     }
 
     /// Gather executor; see [`crate::Cell::execute_rows_in`]. Each
@@ -394,9 +394,12 @@ mod tests {
     fn encoder_and_decoder_have_distinct_signatures() {
         // Same shapes, same seed — still different weights (namespaced
         // seeds) and different kinds.
-        let e = EncoderCell::seeded(4, 6, 15, 9);
-        let d = DecoderCell::seeded(4, 6, 15, 9);
-        assert_ne!(e.weight_fingerprint(), d.weight_fingerprint());
+        let e = crate::Cell::Encoder(EncoderCell::seeded(4, 6, 15, 9));
+        let d = crate::Cell::Decoder(DecoderCell::seeded(4, 6, 15, 9));
+        assert_ne!(e.signature(), d.signature());
+        assert!(!e.same_type(&d));
+        // The LSTM halves differ too: the seeds are namespaced per kind.
+        assert_ne!(e.weights()[..3], d.weights()[..3]);
     }
 
     #[test]

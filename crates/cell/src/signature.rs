@@ -24,27 +24,20 @@ impl CellTypeId {
     }
 }
 
-/// The identity of a cell type: kind name, per-invocation input tensor
-/// shapes, and a fingerprint of the parameter weights.
+/// What a cell type shares besides its weights: the kind name and the
+/// per-invocation input tensor shapes. Two cells are one type iff their
+/// signatures are equal and their weights are equal bit for bit (see
+/// [`crate::CellRegistry::register`]).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct CellSignature {
     kind: &'static str,
     input_shapes: Vec<(usize, usize)>,
-    weight_fingerprint: u64,
 }
 
 impl CellSignature {
     /// Builds a signature from its components.
-    pub fn new(
-        kind: &'static str,
-        input_shapes: Vec<(usize, usize)>,
-        weight_fingerprint: u64,
-    ) -> Self {
-        CellSignature {
-            kind,
-            input_shapes,
-            weight_fingerprint,
-        }
+    pub fn new(kind: &'static str, input_shapes: Vec<(usize, usize)>) -> Self {
+        CellSignature { kind, input_shapes }
     }
 
     /// The cell kind name.
@@ -55,11 +48,6 @@ impl CellSignature {
     /// Per-invocation input tensor shapes.
     pub fn input_shapes(&self) -> &[(usize, usize)] {
         &self.input_shapes
-    }
-
-    /// Fingerprint of the parameter weights.
-    pub fn weight_fingerprint(&self) -> u64 {
-        self.weight_fingerprint
     }
 }
 
@@ -76,10 +64,10 @@ mod tests {
 
     #[test]
     fn signature_equality_requires_all_components() {
-        let a = CellSignature::new("lstm", vec![(1, 4)], 99);
-        assert_eq!(a, CellSignature::new("lstm", vec![(1, 4)], 99));
-        assert_ne!(a, CellSignature::new("encoder", vec![(1, 4)], 99));
-        assert_ne!(a, CellSignature::new("lstm", vec![(1, 8)], 99));
-        assert_ne!(a, CellSignature::new("lstm", vec![(1, 4)], 100));
+        let a = CellSignature::new("lstm", vec![(1, 4)]);
+        assert_eq!(a, CellSignature::new("lstm", vec![(1, 4)]));
+        assert_ne!(a, CellSignature::new("encoder", vec![(1, 4)]));
+        assert_ne!(a, CellSignature::new("lstm", vec![(1, 8)]));
+        assert_ne!(a, CellSignature::new("lstm", vec![(1, 4), (1, 4)]));
     }
 }

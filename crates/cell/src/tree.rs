@@ -15,14 +15,15 @@
 //! and one 2.6 MB stream (hidden 256) is walked once, serpentine, where
 //! five separate 512 KB products were each walked in the same order
 //! (`bm_tensor::gemm`, "Serpentine passes"). The per-gate matrices exist
-//! only in the bundle format and the weight fingerprint.
+//! only in the bundle format. Type identity compares the fused matrices
+//! bit for bit, which is the same as comparing gate by gate: equal fused
+//! shapes split into equal gate shapes.
 
 use std::sync::OnceLock;
 
 use bm_tensor::io::WeightBundle;
 use bm_tensor::{ops, xavier_uniform, Matrix, Scratch};
 
-use crate::gate_blocks;
 use crate::lstm::{emit_states, MAX_PROJ_ELEMS};
 use crate::persist::{expect, fuse_gates, split_gates};
 use crate::state::RowInvocation;
@@ -154,10 +155,9 @@ impl TreeLeafCell {
         vec![(1, self.embed_size)]
     }
 
-    /// Fingerprint over all weights, gate by gate.
-    pub fn weight_fingerprint(&self) -> u64 {
-        let embed = std::iter::once((&self.embed, 0..self.embed_size));
-        crate::fingerprint_blocks(embed.chain(gate_blocks(&self.w, &self.b, LEAF_GATES.len())))
+    /// The parameter matrices, for identity checks.
+    pub(crate) fn weights(&self) -> Vec<&Matrix> {
+        vec![&self.embed, &self.w, &self.b]
     }
 
     /// Gather executor; see [`crate::Cell::execute_rows_in`]. Tokens
@@ -295,9 +295,9 @@ impl TreeInternalCell {
         vec![(1, self.hidden_size); 4]
     }
 
-    /// Fingerprint over all weights, gate by gate.
-    pub fn weight_fingerprint(&self) -> u64 {
-        crate::fingerprint_blocks(gate_blocks(&self.w, &self.b, INTERNAL_GATES.len()))
+    /// The parameter matrices, for identity checks.
+    pub(crate) fn weights(&self) -> Vec<&Matrix> {
+        vec![&self.w, &self.b]
     }
 
     /// Gather executor; see [`crate::Cell::execute_rows_in`]. Gathers
@@ -366,7 +366,7 @@ mod tests {
     use super::*;
     use crate::state::{CellState, StateRef};
     use crate::tests::Outputs;
-    use crate::CellOutput;
+    use crate::{Cell, CellOutput};
 
     /// A tree-internal invocation over two computed children.
     fn children<'a>(left: &'a CellOutput, right: &'a CellOutput) -> RowInvocation<'a> {
@@ -479,7 +479,7 @@ mod tests {
     }
 
     /// The per-gate construction these cells had before their weights
-    /// were fused: what bundles on disk and registered fingerprints hold.
+    /// were fused: what bundles on disk hold.
     fn per_gate_leaf(e: usize, h: usize, vocab: usize, seed: u64) -> Vec<(&'static str, Matrix)> {
         vec![
             ("embed", xavier_uniform(vocab, e, seed ^ 0x1eaf_0001)),
@@ -508,19 +508,14 @@ mod tests {
     }
 
     #[test]
-    fn bundles_and_fingerprints_are_per_gate() {
+    fn bundles_are_per_gate() {
         let leaf = TreeLeafCell::seeded(4, 6, 10, 21);
         let internal = TreeInternalCell::seeded(6, 22);
         let old_leaf = per_gate_leaf(4, 6, 10, 21);
         let old_internal = per_gate_internal(6, 22);
-        let fp = |mats: &[(&str, Matrix)]| {
-            crate::fingerprint_weights(&mats.iter().map(|(_, m)| m).collect::<Vec<_>>())
-        };
-        assert_eq!(leaf.weight_fingerprint(), fp(&old_leaf));
-        assert_eq!(internal.weight_fingerprint(), fp(&old_internal));
 
-        // A bundle as written before the fusion loads, serves the same
-        // outputs and is written back unchanged.
+        // A bundle as written before the fusion loads as the same cell
+        // type, serves the same outputs and is written back unchanged.
         let bundle_of = |mats: &[(&str, Matrix)]| {
             let mut b = WeightBundle::new();
             for (name, m) in mats {
@@ -533,10 +528,9 @@ mod tests {
         assert_eq!(internal.to_bundle(), internal_bundle);
         let leaf2 = TreeLeafCell::from_bundle(&leaf_bundle).expect("leaf bundle");
         let internal2 = TreeInternalCell::from_bundle(&internal_bundle).expect("internal bundle");
-        assert_eq!(leaf2.weight_fingerprint(), leaf.weight_fingerprint());
-        assert_eq!(
-            internal2.weight_fingerprint(),
-            internal.weight_fingerprint()
+        assert!(Cell::TreeLeaf(leaf2.clone()).same_type(&Cell::TreeLeaf(leaf.clone())));
+        assert!(
+            Cell::TreeInternal(internal2.clone()).same_type(&Cell::TreeInternal(internal.clone()))
         );
         let tokens = [RowInvocation::token_only(1), RowInvocation::token_only(7)];
         let kids = leaf.outputs(&tokens);

@@ -5,10 +5,13 @@
 //! `MaxTasksToSubmit` values × all model families. The plane may change *how* state reaches the cell — parked
 //! rows, swaps, refetches — never *what* it computes.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use bm_core::{Request, Runtime, RuntimeOptions, SchedulerConfig, ServeConfig, ServedOutcome};
-use bm_model::{reference, LstmLm, Model, RequestInput, Seq2Seq, TreeLstm, TreeShape};
+use bm_model::{
+    reference, LstmLm, LstmLmConfig, Model, RequestInput, Seq2Seq, Seq2SeqConfig, TreeLstm,
+    TreeShape,
+};
 use proptest::collection::vec;
 use proptest::prelude::*;
 
@@ -52,6 +55,57 @@ fn check_identity(model: Arc<dyn Model>, inputs: &[RequestInput], max_tasks: usi
     // accumulation-order or state-placement difference from the
     // reference would fail here.
     assert_eq!(want, got, "served outputs diverged (max_tasks {max_tasks})");
+}
+
+/// Hidden width and vocabulary of the capped-table models: a cached
+/// token projection would hold `vocab · 4 · hidden` = 4 352 000 floats,
+/// above the cells' cap of `1 << 22`, so their chain cells step through
+/// the full `[x|h]` resident layout instead.
+const CAPPED_HIDDEN: usize = 64;
+const CAPPED_VOCAB: usize = 17_000;
+
+/// Asserts that every cell of `model` that has a resident layout steps
+/// with the `[x|h]` fallback, so a case built on it tests that path.
+fn assert_capped(model: &dyn Model) {
+    for meta in model.registry().iter() {
+        if let Some(layout) = meta.cell.resident_layout() {
+            assert_eq!(
+                layout.x_width, CAPPED_HIDDEN,
+                "{} caches its projection",
+                meta.name
+            );
+        }
+    }
+}
+
+/// An `LstmLm` whose token table is over the cap, built once.
+fn capped_lstm() -> Arc<LstmLm> {
+    static MODEL: OnceLock<Arc<LstmLm>> = OnceLock::new();
+    Arc::clone(MODEL.get_or_init(|| {
+        let model = LstmLm::new(LstmLmConfig {
+            embed_size: CAPPED_HIDDEN,
+            hidden_size: CAPPED_HIDDEN,
+            vocab: CAPPED_VOCAB,
+            ..LstmLmConfig::default()
+        });
+        assert_capped(&model);
+        Arc::new(model)
+    }))
+}
+
+/// A `Seq2Seq` whose token tables are over the cap, built once.
+fn capped_seq2seq() -> Arc<Seq2Seq> {
+    static MODEL: OnceLock<Arc<Seq2Seq>> = OnceLock::new();
+    Arc::clone(MODEL.get_or_init(|| {
+        let model = Seq2Seq::new(Seq2SeqConfig {
+            embed_size: CAPPED_HIDDEN,
+            hidden_size: CAPPED_HIDDEN,
+            vocab: CAPPED_VOCAB,
+            ..Seq2SeqConfig::default()
+        });
+        assert_capped(&model);
+        Arc::new(model)
+    }))
 }
 
 fn tree_strategy() -> impl Strategy<Value = TreeShape> {
@@ -99,5 +153,33 @@ proptest! {
         let inputs: Vec<RequestInput> =
             trees.into_iter().map(RequestInput::Tree).collect();
         check_identity(Arc::new(TreeLstm::small()), &inputs, max_tasks);
+    }
+}
+
+proptest! {
+    // Fewer cases: a 17 000-word decoder projection per step is slow in
+    // an unoptimised build.
+    #![proptest_config(ProptestConfig::with_cases(3))]
+
+    #[test]
+    fn capped_lstm_outputs_identical_with_resident_plane(
+        seqs in vec(vec(1u32..CAPPED_VOCAB as u32, 1..12), 4..16),
+        max_tasks in 1usize..7,
+    ) {
+        let inputs: Vec<RequestInput> =
+            seqs.into_iter().map(RequestInput::Sequence).collect();
+        check_identity(capped_lstm(), &inputs, max_tasks);
+    }
+
+    #[test]
+    fn capped_seq2seq_outputs_identical_with_resident_plane(
+        pairs in vec((vec(2u32..CAPPED_VOCAB as u32, 1..10), 1usize..8), 4..12),
+        max_tasks in 1usize..7,
+    ) {
+        let inputs: Vec<RequestInput> = pairs
+            .into_iter()
+            .map(|(src, decode_len)| RequestInput::Pair { src, decode_len })
+            .collect();
+        check_identity(capped_seq2seq(), &inputs, max_tasks);
     }
 }
