@@ -52,7 +52,7 @@ pub use tree::{TreeInternalCell, TreeLeafCell};
 
 pub use bm_tensor::Scratch;
 
-use bm_tensor::Matrix;
+use bm_tensor::{Matrix, PackedWeights};
 
 /// A type-erased RNN cell.
 ///
@@ -263,19 +263,53 @@ impl Cell {
         self.signature() == other.signature()
             && self
                 .weights()
-                .iter()
+                .into_iter()
                 .zip(other.weights())
-                .all(|(a, b)| bits_equal(a, b))
+                .all(|(a, b)| a.bits_eq(b))
     }
 
-    /// The parameter matrices, in an order fixed per kind.
-    fn weights(&self) -> Vec<&Matrix> {
+    /// The parameters, in an order fixed per kind.
+    fn weights(&self) -> Vec<Weight<'_>> {
         match self {
             Cell::Lstm(c) => c.weights(),
             Cell::Encoder(c) => c.weights(),
             Cell::Decoder(c) => c.weights(),
             Cell::TreeLeaf(c) => c.weights(),
             Cell::TreeInternal(c) => c.weights(),
+        }
+    }
+}
+
+/// One parameter of a cell, in the form the cell holds it: packed for
+/// the products a step runs, a plain matrix for embeddings and biases.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Weight<'a> {
+    Dense(&'a Matrix),
+    Packed(&'a PackedWeights),
+}
+
+impl<'a> From<&'a Matrix> for Weight<'a> {
+    fn from(m: &'a Matrix) -> Self {
+        Weight::Dense(m)
+    }
+}
+
+impl<'a> From<&'a PackedWeights> for Weight<'a> {
+    fn from(p: &'a PackedWeights) -> Self {
+        Weight::Packed(p)
+    }
+}
+
+impl Weight<'_> {
+    /// Whether two parameters are held alike, have one shape and the
+    /// same bits in every element, stopping at the first difference.
+    /// Packed panels compare as they are (see
+    /// [`PackedWeights::bits_eq`]), without unpacking.
+    pub(crate) fn bits_eq(self, other: Weight<'_>) -> bool {
+        match (self, other) {
+            (Weight::Dense(a), Weight::Dense(b)) => bits_equal(a, b),
+            (Weight::Packed(a), Weight::Packed(b)) => a.bits_eq(b),
+            _ => false,
         }
     }
 }
@@ -380,7 +414,7 @@ pub(crate) mod tests {
         let mut aux = Matrix::zeros(batch, layout.aux_width);
         for (r, (_, st)) in steps.iter().enumerate() {
             if let Some(s) = st {
-                xh.row_mut(r)[layout.x_width..].copy_from_slice(&s.h);
+                xh.row_mut(r).copy_from_slice(&s.h);
                 aux.row_mut(r).copy_from_slice(&s.c);
             }
         }
@@ -432,9 +466,10 @@ pub(crate) mod tests {
     #[test]
     fn resident_fallback_without_token_proj_is_bit_identical() {
         // Cells whose vocabulary is too large to cache the token
-        // projection step through the full `[x|h]` resident layout;
-        // that fallback must agree with the gather path (and with the
-        // proj path, since both match the same oracle).
+        // projection seed each step with `x·Wx` over the embedded
+        // tokens, on the same `h`-only rows; that fallback must agree
+        // with the gather path (and with the proj path, since both
+        // match the same oracle).
         let mut lstm = LstmCell::seeded(4, 6, 20, 42);
         lstm.drop_token_proj_for_tests();
         let mut enc = EncoderCell::seeded(4, 6, 15, 5);
@@ -443,9 +478,9 @@ pub(crate) mod tests {
         dec.drop_token_proj_for_tests();
         for cell in [Cell::Lstm(lstm), Cell::Encoder(enc), Cell::Decoder(dec)] {
             assert_eq!(
-                cell.resident_layout().expect("chain cell").x_width,
-                4,
-                "fallback keeps x columns"
+                cell.resident_layout().expect("chain cell").xh_width(),
+                6,
+                "fallback rows hold h only"
             );
             let mk_state = |tok: u32| {
                 cell.outputs(&[RowInvocation::token_only(tok)])

@@ -15,260 +15,307 @@
 //! `2h × 4h`" (§2.2, footnote 2) when the embedding width equals the
 //! hidden width.
 
+use std::sync::{PoisonError, RwLock, RwLockReadGuard};
+
 use bm_tensor::io::WeightBundle;
-use bm_tensor::{gemm, ops, xavier_uniform, Matrix, PackedWeights, Scratch};
+use bm_tensor::{gemm, ops, xavier_uniform, xavier_uniform_rows, Matrix, PackedWeights, Scratch};
 
 use crate::persist::{expect, expect_shape};
 use crate::state::RowInvocation;
 
-/// Cap on a per-token cache, in floats (16 MiB of f32): the cached
-/// token projection (`vocab * 4 * hidden`), above which the resident
-/// path falls back to gathering the embedded input into a `[x|h]` batch
-/// like the gather path does, and the tree leaf memo
-/// (`vocab * 2 * hidden`).
+/// Cap on a per-token cache, in floats (16 MiB of f32): the token
+/// projection (`vocab * 4 * hidden`), above which a step computes the
+/// input half of its fold from the embedded tokens instead, and the
+/// tree leaf memo (`vocab * 2 * hidden`).
 pub(crate) const MAX_PROJ_ELEMS: usize = 1 << 22;
 
-/// The cached input half of the resident split affine.
+/// `embed · Wx` by token: row `t` is the input half of token `t`'s fold,
+/// `4 * hidden` floats without the bias. The embedding and `W` are
+/// immutable per cell type (§4.2), so a row computed once serves every
+/// later step of that token: a step pays one row copy per request
+/// instead of the `x`-half of the GEMM, which halves its multiplies when
+/// `embed == hidden`.
 ///
-/// The gate pre-activation `z = [x|h]·W + b` folds its inner dimension
-/// in ascending order with the bias added once at the end, so it splits
-/// exactly at the `x`/`h` boundary: `proj[t] = embed[t]·Wx` (no bias)
-/// is the first `input_size` terms of every output element's fold, and
-/// a [`gemm::gemm_acc_into`] continuation over `h·Wh` (bias at the end)
-/// reproduces the remaining terms bit for bit. Since the embedding and
-/// `W` are immutable per cell type (§4.2), `proj` is computed once at
-/// construction — the resident step then pays one row copy per request
-/// instead of the `x`-half of the GEMM, which halves the per-step
-/// multiply count when `embed_size == hidden_size`.
+/// Rows are computed the first time a step needs them, not when the cell
+/// is built: the whole table is `vocab` one-row products (0.5 GFLOP at
+/// vocab 1000, hidden 256) that a cold start would pay before its first
+/// response. The table is still one zeroed block allocated with the
+/// cell: the allocator hands a block that size out untouched, so a page
+/// of it becomes resident only when a row in it is written, and it is
+/// returned whole when the cell goes (rows allocated one by one by the
+/// threads that step the cell cost `seq2seq_wmt` 3 MiB of peak RSS).
+#[derive(Debug)]
+struct TokenProj(RwLock<TokenRows>);
+
+/// The rows of a [`TokenProj`] and which of them are computed.
 #[derive(Debug, Clone)]
-pub(crate) struct TokenProj {
-    /// `embed · Wx`, `(vocab, 4 * hidden)`, bias *not* included.
-    proj: Matrix,
-    /// Rows `input_size..` of `w` (the recurrent half), packed.
-    wh: PackedWeights,
+struct TokenRows {
+    /// `(vocab, 4 * hidden)`; row `t` is meaningful once `filled[t]`.
+    rows: Matrix,
+    filled: Vec<bool>,
+}
+
+impl Clone for TokenProj {
+    fn clone(&self) -> Self {
+        TokenProj(RwLock::new(self.rows().clone()))
+    }
+}
+
+impl TokenProj {
+    fn new(vocab: usize, gates: usize) -> Self {
+        TokenProj(RwLock::new(TokenRows {
+            rows: Matrix::zeros(vocab, gates),
+            filled: vec![false; vocab],
+        }))
+    }
+
+    /// The table, read. A row is marked filled only after it is written,
+    /// so a panic while the table was held for writing (an out-of-range
+    /// token) left nothing inconsistent, and poisoning is ignored.
+    fn rows(&self) -> RwLockReadGuard<'_, TokenRows> {
+        self.0.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Copies the row of token `id(r)` into row `r` of `z` for every
+    /// `r < rows`, first computing `embed[t] · wx` for the tokens no
+    /// step has seen.
+    fn seed(
+        &self,
+        embed: &Matrix,
+        wx: &PackedWeights,
+        rows: usize,
+        id: impl Fn(usize) -> usize,
+        z: &mut Matrix,
+    ) {
+        {
+            let table = self.rows();
+            if (0..rows).all(|r| table.filled[id(r)]) {
+                for r in 0..rows {
+                    z.row_mut(r).copy_from_slice(table.rows.row(id(r)));
+                }
+                return;
+            }
+        }
+        let mut table = self.0.write().unwrap_or_else(PoisonError::into_inner);
+        let TokenRows {
+            rows: table_rows,
+            filled,
+        } = &mut *table;
+        for r in 0..rows {
+            let t = id(r);
+            if !filled[t] {
+                let row = table_rows.row_mut(t);
+                gemm::gemm_into(embed.row(t), 1, wx.k(), wx, None, row, None);
+                filled[t] = true;
+            }
+            z.row_mut(r).copy_from_slice(table_rows.row(t));
+        }
+    }
 }
 
 /// The weight set and math of one LSTM step, shared by every cell kind
 /// that embeds an LSTM (plain, encoder, decoder).
+///
+/// The gate pre-activation `z = [x|h]·W + b` folds its inner dimension
+/// in ascending order with the bias added once at the end, so it splits
+/// exactly at the `x`/`h` boundary: `x·Wx` (no bias) is the first
+/// `input_size` terms of every output element's fold, and a
+/// [`gemm::gemm_acc_into`] continuation over `h·Wh` (bias at the end)
+/// adds the rest bit for bit. So `W` is held as its two row halves,
+/// packed, and never whole: every step, gathered or resident, seeds `z`
+/// with the input half and continues with the recurrent one.
 #[derive(Debug, Clone)]
 pub(crate) struct LstmCore {
-    /// Fused gate weights, `(embed + hidden, 4 * hidden)`.
-    pub w: Matrix,
+    /// Rows `..input_size` of the fused gate weights `W`, packed:
+    /// `(embed, 4 * hidden)`.
+    wx: PackedWeights,
+    /// Rows `input_size..` of `W`, packed: `(hidden, 4 * hidden)`.
+    wh: PackedWeights,
     /// Fused gate bias, `(1, 4 * hidden)`.
-    pub b: Matrix,
+    b: Matrix,
     pub input_size: usize,
     pub hidden_size: usize,
-    /// Cached token projection for the resident fast path; `None` when
-    /// the table would exceed [`MAX_PROJ_ELEMS`].
-    pub(crate) token_proj: Option<TokenProj>,
+    /// The token projection; `None` when it would exceed
+    /// [`MAX_PROJ_ELEMS`].
+    token_proj: Option<TokenProj>,
 }
 
 impl LstmCore {
-    pub fn seeded(input_size: usize, hidden_size: usize, seed: u64) -> Self {
-        LstmCore {
-            w: xavier_uniform(input_size + hidden_size, 4 * hidden_size, seed),
-            b: Matrix::zeros(1, 4 * hidden_size),
-            input_size,
-            hidden_size,
-            token_proj: None,
-        }
-    }
-
-    /// Precomputes the [`TokenProj`] pair for `embed` (a no-op above
-    /// the size cap). Called by every owning cell right after the core
-    /// and embedding exist — construction and bundle-load alike — so
-    /// the cache can never go stale against the weights it derives
-    /// from.
-    pub(crate) fn install_token_proj(&mut self, embed: &Matrix) {
-        let (e, hsz) = (self.input_size, self.hidden_size);
-        let gates = 4 * hsz;
+    /// The core over the packed halves of the fused gate weights and
+    /// bias `b`, for token embedding `embed`.
+    fn new(wx: PackedWeights, wh: PackedWeights, b: Matrix, embed: &Matrix) -> Self {
+        let (input_size, gates) = (wx.k(), wx.n());
+        debug_assert_eq!((embed.cols(), wh.n()), (input_size, gates));
         let vocab = embed.rows();
-        debug_assert_eq!(embed.cols(), e, "embedding width");
-        if vocab.saturating_mul(gates) > MAX_PROJ_ELEMS {
-            self.token_proj = None;
-            return;
+        let token_proj =
+            (vocab.saturating_mul(gates) <= MAX_PROJ_ELEMS).then(|| TokenProj::new(vocab, gates));
+        LstmCore {
+            wx,
+            wh,
+            b,
+            input_size,
+            hidden_size: gates / 4,
+            token_proj,
         }
-        let wdata = self.w.as_slice();
-        let wx = PackedWeights::pack(e, gates, &wdata[..e * gates]);
-        let wh = PackedWeights::pack(hsz, gates, &wdata[e * gates..]);
-        let mut proj = Matrix::zeros(vocab, gates);
-        gemm::gemm_into(
-            embed.as_slice(),
-            vocab,
-            e,
-            &wx,
-            None,
-            proj.as_mut_slice(),
-            ops::auto_pool(vocab, e, gates),
-        );
-        self.token_proj = Some(TokenProj { proj, wh });
     }
 
-    /// The resident row layout this core steps with: `h`-only rows when
-    /// the token projection is cached (the fast path needs no `x`
-    /// columns at all), the full `[x|h]` rows otherwise.
+    /// A core with seeded Xavier weights, `W` packed as it is drawn:
+    /// its rows come in order, the input half and then the recurrent
+    /// one, and no row-major copy of it is ever made.
+    pub fn seeded(embed: &Matrix, hidden_size: usize, seed: u64) -> Self {
+        let (input_size, gates) = (embed.cols(), 4 * hidden_size);
+        let mut w = xavier_uniform_rows(input_size + hidden_size, gates, seed);
+        let wx = PackedWeights::pack_rows(input_size, gates, &mut w);
+        let wh = PackedWeights::pack_rows(hidden_size, gates, &mut w);
+        LstmCore::new(wx, wh, Matrix::zeros(1, gates), embed)
+    }
+
+    /// The core of a saved cell: `w` and `b` from `bundle`, checked
+    /// against `embed`'s width.
+    pub fn from_bundle(bundle: &WeightBundle, embed: &Matrix) -> Result<Self, String> {
+        let w = expect(bundle, "w")?;
+        let (input_size, hidden) = (embed.cols(), w.cols() / 4);
+        expect_shape(w, (input_size + hidden, 4 * hidden), "w")?;
+        let b = expect(bundle, "b")?;
+        expect_shape(b, (1, 4 * hidden), "b")?;
+        let (x_half, h_half) = w.as_slice().split_at(input_size * w.cols());
+        let wx = PackedWeights::pack(input_size, w.cols(), x_half);
+        let wh = PackedWeights::pack(hidden, w.cols(), h_half);
+        Ok(LstmCore::new(wx, wh, b.clone(), embed))
+    }
+
+    /// Writes `w` and `b` into `bundle`, `w` unpacked to the exact
+    /// fused matrix the core was built from.
+    pub fn to_bundle(&self, bundle: &mut WeightBundle) {
+        let mut w = self.wx.unpack().into_vec();
+        w.extend_from_slice(self.wh.unpack().as_slice());
+        let rows = self.input_size + self.hidden_size;
+        bundle.insert("w", Matrix::from_vec(rows, 4 * self.hidden_size, w));
+        bundle.insert("b", self.b.clone());
+    }
+
+    /// The parameters after the embedding, for identity checks.
+    pub(crate) fn weights(&self) -> [crate::Weight<'_>; 3] {
+        [(&self.wx).into(), (&self.wh).into(), (&self.b).into()]
+    }
+
+    /// The resident row layout this core steps with: `h`-only rows,
+    /// `c` in the aux matrix.
     pub(crate) fn resident_layout(&self) -> crate::state::ResidentLayout {
-        let x_width = if self.token_proj.is_some() {
-            0
-        } else {
-            self.input_size
-        };
         crate::state::ResidentLayout {
-            x_width,
             hidden: self.hidden_size,
             aux_width: self.hidden_size,
         }
     }
 
-    /// One batched LSTM step over a pre-gathered `[x, h]` input.
+    /// One fused LSTM step over rows `0..rows` of `h` and `c`, updating
+    /// both in place; `token(r)` is row `r`'s input word.
     ///
-    /// `xh` is `(batch, input + hidden)`, `c_prev` is `(batch, hidden)`.
-    /// Returns `(h', c')` backed by buffers from `s`. One fused affine
-    /// into a scratch gate buffer plus one fused gate kernel — zero
-    /// intermediate allocations in steady state, bitwise identical to the
-    /// unfused concat/affine/split/activation/mul/add chain.
-    pub fn step_in(&self, xh: &Matrix, c_prev: &Matrix, s: &mut Scratch) -> (Matrix, Matrix) {
-        debug_assert_eq!(xh.cols(), self.input_size + self.hidden_size);
-        debug_assert_eq!(c_prev.cols(), self.hidden_size);
-        let batch = xh.rows();
-        // All three are fully overwritten: `z` by the affine, `h_new`
-        // and `c_new` by the gate kernel.
-        let mut z = s.take_dirty(batch, 4 * self.hidden_size);
-        ops::affine_into(xh, &self.w, &self.b, &mut z);
-        let mut h_new = s.take_dirty(batch, self.hidden_size);
-        let mut c_new = s.take_dirty(batch, self.hidden_size);
-        ops::lstm_gates(&z, c_prev, &mut h_new, &mut c_new);
-        s.put(z);
-        (h_new, c_new)
-    }
-
-    /// One fused LSTM step over the occupied prefix (`0..rows`) of a
-    /// resident batch, updating state in place.
+    /// Each row's gate pre-activation is seeded with the input half of
+    /// its fold — the token's `x·Wx` row of the token projection
+    /// (computed here on the token's first step), or, without the table
+    /// (oversized vocabulary), one `x·Wx` product over the embedded
+    /// tokens — and completed by one fold-continuation affine over
+    /// `h·Wh` ([`ops::affine_acc_rows_into`]). One gate-kernel call
+    /// ([`ops::lstm_gates_rows_inplace`]) then overwrites `h` and `c`.
+    /// Bit for bit `[x|h]·W + b` followed by the gates (see
+    /// [`LstmCore`]), and a function of each row alone.
     ///
-    /// With a cached [`TokenProj`] (the common case), `xh` is an
-    /// `h`-only matrix: each row's gate pre-activation is seeded from
-    /// the token's cached `x·Wx` partial row and completed by one
-    /// fold-continuation affine over `h·Wh`
-    /// ([`ops::affine_acc_rows_into`]) — half the multiplies of the
-    /// full `[x|h]·W` when `embed == hidden`, and zero state movement
-    /// at steady state. Without it (oversized vocabulary), tokens embed
-    /// into the left columns of `xh` and one full prefix affine runs as
-    /// the gather path would. Either way one gate-kernel call over the
-    /// row prefix then overwrites the hidden and cell state in place.
+    /// The gather path runs it on rows it copied into scratch, the
+    /// resident path on the persistent batch where rows stay parked.
     ///
-    /// Bitwise identical per row to `gather_chain_xh` + [`step_in`]
-    /// over the same rows: the split affine continues the same
-    /// ascending-`k` fold with the bias added once at the end (see
-    /// [`TokenProj`]), and the gate kernel is the one [`step_in`] runs
-    /// ([`ops::lstm_gates_rows_inplace`]).
+    /// # Panics
     ///
-    /// [`step_in`]: LstmCore::step_in
-    pub fn step_resident_chain(
+    /// Panics if a row has no token or its token is out of the
+    /// vocabulary.
+    pub fn step_rows(
         &self,
         embed: &Matrix,
-        xh: &mut Matrix,
+        h: &mut Matrix,
         c: &mut Matrix,
         rows: usize,
-        tokens: &[Option<u32>],
+        token: impl Fn(usize) -> Option<u32>,
         s: &mut Scratch,
     ) {
-        let hsz = self.hidden_size;
-        debug_assert_eq!(c.cols(), hsz);
-        if let Some(tp) = &self.token_proj {
-            debug_assert_eq!(xh.cols(), hsz);
-            // Fully overwritten by the seed copies, so dirty is fine.
-            let mut z = s.take_dirty(rows, 4 * hsz);
-            for (r, token) in tokens.iter().enumerate().take(rows) {
-                let id = token.expect("chain cell invocation requires a token") as usize;
-                assert!(
-                    id < tp.proj.rows(),
-                    "embedding id {id} >= vocab {}",
-                    tp.proj.rows()
+        let (e, hsz) = (self.input_size, self.hidden_size);
+        let gates = 4 * hsz;
+        debug_assert_eq!((h.cols(), c.cols()), (hsz, hsz));
+        let id = |r: usize| {
+            let id = token(r).expect("chain cell invocation requires a token") as usize;
+            let vocab = embed.rows();
+            assert!(id < vocab, "embedding id {id} >= vocab {vocab}");
+            id
+        };
+        // Fully overwritten by the seed, so dirty is fine.
+        let mut z = s.take_dirty(rows, gates);
+        match &self.token_proj {
+            Some(table) => table.seed(embed, &self.wx, rows, id, &mut z),
+            None => {
+                let mut x = s.take_dirty(rows, e);
+                for r in 0..rows {
+                    x.row_mut(r).copy_from_slice(embed.row(id(r)));
+                }
+                let pool = ops::auto_pool(rows, e, gates);
+                gemm::gemm_into(
+                    x.as_slice(),
+                    rows,
+                    e,
+                    &self.wx,
+                    None,
+                    z.as_mut_slice(),
+                    pool,
                 );
-                z.row_mut(r).copy_from_slice(tp.proj.row(id));
+                s.put(x);
             }
-            ops::affine_acc_rows_into(
-                xh,
-                rows,
-                &tp.wh,
-                &self.b,
-                &mut z,
-                ops::auto_pool(rows, hsz, 4 * hsz),
-            );
-            ops::lstm_gates_rows_inplace(&z, rows, xh, 0, c);
-            s.put(z);
-            return;
         }
-        let e = self.input_size;
-        debug_assert_eq!(xh.cols(), e + hsz);
-        for (r, token) in tokens.iter().enumerate().take(rows) {
-            let id = token.expect("chain cell invocation requires a token") as usize;
-            assert!(
-                id < embed.rows(),
-                "embedding id {id} >= vocab {}",
-                embed.rows()
-            );
-            xh.row_mut(r)[..e].copy_from_slice(embed.row(id));
-        }
-        // Fully overwritten by the affine, so a dirty buffer is fine.
-        let mut z = s.take_dirty(rows, 4 * hsz);
-        ops::affine_rows_into(
-            xh,
-            rows,
-            &self.w,
-            &self.b,
-            &mut z,
-            ops::auto_pool(rows, e + hsz, 4 * hsz),
-        );
-        ops::lstm_gates_rows_inplace(&z, rows, xh, e, c);
+        let pool = ops::auto_pool(rows, hsz, gates);
+        ops::affine_acc_rows_into(h, rows, &self.wh, &self.b, &mut z, pool);
+        ops::lstm_gates_rows_inplace(&z, rows, h, c);
         s.put(z);
+    }
+
+    /// Strips the cached token projection so tests can exercise the
+    /// path a too-large vocabulary would take.
+    #[cfg(test)]
+    pub(crate) fn drop_token_proj_for_tests(&mut self) {
+        self.token_proj = None;
     }
 }
 
-/// Gathers the batched `[x, h]` input and previous cell state for
-/// chain-style invocations directly into scratch buffers: tokens embed
-/// into the left `input_size` columns, predecessor states copy into the
-/// right `hidden_size` columns (and `c`), and chain starts keep the
+/// Gathers the batched previous states of chain-style invocations into
+/// scratch `(batch, hidden)` matrices `h` and `c`; chain starts keep the
 /// implicit zero state `Scratch::take` guarantees.
-pub(crate) fn gather_chain_xh(
-    embed: &Matrix,
-    input_size: usize,
+pub(crate) fn gather_chain(
     hidden_size: usize,
     inputs: &[RowInvocation<'_>],
     s: &mut Scratch,
 ) -> (Matrix, Matrix) {
     let batch = inputs.len();
-    let mut xh = s.take(batch, input_size + hidden_size);
+    let mut h = s.take(batch, hidden_size);
     let mut c = s.take(batch, hidden_size);
     for (r, inv) in inputs.iter().enumerate() {
-        let id = inv.token().expect("chain cell invocation requires a token") as usize;
-        assert!(
-            id < embed.rows(),
-            "embedding id {id} >= vocab {}",
-            embed.rows()
-        );
-        let xh_row = xh.row_mut(r);
-        xh_row[..input_size].copy_from_slice(embed.row(id));
         match inv.states() {
             [] => {} // Chain start: implicit zero state.
             [st] => {
                 assert_eq!(st.h.len(), hidden_size, "state width mismatch");
-                xh_row[input_size..].copy_from_slice(st.h);
+                h.row_mut(r).copy_from_slice(st.h);
                 c.row_mut(r).copy_from_slice(st.c);
             }
             more => panic!("chain cell invocation with {} states", more.len()),
         }
     }
-    (xh, c)
+    (h, c)
 }
 
-/// Emits batched `(h, c)` rows to the caller in batch order.
+/// Emits rows `0..rows` of batched `(h, c)` to the caller in batch
+/// order.
 pub(crate) fn emit_states<F: FnMut(usize, &[f32], &[f32], Option<u32>)>(
     h: &Matrix,
     c: &Matrix,
+    rows: usize,
     emit: &mut F,
 ) {
-    for r in 0..h.rows() {
+    for r in 0..rows {
         emit(r, h.row(r), c.row(r), None);
     }
 }
@@ -287,8 +334,7 @@ impl LstmCell {
     /// Creates a cell with seeded Xavier weights.
     pub fn seeded(embed_size: usize, hidden_size: usize, vocab: usize, seed: u64) -> Self {
         let embed = xavier_uniform(vocab, embed_size, seed ^ 0x5eed_0001);
-        let mut core = LstmCore::seeded(embed_size, hidden_size, seed);
-        core.install_token_proj(&embed);
+        let core = LstmCore::seeded(&embed, hidden_size, seed);
         LstmCell { embed, core }
     }
 
@@ -316,43 +362,37 @@ impl LstmCell {
         ]
     }
 
-    /// The parameter matrices, for identity checks.
-    pub(crate) fn weights(&self) -> Vec<&Matrix> {
-        vec![&self.embed, &self.core.w, &self.core.b]
+    /// The parameters, for identity checks.
+    pub(crate) fn weights(&self) -> Vec<crate::Weight<'_>> {
+        let mut w = vec![(&self.embed).into()];
+        w.extend(self.core.weights());
+        w
     }
 
-    /// Gather executor: gathers borrowed state rows into a scratch
-    /// `[x, h]` batch, runs one fused step and emits `(row, h, c, token)`
-    /// per invocation; see [`crate::Cell::execute_rows_in`].
+    /// Gather executor: gathers borrowed state rows into scratch
+    /// batches, runs one fused step and emits `(row, h, c, token)` per
+    /// invocation; see [`crate::Cell::execute_rows_in`].
     pub fn execute_rows_in<F>(&self, inputs: &[RowInvocation<'_>], s: &mut Scratch, mut emit: F)
     where
         F: FnMut(usize, &[f32], &[f32], Option<u32>),
     {
-        let (xh, c) = gather_chain_xh(
-            &self.embed,
-            self.core.input_size,
-            self.core.hidden_size,
-            inputs,
-            s,
-        );
-        let (h2, c2) = self.core.step_in(&xh, &c, s);
-        emit_states(&h2, &c2, &mut emit);
-        for m in [xh, c, h2, c2] {
-            s.put(m);
-        }
+        let (mut h, mut c) = gather_chain(self.core.hidden_size, inputs, s);
+        let rows = inputs.len();
+        self.core
+            .step_rows(&self.embed, &mut h, &mut c, rows, |r| inputs[r].token(), s);
+        emit_states(&h, &c, rows, &mut emit);
+        s.put(h);
+        s.put(c);
     }
 
-    /// Resident-state row layout: `h`-only rows when the token
-    /// projection is cached (the usual case), `[x|h]` rows otherwise;
-    /// `c` lives in the aux matrix either way. See
-    /// `LstmCore::resident_layout`.
+    /// Resident-state row layout: `h`-only rows, `c` in the aux matrix.
     pub fn resident_layout(&self) -> crate::state::ResidentLayout {
         self.core.resident_layout()
     }
 
     /// Resident-state executor: one fused step over rows `0..rows` of a
-    /// persistent `[x|h]` batch (`xh`) and its cell-state side matrix
-    /// (`aux`), updating both in place and emitting
+    /// persistent hidden-state batch (`xh`) and its cell-state side
+    /// matrix (`aux`), updating both in place and emitting
     /// `(row, h, c, token)` per row in batch order — the same emit
     /// contract, and bitwise the same outputs, as
     /// [`LstmCell::execute_rows_in`] over equal state rows.
@@ -368,48 +408,29 @@ impl LstmCell {
         F: FnMut(usize, &[f32], &[f32], Option<u32>),
     {
         self.core
-            .step_resident_chain(&self.embed, xh, aux, rows, tokens, s);
-        let e = self.core.resident_layout().x_width;
-        for r in 0..rows {
-            emit(r, &xh.row(r)[e..], aux.row(r), None);
-        }
+            .step_rows(&self.embed, xh, aux, rows, |r| tokens[r], s);
+        emit_states(xh, aux, rows, &mut emit);
     }
 
     /// Strips the cached token projection so tests can exercise the
-    /// full-`[x|h]` resident fallback a too-large vocabulary would
-    /// take.
+    /// path a too-large vocabulary would take.
     #[cfg(test)]
     pub(crate) fn drop_token_proj_for_tests(&mut self) {
-        self.core.token_proj = None;
+        self.core.drop_token_proj_for_tests();
     }
 
     /// Exports the cell's weights (§4.2 persistence).
     pub fn to_bundle(&self) -> WeightBundle {
         let mut b = WeightBundle::new();
         b.insert("embed", self.embed.clone());
-        b.insert("w", self.core.w.clone());
-        b.insert("b", self.core.b.clone());
+        self.core.to_bundle(&mut b);
         b
     }
 
     /// Reconstructs the cell from saved weights, inferring shapes.
     pub fn from_bundle(bundle: &WeightBundle) -> Result<Self, String> {
-        let embed = expect(bundle, "embed")?;
-        let w = expect(bundle, "w")?;
-        let hidden = w.cols() / 4;
-        let input = embed.cols();
-        expect_shape(w, (input + hidden, 4 * hidden), "w")?;
-        let b = expect(bundle, "b")?;
-        expect_shape(b, (1, 4 * hidden), "b")?;
-        let embed = embed.clone();
-        let mut core = LstmCore {
-            w: w.clone(),
-            b: b.clone(),
-            input_size: input,
-            hidden_size: hidden,
-            token_proj: None,
-        };
-        core.install_token_proj(&embed);
+        let embed = expect(bundle, "embed")?.clone();
+        let core = LstmCore::from_bundle(bundle, &embed)?;
         Ok(LstmCell { embed, core })
     }
 }

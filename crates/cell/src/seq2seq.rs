@@ -10,9 +10,9 @@
 //! over encoders, §4.3).
 
 use bm_tensor::io::WeightBundle;
-use bm_tensor::{ops, xavier_uniform, Matrix, Scratch};
+use bm_tensor::{ops, xavier_uniform, xavier_uniform_rows, Matrix, PackedWeights, Scratch};
 
-use crate::lstm::{emit_states, gather_chain_xh, LstmCore};
+use crate::lstm::{emit_states, gather_chain, LstmCore};
 use crate::persist::{expect, expect_shape};
 use crate::state::RowInvocation;
 
@@ -27,8 +27,7 @@ impl EncoderCell {
     /// Creates a cell with seeded Xavier weights.
     pub fn seeded(embed_size: usize, hidden_size: usize, vocab: usize, seed: u64) -> Self {
         let embed = xavier_uniform(vocab, embed_size, seed ^ 0xe4c0_0001);
-        let mut core = LstmCore::seeded(embed_size, hidden_size, seed ^ 0xe4c0_0002);
-        core.install_token_proj(&embed);
+        let core = LstmCore::seeded(&embed, hidden_size, seed ^ 0xe4c0_0002);
         EncoderCell { embed, core }
     }
 
@@ -56,9 +55,11 @@ impl EncoderCell {
         ]
     }
 
-    /// The parameter matrices, for identity checks.
-    pub(crate) fn weights(&self) -> Vec<&Matrix> {
-        vec![&self.embed, &self.core.w, &self.core.b]
+    /// The parameters, for identity checks.
+    pub(crate) fn weights(&self) -> Vec<crate::Weight<'_>> {
+        let mut w = vec![(&self.embed).into()];
+        w.extend(self.core.weights());
+        w
     }
 
     /// Gather executor; see [`crate::Cell::execute_rows_in`].
@@ -66,23 +67,17 @@ impl EncoderCell {
     where
         F: FnMut(usize, &[f32], &[f32], Option<u32>),
     {
-        let (xh, c) = gather_chain_xh(
-            &self.embed,
-            self.core.input_size,
-            self.core.hidden_size,
-            inputs,
-            s,
-        );
-        let (h2, c2) = self.core.step_in(&xh, &c, s);
-        emit_states(&h2, &c2, &mut emit);
-        for m in [xh, c, h2, c2] {
-            s.put(m);
-        }
+        let (mut h, mut c) = gather_chain(self.core.hidden_size, inputs, s);
+        let rows = inputs.len();
+        self.core
+            .step_rows(&self.embed, &mut h, &mut c, rows, |r| inputs[r].token(), s);
+        emit_states(&h, &c, rows, &mut emit);
+        s.put(h);
+        s.put(c);
     }
 
     /// Resident-state row layout; identical to [`LstmCell`]'s
-    /// (`h`-only rows with a cached token projection, `[x|h]` rows
-    /// otherwise; `c` in aux).
+    /// (`h`-only rows, `c` in aux).
     ///
     /// [`LstmCell`]: crate::LstmCell
     pub fn resident_layout(&self) -> crate::state::ResidentLayout {
@@ -105,48 +100,29 @@ impl EncoderCell {
         F: FnMut(usize, &[f32], &[f32], Option<u32>),
     {
         self.core
-            .step_resident_chain(&self.embed, xh, aux, rows, tokens, s);
-        let e = self.core.resident_layout().x_width;
-        for r in 0..rows {
-            emit(r, &xh.row(r)[e..], aux.row(r), None);
-        }
+            .step_rows(&self.embed, xh, aux, rows, |r| tokens[r], s);
+        emit_states(xh, aux, rows, &mut emit);
     }
 
     /// Strips the cached token projection so tests can exercise the
-    /// full-`[x|h]` resident fallback a too-large vocabulary would
-    /// take.
+    /// path a too-large vocabulary would take.
     #[cfg(test)]
     pub(crate) fn drop_token_proj_for_tests(&mut self) {
-        self.core.token_proj = None;
+        self.core.drop_token_proj_for_tests();
     }
 
     /// Exports the cell's weights (§4.2 persistence).
     pub fn to_bundle(&self) -> WeightBundle {
         let mut b = WeightBundle::new();
         b.insert("embed", self.embed.clone());
-        b.insert("w", self.core.w.clone());
-        b.insert("b", self.core.b.clone());
+        self.core.to_bundle(&mut b);
         b
     }
 
     /// Reconstructs the cell from saved weights, inferring shapes.
     pub fn from_bundle(bundle: &WeightBundle) -> Result<Self, String> {
-        let embed = expect(bundle, "embed")?;
-        let w = expect(bundle, "w")?;
-        let hidden = w.cols() / 4;
-        let input = embed.cols();
-        expect_shape(w, (input + hidden, 4 * hidden), "w")?;
-        let b = expect(bundle, "b")?;
-        expect_shape(b, (1, 4 * hidden), "b")?;
-        let embed = embed.clone();
-        let mut core = LstmCore {
-            w: w.clone(),
-            b: b.clone(),
-            input_size: input,
-            hidden_size: hidden,
-            token_proj: None,
-        };
-        core.install_token_proj(&embed);
+        let embed = expect(bundle, "embed")?.clone();
+        let core = LstmCore::from_bundle(bundle, &embed)?;
         Ok(EncoderCell { embed, core })
     }
 }
@@ -163,8 +139,8 @@ impl EncoderCell {
 pub struct DecoderCell {
     embed: Matrix,
     core: LstmCore,
-    /// Output projection, `(hidden, vocab)`.
-    proj_w: Matrix,
+    /// Output projection, `(hidden, vocab)`, packed: the only copy.
+    proj_w: PackedWeights,
     proj_b: Matrix,
 }
 
@@ -172,12 +148,12 @@ impl DecoderCell {
     /// Creates a cell with seeded Xavier weights.
     pub fn seeded(embed_size: usize, hidden_size: usize, vocab: usize, seed: u64) -> Self {
         let embed = xavier_uniform(vocab, embed_size, seed ^ 0xdec0_0001);
-        let mut core = LstmCore::seeded(embed_size, hidden_size, seed ^ 0xdec0_0002);
-        core.install_token_proj(&embed);
+        let core = LstmCore::seeded(&embed, hidden_size, seed ^ 0xdec0_0002);
+        let proj_w = xavier_uniform_rows(hidden_size, vocab, seed ^ 0xdec0_0003);
         DecoderCell {
             embed,
             core,
-            proj_w: xavier_uniform(hidden_size, vocab, seed ^ 0xdec0_0003),
+            proj_w: PackedWeights::pack_rows(hidden_size, vocab, proj_w),
             proj_b: Matrix::zeros(1, vocab),
         }
     }
@@ -194,7 +170,7 @@ impl DecoderCell {
 
     /// Vocabulary size (projection output width).
     pub fn vocab_size(&self) -> usize {
-        self.proj_w.cols()
+        self.proj_w.n()
     }
 
     /// Input tensor shapes per invocation.
@@ -206,46 +182,32 @@ impl DecoderCell {
         ]
     }
 
-    /// The parameter matrices, for identity checks.
-    pub(crate) fn weights(&self) -> Vec<&Matrix> {
-        vec![
-            &self.embed,
-            &self.core.w,
-            &self.core.b,
-            &self.proj_w,
-            &self.proj_b,
-        ]
+    /// The parameters, for identity checks.
+    pub(crate) fn weights(&self) -> Vec<crate::Weight<'_>> {
+        let mut w = vec![(&self.embed).into()];
+        w.extend(self.core.weights());
+        w.push((&self.proj_w).into());
+        w.push((&self.proj_b).into());
+        w
     }
 
     /// Gather executor; see [`crate::Cell::execute_rows_in`]. Each
     /// emitted row carries the argmax-projected output word as its token.
-    pub fn execute_rows_in<F>(&self, inputs: &[RowInvocation<'_>], s: &mut Scratch, mut emit: F)
+    pub fn execute_rows_in<F>(&self, inputs: &[RowInvocation<'_>], s: &mut Scratch, emit: F)
     where
         F: FnMut(usize, &[f32], &[f32], Option<u32>),
     {
-        let (xh, c) = gather_chain_xh(
-            &self.embed,
-            self.core.input_size,
-            self.core.hidden_size,
-            inputs,
-            s,
-        );
-        let (h2, c2) = self.core.step_in(&xh, &c, s);
-        // Fully overwritten by the affine.
-        let mut logits = s.take_dirty(inputs.len(), self.vocab_size());
-        ops::affine_into(&h2, &self.proj_w, &self.proj_b, &mut logits);
-        for r in 0..inputs.len() {
-            let word = ops::argmax_row(logits.row(r)) as u32;
-            emit(r, h2.row(r), c2.row(r), Some(word));
-        }
-        for m in [xh, c, h2, c2, logits] {
-            s.put(m);
-        }
+        let (mut h, mut c) = gather_chain(self.core.hidden_size, inputs, s);
+        let rows = inputs.len();
+        self.core
+            .step_rows(&self.embed, &mut h, &mut c, rows, |r| inputs[r].token(), s);
+        self.project(&h, &c, rows, s, emit);
+        s.put(h);
+        s.put(c);
     }
 
     /// Resident-state row layout; identical to [`LstmCell`]'s
-    /// (`h`-only rows with a cached token projection, `[x|h]` rows
-    /// otherwise; `c` in aux).
+    /// (`h`-only rows, `c` in aux).
     ///
     /// [`LstmCell`]: crate::LstmCell
     pub fn resident_layout(&self) -> crate::state::ResidentLayout {
@@ -254,13 +216,10 @@ impl DecoderCell {
 
     /// Resident-state executor: the fused chain step updates `xh`/`aux`
     /// in place, then the vocabulary projection (which dominates decode
-    /// cost, §7.4) runs over the new hidden rows. With a cached token
-    /// projection the resident rows are `h`-only, so the occupied prefix
-    /// of `xh` already is the contiguous `(rows, hidden)` operand and no
-    /// state moves; only the `[x|h]` fallback of an oversized vocabulary
-    /// copies `h` out first. Emits `(row, h, c, Some(word))` per row,
-    /// bitwise identical to [`DecoderCell::execute_rows_in`] over equal
-    /// state rows.
+    /// cost, §7.4) runs straight over the occupied prefix of the
+    /// `h`-only rows, so no state moves. Emits `(row, h, c, Some(word))`
+    /// per row, bitwise identical to [`DecoderCell::execute_rows_in`]
+    /// over equal state rows.
     pub fn step_resident<F>(
         &self,
         xh: &mut Matrix,
@@ -268,80 +227,63 @@ impl DecoderCell {
         rows: usize,
         tokens: &[Option<u32>],
         s: &mut Scratch,
-        mut emit: F,
+        emit: F,
     ) where
         F: FnMut(usize, &[f32], &[f32], Option<u32>),
     {
         self.core
-            .step_resident_chain(&self.embed, xh, aux, rows, tokens, s);
-        let e = self.core.resident_layout().x_width;
+            .step_rows(&self.embed, xh, aux, rows, |r| tokens[r], s);
+        self.project(xh, aux, rows, s, emit);
+    }
+
+    /// Projects rows `0..rows` of the new hidden state onto the
+    /// vocabulary and emits each row with its argmax word.
+    fn project<F>(&self, h: &Matrix, c: &Matrix, rows: usize, s: &mut Scratch, mut emit: F)
+    where
+        F: FnMut(usize, &[f32], &[f32], Option<u32>),
+    {
         let (hsz, vocab) = (self.core.hidden_size, self.vocab_size());
         // Fully overwritten by the affine.
         let mut logits = s.take_dirty(rows, vocab);
-        if e == 0 {
-            let pool = ops::auto_pool(rows, hsz, vocab);
-            ops::affine_rows_into(xh, rows, &self.proj_w, &self.proj_b, &mut logits, pool);
-        } else {
-            let mut h2 = s.take_dirty(rows, hsz);
-            for r in 0..rows {
-                h2.row_mut(r).copy_from_slice(&xh.row(r)[e..]);
-            }
-            ops::affine_into(&h2, &self.proj_w, &self.proj_b, &mut logits);
-            s.put(h2);
-        }
+        let pool = ops::auto_pool(rows, hsz, vocab);
+        ops::affine_rows_into(h, rows, &self.proj_w, &self.proj_b, &mut logits, pool);
         for r in 0..rows {
             let word = ops::argmax_row(logits.row(r)) as u32;
-            emit(r, &xh.row(r)[e..], aux.row(r), Some(word));
+            emit(r, h.row(r), c.row(r), Some(word));
         }
         s.put(logits);
     }
 
     /// Strips the cached token projection so tests can exercise the
-    /// full-`[x|h]` resident fallback a too-large vocabulary would
-    /// take.
+    /// path a too-large vocabulary would take.
     #[cfg(test)]
     pub(crate) fn drop_token_proj_for_tests(&mut self) {
-        self.core.token_proj = None;
+        self.core.drop_token_proj_for_tests();
     }
 
     /// Exports the cell's weights (§4.2 persistence).
     pub fn to_bundle(&self) -> WeightBundle {
         let mut b = WeightBundle::new();
         b.insert("embed", self.embed.clone());
-        b.insert("w", self.core.w.clone());
-        b.insert("b", self.core.b.clone());
-        b.insert("proj_w", self.proj_w.clone());
+        self.core.to_bundle(&mut b);
+        b.insert("proj_w", self.proj_w.unpack());
         b.insert("proj_b", self.proj_b.clone());
         b
     }
 
     /// Reconstructs the cell from saved weights, inferring shapes.
     pub fn from_bundle(bundle: &WeightBundle) -> Result<Self, String> {
-        let embed = expect(bundle, "embed")?;
-        let w = expect(bundle, "w")?;
-        let hidden = w.cols() / 4;
-        let input = embed.cols();
-        expect_shape(w, (input + hidden, 4 * hidden), "w")?;
-        let b = expect(bundle, "b")?;
-        expect_shape(b, (1, 4 * hidden), "b")?;
+        let embed = expect(bundle, "embed")?.clone();
+        let core = LstmCore::from_bundle(bundle, &embed)?;
+        let (hidden, vocab) = (core.hidden_size, embed.rows());
         let proj_w = expect(bundle, "proj_w")?;
-        let vocab = embed.rows();
         expect_shape(proj_w, (hidden, vocab), "proj_w")?;
         let proj_b = expect(bundle, "proj_b")?;
         expect_shape(proj_b, (1, vocab), "proj_b")?;
-        let embed = embed.clone();
-        let mut core = LstmCore {
-            w: w.clone(),
-            b: b.clone(),
-            input_size: input,
-            hidden_size: hidden,
-            token_proj: None,
-        };
-        core.install_token_proj(&embed);
         Ok(DecoderCell {
             embed,
             core,
-            proj_w: proj_w.clone(),
+            proj_w: PackedWeights::from(proj_w),
             proj_b: proj_b.clone(),
         })
     }
@@ -398,8 +340,11 @@ mod tests {
         let d = crate::Cell::Decoder(DecoderCell::seeded(4, 6, 15, 9));
         assert_ne!(e.signature(), d.signature());
         assert!(!e.same_type(&d));
-        // The LSTM halves differ too: the seeds are namespaced per kind.
-        assert_ne!(e.weights()[..3], d.weights()[..3]);
+        // The embedding and both halves of `W` differ: the seeds are
+        // namespaced per kind.
+        for (a, b) in e.weights().into_iter().zip(d.weights()).take(3) {
+            assert!(!a.bits_eq(b));
+        }
     }
 
     #[test]

@@ -46,17 +46,12 @@ impl CellState {
 /// Chain cells that opt into the resident-state plane keep each active
 /// request's state as one row shared between:
 ///
-/// - `xh`, the `(capacity, x_width + hidden)` fused-affine input whose
-///   left `x_width` columns receive the embedded token each step;
-/// - `aux`, a `(capacity, aux_width)` side matrix for the state
-///   component that cannot live inside `xh`.
-///
-/// `h` sits in `xh`'s right columns (the fused affine reads `[x|h]`
-/// directly, zero copies at steady state) and `c` in `aux`.
+/// - `xh`, the `(capacity, hidden)` hidden-state rows the recurrent half
+///   of the fused affine reads and the gate kernel rewrites in place
+///   (the input half comes from the token, not from the rows);
+/// - `aux`, a `(capacity, aux_width)` side matrix holding `c`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ResidentLayout {
-    /// Embedded-input width: the left columns of `xh` rewritten per step.
-    pub x_width: usize,
     /// Hidden-state width.
     pub hidden: usize,
     /// Row width of the `aux` matrix: the `c` width, equal to `hidden`.
@@ -64,9 +59,10 @@ pub struct ResidentLayout {
 }
 
 impl ResidentLayout {
-    /// Total column count of the resident `xh` matrix.
+    /// Total column count of the resident `xh` matrix: the hidden
+    /// width, as rows hold `h` only.
     pub fn xh_width(&self) -> usize {
-        self.x_width + self.hidden
+        self.hidden
     }
 }
 

@@ -14,15 +14,16 @@
 //! one to a few rows, so a step costs what streaming its weights costs,
 //! and one 2.6 MB stream (hidden 256) is walked once, serpentine, where
 //! five separate 512 KB products were each walked in the same order
-//! (`bm_tensor::gemm`, "Serpentine passes"). The per-gate matrices exist
-//! only in the bundle format. Type identity compares the fused matrices
-//! bit for bit, which is the same as comparing gate by gate: equal fused
-//! shapes split into equal gate shapes.
+//! (`bm_tensor::gemm`, "Serpentine passes"). The fused matrix is held
+//! only packed; the per-gate matrices exist only in the bundle format.
+//! Type identity compares the packed panels bit for bit, which is the
+//! same as comparing gate by gate: equal fused shapes split into equal
+//! gate shapes.
 
 use std::sync::OnceLock;
 
 use bm_tensor::io::WeightBundle;
-use bm_tensor::{ops, xavier_uniform, Matrix, Scratch};
+use bm_tensor::{ops, xavier_uniform, xavier_uniform_rows, Matrix, PackedWeights, Scratch};
 
 use crate::lstm::{emit_states, MAX_PROJ_ELEMS};
 use crate::persist::{expect, fuse_gates, split_gates};
@@ -35,29 +36,19 @@ const LEAF_GATES: [&str; 3] = ["i", "o", "u"];
 const INTERNAL_GATES: [&str; 5] = ["i", "fl", "fr", "o", "u"];
 
 /// `[G_0|G_1|..]` of `(rows, hidden)` Xavier gates, one per seed,
-/// generated one at a time so that construction never holds the weights
-/// twice (freed transients stay in the process's peak RSS).
-fn fused_xavier(rows: usize, hidden: usize, seeds: &[u64]) -> Matrix {
-    let mut w = Matrix::zeros(rows, seeds.len() * hidden);
-    for (g, &seed) in seeds.iter().enumerate() {
-        let gate = xavier_uniform(rows, hidden, seed);
-        for r in 0..rows {
-            w.row_mut(r)[g * hidden..(g + 1) * hidden].copy_from_slice(gate.row(r));
+/// packed as it is drawn: each row is every gate's next row side by
+/// side, so neither the gates nor the fused matrix are ever held
+/// row-major (freed transients stay in the process's peak RSS).
+fn fused_xavier(rows: usize, hidden: usize, seeds: &[u64]) -> PackedWeights {
+    let mut gates: Vec<_> = seeds
+        .iter()
+        .map(|&seed| xavier_uniform_rows(rows, hidden, seed))
+        .collect();
+    PackedWeights::pack_rows(rows, seeds.len() * hidden, |row| {
+        for (gate, cols) in gates.iter_mut().zip(row.chunks_mut(hidden)) {
+            gate(cols);
         }
-    }
-    w
-}
-
-/// Packs fused gate weights on the thread that builds the cell, as the
-/// LSTM cells pack their token projection. Left to first use, the panels
-/// (2.6 MB for the internal cell at hidden 256) are allocated by
-/// whichever thread steps the cell first, and the allocator then keeps a
-/// hole of that size in every thread arena a model's life has passed
-/// through: +5 MiB of `tree_bank`'s peak RSS, against +1 MiB packed
-/// here.
-fn packed_now(w: Matrix) -> Matrix {
-    w.packed();
-    w
+    })
 }
 
 /// The leaf cell's outputs by token: one lazily computed `[h|c]` row per
@@ -94,8 +85,9 @@ impl LeafMemo {
 #[derive(Debug)]
 pub struct TreeLeafCell {
     embed: Matrix,
-    /// `[Wi|Wo|Wu]`, `(embed, 3 * hidden)`.
-    w: Matrix,
+    /// `[Wi|Wo|Wu]`, `(embed, 3 * hidden)`, packed where the cell is
+    /// built (see `TreeInternalCell::w`).
+    w: PackedWeights,
     /// `[bi|bo|bu]`, `(1, 3 * hidden)`.
     b: Matrix,
     embed_size: usize,
@@ -107,7 +99,14 @@ pub struct TreeLeafCell {
 impl Clone for TreeLeafCell {
     /// The copy starts with an empty memo.
     fn clone(&self) -> Self {
-        Self::from_parts(self.embed.clone(), self.w.clone(), self.b.clone())
+        TreeLeafCell {
+            embed: self.embed.clone(),
+            w: self.w.clone(),
+            b: self.b.clone(),
+            embed_size: self.embed_size,
+            hidden_size: self.hidden_size,
+            memo: LeafMemo::new(self.vocab_size(), self.hidden_size),
+        }
     }
 }
 
@@ -123,12 +122,12 @@ impl TreeLeafCell {
     }
 
     /// The cell over an embedding and fused `[Wi|Wo|Wu]` / `[bi|bo|bu]`.
-    fn from_parts(embed: Matrix, w: Matrix, b: Matrix) -> Self {
-        let (embed_size, hidden_size) = (embed.cols(), w.cols() / 3);
+    fn from_parts(embed: Matrix, w: PackedWeights, b: Matrix) -> Self {
+        let (embed_size, hidden_size) = (embed.cols(), w.n() / 3);
         TreeLeafCell {
             memo: LeafMemo::new(embed.rows(), hidden_size),
             embed,
-            w: packed_now(w),
+            w,
             b,
             embed_size,
             hidden_size,
@@ -155,9 +154,9 @@ impl TreeLeafCell {
         vec![(1, self.embed_size)]
     }
 
-    /// The parameter matrices, for identity checks.
-    pub(crate) fn weights(&self) -> Vec<&Matrix> {
-        vec![&self.embed, &self.w, &self.b]
+    /// The parameters, for identity checks.
+    pub(crate) fn weights(&self) -> Vec<crate::Weight<'_>> {
+        vec![(&self.embed).into(), (&self.w).into(), (&self.b).into()]
     }
 
     /// Gather executor; see [`crate::Cell::execute_rows_in`]. Tokens
@@ -218,7 +217,7 @@ impl TreeLeafCell {
         let mut h = s.take_dirty(batch, hsz);
         let mut c = s.take_dirty(batch, hsz);
         ops::tree_leaf_gates(&z, &mut h, &mut c);
-        emit_states(&h, &c, &mut emit);
+        emit_states(&h, &c, batch, &mut emit);
         for m in [x, z, h, c] {
             s.put(m);
         }
@@ -235,7 +234,7 @@ impl TreeLeafCell {
     pub fn to_bundle(&self) -> WeightBundle {
         let mut b = WeightBundle::new();
         b.insert("embed", self.embed.clone());
-        for (name, m) in split_gates(&self.w, &self.b, &LEAF_GATES) {
+        for (name, m) in split_gates(&self.w.unpack(), &self.b, &LEAF_GATES) {
             b.insert(name, m);
         }
         b
@@ -246,7 +245,7 @@ impl TreeLeafCell {
         let embed = expect(bundle, "embed")?;
         let hidden = expect(bundle, "wi")?.cols();
         let (w, b) = fuse_gates(bundle, &LEAF_GATES, embed.cols(), hidden)?;
-        Ok(Self::from_parts(embed.clone(), w, b))
+        Ok(Self::from_parts(embed.clone(), PackedWeights::from(&w), b))
     }
 }
 
@@ -265,8 +264,14 @@ impl TreeLeafCell {
 /// ```
 #[derive(Debug, Clone)]
 pub struct TreeInternalCell {
-    /// `[Wi|Wfl|Wfr|Wo|Wu]`, `(2 * hidden, 5 * hidden)`.
-    w: Matrix,
+    /// `[Wi|Wfl|Wfr|Wo|Wu]`, `(2 * hidden, 5 * hidden)`, packed on the
+    /// thread that builds the cell and held in no other form. Left to
+    /// first use, the panels (2.6 MB at hidden 256) were allocated by
+    /// whichever thread stepped the cell first, and the allocator then
+    /// kept a hole of that size in every thread arena a model's life
+    /// passed through: +5 MiB of `tree_bank`'s peak RSS, against +1 MiB
+    /// packed at construction.
+    w: PackedWeights,
     /// `[bi|bfl|bfr|bo|bu]`, `(1, 5 * hidden)`.
     b: Matrix,
     hidden_size: usize,
@@ -279,7 +284,7 @@ impl TreeInternalCell {
         let zero = Matrix::zeros(1, hidden_size);
         let one = Matrix::filled(1, hidden_size, 1.0); // Forget bias 1: standard practice.
         TreeInternalCell {
-            w: packed_now(fused_xavier(2 * hidden_size, hidden_size, &seeds)),
+            w: fused_xavier(2 * hidden_size, hidden_size, &seeds),
             b: ops::concat_cols(&[&zero, &one, &one, &zero, &zero]),
             hidden_size,
         }
@@ -295,9 +300,9 @@ impl TreeInternalCell {
         vec![(1, self.hidden_size); 4]
     }
 
-    /// The parameter matrices, for identity checks.
-    pub(crate) fn weights(&self) -> Vec<&Matrix> {
-        vec![&self.w, &self.b]
+    /// The parameters, for identity checks.
+    pub(crate) fn weights(&self) -> Vec<crate::Weight<'_>> {
+        vec![(&self.w).into(), (&self.b).into()]
     }
 
     /// Gather executor; see [`crate::Cell::execute_rows_in`]. Gathers
@@ -334,7 +339,7 @@ impl TreeInternalCell {
         let mut h_out = s.take_dirty(batch, hsz);
         let mut c = s.take_dirty(batch, hsz);
         ops::tree_internal_gates(&z, &cl, &cr, &mut h_out, &mut c);
-        emit_states(&h_out, &c, &mut emit);
+        emit_states(&h_out, &c, batch, &mut emit);
         for m in [hs, cl, cr, z, h_out, c] {
             s.put(m);
         }
@@ -343,7 +348,7 @@ impl TreeInternalCell {
     /// Exports the cell's weights (§4.2 persistence).
     pub fn to_bundle(&self) -> WeightBundle {
         let mut b = WeightBundle::new();
-        for (name, m) in split_gates(&self.w, &self.b, &INTERNAL_GATES) {
+        for (name, m) in split_gates(&self.w.unpack(), &self.b, &INTERNAL_GATES) {
             b.insert(name, m);
         }
         b
@@ -354,7 +359,7 @@ impl TreeInternalCell {
         let hidden = expect(bundle, "wi")?.cols();
         let (w, b) = fuse_gates(bundle, &INTERNAL_GATES, 2 * hidden, hidden)?;
         Ok(TreeInternalCell {
-            w: packed_now(w),
+            w: PackedWeights::from(&w),
             b,
             hidden_size: hidden,
         })

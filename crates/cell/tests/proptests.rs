@@ -12,11 +12,22 @@ use bm_cell::{
     Cell, CellOutput, CellState, DecoderCell, EncoderCell, LstmCell, RowInvocation, Scratch,
     StateRef, TreeInternalCell, TreeLeafCell,
 };
+use std::sync::OnceLock;
+
 use bm_tensor::io::WeightBundle;
 use bm_tensor::{ops, Matrix};
 use proptest::prelude::*;
 
 const VOCAB: usize = 24;
+
+/// Widths of the capped chain cells: a token table would hold
+/// `vocab · 4 · hidden` = 4 194 604 floats, just over the cells' cap of
+/// `1 << 22`, so they seed each step from the embedded tokens. 244 gate
+/// columns and 17 191 vocabulary columns are ragged for every tier.
+const CAPPED_EMBED: usize = 7;
+const CAPPED_HIDDEN: usize = 61;
+const CAPPED_VOCAB: usize = 17_191;
+const _: () = assert!(CAPPED_VOCAB * 4 * CAPPED_HIDDEN > 1 << 22);
 
 /// One batched step with a fresh scratch arena, through the
 /// batch-order-checking collector.
@@ -84,6 +95,17 @@ fn state_pool(cell: &Cell) -> Vec<CellState> {
     }
 }
 
+/// `x · w + b` by the serial reference product, bias added after.
+fn affine_serial(x: &Matrix, w: &Matrix, b: &Matrix) -> Matrix {
+    let mut pre = x.matmul_serial(w);
+    for r in 0..pre.rows() {
+        for (v, &bv) in pre.row_mut(r).iter_mut().zip(b.row(0)) {
+            *v += bv;
+        }
+    }
+    pre
+}
+
 /// `act(x · W_g + b_g)` from the bundle's per-gate matrices: the
 /// serial reference product and the composed scalar activations. The
 /// tree cells run one fused product per step; the per-gate formula of
@@ -91,13 +113,77 @@ fn state_pool(cell: &Cell) -> Vec<CellState> {
 fn gate(bundle: &WeightBundle, g: &str, x: &Matrix, act: fn(&Matrix) -> Matrix) -> Matrix {
     let w = bundle.get(&format!("w{g}")).expect("gate weights");
     let b = bundle.get(&format!("b{g}")).expect("gate bias");
-    let mut pre = x.matmul_serial(w);
-    for r in 0..pre.rows() {
-        for (v, &bv) in pre.row_mut(r).iter_mut().zip(b.row(0)) {
-            *v += bv;
-        }
-    }
-    act(&pre)
+    act(&affine_serial(x, w, b))
+}
+
+/// One LSTM step as a chain cell's bundle states it, independent of how
+/// the cell splits and packs `W`: `z = [x|h] · W + b` by the serial
+/// reference product over the embedded tokens and previous states, then
+/// `i, f, g, o = split(z, 4)`, `c' = σ(f)·c + σ(i)·tanh(g)`,
+/// `h' = σ(o)·tanh(c')` from composed scalar ops. For a decoder also
+/// each row's word, the argmax of `h' · proj_w + proj_b`.
+fn lstm_formula(
+    bundle: &WeightBundle,
+    ids: &[usize],
+    h_prev: &Matrix,
+    c_prev: &Matrix,
+) -> (Matrix, Matrix, Option<Vec<u32>>) {
+    let get = |name: &str| bundle.get(name).expect(name);
+    let x = ops::embedding(get("embed"), ids);
+    let z = affine_serial(&ops::concat_cols(&[&x, h_prev]), get("w"), get("b"));
+    let g = ops::split_cols(&z, 4);
+    let (i, f, u, o) = (
+        ops::sigmoid(&g[0]),
+        ops::sigmoid(&g[1]),
+        ops::tanh(&g[2]),
+        ops::sigmoid(&g[3]),
+    );
+    let c = ops::add(&ops::mul(&f, c_prev), &ops::mul(&i, &u));
+    let h = ops::mul(&o, &ops::tanh(&c));
+    let words = bundle.get("proj_w").map(|proj_w| {
+        let logits = affine_serial(&h, proj_w, get("proj_b"));
+        (0..h.rows())
+            .map(|r| ops::argmax_row(logits.row(r)) as u32)
+            .collect()
+    });
+    (h, c, words)
+}
+
+/// The three chain cell kinds over a vocabulary too large for a token
+/// table, and their bundles, built once.
+fn capped_chain_cells() -> &'static [(Cell, WeightBundle)] {
+    static CELLS: OnceLock<Vec<(Cell, WeightBundle)>> = OnceLock::new();
+    CELLS.get_or_init(|| {
+        let (e, h, v) = (CAPPED_EMBED, CAPPED_HIDDEN, CAPPED_VOCAB);
+        [
+            Cell::Lstm(LstmCell::seeded(e, h, v, 31)),
+            Cell::Encoder(EncoderCell::seeded(e, h, v, 32)),
+            Cell::Decoder(DecoderCell::seeded(e, h, v, 33)),
+        ]
+        .into_iter()
+        .map(|cell| {
+            let bundle = cell.to_bundle();
+            (cell, bundle)
+        })
+        .collect()
+    })
+}
+
+/// Row `r`'s previous state in a chain case: a deterministic wave, or
+/// `None` for a chain start (implicit zero state).
+fn chain_state(seed: u64, r: usize, hidden: usize, start: bool) -> Option<CellState> {
+    let wave = |scale: f32, phase: u64| -> Vec<f32> {
+        (0..hidden)
+            .map(|j| {
+                let t = (seed.wrapping_mul(31) + phase + (r * hidden + j) as u64) % 97;
+                (t as f32 / 48.0 - 1.0) * scale
+            })
+            .collect()
+    };
+    (!start).then(|| CellState {
+        h: wave(0.9, 0),
+        c: wave(2.5, 13),
+    })
 }
 
 /// Asserts each output's `(h, c)` equals row `r` of `h`/`c`.
@@ -163,6 +249,85 @@ proptest! {
             .map(|r| RowInvocation::tree(StateRef::of(&kids[r].state), StateRef::of(right(r))))
             .collect();
         assert_rows(&outputs(&internal, &pairs), &h, &c)?;
+    }
+
+    #[test]
+    fn fused_lstm_steps_equal_the_bundle_formula(
+        rows in proptest::collection::vec((any::<u32>(), any::<bool>()), 1..=9),
+        seed in 0u64..1000,
+        capped in any::<bool>(),
+    ) {
+        // Hidden 19 with embed 7: 76 gate columns, ragged for every
+        // tier's panel group; capped cells step without a token table.
+        let seeded;
+        let cells: &[(Cell, WeightBundle)] = if capped {
+            capped_chain_cells()
+        } else {
+            seeded = [
+                Cell::Lstm(LstmCell::seeded(7, 19, VOCAB, seed)),
+                Cell::Encoder(EncoderCell::seeded(7, 19, VOCAB, seed ^ 1)),
+                Cell::Decoder(DecoderCell::seeded(7, 19, VOCAB, seed ^ 2)),
+            ]
+            .map(|cell| {
+                let bundle = cell.to_bundle();
+                (cell, bundle)
+            });
+            &seeded
+        };
+        for (cell, bundle) in cells {
+            let hidden = cell.hidden_size();
+            let vocab = bundle.get("embed").expect("embed").rows();
+            let ids: Vec<usize> = rows.iter().map(|&(t, _)| t as usize % vocab).collect();
+            let states: Vec<Option<CellState>> = rows
+                .iter()
+                .enumerate()
+                .map(|(r, &(_, start))| chain_state(seed, r, hidden, start))
+                .collect();
+            let zero = CellState::zeros(hidden);
+            let prev = |r: usize| states[r].as_ref().unwrap_or(&zero);
+            let n = rows.len();
+            let h_prev = Matrix::from_vec(n, hidden, (0..n).flat_map(|r| prev(r).h.clone()).collect());
+            let c_prev = Matrix::from_vec(n, hidden, (0..n).flat_map(|r| prev(r).c.clone()).collect());
+            let (h, c, words) = lstm_formula(bundle, &ids, &h_prev, &c_prev);
+            let want_tokens = words.unwrap_or_default();
+
+            // The gather path.
+            let invs: Vec<RowInvocation<'_>> = ids
+                .iter()
+                .zip(&states)
+                .map(|(&id, st)| match st {
+                    Some(st) => RowInvocation::chain(id as u32, StateRef::of(st)),
+                    None => RowInvocation::token_only(id as u32),
+                })
+                .collect();
+            let gathered = outputs(cell, &invs);
+            assert_rows(&gathered, &h, &c)?;
+            let tokens: Vec<u32> = gathered.iter().filter_map(|o| o.token).collect();
+            prop_assert_eq!(&tokens, &want_tokens, "{} gathered words", cell.kind_name());
+
+            // The resident path, over rows parked in a batch one row
+            // taller than the step.
+            let layout = cell.resident_layout().expect("chain cell");
+            let mut xh = Matrix::filled(n + 1, layout.xh_width(), 9.0);
+            let mut aux = Matrix::filled(n + 1, layout.aux_width, 9.0);
+            for r in 0..n {
+                xh.row_mut(r).copy_from_slice(h_prev.row(r));
+                aux.row_mut(r).copy_from_slice(c_prev.row(r));
+            }
+            let step_tokens: Vec<Option<u32>> = ids.iter().map(|&id| Some(id as u32)).collect();
+            let mut resident = Vec::new();
+            cell.step_resident(&mut xh, &mut aux, n, &step_tokens, &mut Scratch::new(), |r, h, c, token| {
+                assert_eq!(r, resident.len(), "rows in batch order");
+                resident.push(CellOutput {
+                    state: CellState { h: h.to_vec(), c: c.to_vec() },
+                    token,
+                });
+            });
+            assert_rows(&resident, &h, &c)?;
+            let tokens: Vec<u32> = resident.iter().filter_map(|o| o.token).collect();
+            prop_assert_eq!(&tokens, &want_tokens, "{} resident words", cell.kind_name());
+            prop_assert!(xh.row(n).iter().chain(aux.row(n)).all(|&v| v == 9.0), "row past the step");
+        }
     }
 
     #[test]

@@ -95,8 +95,8 @@ struct RowMeta {
 #[derive(Debug)]
 pub struct ResidentBatch {
     layout: ResidentLayout,
-    /// `(capacity, x_width + hidden)` fused-affine input; chain cells
-    /// read `[x|h]` rows directly, `h` parked in the right columns.
+    /// `(capacity, hidden)` hidden-state rows, read and rewritten in
+    /// place by the fused step.
     xh: Matrix,
     /// `(capacity, aux_width)` side matrix holding `c`.
     aux: Matrix,
@@ -294,17 +294,16 @@ impl ResidentBatch {
         copy_row(&mut self.aux, src, dst);
     }
 
-    /// Zeroes row `i`'s state portion — the implicit zero initial state
-    /// of a chain start. The embedded-input columns need no zeroing
-    /// (every step rewrites them).
+    /// Zeroes row `i`'s state — the implicit zero initial state of a
+    /// chain start.
     fn zero_state(&mut self, i: usize) {
-        self.xh.row_mut(i)[self.layout.x_width..].fill(0.0);
+        self.xh.row_mut(i).fill(0.0);
         self.aux.row_mut(i).fill(0.0);
     }
 
-    /// Writes an authoritative state into row `i` per the layout.
+    /// Writes an authoritative state into row `i`.
     fn write_state(&mut self, i: usize, st: StateRef<'_>) {
-        self.xh.row_mut(i)[self.layout.x_width..].copy_from_slice(st.h);
+        self.xh.row_mut(i).copy_from_slice(st.h);
         self.aux.row_mut(i).copy_from_slice(st.c);
     }
 }

@@ -59,19 +59,23 @@ fn check_identity(model: Arc<dyn Model>, inputs: &[RequestInput], max_tasks: usi
 
 /// Hidden width and vocabulary of the capped-table models: a cached
 /// token projection would hold `vocab · 4 · hidden` = 4 352 000 floats,
-/// above the cells' cap of `1 << 22`, so their chain cells step through
-/// the full `[x|h]` resident layout instead.
+/// above the cells' cap of `1 << 22`, so their chain cells seed each
+/// step with `x·Wx` over the embedded tokens instead of a table row.
 const CAPPED_HIDDEN: usize = 64;
 const CAPPED_VOCAB: usize = 17_000;
+const _: () = assert!(CAPPED_VOCAB * 4 * CAPPED_HIDDEN > 1 << 22);
 
 /// Asserts that every cell of `model` that has a resident layout steps
-/// with the `[x|h]` fallback, so a case built on it tests that path.
+/// on `h`-only rows at the capped width. Rows look the same with or
+/// without the token table; the constants above put the table over the
+/// cap.
 fn assert_capped(model: &dyn Model) {
     for meta in model.registry().iter() {
         if let Some(layout) = meta.cell.resident_layout() {
             assert_eq!(
-                layout.x_width, CAPPED_HIDDEN,
-                "{} caches its projection",
+                layout.xh_width(),
+                CAPPED_HIDDEN,
+                "{} rows hold more than h",
                 meta.name
             );
         }

@@ -59,7 +59,7 @@ fn small_batch_suite(scale: Scale) -> Vec<SmallBatchPoint> {
     let reps = 16usize;
     let mut out = Vec::new();
     for (k, n) in SMALL_BATCH_SHAPES {
-        let w = xavier_uniform(k, n, 91);
+        let w = PackedWeights::from(&xavier_uniform(k, n, 91));
         let bias = xavier_uniform(1, n, 92);
         for m in SMALL_BATCH_ROWS {
             let a = xavier_uniform(m, k, 93);
@@ -70,7 +70,7 @@ fn small_batch_suite(scale: Scale) -> Vec<SmallBatchPoint> {
                     let start = Instant::now();
                     for _ in 0..reps {
                         let bias = Some(bias.row(0));
-                        f(a.as_slice(), m, k, w.packed(), bias, &mut y, None);
+                        f(a.as_slice(), m, k, &w, bias, &mut y, None);
                     }
                     std::hint::black_box(&y);
                     if sample >= warmup {

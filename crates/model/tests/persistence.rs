@@ -111,3 +111,64 @@ fn loaded_model_serves_through_runtime() {
     rt.shutdown();
     std::fs::remove_file(&path).ok();
 }
+
+/// FNV-1a over a file's bytes: enough to notice any change to a bundle.
+fn digest(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// The bundle bytes `save` writes for a model, and their digest.
+fn saved_digest(name: &str, save: impl FnOnce(&std::path::Path) -> Result<(), String>) -> u64 {
+    let path = tmp(name);
+    save(&path).unwrap();
+    let bytes = std::fs::read(&path).unwrap();
+    std::fs::remove_file(&path).ok();
+    digest(&bytes)
+}
+
+#[test]
+fn benchmark_config_bundles_keep_their_bytes() {
+    // The models the benchmark serves, at its configurations. Cells keep
+    // their weights in whatever form steps read them; what they write
+    // to disk must not move by a bit.
+    let lstm = LstmLm::new(LstmLmConfig {
+        embed_size: 256,
+        hidden_size: 256,
+        vocab: 1000,
+        max_batch: 64,
+        ..LstmLmConfig::default()
+    });
+    let seq2seq = Seq2Seq::new(Seq2SeqConfig {
+        embed_size: 256,
+        hidden_size: 256,
+        vocab: 1000,
+        encoder_max_batch: 64,
+        decoder_max_batch: 64,
+        ..Seq2SeqConfig::default()
+    });
+    let tree = TreeLstm::new(TreeLstmConfig {
+        embed_size: 256,
+        hidden_size: 256,
+        vocab: 1000,
+        max_batch: 64,
+        ..TreeLstmConfig::default()
+    });
+    let got = [
+        saved_digest("digest_lstm.bmt", |p| lstm.save(p)),
+        saved_digest("digest_seq2seq.bmt", |p| seq2seq.save(p)),
+        saved_digest("digest_tree.bmt", |p| tree.save(p)),
+    ];
+    // Recorded from the row-major weights cells held before they kept
+    // only packed panels.
+    assert_eq!(
+        got,
+        [
+            0x683c_488c_53ab_f41c,
+            0xf66a_2ca9_9ac4_fa7f,
+            0xf815_29f4_e96d_da60
+        ],
+        "bundle digests {got:#018x?}"
+    );
+}

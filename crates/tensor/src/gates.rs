@@ -22,9 +22,9 @@ use crate::matrix::Matrix;
 
 /// LSTM step over rows `0..rows`, in place: reads the previous cell
 /// state from `c` and writes the new one back, and writes the new hidden
-/// state into columns `h_col..h_col + hidden` of `h` (a `(.., hidden)`
-/// matrix with `h_col = 0`, or the right half of a resident `[x|h]`
-/// batch).
+/// state into `h` (`(.., hidden)`, like `c`). Rows past `rows` are left
+/// alone, so the resident plane runs it over the occupied prefix of its
+/// batch and the gather path over a batch of exactly `rows`.
 ///
 /// Per element, with `z = [i|f|g|o]`:
 /// `c' = (sigmoid(f) * c) + (sigmoid(i) * tanh(g))`,
@@ -33,45 +33,15 @@ use crate::matrix::Matrix;
 /// # Panics
 ///
 /// Panics on shape mismatch or if `rows` exceeds any matrix.
-pub fn lstm_gates_rows_inplace(
-    z: &Matrix,
-    rows: usize,
-    h: &mut Matrix,
-    h_col: usize,
-    c: &mut Matrix,
-) {
+pub fn lstm_gates_rows_inplace(z: &Matrix, rows: usize, h: &mut Matrix, c: &mut Matrix) {
     let n = c.cols();
     assert_eq!(z.cols(), 4 * n, "lstm_gates pre-activation width");
-    assert!(h_col + n <= h.cols(), "lstm_gates h columns");
+    assert_eq!(h.cols(), n, "lstm_gates h width");
     assert!(
         rows <= z.rows() && rows <= h.rows() && rows <= c.rows(),
         "lstm_gates: rows exceeds a matrix"
     );
-    run(GateOp::Lstm {
-        z,
-        rows,
-        h,
-        h_col,
-        c,
-    });
-}
-
-/// Out-of-place LSTM step: from pre-activations `z = [i|f|g|o]`
-/// (`(batch, 4h)`) and the previous cell state `c_prev` (`(batch, h)`),
-/// computes the new cell and hidden states into `c_out`/`h_out`. The
-/// same kernel as [`lstm_gates_rows_inplace`], run on a copy of
-/// `c_prev`.
-///
-/// # Panics
-///
-/// Panics on shape mismatch.
-pub fn lstm_gates(z: &Matrix, c_prev: &Matrix, h_out: &mut Matrix, c_out: &mut Matrix) {
-    let shape = c_prev.shape();
-    assert_eq!(z.rows(), shape.0, "lstm_gates pre-activation rows");
-    assert_eq!(h_out.shape(), shape, "lstm_gates h_out shape");
-    assert_eq!(c_out.shape(), shape, "lstm_gates c_out shape");
-    c_out.as_mut_slice().copy_from_slice(c_prev.as_slice());
-    lstm_gates_rows_inplace(z, shape.0, h_out, 0, c_out);
+    run(GateOp::Lstm { z, rows, h, c });
 }
 
 /// TreeLSTM leaf gates from the fused pre-activations `z = [i|o|u]`
@@ -128,11 +98,11 @@ pub fn tree_internal_gates(
 
 /// One fused gate computation with its shapes already checked.
 enum GateOp<'a> {
+    /// `z = [i|f|g|o]`; `h` and `c` `(.., h)`, rows `0..rows`.
     Lstm {
         z: &'a Matrix,
         rows: usize,
         h: &'a mut Matrix,
-        h_col: usize,
         c: &'a mut Matrix,
     },
     /// `z = [i|o|u]`, `(batch, 3h)`; `h` and `c` `(batch, h)`.
@@ -205,16 +175,9 @@ fn run_baseline(op: GateOp<'_>) {
 #[inline(always)]
 fn run_impl(op: GateOp<'_>) {
     match op {
-        GateOp::Lstm {
-            z,
-            rows,
-            h,
-            h_col,
-            c,
-        } => {
-            let n = c.cols();
+        GateOp::Lstm { z, rows, h, c } => {
             for r in 0..rows {
-                lstm_row(z.row(r), &mut h.row_mut(r)[h_col..h_col + n], c.row_mut(r));
+                lstm_row(z.row(r), h.row_mut(r), c.row_mut(r));
             }
         }
         GateOp::TreeLeaf { z, h, c } => {
@@ -322,13 +285,12 @@ pub(crate) mod tests {
         let z = wave(ROWS, 4 * n, 20.0, 7);
         let new = || Matrix::from_vec(ROWS, n, vec![f32::NAN; ROWS * n]);
 
-        // LSTM into the right half of a wider `[x|h]` batch, rows 0..2.
-        let (mut xh, mut c) = (wave(ROWS, n + 2, 1.0, 8), state[0].clone());
+        // LSTM over the prefix rows 0..2 of a taller batch.
+        let (mut lstm_h, mut c) = (wave(ROWS, n, 1.0, 8), state[0].clone());
         tier(GateOp::Lstm {
             z: &z,
             rows: ROWS - 1,
-            h: &mut xh,
-            h_col: 2,
+            h: &mut lstm_h,
             c: &mut c,
         });
         let (mut leaf_h, mut leaf_c) = (new(), new());
@@ -344,7 +306,7 @@ pub(crate) mod tests {
             h: &mut int_h,
             c: &mut int_c,
         });
-        vec![xh, c, leaf_h, leaf_c, int_h, int_c]
+        vec![lstm_h, c, leaf_h, leaf_c, int_h, int_c]
     }
 
     #[test]

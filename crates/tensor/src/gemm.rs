@@ -2,10 +2,12 @@
 //!
 //! Weight matrices are immutable per cell type (§4.2: a cell type is
 //! *defined* by its weights), so the right-hand side of every hot matmul
-//! can be packed once into cache-friendly column panels and reused for
-//! the lifetime of the cell. Packing is cached transparently on
-//! [`crate::Matrix`]; this module holds the packed representation and the
-//! micro-kernels.
+//! is packed once, when the cell is built, into cache-friendly column
+//! panels. The panels are the only copy of a weight a cell keeps:
+//! [`PackedWeights::unpack`] gives back the exact row-major matrix for
+//! the rare reader that needs one (writing a bundle), and
+//! [`PackedWeights::bits_eq`] compares two weights without unpacking.
+//! This module holds the packed representation and the micro-kernels.
 //!
 //! # One pass over the weights per call
 //!
@@ -61,6 +63,7 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
+use crate::matrix::Matrix;
 use crate::pool::ComputePool;
 
 /// Panel width: output columns per packed panel. One accumulator of
@@ -83,9 +86,12 @@ struct Lanes([f32; NR]);
 /// A weight matrix repacked into `NR`-wide, k-major column panels.
 ///
 /// Panel `p` covers output columns `p*NR .. min((p+1)*NR, n)` and stores
-/// `k` rows of `NR` lanes (`panel[kk][jj] = b[kk][p*NR + jj]`), zero-padded on
-/// the ragged right edge. Padded lanes are computed but never written
-/// back, so the padding can't leak into results.
+/// `k` rows of `NR` lanes (`panel[kk][jj] = b[kk][p*NR + jj]`), padded
+/// with `+0.0` on the ragged right edge. Padded lanes are computed but
+/// never written back, so the padding can't leak into results; and since
+/// every padding lane of every packing is the same `+0.0`, two packings
+/// of one shape have equal panels exactly when their matrices are equal
+/// bit for bit.
 pub struct PackedWeights {
     k: usize,
     n: usize,
@@ -122,16 +128,61 @@ impl PackedWeights {
     /// Panics if `b.len() != k * n`.
     pub fn pack(k: usize, n: usize, b: &[f32]) -> Self {
         assert_eq!(b.len(), k * n, "pack: data does not match shape");
+        let mut rest = b;
+        Self::pack_rows(k, n, |row| {
+            let (head, tail) = rest.split_at(n);
+            row.copy_from_slice(head);
+            rest = tail;
+        })
+    }
+
+    /// Packs a `(k, n)` matrix given one row at a time: `next_row` fills
+    /// row 0, then row 1, and so on, each into the same `n`-float
+    /// buffer. A weight generated or read row by row is packed without
+    /// ever being held whole, so packing it needs no row-major copy
+    /// beside the panels.
+    pub fn pack_rows(k: usize, n: usize, mut next_row: impl FnMut(&mut [f32])) -> Self {
         let mut packed = Self::zeroed(k, n);
         let panels = packed.panels_mut();
-        for p in 0..n.div_ceil(NR) {
-            let j0 = p * NR;
-            let w = NR.min(n - j0);
-            for (kk, lanes) in panels[p * k..(p + 1) * k].iter_mut().enumerate() {
-                lanes.0[..w].copy_from_slice(&b[kk * n + j0..kk * n + j0 + w]);
+        let mut row = vec![0.0; n];
+        for kk in 0..k {
+            next_row(&mut row);
+            for (p, lanes) in row.chunks(NR).enumerate() {
+                panels[p * k + kk].0[..lanes.len()].copy_from_slice(lanes);
             }
         }
         packed
+    }
+
+    /// The row-major `(k, n)` matrix this was packed from, bit for bit:
+    /// `unpack(pack(m)) == m` for every `m`, `-0.0` and NaN payloads
+    /// included (packing only copies `f32`s).
+    pub fn unpack(&self) -> Matrix {
+        let (k, n) = (self.k, self.n);
+        let mut m = Matrix::zeros(k, n);
+        let out = m.as_mut_slice();
+        for (p, panel) in self.panels().chunks_exact(k.max(1)).enumerate() {
+            let j0 = p * NR;
+            let w = NR.min(n - j0);
+            for (kk, lanes) in panel.iter().enumerate() {
+                out[kk * n + j0..kk * n + j0 + w].copy_from_slice(&lanes.0[..w]);
+            }
+        }
+        m
+    }
+
+    /// Whether `self` and `other` pack one shape and the same bits in
+    /// every element (so `-0.0` differs from `0.0`, and a NaN equals its
+    /// copy), stopping at the first difference. Compares the panels as
+    /// they are, padding included: padding is always `+0.0`, so equal
+    /// panels are equal matrices.
+    pub fn bits_eq(&self, other: &PackedWeights) -> bool {
+        (self.k, self.n) == (other.k, other.n)
+            && self
+                .panels()
+                .iter()
+                .zip(other.panels())
+                .all(|(a, b)| a.0.map(f32::to_bits) == b.0.map(f32::to_bits))
     }
 
     /// All panels back to back, `k` [`Lanes`] each.
@@ -159,6 +210,13 @@ impl PackedWeights {
     #[inline]
     pub fn n(&self) -> usize {
         self.n
+    }
+}
+
+impl From<&Matrix> for PackedWeights {
+    /// Packs a weight matrix; see [`PackedWeights::pack`].
+    fn from(m: &Matrix) -> Self {
+        PackedWeights::pack(m.rows(), m.cols(), m.as_slice())
     }
 }
 
@@ -793,6 +851,69 @@ mod tests {
             gemm_acc_into(&a, m, k, &packed, None, &mut par, Some(&pool));
             assert_eq!(par, serial);
         }
+    }
+
+    #[test]
+    fn unpack_returns_the_packed_bits() {
+        // Ragged and exact widths, one-row and empty matrices, and values
+        // `==` cannot tell apart or does not equal: `-0.0` and NaNs with
+        // payloads and either sign.
+        let specials = [
+            -0.0f32,
+            f32::from_bits(0x7fc0_0001),
+            f32::from_bits(0xffa0_0002),
+            f32::NAN,
+            f32::INFINITY,
+            f32::MIN_POSITIVE / 2.0,
+        ];
+        for &(k, n) in &[
+            (1, 1),
+            (1, 17),
+            (3, 16),
+            (5, 15),
+            (2, 33),
+            (4, 1000),
+            (0, 3),
+        ] {
+            let mut b = seq(k * n, 0.5);
+            for (i, &v) in specials.iter().enumerate() {
+                if let Some(slot) = b.get_mut(i * 7) {
+                    *slot = v;
+                }
+            }
+            let packed = PackedWeights::pack(k, n, &b);
+            let back = packed.unpack();
+            assert_eq!(back.shape(), (k, n));
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(back.as_slice()), bits(&b), "({k},{n})");
+            assert!(PackedWeights::from(&back).bits_eq(&packed), "({k},{n})");
+        }
+    }
+
+    #[test]
+    fn bits_eq_compares_shape_and_every_bit() {
+        let b = seq(5 * 15, 0.5);
+        let packed = PackedWeights::pack(5, 15, &b);
+        assert!(packed.bits_eq(&packed.clone()));
+        assert!(!packed.bits_eq(&PackedWeights::pack(15, 5, &b)));
+        assert!(!packed.bits_eq(&PackedWeights::pack(3, 25, &b)));
+        for (i, v) in [(0, 1.0f32), (11, -0.0), (40, f32::NAN)] {
+            let mut changed = b.clone();
+            if changed[i].to_bits() == v.to_bits() {
+                changed[i] = 7.0;
+            } else {
+                changed[i] = v;
+            }
+            assert!(
+                !packed.bits_eq(&PackedWeights::pack(5, 15, &changed)),
+                "{i}"
+            );
+        }
+        // A NaN equals its copy.
+        let mut nan = b.clone();
+        nan[3] = f32::NAN;
+        let nan = PackedWeights::pack(5, 15, &nan);
+        assert!(nan.bits_eq(&nan.clone()));
     }
 
     #[test]

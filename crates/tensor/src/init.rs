@@ -25,7 +25,7 @@ impl WeightInit {
     pub fn init(self, rows: usize, cols: usize, rng: &mut StdRng) -> Matrix {
         match self {
             WeightInit::XavierUniform => {
-                let a = (6.0 / (rows + cols) as f32).sqrt();
+                let a = xavier_bound(rows, cols);
                 let data = (0..rows * cols).map(|_| rng.gen_range(-a..=a)).collect();
                 Matrix::from_vec(rows, cols, data)
             }
@@ -41,6 +41,21 @@ pub fn xavier_uniform(rows: usize, cols: usize, seed: u64) -> Matrix {
     WeightInit::XavierUniform.init(rows, cols, &mut rng)
 }
 
+/// [`xavier_uniform`]`(rows, cols, seed)` one row at a time: each call
+/// fills its `cols`-float argument with the next row, the same draws in
+/// the same order. Handed to [`crate::PackedWeights::pack_rows`], it
+/// packs a seeded weight without the row-major matrix ever existing.
+pub fn xavier_uniform_rows(rows: usize, cols: usize, seed: u64) -> impl FnMut(&mut [f32]) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let a = xavier_bound(rows, cols);
+    move |row| row.iter_mut().for_each(|v| *v = rng.gen_range(-a..=a))
+}
+
+/// The Xavier-uniform bound `sqrt(6 / (fan_in + fan_out))`.
+fn xavier_bound(rows: usize, cols: usize) -> f32 {
+    (6.0 / (rows + cols) as f32).sqrt()
+}
+
 /// A zero matrix with the same shape as `m`.
 pub fn zeros_like(m: &Matrix) -> Matrix {
     Matrix::zeros(m.rows(), m.cols())
@@ -49,6 +64,19 @@ pub fn zeros_like(m: &Matrix) -> Matrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn xavier_rows_are_the_rows_of_xavier_uniform() {
+        for (rows, cols, seed) in [(1, 1, 0), (3, 17, 42), (8, 5, 7)] {
+            let want = xavier_uniform(rows, cols, seed);
+            let mut next = xavier_uniform_rows(rows, cols, seed);
+            for r in 0..rows {
+                let mut row = vec![f32::NAN; cols];
+                next(&mut row);
+                assert_eq!(row, want.row(r), "({rows},{cols}) row {r}");
+            }
+        }
+    }
 
     #[test]
     fn xavier_is_deterministic_per_seed() {

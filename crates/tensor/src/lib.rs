@@ -10,7 +10,8 @@
 //! This crate implements exactly those kernels in Rust with no external
 //! BLAS, so the whole repository is self-contained. The matrix multiply
 //! packs the (immutable, per-cell-type) weight operand into cache-blocked
-//! panels once and runs a register-accumulating micro-kernel over them
+//! panels once — cells keep only the panels — and runs a
+//! register-accumulating micro-kernel over them
 //! ([`gemm`]), optionally chunked across a persistent [`ComputePool`];
 //! results are bitwise identical to the serial reference fold in every
 //! configuration. A [`Scratch`] arena lets steady-state serving recycle
@@ -21,12 +22,14 @@
 //! # Examples
 //!
 //! ```
-//! use bm_tensor::Matrix;
+//! use bm_tensor::{ops, Matrix, PackedWeights};
 //!
-//! let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
-//! let b = Matrix::eye(2);
-//! let c = a.matmul(&b);
-//! assert_eq!(c, a);
+//! let x = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
+//! let w = PackedWeights::from(&Matrix::eye(2));
+//! let mut y = Matrix::zeros(2, 2);
+//! ops::affine_into(&x, &w, &Matrix::zeros(1, 2), &mut y);
+//! assert_eq!(y, x);
+//! assert_eq!(w.unpack(), Matrix::eye(2));
 //! ```
 
 pub mod activation;
@@ -42,7 +45,7 @@ mod scratch;
 
 pub use error::{ShapeError, TensorError};
 pub use gemm::PackedWeights;
-pub use init::{xavier_uniform, zeros_like, WeightInit};
+pub use init::{xavier_uniform, xavier_uniform_rows, zeros_like, WeightInit};
 pub use matrix::Matrix;
 pub use pool::ComputePool;
 pub use scratch::Scratch;

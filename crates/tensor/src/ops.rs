@@ -11,76 +11,38 @@
 //! [`crate::activation`] scalars, so every path agrees bitwise.
 
 use crate::activation;
-use crate::error::ShapeError;
-use crate::gemm;
+use crate::gemm::{self, PackedWeights};
 use crate::matrix::Matrix;
 use crate::pool::ComputePool;
 
-pub use crate::gates::{lstm_gates, lstm_gates_rows_inplace, tree_internal_gates, tree_leaf_gates};
+pub use crate::gates::{lstm_gates_rows_inplace, tree_internal_gates, tree_leaf_gates};
 
-/// Computes `x * w + b`, broadcasting the bias row over the batch.
-///
-/// `x` is `(batch, in)`, `w` is `(in, out)`, `b` is `(1, out)`.
-///
-/// # Panics
-///
-/// Panics on shape mismatch; use [`try_affine`] for a fallible variant.
-pub fn affine(x: &Matrix, w: &Matrix, b: &Matrix) -> Matrix {
-    try_affine(x, w, b).expect("affine shape mismatch")
-}
-
-/// Fallible version of [`affine`].
+/// Computes `x * w + b` into an existing `(batch, out)` matrix,
+/// broadcasting the bias row over the batch and allocating nothing.
+/// `x` is `(batch, in)`, `w` is `(in, out)` packed, `b` is `(1, out)`;
+/// `out`'s prior contents are overwritten.
 ///
 /// Fused: the bias is added inside the GEMM write-back, once per output
-/// element after the full-k fold — the same expression tree as matmul
+/// element after the full-k fold — the same expression tree as a matmul
 /// followed by a bias pass, so results are bitwise identical to the
 /// unfused composition.
-pub fn try_affine(x: &Matrix, w: &Matrix, b: &Matrix) -> Result<Matrix, ShapeError> {
-    if b.rows() != 1 || b.cols() != w.cols() {
-        return Err(ShapeError {
-            op: "affine/bias",
-            lhs: w.shape(),
-            rhs: b.shape(),
-        });
-    }
-    if x.cols() != w.rows() {
-        return Err(ShapeError {
-            op: "matmul",
-            lhs: x.shape(),
-            rhs: w.shape(),
-        });
-    }
-    let mut out = Matrix::zeros(x.rows(), w.cols());
-    affine_into(x, w, b, &mut out);
-    Ok(out)
-}
-
-/// Fused affine into an existing `(batch, out)` matrix, allocating
-/// nothing. `out`'s prior contents are overwritten.
 ///
 /// # Panics
 ///
 /// Panics on any shape mismatch.
-pub fn affine_into(x: &Matrix, w: &Matrix, b: &Matrix, out: &mut Matrix) {
-    assert_eq!(x.cols(), w.rows(), "affine_into inner dimension");
-    assert!(
-        b.rows() == 1 && b.cols() == w.cols(),
-        "affine_into bias shape"
-    );
-    assert_eq!(
-        out.shape(),
-        (x.rows(), w.cols()),
-        "affine_into output shape"
-    );
+pub fn affine_into(x: &Matrix, w: &PackedWeights, b: &Matrix, out: &mut Matrix) {
+    assert_eq!(x.cols(), w.k(), "affine_into inner dimension");
+    assert!(b.rows() == 1 && b.cols() == w.n(), "affine_into bias shape");
+    assert_eq!(out.shape(), (x.rows(), w.n()), "affine_into output shape");
     let (m, k) = x.shape();
     gemm::gemm_into(
         x.as_slice(),
         m,
         k,
-        w.packed(),
+        w,
         Some(b.row(0)),
         out.as_mut_slice(),
-        crate::matrix::auto_pool(m, k, w.cols()),
+        auto_pool(m, k, w.n()),
     );
 }
 
@@ -101,26 +63,26 @@ pub fn affine_into(x: &Matrix, w: &Matrix, b: &Matrix, out: &mut Matrix) {
 pub fn affine_rows_into(
     x: &Matrix,
     rows: usize,
-    w: &Matrix,
+    w: &PackedWeights,
     b: &Matrix,
     out: &mut Matrix,
     pool: Option<&ComputePool>,
 ) {
     assert!(rows <= x.rows(), "affine_rows_into: rows exceeds input");
     assert!(rows <= out.rows(), "affine_rows_into: rows exceeds output");
-    assert_eq!(x.cols(), w.rows(), "affine_rows_into inner dimension");
+    assert_eq!(x.cols(), w.k(), "affine_rows_into inner dimension");
     assert!(
-        b.rows() == 1 && b.cols() == w.cols(),
+        b.rows() == 1 && b.cols() == w.n(),
         "affine_rows_into bias shape"
     );
-    assert_eq!(out.cols(), w.cols(), "affine_rows_into output width");
+    assert_eq!(out.cols(), w.n(), "affine_rows_into output width");
     let k = x.cols();
-    let n = w.cols();
+    let n = w.n();
     gemm::gemm_into(
         &x.as_slice()[..rows * k],
         rows,
         k,
-        w.packed(),
+        w,
         Some(b.row(0)),
         &mut out.as_mut_slice()[..rows * n],
         pool,
@@ -145,7 +107,7 @@ pub fn affine_rows_into(
 pub fn affine_acc_rows_into(
     x: &Matrix,
     rows: usize,
-    wh: &gemm::PackedWeights,
+    wh: &PackedWeights,
     b: &Matrix,
     out: &mut Matrix,
     pool: Option<&ComputePool>,
@@ -174,13 +136,39 @@ pub fn affine_acc_rows_into(
     );
 }
 
-/// The pool-selection heuristic used by [`Matrix::matmul`] and
-/// [`affine_into`], exposed so callers driving [`affine_rows_into`] can
-/// make the same choice for an `(m, k, n)` product: the global
-/// [`ComputePool`] when the work amortizes the chunk handoff, `None`
-/// (serial) otherwise. Pool size never affects results (bitwise).
+/// Picks the pool for an `(m, k, n)` product: the global
+/// [`ComputePool`] when the work dwarfs the chunk handoff cost and the
+/// pool actually has extra threads, `None` (run on the caller)
+/// otherwise. [`affine_into`] uses it; callers driving
+/// [`affine_rows_into`] or the [`gemm`] entry points make the same
+/// choice through it. A pure function of `(m, k, n)` and the pool size,
+/// so a shape always takes the same path; pool size never affects
+/// results (bitwise).
 pub fn auto_pool(m: usize, k: usize, n: usize) -> Option<&'static ComputePool> {
-    crate::matrix::auto_pool(m, k, n)
+    // Handing half the rows to a parked worker costs 40-50 µs back to
+    // back and 50-200 µs once its core has gone idle (2-core build host,
+    // serial kernel at ~75 GFLOP/s). Measured serial vs 2-thread pool:
+    // (8, 256, 1024) = 4.2 MFLOP loses, 53 vs 67 µs; 8-17 MFLOP breaks
+    // even (108 vs 93, 271 vs 281 µs); (16, 512, 1024) = 16.8 MFLOP
+    // wins, 247 vs 215 µs, and 33.6 MFLOP clearly, 650 vs 368 µs. Below
+    // the threshold the second core only adds CPU time.
+    //
+    // The tree-internal cell's fused (512, 1280) product crosses the
+    // threshold at 13 rows (its five (512, 256) products never did
+    // below 61). Re-measured there with each chunk one pass over the
+    // 2.6 MB of weights: 13 rows 231 vs 143 µs, 16: 276 vs 179, 24: 407
+    // vs 252, 32: 542 vs 327, 48: 817 vs 457, 64: 1089 vs 593 — the
+    // pool wins from the crossover on, so it stays. End to end
+    // (`tree_bank`, 3 seed pairs) never pooling cost 26 % of peak
+    // throughput and saved no CPU per request at the 30 % load.
+    const PAR_THRESHOLD_FLOPS: usize = 16_000_000;
+    // Up to `MR` rows are one row block: splitting them streams the
+    // weights once per thread for nothing.
+    if 2 * m * k * n < PAR_THRESHOLD_FLOPS || m <= gemm::MR {
+        return None;
+    }
+    let pool = ComputePool::global();
+    (pool.threads() > 1).then_some(pool)
 }
 
 /// Element-wise sigmoid `1 / (1 + e^-x)`.
@@ -357,6 +345,18 @@ mod tests {
         Matrix::from_rows(rows)
     }
 
+    /// The serial oracle of the fused affine: `x * w`, then `b` added to
+    /// every row.
+    fn affine(x: &Matrix, w: &Matrix, b: &Matrix) -> Matrix {
+        let mut out = x.matmul_serial(w);
+        for r in 0..out.rows() {
+            for (o, &bv) in out.row_mut(r).iter_mut().zip(b.row(0)) {
+                *o += bv;
+            }
+        }
+        out
+    }
+
     /// Shape of the fused-kernel test inputs: 37 columns give every ISA
     /// tier a vector body and a scalar tail.
     const GATE_ROWS: usize = 3;
@@ -368,18 +368,20 @@ mod tests {
     #[test]
     fn affine_broadcasts_bias() {
         let x = m(&[&[1.0, 2.0], &[3.0, 4.0]]);
-        let w = Matrix::eye(2);
+        let w = PackedWeights::from(&Matrix::eye(2));
         let b = m(&[&[10.0, 20.0]]);
-        let y = affine(&x, &w, &b);
+        let mut y = Matrix::zeros(2, 2);
+        affine_into(&x, &w, &b, &mut y);
         assert_eq!(y, m(&[&[11.0, 22.0], &[13.0, 24.0]]));
     }
 
     #[test]
-    fn try_affine_rejects_bad_bias() {
+    #[should_panic(expected = "affine_into bias shape")]
+    fn affine_into_rejects_bad_bias() {
         let x = Matrix::zeros(1, 2);
-        let w = Matrix::zeros(2, 3);
+        let w = PackedWeights::from(&Matrix::zeros(2, 3));
         let b = Matrix::zeros(1, 2);
-        assert!(try_affine(&x, &w, &b).is_err());
+        affine_into(&x, &w, &b, &mut Matrix::zeros(1, 3));
     }
 
     #[test]
@@ -456,7 +458,7 @@ mod tests {
         let w = m(&[&[1.0, 2.0], &[-0.5, 0.75], &[2.0, -1.0]]);
         let b = m(&[&[0.125, -0.25]]);
         let mut out = Matrix::zeros(2, 2);
-        affine_into(&x, &w, &b, &mut out);
+        affine_into(&x, &PackedWeights::from(&w), &b, &mut out);
         assert_eq!(out, affine(&x, &w, &b));
     }
 
@@ -476,36 +478,35 @@ mod tests {
         let c_want = add(&mul(&f, &c_prev), &mul(&i, &g));
         let h_want = mul(&o, &tanh(&c_want));
         let mut h = Matrix::zeros(GATE_ROWS, GATE_COLS);
-        let mut c = Matrix::zeros(GATE_ROWS, GATE_COLS);
-        lstm_gates(&z, &c_prev, &mut h, &mut c);
+        let mut c = c_prev.clone();
+        lstm_gates_rows_inplace(&z, GATE_ROWS, &mut h, &mut c);
         assert_eq!(c, c_want);
         assert_eq!(h, h_want);
     }
 
     #[test]
     fn row_inplace_kernels_match_batch_kernels() {
-        // The resident-state step runs the in-place rows-prefix kernel
-        // on the right half of a wider `[x|h]` batch; it must compute
-        // exactly the bits of the gather path's out-of-place call.
+        // The resident-state step runs the in-place kernel over the
+        // occupied prefix of a taller batch; each prefix row must get
+        // exactly the bits of a batch of just those rows.
         let z = m(&[
             &[0.3, -0.7, 1.2, 0.1, -0.4, 0.9, 2.0, -1.1],
             &[-0.2, 0.5, -1.3, 0.8, 1.1, -0.6, 0.4, 0.7],
             &[9.0, 9.0, 9.0, 9.0, 9.0, 9.0, 9.0, 9.0], // beyond the prefix
         ]);
         let c_prev = m(&[&[0.5, -0.25], &[-1.5, 2.0], &[7.0, 7.0]]);
-        let mut h_want = Matrix::zeros(3, 2);
-        let mut c_want = Matrix::zeros(3, 2);
-        lstm_gates(&z, &c_prev, &mut h_want, &mut c_want);
-        let mut xh = Matrix::from_vec(3, 3, vec![5.0; 9]);
+        let mut h_want = Matrix::zeros(2, 2);
+        let mut c_want = m(&[c_prev.row(0), c_prev.row(1)]);
+        lstm_gates_rows_inplace(&m(&[z.row(0), z.row(1)]), 2, &mut h_want, &mut c_want);
+        let mut h = Matrix::from_vec(3, 2, vec![5.0; 6]);
         let mut c = c_prev.clone();
-        lstm_gates_rows_inplace(&z, 2, &mut xh, 1, &mut c);
+        lstm_gates_rows_inplace(&z, 2, &mut h, &mut c);
         for r in 0..2 {
-            assert_eq!(xh.row(r)[0], 5.0, "x columns untouched");
-            assert_eq!(&xh.row(r)[1..], h_want.row(r));
+            assert_eq!(h.row(r), h_want.row(r));
             assert_eq!(c.row(r), c_want.row(r));
         }
         // Rows past the prefix are untouched.
-        assert_eq!(xh.row(2), &[5.0, 5.0, 5.0]);
+        assert_eq!(h.row(2), &[5.0, 5.0]);
         assert_eq!(c.row(2), c_prev.row(2));
     }
 
@@ -520,8 +521,9 @@ mod tests {
         let b = m(&[&[0.125, -0.25]]);
         let mut out = Matrix::from_vec(3, 2, vec![7.0; 6]);
         let pool = ComputePool::new(3);
+        let packed = PackedWeights::from(&w);
         for p in [None, Some(&pool)] {
-            affine_rows_into(&x, 2, &w, &b, &mut out, p);
+            affine_rows_into(&x, 2, &packed, &b, &mut out, p);
             let full = affine(&x, &w, &b);
             assert_eq!(out.row(0), full.row(0));
             assert_eq!(out.row(1), full.row(1));
