@@ -416,6 +416,13 @@ impl CellularEngine {
         }
     }
 
+    /// Numbers the tasks this engine forms from `first` on. Engines that
+    /// record into one trace sink start from disjoint ranges, so their
+    /// task ids never collide.
+    pub(crate) fn number_tasks_from(&mut self, first: u64) {
+        self.next_task = first;
+    }
+
     /// Attaches a trace sink; every subsequent scheduling decision and
     /// request-lifecycle transition is recorded into it.
     pub fn set_trace_sink(&mut self, sink: Arc<dyn TraceSink>) {

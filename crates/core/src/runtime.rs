@@ -653,11 +653,19 @@ impl Runtime {
                 let rejected = tel.enabled().then(|| {
                     tel.counter_with("bm_requests_rejected_total", &[("reason", "at_capacity")])
                 });
+                let metrics = tel.enabled().then(|| ShardMetrics::new(tel));
+                // Every shard records into the one trace sink: shard `i`
+                // dispatches as worker `i` and numbers its tasks from
+                // `i << 40`, so no two shards' task events collide.
+                let worker = WorkerId(i as u32);
+                let mut engine = CellularEngine::new(Arc::clone(&registry), scheduler);
+                engine.number_tasks_from(u64::from(worker.0) << 40);
                 let shard = Shard {
                     rx,
-                    metrics: tel.enabled().then(|| ShardMetrics::new(tel)),
+                    metrics,
                     plane: HashMap::new(),
-                    engine: CellularEngine::new(Arc::clone(&registry), scheduler),
+                    engine,
+                    worker,
                     registry: Arc::clone(&registry),
                     timer: timer.clone(),
                     active: Arc::clone(&active),
@@ -1048,6 +1056,8 @@ enum Parked {
 struct Shard {
     rx: Receiver<ShardMsg>,
     engine: CellularEngine,
+    /// The worker this shard dispatches as: its index.
+    worker: WorkerId,
     registry: Arc<CellRegistry>,
     timer: CpuTimer,
     active: Arc<AtomicUsize>,
@@ -1195,7 +1205,7 @@ impl Shard {
     /// running task when the engine picks: each pick is saturation- or
     /// starvation-qualified, never priority-only.
     fn run_tasks(&mut self) -> bool {
-        let tasks = self.engine.dispatch(WorkerId(0));
+        let tasks = self.engine.dispatch(self.worker);
         if tasks.is_empty() {
             return false;
         }

@@ -422,8 +422,7 @@ fn dropping_the_runtime_resolves_every_handle() {
 // Tracing: every completed request's timeline is causally ordered.
 // ---------------------------------------------------------------------------
 
-use bm_metrics::reconstruct_timelines;
-use bm_trace::RingBufferSink;
+use bm_trace::{reconstruct_timelines, EventKind, RingBufferSink};
 
 /// Serving through a traced runtime yields, for every completed request,
 /// a timeline whose arrival, first dispatch and completion appear in
@@ -929,14 +928,17 @@ impl Model for TwoShapeLm {
 /// per-shard counters would make both shards emit request 0.
 #[test]
 fn request_ids_are_distinct_across_shards_in_one_sink() {
-    use bm_trace::EventKind;
-    let model = TwoShapeLm::new();
+    assert_one_story_per_id(&traced_two_shard_run(24), 24);
+}
+
+/// Serves `n` requests of a mixed stream on two shards that share one
+/// trace sink, and returns the sink once the runtime has shut down.
+fn traced_two_shard_run(n: u32) -> Arc<RingBufferSink> {
     let sink = Arc::new(RingBufferSink::new(100_000));
     let rt = Runtime::start(
-        Arc::clone(&model) as Arc<dyn Model>,
+        TwoShapeLm::new() as Arc<dyn Model>,
         serving(ServeConfig::new().shards(2).trace(sink.clone())),
     );
-    let n = 24u32;
     let handles: Vec<_> = (0..n)
         .map(|i| TwoShapeLm::input(i, (1..4 + i % 5).collect()))
         .map(|input| rt.submit_request(input).expect("submit"))
@@ -945,7 +947,12 @@ fn request_ids_are_distinct_across_shards_in_one_sink() {
         h.wait().completed();
     }
     rt.shutdown();
+    sink
+}
 
+/// Asserts that `sink` dropped nothing and holds exactly one arrival
+/// and one completion for each request id `0..n`.
+fn assert_one_story_per_id(sink: &RingBufferSink, n: u32) {
     assert_eq!(sink.dropped(), 0, "capture buffer must not overflow");
     let (mut arrived, mut completed) = (Vec::new(), Vec::new());
     for e in sink.events() {
@@ -962,48 +969,91 @@ fn request_ids_are_distinct_across_shards_in_one_sink() {
     assert_eq!(completed, ids, "one completion per id");
 }
 
+/// Two shards feeding one trace sink: shard `i` dispatches as worker
+/// `i` and numbers its tasks in its own range, so each task id names
+/// one batch, each task event names that batch's worker, and each
+/// reconstructed timeline holds only tasks that batched its request.
+#[test]
+fn task_and_worker_ids_are_distinct_across_shards_in_one_sink() {
+    let sink = traced_two_shard_run(24);
+    assert_eq!(sink.dropped(), 0, "capture buffer must not overflow");
+    let events = sink.events();
+    let mut batches = std::collections::HashMap::new();
+    for e in &events {
+        if let EventKind::BatchFormed {
+            task,
+            worker,
+            requests,
+            ..
+        } = &e.kind
+        {
+            let first = batches.insert(*task, (*worker, requests.clone())).is_none();
+            assert!(first, "task {task} formed twice");
+        }
+    }
+    let workers: std::collections::BTreeSet<u32> = batches.values().map(|b| b.0).collect();
+    assert_eq!(workers, [0, 1].into(), "shard i dispatches as worker i");
+    for e in &events {
+        if let EventKind::TaskStarted { task, worker } | EventKind::TaskCompleted { task, worker } =
+            e.kind
+        {
+            assert_eq!(
+                batches.get(&task).map(|b| b.0),
+                Some(worker),
+                "task {task}'s events name its batch's worker"
+            );
+        }
+    }
+    for t in reconstruct_timelines(&events) {
+        for entry in &t.entries {
+            if let "task_started" | "task_completed" = entry.label {
+                let task: u64 = entry.detail["task ".len()..]
+                    .split(' ')
+                    .next()
+                    .and_then(|id| id.parse().ok())
+                    .expect("task entries name their task");
+                assert!(
+                    batches[&task].1.contains(&t.request),
+                    "request {}'s timeline holds task {task}, which did not batch it",
+                    t.request
+                );
+            }
+        }
+    }
+}
+
 /// The live telemetry plane on a threaded runtime, read the way an
-/// operator reads it: a [`Scraper`] over [`Runtime::snapshot`] while a
-/// head-sampled trace streams into a ring buffer. The latency
+/// operator reads it: [`Runtime::snapshot`] once every handle has
+/// resolved, while a trace streams into a ring buffer. The latency
 /// decomposition loses nothing — the four tiling `bm_stage_us` stages,
 /// summed over shards and cell types, equal the end-to-end latency total
 /// of the returned timings exactly — the counters and gauges agree with
-/// the resolved handles, and the final snapshot survives its JSON form.
+/// the resolved handles, and the trace tells every request's story once.
 fn assert_live_telemetry_reconciles(shards: usize) {
-    use bm_telemetry::{Scraper, Snapshot};
-    use bm_trace::SamplingSink;
-
     let model = TwoShapeLm::new();
     let ring = Arc::new(RingBufferSink::new(1 << 16));
-    let sampler = Arc::new(SamplingSink::new(ring.clone(), 0.25));
-    let rt = Arc::new(Runtime::start(
+    let rt = Runtime::start(
         Arc::clone(&model) as Arc<dyn Model>,
         serving(
             ServeConfig::new()
                 .shards(shards)
                 .telemetry(Telemetry::new())
-                .trace(sampler.clone()),
+                .trace(ring.clone()),
         ),
-    ));
-    let source = Arc::clone(&rt);
-    let scraper = Scraper::start_with(
-        move || source.snapshot(),
-        std::time::Duration::from_millis(2),
-        |_| {},
     );
 
-    let handles: Vec<_> = (0..96u32)
+    let n = 96u32;
+    let handles: Vec<_> = (0..n)
         .map(|i| TwoShapeLm::input(i, (1..3 + i % 23).collect()))
         .map(|input| rt.submit_request(input).expect("submit"))
         .collect();
-    let resolved = handles.len() as u64;
     let e2e_sum_us: u64 = handles
         .into_iter()
         .map(|h| h.wait().completed().timing)
         .map(|t| t.completion_us - t.arrival_us)
         .sum();
-    // Every handle has resolved, so the final scrape is complete.
-    let snap = scraper.stop();
+    // Every handle has resolved, so this snapshot is complete.
+    let snap = rt.snapshot();
 
     let tiling_stage_sum_us: u64 = snap
         .entries
@@ -1023,7 +1073,10 @@ fn assert_live_telemetry_reconciles(shards: usize) {
         tiling_stage_sum_us, e2e_sum_us,
         "stage sums must telescope to the end-to-end latencies"
     );
-    assert_eq!(snap.counter_sum("bm_requests_completed_total"), resolved);
+    assert_eq!(
+        snap.counter_sum("bm_requests_completed_total"),
+        u64::from(n)
+    );
     for gauge in ["bm_active_requests", "bm_inflight_tasks"] {
         let per_shard: Vec<_> = snap.entries.iter().filter(|e| e.name == gauge).collect();
         assert_eq!(per_shard.len(), shards, "one {gauge} per shard");
@@ -1031,23 +1084,11 @@ fn assert_live_telemetry_reconciles(shards: usize) {
             assert_eq!(e.value, MetricValue::Gauge(0), "{gauge} at rest");
         }
     }
-
-    let reparsed = Snapshot::from_json(&snap.to_json()).expect("snapshot JSON reparses");
-    assert_eq!(reparsed, snap, "snapshot must round-trip exactly");
     assert!(snap
         .to_prometheus()
         .contains("# TYPE bm_requests_completed_total counter"));
-
-    // Head sampling is by request: what reached the ring tells whole
-    // stories of kept requests only.
-    assert_eq!(ring.dropped(), 0, "capture buffer must not overflow");
-    let kept: Vec<u64> = ring
-        .events()
-        .iter()
-        .filter_map(|e| e.kind.request())
-        .collect();
-    assert!(!kept.is_empty() && sampler.sampled_out() > 0);
-    assert!(kept.iter().all(|&r| sampler.keeps(r)));
+    rt.shutdown();
+    assert_one_story_per_id(&ring, n);
 }
 
 #[test]
@@ -1257,7 +1298,6 @@ fn shutdown_never_blocks_on_a_hosted_shards_full_inbox() {
 /// a request the second chance admits leaves no refusal behind.
 #[test]
 fn a_refusal_is_counted_once_and_only_when_every_shard_refuses() {
-    use bm_trace::EventKind;
     let sink = Arc::new(RingBufferSink::new(100_000));
     let (rt, mut shard, _) = hosted(
         ServeConfig::new()

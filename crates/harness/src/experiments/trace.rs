@@ -11,7 +11,7 @@
 //!   size and the Algorithm 1 branch that formed it, and flow arrows
 //!   following each request across workers;
 //! - `trace_<run>.timelines.txt` — plain-text per-request timelines
-//!   reconstructed by [`bm_metrics::timeline`].
+//!   reconstructed by [`bm_trace::reconstruct_timelines`].
 //!
 //! The returned tables summarise what was captured (event counts by
 //! kind, batch-formation reasons, migrations).
@@ -20,10 +20,13 @@ use std::path::Path;
 use std::sync::Arc;
 
 use bm_core::ServeConfig;
-use bm_metrics::{reconstruct_timelines, render_timelines, Table};
+use bm_metrics::Table;
 use bm_model::{LstmLm, LstmLmConfig, Model, Seq2Seq};
 use bm_sim::{simulate, CellularServer, SimOptions};
-use bm_trace::{chrome_trace_with_meta, EventKind, RingBufferSink, TraceEvent};
+use bm_trace::{
+    chrome_trace_with_meta, reconstruct_timelines, render_timelines, EventKind, RingBufferSink,
+    TraceEvent,
+};
 use bm_workload::{Dataset, LengthDistribution};
 
 use crate::experiments::serving::arrivals;

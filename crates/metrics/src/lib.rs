@@ -15,26 +15,8 @@ mod cdf;
 mod recorder;
 mod sla;
 mod table;
-pub mod timeline;
 
 pub use cdf::Cdf;
 pub use recorder::{LatencyRecorder, RequestTiming, Summary};
 pub use sla::SlaSummary;
 pub use table::{fmt1, Table};
-pub use timeline::{reconstruct_timelines, render_timelines, RequestTimeline, TimelineEntry};
-
-/// Converts microseconds to milliseconds.
-pub fn us_to_ms(us: u64) -> f64 {
-    us as f64 / 1_000.0
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn unit_conversion() {
-        assert_eq!(us_to_ms(1_500), 1.5);
-        assert_eq!(us_to_ms(0), 0.0);
-    }
-}

@@ -65,15 +65,6 @@ impl SlaSummary {
             self.completed as f64 / self.offered as f64
         }
     }
-
-    /// Fraction of offered requests dropped (expired or rejected).
-    pub fn drop_fraction(&self) -> f64 {
-        if self.offered == 0 {
-            0.0
-        } else {
-            (self.expired + self.rejected) as f64 / self.offered as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -85,7 +76,6 @@ mod tests {
         // 80 of 100 requests completed over 2 virtual seconds.
         let s = SlaSummary::new(100, 80, 15, 5, 2_000_000);
         assert!((s.attainment() - 0.8).abs() < 1e-12);
-        assert!((s.drop_fraction() - 0.2).abs() < 1e-12);
         assert!((s.goodput_rps - 40.0).abs() < 1e-9);
     }
 
@@ -94,7 +84,6 @@ mod tests {
         let s = SlaSummary::new(0, 0, 0, 0, 0);
         assert_eq!(s.goodput_rps, 0.0);
         assert_eq!(s.attainment(), 0.0);
-        assert_eq!(s.drop_fraction(), 0.0);
     }
 
     #[test]

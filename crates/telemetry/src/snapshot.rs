@@ -1,17 +1,10 @@
-//! Immutable point-in-time snapshots of the registry, with strict JSON
-//! (`bm-telemetry/v1`) and Prometheus text exposition encodings.
+//! Immutable point-in-time snapshots of the registry, with Prometheus
+//! text exposition.
 //!
 //! A snapshot is plain data: entries sorted by `(name, labels)` so two
-//! snapshots of identical registry state compare equal with `==`, which
-//! is what the JSON round-trip test (serialize → strict-parse →
-//! compare) relies on.
+//! snapshots of identical registry state compare equal with `==`.
 
 use std::fmt::Write as _;
-
-use crate::json::{self, Value};
-
-/// Schema tag written into and required from the JSON encoding.
-pub const SNAPSHOT_SCHEMA: &str = "bm-telemetry/v1";
 
 /// The merged, immutable form of a [`crate::Histogram`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -171,158 +164,6 @@ impl Snapshot {
         Snapshot { entries }
     }
 
-    /// Strict JSON encoding under the [`SNAPSHOT_SCHEMA`] tag.
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(256 + self.entries.len() * 64);
-        out.push_str("{\"schema\":\"");
-        out.push_str(SNAPSHOT_SCHEMA);
-        out.push_str("\",\"metrics\":[");
-        for (i, e) in self.entries.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("{\"name\":");
-            json_string(&mut out, &e.name);
-            out.push_str(",\"labels\":{");
-            for (j, (k, v)) in e.labels.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                json_string(&mut out, k);
-                out.push(':');
-                json_string(&mut out, v);
-            }
-            out.push_str("},\"type\":\"");
-            out.push_str(e.value.type_name());
-            out.push_str("\",");
-            match &e.value {
-                MetricValue::Counter(v) => {
-                    let _ = write!(out, "\"value\":{v}");
-                }
-                MetricValue::Gauge(v) => {
-                    let _ = write!(out, "\"value\":{v}");
-                }
-                MetricValue::Histogram(h) => {
-                    let _ = write!(
-                        out,
-                        "\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\"buckets\":[",
-                        h.count, h.sum, h.min, h.max
-                    );
-                    for (j, (hi, c)) in h.buckets.iter().enumerate() {
-                        if j > 0 {
-                            out.push(',');
-                        }
-                        let _ = write!(out, "[{hi},{c}]");
-                    }
-                    out.push(']');
-                }
-            }
-            out.push('}');
-        }
-        out.push_str("]}");
-        out
-    }
-
-    /// Strict decoder for [`Snapshot::to_json`] output: rejects unknown
-    /// schema tags, missing fields and malformed values, so the
-    /// `bm-telemetry/v1` wire format cannot drift silently.
-    pub fn from_json(text: &str) -> Result<Snapshot, String> {
-        let doc = json::parse(text).map_err(|e| e.to_string())?;
-        let schema = doc
-            .get("schema")
-            .and_then(Value::as_str)
-            .ok_or("missing schema tag")?;
-        if schema != SNAPSHOT_SCHEMA {
-            return Err(format!(
-                "schema mismatch: got {schema:?}, want {SNAPSHOT_SCHEMA:?}"
-            ));
-        }
-        let metrics = doc
-            .get("metrics")
-            .and_then(Value::as_arr)
-            .ok_or("missing metrics array")?;
-        let mut entries = Vec::with_capacity(metrics.len());
-        for m in metrics {
-            let name = m
-                .get("name")
-                .and_then(Value::as_str)
-                .ok_or("metric missing name")?
-                .to_string();
-            let mut labels: Vec<(String, String)> = match m.get("labels") {
-                Some(Value::Obj(map)) => map
-                    .iter()
-                    .map(|(k, v)| {
-                        v.as_str()
-                            .map(|s| (k.clone(), s.to_string()))
-                            .ok_or_else(|| format!("{name}: non-string label value"))
-                    })
-                    .collect::<Result<_, _>>()?,
-                _ => return Err(format!("{name}: missing labels object")),
-            };
-            labels.sort();
-            let ty = m
-                .get("type")
-                .and_then(Value::as_str)
-                .ok_or_else(|| format!("{name}: missing type"))?;
-            let value = match ty {
-                "counter" => MetricValue::Counter(
-                    m.get("value")
-                        .and_then(Value::as_u64)
-                        .ok_or_else(|| format!("{name}: counter missing value"))?,
-                ),
-                "gauge" => {
-                    let v = m
-                        .get("value")
-                        .and_then(Value::as_f64)
-                        .filter(|v| v.fract() == 0.0)
-                        .ok_or_else(|| format!("{name}: gauge missing integral value"))?;
-                    MetricValue::Gauge(v as i64)
-                }
-                "histogram" => {
-                    let field = |f: &str| {
-                        m.get(f)
-                            .and_then(Value::as_u64)
-                            .ok_or_else(|| format!("{name}: histogram missing {f}"))
-                    };
-                    let buckets = m
-                        .get("buckets")
-                        .and_then(Value::as_arr)
-                        .ok_or_else(|| format!("{name}: histogram missing buckets"))?
-                        .iter()
-                        .map(|pair| {
-                            let pair = pair
-                                .as_arr()
-                                .filter(|p| p.len() == 2)
-                                .ok_or_else(|| format!("{name}: bucket is not a pair"))?;
-                            let hi = pair[0]
-                                .as_u64()
-                                .ok_or_else(|| format!("{name}: bad bucket bound"))?;
-                            let c = pair[1]
-                                .as_u64()
-                                .ok_or_else(|| format!("{name}: bad bucket count"))?;
-                            Ok::<(u64, u64), String>((hi, c))
-                        })
-                        .collect::<Result<Vec<_>, _>>()?;
-                    MetricValue::Histogram(HistogramSnapshot {
-                        count: field("count")?,
-                        sum: field("sum")?,
-                        min: field("min")?,
-                        max: field("max")?,
-                        buckets,
-                    })
-                }
-                other => return Err(format!("{name}: unknown metric type {other:?}")),
-            };
-            entries.push(MetricEntry {
-                name,
-                labels,
-                value,
-            });
-        }
-        entries.sort_by(|a, b| (&a.name, &a.labels).cmp(&(&b.name, &b.labels)));
-        Ok(Snapshot { entries })
-    }
-
     /// Prometheus text exposition format (0.0.4): `# TYPE` lines, one
     /// sample line per counter/gauge, and cumulative
     /// `_bucket{le=...}`/`_sum`/`_count` series per histogram.
@@ -405,24 +246,6 @@ fn prom_labels(labels: &[(String, String)], le: Option<&str>) -> String {
     out
 }
 
-fn json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -456,27 +279,6 @@ mod tests {
     }
 
     #[test]
-    fn json_round_trip_is_identity() {
-        let snap = sample_snapshot();
-        let parsed = Snapshot::from_json(&snap.to_json()).unwrap();
-        assert_eq!(parsed, snap);
-    }
-
-    #[test]
-    fn from_json_rejects_drift() {
-        assert!(Snapshot::from_json("{}").is_err());
-        assert!(Snapshot::from_json(r#"{"schema":"bm-telemetry/v2","metrics":[]}"#).is_err());
-        assert!(Snapshot::from_json(
-            r#"{"schema":"bm-telemetry/v1","metrics":[{"name":"x","labels":{},"type":"ramp","value":1}]}"#
-        )
-        .is_err());
-        assert!(Snapshot::from_json(
-            r#"{"schema":"bm-telemetry/v1","metrics":[{"name":"x","type":"counter","value":1}]}"#
-        )
-        .is_err());
-    }
-
-    #[test]
     fn labeled_merge_tags_sources_and_stays_sorted() {
         let a = sample_snapshot().with_label("shard", "0");
         let b = sample_snapshot().with_label("shard", "1");
@@ -494,8 +296,6 @@ mod tests {
             Some(&MetricValue::Counter(42))
         );
         assert_eq!(merged.counter_sum("bm_requests_admitted_total"), 84);
-        // The rollup still encodes as strict bm-telemetry/v1.
-        assert_eq!(Snapshot::from_json(&merged.to_json()).unwrap(), merged);
     }
 
     #[test]

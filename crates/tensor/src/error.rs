@@ -1,42 +1,10 @@
-//! Error types for tensor operations.
+//! The error type of weight (de)serialization.
 
 use std::fmt;
-
-/// A shape mismatch between operands of a tensor operation.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ShapeError {
-    /// Human-readable name of the operation that failed.
-    pub op: &'static str,
-    /// Shape of the left-hand operand as `(rows, cols)`.
-    pub lhs: (usize, usize),
-    /// Shape of the right-hand operand as `(rows, cols)`.
-    pub rhs: (usize, usize),
-}
-
-impl fmt::Display for ShapeError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "shape mismatch in {}: lhs {}x{}, rhs {}x{}",
-            self.op, self.lhs.0, self.lhs.1, self.rhs.0, self.rhs.1
-        )
-    }
-}
-
-impl std::error::Error for ShapeError {}
 
 /// Any error produced by this crate.
 #[derive(Debug)]
 pub enum TensorError {
-    /// Operand shapes were incompatible.
-    Shape(ShapeError),
-    /// An index (row, column, or flat) was out of bounds.
-    IndexOutOfBounds {
-        /// The offending index.
-        index: usize,
-        /// The exclusive bound it violated.
-        bound: usize,
-    },
     /// Weight (de)serialization failed.
     Io(std::io::Error),
     /// A serialized tensor file was malformed.
@@ -46,10 +14,6 @@ pub enum TensorError {
 impl fmt::Display for TensorError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            TensorError::Shape(e) => write!(f, "{e}"),
-            TensorError::IndexOutOfBounds { index, bound } => {
-                write!(f, "index {index} out of bounds (bound {bound})")
-            }
             TensorError::Io(e) => write!(f, "io error: {e}"),
             TensorError::Corrupt(msg) => write!(f, "corrupt tensor file: {msg}"),
         }
@@ -59,57 +23,14 @@ impl fmt::Display for TensorError {
 impl std::error::Error for TensorError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            TensorError::Shape(e) => Some(e),
             TensorError::Io(e) => Some(e),
             _ => None,
         }
     }
 }
 
-impl From<ShapeError> for TensorError {
-    fn from(e: ShapeError) -> Self {
-        TensorError::Shape(e)
-    }
-}
-
 impl From<std::io::Error> for TensorError {
     fn from(e: std::io::Error) -> Self {
         TensorError::Io(e)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn shape_error_displays_operands() {
-        let e = ShapeError {
-            op: "matmul",
-            lhs: (2, 3),
-            rhs: (4, 5),
-        };
-        let s = e.to_string();
-        assert!(s.contains("matmul"));
-        assert!(s.contains("2x3"));
-        assert!(s.contains("4x5"));
-    }
-
-    #[test]
-    fn tensor_error_from_shape_error_preserves_source() {
-        let e: TensorError = ShapeError {
-            op: "add",
-            lhs: (1, 1),
-            rhs: (2, 2),
-        }
-        .into();
-        assert!(std::error::Error::source(&e).is_some());
-        assert!(e.to_string().contains("add"));
-    }
-
-    #[test]
-    fn index_error_display() {
-        let e = TensorError::IndexOutOfBounds { index: 9, bound: 4 };
-        assert_eq!(e.to_string(), "index 9 out of bounds (bound 4)");
     }
 }

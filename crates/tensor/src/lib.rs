@@ -43,7 +43,7 @@ pub mod ops;
 pub mod pool;
 mod scratch;
 
-pub use error::{ShapeError, TensorError};
+pub use error::TensorError;
 pub use gemm::PackedWeights;
 pub use init::{xavier_uniform, xavier_uniform_rows, zeros_like, WeightInit};
 pub use matrix::Matrix;

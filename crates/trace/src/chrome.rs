@@ -463,7 +463,7 @@ mod tests {
         assert!(json.contains("\"dropped_events\":17"));
         assert!(json.contains("incomplete"));
         // The metadata object must still parse as strict JSON.
-        assert!(crate::json::parse(&json).is_ok());
+        assert!(bm_telemetry::json::parse(&json).is_ok());
     }
 
     #[test]

@@ -9,35 +9,29 @@
 //! - [`NoopSink`] — the default; [`TraceSink::enabled`] returns `false`
 //!   so instrumented hot paths skip event construction entirely;
 //! - [`RingBufferSink`] — a bounded drop-oldest buffer capturing full
-//!   events for export, counting what it drops;
-//! - [`SamplingSink`] — per-request head sampling in front of another
-//!   sink (keep/drop decided once at arrival by request-id hash), so
-//!   million-request replays stay bounded.
+//!   events for export, counting what it drops.
 //!
 //! Exporters:
 //!
 //! - [`chrome_trace`] — Chrome trace-event JSON loadable in Perfetto or
 //!   `chrome://tracing`, with one track per worker, a scheduler track of
 //!   instant events, and per-request flow arrows across batched tasks;
-//! - `bm_metrics::timeline` — plain-text per-request timelines
-//!   reconstructed from the same events.
+//! - [`reconstruct_timelines`] / [`render_timelines`] — plain-text
+//!   per-request timelines reconstructed from the same events.
 //!
-//! The crate is deliberately dependency-light (ids are plain integers,
-//! not the scheduler's newtypes) so every layer — engine, threaded
-//! runtime, discrete-event simulator, harness — can share it without
-//! cycles.
+//! This crate is the one reader of the [`TraceEvent`] format. It
+//! depends on no other workspace crate (ids are plain integers, not the
+//! scheduler's newtypes), so every layer — engine, threaded runtime,
+//! discrete-event simulator, harness — can share it without cycles.
 
 #![forbid(unsafe_code)]
 
 mod chrome;
 mod event;
 mod sink;
-
-/// Strict JSON parser, re-exported from `bm-telemetry` (it moved there
-/// so snapshot decoding could live beside snapshot encoding without a
-/// dependency cycle).
-pub use bm_telemetry::json;
+mod timeline;
 
 pub use chrome::{chrome_trace, chrome_trace_with_meta};
 pub use event::{BatchReason, EventKind, RejectReason, TraceEvent, KIND_NAMES, NUM_EVENT_KINDS};
-pub use sink::{noop, NoopSink, RingBufferSink, SamplingSink, TraceSink};
+pub use sink::{noop, NoopSink, RingBufferSink, TraceSink};
+pub use timeline::{reconstruct_timelines, render_timelines, RequestTimeline, TimelineEntry};

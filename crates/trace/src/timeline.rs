@@ -1,6 +1,6 @@
 //! Per-request timeline reconstruction from scheduler trace events.
 //!
-//! A [`bm_trace::TraceSink`] captures a flat, interleaved event stream;
+//! A [`crate::TraceSink`] captures a flat, interleaved event stream;
 //! this module regroups it by request. Task-level events
 //! (`task_started`, `task_completed`) carry no request id — the
 //! `batch_formed` event that created the task does, so reconstruction
@@ -9,7 +9,7 @@
 
 use std::collections::HashMap;
 
-use bm_trace::{EventKind, TraceEvent};
+use crate::event::{EventKind, TraceEvent};
 
 /// One step in a request's reconstructed lifecycle.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -298,7 +298,7 @@ pub fn render_timelines(timelines: &[RequestTimeline]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bm_trace::BatchReason;
+    use crate::event::BatchReason;
 
     fn ev(ts_us: u64, kind: EventKind) -> TraceEvent {
         TraceEvent { ts_us, kind }

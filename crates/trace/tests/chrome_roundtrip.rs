@@ -1,10 +1,10 @@
 //! Round-trip test: export a synthetic event stream with
 //! [`bm_trace::chrome_trace`] and re-read it with the independent
-//! [`bm_trace::json`] parser, checking the structural invariants
+//! [`bm_telemetry::json`] parser, checking the structural invariants
 //! Perfetto relies on: valid JSON, non-decreasing `ts`, and matched
 //! `B`/`E` pairs per track.
 
-use bm_trace::json::{parse, Value};
+use bm_telemetry::json::{parse, Value};
 use bm_trace::{chrome_trace, BatchReason, EventKind, RejectReason, TraceEvent};
 
 /// A small but representative run: two workers, three requests (one
