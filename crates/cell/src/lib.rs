@@ -9,10 +9,12 @@
 //! This crate provides:
 //!
 //! - concrete cell implementations for the paper's three applications
-//!   (§7): [`LstmCell`] (language model), [`EncoderCell`] and
-//!   [`DecoderCell`] (Seq2Seq), [`TreeLeafCell`] and
-//!   [`TreeInternalCell`] (TreeLSTM), all expressed over `bm-tensor`
-//!   kernels;
+//!   (§7), all expressed over `bm-tensor` kernels: [`LstmCell`] (the
+//!   language model, and the Seq2Seq encoder with its own weights),
+//!   [`DecoderCell`] (an LSTM step plus the Seq2Seq vocabulary
+//!   projection), [`TreeLeafCell`] and [`TreeInternalCell`] (TreeLSTM).
+//!   The LSTM and the tree leaf keep a lazily filled per-token table of
+//!   the part of a step that depends on the token alone;
 //! - the type-erased [`Cell`] enum with two batched execution paths:
 //!   the §4.3 gather path ([`Cell::execute_rows_in`] over
 //!   [`RowInvocation`]s — rows from many requests are copied into one
@@ -41,11 +43,12 @@ mod registry;
 mod seq2seq;
 mod signature;
 mod state;
+mod table;
 mod tree;
 
 pub use lstm::LstmCell;
 pub use registry::{CellMeta, CellRegistry};
-pub use seq2seq::{DecoderCell, EncoderCell};
+pub use seq2seq::DecoderCell;
 pub use signature::{CellSignature, CellTypeId};
 pub use state::{CellOutput, CellState, ResidentLayout, RowInvocation, StateRef};
 pub use tree::{TreeInternalCell, TreeLeafCell};
@@ -59,12 +62,11 @@ use bm_tensor::{Matrix, PackedWeights};
 /// Each variant is one cell *kind*; two cells of the same kind are still
 /// different *types* if their input shapes or weights differ (see
 /// [`CellRegistry::register`]).
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub enum Cell {
-    /// Plain LSTM step over an embedded token.
+    /// Plain LSTM step over an embedded token (also the Seq2Seq
+    /// encoder).
     Lstm(LstmCell),
-    /// Seq2Seq encoder step (embedding + LSTM).
-    Encoder(EncoderCell),
     /// Seq2Seq decoder step (embedding + LSTM + vocab projection + argmax).
     Decoder(DecoderCell),
     /// TreeLSTM leaf cell (embedding + input transform).
@@ -78,7 +80,6 @@ impl Cell {
     pub fn kind_name(&self) -> &'static str {
         match self {
             Cell::Lstm(_) => "lstm",
-            Cell::Encoder(_) => "encoder",
             Cell::Decoder(_) => "decoder",
             Cell::TreeLeaf(_) => "tree_leaf",
             Cell::TreeInternal(_) => "tree_internal",
@@ -89,7 +90,6 @@ impl Cell {
     pub fn hidden_size(&self) -> usize {
         match self {
             Cell::Lstm(c) => c.hidden_size(),
-            Cell::Encoder(c) => c.hidden_size(),
             Cell::Decoder(c) => c.hidden_size(),
             Cell::TreeLeaf(c) => c.hidden_size(),
             Cell::TreeInternal(c) => c.hidden_size(),
@@ -99,7 +99,7 @@ impl Cell {
     /// Number of recurrent state inputs an invocation of this cell takes.
     pub fn state_arity(&self) -> usize {
         match self {
-            Cell::Lstm(_) | Cell::Encoder(_) | Cell::Decoder(_) => 1,
+            Cell::Lstm(_) | Cell::Decoder(_) => 1,
             Cell::TreeLeaf(_) => 0,
             Cell::TreeInternal(_) => 2,
         }
@@ -146,9 +146,13 @@ impl Cell {
     {
         assert!(!inputs.is_empty(), "execute_rows_in on empty batch");
         match self {
-            Cell::Lstm(c) => c.execute_rows_in(inputs, scratch, emit),
-            Cell::Encoder(c) => c.execute_rows_in(inputs, scratch, emit),
-            Cell::Decoder(c) => c.execute_rows_in(inputs, scratch, emit),
+            Cell::Lstm(_) | Cell::Decoder(_) => {
+                let (mut h, mut c) = lstm::gather_chain(self.hidden_size(), inputs, scratch);
+                let token = |r: usize| inputs[r].token();
+                self.step_chain(&mut h, &mut c, inputs.len(), token, scratch, emit);
+                scratch.put(h);
+                scratch.put(c);
+            }
             Cell::TreeLeaf(c) => c.execute_rows_in(inputs, scratch, emit),
             Cell::TreeInternal(c) => c.execute_rows_in(inputs, scratch, emit),
         }
@@ -159,10 +163,12 @@ impl Cell {
     /// batch composition is graph-shaped, not chain-shaped, so rows
     /// cannot stay parked between steps).
     pub fn resident_layout(&self) -> Option<ResidentLayout> {
+        let hidden = self.hidden_size();
         match self {
-            Cell::Lstm(c) => Some(c.resident_layout()),
-            Cell::Encoder(c) => Some(c.resident_layout()),
-            Cell::Decoder(c) => Some(c.resident_layout()),
+            Cell::Lstm(_) | Cell::Decoder(_) => Some(ResidentLayout {
+                hidden,
+                aux_width: hidden,
+            }),
             Cell::TreeLeaf(_) | Cell::TreeInternal(_) => None,
         }
     }
@@ -194,10 +200,31 @@ impl Cell {
         F: FnMut(usize, &[f32], &[f32], Option<u32>),
     {
         assert!(rows > 0, "step_resident on empty batch");
+        self.step_chain(xh, aux, rows, |r| tokens[r], scratch, emit);
+    }
+
+    /// The one step of a chain cell, over rows `0..rows` of `h` and `c`
+    /// wherever they live (gathered into scratch, or parked in a
+    /// resident batch): updates both in place and emits
+    /// `(row, h, c, token)` per row in batch order; `token(r)` is row
+    /// `r`'s input word.
+    fn step_chain<F>(
+        &self,
+        h: &mut Matrix,
+        c: &mut Matrix,
+        rows: usize,
+        token: impl Fn(usize) -> Option<u32>,
+        scratch: &mut Scratch,
+        mut emit: F,
+    ) where
+        F: FnMut(usize, &[f32], &[f32], Option<u32>),
+    {
         match self {
-            Cell::Lstm(c) => c.step_resident(xh, aux, rows, tokens, scratch, emit),
-            Cell::Encoder(c) => c.step_resident(xh, aux, rows, tokens, scratch, emit),
-            Cell::Decoder(c) => c.step_resident(xh, aux, rows, tokens, scratch, emit),
+            Cell::Lstm(cell) => {
+                cell.step_rows(h, c, rows, token, scratch);
+                lstm::emit_states(h, c, rows, &mut emit);
+            }
+            Cell::Decoder(cell) => cell.step(h, c, rows, token, scratch, emit),
             Cell::TreeLeaf(_) | Cell::TreeInternal(_) => {
                 panic!("step_resident on a cell without a resident layout")
             }
@@ -209,7 +236,6 @@ impl Cell {
     pub fn flops(&self, batch: usize) -> u64 {
         match self {
             Cell::Lstm(c) => cost::lstm_flops(batch, c.embed_size(), c.hidden_size()),
-            Cell::Encoder(c) => cost::lstm_flops(batch, c.embed_size(), c.hidden_size()),
             Cell::Decoder(c) => {
                 cost::lstm_flops(batch, c.embed_size(), c.hidden_size())
                     + cost::projection_flops(batch, c.hidden_size(), c.vocab_size())
@@ -223,7 +249,6 @@ impl Cell {
     pub fn to_bundle(&self) -> bm_tensor::io::WeightBundle {
         match self {
             Cell::Lstm(c) => c.to_bundle(),
-            Cell::Encoder(c) => c.to_bundle(),
             Cell::Decoder(c) => c.to_bundle(),
             Cell::TreeLeaf(c) => c.to_bundle(),
             Cell::TreeInternal(c) => c.to_bundle(),
@@ -236,7 +261,6 @@ impl Cell {
     pub fn from_bundle(kind: &str, bundle: &bm_tensor::io::WeightBundle) -> Result<Self, String> {
         Ok(match kind {
             "lstm" => Cell::Lstm(LstmCell::from_bundle(bundle)?),
-            "encoder" => Cell::Encoder(EncoderCell::from_bundle(bundle)?),
             "decoder" => Cell::Decoder(DecoderCell::from_bundle(bundle)?),
             "tree_leaf" => Cell::TreeLeaf(TreeLeafCell::from_bundle(bundle)?),
             "tree_internal" => Cell::TreeInternal(TreeInternalCell::from_bundle(bundle)?),
@@ -248,7 +272,6 @@ impl Cell {
     pub fn signature(&self) -> CellSignature {
         let shapes = match self {
             Cell::Lstm(c) => c.input_shapes(),
-            Cell::Encoder(c) => c.input_shapes(),
             Cell::Decoder(c) => c.input_shapes(),
             Cell::TreeLeaf(c) => c.input_shapes(),
             Cell::TreeInternal(c) => c.input_shapes(),
@@ -272,7 +295,6 @@ impl Cell {
     fn weights(&self) -> Vec<Weight<'_>> {
         match self {
             Cell::Lstm(c) => c.weights(),
-            Cell::Encoder(c) => c.weights(),
             Cell::Decoder(c) => c.weights(),
             Cell::TreeLeaf(c) => c.weights(),
             Cell::TreeInternal(c) => c.weights(),
@@ -373,14 +395,7 @@ pub(crate) mod tests {
         )*};
     }
 
-    outputs_via_rows_in!(
-        Cell,
-        LstmCell,
-        EncoderCell,
-        DecoderCell,
-        TreeLeafCell,
-        TreeInternalCell
-    );
+    outputs_via_rows_in!(Cell, TreeLeafCell, TreeInternalCell);
 
     #[test]
     fn bit_equality_distinguishes_values_and_shapes() {
@@ -444,7 +459,6 @@ pub(crate) mod tests {
     fn resident_step_is_bit_identical_to_gather_step() {
         let cells = [
             Cell::Lstm(LstmCell::seeded(4, 6, 20, 42)),
-            Cell::Encoder(EncoderCell::seeded(4, 6, 15, 5)),
             Cell::Decoder(DecoderCell::seeded(4, 6, 25, 13)),
         ];
         for cell in &cells {
@@ -470,13 +484,13 @@ pub(crate) mod tests {
         // tokens, on the same `h`-only rows; that fallback must agree
         // with the gather path (and with the proj path, since both
         // match the same oracle).
-        let mut lstm = LstmCell::seeded(4, 6, 20, 42);
-        lstm.drop_token_proj_for_tests();
-        let mut enc = EncoderCell::seeded(4, 6, 15, 5);
-        enc.drop_token_proj_for_tests();
-        let mut dec = DecoderCell::seeded(4, 6, 25, 13);
-        dec.drop_token_proj_for_tests();
-        for cell in [Cell::Lstm(lstm), Cell::Encoder(enc), Cell::Decoder(dec)] {
+        let cells = table::without_tables(|| {
+            [
+                Cell::Lstm(LstmCell::seeded(4, 6, 20, 42)),
+                Cell::Decoder(DecoderCell::seeded(4, 6, 25, 13)),
+            ]
+        });
+        for cell in cells {
             assert_eq!(
                 cell.resident_layout().expect("chain cell").xh_width(),
                 6,

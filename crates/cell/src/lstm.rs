@@ -15,211 +15,131 @@
 //! `2h × 4h`" (§2.2, footnote 2) when the embedding width equals the
 //! hidden width.
 
-use std::sync::{PoisonError, RwLock, RwLockReadGuard};
-
 use bm_tensor::io::WeightBundle;
 use bm_tensor::{gemm, ops, xavier_uniform, xavier_uniform_rows, Matrix, PackedWeights, Scratch};
 
 use crate::persist::{expect, expect_shape};
 use crate::state::RowInvocation;
+use crate::table::TokenTable;
 
-/// Cap on a per-token cache, in floats (16 MiB of f32): the token
-/// projection (`vocab * 4 * hidden`), above which a step computes the
-/// input half of its fold from the embedded tokens instead, and the
-/// tree leaf memo (`vocab * 2 * hidden`).
-pub(crate) const MAX_PROJ_ELEMS: usize = 1 << 22;
-
-/// `embed · Wx` by token: row `t` is the input half of token `t`'s fold,
-/// `4 * hidden` floats without the bias. The embedding and `W` are
-/// immutable per cell type (§4.2), so a row computed once serves every
-/// later step of that token: a step pays one row copy per request
-/// instead of the `x`-half of the GEMM, which halves its multiplies when
-/// `embed == hidden`.
+/// A plain LSTM cell with its own embedding table.
 ///
-/// Rows are computed the first time a step needs them, not when the cell
-/// is built: the whole table is `vocab` one-row products (0.5 GFLOP at
-/// vocab 1000, hidden 256) that a cold start would pay before its first
-/// response. The table is still one zeroed block allocated with the
-/// cell: the allocator hands a block that size out untouched, so a page
-/// of it becomes resident only when a row in it is written, and it is
-/// returned whole when the cell goes (rows allocated one by one by the
-/// threads that step the cell cost `seq2seq_wmt` 3 MiB of peak RSS).
-#[derive(Debug)]
-struct TokenProj(RwLock<TokenRows>);
-
-/// The rows of a [`TokenProj`] and which of them are computed.
-#[derive(Debug, Clone)]
-struct TokenRows {
-    /// `(vocab, 4 * hidden)`; row `t` is meaningful once `filled[t]`.
-    rows: Matrix,
-    filled: Vec<bool>,
-}
-
-impl Clone for TokenProj {
-    fn clone(&self) -> Self {
-        TokenProj(RwLock::new(self.rows().clone()))
-    }
-}
-
-impl TokenProj {
-    fn new(vocab: usize, gates: usize) -> Self {
-        TokenProj(RwLock::new(TokenRows {
-            rows: Matrix::zeros(vocab, gates),
-            filled: vec![false; vocab],
-        }))
-    }
-
-    /// The table, read. A row is marked filled only after it is written,
-    /// so a panic while the table was held for writing (an out-of-range
-    /// token) left nothing inconsistent, and poisoning is ignored.
-    fn rows(&self) -> RwLockReadGuard<'_, TokenRows> {
-        self.0.read().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Copies the row of token `id(r)` into row `r` of `z` for every
-    /// `r < rows`, first computing `embed[t] · wx` for the tokens no
-    /// step has seen.
-    fn seed(
-        &self,
-        embed: &Matrix,
-        wx: &PackedWeights,
-        rows: usize,
-        id: impl Fn(usize) -> usize,
-        z: &mut Matrix,
-    ) {
-        {
-            let table = self.rows();
-            if (0..rows).all(|r| table.filled[id(r)]) {
-                for r in 0..rows {
-                    z.row_mut(r).copy_from_slice(table.rows.row(id(r)));
-                }
-                return;
-            }
-        }
-        let mut table = self.0.write().unwrap_or_else(PoisonError::into_inner);
-        let TokenRows {
-            rows: table_rows,
-            filled,
-        } = &mut *table;
-        for r in 0..rows {
-            let t = id(r);
-            if !filled[t] {
-                let row = table_rows.row_mut(t);
-                gemm::gemm_into(embed.row(t), 1, wx.k(), wx, None, row, None);
-                filled[t] = true;
-            }
-            z.row_mut(r).copy_from_slice(table_rows.row(t));
-        }
-    }
-}
-
-/// The weight set and math of one LSTM step, shared by every cell kind
-/// that embeds an LSTM (plain, encoder, decoder).
+/// This is the cell type of the paper's "LSTM" application (a chain over
+/// an input sentence) and of the Seq2Seq encoder, which differs from it
+/// only in its weights; the Seq2Seq decoder is one with a vocabulary
+/// projection on top ([`crate::DecoderCell`]).
 ///
 /// The gate pre-activation `z = [x|h]·W + b` folds its inner dimension
 /// in ascending order with the bias added once at the end, so it splits
 /// exactly at the `x`/`h` boundary: `x·Wx` (no bias) is the first
-/// `input_size` terms of every output element's fold, and a
+/// `embed_size` terms of every output element's fold, and a
 /// [`gemm::gemm_acc_into`] continuation over `h·Wh` (bias at the end)
 /// adds the rest bit for bit. So `W` is held as its two row halves,
 /// packed, and never whole: every step, gathered or resident, seeds `z`
 /// with the input half and continues with the recurrent one.
-#[derive(Debug, Clone)]
-pub(crate) struct LstmCore {
-    /// Rows `..input_size` of the fused gate weights `W`, packed:
+#[derive(Debug)]
+pub struct LstmCell {
+    embed: Matrix,
+    /// Rows `..embed_size` of the fused gate weights `W`, packed:
     /// `(embed, 4 * hidden)`.
     wx: PackedWeights,
-    /// Rows `input_size..` of `W`, packed: `(hidden, 4 * hidden)`.
+    /// Rows `embed_size..` of `W`, packed: `(hidden, 4 * hidden)`.
     wh: PackedWeights,
     /// Fused gate bias, `(1, 4 * hidden)`.
     b: Matrix,
-    pub input_size: usize,
-    pub hidden_size: usize,
-    /// The token projection; `None` when it would exceed
-    /// [`MAX_PROJ_ELEMS`].
-    token_proj: Option<TokenProj>,
+    /// `embed · Wx` by token: row `t` is the input half of token `t`'s
+    /// fold, `4 * hidden` floats without the bias. A step pays one row
+    /// copy per request instead of the `x`-half of the GEMM, which
+    /// halves its multiplies when `embed == hidden`. `None` when the
+    /// vocabulary is too large for a table. Its buffer is reserved here,
+    /// by the thread that builds the cell, so a serving thread's first
+    /// step allocates nothing large.
+    table: Option<TokenTable>,
 }
 
-impl LstmCore {
-    /// The core over the packed halves of the fused gate weights and
-    /// bias `b`, for token embedding `embed`.
-    fn new(wx: PackedWeights, wh: PackedWeights, b: Matrix, embed: &Matrix) -> Self {
-        let (input_size, gates) = (wx.k(), wx.n());
-        debug_assert_eq!((embed.cols(), wh.n()), (input_size, gates));
-        let vocab = embed.rows();
-        let token_proj =
-            (vocab.saturating_mul(gates) <= MAX_PROJ_ELEMS).then(|| TokenProj::new(vocab, gates));
-        LstmCore {
+impl LstmCell {
+    /// Creates a cell with seeded Xavier weights.
+    pub fn seeded(embed_size: usize, hidden_size: usize, vocab: usize, seed: u64) -> Self {
+        Self::from_seeds(embed_size, hidden_size, vocab, seed ^ 0x5eed_0001, seed)
+    }
+
+    /// Creates a cell with Xavier weights, the embedding drawn from
+    /// `embed_seed` and `W` from `gate_seed`. `W` is packed as it is
+    /// drawn: its rows come in order, the input half and then the
+    /// recurrent one, and no row-major copy of it is ever made.
+    pub fn from_seeds(
+        embed_size: usize,
+        hidden_size: usize,
+        vocab: usize,
+        embed_seed: u64,
+        gate_seed: u64,
+    ) -> Self {
+        let embed = xavier_uniform(vocab, embed_size, embed_seed);
+        let gates = 4 * hidden_size;
+        let mut w = xavier_uniform_rows(embed_size + hidden_size, gates, gate_seed);
+        let wx = PackedWeights::pack_rows(embed_size, gates, &mut w);
+        let wh = PackedWeights::pack_rows(hidden_size, gates, &mut w);
+        Self::from_parts(embed, wx, wh, Matrix::zeros(1, gates))
+    }
+
+    /// The cell over an embedding and the packed halves of `W`.
+    fn from_parts(embed: Matrix, wx: PackedWeights, wh: PackedWeights, b: Matrix) -> Self {
+        debug_assert_eq!((embed.cols(), wh.n()), (wx.k(), wx.n()));
+        LstmCell {
+            table: TokenTable::new(embed.rows(), wx.n()).map(TokenTable::reserved),
+            embed,
             wx,
             wh,
             b,
-            input_size,
-            hidden_size: gates / 4,
-            token_proj,
         }
     }
 
-    /// A core with seeded Xavier weights, `W` packed as it is drawn:
-    /// its rows come in order, the input half and then the recurrent
-    /// one, and no row-major copy of it is ever made.
-    pub fn seeded(embed: &Matrix, hidden_size: usize, seed: u64) -> Self {
-        let (input_size, gates) = (embed.cols(), 4 * hidden_size);
-        let mut w = xavier_uniform_rows(input_size + hidden_size, gates, seed);
-        let wx = PackedWeights::pack_rows(input_size, gates, &mut w);
-        let wh = PackedWeights::pack_rows(hidden_size, gates, &mut w);
-        LstmCore::new(wx, wh, Matrix::zeros(1, gates), embed)
+    /// Embedding width.
+    pub fn embed_size(&self) -> usize {
+        self.wx.k()
     }
 
-    /// The core of a saved cell: `w` and `b` from `bundle`, checked
-    /// against `embed`'s width.
-    pub fn from_bundle(bundle: &WeightBundle, embed: &Matrix) -> Result<Self, String> {
-        let w = expect(bundle, "w")?;
-        let (input_size, hidden) = (embed.cols(), w.cols() / 4);
-        expect_shape(w, (input_size + hidden, 4 * hidden), "w")?;
-        let b = expect(bundle, "b")?;
-        expect_shape(b, (1, 4 * hidden), "b")?;
-        let (x_half, h_half) = w.as_slice().split_at(input_size * w.cols());
-        let wx = PackedWeights::pack(input_size, w.cols(), x_half);
-        let wh = PackedWeights::pack(hidden, w.cols(), h_half);
-        Ok(LstmCore::new(wx, wh, b.clone(), embed))
+    /// Hidden state width.
+    pub fn hidden_size(&self) -> usize {
+        self.wh.k()
     }
 
-    /// Writes `w` and `b` into `bundle`, `w` unpacked to the exact
-    /// fused matrix the core was built from.
-    pub fn to_bundle(&self, bundle: &mut WeightBundle) {
-        let mut w = self.wx.unpack().into_vec();
-        w.extend_from_slice(self.wh.unpack().as_slice());
-        let rows = self.input_size + self.hidden_size;
-        bundle.insert("w", Matrix::from_vec(rows, 4 * self.hidden_size, w));
-        bundle.insert("b", self.b.clone());
+    /// Vocabulary size.
+    pub fn vocab_size(&self) -> usize {
+        self.embed.rows()
     }
 
-    /// The parameters after the embedding, for identity checks.
-    pub(crate) fn weights(&self) -> [crate::Weight<'_>; 3] {
-        [(&self.wx).into(), (&self.wh).into(), (&self.b).into()]
+    /// Input tensor shapes per invocation (token embedding row, h row, c row).
+    pub fn input_shapes(&self) -> Vec<(usize, usize)> {
+        vec![
+            (1, self.embed_size()),
+            (1, self.hidden_size()),
+            (1, self.hidden_size()),
+        ]
     }
 
-    /// The resident row layout this core steps with: `h`-only rows,
-    /// `c` in the aux matrix.
-    pub(crate) fn resident_layout(&self) -> crate::state::ResidentLayout {
-        crate::state::ResidentLayout {
-            hidden: self.hidden_size,
-            aux_width: self.hidden_size,
-        }
+    /// The parameters, for identity checks.
+    pub(crate) fn weights(&self) -> Vec<crate::Weight<'_>> {
+        vec![
+            (&self.embed).into(),
+            (&self.wx).into(),
+            (&self.wh).into(),
+            (&self.b).into(),
+        ]
     }
 
     /// One fused LSTM step over rows `0..rows` of `h` and `c`, updating
     /// both in place; `token(r)` is row `r`'s input word.
     ///
     /// Each row's gate pre-activation is seeded with the input half of
-    /// its fold — the token's `x·Wx` row of the token projection
-    /// (computed here on the token's first step), or, without the table
-    /// (oversized vocabulary), one `x·Wx` product over the embedded
-    /// tokens — and completed by one fold-continuation affine over
-    /// `h·Wh` ([`ops::affine_acc_rows_into`]). One gate-kernel call
+    /// its fold — the token's row of the table (computed here on the
+    /// token's first step, one unpooled 1-row product per row), or,
+    /// without a table, one `x·Wx` product over the embedded tokens —
+    /// and completed by one fold-continuation affine over `h·Wh`
+    /// ([`ops::affine_acc_rows_into`]). One gate-kernel call
     /// ([`ops::lstm_gates_rows_inplace`]) then overwrites `h` and `c`.
     /// Bit for bit `[x|h]·W + b` followed by the gates (see
-    /// [`LstmCore`]), and a function of each row alone.
+    /// [`LstmCell`]), and a function of each row alone.
     ///
     /// The gather path runs it on rows it copied into scratch, the
     /// resident path on the persistent batch where rows stay parked.
@@ -228,32 +148,43 @@ impl LstmCore {
     ///
     /// Panics if a row has no token or its token is out of the
     /// vocabulary.
-    pub fn step_rows(
+    pub(crate) fn step_rows(
         &self,
-        embed: &Matrix,
         h: &mut Matrix,
         c: &mut Matrix,
         rows: usize,
         token: impl Fn(usize) -> Option<u32>,
         s: &mut Scratch,
     ) {
-        let (e, hsz) = (self.input_size, self.hidden_size);
+        let (e, hsz) = (self.embed_size(), self.hidden_size());
         let gates = 4 * hsz;
         debug_assert_eq!((h.cols(), c.cols()), (hsz, hsz));
         let id = |r: usize| {
             let id = token(r).expect("chain cell invocation requires a token") as usize;
-            let vocab = embed.rows();
+            let vocab = self.vocab_size();
             assert!(id < vocab, "embedding id {id} >= vocab {vocab}");
             id
         };
         // Fully overwritten by the seed, so dirty is fine.
         let mut z = s.take_dirty(rows, gates);
-        match &self.token_proj {
-            Some(table) => table.seed(embed, &self.wx, rows, id, &mut z),
+        match &self.table {
+            Some(table) => table.rows(
+                rows,
+                id,
+                |missing, rows| {
+                    for &t in missing {
+                        let start = rows.len();
+                        rows.resize(start + gates, 0.0);
+                        let row = &mut rows[start..];
+                        gemm::gemm_into(self.embed.row(t), 1, e, &self.wx, None, row, None);
+                    }
+                },
+                |r, row| z.row_mut(r).copy_from_slice(row),
+            ),
             None => {
                 let mut x = s.take_dirty(rows, e);
                 for r in 0..rows {
-                    x.row_mut(r).copy_from_slice(embed.row(id(r)));
+                    x.row_mut(r).copy_from_slice(self.embed.row(id(r)));
                 }
                 let pool = ops::auto_pool(rows, e, gates);
                 gemm::gemm_into(
@@ -274,11 +205,31 @@ impl LstmCore {
         s.put(z);
     }
 
-    /// Strips the cached token projection so tests can exercise the
-    /// path a too-large vocabulary would take.
-    #[cfg(test)]
-    pub(crate) fn drop_token_proj_for_tests(&mut self) {
-        self.token_proj = None;
+    /// Exports the cell's weights (§4.2 persistence), `w` unpacked to
+    /// the exact fused matrix the cell was built from.
+    pub fn to_bundle(&self) -> WeightBundle {
+        let mut bundle = WeightBundle::new();
+        bundle.insert("embed", self.embed.clone());
+        let mut w = self.wx.unpack().into_vec();
+        w.extend_from_slice(self.wh.unpack().as_slice());
+        let rows = self.embed_size() + self.hidden_size();
+        bundle.insert("w", Matrix::from_vec(rows, self.wx.n(), w));
+        bundle.insert("b", self.b.clone());
+        bundle
+    }
+
+    /// Reconstructs the cell from saved weights, inferring shapes.
+    pub fn from_bundle(bundle: &WeightBundle) -> Result<Self, String> {
+        let embed = expect(bundle, "embed")?.clone();
+        let w = expect(bundle, "w")?;
+        let (embed_size, hidden) = (embed.cols(), w.cols() / 4);
+        expect_shape(w, (embed_size + hidden, 4 * hidden), "w")?;
+        let b = expect(bundle, "b")?;
+        expect_shape(b, (1, 4 * hidden), "b")?;
+        let (x_half, h_half) = w.as_slice().split_at(embed_size * w.cols());
+        let wx = PackedWeights::pack(embed_size, w.cols(), x_half);
+        let wh = PackedWeights::pack(hidden, w.cols(), h_half);
+        Ok(Self::from_parts(embed, wx, wh, b.clone()))
     }
 }
 
@@ -320,129 +271,15 @@ pub(crate) fn emit_states<F: FnMut(usize, &[f32], &[f32], Option<u32>)>(
     }
 }
 
-/// A plain LSTM cell with its own embedding table.
-///
-/// This is the cell type of the paper's "LSTM" application (a chain over
-/// an input sentence).
-#[derive(Debug, Clone)]
-pub struct LstmCell {
-    embed: Matrix,
-    core: LstmCore,
-}
-
-impl LstmCell {
-    /// Creates a cell with seeded Xavier weights.
-    pub fn seeded(embed_size: usize, hidden_size: usize, vocab: usize, seed: u64) -> Self {
-        let embed = xavier_uniform(vocab, embed_size, seed ^ 0x5eed_0001);
-        let core = LstmCore::seeded(&embed, hidden_size, seed);
-        LstmCell { embed, core }
-    }
-
-    /// Embedding width.
-    pub fn embed_size(&self) -> usize {
-        self.core.input_size
-    }
-
-    /// Hidden state width.
-    pub fn hidden_size(&self) -> usize {
-        self.core.hidden_size
-    }
-
-    /// Vocabulary size.
-    pub fn vocab_size(&self) -> usize {
-        self.embed.rows()
-    }
-
-    /// Input tensor shapes per invocation (token embedding row, h row, c row).
-    pub fn input_shapes(&self) -> Vec<(usize, usize)> {
-        vec![
-            (1, self.embed_size()),
-            (1, self.hidden_size()),
-            (1, self.hidden_size()),
-        ]
-    }
-
-    /// The parameters, for identity checks.
-    pub(crate) fn weights(&self) -> Vec<crate::Weight<'_>> {
-        let mut w = vec![(&self.embed).into()];
-        w.extend(self.core.weights());
-        w
-    }
-
-    /// Gather executor: gathers borrowed state rows into scratch
-    /// batches, runs one fused step and emits `(row, h, c, token)` per
-    /// invocation; see [`crate::Cell::execute_rows_in`].
-    pub fn execute_rows_in<F>(&self, inputs: &[RowInvocation<'_>], s: &mut Scratch, mut emit: F)
-    where
-        F: FnMut(usize, &[f32], &[f32], Option<u32>),
-    {
-        let (mut h, mut c) = gather_chain(self.core.hidden_size, inputs, s);
-        let rows = inputs.len();
-        self.core
-            .step_rows(&self.embed, &mut h, &mut c, rows, |r| inputs[r].token(), s);
-        emit_states(&h, &c, rows, &mut emit);
-        s.put(h);
-        s.put(c);
-    }
-
-    /// Resident-state row layout: `h`-only rows, `c` in the aux matrix.
-    pub fn resident_layout(&self) -> crate::state::ResidentLayout {
-        self.core.resident_layout()
-    }
-
-    /// Resident-state executor: one fused step over rows `0..rows` of a
-    /// persistent hidden-state batch (`xh`) and its cell-state side
-    /// matrix (`aux`), updating both in place and emitting
-    /// `(row, h, c, token)` per row in batch order — the same emit
-    /// contract, and bitwise the same outputs, as
-    /// [`LstmCell::execute_rows_in`] over equal state rows.
-    pub fn step_resident<F>(
-        &self,
-        xh: &mut Matrix,
-        aux: &mut Matrix,
-        rows: usize,
-        tokens: &[Option<u32>],
-        s: &mut Scratch,
-        mut emit: F,
-    ) where
-        F: FnMut(usize, &[f32], &[f32], Option<u32>),
-    {
-        self.core
-            .step_rows(&self.embed, xh, aux, rows, |r| tokens[r], s);
-        emit_states(xh, aux, rows, &mut emit);
-    }
-
-    /// Strips the cached token projection so tests can exercise the
-    /// path a too-large vocabulary would take.
-    #[cfg(test)]
-    pub(crate) fn drop_token_proj_for_tests(&mut self) {
-        self.core.drop_token_proj_for_tests();
-    }
-
-    /// Exports the cell's weights (§4.2 persistence).
-    pub fn to_bundle(&self) -> WeightBundle {
-        let mut b = WeightBundle::new();
-        b.insert("embed", self.embed.clone());
-        self.core.to_bundle(&mut b);
-        b
-    }
-
-    /// Reconstructs the cell from saved weights, inferring shapes.
-    pub fn from_bundle(bundle: &WeightBundle) -> Result<Self, String> {
-        let embed = expect(bundle, "embed")?.clone();
-        let core = LstmCore::from_bundle(bundle, &embed)?;
-        Ok(LstmCell { embed, core })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::state::{CellState, StateRef};
     use crate::tests::Outputs;
+    use crate::Cell;
 
-    fn cell() -> LstmCell {
-        LstmCell::seeded(4, 6, 20, 42)
+    fn cell() -> Cell {
+        Cell::Lstm(LstmCell::seeded(4, 6, 20, 42))
     }
 
     #[test]
@@ -487,15 +324,6 @@ mod tests {
     }
 
     #[test]
-    fn deterministic_across_clones() {
-        let c = cell();
-        let d = c.clone();
-        let a = c.outputs(&[RowInvocation::token_only(5)]);
-        let b = d.outputs(&[RowInvocation::token_only(5)]);
-        assert_eq!(a, b);
-    }
-
-    #[test]
     #[should_panic]
     fn missing_token_panics() {
         let c = cell();
@@ -504,10 +332,10 @@ mod tests {
 
     #[test]
     fn seeds_give_different_types() {
-        let a = crate::Cell::Lstm(LstmCell::seeded(4, 6, 20, 1));
-        let b = crate::Cell::Lstm(LstmCell::seeded(4, 6, 20, 2));
+        let a = Cell::Lstm(LstmCell::seeded(4, 6, 20, 1));
+        let b = Cell::Lstm(LstmCell::seeded(4, 6, 20, 2));
         assert_eq!(a.signature(), b.signature());
         assert!(!a.same_type(&b));
-        assert!(a.same_type(&a.clone()));
+        assert!(a.same_type(&Cell::Lstm(LstmCell::seeded(4, 6, 20, 1))));
     }
 }

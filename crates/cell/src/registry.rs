@@ -48,7 +48,8 @@ impl CellRegistry {
         Self::default()
     }
 
-    /// Registers a cell type, returning its id.
+    /// Registers a cell type, returning its id. The cell may already be
+    /// shared (an `Arc<Cell>`), e.g. with another registry.
     ///
     /// A cell is an already registered type iff it has the same kind,
     /// the same input shapes and weights equal bit for bit
@@ -64,7 +65,7 @@ impl CellRegistry {
     pub fn register(
         &mut self,
         name: impl Into<String>,
-        cell: Cell,
+        cell: impl Into<Arc<Cell>>,
         priority: u32,
         min_batch: usize,
         max_batch: usize,
@@ -74,6 +75,7 @@ impl CellRegistry {
             min_batch <= max_batch,
             "min_batch must not exceed max_batch"
         );
+        let cell = cell.into();
         if let Some(m) = self.metas.iter().find(|m| m.cell.same_type(&cell)) {
             return m.id;
         }
@@ -86,7 +88,7 @@ impl CellRegistry {
         self.metas.push(CellMeta {
             id,
             name,
-            cell: Arc::new(cell),
+            cell,
             priority,
             max_batch,
             min_batch,
@@ -132,14 +134,13 @@ impl CellRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{DecoderCell, EncoderCell, LstmCell, TreeInternalCell, TreeLeafCell};
+    use crate::{DecoderCell, LstmCell, TreeInternalCell, TreeLeafCell};
     use bm_tensor::io::WeightBundle;
 
     /// One cell of every kind.
     fn cells() -> Vec<Cell> {
         vec![
             Cell::Lstm(LstmCell::seeded(4, 6, 10, 1)),
-            Cell::Encoder(EncoderCell::seeded(4, 6, 10, 2)),
             Cell::Decoder(DecoderCell::seeded(4, 6, 10, 3)),
             Cell::TreeLeaf(TreeLeafCell::seeded(4, 6, 10, 4)),
             Cell::TreeInternal(TreeInternalCell::seeded(6, 5)),
@@ -221,15 +222,20 @@ mod tests {
 
     #[test]
     fn kind_alone_separates_types() {
-        // An encoder loaded from an LSTM's bundle has the LSTM's input
-        // shapes and weights, bit for bit.
-        let lstm = Cell::Lstm(LstmCell::seeded(4, 6, 10, 1));
-        let encoder = Cell::from_bundle("encoder", &lstm.to_bundle()).expect("same layout");
+        // An LSTM loaded from a decoder's bundle has the decoder's input
+        // shapes and, bit for bit, every weight the two kinds share.
+        let decoder = Cell::Decoder(DecoderCell::seeded(4, 6, 10, 3));
+        let lstm = Cell::from_bundle("lstm", &decoder.to_bundle()).expect("shared layout");
         assert_eq!(
             lstm.signature().input_shapes(),
-            encoder.signature().input_shapes()
+            decoder.signature().input_shapes()
         );
-        assert!(!one_type(lstm, encoder));
+        assert!(lstm
+            .weights()
+            .into_iter()
+            .zip(decoder.weights())
+            .all(|(a, b)| a.bits_eq(b)));
+        assert!(!one_type(lstm, decoder));
     }
 
     #[test]

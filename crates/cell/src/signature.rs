@@ -66,7 +66,7 @@ mod tests {
     fn signature_equality_requires_all_components() {
         let a = CellSignature::new("lstm", vec![(1, 4)]);
         assert_eq!(a, CellSignature::new("lstm", vec![(1, 4)]));
-        assert_ne!(a, CellSignature::new("encoder", vec![(1, 4)]));
+        assert_ne!(a, CellSignature::new("decoder", vec![(1, 4)]));
         assert_ne!(a, CellSignature::new("lstm", vec![(1, 8)]));
         assert_ne!(a, CellSignature::new("lstm", vec![(1, 4), (1, 4)]));
     }

@@ -20,14 +20,13 @@
 //! same as comparing gate by gate: equal fused shapes split into equal
 //! gate shapes.
 
-use std::sync::OnceLock;
-
 use bm_tensor::io::WeightBundle;
 use bm_tensor::{ops, xavier_uniform, xavier_uniform_rows, Matrix, PackedWeights, Scratch};
 
-use crate::lstm::{emit_states, MAX_PROJ_ELEMS};
+use crate::lstm::emit_states;
 use crate::persist::{expect, fuse_gates, split_gates};
 use crate::state::RowInvocation;
+use crate::table::TokenTable;
 
 /// Gate order of the leaf cell's fused weights and of its bundle.
 const LEAF_GATES: [&str; 3] = ["i", "o", "u"];
@@ -51,28 +50,6 @@ fn fused_xavier(rows: usize, hidden: usize, seeds: &[u64]) -> PackedWeights {
     })
 }
 
-/// The leaf cell's outputs by token: one lazily computed `[h|c]` row per
-/// vocabulary entry.
-///
-/// A leaf invocation has no state input, so its output is a function of
-/// its token alone and — by batching transparency — of nothing else in
-/// the batch: the first computation of a token is every later one.
-/// Rows fill on first use rather than at construction: the whole table
-/// is `vocab` cell steps (0.39 GFLOP at vocab 1000, hidden 256) that a
-/// cold start would pay before its first response.
-/// `OnceLock` makes a row visible only when complete; threads racing on
-/// one token compute the same bits and the first `set` wins.
-#[derive(Debug)]
-struct LeafMemo(Box<[OnceLock<Box<[f32]>>]>);
-
-impl LeafMemo {
-    /// An empty table, or `None` above the [`MAX_PROJ_ELEMS`] cap.
-    fn new(vocab: usize, hidden: usize) -> Option<Self> {
-        (vocab.saturating_mul(2 * hidden) <= MAX_PROJ_ELEMS)
-            .then(|| LeafMemo((0..vocab).map(|_| OnceLock::new()).collect()))
-    }
-}
-
 /// TreeLSTM leaf cell: token embedding to initial `(h, c)`.
 ///
 /// ```text
@@ -92,22 +69,15 @@ pub struct TreeLeafCell {
     b: Matrix,
     embed_size: usize,
     hidden_size: usize,
-    /// `None` when the vocabulary is too large to memoise.
-    memo: Option<LeafMemo>,
-}
-
-impl Clone for TreeLeafCell {
-    /// The copy starts with an empty memo.
-    fn clone(&self) -> Self {
-        TreeLeafCell {
-            embed: self.embed.clone(),
-            w: self.w.clone(),
-            b: self.b.clone(),
-            embed_size: self.embed_size,
-            hidden_size: self.hidden_size,
-            memo: LeafMemo::new(self.vocab_size(), self.hidden_size),
-        }
-    }
+    /// The cell's outputs by token: row `t` is `[h|c]` of token `t`.
+    /// A leaf invocation has no state input, so its output is a
+    /// function of its token alone. `None` when the vocabulary is too
+    /// large for a table. Its buffer is reserved by the first step that
+    /// fills a row, not here: built with the cell, its 2 MB (vocab 1000,
+    /// hidden 256) took the tree model's heap past the allocator's trim
+    /// threshold, so every cold start gave the model's pages back and
+    /// faulted them in again (`tree_bank` `setup_s` 6.6 → 9.1 ms).
+    table: Option<TokenTable>,
 }
 
 impl TreeLeafCell {
@@ -125,7 +95,7 @@ impl TreeLeafCell {
     fn from_parts(embed: Matrix, w: PackedWeights, b: Matrix) -> Self {
         let (embed_size, hidden_size) = (embed.cols(), w.n() / 3);
         TreeLeafCell {
-            memo: LeafMemo::new(embed.rows(), hidden_size),
+            table: TokenTable::new(embed.rows(), 2 * hidden_size),
             embed,
             w,
             b,
@@ -160,8 +130,8 @@ impl TreeLeafCell {
     }
 
     /// Gather executor; see [`crate::Cell::execute_rows_in`]. Tokens
-    /// the memo has not seen are computed in one batched step and
-    /// recorded; every row is then emitted from the memo.
+    /// the table has no row for are computed in one batched step and
+    /// recorded; every row is then emitted from the table.
     pub fn execute_rows_in<F>(&self, inputs: &[RowInvocation<'_>], s: &mut Scratch, mut emit: F)
     where
         F: FnMut(usize, &[f32], &[f32], Option<u32>),
@@ -176,29 +146,24 @@ impl TreeLeafCell {
                 id
             })
             .collect();
-        let Some(LeafMemo(memo)) = &self.memo else {
+        let Some(table) = &self.table else {
             return self.step(&ids, s, emit);
         };
-        let mut missing: Vec<usize> = ids
-            .iter()
-            .copied()
-            .filter(|&id| memo[id].get().is_none())
-            .collect();
-        if !missing.is_empty() {
-            missing.sort_unstable();
-            missing.dedup();
-            self.step(&missing, s, |r, h, c, _| {
-                // Losing a race leaves the winner's identical row.
-                let _ = memo[missing[r]].set([h, c].concat().into());
-            });
-        }
-        for (r, &id) in ids.iter().enumerate() {
-            let (h, c) = memo[id]
-                .get()
-                .expect("filled above")
-                .split_at(self.hidden_size);
-            emit(r, h, c, None);
-        }
+        let hsz = self.hidden_size;
+        table.rows(
+            ids.len(),
+            |r| ids[r],
+            |missing, rows| {
+                self.step(missing, s, |_, h, c, _| {
+                    rows.extend_from_slice(h);
+                    rows.extend_from_slice(c);
+                })
+            },
+            |r, row| {
+                let (h, c) = row.split_at(hsz);
+                emit(r, h, c, None);
+            },
+        );
     }
 
     /// One batched cell step over the given tokens.
@@ -221,13 +186,6 @@ impl TreeLeafCell {
         for m in [x, z, h, c] {
             s.put(m);
         }
-    }
-
-    /// Disables the memo so tests can exercise the direct path a
-    /// too-large vocabulary would take.
-    #[cfg(test)]
-    pub(crate) fn drop_memo_for_tests(&mut self) {
-        self.memo = None;
     }
 
     /// Exports the cell's weights (§4.2 persistence).
@@ -262,7 +220,7 @@ impl TreeLeafCell {
 /// c  = i * u + fl * c_left + fr * c_right
 /// h  = o * tanh(c)
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct TreeInternalCell {
     /// `[Wi|Wfl|Wfr|Wo|Wu]`, `(2 * hidden, 5 * hidden)`, packed on the
     /// thread that builds the cell and held in no other form. Left to
@@ -370,8 +328,9 @@ impl TreeInternalCell {
 mod tests {
     use super::*;
     use crate::state::{CellState, StateRef};
+    use crate::table::without_tables;
     use crate::tests::Outputs;
-    use crate::{Cell, CellOutput};
+    use crate::{Cell, CellOutput, DecoderCell, LstmCell};
 
     /// A tree-internal invocation over two computed children.
     fn children<'a>(left: &'a CellOutput, right: &'a CellOutput) -> RowInvocation<'a> {
@@ -436,44 +395,62 @@ mod tests {
 
     #[test]
     fn memoised_rows_equal_fresh_computation() {
-        let leaf = TreeLeafCell::seeded(5, 7, 12, 3);
-        let mut direct = leaf.clone();
-        direct.drop_memo_for_tests();
+        // Every cell kind with a token table, against the same cell
+        // built without one.
+        let cells = || {
+            [
+                Cell::TreeLeaf(TreeLeafCell::seeded(5, 7, 12, 3)),
+                Cell::Lstm(LstmCell::seeded(5, 7, 12, 3)),
+                Cell::Decoder(DecoderCell::seeded(5, 7, 12, 3)),
+            ]
+        };
         let batch = |tokens: &[u32]| -> Vec<RowInvocation<'static>> {
             tokens
                 .iter()
                 .map(|&t| RowInvocation::token_only(t))
                 .collect()
         };
-        // Fill 4 and 9; then a batch of hits, misses and repeats.
-        let first = leaf.outputs(&batch(&[4, 9]));
-        assert_eq!(first, direct.outputs(&batch(&[4, 9])));
         let mixed = [9, 2, 4, 2, 11, 9];
-        let want = direct.outputs(&batch(&mixed));
-        assert_eq!(leaf.outputs(&batch(&mixed)), want);
-        // All hits now.
-        assert_eq!(leaf.outputs(&batch(&mixed)), want);
-        // A clone starts empty and computes the same rows.
-        assert_eq!(leaf.clone().outputs(&batch(&mixed)), want);
+        for ((cell, new), direct) in cells().iter().zip(cells()).zip(without_tables(cells)) {
+            let kind = cell.kind_name();
+            // Fill 4 and 9; then a batch of hits, misses and repeats.
+            let first = cell.outputs(&batch(&[4, 9]));
+            assert_eq!(first, direct.outputs(&batch(&[4, 9])), "{kind}");
+            let want = direct.outputs(&batch(&mixed));
+            assert_eq!(cell.outputs(&batch(&mixed)), want, "{kind}");
+            // All hits now.
+            assert_eq!(cell.outputs(&batch(&mixed)), want, "{kind}");
+            // A new cell fills the batch's rows, repeats included, at once.
+            assert_eq!(new.outputs(&batch(&mixed)), want, "{kind}");
+        }
     }
 
     #[test]
     fn threads_racing_on_one_token_agree() {
-        let leaf = TreeLeafCell::seeded(5, 7, 12, 3);
-        let mut direct = leaf.clone();
-        direct.drop_memo_for_tests();
-        let want = direct.outputs(&[RowInvocation::token_only(6)]);
-        let start = std::sync::Barrier::new(2);
-        let race = || {
-            start.wait();
-            leaf.outputs(&[RowInvocation::token_only(6)])
+        // Every cell kind with a token table: two threads step a new
+        // cell on one token at once, and both get the row a cell
+        // without a table computes, whichever thread fills it.
+        let cells = || {
+            [
+                Cell::TreeLeaf(TreeLeafCell::seeded(5, 7, 12, 3)),
+                Cell::Lstm(LstmCell::seeded(5, 7, 12, 3)),
+                Cell::Decoder(DecoderCell::seeded(5, 7, 12, 3)),
+            ]
         };
-        let (a, b) = std::thread::scope(|sc| {
-            let other = sc.spawn(race);
-            (race(), other.join().expect("racing thread"))
-        });
-        assert_eq!(a, want);
-        assert_eq!(b, want);
+        for (cell, direct) in cells().iter().zip(without_tables(cells)) {
+            let want = direct.outputs(&[RowInvocation::token_only(6)]);
+            let start = std::sync::Barrier::new(2);
+            let race = || {
+                start.wait();
+                cell.outputs(&[RowInvocation::token_only(6)])
+            };
+            let (a, b) = std::thread::scope(|sc| {
+                let other = sc.spawn(race);
+                (race(), other.join().expect("racing thread"))
+            });
+            assert_eq!(a, want, "{}", cell.kind_name());
+            assert_eq!(b, want, "{}", cell.kind_name());
+        }
     }
 
     #[test]
@@ -531,12 +508,12 @@ mod tests {
         let (leaf_bundle, internal_bundle) = (bundle_of(&old_leaf), bundle_of(&old_internal));
         assert_eq!(leaf.to_bundle(), leaf_bundle);
         assert_eq!(internal.to_bundle(), internal_bundle);
-        let leaf2 = TreeLeafCell::from_bundle(&leaf_bundle).expect("leaf bundle");
-        let internal2 = TreeInternalCell::from_bundle(&internal_bundle).expect("internal bundle");
-        assert!(Cell::TreeLeaf(leaf2.clone()).same_type(&Cell::TreeLeaf(leaf.clone())));
-        assert!(
-            Cell::TreeInternal(internal2.clone()).same_type(&Cell::TreeInternal(internal.clone()))
-        );
+        let (leaf, internal) = (Cell::TreeLeaf(leaf), Cell::TreeInternal(internal));
+        let leaf2 = Cell::from_bundle("tree_leaf", &leaf_bundle).expect("leaf bundle");
+        let internal2 =
+            Cell::from_bundle("tree_internal", &internal_bundle).expect("internal bundle");
+        assert!(leaf2.same_type(&leaf));
+        assert!(internal2.same_type(&internal));
         let tokens = [RowInvocation::token_only(1), RowInvocation::token_only(7)];
         let kids = leaf.outputs(&tokens);
         assert_eq!(leaf2.outputs(&tokens), kids);

@@ -9,8 +9,8 @@
 mod support;
 
 use bm_cell::{
-    Cell, CellOutput, CellState, DecoderCell, EncoderCell, LstmCell, RowInvocation, Scratch,
-    StateRef, TreeInternalCell, TreeLeafCell,
+    Cell, CellOutput, CellState, DecoderCell, LstmCell, RowInvocation, Scratch, StateRef,
+    TreeInternalCell, TreeLeafCell,
 };
 use std::sync::OnceLock;
 
@@ -38,7 +38,6 @@ fn outputs(cell: &Cell, inputs: &[RowInvocation<'_>]) -> Vec<CellOutput> {
 fn cells() -> Vec<Cell> {
     vec![
         Cell::Lstm(LstmCell::seeded(6, 8, VOCAB, 11)),
-        Cell::Encoder(EncoderCell::seeded(6, 8, VOCAB, 13)),
         Cell::Decoder(DecoderCell::seeded(6, 8, VOCAB, 14)),
         Cell::TreeLeaf(TreeLeafCell::seeded(6, 8, VOCAB, 15)),
         Cell::TreeInternal(TreeInternalCell::seeded(8, 16)),
@@ -149,15 +148,14 @@ fn lstm_formula(
     (h, c, words)
 }
 
-/// The three chain cell kinds over a vocabulary too large for a token
-/// table, and their bundles, built once.
+/// The chain cells over a vocabulary too large for a token table, and
+/// their bundles, built once.
 fn capped_chain_cells() -> &'static [(Cell, WeightBundle)] {
     static CELLS: OnceLock<Vec<(Cell, WeightBundle)>> = OnceLock::new();
     CELLS.get_or_init(|| {
         let (e, h, v) = (CAPPED_EMBED, CAPPED_HIDDEN, CAPPED_VOCAB);
         [
             Cell::Lstm(LstmCell::seeded(e, h, v, 31)),
-            Cell::Encoder(EncoderCell::seeded(e, h, v, 32)),
             Cell::Decoder(DecoderCell::seeded(e, h, v, 33)),
         ]
         .into_iter()
@@ -265,7 +263,6 @@ proptest! {
         } else {
             seeded = [
                 Cell::Lstm(LstmCell::seeded(7, 19, VOCAB, seed)),
-                Cell::Encoder(EncoderCell::seeded(7, 19, VOCAB, seed ^ 1)),
                 Cell::Decoder(DecoderCell::seeded(7, 19, VOCAB, seed ^ 2)),
             ]
             .map(|cell| {

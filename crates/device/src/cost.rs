@@ -225,9 +225,10 @@ mod tests {
 
     #[test]
     fn decoder_costs_more_than_encoder() {
-        use bm_cell::{DecoderCell, EncoderCell};
+        // The encoder is an LSTM cell.
+        use bm_cell::DecoderCell;
         let m = GpuCostModel::v100();
-        let enc = Cell::Encoder(EncoderCell::seeded(1024, 1024, 4, 1));
+        let enc = Cell::Lstm(LstmCell::seeded(1024, 1024, 4, 1));
         // FLOPs depend on the projection width; build a decoder whose
         // vocab matches the paper's 30k without materializing the full
         // embedding: use vocab 30_000 but tiny embed for test speed is
@@ -235,7 +236,7 @@ mod tests {
         // check instead: decoder flops > 3x encoder flops (§7.4: decode
         // is ~75 % of compute).
         let dec = Cell::Decoder(DecoderCell::seeded(64, 64, 2000, 1));
-        let enc_small = Cell::Encoder(EncoderCell::seeded(64, 64, 2000, 1));
+        let enc_small = Cell::Lstm(LstmCell::seeded(64, 64, 2000, 1));
         assert!(dec.flops(16) > 3 * enc_small.flops(16));
         assert!(m.kernel_time_us(&enc, 512) > 0.0);
     }

@@ -31,7 +31,7 @@ impl CostProfile {
             .iter()
             .map(|m| {
                 let f = match m.cell.as_ref() {
-                    Cell::Lstm(_) | Cell::Encoder(_) => cost::lstm_flops(1, hidden, hidden),
+                    Cell::Lstm(_) => cost::lstm_flops(1, hidden, hidden),
                     Cell::Decoder(_) => {
                         cost::lstm_flops(1, hidden, hidden)
                             + cost::projection_flops(1, hidden, vocab)

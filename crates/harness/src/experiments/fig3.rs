@@ -67,7 +67,7 @@ pub fn cpu_curve(scale: Scale) -> (usize, Vec<(usize, f64)>) {
         Scale::Quick => 256,
         Scale::Full => 1024,
     };
-    let cell = LstmCell::seeded(hidden, hidden, 64, 7);
+    let cell = Cell::Lstm(LstmCell::seeded(hidden, hidden, 64, 7));
     let mut scratch = Scratch::new();
     let mut step = |invs: &[RowInvocation<'_>]| {
         cell.execute_rows_in(invs, &mut scratch, |row, h, c, token| {

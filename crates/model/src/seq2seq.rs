@@ -1,11 +1,12 @@
 //! Sequence-to-sequence translation model (paper §7.4, Figure 12).
 //!
-//! Two cell types: encoder and decoder, with separate weights. The
-//! encoder chain consumes the source tokens; the first decoder step takes
-//! the final encoder state and the `<go>` token; each subsequent decoder
-//! step consumes the token produced by its predecessor ("feed previous").
+//! Two cell types: encoder (an LSTM cell) and decoder, with separate
+//! weights. The encoder chain consumes the source tokens; the first
+//! decoder step takes the final encoder state and the `<go>` token; each
+//! subsequent decoder step consumes the token produced by its
+//! predecessor ("feed previous").
 
-use bm_cell::{Cell, CellRegistry, CellTypeId, DecoderCell, EncoderCell};
+use bm_cell::{Cell, CellRegistry, CellTypeId, DecoderCell, LstmCell};
 
 use crate::graph::{CellGraph, TokenSource};
 use crate::{Model, RequestInput, EOS_TOKEN, GO_TOKEN};
@@ -59,6 +60,7 @@ pub struct Seq2Seq {
     registry: CellRegistry,
     encoder: CellTypeId,
     decoder: CellTypeId,
+    /// The source vocabulary: the encoder's embedding rows.
     vocab: usize,
     eos_terminates: bool,
 }
@@ -70,27 +72,26 @@ impl Seq2Seq {
     /// models, decoder nodes should have priority over encoder nodes"
     /// (§4.3).
     pub fn new(cfg: Seq2SeqConfig) -> Self {
+        let (e, h, v, seed) = (cfg.embed_size, cfg.hidden_size, cfg.vocab, cfg.seed);
+        let encoder = LstmCell::from_seeds(e, h, v, seed ^ 0xe4c0_0001, seed ^ 0xe4c0_0002);
+        Self::with_cells(encoder, DecoderCell::seeded(e, h, v, seed), cfg)
+    }
+
+    /// Registers the two cells, with the batching and priority
+    /// parameters of `cfg`.
+    fn with_cells(encoder: LstmCell, decoder: DecoderCell, cfg: Seq2SeqConfig) -> Self {
+        let vocab = encoder.vocab_size();
         let mut registry = CellRegistry::new();
         let encoder = registry.register(
             "encoder",
-            Cell::Encoder(EncoderCell::seeded(
-                cfg.embed_size,
-                cfg.hidden_size,
-                cfg.vocab,
-                cfg.seed,
-            )),
+            Cell::Lstm(encoder),
             if cfg.decoder_priority { 0 } else { 1 },
             cfg.min_batch,
             cfg.encoder_max_batch,
         );
         let decoder = registry.register(
             "decoder",
-            Cell::Decoder(DecoderCell::seeded(
-                cfg.embed_size,
-                cfg.hidden_size,
-                cfg.vocab,
-                cfg.seed,
-            )),
+            Cell::Decoder(decoder),
             if cfg.decoder_priority { 1 } else { 0 },
             cfg.min_batch,
             cfg.decoder_max_batch,
@@ -99,7 +100,7 @@ impl Seq2Seq {
             registry,
             encoder,
             decoder,
-            vocab: cfg.vocab,
+            vocab,
             eos_terminates: cfg.eos_terminates,
         }
     }
@@ -130,36 +131,20 @@ impl Seq2Seq {
     /// Loads a model from saved weights; shapes are inferred from the
     /// file, batching/priority parameters come from `cfg` (its size/seed
     /// fields are ignored).
+    ///
+    /// Fails if the file's encoder and decoder have different hidden
+    /// widths: the first decoder step takes the encoder's final state.
     pub fn load(path: impl AsRef<std::path::Path>, cfg: Seq2SeqConfig) -> Result<Self, String> {
         let packed = bm_tensor::io::WeightBundle::load(path).map_err(|e| e.to_string())?;
-        let enc = Cell::from_bundle("encoder", &packed.sub_bundle("encoder"))?;
-        let dec = Cell::from_bundle("decoder", &packed.sub_bundle("decoder"))?;
-        let vocab = match &dec {
-            Cell::Decoder(d) => d.vocab_size(),
-            _ => unreachable!(),
-        };
-        let mut registry = CellRegistry::new();
-        let encoder = registry.register(
-            "encoder",
-            enc,
-            if cfg.decoder_priority { 0 } else { 1 },
-            cfg.min_batch,
-            cfg.encoder_max_batch,
-        );
-        let decoder = registry.register(
-            "decoder",
-            dec,
-            if cfg.decoder_priority { 1 } else { 0 },
-            cfg.min_batch,
-            cfg.decoder_max_batch,
-        );
-        Ok(Seq2Seq {
-            registry,
-            encoder,
-            decoder,
-            vocab,
-            eos_terminates: cfg.eos_terminates,
-        })
+        let encoder = LstmCell::from_bundle(&packed.sub_bundle("encoder"))?;
+        let decoder = DecoderCell::from_bundle(&packed.sub_bundle("decoder"))?;
+        let (enc_hidden, dec_hidden) = (encoder.hidden_size(), decoder.hidden_size());
+        if enc_hidden != dec_hidden {
+            return Err(format!(
+                "encoder hidden width {enc_hidden} differs from decoder hidden width {dec_hidden}"
+            ));
+        }
+        Ok(Self::with_cells(encoder, decoder, cfg))
     }
 }
 

@@ -128,31 +128,27 @@ pub struct TreeLstm {
 impl TreeLstm {
     /// Builds the model, registering leaf and internal cell types.
     pub fn new(cfg: TreeLstmConfig) -> Self {
+        let (e, h, v, seed) = (cfg.embed_size, cfg.hidden_size, cfg.vocab, cfg.seed);
+        Self::with_cells(
+            TreeLeafCell::seeded(e, h, v, seed),
+            TreeInternalCell::seeded(h, seed),
+            cfg,
+        )
+    }
+
+    /// Registers the two cells, with the batching parameters of `cfg`.
+    fn with_cells(leaf: TreeLeafCell, internal: TreeInternalCell, cfg: TreeLstmConfig) -> Self {
+        let vocab = leaf.vocab_size();
         let mut registry = CellRegistry::new();
-        let leaf = registry.register(
-            "tree_leaf",
-            Cell::TreeLeaf(TreeLeafCell::seeded(
-                cfg.embed_size,
-                cfg.hidden_size,
-                cfg.vocab,
-                cfg.seed,
-            )),
-            0,
-            cfg.min_batch,
-            cfg.max_batch,
-        );
-        let internal = registry.register(
-            "tree_internal",
-            Cell::TreeInternal(TreeInternalCell::seeded(cfg.hidden_size, cfg.seed)),
-            1,
-            cfg.min_batch,
-            cfg.max_batch,
-        );
+        let (min, max) = (cfg.min_batch, cfg.max_batch);
+        let leaf = registry.register("tree_leaf", Cell::TreeLeaf(leaf), 0, min, max);
+        let internal =
+            registry.register("tree_internal", Cell::TreeInternal(internal), 1, min, max);
         TreeLstm {
             registry,
             leaf,
             internal,
-            vocab: cfg.vocab,
+            vocab,
         }
     }
 
@@ -182,29 +178,20 @@ impl TreeLstm {
     /// Loads a model from saved weights; shapes are inferred from the
     /// file, batching parameters come from `cfg` (its size/seed fields
     /// are ignored).
+    ///
+    /// Fails if the file's leaf and internal cells have different hidden
+    /// widths: an internal cell takes its children's states.
     pub fn load(path: impl AsRef<std::path::Path>, cfg: TreeLstmConfig) -> Result<Self, String> {
         let packed = bm_tensor::io::WeightBundle::load(path).map_err(|e| e.to_string())?;
-        let leaf_cell = Cell::from_bundle("tree_leaf", &packed.sub_bundle("leaf"))?;
-        let internal_cell = Cell::from_bundle("tree_internal", &packed.sub_bundle("internal"))?;
-        let vocab = match &leaf_cell {
-            Cell::TreeLeaf(c) => c.vocab_size(),
-            _ => unreachable!(),
-        };
-        let mut registry = CellRegistry::new();
-        let leaf = registry.register("tree_leaf", leaf_cell, 0, cfg.min_batch, cfg.max_batch);
-        let internal = registry.register(
-            "tree_internal",
-            internal_cell,
-            1,
-            cfg.min_batch,
-            cfg.max_batch,
-        );
-        Ok(TreeLstm {
-            registry,
-            leaf,
-            internal,
-            vocab,
-        })
+        let leaf_cell = TreeLeafCell::from_bundle(&packed.sub_bundle("leaf"))?;
+        let internal_cell = TreeInternalCell::from_bundle(&packed.sub_bundle("internal"))?;
+        let (leaf_hidden, internal_hidden) = (leaf_cell.hidden_size(), internal_cell.hidden_size());
+        if leaf_hidden != internal_hidden {
+            return Err(format!(
+                "leaf hidden width {leaf_hidden} differs from internal hidden width {internal_hidden}"
+            ));
+        }
+        Ok(Self::with_cells(leaf_cell, internal_cell, cfg))
     }
 
     fn unfold_into(&self, shape: &TreeShape, g: &mut CellGraph) -> NodeId {

@@ -2,11 +2,14 @@
 //! loads each cell's definition and its pre-trained weights from files")
 //! must reproduce the original model bit-for-bit.
 
-use bm_cell::{Cell, CellRegistry};
+use std::sync::Arc;
+
+use bm_cell::CellRegistry;
 use bm_model::{
     reference, LstmLm, LstmLmConfig, Model, RequestInput, Seq2Seq, Seq2SeqConfig, TreeLstm,
     TreeLstmConfig, TreeShape,
 };
+use bm_tensor::io::WeightBundle;
 
 fn tmp(name: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join("bm_model_persistence");
@@ -25,7 +28,7 @@ fn lstm_lm_round_trip() {
     // Same cell type identity (weights bit-identical): the loaded cell
     // registers as the original's type.
     let mut reg = CellRegistry::new();
-    let cell = |m: &LstmLm| Cell::clone(m.registry().cell(m.cell_type()));
+    let cell = |m: &LstmLm| Arc::clone(m.registry().cell(m.cell_type()));
     let id = reg.register("original", cell(&original), 0, 1, 8);
     assert_eq!(reg.register("loaded", cell(&loaded), 0, 1, 8), id);
     // Same inference results.
@@ -67,6 +70,95 @@ fn treelstm_round_trip() {
     let a = reference::execute_graph(&original.unfold(&input), original.registry());
     let b = reference::execute_graph(&loaded.unfold(&input), loaded.registry());
     assert_eq!(a, b);
+    std::fs::remove_file(&path).ok();
+}
+
+/// The weights `save` writes, read back.
+fn saved(name: &str, save: impl FnOnce(&std::path::Path) -> Result<(), String>) -> WeightBundle {
+    let path = tmp(name);
+    save(&path).unwrap();
+    let bundle = WeightBundle::load(&path).unwrap();
+    std::fs::remove_file(&path).ok();
+    bundle
+}
+
+/// Saves a file whose section `first` is the one `a` writes and whose
+/// section `second` is the one `b` writes.
+fn spliced(
+    name: &str,
+    [first, second]: [&str; 2],
+    a: impl FnOnce(&std::path::Path) -> Result<(), String>,
+    b: impl FnOnce(&std::path::Path) -> Result<(), String>,
+) -> std::path::PathBuf {
+    let mut file = WeightBundle::new();
+    file.merge_prefixed(first, &saved(&format!("{name}.a"), a).sub_bundle(first));
+    file.merge_prefixed(second, &saved(&format!("{name}.b"), b).sub_bundle(second));
+    let path = tmp(name);
+    file.save(&path).unwrap();
+    path
+}
+
+#[test]
+fn seq2seq_load_rejects_encoder_and_decoder_of_different_widths() {
+    // Serving it would panic on the first decoder step, which takes the
+    // encoder's final state.
+    let cfg = Seq2SeqConfig::default();
+    let wide = Seq2Seq::new(Seq2SeqConfig {
+        hidden_size: cfg.hidden_size + 8,
+        ..cfg
+    });
+    let path = spliced(
+        "s2s_widths.bmt",
+        ["encoder", "decoder"],
+        |p| wide.save(p),
+        |p| Seq2Seq::new(cfg).save(p),
+    );
+    let err = Seq2Seq::load(&path, cfg).unwrap_err();
+    assert!(err.contains("hidden width"), "{err}");
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn seq2seq_validates_source_tokens_against_the_encoder_vocabulary() {
+    // Source tokens index the encoder's embedding, whatever the decoder's
+    // vocabulary: a token past the encoder's must be refused, not panic
+    // the serving thread.
+    let cfg = Seq2SeqConfig::default();
+    let small = Seq2Seq::new(Seq2SeqConfig { vocab: 10, ..cfg });
+    let big = Seq2Seq::new(Seq2SeqConfig { vocab: 20, ..cfg });
+    let path = spliced(
+        "s2s_vocab.bmt",
+        ["encoder", "decoder"],
+        |p| small.save(p),
+        |p| big.save(p),
+    );
+    let loaded = Seq2Seq::load(&path, cfg).unwrap();
+    let pair = |t| RequestInput::Pair {
+        src: vec![t],
+        decode_len: 1,
+    };
+    assert!(loaded.validate(&pair(9)).is_ok());
+    assert!(loaded.validate(&pair(15)).is_err());
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn treelstm_load_rejects_leaf_and_internal_of_different_widths() {
+    // Serving it would panic on the first internal cell, which takes its
+    // children's states.
+    let cfg = TreeLstmConfig::default();
+    let wide = TreeLstm::new(TreeLstmConfig {
+        hidden_size: cfg.hidden_size + 8,
+        ..cfg
+    });
+    let path = spliced(
+        "tree_widths.bmt",
+        ["leaf", "internal"],
+        |p| wide.save(p),
+        |p| TreeLstm::new(cfg).save(p),
+    );
+    let err = TreeLstm::load(&path, cfg).unwrap_err();
+    assert!(err.contains("hidden width"), "{err}");
     std::fs::remove_file(&path).ok();
 }
 
