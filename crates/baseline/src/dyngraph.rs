@@ -118,7 +118,7 @@ impl DynGraphServer {
 }
 
 impl Server for DynGraphServer {
-    fn on_arrival(&mut self, req: SimRequest, _now_us: u64) {
+    fn on_arrival(&mut self, req: SimRequest, _now_us: u64) -> bool {
         let graph = self.model.unfold(&req.input);
         let hist = level_histogram(&graph);
         self.queue.push_back((
@@ -129,6 +129,7 @@ impl Server for DynGraphServer {
             hist,
         ));
         self.pending += 1;
+        true
     }
 
     fn next_work(&mut self, _worker: usize, _now_us: u64) -> Vec<WorkItem> {

@@ -70,13 +70,14 @@ impl IdealServer {
 }
 
 impl Server for IdealServer {
-    fn on_arrival(&mut self, req: SimRequest, _now_us: u64) {
+    fn on_arrival(&mut self, req: SimRequest, _now_us: u64) -> bool {
         assert_eq!(
             req.input, self.expected,
             "ideal baseline only serves its hardcoded input shape"
         );
         self.queue.push_back((req.id, req.arrival_us));
         self.pending += 1;
+        true
     }
 
     fn next_work(&mut self, _worker: usize, _now_us: u64) -> Vec<WorkItem> {
@@ -173,7 +174,6 @@ mod tests {
                 id: 0,
                 input: RequestInput::Tree(TreeShape::leaf(1)),
                 arrival_us: 0,
-                deadline_us: None,
             },
             0,
         );

@@ -146,7 +146,7 @@ impl PaddingServer {
 }
 
 impl Server for PaddingServer {
-    fn on_arrival(&mut self, req: SimRequest, _now_us: u64) {
+    fn on_arrival(&mut self, req: SimRequest, _now_us: u64) -> bool {
         let (src_len, dec_len) = match &req.input {
             RequestInput::Sequence(s) => (s.len(), 0),
             RequestInput::Pair { src, decode_len } => (src.len(), *decode_len),
@@ -164,6 +164,7 @@ impl Server for PaddingServer {
             dec_len,
         });
         self.pending += 1;
+        true
     }
 
     fn next_work(&mut self, _worker: usize, now_us: u64) -> Vec<WorkItem> {
@@ -405,7 +406,6 @@ mod tests {
                 id: 0,
                 input: RequestInput::Tree(TreeShape::leaf(1)),
                 arrival_us: 0,
-                deadline_us: None,
             },
             0,
         );

@@ -3,13 +3,14 @@
 //! [`ServeConfig`] is the one place a serving knob is set: deadlines,
 //! the admission cap, shard count, observability sinks. The first two
 //! are the only overload controls between a socket and the engine.
-//! [`crate::SchedulerConfig`] (and through it [`crate::RuntimeOptions`])
-//! and `bm_sim::SimOptions` each embed one, so a deployment configures
-//! these once whether it runs the threaded runtime, the simulator or
-//! the network front door. No field chooses between two implementations
-//! of one behaviour: which execution plane a cell runs on follows from
-//! the cell, the front door's readiness backend from the platform, and
-//! batch formation is Algorithm 1.
+//! [`crate::SchedulerConfig`] embeds one, and every driver of the
+//! engine takes it from there: a runtime shard (through
+//! [`crate::RuntimeOptions`]), the network front door, and the
+//! simulator's `bm_sim::CellularServer`. A deployment configures these
+//! once whichever of them it runs. No field chooses between two
+//! implementations of one behaviour: which execution plane a cell runs
+//! on follows from the cell, the front door's readiness backend from
+//! the platform, and batch formation is Algorithm 1.
 
 use std::sync::Arc;
 
@@ -19,9 +20,10 @@ use bm_trace::TraceSink;
 /// Serving knobs shared by every driver of the cellular-batching
 /// engine.
 ///
-/// Embedded by [`crate::SchedulerConfig`] (and therefore
-/// [`crate::RuntimeOptions`]) and `bm_sim::SimOptions`; the network
-/// front door serves through a runtime started from the same struct.
+/// Embedded by [`crate::SchedulerConfig`], and therefore by
+/// [`crate::RuntimeOptions`] and the simulated `bm_sim::CellularServer`;
+/// the network front door serves through a runtime started from the
+/// same struct.
 /// Built fluently (`#[non_exhaustive]` forbids literal construction so
 /// new knobs can be added compatibly):
 ///
@@ -57,10 +59,10 @@ pub struct ServeConfig {
     /// site.
     pub trace: Arc<dyn TraceSink>,
     /// Metric registry for live serving telemetry; defaults to the
-    /// disabled registry (one branch per call site, no allocation). The
-    /// simulator records into it directly; the threaded runtime takes an
-    /// enabled registry as the switch and records per shard, read back
-    /// through `Runtime::snapshot`.
+    /// disabled registry (one branch per call site, no allocation). A
+    /// simulated server records into it directly; the threaded runtime
+    /// takes an enabled registry as the switch and records per shard,
+    /// read back through `Runtime::snapshot`.
     pub telemetry: Arc<Telemetry>,
 }
 

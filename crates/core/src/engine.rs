@@ -102,11 +102,10 @@ pub const STAGE_NAMES: [&str; 4] = [
     "compute",
 ];
 
-/// Telemetry handles the engine records into when a live registry is
-/// attached ([`CellularEngine::set_telemetry`]). All handles are
-/// registered once at attach time; the hot path pays one
-/// `Option::is_some` branch per site when telemetry is disabled,
-/// mirroring the trace plane's `enabled()` gate.
+/// Telemetry handles the engine records into when its config carries an
+/// enabled registry. All handles are registered once, at construction;
+/// the hot path pays one `Option::is_some` branch per site when
+/// telemetry is disabled, mirroring the trace plane's `enabled()` gate.
 #[derive(Debug)]
 struct EngineMetrics {
     requests_admitted: Counter,
@@ -387,10 +386,10 @@ pub struct CellularEngine {
 impl CellularEngine {
     /// Creates an engine over the given registry.
     ///
-    /// The embedded [`ServeConfig`] supplies the observability sinks: a
-    /// configured trace sink or enabled telemetry registry is installed
-    /// directly, as if [`CellularEngine::set_trace_sink`] /
-    /// [`CellularEngine::set_telemetry`] had been called.
+    /// The embedded [`ServeConfig`] supplies the observability sinks: the
+    /// engine records every scheduling decision and request-lifecycle
+    /// transition into its trace sink, and into its telemetry registry
+    /// when that is enabled. They are fixed for the engine's life.
     pub fn new(registry: Arc<CellRegistry>, cfg: SchedulerConfig) -> Self {
         let queues = (0..registry.len()).map(|_| TypeQueue::default()).collect();
         let metrics = cfg
@@ -421,23 +420,6 @@ impl CellularEngine {
     /// task ids never collide.
     pub(crate) fn number_tasks_from(&mut self, first: u64) {
         self.next_task = first;
-    }
-
-    /// Attaches a trace sink; every subsequent scheduling decision and
-    /// request-lifecycle transition is recorded into it.
-    pub fn set_trace_sink(&mut self, sink: Arc<dyn TraceSink>) {
-        self.trace = sink;
-    }
-
-    /// Attaches a telemetry registry: registers the engine's counters,
-    /// gauges and per-cell-type histograms and records into them from
-    /// every subsequent transition. A disabled registry
-    /// (`Telemetry::disabled()`) detaches metrics instead, restoring
-    /// the one-branch-per-site cold path.
-    pub fn set_telemetry(&mut self, tel: &Telemetry) {
-        self.metrics = tel
-            .enabled()
-            .then(|| EngineMetrics::new(tel, &self.registry));
     }
 
     /// Advances the engine's event clock without any other effect.

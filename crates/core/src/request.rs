@@ -3,9 +3,9 @@
 //! [`Request`] is the single entry point for submitting work to any
 //! driver of the cellular-batching stack — the threaded
 //! [`crate::Runtime`], the engine itself
-//! ([`crate::CellularEngine::on_request`]), the discrete-event
-//! simulator (`bm_sim::simulate_requests`) and the network wire format
-//! (`bm-net`) all accept it. It replaces the old
+//! ([`crate::CellularEngine::on_request`], through which the
+//! simulator's `bm_sim::CellularServer` admits) and the network wire
+//! format (`bm-net`) all accept it. It replaces the old
 //! `submit` / `try_submit` / `try_submit_with_deadline` trio, whose
 //! deadline handling lived in the method name instead of the request.
 //!

@@ -1226,6 +1226,12 @@ impl Shard {
             if let Some(m) = &self.metrics {
                 m.busy.add(finished_us - started_us);
             }
+            // A deadline that passed while the task ran expires its
+            // request before the task can complete it, as the simulator
+            // expires at the deadline instant.
+            for done in self.engine.expire(finished_us) {
+                self.resolve(done);
+            }
             for done in self.engine.on_task_completed(task.id, &tokens, finished_us) {
                 self.resolve(done);
             }

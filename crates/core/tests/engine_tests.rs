@@ -673,12 +673,11 @@ fn requests_expire_in_deadline_order_and_only_when_due() {
     use bm_trace::{EventKind, RingBufferSink};
 
     let m = LstmLm::small();
+    let sink = Arc::new(RingBufferSink::new(64));
     let mut eng = CellularEngine::new(
         Arc::new(m.registry().clone()),
-        SchedulerConfig::new().serve(ServeConfig::new().deadline_us(50)),
+        SchedulerConfig::new().serve(ServeConfig::new().deadline_us(50).trace(sink.clone())),
     );
-    let sink = Arc::new(RingBufferSink::new(64));
-    eng.set_trace_sink(sink.clone());
     let input = RequestInput::Sequence(vec![1; 2]);
     let arrive = |eng: &mut CellularEngine, id: u64, now: u64, req: Request| {
         eng.on_request(RequestId(id), m.unfold(&input), now, &req);
@@ -730,12 +729,17 @@ fn telemetry_reconciles_with_scheduler_stats() {
     // cumulative stats, and the four-stage latency decomposition must
     // telescope to exactly the end-to-end latency of every completed
     // request.
+    use bm_core::ServeConfig;
     use bm_telemetry::{MetricValue, Telemetry};
 
     let m = LstmLm::small();
-    let mut eng = engine_for(&m, 3);
     let tel = Telemetry::new();
-    eng.set_telemetry(&tel);
+    let mut eng = CellularEngine::new(
+        Arc::new(m.registry().clone()),
+        SchedulerConfig::new()
+            .max_tasks_to_submit(3)
+            .serve(ServeConfig::new().telemetry(Arc::clone(&tel))),
+    );
 
     let n = 8u64;
     for r in 0..n {
@@ -822,8 +826,8 @@ fn telemetry_reconciles_with_scheduler_stats() {
 #[test]
 fn detached_telemetry_records_nothing() {
     let m = LstmLm::small();
+    // The default config carries the disabled registry.
     let mut eng = engine_for(&m, 3);
-    eng.set_telemetry(&bm_telemetry::Telemetry::disabled());
     eng.on_arrival(
         RequestId(0),
         m.unfold(&RequestInput::Sequence(vec![1; 3])),

@@ -1269,6 +1269,45 @@ fn a_resolved_request_leaves_no_deadline_behind() {
     rt.shutdown();
 }
 
+/// A request completes, or its deadline passes (DESIGN §4b): a deadline
+/// that passes while the task finishing a request runs expires the
+/// request, so no `Completed` outcome is later than its deadline. A
+/// hidden-1024 step takes longer than the 500 µs deadline, so requests
+/// admitted on time would otherwise complete late.
+#[test]
+fn no_request_completes_after_its_deadline() {
+    const DEADLINE_US: u64 = 500;
+    let model = Arc::new(LstmLm::new(bm_model::LstmLmConfig {
+        embed_size: 1024,
+        hidden_size: 1024,
+        vocab: 16,
+        ..Default::default()
+    }));
+    let opts = serving(ServeConfig::new().shards(1));
+    let (rt, mut shard) = Runtime::start_hosted(model, opts, Arc::new(|| {}));
+    let handles: Vec<_> = (0..5)
+        .map(|t| {
+            let input = RequestInput::Sequence(vec![t]);
+            rt.submit_request(Request::from(&input).deadline_us(DEADLINE_US))
+                .expect("submit")
+        })
+        .collect();
+    drain(&mut shard);
+    for h in handles {
+        match h.wait() {
+            ServedOutcome::Completed(served) => {
+                let t = served.timing;
+                let took = t.completion_us - t.arrival_us;
+                assert!(took < DEADLINE_US, "completed {took} µs after arrival");
+            }
+            ServedOutcome::Expired(_) => {}
+            other => panic!("unexpected outcome: {other:?}"),
+        }
+    }
+    assert_eq!(shard.active(), 0);
+    rt.shutdown();
+}
+
 /// Shutting the runtime down never sends into a hosted shard's inbox —
 /// nobody but the host drains it, and the host may be the thread
 /// shutting down — and what the host drains afterwards still completes.

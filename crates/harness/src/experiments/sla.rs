@@ -13,7 +13,7 @@
 
 use std::sync::Arc;
 
-use bm_core::ServeConfig;
+use bm_core::{SchedulerConfig, ServeConfig};
 use bm_metrics::{SlaSummary, Table};
 use bm_model::{LstmLm, LstmLmConfig};
 use bm_sim::{simulate, SimOptions};
@@ -55,7 +55,12 @@ pub fn run_points(scale: Scale) -> Vec<SlaPoint> {
         max_batch: 512,
         ..Default::default()
     }));
-    let factory = ServerFactory::paper(model);
+    let mut factory = ServerFactory::paper(model);
+    factory.scheduler = SchedulerConfig::new().serve(
+        ServeConfig::new()
+            .deadline_us(SLA_US)
+            .max_active(MAX_ACTIVE),
+    );
     let ds = Dataset::lstm(20_000, LengthDistribution::wmt15_clipped(50), 900, 0x51a);
     let mut points = Vec::new();
     for &rate in &scale.rates(RATES) {
@@ -65,12 +70,7 @@ pub fn run_points(scale: Scale) -> Vec<SlaPoint> {
         let mut server = factory.build(&SystemKind::BatchMaker);
         let opts = SimOptions::new()
             .workers(1)
-            .max_sim_us(span.saturating_mul(4).max(5_000_000))
-            .serve_config(
-                ServeConfig::new()
-                    .deadline_us(SLA_US)
-                    .max_active(MAX_ACTIVE),
-            );
+            .max_sim_us(span.saturating_mul(4).max(5_000_000));
         let out = simulate(server.as_mut(), &arr, opts);
         let summary = SlaSummary::new(
             n,

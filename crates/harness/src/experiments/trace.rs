@@ -2,8 +2,9 @@
 //!
 //! Not a paper figure — the observability companion to the scheduler:
 //! serves a short LSTM run and a short Seq2Seq run through the
-//! simulated [`CellularServer`] with a [`RingBufferSink`] attached, then
-//! writes two artifacts per run under the results directory:
+//! simulated `CellularServer` with a [`RingBufferSink`] in its serve
+//! config, then writes two artifacts per run under the results
+//! directory:
 //!
 //! - `trace_<run>.chrome.json` — Chrome trace-event JSON; load it at
 //!   `ui.perfetto.dev` (or `chrome://tracing`) to see one track per
@@ -19,10 +20,10 @@
 use std::path::Path;
 use std::sync::Arc;
 
-use bm_core::ServeConfig;
+use bm_core::{SchedulerConfig, ServeConfig};
 use bm_metrics::Table;
 use bm_model::{LstmLm, LstmLmConfig, Model, Seq2Seq};
-use bm_sim::{simulate, CellularServer, SimOptions};
+use bm_sim::{simulate, SimOptions};
 use bm_trace::{
     chrome_trace_with_meta, reconstruct_timelines, render_timelines, EventKind, RingBufferSink,
     TraceEvent,
@@ -31,6 +32,7 @@ use bm_workload::{Dataset, LengthDistribution};
 
 use crate::experiments::serving::arrivals;
 use crate::experiments::Scale;
+use crate::systems::{ServerFactory, SystemKind};
 
 /// Events the capture buffer holds; large enough that short recorded
 /// runs never wrap.
@@ -46,15 +48,11 @@ fn record_run(
     out_dir: &Path,
 ) -> Table {
     let sink = Arc::new(RingBufferSink::new(CAPACITY));
-    let mut server = CellularServer::paper_scale(model).with_trace(sink.clone());
+    let mut factory = ServerFactory::paper(model);
+    factory.scheduler = SchedulerConfig::new().serve(ServeConfig::new().trace(sink.clone()));
+    let mut server = factory.build(&SystemKind::BatchMaker);
     let arr = arrivals(ds, rate, n, 0x7ace ^ n as u64);
-    let out = simulate(
-        &mut server,
-        &arr,
-        SimOptions::new()
-            .workers(workers)
-            .serve_config(ServeConfig::new().trace(sink.clone())),
-    );
+    let out = simulate(server.as_mut(), &arr, SimOptions::new().workers(workers));
     let events = sink.events();
 
     std::fs::create_dir_all(out_dir).expect("create results dir");

@@ -70,8 +70,10 @@ pub struct ServerFactory {
     /// (`None` = idle-start, the paper's best configuration; the
     /// ablation experiment sweeps this).
     pub accumulation_timeout_us: Option<u64>,
-    /// Scheduler tunables for the BatchMaker server (the ablation
-    /// experiment sweeps `max_tasks_to_submit`).
+    /// Scheduler tunables and serving knobs for the BatchMaker server:
+    /// the ablation experiment sweeps `max_tasks_to_submit`, the SLA
+    /// sweep sets deadlines and the admission cap, and `repro trace`
+    /// the trace sink. The baselines read none of it.
     pub scheduler: SchedulerConfig,
 }
 

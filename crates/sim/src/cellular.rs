@@ -4,13 +4,16 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use bm_core::{CellularEngine, RequestId, SchedulerConfig, TaskId, WorkerId};
+use bm_core::{CellularEngine, Request, RequestId, SchedulerConfig, ServeConfig, TaskId, WorkerId};
 use bm_device::{CostProfile, GpuCostModel};
 use bm_model::Model;
+use bm_telemetry::Counter;
+use bm_trace::{EventKind, RejectReason, TraceEvent};
 
 use crate::server::{Server, SimRequest, WorkItem};
 
-/// Cellular batching as a simulated server.
+/// Cellular batching as a simulated server: one runtime shard's engine,
+/// configured and observed as a shard is.
 pub struct CellularServer {
     model: Arc<dyn Model>,
     engine: CellularEngine,
@@ -18,11 +21,21 @@ pub struct CellularServer {
     profile: CostProfile,
     inflight: HashMap<u64, usize>,
     completions: Vec<(u64, u64, u64, u64)>,
+    /// The admission cap and the sinks a refusal is recorded in.
+    serve: ServeConfig,
+    /// `bm_requests_rejected_total{reason="at_capacity"}`; `None` when
+    /// telemetry is disabled.
+    rejected: Option<Counter>,
 }
 
 impl CellularServer {
     /// Creates a server for `model` with the given scheduler config,
     /// cost model and FLOP profile.
+    ///
+    /// Every serving knob comes from `cfg.serve`, as for a runtime
+    /// shard: the default deadline, the `max_active` admission cap, and
+    /// the trace sink and telemetry registry, which the engine and the
+    /// server's refusals record into in virtual time.
     pub fn new(
         model: Arc<dyn Model>,
         cfg: SchedulerConfig,
@@ -35,6 +48,11 @@ impl CellularServer {
             "profile must cover every cell type"
         );
         let registry = Arc::new(model.registry().clone());
+        let serve = cfg.serve.clone();
+        let tel = &serve.telemetry;
+        let rejected = tel
+            .enabled()
+            .then(|| tel.counter_with("bm_requests_rejected_total", &[("reason", "at_capacity")]));
         CellularServer {
             model,
             engine: CellularEngine::new(registry, cfg),
@@ -42,6 +60,8 @@ impl CellularServer {
             profile,
             inflight: HashMap::new(),
             completions: Vec::new(),
+            serve,
+            rejected,
         }
     }
 
@@ -67,31 +87,34 @@ impl CellularServer {
             profile,
         )
     }
-
-    /// Routes the engine's scheduler trace events (batch formation,
-    /// pinning, migration, task lifecycle) to `sink`, stamped in virtual
-    /// time, expiries included. Pair with `SimOptions::trace` to also
-    /// capture driver-level rejections.
-    pub fn with_trace(mut self, sink: Arc<dyn bm_trace::TraceSink>) -> Self {
-        self.engine.set_trace_sink(sink);
-        self
-    }
-
-    /// Records the engine's scheduler metrics (admissions, batch sizes,
-    /// per-stage latency decomposition, expiries) into `tel`, in virtual
-    /// time. Pair with `SimOptions::telemetry` to also capture
-    /// driver-level rejections and worker busy time.
-    pub fn with_telemetry(mut self, tel: &bm_telemetry::Telemetry) -> Self {
-        self.engine.set_telemetry(tel);
-        self
-    }
 }
 
 impl Server for CellularServer {
-    fn on_arrival(&mut self, req: SimRequest, now_us: u64) {
-        let graph = self.model.unfold(&req.input);
+    fn on_arrival(&mut self, req: SimRequest, now_us: u64) -> bool {
+        let serve = &self.serve;
+        if serve
+            .max_active
+            .is_some_and(|cap| self.engine.active_requests() >= cap)
+        {
+            if let Some(c) = &self.rejected {
+                c.inc();
+            }
+            if serve.trace.enabled() {
+                serve.trace.record(TraceEvent {
+                    ts_us: now_us,
+                    kind: EventKind::RequestRejected {
+                        request: req.id,
+                        reason: RejectReason::AtCapacity,
+                    },
+                });
+            }
+            return false;
+        }
+        let request = Request::new(req.input);
+        let graph = self.model.unfold(&request.input);
         self.engine
-            .on_arrival(RequestId(req.id), graph, now_us, req.deadline_us);
+            .on_request(RequestId(req.id), graph, now_us, &request);
+        true
     }
 
     fn next_work(&mut self, worker: usize, now_us: u64) -> Vec<WorkItem> {
@@ -142,6 +165,10 @@ impl Server for CellularServer {
 
     fn pending_requests(&self) -> usize {
         self.engine.active_requests()
+    }
+
+    fn next_wakeup(&self, _now_us: u64) -> Option<u64> {
+        self.engine.next_deadline()
     }
 
     fn expire(&mut self, now_us: u64) -> usize {

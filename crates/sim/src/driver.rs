@@ -1,36 +1,27 @@
 //! The open-loop simulation driver.
 
-use bm_core::{Request, ServeConfig};
 use bm_metrics::{LatencyRecorder, RequestTiming};
 use bm_model::RequestInput;
-use bm_trace::{EventKind, RejectReason, TraceEvent};
 
 use crate::event::EventQueue;
 use crate::server::{Server, SimRequest};
 
 /// Options controlling one simulation run.
 ///
-/// The serving knobs shared with the threaded runtime — deadlines,
-/// admission cap, observability sinks — live
-/// in the embedded [`ServeConfig`] (`serve`), so a deployment
-/// configures them once for simulator and runtime alike and hands the
-/// finished config over with [`SimOptions::serve_config`]. The
-/// remaining fields are simulation-only. (`shards` in the serve config
-/// has no simulator equivalent and is ignored.)
+/// Only simulation knobs live here. Serving policy — deadlines,
+/// admission cap, trace and telemetry sinks — belongs to the server:
+/// [`crate::CellularServer`] reads it from the `ServeConfig` of the
+/// `SchedulerConfig` it is built with, as a runtime shard does.
 ///
 /// Built fluently (`#[non_exhaustive]` forbids out-of-crate literal
 /// construction so new knobs can be added compatibly):
 ///
 /// ```
-/// use bm_core::ServeConfig;
 /// use bm_sim::SimOptions;
 ///
-/// let opts = SimOptions::new()
-///     .workers(4)
-///     .serve_config(ServeConfig::new().deadline_us(50_000))
-///     .warmup(100);
+/// let opts = SimOptions::new().workers(4).warmup(100);
 /// assert_eq!(opts.workers, 4);
-/// assert_eq!(opts.serve.deadline_us, Some(50_000));
+/// assert_eq!(opts.warmup, 100);
 /// ```
 #[derive(Debug, Clone)]
 #[non_exhaustive]
@@ -47,21 +38,6 @@ pub struct SimOptions {
     /// factor. Useful for stall/imbalance injection experiments.
     /// `None` means all workers run at nominal speed.
     pub worker_speeds: Option<Vec<f64>>,
-    /// Shared serving knobs (see [`ServeConfig`]):
-    ///
-    /// - `deadline_us` — default relative deadline (overridable per
-    ///   request via [`Request::deadline_us`]), handed to the server as
-    ///   [`SimRequest::deadline_us`]; a request the server sheds at its
-    ///   deadline (see [`Server::expire`]) is counted in
-    ///   [`SimOutcome::expired`].
-    /// - `max_active` — admission cap; arrivals beyond it are dropped
-    ///   before reaching the server, counted in [`SimOutcome::rejected`].
-    /// - `trace` / `telemetry` — driver-level sinks (virtual-time
-    ///   stamps) for rejections and worker busy time. Engine-level
-    ///   events, expiries included, need the sink installed on the
-    ///   server (e.g. [`crate::CellularServer::with_trace`],
-    ///   [`crate::CellularServer::with_telemetry`]).
-    pub serve: ServeConfig,
 }
 
 impl Default for SimOptions {
@@ -71,14 +47,13 @@ impl Default for SimOptions {
             max_sim_us: 600_000_000, // 10 virtual minutes.
             warmup: 0,
             worker_speeds: None,
-            serve: ServeConfig::new(),
         }
     }
 }
 
 impl SimOptions {
     /// Default options: one nominal-speed worker, 10 virtual minutes, no
-    /// warm-up trim, no deadline, no admission cap, tracing off.
+    /// warm-up trim.
     pub fn new() -> Self {
         Self::default()
     }
@@ -86,12 +61,6 @@ impl SimOptions {
     /// Sets the number of simulated workers.
     pub fn workers(mut self, n: usize) -> Self {
         self.workers = n;
-        self
-    }
-
-    /// Sets the embedded [`ServeConfig`].
-    pub fn serve_config(mut self, serve: ServeConfig) -> Self {
-        self.serve = serve;
         self
     }
 
@@ -122,7 +91,9 @@ pub struct SimOutcome {
     /// Raw completion records `(request id, arrival, start, completion)`
     /// in completion order, untrimmed.
     pub completions: Vec<(u64, u64, u64, u64)>,
-    /// Virtual time at which the run ended, µs.
+    /// Virtual time of the last arrival or work completion, µs: the end
+    /// of the span the server was offered or did work. A wake-up that
+    /// only finds nothing to do does not extend it.
     pub end_us: u64,
     /// Requests still in the system at the end (nonzero under overload).
     pub unfinished: usize,
@@ -131,7 +102,7 @@ pub struct SimOutcome {
     pub saturated: bool,
     /// Requests the server shed at their deadline ([`Server::expire`]).
     pub expired: usize,
-    /// Requests dropped by the admission cap before reaching the server.
+    /// Requests the server refused on arrival ([`Server::on_arrival`]).
     pub rejected: usize,
 }
 
@@ -148,19 +119,14 @@ impl SimOutcome {
 #[derive(Debug)]
 enum Event {
     Arrival(usize),
-    WorkDone {
-        worker: usize,
-        item: u64,
-    },
+    WorkDone { worker: usize, item: u64 },
     Wake,
-    /// An admitted request's deadline: the server expires what is due.
-    Deadline,
 }
 
 /// Runs one open-loop simulation: `arrivals` are `(time_us, input)`
 /// pairs injected into `server`; workers execute the server's work items
-/// serially. Convenience wrapper over [`simulate_requests`] for
-/// workloads with uniform (options-level) metadata.
+/// serially. The driver keeps no serving policy: it moves virtual time,
+/// and stops wherever the server asks through [`Server::next_wakeup`].
 ///
 /// # Panics
 ///
@@ -168,27 +134,6 @@ enum Event {
 pub fn simulate(
     server: &mut dyn Server,
     arrivals: &[(u64, RequestInput)],
-    opts: SimOptions,
-) -> SimOutcome {
-    let reqs: Vec<(u64, Request)> = arrivals
-        .iter()
-        .map(|(at, input)| (*at, Request::from(input)))
-        .collect();
-    simulate_requests(server, &reqs, opts)
-}
-
-/// [`simulate`] with full per-request metadata: each arrival is a
-/// `(time_us, Request)` pair, so individual requests can carry their
-/// own deadline ([`Request::deadline_us`], resolved against the serve
-/// config's default) — the same submission type the threaded runtime
-/// and the network protocol accept.
-///
-/// # Panics
-///
-/// Panics if `opts.workers` is zero or `arrivals` is empty.
-pub fn simulate_requests(
-    server: &mut dyn Server,
-    arrivals: &[(u64, Request)],
     opts: SimOptions,
 ) -> SimOutcome {
     assert!(opts.workers > 0, "need at least one worker");
@@ -199,95 +144,53 @@ pub fn simulate_requests(
         events.push(*at, Event::Arrival(idx));
     }
 
-    // Driver-level metric handles, resolved once; `None` when telemetry
-    // is disabled so the hot path pays a single branch per site.
-    let tel = &opts.serve.telemetry;
-    let rejected_ctr = tel
-        .enabled()
-        .then(|| tel.counter_with("bm_requests_rejected_total", &[("reason", "at_capacity")]));
-    let busy_ctrs = tel.enabled().then(|| {
-        (0..opts.workers)
-            .map(|w| tel.counter_with("bm_worker_busy_us_total", &[("worker", &w.to_string())]))
-            .collect::<Vec<_>>()
-    });
-
     // Per-worker remaining queued items (busy while nonzero).
     let mut queued = vec![0usize; opts.workers];
     let mut recorder = LatencyRecorder::new();
     let mut completions = Vec::new();
     let mut expired = 0usize;
     let mut rejected = 0usize;
-    let mut now = 0;
+    let mut end_us = 0;
     let mut saturated = false;
     let mut next_wake: Option<u64> = None;
 
-    while let Some((t, ev)) = events.pop() {
-        now = t;
+    while let Some((now, ev)) = events.pop() {
         if now > opts.max_sim_us {
             saturated = true;
             break;
         }
         // Process every event at this timestamp before scheduling new
         // work, so simultaneous arrivals can batch together. Arrivals go
-        // first, where the cap check still counts a request due now;
+        // first, where the server's cap still counts a request due now;
         // then expiry, so a task completing at a request's deadline
         // finishes it too late; then the completions.
         let mut batch_events = vec![ev];
         while events.peek_time() == Some(now) {
             batch_events.push(events.pop().expect("peeked").1);
         }
-        let mut deadline_due = false;
         let mut work_done = Vec::new();
         for ev in batch_events {
             match ev {
                 Event::Arrival(idx) => {
-                    let (at, req) = &arrivals[idx];
-                    if opts
-                        .serve
-                        .max_active
-                        .is_some_and(|cap| server.pending_requests() >= cap)
-                    {
+                    end_us = now;
+                    let (at, input) = &arrivals[idx];
+                    let req = SimRequest {
+                        id: idx as u64,
+                        input: input.clone(),
+                        arrival_us: *at,
+                    };
+                    if !server.on_arrival(req, now) {
                         rejected += 1;
-                        if let Some(c) = &rejected_ctr {
-                            c.inc();
-                        }
-                        if opts.serve.trace.enabled() {
-                            opts.serve.trace.record(TraceEvent {
-                                ts_us: now,
-                                kind: EventKind::RequestRejected {
-                                    request: idx as u64,
-                                    reason: RejectReason::AtCapacity,
-                                },
-                            });
-                        }
-                        continue;
-                    }
-                    let deadline_us = req
-                        .effective_deadline_us(opts.serve.deadline_us)
-                        .map(|d| at.saturating_add(d));
-                    server.on_arrival(
-                        SimRequest {
-                            id: idx as u64,
-                            input: req.input.clone(),
-                            arrival_us: *at,
-                            deadline_us,
-                        },
-                        now,
-                    );
-                    if let Some(d) = deadline_us {
-                        events.push(d, Event::Deadline);
                     }
                 }
-                Event::WorkDone { worker, item } => work_done.push((worker, item)),
-                Event::Wake => {
-                    next_wake = None;
+                Event::WorkDone { worker, item } => {
+                    end_us = now;
+                    work_done.push((worker, item));
                 }
-                Event::Deadline => deadline_due = true,
+                Event::Wake => next_wake = None,
             }
         }
-        if deadline_due {
-            expired += server.expire(now);
-        }
+        expired += server.expire(now);
         for (worker, item) in work_done {
             queued[worker] -= 1;
             server.on_work_done(worker, item, now);
@@ -306,11 +209,7 @@ pub fn simulate_requests(
             let mut at = now;
             for it in server.next_work(w, now) {
                 server.on_work_started(it.id, at);
-                let scaled = (it.duration_us as f64 / speed).round() as u64;
-                if let Some(cs) = &busy_ctrs {
-                    cs[w].add(scaled);
-                }
-                at += scaled;
+                at += (it.duration_us as f64 / speed).round() as u64;
                 *q += 1;
                 events.push(
                     at,
@@ -321,7 +220,8 @@ pub fn simulate_requests(
                 );
             }
         }
-        // Timeout-based servers may need a poll with no event pending.
+        // A deadline or a batching timeout may need a poll with no
+        // event pending.
         if let Some(t) = server.next_wakeup(now) {
             if t > now && next_wake.is_none_or(|w| t < w) {
                 events.push(t, Event::Wake);
@@ -343,7 +243,7 @@ pub fn simulate_requests(
     SimOutcome {
         recorder: recorder.trimmed(opts.warmup, 0),
         completions,
-        end_us: now,
+        end_us,
         unfinished,
         saturated: saturated || unfinished > 0,
         expired,
@@ -384,9 +284,10 @@ mod tests {
     }
 
     impl Server for FifoServer {
-        fn on_arrival(&mut self, req: SimRequest, _now: u64) {
+        fn on_arrival(&mut self, req: SimRequest, _now: u64) -> bool {
             self.queue.push_back((req.id, req.arrival_us));
             self.pending += 1;
+            true
         }
         fn next_work(&mut self, _worker: usize, _now: u64) -> Vec<WorkItem> {
             let Some((req, arrival)) = self.queue.pop_front() else {

@@ -23,6 +23,6 @@ mod event;
 mod server;
 
 pub use cellular::CellularServer;
-pub use driver::{simulate, simulate_requests, SimOptions, SimOutcome};
+pub use driver::{simulate, SimOptions, SimOutcome};
 pub use event::EventQueue;
 pub use server::{Server, SimRequest, WorkItem};

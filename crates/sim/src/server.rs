@@ -11,9 +11,6 @@ pub struct SimRequest {
     pub input: RequestInput,
     /// Arrival time, µs.
     pub arrival_us: u64,
-    /// Absolute deadline, µs, if the request has one. A server that can
-    /// shed load keeps it and sheds the request from [`Server::expire`].
-    pub deadline_us: Option<u64>,
 }
 
 /// A unit of device occupancy produced by a server: one batched kernel
@@ -34,8 +31,10 @@ pub struct WorkItem {
 /// `on_work_started`/`on_work_done` callbacks at their virtual start and
 /// finish times.
 pub trait Server {
-    /// Admits a request.
-    fn on_arrival(&mut self, req: SimRequest, now_us: u64);
+    /// Offers a request; returns whether the server admitted it. The
+    /// driver counts a refusal in `SimOutcome::rejected` and never
+    /// mentions the request again.
+    fn on_arrival(&mut self, req: SimRequest, now_us: u64) -> bool;
 
     /// Produces the next batch of work for an idle worker (empty if
     /// nothing schedulable for it).
@@ -54,23 +53,23 @@ pub trait Server {
     /// Number of requests admitted but not yet completed.
     fn pending_requests(&self) -> usize;
 
-    /// Earliest future time at which the server wants `next_work`
-    /// re-polled even if no arrival or completion occurs — used by
-    /// timeout-based batch accumulation. Defaults to never.
+    /// Earliest future time at which the server wants `expire` and
+    /// `next_work` called even if no arrival or completion occurs — a
+    /// deadline, or a batch-accumulation timeout. Defaults to never.
     fn next_wakeup(&self, now_us: u64) -> Option<u64> {
         let _ = now_us;
         None
     }
 
-    /// Sheds every admitted request whose deadline
-    /// ([`SimRequest::deadline_us`]) is at or before `now_us` and that
-    /// has not completed: its unscheduled work is dropped, in-flight
-    /// device work may drain, and it emits no completion tuple. Returns
-    /// how many requests it shed. The driver calls it at each admitted
-    /// request's deadline, after that timestamp's arrivals and before
-    /// its work completions. Servers without load shedding keep the default,
-    /// which sheds nothing: their requests run to completion and count
-    /// as completions.
+    /// Sheds every admitted request whose deadline is at or before
+    /// `now_us` and that has not completed: its unscheduled work is
+    /// dropped, in-flight device work may drain, and it emits no
+    /// completion tuple. Returns how many requests it shed. The driver
+    /// calls it once per timestamp, after that timestamp's arrivals and
+    /// before its work completions; a server with deadlines reports the
+    /// next one through [`Server::next_wakeup`]. Servers without load
+    /// shedding keep the default, which sheds nothing: their requests
+    /// run to completion and count as completions.
     fn expire(&mut self, now_us: u64) -> usize {
         let _ = now_us;
         0

@@ -1,10 +1,14 @@
 //! Simulator robustness: determinism, straggler workers, overload
-//! behaviour and wake-up handling.
+//! behaviour, wake-up handling and the server's serving knobs.
 
 use std::sync::Arc;
 
-use bm_model::{LstmLm, LstmLmConfig, RequestInput};
+use bm_core::{SchedulerConfig, ServeConfig};
+use bm_device::{CostProfile, GpuCostModel};
+use bm_model::{LstmLm, LstmLmConfig, Model, RequestInput};
 use bm_sim::{simulate, CellularServer, SimOptions};
+use bm_telemetry::Telemetry;
+use bm_trace::{EventKind, RingBufferSink};
 use bm_workload::PoissonArrivals;
 
 fn model() -> Arc<LstmLm> {
@@ -112,21 +116,74 @@ fn sim_options_builder_preserves_defaults() {
     assert_eq!(opts.workers, defaults.workers);
     assert_eq!(opts.max_sim_us, defaults.max_sim_us);
     assert_eq!(opts.warmup, defaults.warmup);
-    assert_eq!(opts.serve.deadline_us, None);
-    assert_eq!(opts.serve.max_active, None);
     assert_eq!(opts.workers, 1, "simulator default is one worker");
     assert!(opts.worker_speeds.is_none());
-    assert!(
-        !opts.serve.trace.enabled(),
-        "default sink must be the no-op"
-    );
 
     let opts = SimOptions::new()
         .workers(4)
         .max_sim_us(1_000)
         .warmup(10)
-        .serve_config(bm_core::ServeConfig::new().deadline_us(99).max_active(7));
+        .worker_speeds(vec![1.0, 0.5]);
     assert_eq!((opts.workers, opts.max_sim_us, opts.warmup), (4, 1_000, 10));
-    assert_eq!(opts.serve.deadline_us, Some(99));
-    assert_eq!(opts.serve.max_active, Some(7));
+    assert_eq!(opts.worker_speeds, Some(vec![1.0, 0.5]));
+}
+
+/// A paper-scale BatchMaker server whose serving knobs are `serve`.
+fn server_with(serve: ServeConfig) -> CellularServer {
+    let model = model();
+    let profile = CostProfile::paper_scale(model.registry(), 1024, 30_000);
+    CellularServer::new(
+        model,
+        SchedulerConfig::new().serve(serve),
+        GpuCostModel::v100(),
+        profile,
+    )
+}
+
+#[test]
+fn the_server_takes_its_cap_deadline_and_sinks_from_its_serve_config() {
+    // Ten simultaneous 12-step requests, a cap of four and a 1 ms
+    // deadline that 12 steps of ≥ 200 µs cannot meet: the cap refuses
+    // six, the deadline sheds the other four, and the trace sink and
+    // the registry see each refusal and each expiry once.
+    let sink = Arc::new(RingBufferSink::new(1 << 16));
+    let tel = Telemetry::new();
+    let mut srv = server_with(
+        ServeConfig::new()
+            .deadline_us(1_000)
+            .max_active(4)
+            .trace(sink.clone())
+            .telemetry(Arc::clone(&tel)),
+    );
+    let arr: Vec<_> = (0..10)
+        .map(|_| (0, RequestInput::Sequence(vec![1; 12])))
+        .collect();
+    let out = simulate(&mut srv, &arr, SimOptions::default());
+    assert_eq!((out.rejected, out.expired), (6, 4));
+    assert!(out.completions.is_empty());
+    assert_eq!(out.unfinished, 0);
+
+    let count =
+        |pred: fn(&EventKind) -> bool| sink.events().iter().filter(|e| pred(&e.kind)).count();
+    assert_eq!(count(|k| matches!(k, EventKind::RequestRejected { .. })), 6);
+    assert_eq!(count(|k| matches!(k, EventKind::RequestExpired { .. })), 4);
+    let snap = tel.snapshot();
+    assert_eq!(snap.counter_sum("bm_requests_rejected_total"), 6);
+    assert_eq!(snap.counter_sum("bm_requests_expired_total"), 4);
+}
+
+#[test]
+fn a_finished_requests_deadline_does_not_extend_the_run() {
+    // One 12-step request with a 100 ms deadline completes in a few ms.
+    // The run ends at that completion, not at the deadline: goodput
+    // spans are not padded with time in which nothing was served.
+    let mut srv = server_with(ServeConfig::new().deadline_us(100_000));
+    let out = simulate(
+        &mut srv,
+        &[(0, RequestInput::Sequence(vec![1; 12]))],
+        SimOptions::default(),
+    );
+    let &(_, _, _, completion) = out.completions.first().expect("completed");
+    assert!(completion < 10_000, "completed at {completion} µs");
+    assert_eq!(out.end_us, completion);
 }

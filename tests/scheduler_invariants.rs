@@ -14,7 +14,7 @@
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
-use bm_core::{CellularEngine, RequestId, SchedulerConfig, WorkerId};
+use bm_core::{CellularEngine, RequestId, SchedulerConfig, ServeConfig, WorkerId};
 use bm_model::{LstmLm, Model, RequestInput, Seq2Seq, TreeLstm, TreeShape};
 use proptest::prelude::*;
 
@@ -370,12 +370,13 @@ proptest! {
             .iter()
             .map(|m| (m.max_batch, m.priority))
             .collect();
+        let sink = Arc::new(RingBufferSink::new(4096));
         let mut engine = CellularEngine::new(
             Arc::clone(&registry),
-            SchedulerConfig::new().max_tasks_to_submit(max_tasks),
+            SchedulerConfig::new()
+                .max_tasks_to_submit(max_tasks)
+                .serve(ServeConfig::new().trace(sink.clone())),
         );
-        let sink = Arc::new(RingBufferSink::new(4096));
-        engine.set_trace_sink(sink.clone());
 
         for (i, input) in inputs.iter().enumerate() {
             engine.on_arrival(RequestId(i as u64), model.unfold(input), i as u64, None);
@@ -457,12 +458,13 @@ fn follow_on_tasks_requalify_their_reason() {
         ..Default::default()
     });
     let registry = Arc::new(model.registry().clone());
+    let sink = Arc::new(RingBufferSink::new(64));
     let mut engine = CellularEngine::new(
         Arc::clone(&registry),
-        SchedulerConfig::new().max_tasks_to_submit(4),
+        SchedulerConfig::new()
+            .max_tasks_to_submit(4)
+            .serve(ServeConfig::new().trace(sink.clone())),
     );
-    let sink = Arc::new(RingBufferSink::new(64));
-    engine.set_trace_sink(sink.clone());
 
     for i in 0..5u64 {
         engine.on_arrival(
