@@ -45,7 +45,8 @@ pub use request::{DeadlineSpec, Request};
 pub use resident::{ResidentBatch, ResidentStats};
 pub use runtime::{
     completion_queue, CompletionQueue, CompletionReceiver, HostedShard, ResponseHandle, Runtime,
-    RuntimeOptions, ServedOutcome, ServedResult, ServedTiming, SubmitError, WaitError,
+    RuntimeOptions, ServedOutcome, ServedResult, ServedTiming, SubmitError, TaggedResult,
+    WaitError,
 };
 pub use state_plane::SlotBlock;
 pub use task::{CompletedRequest, Task, TaskEntry};

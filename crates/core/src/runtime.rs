@@ -71,11 +71,20 @@
 //! by every later gather. A request and its block live on the shard's
 //! thread, so the block needs no lock and no atomics. There is no
 //! global state map and no per-dependency `CellOutput` clone; a node's
-//! output is copied once, out of the batch, and then moved into the
-//! [`GraphResult`] handed back to the client. The engine submits a node
+//! output is copied once, out of the batch. The engine submits a node
 //! only after its dependencies completed and the loop executes tasks in
 //! submission order, so a dependency's rows are always written before a
 //! task that gathers them starts.
+//!
+//! What happens to the rows after that depends on who asked. A
+//! [`ResponseHandle`] is promised every node's output: its block keeps
+//! every row and moves them into the [`GraphResult`] handed back. A
+//! tagged request is promised what the wire sends: after each task the
+//! shard tells the block which dependencies the task's entries consumed,
+//! a node whose last consumer has run drops its rows, and the request
+//! resolves to a [`TaggedResult`] — executed count, tokens, final hidden
+//! state. A tagged request so holds the rows of its live frontier, not
+//! of everything it executed.
 //!
 //! Cells that report a [`Cell::resident_layout`] additionally run
 //! through the shard's resident-state plane: one [`crate::ResidentBatch`]
@@ -190,7 +199,8 @@ pub struct ServedTiming {
     pub completion_us: u64,
 }
 
-/// The payload of a successfully served request.
+/// The payload of a successfully served request, as a [`ResponseHandle`]
+/// receives it.
 #[derive(Debug, Clone)]
 pub struct ServedResult {
     /// Per-node outputs (`None` for `<eos>`-cancelled nodes).
@@ -199,14 +209,32 @@ pub struct ServedResult {
     pub timing: ServedTiming,
 }
 
+/// The payload of a successfully served *tagged* request: what a
+/// response on the wire carries, plus the final hidden state. Each field
+/// equals what [`GraphResult`] reports for the same request.
+#[derive(Debug, Clone, PartialEq)]
+pub struct TaggedResult {
+    /// Nodes executed ([`GraphResult::executed_count`]).
+    pub executed: usize,
+    /// Each node's emitted token in node order, `None` for nodes that
+    /// emit none or never executed.
+    pub tokens: Vec<Option<u32>>,
+    /// The last executed node's hidden state ([`GraphResult::final_h`]).
+    pub final_h: Vec<f32>,
+    /// Request timing.
+    pub timing: ServedTiming,
+}
+
 /// How an *admitted* request resolved. (Refused submissions never get a
-/// handle — they fail fast with a [`SubmitError`].)
+/// handle — they fail fast with a [`SubmitError`].) A [`ResponseHandle`]
+/// resolves to a [`ServedResult`]; a [`CompletionQueue`] delivers a
+/// `ServedOutcome<TaggedResult>`.
 #[derive(Debug, Clone)]
 #[non_exhaustive]
-pub enum ServedOutcome {
+pub enum ServedOutcome<R = ServedResult> {
     /// The request ran to completion; outputs are bit-identical to the
     /// unbatched reference executor.
-    Completed(ServedResult),
+    Completed(R),
     /// The deadline passed before completion: unsubmitted cells were
     /// cancelled, in-flight work drained and partial outputs were
     /// discarded. The timing records when the request was admitted and
@@ -216,13 +244,13 @@ pub enum ServedOutcome {
     ShutDown,
 }
 
-impl ServedOutcome {
+impl<R: std::fmt::Debug> ServedOutcome<R> {
     /// Unwraps the completed result.
     ///
     /// # Panics
     ///
     /// Panics if the request did not complete.
-    pub fn completed(self) -> ServedResult {
+    pub fn completed(self) -> R {
         match self {
             ServedOutcome::Completed(r) => r,
             other => panic!("request did not complete: {other:?}"),
@@ -233,7 +261,20 @@ impl ServedOutcome {
     pub fn is_completed(&self) -> bool {
         matches!(self, ServedOutcome::Completed(_))
     }
+}
 
+impl<R> ServedOutcome<R> {
+    /// The same outcome with the completed payload mapped through `f`.
+    fn map<S>(self, f: impl FnOnce(R) -> S) -> ServedOutcome<S> {
+        match self {
+            ServedOutcome::Completed(r) => ServedOutcome::Completed(f(r)),
+            ServedOutcome::Expired(t) => ServedOutcome::Expired(t),
+            ServedOutcome::ShutDown => ServedOutcome::ShutDown,
+        }
+    }
+}
+
+impl ServedOutcome {
     /// The request timing, when one was measured (completed or expired).
     pub fn timing(&self) -> Option<ServedTiming> {
         match self {
@@ -319,10 +360,11 @@ pub fn completion_queue() -> (CompletionQueue, CompletionReceiver) {
 /// The sending half of a [`completion_queue`]: a tagged outcome sink
 /// shared by many requests, with an optional waker invoked after each
 /// delivery (the front door points it at an eventfd so outcomes wake
-/// its readiness loop).
+/// its readiness loop). A completed request arrives as a
+/// [`TaggedResult`], not as per-node outputs.
 #[derive(Clone)]
 pub struct CompletionQueue {
-    tx: Sender<(u64, ServedOutcome)>,
+    tx: Sender<(u64, ServedOutcome<TaggedResult>)>,
     waker: Option<Arc<dyn Fn() + Send + Sync>>,
 }
 
@@ -344,7 +386,7 @@ impl CompletionQueue {
     }
 
     /// Queues one resolved outcome and fires the waker.
-    fn deliver(&self, tag: u64, outcome: ServedOutcome) {
+    fn deliver(&self, tag: u64, outcome: ServedOutcome<TaggedResult>) {
         let _ = self.tx.send((tag, outcome));
         if let Some(w) = &self.waker {
             w();
@@ -354,17 +396,17 @@ impl CompletionQueue {
 
 /// The receiving half of a [`completion_queue`].
 pub struct CompletionReceiver {
-    rx: Receiver<(u64, ServedOutcome)>,
+    rx: Receiver<(u64, ServedOutcome<TaggedResult>)>,
 }
 
 impl CompletionReceiver {
     /// Takes the next queued outcome without blocking.
-    pub fn try_recv(&self) -> Option<(u64, ServedOutcome)> {
+    pub fn try_recv(&self) -> Option<(u64, ServedOutcome<TaggedResult>)> {
         self.rx.try_recv().ok()
     }
 
     /// Blocks up to `timeout` for the next outcome.
-    pub fn recv_timeout(&self, timeout: Duration) -> Option<(u64, ServedOutcome)> {
+    pub fn recv_timeout(&self, timeout: Duration) -> Option<(u64, ServedOutcome<TaggedResult>)> {
         self.rx.recv_timeout(timeout).ok()
     }
 }
@@ -377,12 +419,26 @@ enum Respond {
 }
 
 impl Respond {
-    fn deliver(self, outcome: ServedOutcome) {
+    /// Whether the request's rows may go at their last consumer: only a
+    /// handle is promised every node's output.
+    fn frees_rows(&self) -> bool {
+        matches!(self, Respond::Queue { .. })
+    }
+
+    /// Sends the outcome, resolving a completed request's block to
+    /// what this destination is promised.
+    fn deliver(self, outcome: ServedOutcome<(SlotBlock, ServedTiming)>) {
         match self {
             Respond::Handle(tx) => {
-                let _ = tx.send(outcome);
+                let _ = tx.send(outcome.map(|(block, timing)| ServedResult {
+                    result: block.into_result(),
+                    timing,
+                }));
             }
-            Respond::Queue { queue, tag } => queue.deliver(tag, outcome),
+            Respond::Queue { queue, tag } => queue.deliver(
+                tag,
+                outcome.map(|(block, timing)| block.into_tagged(timing)),
+            ),
         }
     }
 }
@@ -1222,6 +1278,12 @@ impl Shard {
                 &mut self.scratch,
                 &mut self.plane,
             );
+            for e in &task.entries {
+                let r = self.live.get_mut(&e.request).expect("live request");
+                if r.respond.frees_rows() {
+                    r.block.consume(&e.deps);
+                }
+            }
             let finished_us = self.timer.now_us();
             if let Some(m) = &self.metrics {
                 m.busy.add(finished_us - started_us);
@@ -1239,9 +1301,9 @@ impl Shard {
         true
     }
 
-    /// Resolves one completion record: drops the live entry with its
-    /// state block, releases the request's resident rows and sends the
-    /// outcome (Completed, or Expired for a cancelled record).
+    /// Resolves one completion record: drops the live entry, releases the
+    /// request's resident rows and sends the outcome (Completed, built
+    /// from the state block, or Expired for a cancelled record).
     ///
     /// The engine reports a request finished only after every task
     /// touching it has drained, so no later task looks the block up.
@@ -1266,10 +1328,7 @@ impl Shard {
             // Partial outputs die with the block.
             ServedOutcome::Expired(timing)
         } else {
-            ServedOutcome::Completed(ServedResult {
-                result: r.block.into_result(),
-                timing,
-            })
+            ServedOutcome::Completed((r.block, timing))
         };
         r.respond.deliver(outcome);
     }

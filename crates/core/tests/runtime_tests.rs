@@ -643,7 +643,8 @@ fn wait_timeout_distinguishes_pending_from_resolved() {
 // admission (ids, slot reservation, unfolding) done once.
 // ---------------------------------------------------------------------------
 
-use bm_core::{completion_queue, Request};
+use bm_core::{completion_queue, Request, TaggedResult};
+use bm_model::reference::GraphResult;
 use bm_telemetry::{MetricValue, Telemetry};
 
 fn chain_inputs(n: usize) -> Vec<RequestInput> {
@@ -657,9 +658,27 @@ fn one_shard_with_telemetry() -> RuntimeOptions {
     serving(ServeConfig::new().shards(1).telemetry(Telemetry::new()))
 }
 
+/// Asserts that a tagged result carries exactly what the reference
+/// reports for the same request: the executed count, every node's token
+/// and the final hidden state, bit for bit.
+fn assert_tagged_matches(served: &TaggedResult, expect: &GraphResult, what: &str) {
+    assert_eq!(served.executed, expect.executed_count(), "{what}: executed");
+    let tokens: Vec<Option<u32>> = expect
+        .outputs
+        .iter()
+        .map(|o| o.as_ref().and_then(|c| c.token))
+        .collect();
+    assert_eq!(served.tokens, tokens, "{what}: tokens");
+    let bits = |h: &[f32]| h.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    let final_h = expect
+        .final_h()
+        .expect("a completed request executed a node");
+    assert_eq!(bits(&served.final_h), bits(final_h), "{what}: final h");
+}
+
 /// Submits `inputs` as one tagged batch and returns the outcomes in
 /// tag order, pulled off the completion queue.
-fn serve_batch(rt: &Runtime, inputs: &[RequestInput]) -> Vec<ServedOutcome> {
+fn serve_batch(rt: &Runtime, inputs: &[RequestInput]) -> Vec<ServedOutcome<TaggedResult>> {
     let (queue, completions) = completion_queue();
     let reqs = inputs
         .iter()
@@ -667,7 +686,8 @@ fn serve_batch(rt: &Runtime, inputs: &[RequestInput]) -> Vec<ServedOutcome> {
         .map(|(i, input)| (i as u64, input.into()));
     let results = rt.submit_batch_tagged(reqs, &queue);
     assert!(results.iter().all(Result::is_ok), "{results:?}");
-    let mut out: Vec<Option<ServedOutcome>> = (0..inputs.len()).map(|_| None).collect();
+    let mut out: Vec<Option<ServedOutcome<TaggedResult>>> =
+        (0..inputs.len()).map(|_| None).collect();
     for _ in 0..inputs.len() {
         let (tag, outcome) = completions
             .recv_timeout(std::time::Duration::from_secs(30))
@@ -685,11 +705,7 @@ fn assert_batch_matches_reference(shards: usize, n: usize) {
     let rt = Runtime::start(Arc::clone(&model), sharded(shards));
     for (input, outcome) in inputs.iter().zip(serve_batch(&rt, &inputs)) {
         let expect = reference::execute_graph(&model.unfold(input), model.registry());
-        assert_eq!(
-            outcome.completed().result,
-            expect,
-            "diverged from reference for {input:?}"
-        );
+        assert_tagged_matches(&outcome.completed(), &expect, &format!("{input:?}"));
     }
     rt.shutdown();
 }
@@ -702,6 +718,70 @@ fn batch_tagged_results_match_reference() {
 #[test]
 fn sharded_batch_tagged_serves_across_shards() {
     assert_batch_matches_reference(2, 32);
+}
+
+/// A TreeLSTM whose graphs fan out: for leaf tokens `t0, t1, …` it
+/// builds `acc = I(L0, L0)` and then, per further leaf `Lk`,
+/// `a = I(acc, Lk)` and `acc = I(Lk, a)`. Every `Lk` feeds two consumers
+/// that run in different tasks, and `L0` is listed twice by one node.
+struct FanOutTree(TreeLstm);
+
+impl Model for FanOutTree {
+    fn registry(&self) -> &bm_cell::CellRegistry {
+        self.0.registry()
+    }
+
+    fn unfold(&self, input: &RequestInput) -> bm_model::CellGraph {
+        use bm_model::TokenSource;
+        let RequestInput::Sequence(tokens) = input else {
+            panic!("FanOutTree serves leaf-token sequences");
+        };
+        let (leaf, internal) = (self.0.leaf_type(), self.0.internal_type());
+        let mut g = bm_model::CellGraph::new();
+        let leaves: Vec<_> = tokens
+            .iter()
+            .map(|&t| g.add_node(leaf, vec![], TokenSource::Fixed(t)))
+            .collect();
+        let mut acc = g.add_node(internal, vec![leaves[0], leaves[0]], TokenSource::None);
+        for &l in &leaves[1..] {
+            let a = g.add_node(internal, vec![acc, l], TokenSource::None);
+            acc = g.add_node(internal, vec![l, a], TokenSource::None);
+        }
+        g
+    }
+
+    fn validate(&self, input: &RequestInput) -> Result<(), String> {
+        match input {
+            RequestInput::Sequence(t) if !t.is_empty() && t.iter().all(|&t| t < 1000) => Ok(()),
+            other => Err(format!("FanOutTree cannot serve {other:?}")),
+        }
+    }
+
+    fn name(&self) -> &str {
+        "fan-out-tree"
+    }
+}
+
+/// A node with two consumers keeps its rows until both have run: tagged
+/// requests over fan-out graphs, batched together on one shard and
+/// spread over two, resolve bit-identically to the reference (a row
+/// dropped at its first consumer would fail the second one's gather),
+/// and so do the same requests through handles.
+#[test]
+fn a_node_feeding_two_consumers_is_served_bit_identically() {
+    let model: Arc<dyn Model> = Arc::new(FanOutTree(TreeLstm::small()));
+    let inputs: Vec<RequestInput> = (0..12u32)
+        .map(|i| RequestInput::Sequence((0..1 + i % 5).map(|t| (7 * t + i) % 1000).collect()))
+        .collect();
+    for shards in [1, 2] {
+        let rt = Runtime::start(Arc::clone(&model), sharded(shards));
+        for (input, outcome) in inputs.iter().zip(serve_batch(&rt, &inputs)) {
+            let expect = reference::execute_graph(&model.unfold(input), model.registry());
+            assert_tagged_matches(&outcome.completed(), &expect, &format!("{input:?}"));
+        }
+        rt.shutdown();
+    }
+    check_against_reference(model, &inputs, 1);
 }
 
 #[test]
@@ -843,7 +923,7 @@ fn arrivals_join_a_running_batch() {
             .expect("completion within timeout");
         let input = &inputs[tag as usize];
         let expect = reference::execute_graph(&model.unfold(input), model.registry());
-        assert_eq!(outcome.completed().result, expect, "tag {tag} diverged");
+        assert_tagged_matches(&outcome.completed(), &expect, &format!("tag {tag}"));
     }
     let snap = rt.snapshot();
     rt.shutdown();

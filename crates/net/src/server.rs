@@ -44,11 +44,14 @@
 //! [`NetReject::AtCapacity`], and one that misses its deadline
 //! [`NetResponse::Expired`]. The front door adds no refusal of its own.
 //!
-//! **Backpressure** is per-connection: while a connection has
-//! [`NetServerOptions::max_inflight`] unresolved requests, its socket
-//! is not read, so the kernel receive buffer fills and TCP flow
-//! control pushes back on the client. A protocol error on a connection
-//! closes it (the stream can never re-synchronise).
+//! **Backpressure** is per-connection: a connection never has more than
+//! [`NetServerOptions::max_inflight`] unresolved requests. Frames are
+//! decoded only while the window has room; complete frames past it stay
+//! in the connection's buffer, decoded as responses free slots, and
+//! while the window is full the socket is not read, so the kernel
+//! receive buffer fills and TCP flow control pushes back on the client.
+//! A protocol error on a connection closes it (the stream can never
+//! re-synchronise).
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{Read, Write};
@@ -60,7 +63,7 @@ use std::time::{Duration, Instant};
 
 use bm_core::{
     completion_queue, CompletionQueue, CompletionReceiver, HostedShard, Request, Runtime,
-    ServedOutcome, SubmitError,
+    ServedOutcome, SubmitError, TaggedResult,
 };
 use bm_model::Model;
 use bm_telemetry::Snapshot;
@@ -91,8 +94,9 @@ pub struct NetServerOptions {
     /// Admission control: connections accepted beyond this cap are
     /// closed immediately without reading a byte.
     pub max_connections: usize,
-    /// Per-connection backpressure window: with this many unresolved
-    /// requests, the connection's socket is not read.
+    /// Per-connection backpressure window: the most unresolved requests
+    /// one connection may have. Frames past it wait, undecoded, and
+    /// with the window full the connection's socket is not read.
     pub max_inflight: usize,
 }
 
@@ -184,7 +188,8 @@ struct PendingResp {
 struct Conn {
     stream: TcpStream,
     fd: readiness::RawFd,
-    /// Incoming bytes not yet forming a complete frame.
+    /// Incoming bytes not yet decoded: a partial frame, or complete
+    /// frames waiting for room in the in-flight window.
     rbuf: Vec<u8>,
     /// Encoded response bytes not yet accepted by the socket.
     wbuf: Vec<u8>,
@@ -424,7 +429,9 @@ fn event_loop(ctx: EventLoop) {
         }
 
         // ── Input phase: learn what is ready; read and decode it. ──
-        let timeout = if shard_busy {
+        // Frames the last flush decoded from a reopened window are
+        // submitted this iteration, so the wait must not block either.
+        let timeout = if shard_busy || !batch.is_empty() {
             Duration::ZERO
         } else {
             wait_timeout(hosted.next_deadline(), stopping)
@@ -493,8 +500,10 @@ fn event_loop(ctx: EventLoop) {
             mark_ready(&mut conns, tag, resp);
         }
 
-        // ── Flush phase: release resolved FIFO heads, write. ──
-        for c in conns.values_mut() {
+        // ── Flush phase: release resolved FIFO heads, write; decode
+        // frames already buffered into the room that frees, since no
+        // readiness event will announce bytes already read. ──
+        for (id, c) in conns.iter_mut() {
             while let Some(front) = c.pending.front_mut() {
                 let Some(resp) = front.ready.take() else {
                     break;
@@ -504,6 +513,9 @@ fn event_loop(ctx: EventLoop) {
                 }
                 c.pending.pop_front();
                 progressed = true;
+            }
+            if !stopping && !c.rbuf.is_empty() && c.pending.len() < opts.max_inflight {
+                drain_frames(*id, c, &mut batch, &stats, opts.max_inflight);
             }
             if !c.wbuf.is_empty() && !c.write_broken {
                 progressed |= flush_wbuf(c);
@@ -618,7 +630,7 @@ fn accept_all(
 }
 
 /// Reads a connection until it would block (or its backpressure window
-/// fills), decoding frames as they complete.
+/// fills), decoding frames as they complete and the window allows.
 fn read_conn(
     conn_id: u32,
     c: &mut Conn,
@@ -637,7 +649,7 @@ fn read_conn(
             Ok(n) => {
                 progressed = true;
                 c.rbuf.extend_from_slice(&chunk[..n]);
-                drain_frames(conn_id, c, batch, stats);
+                drain_frames(conn_id, c, batch, stats, max_inflight);
                 if c.dead || c.pending.len() >= max_inflight {
                     break;
                 }
@@ -653,22 +665,30 @@ fn read_conn(
     progressed
 }
 
-/// Decodes every complete frame in `conn.rbuf`: each submit joins the
-/// pass's batch, tagged, with its response slot queued.
-fn drain_frames(conn_id: u32, c: &mut Conn, batch: &mut Vec<(u64, Request)>, stats: &NetStats) {
-    loop {
-        match wire::decode_frame(&c.rbuf) {
+/// Decodes complete frames from `conn.rbuf` while the connection has
+/// fewer than `max_inflight` unresolved requests: each submit joins the
+/// pass's batch, tagged, with its response slot queued. The decoded
+/// bytes leave the buffer in one move; frames past the window stay.
+fn drain_frames(
+    conn_id: u32,
+    c: &mut Conn,
+    batch: &mut Vec<(u64, Request)>,
+    stats: &NetStats,
+    max_inflight: usize,
+) {
+    let mut at = 0;
+    while c.pending.len() < max_inflight {
+        match wire::decode_frame(&c.rbuf[at..]) {
             Ok(None) => break,
             Ok(Some((frame, consumed))) => {
-                c.rbuf.drain(..consumed);
+                at += consumed;
                 stats.frames_in.fetch_add(1, Ordering::Relaxed);
                 let req = match frame.message {
                     Message::Submit(req) => req,
                     // A server never receives responses; the stream is
                     // out of protocol.
                     Message::Response(_) => {
-                        stats.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                        c.dead = true;
+                        protocol_error(c, stats);
                         return;
                     }
                 };
@@ -682,12 +702,20 @@ fn drain_frames(conn_id: u32, c: &mut Conn, batch: &mut Vec<(u64, Request)>, sta
             }
             Err(_) => {
                 // Framing is unrecoverable; close the connection.
-                stats.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                c.dead = true;
+                protocol_error(c, stats);
                 return;
             }
         }
     }
+    c.rbuf.drain(..at);
+}
+
+/// Closes a connection's read side for bytes out of protocol; nothing
+/// it sent is decoded after them.
+fn protocol_error(c: &mut Conn, stats: &NetStats) {
+    stats.protocol_errors.fetch_add(1, Ordering::Relaxed);
+    c.dead = true;
+    c.rbuf.clear();
 }
 
 /// Routes a resolved response to its FIFO slot. A missing connection
@@ -753,22 +781,13 @@ fn submit_error_response(e: SubmitError) -> NetResponse {
 }
 
 /// Maps a resolved outcome onto the wire.
-fn outcome_response(outcome: ServedOutcome) -> NetResponse {
+fn outcome_response(outcome: ServedOutcome<TaggedResult>) -> NetResponse {
     match outcome {
-        ServedOutcome::Completed(res) => {
-            let executed = res.result.outputs.iter().flatten().count() as u32;
-            let tokens = res
-                .result
-                .outputs
-                .iter()
-                .map(|o| o.as_ref().and_then(|c| c.token))
-                .collect();
-            NetResponse::Completed {
-                timing: res.timing,
-                executed,
-                tokens,
-            }
-        }
+        ServedOutcome::Completed(res) => NetResponse::Completed {
+            timing: res.timing,
+            executed: res.executed as u32,
+            tokens: res.tokens,
+        },
         ServedOutcome::Expired(timing) => NetResponse::Expired { timing },
         _ => NetResponse::ShutDown,
     }

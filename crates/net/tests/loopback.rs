@@ -268,3 +268,71 @@ fn admission_cap_refuses_excess_connections() {
     assert!(server.stats().refused >= 1);
     server.shutdown();
 }
+
+/// One write of 2 000 submits — every frame read off the socket at once
+/// — never puts more than `max_inflight` of them in flight, and the
+/// frames past the window, already in the server's buffer, are decoded
+/// as responses free room: no readiness event announces them, yet all
+/// 2 000 are answered.
+#[test]
+fn one_write_of_many_frames_stays_inside_the_inflight_window() {
+    use std::io::{Read, Write};
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+    const N: usize = 2_000;
+    const WINDOW: usize = 4;
+    let server =
+        NetServer::bind(model(), opts(1).max_inflight(WINDOW), "127.0.0.1:0").expect("bind");
+    let mut bytes = Vec::new();
+    for i in 0..N {
+        let req = Request::new(RequestInput::Sequence(vec![1 + (i % 50) as u32; 3]));
+        bm_net::encode_submit(&mut bytes, i as u32, &req);
+    }
+    let mut stream = std::net::TcpStream::connect(server.local_addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(60)))
+        .expect("timeout");
+
+    let (done, most) = (AtomicBool::new(false), AtomicUsize::new(0));
+    let answered = std::thread::scope(|s| {
+        s.spawn(|| {
+            while !done.load(Ordering::SeqCst) {
+                most.fetch_max(server.runtime().active_requests(), Ordering::SeqCst);
+                std::thread::yield_now();
+            }
+        });
+        stream.write_all(&bytes).expect("one write of every frame");
+        let (mut rbuf, mut chunk) = (Vec::new(), [0u8; 16 * 1024]);
+        let mut answered = vec![false; N];
+        let mut count = 0;
+        while count < N {
+            let Some((frame, used)) = bm_net::decode_frame(&rbuf).expect("well-formed") else {
+                match stream.read(&mut chunk) {
+                    Ok(0) | Err(_) => break, // closed, or stalled past the timeout
+                    Ok(n) => rbuf.extend_from_slice(&chunk[..n]),
+                }
+                continue;
+            };
+            rbuf.drain(..used);
+            let bm_net::Message::Response(resp) = frame.message else {
+                panic!("the server sent a submit");
+            };
+            assert!(matches!(resp, NetResponse::Completed { .. }), "{resp:?}");
+            let seen = &mut answered[frame.correlation as usize];
+            assert!(!std::mem::replace(seen, true), "answered twice");
+            count += 1;
+        }
+        done.store(true, Ordering::SeqCst);
+        count
+    });
+    let most = most.load(Ordering::SeqCst);
+    assert!(
+        most <= WINDOW,
+        "{most} requests in flight past a window of {WINDOW}"
+    );
+    assert_eq!(
+        answered, N,
+        "the server stalled on frames it had already read"
+    );
+    assert_eq!(server.stats().frames_in, N as u64);
+    server.shutdown();
+}
