@@ -122,6 +122,25 @@ impl Cell {
         self.hidden_size()
     }
 
+    /// Computes ahead the per-token table rows (see [`LstmCell`] and
+    /// [`TreeLeafCell`]) of every token of `tokens` the cell's table
+    /// lacks, in one product, so a request's first steps find them
+    /// instead of each computing its own. A cell without a table
+    /// does nothing; on a table that has every row, this is one scan
+    /// under a read lock, with no write lock and no allocation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a token is out of the cell's vocabulary.
+    pub fn prefill(&self, tokens: impl Iterator<Item = u32> + Clone, scratch: &mut Scratch) {
+        match self {
+            Cell::Lstm(c) => c.prefill(tokens, scratch),
+            Cell::Decoder(c) => c.prefill(tokens, scratch),
+            Cell::TreeLeaf(c) => c.prefill(tokens, scratch),
+            Cell::TreeInternal(_) => {}
+        }
+    }
+
     /// The §4.3 gather executor: runs the cell once over a batch of
     /// invocations.
     ///

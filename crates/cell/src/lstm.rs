@@ -132,8 +132,9 @@ impl LstmCell {
     /// both in place; `token(r)` is row `r`'s input word.
     ///
     /// Each row's gate pre-activation is seeded with the input half of
-    /// its fold — the token's row of the table (computed here on the
-    /// token's first step, one unpooled 1-row product per row), or,
+    /// its fold — the token's row of the table (the rows it lacks
+    /// computed here in one unpooled product, unless admission already
+    /// prefilled them), or,
     /// without a table, one `x·Wx` product over the embedded tokens —
     /// and completed by one fold-continuation affine over `h·Wh`
     /// ([`ops::affine_acc_rows_into`]). One gate-kernel call
@@ -159,26 +160,14 @@ impl LstmCell {
         let (e, hsz) = (self.embed_size(), self.hidden_size());
         let gates = 4 * hsz;
         debug_assert_eq!((h.cols(), c.cols()), (hsz, hsz));
-        let id = |r: usize| {
-            let id = token(r).expect("chain cell invocation requires a token") as usize;
-            let vocab = self.vocab_size();
-            assert!(id < vocab, "embedding id {id} >= vocab {vocab}");
-            id
-        };
+        let id = |r: usize| self.checked(token(r).expect("chain cell invocation requires a token"));
         // Fully overwritten by the seed, so dirty is fine.
         let mut z = s.take_dirty(rows, gates);
         match &self.table {
             Some(table) => table.rows(
                 rows,
                 id,
-                |missing, rows| {
-                    for &t in missing {
-                        let start = rows.len();
-                        rows.resize(start + gates, 0.0);
-                        let row = &mut rows[start..];
-                        gemm::gemm_into(self.embed.row(t), 1, e, &self.wx, None, row, None);
-                    }
-                },
+                |missing, rows| self.fill_input_rows(missing, rows, s),
                 |r, row| z.row_mut(r).copy_from_slice(row),
             ),
             None => {
@@ -203,6 +192,43 @@ impl LstmCell {
         ops::affine_acc_rows_into(h, rows, &self.wh, &self.b, &mut z, pool);
         ops::lstm_gates_rows_inplace(&z, rows, h, c);
         s.put(z);
+    }
+
+    /// Computes ahead the table rows of every token of `tokens` it
+    /// lacks, in one product; a cell without a table does nothing. On
+    /// a table that has them all, no write lock and no allocation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a token is out of the vocabulary.
+    pub(crate) fn prefill(&self, tokens: impl Iterator<Item = u32> + Clone, s: &mut Scratch) {
+        if let Some(table) = &self.table {
+            table.prefill(tokens.map(|t| self.checked(t)), |missing, rows| {
+                self.fill_input_rows(missing, rows, s)
+            });
+        }
+    }
+
+    /// `token` as an embedding row index.
+    fn checked(&self, token: u32) -> usize {
+        let (id, vocab) = (token as usize, self.vocab_size());
+        assert!(id < vocab, "embedding id {id} >= vocab {vocab}");
+        id
+    }
+
+    /// Appends the table row `embed[t] · Wx` of every token of `tokens`
+    /// to `rows`, in order: one unpooled product over the gathered
+    /// embedding rows. Row `r` of it is the 1-row product of token
+    /// `r`'s embedding bit for bit, as the kernel folds every row
+    /// alone.
+    fn fill_input_rows(&self, tokens: &[usize], rows: &mut Vec<f32>, s: &mut Scratch) {
+        let (m, e, gates) = (tokens.len(), self.embed_size(), self.wx.n());
+        let mut x = s.take_dirty(m, e);
+        ops::embedding_into(&self.embed, tokens, &mut x);
+        let start = rows.len();
+        rows.resize(start + m * gates, 0.0);
+        gemm::gemm_into(x.as_slice(), m, e, &self.wx, None, &mut rows[start..], None);
+        s.put(x);
     }
 
     /// Exports the cell's weights (§4.2 persistence), `w` unpacked to
@@ -271,12 +297,42 @@ pub(crate) fn emit_states<F: FnMut(usize, &[f32], &[f32], Option<u32>)>(
     }
 }
 
+/// Asserts that table rows filled `m` at a time, `m` in 1–9, 16, 17,
+/// 31–33, 64 and 65, are the 1-row products of their tokens bit for
+/// bit. `cell`'s vocabulary must hold 65 tokens.
+#[cfg(test)]
+pub(crate) fn assert_fills_are_row_products(cell: &LstmCell) {
+    let (e, gates, vocab) = (cell.embed_size(), cell.wx.n(), cell.vocab_size());
+    let mut s = Scratch::new();
+    for m in (1..=9).chain([16, 17, 31, 32, 33, 64, 65]) {
+        let tokens: Vec<usize> = (0..m).map(|i| (i * 37 + m) % vocab).collect();
+        // A row already there, so the fill appends at an offset.
+        let mut rows = vec![f32::NAN; gates];
+        cell.fill_input_rows(&tokens, &mut rows, &mut s);
+        assert_eq!(rows.len(), (m + 1) * gates, "m = {m}");
+        for (r, &t) in tokens.iter().enumerate() {
+            let mut want = vec![0.0; gates];
+            gemm::gemm_into(cell.embed.row(t), 1, e, &cell.wx, None, &mut want, None);
+            let got = &rows[(r + 1) * gates..(r + 2) * gates];
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(got), bits(&want), "m = {m}, row {r} (token {t})");
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::state::{CellState, StateRef};
     use crate::tests::Outputs;
     use crate::Cell;
+
+    #[test]
+    fn table_rows_filled_together_are_one_row_products() {
+        // Widths ragged for every GEMM tier; 67 tokens, coprime to the
+        // stride that spreads each fill's tokens.
+        assert_fills_are_row_products(&LstmCell::seeded(24, 20, 67, 5));
+    }
 
     fn cell() -> Cell {
         Cell::Lstm(LstmCell::seeded(4, 6, 20, 42))

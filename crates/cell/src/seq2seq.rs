@@ -79,6 +79,11 @@ impl DecoderCell {
         w
     }
 
+    /// The LSTM's [`LstmCell::prefill`].
+    pub(crate) fn prefill(&self, tokens: impl Iterator<Item = u32> + Clone, s: &mut Scratch) {
+        self.lstm.prefill(tokens, s);
+    }
+
     /// The LSTM step over rows `0..rows` of `h` and `c`, then the
     /// vocabulary projection straight over the new `h` rows, so no state
     /// moves: emits `(row, h, c, Some(word))` per row in batch order,
@@ -137,6 +142,12 @@ mod tests {
     use crate::state::{CellState, RowInvocation, StateRef};
     use crate::tests::Outputs;
     use crate::Cell;
+
+    #[test]
+    fn decoder_table_rows_filled_together_are_one_row_products() {
+        let d = DecoderCell::seeded(24, 20, 67, 5);
+        crate::lstm::assert_fills_are_row_products(&d.lstm);
+    }
 
     #[test]
     fn decoder_emits_token_in_vocab() {

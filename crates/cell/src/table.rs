@@ -6,10 +6,11 @@
 //! immutable per cell type (§4.2), and by batching transparency a row
 //! does not depend on the rest of its batch, so the first computation
 //! of a token is every later one. Each such cell keeps a
-//! [`TokenTable`] and computes a token's row only the first time a step
-//! needs it: the whole table is `vocab` rows of work (0.5 GFLOP for the
-//! LSTM at vocab 1000, hidden 256) that a cold start would otherwise
-//! pay before its first response.
+//! [`TokenTable`] and computes a token's row only the first time a
+//! request needs it (admission prefills a request's known tokens, a
+//! step fills the rest): the whole table is `vocab` rows of work (0.5
+//! GFLOP for the LSTM at vocab 1000, hidden 256) that a cold start
+//! would otherwise pay before its first response.
 
 use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
@@ -81,12 +82,8 @@ impl TokenTable {
     }
 
     /// Calls `read(r, row)` with the row of token `id(r)` for every
-    /// `r < n`, in order.
-    ///
-    /// Tokens without a row are first handed to `fill` once each, in
-    /// ascending order, with the rows computed so far: it must append
-    /// one row of `width` floats per token it is given, in the order
-    /// given.
+    /// `r < n`, in order, first filling the rows it lacks as
+    /// [`TokenTable::prefill`] does.
     pub(crate) fn rows(
         &self,
         n: usize,
@@ -94,44 +91,81 @@ impl TokenTable {
         fill: impl FnOnce(&[usize], &mut Vec<f32>),
         mut read: impl FnMut(usize, &[f32]),
     ) {
-        let hit: RwLockReadGuard<'_, Rows>;
-        let mut miss: RwLockWriteGuard<'_, Rows>;
-        let table = self.0.read().unwrap_or_else(PoisonError::into_inner);
-        let rows: &Rows = if (0..n).all(|r| table.slot[id(r)].is_some()) {
-            hit = table;
-            &hit
-        } else {
-            drop(table);
-            miss = self.0.write().unwrap_or_else(PoisonError::into_inner);
-            let table = &mut *miss;
-            let mut missing: Vec<usize> = (0..n)
-                .map(&id)
-                .filter(|&t| table.slot[t].is_none())
-                .collect();
-            // Another step may have filled them while this one waited.
-            if !missing.is_empty() {
-                missing.sort_unstable();
-                missing.dedup();
-                // Drop what an unfinished fill appended; reserve the whole
-                // table unless it already is.
-                let (done, whole) = (table.len * table.width, table.slot.len() * table.width);
-                table.data.truncate(done);
-                table.data.reserve_exact(whole - done);
-                fill(&missing, &mut table.data);
-                assert_eq!(
-                    table.data.len(),
-                    (table.len + missing.len()) * table.width,
-                    "a fill appends one row per missing token"
-                );
-                for &t in &missing {
-                    table.slot[t] = Some(table.len);
-                    table.len += 1;
-                }
-            }
-            &miss
-        };
+        let rows = self.filled((0..n).map(&id), fill);
         for r in 0..n {
             read(r, rows.row(id(r)).expect("filled above"));
+        }
+    }
+
+    /// Makes sure every token of `tokens` has a row. On a table that
+    /// has them all this is one scan under the read lock: no write
+    /// lock, no allocation.
+    ///
+    /// Tokens without a row are handed to `fill` once, in ascending
+    /// order and without repeats, with the rows computed so far: it
+    /// must append one row of `width` floats per token it is given, in
+    /// the order given.
+    pub(crate) fn prefill(
+        &self,
+        tokens: impl Iterator<Item = usize> + Clone,
+        fill: impl FnOnce(&[usize], &mut Vec<f32>),
+    ) {
+        drop(self.filled(tokens, fill));
+    }
+
+    /// [`TokenTable::prefill`], returning the table still held.
+    fn filled(
+        &self,
+        tokens: impl Iterator<Item = usize> + Clone,
+        fill: impl FnOnce(&[usize], &mut Vec<f32>),
+    ) -> Held<'_> {
+        let table = self.0.read().unwrap_or_else(PoisonError::into_inner);
+        if tokens.clone().all(|t| table.slot[t].is_some()) {
+            return Held::Read(table);
+        }
+        drop(table);
+        #[cfg(test)]
+        WRITE_LOCKS.with(|n| n.set(n.get() + 1));
+        let mut held = self.0.write().unwrap_or_else(PoisonError::into_inner);
+        let table = &mut *held;
+        let mut missing: Vec<usize> = tokens.filter(|&t| table.slot[t].is_none()).collect();
+        // Another step may have filled them while this one waited.
+        if !missing.is_empty() {
+            missing.sort_unstable();
+            missing.dedup();
+            // Drop what an unfinished fill appended; reserve the whole
+            // table unless it already is.
+            let (done, whole) = (table.len * table.width, table.slot.len() * table.width);
+            table.data.truncate(done);
+            table.data.reserve_exact(whole - done);
+            fill(&missing, &mut table.data);
+            assert_eq!(
+                table.data.len(),
+                (table.len + missing.len()) * table.width,
+                "a fill appends one row per missing token"
+            );
+            for &t in &missing {
+                table.slot[t] = Some(table.len);
+                table.len += 1;
+            }
+        }
+        Held::Write(held)
+    }
+}
+
+/// The table held for reading, or for writing after a fill.
+enum Held<'a> {
+    Read(RwLockReadGuard<'a, Rows>),
+    Write(RwLockWriteGuard<'a, Rows>),
+}
+
+impl std::ops::Deref for Held<'_> {
+    type Target = Rows;
+
+    fn deref(&self) -> &Rows {
+        match self {
+            Held::Read(rows) => rows,
+            Held::Write(rows) => rows,
         }
     }
 }
@@ -139,6 +173,14 @@ impl TokenTable {
 #[cfg(test)]
 thread_local! {
     static TABLES_OFF: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+    /// Write locks this thread's fills have asked for.
+    static WRITE_LOCKS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// Write locks the calling thread's table fills have asked for.
+#[cfg(test)]
+pub(crate) fn write_locks() -> u64 {
+    WRITE_LOCKS.with(std::cell::Cell::get)
 }
 
 /// Runs `build` with token tables switched off on this thread: cells it

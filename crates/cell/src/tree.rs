@@ -140,10 +140,7 @@ impl TreeLeafCell {
             .iter()
             .map(|inv| {
                 assert!(inv.states().is_empty(), "leaf cell takes no state inputs");
-                let id = inv.token().expect("leaf invocation requires a token") as usize;
-                let vocab = self.vocab_size();
-                assert!(id < vocab, "embedding id {id} >= vocab {vocab}");
-                id
+                self.checked(inv.token().expect("leaf invocation requires a token"))
             })
             .collect();
         let Some(table) = &self.table else {
@@ -153,17 +150,42 @@ impl TreeLeafCell {
         table.rows(
             ids.len(),
             |r| ids[r],
-            |missing, rows| {
-                self.step(missing, s, |_, h, c, _| {
-                    rows.extend_from_slice(h);
-                    rows.extend_from_slice(c);
-                })
-            },
+            |missing, rows| self.fill_rows(missing, rows, s),
             |r, row| {
                 let (h, c) = row.split_at(hsz);
                 emit(r, h, c, None);
             },
         );
+    }
+
+    /// Computes ahead the table rows of every token of `tokens` it
+    /// lacks, in one batched step; a cell without a table does nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a token is out of the vocabulary.
+    pub(crate) fn prefill(&self, tokens: impl Iterator<Item = u32> + Clone, s: &mut Scratch) {
+        if let Some(table) = &self.table {
+            table.prefill(tokens.map(|t| self.checked(t)), |missing, rows| {
+                self.fill_rows(missing, rows, s)
+            });
+        }
+    }
+
+    /// `token` as an embedding row index.
+    fn checked(&self, token: u32) -> usize {
+        let (id, vocab) = (token as usize, self.vocab_size());
+        assert!(id < vocab, "embedding id {id} >= vocab {vocab}");
+        id
+    }
+
+    /// Appends the table row `[h|c]` of every token of `tokens` to
+    /// `rows`, in order, from one batched step.
+    fn fill_rows(&self, tokens: &[usize], rows: &mut Vec<f32>, s: &mut Scratch) {
+        self.step(tokens, s, |_, h, c, _| {
+            rows.extend_from_slice(h);
+            rows.extend_from_slice(c);
+        })
     }
 
     /// One batched cell step over the given tokens.
@@ -328,7 +350,7 @@ impl TreeInternalCell {
 mod tests {
     use super::*;
     use crate::state::{CellState, StateRef};
-    use crate::table::without_tables;
+    use crate::table::{without_tables, write_locks};
     use crate::tests::Outputs;
     use crate::{Cell, CellOutput, DecoderCell, LstmCell};
 
@@ -423,6 +445,45 @@ mod tests {
             // A new cell fills the batch's rows, repeats included, at once.
             assert_eq!(new.outputs(&batch(&mixed)), want, "{kind}");
         }
+    }
+
+    #[test]
+    fn prefilled_rows_equal_fresh_computation() {
+        // Every cell kind with a token table: rows computed ahead, in
+        // one product, are the rows a cell without a table computes; a
+        // second prefill of the same tokens, and a step over them, take
+        // no write lock.
+        let cells = || {
+            [
+                Cell::TreeLeaf(TreeLeafCell::seeded(5, 7, 12, 3)),
+                Cell::Lstm(LstmCell::seeded(5, 7, 12, 3)),
+                Cell::Decoder(DecoderCell::seeded(5, 7, 12, 3)),
+            ]
+        };
+        let batch = |tokens: &[u32]| -> Vec<RowInvocation<'static>> {
+            tokens
+                .iter()
+                .map(|&t| RowInvocation::token_only(t))
+                .collect()
+        };
+        let tokens = [9, 2, 4, 2, 11, 9];
+        let mut s = Scratch::new();
+        for (cell, direct) in cells().iter().zip(without_tables(cells)) {
+            let kind = cell.kind_name();
+            let before = write_locks();
+            cell.prefill(tokens.iter().copied(), &mut s);
+            assert_eq!(write_locks(), before + 1, "{kind}: cold prefill");
+            cell.prefill(tokens.iter().copied(), &mut s);
+            cell.prefill(tokens[..3].iter().copied(), &mut s);
+            let got = cell.outputs(&batch(&tokens));
+            assert_eq!(write_locks(), before + 1, "{kind}: warm table");
+            assert_eq!(got, direct.outputs(&batch(&tokens)), "{kind}");
+        }
+        // A cell without a table has nothing to fill.
+        let internal = Cell::TreeInternal(TreeInternalCell::seeded(7, 3));
+        let before = write_locks();
+        internal.prefill(std::iter::empty(), &mut s);
+        assert_eq!(write_locks(), before);
     }
 
     #[test]

@@ -1233,8 +1233,16 @@ impl Shard {
         }
     }
 
-    /// Books one arrival: live-request entry with its slot block, engine
-    /// admission with its deadline.
+    /// Books one arrival: the token-table rows of its fixed tokens,
+    /// live-request entry with its slot block, engine admission with its
+    /// deadline.
+    ///
+    /// Every cell type that keeps a token table computes the rows the
+    /// request's `Fixed` tokens lack in one product, before the first
+    /// step: left to the steps, a first request paid one pass over the
+    /// whole of `Wx` per step that met a new token. `FromDep` tokens are
+    /// known only at their step and are filled there. A warm table
+    /// answers with one scan under its read lock.
     fn admit(&mut self, a: Arrival) {
         let Arrival {
             id,
@@ -1243,6 +1251,13 @@ impl Shard {
             deadline_us,
             respond,
         } = a;
+        for meta in self.registry.iter() {
+            let tokens = graph.nodes().iter().filter_map(|n| match n.token {
+                TokenSource::Fixed(t) if n.cell_type == meta.id => Some(t),
+                _ => None,
+            });
+            meta.cell.prefill(tokens, &mut self.scratch);
+        }
         self.live.insert(
             id,
             LiveRequest {

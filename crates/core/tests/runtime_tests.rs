@@ -1494,3 +1494,40 @@ fn dropping_a_hosted_shard_resolves_what_it_holds() {
     assert_eq!(rt.active_requests(), 0);
     rt.shutdown();
 }
+
+/// A freshly built model's first requests through a hosted shard, whose
+/// admission computes their token-table rows before any step, serve
+/// bit-identically to the reference, through a handle and tagged. The
+/// reference runs on a second build of the model, so its rows are
+/// computed apart from the served ones.
+#[test]
+fn a_fresh_models_first_requests_serve_like_the_reference() {
+    for kind in 0..3 {
+        let (model, inputs) = model_and_inputs(kind, 11);
+        let (reference_model, _) = model_and_inputs(kind, 11);
+        let opts = serving(ServeConfig::new().shards(1));
+        let (rt, mut shard) = Runtime::start_hosted(model, opts, Arc::new(|| {}));
+        let (queue, completions) = completion_queue();
+        let handle = rt.submit_request(&inputs[0]).expect("submit");
+        for (tag, input) in inputs.iter().enumerate().skip(1) {
+            rt.submit_request_tagged(input, tag as u64, &queue)
+                .expect("submit tagged");
+        }
+        drain(&mut shard);
+        let expect = |input: &RequestInput| {
+            reference::execute_graph(&reference_model.unfold(input), reference_model.registry())
+        };
+        assert_eq!(
+            handle.wait().completed().result,
+            expect(&inputs[0]),
+            "model {kind}: handle"
+        );
+        for _ in 1..inputs.len() {
+            let (tag, outcome) = completions.try_recv().expect("resolved by the passes");
+            let input = &inputs[tag as usize];
+            let what = format!("model {kind}: tagged {input:?}");
+            assert_tagged_matches(&outcome.completed(), &expect(input), &what);
+        }
+        rt.shutdown();
+    }
+}

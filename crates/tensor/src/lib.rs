@@ -45,7 +45,7 @@ mod scratch;
 
 pub use error::TensorError;
 pub use gemm::PackedWeights;
-pub use init::{xavier_uniform, xavier_uniform_rows, zeros_like, WeightInit};
+pub use init::{xavier_uniform, xavier_uniform_rows};
 pub use matrix::Matrix;
 pub use pool::ComputePool;
 pub use scratch::Scratch;

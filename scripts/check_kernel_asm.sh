@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Checks the machine code of the bm-tensor kernels in the release build.
 #
-# Both kernel families are plain Rust that LLVM has to vectorise; whether
+# Every kernel below is plain Rust that LLVM has to vectorise; whether
 # it did is invisible to every test (a scalar build computes the same
 # bits) and has regressed silently before, so it is checked here:
 #
@@ -14,6 +14,10 @@
 # - Fused gate kernels (crates/tensor/src/gates.rs, 3 ISA tiers): no
 #   reference to libm's exp/tanh, and packed arithmetic at the tier's
 #   full width (zmm under AVX-512F, ymm under AVX2).
+# - Seeded weight fill (crates/tensor/src/init.rs, AVX-512 tier): every
+#   loop multiplies eight 64-bit lanes at once (`vpmullq` on zmm) and
+#   none has a scalar `imul`; a scalar build draws the same weights 5x
+#   slower.
 #
 # Run after any edit to those files and after a toolchain bump. x86-64
 # only: the tiers are `#[cfg(target_arch = "x86_64")]`.
@@ -120,6 +124,20 @@ for name, reg in (('bm_tensor::gates::run', 'xmm'),
             break
     divs = sum(1 for _, op, args in code if op.lstrip('v') == 'divps' and reg in args)
     print(f'{name}: {divs} packed divides on {reg}')
+
+# --- Weight fill: `fill_avx512`'s loops run the generator on zmm lanes. ---
+name = 'bm_tensor::init::fill_avx512'
+loops = inner_loops(body(name))
+if name in symbols and not loops:
+    failures.append(f'{name}: no loop found')
+for loop in loops:
+    if not any(op == 'vpmullq' and 'zmm' in args for _, op, args in loop):
+        failures.append(f'{name}: a loop at {loop[0][0]:x} has no vpmullq on zmm '
+                        '(the lanes did not vectorise)')
+    for addr, op, args in loop:
+        if op.startswith('imul'):
+            failures.append(f'{name}: scalar {op} inside a loop at {addr:x}')
+print(f'{name}: {len(loops)} loops checked')
 
 # --- No libm transcendental anywhere in the tensor, cell or model code. ---
 for name, code in symbols.items():
