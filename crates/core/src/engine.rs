@@ -14,7 +14,7 @@
 //! `bm-sim`. Both therefore benchmark exactly the scheduling policy that
 //! the correctness tests validate.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::sync::Arc;
 
 use bm_cell::{CellRegistry, CellTypeId};
@@ -165,7 +165,9 @@ impl EngineMetrics {
     }
 }
 
-/// Per-request bookkeeping held by the request processor.
+/// Everything the scheduler knows about one admitted request: its
+/// graph, its subgraphs, one record per node and the reverse edges.
+/// Retiring the request drops all of it at once.
 #[derive(Debug)]
 struct RequestState {
     graph: CellGraph,
@@ -181,23 +183,17 @@ struct RequestState {
     first_enqueue_us: Option<u64>,
     /// When the first batched task containing the request was formed.
     first_batch_us: Option<u64>,
-    /// Per node: dependencies not yet satisfied. Intra-subgraph edges are
-    /// satisfied at *submission* of the dependency (FIFO per worker
-    /// guarantees order); external edges at *completion*.
-    unmet: Vec<u32>,
-    /// Per node: dependents (reverse edges).
-    dependents: Vec<Vec<u32>>,
-    /// Per node: whether it has been submitted in a task.
-    submitted: Vec<bool>,
-    /// Per node: whether it has completed.
-    completed: Vec<bool>,
-    /// Per node: whether it was cancelled, by `<eos>` termination or
-    /// deadline expiry.
-    cancelled: Vec<bool>,
-    /// Local subgraph index per node.
-    node_subgraph: Vec<usize>,
-    /// Global subgraph ids, indexed by local subgraph index.
-    subgraph_ids: Vec<SubgraphId>,
+    /// Global id of subgraph 0: subgraph `i` is `first_subgraph + i`, so
+    /// ids stay unique across requests and numbered in admission order.
+    first_subgraph: u64,
+    /// The graph's same-type subgraphs ([`partition`]), numbered in
+    /// order of their first node.
+    subgraphs: Vec<SubgraphState>,
+    /// One record per graph node, by node index.
+    nodes: Vec<NodeState>,
+    /// Every node's dependents (reverse edges), node after node, each
+    /// node's in ascending order; [`NodeState::dependents`] is its range.
+    dependents: Vec<u32>,
     /// Nodes not yet completed or cancelled.
     remaining: usize,
     /// Nodes executed so far.
@@ -207,31 +203,72 @@ struct RequestState {
     expired: bool,
 }
 
+impl RequestState {
+    fn subgraph_id(&self, local: usize) -> SubgraphId {
+        SubgraphId(self.first_subgraph + local as u64)
+    }
+}
+
+/// Where a node is in its life: it leaves `Waiting` once, either handed
+/// to a worker (and later completed) or cancelled — never both.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum NodeStatus {
+    Waiting,
+    Submitted,
+    Completed,
+    /// Cancelled before submission, by `<eos>` termination or deadline
+    /// expiry.
+    Cancelled,
+}
+
+/// Per-node scheduler state.
+#[derive(Debug, Clone, Copy)]
+struct NodeState {
+    status: NodeStatus,
+    /// Dependencies not yet satisfied. Intra-subgraph edges are satisfied
+    /// at *submission* of the dependency (FIFO per worker guarantees
+    /// order); external edges at *completion*.
+    unmet: u32,
+    /// Local index of the node's subgraph.
+    subgraph: u32,
+    /// This node's slice of [`RequestState::dependents`].
+    first_dependent: u32,
+    end_dependent: u32,
+}
+
+impl NodeState {
+    fn dependents(&self) -> std::ops::Range<usize> {
+        self.first_dependent as usize..self.end_dependent as usize
+    }
+}
+
 /// Per-subgraph scheduler state.
 #[derive(Debug)]
 struct SubgraphState {
-    request: RequestId,
     cell_type: CellTypeId,
     /// Nodes whose dependencies are satisfied and not yet submitted.
-    ready: std::collections::VecDeque<u32>,
+    ready: VecDeque<u32>,
     /// External dependency edges not yet satisfied; the subgraph is
     /// passed to the scheduler only when this reaches zero (§4.3).
     external_unmet: usize,
-    /// Worker the subgraph is pinned to while it has in-flight tasks.
+    /// Worker the subgraph is pinned to while it has in-flight nodes.
     pinned: Option<WorkerId>,
-    /// Number of in-flight tasks containing nodes of this subgraph.
-    inflight: usize,
+    /// Nodes of this subgraph in submitted, not yet completed tasks.
+    inflight_nodes: usize,
     /// Last worker this subgraph executed on (for transfer accounting).
     last_worker: Option<WorkerId>,
     /// Whether the subgraph is currently in its type's scheduling queue.
     in_queue: bool,
 }
 
+/// A subgraph's address: its request and its local index there.
+type SubgraphKey = (RequestId, usize);
+
 /// Per-cell-type scheduling queue.
 #[derive(Debug, Default)]
 struct TypeQueue {
     /// Subgraphs with ready nodes, in arrival order.
-    subgraphs: std::collections::VecDeque<SubgraphId>,
+    subgraphs: VecDeque<SubgraphKey>,
     /// Total ready nodes across queued subgraphs.
     ready_nodes: usize,
     /// In-flight tasks of this type (`ct.NumRunningTasks()`).
@@ -244,7 +281,6 @@ struct InflightTask {
     cell_type: CellTypeId,
     worker: WorkerId,
     entries: Vec<(RequestId, NodeId)>,
-    subgraphs: Arc<[SubgraphId]>,
 }
 
 impl InflightTask {
@@ -253,7 +289,6 @@ impl InflightTask {
             cell_type: t.cell_type,
             worker: t.worker,
             entries: t.entries.iter().map(|e| (e.request, e.node)).collect(),
-            subgraphs: Arc::clone(&t.subgraphs),
         }
     }
 }
@@ -357,8 +392,8 @@ impl SchedulerStats {
 pub struct CellularEngine {
     registry: Arc<CellRegistry>,
     cfg: SchedulerConfig,
+    /// Admitted requests, each owning its subgraphs and node records.
     requests: HashMap<RequestId, RequestState>,
-    subgraphs: HashMap<SubgraphId, SubgraphState>,
     queues: Vec<TypeQueue>,
     inflight: HashMap<TaskId, InflightTask>,
     /// Last batch composition per (worker, cell type), for gather
@@ -403,7 +438,6 @@ impl CellularEngine {
             cfg,
             registry,
             requests: HashMap::new(),
-            subgraphs: HashMap::new(),
             queues,
             inflight: HashMap::new(),
             last_composition: HashMap::new(),
@@ -483,66 +517,82 @@ impl CellularEngine {
             .validate(&self.registry)
             .unwrap_or_else(|e| panic!("invalid graph for {id}: {e}"));
         let n = graph.len();
-        let part: Partition = partition(&graph);
+        let Partition {
+            node_subgraph,
+            external_deps,
+        } = partition(&graph);
 
-        let mut unmet = vec![0u32; n];
-        let mut dependents: Vec<Vec<u32>> = vec![Vec::new(); n];
+        // Node records, then the reverse edges as one flat list: count
+        // each node's dependents, turn the counts into ranges, and fill
+        // the ranges in node order so each stays ascending.
+        let mut nodes: Vec<NodeState> = graph
+            .iter()
+            .zip(node_subgraph)
+            .map(|((_, node), sg)| NodeState {
+                status: NodeStatus::Waiting,
+                unmet: node.deps.len() as u32,
+                subgraph: sg as u32,
+                first_dependent: 0,
+                end_dependent: 0,
+            })
+            .collect();
+        for d in graph.iter().flat_map(|(_, node)| node.deps.iter()) {
+            nodes[d.index()].end_dependent += 1;
+        }
+        let mut edges = 0;
+        for node in &mut nodes {
+            node.first_dependent = edges;
+            edges += std::mem::replace(&mut node.end_dependent, edges);
+        }
+        let mut dependents = vec![0u32; edges as usize];
         for (nid, node) in graph.iter() {
-            unmet[nid.index()] = node.deps.len() as u32;
             for d in node.deps.iter() {
-                dependents[d.index()].push(nid.0);
+                let dep = &mut nodes[d.index()];
+                dependents[dep.end_dependent as usize] = nid.0;
+                dep.end_dependent += 1;
             }
         }
 
-        // Create subgraph states.
-        let mut subgraph_ids = Vec::with_capacity(part.len());
-        for sg_local in 0..part.len() {
-            let sg_id = SubgraphId(self.next_subgraph);
-            self.next_subgraph += 1;
-            let cell_type = graph
-                .node(NodeId(part.members[sg_local][0] as u32))
-                .cell_type;
-            let mut state = SubgraphState {
-                request: id,
-                cell_type,
-                ready: std::collections::VecDeque::new(),
-                external_unmet: part.external_deps[sg_local],
-                pinned: None,
-                inflight: 0,
-                last_worker: None,
-                in_queue: false,
-            };
-            if state.external_unmet == 0 {
-                // Released immediately: queue nodes with no unmet deps.
-                for &m in &part.members[sg_local] {
-                    if unmet[m] == 0 {
-                        state.ready.push_back(m as u32);
-                    }
-                }
+        // Subgraphs are numbered in order of their first node; one whose
+        // external dependencies are all met is released at once, with
+        // its dependency-free nodes ready.
+        let mut subgraphs: Vec<SubgraphState> = Vec::with_capacity(external_deps.len());
+        for (i, node) in nodes.iter().enumerate() {
+            let local = node.subgraph as usize;
+            if local == subgraphs.len() {
+                subgraphs.push(SubgraphState {
+                    cell_type: graph.node(NodeId(i as u32)).cell_type,
+                    ready: VecDeque::new(),
+                    external_unmet: external_deps[local],
+                    pinned: None,
+                    inflight_nodes: 0,
+                    last_worker: None,
+                    in_queue: false,
+                });
             }
-            subgraph_ids.push(sg_id);
-            self.subgraphs.insert(sg_id, state);
+            let sg = &mut subgraphs[local];
+            if sg.external_unmet == 0 && node.unmet == 0 {
+                sg.ready.push_back(i as u32);
+            }
         }
 
-        let num_subgraphs = part.len() as u32;
+        let num_subgraphs = subgraphs.len();
         let req = RequestState {
             arrival_us: now_us,
             deadline_us,
             start_us: None,
             first_enqueue_us: None,
             first_batch_us: None,
-            unmet,
+            first_subgraph: self.next_subgraph,
+            subgraphs,
+            nodes,
             dependents,
-            submitted: vec![false; n],
-            completed: vec![false; n],
-            cancelled: vec![false; n],
-            node_subgraph: part.node_subgraph,
-            subgraph_ids: subgraph_ids.clone(),
             remaining: n,
             executed: 0,
             expired: false,
             graph,
         };
+        self.next_subgraph += num_subgraphs as u64;
         self.requests.insert(id, req);
         if let Some(d) = deadline_us {
             self.deadlines.insert((d, id));
@@ -554,7 +604,7 @@ impl CellularEngine {
                 EventKind::RequestArrived {
                     request: id.0,
                     nodes: n as u32,
-                    subgraphs: num_subgraphs,
+                    subgraphs: num_subgraphs as u32,
                 },
             );
         }
@@ -564,8 +614,8 @@ impl CellularEngine {
         }
 
         // Enqueue released subgraphs with ready nodes.
-        for sg_id in subgraph_ids {
-            self.maybe_enqueue(sg_id);
+        for local in 0..num_subgraphs {
+            self.maybe_enqueue(id, local);
         }
         if self.metrics.is_some() {
             self.set_ready_gauge();
@@ -597,32 +647,35 @@ impl CellularEngine {
         }
     }
 
-    fn maybe_enqueue(&mut self, sg_id: SubgraphId) {
-        let sg = self.subgraphs.get_mut(&sg_id).expect("live subgraph");
-        if !sg.in_queue && sg.external_unmet == 0 && !sg.ready.is_empty() {
-            sg.in_queue = true;
-            let (request, cell_type, count) = (sg.request, sg.cell_type, sg.ready.len());
-            let q = &mut self.queues[cell_type.index()];
-            q.subgraphs.push_back(sg_id);
-            q.ready_nodes += count;
-            if self.trace.enabled() {
-                self.emit(
-                    self.clock_us,
-                    EventKind::NodesEnqueued {
-                        request: request.0,
-                        subgraph: sg_id.0,
-                        cell_type: cell_type.0,
-                        count: count as u32,
-                    },
-                );
-            }
-            if self.metrics.is_some() {
-                // Stage decomposition: when the request first became
-                // schedulable.
-                if let Some(req) = self.requests.get_mut(&request) {
-                    req.first_enqueue_us.get_or_insert(self.clock_us);
-                }
-            }
+    /// Puts a released subgraph that has ready nodes into its type's
+    /// scheduling queue, unless it is there already.
+    fn maybe_enqueue(&mut self, id: RequestId, local: usize) {
+        let req = self.requests.get_mut(&id).expect("live request");
+        let sg = &mut req.subgraphs[local];
+        if sg.in_queue || sg.external_unmet > 0 || sg.ready.is_empty() {
+            return;
+        }
+        sg.in_queue = true;
+        let (cell_type, count) = (sg.cell_type, sg.ready.len());
+        if self.metrics.is_some() {
+            // Stage decomposition: when the request first became
+            // schedulable.
+            req.first_enqueue_us.get_or_insert(self.clock_us);
+        }
+        let subgraph = req.subgraph_id(local).0;
+        let q = &mut self.queues[cell_type.index()];
+        q.subgraphs.push_back((id, local));
+        q.ready_nodes += count;
+        if self.trace.enabled() {
+            self.emit(
+                self.clock_us,
+                EventKind::NodesEnqueued {
+                    request: id.0,
+                    subgraph,
+                    cell_type: cell_type.0,
+                    count: count as u32,
+                },
+            );
         }
     }
 
@@ -702,7 +755,7 @@ impl CellularEngine {
             if picks.is_empty() {
                 break;
             }
-            let size: usize = picks.iter().map(|(_, nodes)| nodes.len()).sum();
+            let size: usize = picks.iter().map(|&(_, count)| count).sum();
             if size >= min_batch || tasks.is_empty() {
                 // The selection reason describes the first task;
                 // follow-on tasks in the same call requalify against the
@@ -731,18 +784,17 @@ impl CellularEngine {
         ct: CellTypeId,
         worker: WorkerId,
         max_batch: usize,
-    ) -> Vec<(SubgraphId, Vec<u32>)> {
+    ) -> Vec<(SubgraphKey, usize)> {
         let mut picks = Vec::new();
         let mut total = 0;
-        for sg_id in &self.queues[ct.index()].subgraphs {
-            let sg = &self.subgraphs[sg_id];
+        for &(request, local) in &self.queues[ct.index()].subgraphs {
+            let sg = &self.requests[&request].subgraphs[local];
             if sg.pinned.is_some_and(|w| w != worker) || sg.ready.is_empty() {
                 continue;
             }
             let take = sg.ready.len().min(max_batch - total);
-            let nodes: Vec<u32> = sg.ready.iter().take(take).copied().collect();
-            total += nodes.len();
-            picks.push((*sg_id, nodes));
+            total += take;
+            picks.push(((request, local), take));
             if total == max_batch {
                 break;
             }
@@ -750,93 +802,96 @@ impl CellularEngine {
         picks
     }
 
-    /// Submits one batched task: removes the picked nodes from ready
-    /// queues, satisfies intra-subgraph dependencies (line 18), pins
-    /// subgraphs (lines 20–21) and computes gather/transfer metadata.
+    /// Submits one batched task: takes each pick's nodes from the front
+    /// of its ready queue, satisfies intra-subgraph dependencies (line
+    /// 18), pins subgraphs (lines 20–21) and computes gather/transfer
+    /// metadata.
     fn submit(
         &mut self,
         ct: CellTypeId,
         worker: WorkerId,
-        picks: Vec<(SubgraphId, Vec<u32>)>,
+        picks: Vec<(SubgraphKey, usize)>,
         reason: BatchReason,
     ) -> Task {
         let id = TaskId(self.next_task);
         self.next_task += 1;
 
-        let mut entries: Vec<TaskEntry> = Vec::new();
-        let mut subgraph_list: Vec<SubgraphId> = Vec::new();
+        let size = picks.iter().map(|&(_, count)| count).sum();
+        let mut entries: Vec<TaskEntry> = Vec::with_capacity(size);
+        let mut subgraph_list: Vec<SubgraphId> = Vec::with_capacity(picks.len());
         let mut transfer_rows = 0usize;
         let tracing = self.trace.enabled();
-        let metrics_on = self.metrics.is_some();
-        // Deferred trace payloads (emitted after the mutable borrows
-        // below end): pins, migrations, intra-subgraph enqueues.
+        // Deferred trace payloads (emitted after the batch itself):
+        // pins, migrations, intra-subgraph enqueues.
         let mut pins: Vec<(SubgraphId, RequestId)> = Vec::new();
         let mut migrations: Vec<(SubgraphId, RequestId, WorkerId, u32)> = Vec::new();
         let mut enqueues: Vec<(SubgraphId, RequestId, u32)> = Vec::new();
+        let queue = &mut self.queues[ct.index()];
 
-        for (sg_id, nodes) in &picks {
-            let sg = self.subgraphs.get_mut(sg_id).expect("live subgraph");
-            let req_id = sg.request;
-            subgraph_list.push(*sg_id);
-            // Remove from the front of the ready deque (FormBatchedTask
-            // picked from the front).
-            for &n in nodes {
-                let popped = sg.ready.pop_front().expect("picked node is ready");
-                debug_assert_eq!(popped, n);
-                let gnode = self.requests[&req_id].graph.node(NodeId(n));
+        for &((req_id, local), count) in &picks {
+            let req = self.requests.get_mut(&req_id).expect("live request");
+            if self.metrics.is_some() {
+                req.first_batch_us.get_or_insert(self.clock_us);
+            }
+            let sg_id = req.subgraph_id(local);
+            subgraph_list.push(sg_id);
+            let RequestState {
+                graph,
+                subgraphs,
+                nodes,
+                dependents,
+                ..
+            } = req;
+            let sg = &mut subgraphs[local];
+            // Pin (line 20-21) and count migration cost: every row of a
+            // subgraph resuming on a different worker must move its
+            // recurrent state there (§4.3).
+            if let Some(prev) = sg.last_worker {
+                if prev != worker {
+                    transfer_rows += count;
+                    if tracing {
+                        migrations.push((sg_id, req_id, prev, count as u32));
+                    }
+                }
+            }
+            if tracing && sg.pinned.is_none() {
+                pins.push((sg_id, req_id));
+            }
+            sg.pinned = Some(worker);
+            sg.last_worker = Some(worker);
+            sg.inflight_nodes += count;
+
+            // Take the picked nodes, mark them submitted and satisfy
+            // intra-subgraph dependencies (UpdateNodesDependency, line
+            // 18): a dependent that becomes ready joins the back of the
+            // same ready queue, behind the nodes still to be taken.
+            let mut newly_ready = 0;
+            for _ in 0..count {
+                let n = sg.ready.pop_front().expect("picked node is ready");
+                let gnode = graph.node(NodeId(n));
                 entries.push(TaskEntry {
                     request: req_id,
                     node: NodeId(n),
                     deps: gnode.deps.clone(),
                     token: gnode.token,
                 });
-            }
-            self.queues[ct.index()].ready_nodes -= nodes.len();
-            // Pin (line 20-21) and count migration cost: every row of a
-            // subgraph resuming on a different worker must move its
-            // recurrent state there (§4.3).
-            if let Some(prev) = sg.last_worker {
-                if prev != worker {
-                    transfer_rows += nodes.len();
-                    if tracing {
-                        migrations.push((*sg_id, req_id, prev, nodes.len() as u32));
-                    }
-                }
-            }
-            if tracing && sg.pinned.is_none() {
-                pins.push((*sg_id, req_id));
-            }
-            sg.pinned = Some(worker);
-            sg.last_worker = Some(worker);
-            sg.inflight += 1;
-
-            // Mark submitted and satisfy intra-subgraph dependencies
-            // (UpdateNodesDependency, line 18).
-            let req = self.requests.get_mut(&req_id).expect("live request");
-            if metrics_on {
-                req.first_batch_us.get_or_insert(self.clock_us);
-            }
-            let mut newly_ready = Vec::new();
-            for &n in nodes {
-                let ni = n as usize;
-                req.submitted[ni] = true;
-                for &dep_idx in &req.dependents[ni] {
-                    let di = dep_idx as usize;
-                    if req.node_subgraph[di] == req.node_subgraph[ni] && !req.cancelled[di] {
-                        req.unmet[di] -= 1;
-                        if req.unmet[di] == 0 {
-                            newly_ready.push(dep_idx);
+                let node = &mut nodes[n as usize];
+                node.status = NodeStatus::Submitted;
+                let (own, range) = (node.subgraph, node.dependents());
+                for &d in &dependents[range] {
+                    let dep = &mut nodes[d as usize];
+                    if dep.subgraph == own && dep.status != NodeStatus::Cancelled {
+                        dep.unmet -= 1;
+                        if dep.unmet == 0 {
+                            sg.ready.push_back(d);
+                            newly_ready += 1;
                         }
                     }
                 }
             }
-            if tracing && !newly_ready.is_empty() {
-                enqueues.push((*sg_id, req_id, newly_ready.len() as u32));
-            }
-            let sg = self.subgraphs.get_mut(sg_id).expect("live subgraph");
-            for n in newly_ready {
-                sg.ready.push_back(n);
-                self.queues[ct.index()].ready_nodes += 1;
+            queue.ready_nodes = queue.ready_nodes - count + newly_ready;
+            if tracing && newly_ready > 0 {
+                enqueues.push((sg_id, req_id, newly_ready as u32));
             }
         }
 
@@ -942,10 +997,9 @@ impl CellularEngine {
 
     /// Removes queued subgraphs that no longer have ready nodes.
     fn compact_queue(&mut self, ct: CellTypeId) {
-        let q = &mut self.queues[ct.index()];
-        let subgraphs = &mut self.subgraphs;
-        q.subgraphs.retain(|sg_id| {
-            let sg = subgraphs.get_mut(sg_id).expect("live subgraph");
+        let requests = &mut self.requests;
+        self.queues[ct.index()].subgraphs.retain(|(id, local)| {
+            let sg = &mut requests.get_mut(id).expect("live request").subgraphs[*local];
             if sg.ready.is_empty() {
                 sg.in_queue = false;
                 false
@@ -1019,50 +1073,47 @@ impl CellularEngine {
             m.inflight_tasks.sub(1);
         }
 
-        // Unpin subgraphs whose in-flight count drains.
-        for sg_id in t.subgraphs.iter() {
-            let sg = self.subgraphs.get_mut(sg_id).expect("live subgraph");
-            sg.inflight -= 1;
-            if sg.inflight == 0 {
-                sg.pinned = None;
-            }
-        }
-
         let mut completed_requests = Vec::new();
         for (i, (req_id, node)) in t.entries.iter().enumerate() {
-            let ni = node.index();
-            // Phase 1: mark completion, detect <eos>, collect the
-            // external edges this completion satisfies.
+            // Phase 1: mark completion, unpin a subgraph with nothing
+            // left in flight, detect <eos>, collect the subgraphs whose
+            // last external edge this completion satisfies.
             let (eos_hit, released_subgraphs) = {
                 let req = self.requests.get_mut(req_id).expect("live request");
-                debug_assert!(!req.completed[ni]);
-                req.completed[ni] = true;
                 req.remaining -= 1;
                 req.executed += 1;
                 let eos_hit = matches!(
                     (req.graph.node(*node).eos, emitted_tokens[i]),
                     (Some(e), Some(t)) if e == t
                 );
+                let RequestState {
+                    subgraphs,
+                    nodes,
+                    dependents,
+                    ..
+                } = req;
+                let done = &mut nodes[node.index()];
+                debug_assert_eq!(done.status, NodeStatus::Submitted);
+                done.status = NodeStatus::Completed;
+                let (own, range) = (done.subgraph, done.dependents());
+                let sg = &mut subgraphs[own as usize];
+                sg.inflight_nodes -= 1;
+                if sg.inflight_nodes == 0 {
+                    sg.pinned = None;
+                }
                 let mut released = Vec::new();
-                // Detach the dependent list instead of cloning it; the
-                // loop body never touches `dependents[ni]`, and the list
-                // is restored right after.
-                let dependents = std::mem::take(&mut req.dependents[ni]);
-                for &dep_idx in &dependents {
-                    let di = dep_idx as usize;
-                    if req.cancelled[di] || req.node_subgraph[di] == req.node_subgraph[ni] {
+                for &d in &dependents[range] {
+                    let dep = &mut nodes[d as usize];
+                    if dep.status == NodeStatus::Cancelled || dep.subgraph == own {
                         continue;
                     }
-                    req.unmet[di] -= 1;
-                    let sg_local = req.node_subgraph[di];
-                    let sg_id = req.subgraph_ids[sg_local];
-                    let sg = self.subgraphs.get_mut(&sg_id).expect("live subgraph");
+                    dep.unmet -= 1;
+                    let sg = &mut subgraphs[dep.subgraph as usize];
                     sg.external_unmet -= 1;
                     if sg.external_unmet == 0 {
-                        released.push(sg_local);
+                        released.push(dep.subgraph as usize);
                     }
                 }
-                req.dependents[ni] = dependents;
                 (eos_hit, released)
             };
 
@@ -1223,34 +1274,20 @@ impl CellularEngine {
     }
 
     /// Queues every dependency-free node of a just-released subgraph.
-    fn release_subgraph(&mut self, req_id: RequestId, sg_local: usize) {
-        let Some(req) = self.requests.get(&req_id) else {
-            return;
-        };
-        let sg_id = req.subgraph_ids[sg_local];
-        let mut to_push = Vec::new();
-        for (idx, &sgx) in req.node_subgraph.iter().enumerate() {
-            if sgx == sg_local
-                && req.unmet[idx] == 0
-                && !req.submitted[idx]
-                && !req.cancelled[idx]
-                && !req.completed[idx]
+    fn release_subgraph(&mut self, req_id: RequestId, local: usize) {
+        let req = self.requests.get_mut(&req_id).expect("live request");
+        let sg = &mut req.subgraphs[local];
+        debug_assert_eq!(sg.external_unmet, 0, "releasing unreleased subgraph");
+        for (i, node) in req.nodes.iter().enumerate() {
+            if node.subgraph as usize == local
+                && node.unmet == 0
+                && node.status == NodeStatus::Waiting
             {
-                to_push.push(idx as u32);
+                debug_assert!(!sg.ready.contains(&(i as u32)));
+                sg.ready.push_back(i as u32);
             }
         }
-        let sg = self.subgraphs.get_mut(&sg_id).expect("live subgraph");
-        debug_assert_eq!(sg.external_unmet, 0, "releasing unreleased subgraph");
-        for n in to_push {
-            debug_assert!(!sg.ready.contains(&n));
-            sg.ready.push_back(n);
-        }
-        if sg.in_queue {
-            // Already queued (cannot happen for a fresh release, but
-            // keep the counter consistent if it ever does).
-        } else {
-            self.maybe_enqueue(sg_id);
-        }
+        self.maybe_enqueue(req_id, local);
     }
 
     /// Cancels the unsubmitted nodes of a live request that `doomed`
@@ -1259,33 +1296,30 @@ impl CellularEngine {
     /// queue. Returns how many nodes it cancelled.
     fn cancel_nodes(&mut self, req_id: RequestId, doomed: Doomed) -> u32 {
         let req = self.requests.get_mut(&req_id).expect("live request");
-        let n = req.graph.len();
-        let selected = match doomed {
-            Doomed::Unsubmitted => vec![true; n],
+        let downstream = match doomed {
+            Doomed::Unsubmitted => None,
             Doomed::DownstreamOf(from) => {
                 // A graph lists every node after its dependencies.
+                let n = req.graph.len();
                 let mut downstream = vec![false; n];
                 downstream[from.index()] = true;
                 for i in from.index() + 1..n {
                     let node = req.graph.node(NodeId(i as u32));
                     downstream[i] = node.deps.iter().any(|d| downstream[d.index()]);
                 }
-                downstream
+                Some(downstream)
             }
         };
-        let mut newly_cancelled: Vec<usize> = Vec::new();
-        for (i, doomed) in selected.into_iter().enumerate() {
-            if doomed && !req.submitted[i] && !req.cancelled[i] {
-                req.cancelled[i] = true;
-                req.remaining -= 1;
-                newly_cancelled.push(i);
+        let mut n_cancelled = 0u32;
+        for (i, node) in req.nodes.iter_mut().enumerate() {
+            let selected = downstream.as_ref().is_none_or(|d| d[i]);
+            if !selected || node.status != NodeStatus::Waiting {
+                continue;
             }
-        }
-        let n_cancelled = newly_cancelled.len() as u32;
-        self.stats.cancelled_nodes += u64::from(n_cancelled);
-        for i in newly_cancelled {
-            let sg_id = req.subgraph_ids[req.node_subgraph[i]];
-            let sg = self.subgraphs.get_mut(&sg_id).expect("live subgraph");
+            node.status = NodeStatus::Cancelled;
+            req.remaining -= 1;
+            n_cancelled += 1;
+            let sg = &mut req.subgraphs[node.subgraph as usize];
             let before = sg.ready.len();
             sg.ready.retain(|&x| x != i as u32);
             let removed = before - sg.ready.len();
@@ -1293,6 +1327,7 @@ impl CellularEngine {
                 self.queues[sg.cell_type.index()].ready_nodes -= removed;
             }
         }
+        self.stats.cancelled_nodes += u64::from(n_cancelled);
         // Compact any queues that drained.
         for ct in 0..self.queues.len() {
             self.compact_queue(CellTypeId(ct as u32));
@@ -1303,20 +1338,18 @@ impl CellularEngine {
         n_cancelled
     }
 
-    /// Removes a finished request, its pending deadline and its
-    /// subgraphs.
+    /// Removes a finished request — with it its subgraphs and node
+    /// records — its pending deadline and any queue entry of it.
     fn retire(&mut self, req_id: RequestId) {
         let req = self.requests.remove(&req_id).expect("live request");
         if let Some(d) = req.deadline_us {
             self.deadlines.remove(&(d, req_id));
         }
-        for sg_id in req.subgraph_ids {
-            if let Some(sg) = self.subgraphs.remove(&sg_id) {
-                debug_assert!(sg.ready.is_empty(), "retiring subgraph with ready nodes");
-                if sg.in_queue {
-                    let q = &mut self.queues[sg.cell_type.index()];
-                    q.subgraphs.retain(|&x| x != sg_id);
-                }
+        for (local, sg) in req.subgraphs.iter().enumerate() {
+            debug_assert!(sg.ready.is_empty(), "retiring subgraph with ready nodes");
+            if sg.in_queue {
+                let q = &mut self.queues[sg.cell_type.index()];
+                q.subgraphs.retain(|&x| x != (req_id, local));
             }
         }
     }
@@ -1324,9 +1357,10 @@ impl CellularEngine {
 
 impl std::fmt::Debug for CellularEngine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let subgraphs: usize = self.requests.values().map(|r| r.subgraphs.len()).sum();
         f.debug_struct("CellularEngine")
             .field("requests", &self.requests.len())
-            .field("subgraphs", &self.subgraphs.len())
+            .field("subgraphs", &subgraphs)
             .field("inflight", &self.inflight.len())
             .field("ready", &self.total_ready_nodes())
             .finish()

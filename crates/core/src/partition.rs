@@ -18,9 +18,8 @@ use bm_model::CellGraph;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Partition {
     /// For each node (by index), the local subgraph index it belongs to.
+    /// Subgraphs are numbered in order of their first node.
     pub node_subgraph: Vec<usize>,
-    /// For each subgraph, its member node indices in topological order.
-    pub members: Vec<Vec<usize>>,
     /// For each subgraph, the number of *external* dependency edges
     /// entering it (edges whose source is in a different subgraph).
     pub external_deps: Vec<usize>,
@@ -29,12 +28,12 @@ pub struct Partition {
 impl Partition {
     /// Number of subgraphs.
     pub fn len(&self) -> usize {
-        self.members.len()
+        self.external_deps.len()
     }
 
     /// Whether the partition is empty (only for empty graphs).
     pub fn is_empty(&self) -> bool {
-        self.members.is_empty()
+        self.external_deps.is_empty()
     }
 }
 
@@ -67,21 +66,21 @@ pub fn partition(graph: &CellGraph) -> Partition {
             }
         }
     }
-    // Assign dense subgraph indices in order of first appearance.
+    // Number the components densely in order of their first node. A
+    // component's number is kept in its root's slot, where its later
+    // members read it (the root's own entry is that same number).
     let mut node_subgraph = vec![usize::MAX; n];
-    let mut members: Vec<Vec<usize>> = Vec::new();
-    let mut root_to_sg: std::collections::HashMap<usize, usize> = std::collections::HashMap::new();
-    for (i, slot) in node_subgraph.iter_mut().enumerate() {
+    let mut subgraphs = 0;
+    for i in 0..n {
         let root = find(&mut parent, i);
-        let sg = *root_to_sg.entry(root).or_insert_with(|| {
-            members.push(Vec::new());
-            members.len() - 1
-        });
-        *slot = sg;
-        members[sg].push(i);
+        if node_subgraph[root] == usize::MAX {
+            node_subgraph[root] = subgraphs;
+            subgraphs += 1;
+        }
+        node_subgraph[i] = node_subgraph[root];
     }
     // Count external dependency edges per subgraph.
-    let mut external_deps = vec![0usize; members.len()];
+    let mut external_deps = vec![0usize; subgraphs];
     for (id, node) in graph.iter() {
         let sg = node_subgraph[id.index()];
         for d in node.deps.iter() {
@@ -92,7 +91,6 @@ pub fn partition(graph: &CellGraph) -> Partition {
     }
     Partition {
         node_subgraph,
-        members,
         external_deps,
     }
 }
@@ -102,13 +100,20 @@ mod tests {
     use super::*;
     use bm_model::{LstmLm, Model, RequestInput, Seq2Seq, TreeLstm, TreeShape};
 
+    /// The member node indices of subgraph `sg`, in topological order.
+    fn members(p: &Partition, sg: usize) -> Vec<usize> {
+        (0..p.node_subgraph.len())
+            .filter(|&i| p.node_subgraph[i] == sg)
+            .collect()
+    }
+
     #[test]
     fn lstm_chain_is_one_subgraph() {
         let m = LstmLm::small();
         let g = m.unfold(&RequestInput::Sequence(vec![1, 2, 3, 4, 5]));
         let p = partition(&g);
         assert_eq!(p.len(), 1);
-        assert_eq!(p.members[0], vec![0, 1, 2, 3, 4]);
+        assert_eq!(members(&p, 0), [0, 1, 2, 3, 4]);
         assert_eq!(p.external_deps[0], 0);
     }
 
@@ -122,8 +127,8 @@ mod tests {
         let p = partition(&g);
         assert_eq!(p.len(), 2);
         // Encoder nodes 0..3 in one, decoder nodes 3..5 in the other.
-        assert_eq!(p.members[0], vec![0, 1, 2]);
-        assert_eq!(p.members[1], vec![3, 4]);
+        assert_eq!(members(&p, 0), [0, 1, 2]);
+        assert_eq!(members(&p, 1), [3, 4]);
         assert_eq!(p.external_deps[0], 0);
         // One external edge: enc_last -> first decoder.
         assert_eq!(p.external_deps[1], 1);
@@ -144,13 +149,13 @@ mod tests {
         let p = partition(&g);
         assert_eq!(p.len(), 17);
         let internal_sg = p.node_subgraph[g.len() - 1]; // Root is internal.
-        assert_eq!(p.members[internal_sg].len(), 15);
+        assert_eq!(members(&p, internal_sg).len(), 15);
         // The internal subgraph's external deps: one per leaf child edge.
         assert_eq!(p.external_deps[internal_sg], 16);
         // Leaf subgraphs have no external deps.
-        for (sg, m_) in p.members.iter().enumerate() {
+        for sg in 0..p.len() {
             if sg != internal_sg {
-                assert_eq!(m_.len(), 1);
+                assert_eq!(members(&p, sg).len(), 1);
                 assert_eq!(p.external_deps[sg], 0);
             }
         }
@@ -161,10 +166,9 @@ mod tests {
         let m = TreeLstm::small();
         let g = m.unfold(&RequestInput::Tree(TreeShape::complete(8, 100)));
         let p = partition(&g);
-        for members in &p.members {
-            for w in members.windows(2) {
-                assert!(w[0] < w[1]);
-            }
-        }
+        // Subgraphs are numbered in order of their first node, which
+        // admission relies on to build them in one pass over the nodes.
+        let firsts: Vec<usize> = (0..p.len()).map(|sg| members(&p, sg)[0]).collect();
+        assert!(firsts.windows(2).all(|w| w[0] < w[1]), "{firsts:?}");
     }
 }

@@ -38,8 +38,8 @@
 //!
 //! ## The front
 //!
-//! [`Runtime::submit_request`], [`Runtime::submit_request_tagged`] and
-//! [`Runtime::submit_batch_tagged`] share one admission path. A request
+//! [`Runtime::submit_request`] and [`Runtime::submit_batch_tagged`]
+//! share one admission path. A request
 //! is validated, given its [`RequestId`], placed, reserved an active
 //! slot on that shard, and only then unfolded and stamped — so a
 //! refusal at the cap never pays for [`Model::unfold`], and every event
@@ -321,7 +321,7 @@ impl ResponseHandle {
     /// Blocks until the request resolves or `timeout` elapses. On
     /// timeout the handle stays live: callers interleaving waits with
     /// other work call it again. (Tagged completion queues are the
-    /// non-blocking alternative — see [`Runtime::submit_request_tagged`].)
+    /// non-blocking alternative — see [`Runtime::submit_batch_tagged`].)
     /// A runtime that shut down yields [`ServedOutcome::ShutDown`],
     /// never an error.
     pub fn wait_timeout(&self, timeout: Duration) -> Result<ServedOutcome, WaitError> {
@@ -339,9 +339,8 @@ impl ResponseHandle {
 }
 
 /// Creates a shared completion queue: the sending half is cloned into
-/// tagged submissions ([`Runtime::submit_request_tagged`] /
-/// [`Runtime::submit_batch_tagged`]), the receiving half is held by the
-/// one consumer pumping outcomes.
+/// tagged submissions ([`Runtime::submit_batch_tagged`]), the receiving
+/// half is held by the one consumer pumping outcomes.
 ///
 /// This is the many-requests-one-consumer alternative to
 /// [`ResponseHandle`]: instead of one channel (and one waiting thread)
@@ -787,25 +786,6 @@ impl Runtime {
         let (tx, rx) = unbounded();
         self.submit(&req.into(), Respond::Handle(tx))?;
         Ok(ResponseHandle { rx })
-    }
-
-    /// Submits a [`Request`] whose outcome is delivered to a shared
-    /// [`CompletionQueue`] tagged with `tag`, instead of a per-request
-    /// [`ResponseHandle`]. Admission semantics are identical to
-    /// [`Runtime::submit_request`]; `Ok(())` means the outcome will
-    /// eventually appear on the queue, whichever shard admits the
-    /// request.
-    pub fn submit_request_tagged(
-        &self,
-        req: impl Into<Request>,
-        tag: u64,
-        queue: &CompletionQueue,
-    ) -> Result<(), SubmitError> {
-        let respond = Respond::Queue {
-            queue: queue.clone(),
-            tag,
-        };
-        self.submit(&req.into(), respond)
     }
 
     /// Submits many tagged requests with **one inbox message per

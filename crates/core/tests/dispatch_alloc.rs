@@ -1,9 +1,12 @@
 //! `CellularEngine::dispatch` with nothing ready, and
-//! `CellularEngine::expire` with nothing due, allocate nothing.
+//! `CellularEngine::expire` with nothing due, allocate nothing; admitting
+//! a chain or a seq2seq pair allocates the same whatever its length.
 //!
-//! A shard thread calls both on every pass of its loop, including the
-//! idle pass right before it parks, so the "nothing to do" answers must
-//! be free. Isolated in its own integration-test binary because the
+//! A shard thread calls `dispatch` and `expire` on every pass of its
+//! loop, including the idle pass right before it parks, so the "nothing
+//! to do" answers must be free. Admission keeps one record per request:
+//! its node records and reverse edges are flat arrays, so their number
+//! does not grow with the graph. Isolated in its own integration-test binary because the
 //! allocator hook is process-global; the count is per thread (the
 //! pattern of `bm-telemetry`'s `zero_overhead.rs`), so the test passes
 //! at any `--test-threads`.
@@ -13,7 +16,7 @@ use std::cell::Cell;
 use std::sync::Arc;
 
 use bm_core::{CellularEngine, RequestId, SchedulerConfig, WorkerId};
-use bm_model::{Model, RequestInput, Seq2Seq};
+use bm_model::{LstmLm, Model, RequestInput, Seq2Seq};
 
 struct CountingAlloc;
 
@@ -115,5 +118,47 @@ fn expire_with_nothing_due_allocates_nothing() {
         expire_allocations(&mut engine, 99),
         0,
         "expire with nothing due must not allocate"
+    );
+}
+
+/// Allocations `on_arrival` makes admitting `input`'s graph, unfolded
+/// beforehand, into an engine that already holds one request.
+fn admission_allocations(model: &dyn Model, input: &RequestInput) -> u64 {
+    let mut engine =
+        CellularEngine::new(Arc::new(model.registry().clone()), SchedulerConfig::new());
+    engine.on_arrival(RequestId(0), model.unfold(input), 0, None);
+    let graph = model.unfold(input);
+    let before = allocations();
+    engine.on_arrival(RequestId(1), graph, 0, None);
+    allocations() - before
+}
+
+#[test]
+fn admitting_a_chain_allocates_the_same_at_any_length() {
+    let model = LstmLm::small();
+    let chain = |n: u32| RequestInput::Sequence((0..n).map(|t| 1 + t % 50).collect());
+    let (short, long) = (
+        admission_allocations(&model, &chain(8)),
+        admission_allocations(&model, &chain(64)),
+    );
+    assert_eq!(
+        short, long,
+        "admitting 8 and 64 chain nodes allocated {short} and {long} times"
+    );
+}
+
+#[test]
+fn admitting_a_pair_allocates_the_same_at_any_source_length() {
+    let model = Seq2Seq::small();
+    let pair = |src_len: u32| RequestInput::Pair {
+        src: (0..src_len).map(|t| 2 + t % 50).collect(),
+        decode_len: 4,
+    };
+    let counts: Vec<u64> = [2, 8, 64]
+        .map(|n| admission_allocations(&model, &pair(n)))
+        .to_vec();
+    assert!(
+        counts.iter().all(|&c| c == counts[0]),
+        "admitting pairs with 2, 8 and 64 source tokens allocated {counts:?} times"
     );
 }

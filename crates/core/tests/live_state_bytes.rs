@@ -80,8 +80,8 @@ fn serve(model: Arc<dyn Model>, input: &RequestInput) -> Served {
     let (rt, mut shard) = Runtime::start_hosted(model, opts, Arc::new(|| {}));
     let (queue, completions) = completion_queue();
     let run = |shard: &mut HostedShard, tag| {
-        rt.submit_request_tagged(Request::from(input), tag, &queue)
-            .expect("admitted");
+        let verdicts = rt.submit_batch_tagged([(tag, Request::from(input))], &queue);
+        assert!(matches!(verdicts[..], [Ok(())]), "admitted: {verdicts:?}");
         while shard.pass(false) {}
         let (got, outcome) = completions.try_recv().expect("resolved by the passes");
         assert_eq!(got, tag);

@@ -22,6 +22,19 @@ fn sharded(shards: usize) -> RuntimeOptions {
     serving(ServeConfig::new().shards(shards))
 }
 
+/// Submits one tagged request through `submit_batch_tagged` and returns
+/// its verdict, the batch's only one.
+fn submit_tagged(
+    rt: &Runtime,
+    req: impl Into<bm_core::Request>,
+    tag: u64,
+    queue: &CompletionQueue,
+) -> Result<(), bm_core::SubmitError> {
+    let verdicts = rt.submit_batch_tagged([(tag, req.into())], queue);
+    let [verdict] = <[_; 1]>::try_from(verdicts).expect("one verdict per request");
+    verdict
+}
+
 /// A tagged completion queue whose waker parks the thread that delivers
 /// the first outcome — the shard thread — on the returned barrier: the
 /// test's first `wait()` returns once the shard is parked, its second
@@ -365,7 +378,7 @@ fn every_request_resolves_exactly_once() {
         .iter()
         .all(Result::is_ok));
     for (tag, req) in singles {
-        rt.submit_request_tagged(req, tag, &queue).expect("submit");
+        submit_tagged(&rt, req, tag, &queue).expect("submit");
     }
     let mut seen = vec![false; n];
     for _ in 0..n {
@@ -605,8 +618,7 @@ fn wait_timeout_distinguishes_pending_from_resolved() {
     // pending for as long as the test wants, however fast a cell step
     // is.
     let (queue, completions, gate) = parking_queue();
-    rt.submit_request_tagged(RequestInput::Sequence(vec![1]), 0, &queue)
-        .expect("submit");
+    submit_tagged(&rt, RequestInput::Sequence(vec![1]), 0, &queue).expect("submit");
     gate.wait();
 
     // A pending request polled with a short timeout reports TimedOut
@@ -915,8 +927,7 @@ fn arrivals_join_a_running_batch() {
         .submit_batch_tagged(first_two, &queue)
         .iter()
         .all(Result::is_ok));
-    rt.submit_request_tagged(&inputs[2], 2, &queue)
-        .expect("submit while the first two run");
+    submit_tagged(&rt, &inputs[2], 2, &queue).expect("submit while the first two run");
     for _ in 0..inputs.len() {
         let (tag, outcome) = completions
             .recv_timeout(std::time::Duration::from_secs(30))
@@ -1196,17 +1207,17 @@ fn refusals_at_the_cap_do_not_unfold() {
     // active for as long as the test wants.
     let (queue, completions, gate) = parking_queue();
     let input = RequestInput::Sequence(vec![1, 2, 3]);
-    rt.submit_request_tagged(&input, 0, &queue).expect("first");
+    submit_tagged(&rt, &input, 0, &queue).expect("first");
     gate.wait();
     assert_eq!(rt.active_requests(), 0);
 
-    rt.submit_request_tagged(&input, 1, &queue).expect("slot 1");
-    rt.submit_request_tagged(&input, 2, &queue).expect("slot 2");
+    submit_tagged(&rt, &input, 1, &queue).expect("slot 1");
+    submit_tagged(&rt, &input, 2, &queue).expect("slot 2");
     let unfolded = model.unfolds();
     assert_eq!(unfolded, 3);
     for tag in 3..40 {
         assert_eq!(
-            rt.submit_request_tagged(&input, tag, &queue),
+            submit_tagged(&rt, &input, tag, &queue),
             Err(SubmitError::AtCapacity)
         );
     }
@@ -1432,8 +1443,7 @@ fn a_refusal_is_counted_once_and_only_when_every_shard_refuses() {
     // Shard 1 parks after resolving the first spill, so the second one
     // keeps its slot for as long as the test wants.
     let (queue, completions, gate) = parking_queue();
-    rt.submit_request_tagged(&input, 0, &queue)
-        .expect("spills to shard 1");
+    submit_tagged(&rt, &input, 0, &queue).expect("spills to shard 1");
     gate.wait();
     let parked = rt.submit_request(&input).expect("spills to shard 1");
     let refusals: Vec<_> = (0..3).map(|_| rt.submit_request(&input).err()).collect();
@@ -1481,7 +1491,7 @@ fn dropping_a_hosted_shard_resolves_what_it_holds() {
     assert!(shard.pass(false));
     assert!(admitted.try_wait().is_none(), "one pass finished 200 steps");
     let queued = rt.submit_request(&long).expect("submit");
-    rt.submit_request_tagged(&long, 7, &queue).expect("submit");
+    submit_tagged(&rt, &long, 7, &queue).expect("submit");
     assert_eq!(rt.active_requests(), 3);
 
     drop(shard);
@@ -1510,8 +1520,7 @@ fn a_fresh_models_first_requests_serve_like_the_reference() {
         let (queue, completions) = completion_queue();
         let handle = rt.submit_request(&inputs[0]).expect("submit");
         for (tag, input) in inputs.iter().enumerate().skip(1) {
-            rt.submit_request_tagged(input, tag as u64, &queue)
-                .expect("submit tagged");
+            submit_tagged(&rt, input, tag as u64, &queue).expect("submit tagged");
         }
         drain(&mut shard);
         let expect = |input: &RequestInput| {

@@ -76,17 +76,6 @@ impl CellularServer {
             profile,
         )
     }
-
-    /// Creates a server priced by the model's actual (small) shapes.
-    pub fn with_defaults(model: Arc<dyn Model>) -> Self {
-        let profile = CostProfile::from_registry(model.registry());
-        Self::new(
-            model,
-            SchedulerConfig::default(),
-            GpuCostModel::v100(),
-            profile,
-        )
-    }
 }
 
 impl Server for CellularServer {
@@ -284,7 +273,14 @@ mod tests {
 
     #[test]
     fn small_scale_pricing_differs_from_paper_scale() {
-        let mut small = CellularServer::with_defaults(paper_lstm());
+        let model = paper_lstm();
+        let profile = CostProfile::from_registry(model.registry());
+        let mut small = CellularServer::new(
+            model,
+            SchedulerConfig::default(),
+            GpuCostModel::v100(),
+            profile,
+        );
         let mut paper = CellularServer::paper_scale(paper_lstm());
         let arr = fixed_len_arrivals(500, 24, 20_000.0);
         let out_small = simulate(&mut small, &arr, SimOptions::default());

@@ -33,11 +33,6 @@ pub struct SimOptions {
     pub max_sim_us: u64,
     /// Warm-up completions excluded from the recorder.
     pub warmup: usize,
-    /// Optional per-worker speed factors (1.0 = nominal; 0.5 = a
-    /// straggler at half speed). Work-item durations divide by the
-    /// factor. Useful for stall/imbalance injection experiments.
-    /// `None` means all workers run at nominal speed.
-    pub worker_speeds: Option<Vec<f64>>,
 }
 
 impl Default for SimOptions {
@@ -46,14 +41,12 @@ impl Default for SimOptions {
             workers: 1,
             max_sim_us: 600_000_000, // 10 virtual minutes.
             warmup: 0,
-            worker_speeds: None,
         }
     }
 }
 
 impl SimOptions {
-    /// Default options: one nominal-speed worker, 10 virtual minutes, no
-    /// warm-up trim.
+    /// Default options: one worker, 10 virtual minutes, no warm-up trim.
     pub fn new() -> Self {
         Self::default()
     }
@@ -73,12 +66,6 @@ impl SimOptions {
     /// Excludes the first `n` completions from the recorder.
     pub fn warmup(mut self, n: usize) -> Self {
         self.warmup = n;
-        self
-    }
-
-    /// Sets per-worker speed factors.
-    pub fn worker_speeds(mut self, speeds: Vec<f64>) -> Self {
-        self.worker_speeds = Some(speeds);
         self
     }
 }
@@ -201,15 +188,10 @@ pub fn simulate(
             if *q > 0 {
                 continue;
             }
-            let speed = opts
-                .worker_speeds
-                .as_ref()
-                .map_or(1.0, |s| s.get(w).copied().unwrap_or(1.0));
-            assert!(speed > 0.0, "worker speed must be positive");
             let mut at = now;
             for it in server.next_work(w, now) {
                 server.on_work_started(it.id, at);
-                at += (it.duration_us as f64 / speed).round() as u64;
+                at += it.duration_us;
                 *q += 1;
                 events.push(
                     at,
