@@ -14,7 +14,8 @@
 //! `bm-sim`. Both therefore benchmark exactly the scheduling policy that
 //! the correctness tests validate.
 
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
+use std::mem;
 use std::sync::Arc;
 
 use bm_cell::{CellRegistry, CellTypeId};
@@ -23,7 +24,7 @@ use bm_telemetry::{Counter, Gauge, Histogram, Telemetry};
 use bm_trace::{BatchReason, EventKind, TraceEvent, TraceSink};
 
 use crate::config::ServeConfig;
-use crate::ids::{RequestId, SubgraphId, TaskId, WorkerId};
+use crate::ids::{IdMap, RequestId, SubgraphId, TaskId, WorkerId};
 use crate::partition::{partition, Partition};
 use crate::request::Request;
 use crate::task::{CompletedRequest, Task, TaskEntry};
@@ -234,6 +235,8 @@ struct NodeState {
     /// This node's slice of [`RequestState::dependents`].
     first_dependent: u32,
     end_dependent: u32,
+    /// The node after this one in its subgraph's [`ReadyList`].
+    next_ready: u32,
 }
 
 impl NodeState {
@@ -242,12 +245,65 @@ impl NodeState {
     }
 }
 
+/// A subgraph's ready nodes in FIFO order, threaded through
+/// [`NodeState::next_ready`], so queueing a node allocates nothing
+/// however many subgraphs a request has.
+#[derive(Debug, Clone, Copy, Default)]
+struct ReadyList {
+    head: u32,
+    tail: u32,
+    len: u32,
+}
+
+impl ReadyList {
+    fn len(&self) -> usize {
+        self.len as usize
+    }
+
+    fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    fn push_back(&mut self, nodes: &mut [NodeState], n: u32) {
+        if self.len == 0 {
+            self.head = n;
+        } else {
+            nodes[self.tail as usize].next_ready = n;
+        }
+        self.tail = n;
+        self.len += 1;
+    }
+
+    fn pop_front(&mut self, nodes: &[NodeState]) -> Option<u32> {
+        if self.len == 0 {
+            return None;
+        }
+        let n = self.head;
+        self.head = nodes[n as usize].next_ready;
+        self.len -= 1;
+        Some(n)
+    }
+
+    /// Unlinks every node no longer waiting, keeping the others' order;
+    /// returns how many it unlinked.
+    fn drop_unwaiting(&mut self, nodes: &mut [NodeState]) -> usize {
+        let before = self.len();
+        let mut rest = mem::take(self);
+        while let Some(n) = rest.pop_front(nodes) {
+            if nodes[n as usize].status == NodeStatus::Waiting {
+                self.push_back(nodes, n);
+            }
+        }
+        before - self.len()
+    }
+}
+
 /// Per-subgraph scheduler state.
 #[derive(Debug)]
 struct SubgraphState {
     cell_type: CellTypeId,
     /// Nodes whose dependencies are satisfied and not yet submitted.
-    ready: VecDeque<u32>,
+    ready: ReadyList,
     /// External dependency edges not yet satisfied; the subgraph is
     /// passed to the scheduler only when this reaches zero (§4.3).
     external_unmet: usize,
@@ -275,22 +331,13 @@ struct TypeQueue {
     running_tasks: usize,
 }
 
-/// In-flight task bookkeeping.
+/// In-flight task bookkeeping. Its entry list comes from, and returns
+/// to, the engine's pool of spare lists.
 #[derive(Debug)]
 struct InflightTask {
     cell_type: CellTypeId,
     worker: WorkerId,
     entries: Vec<(RequestId, NodeId)>,
-}
-
-impl InflightTask {
-    fn from_task(t: &Task) -> Self {
-        InflightTask {
-            cell_type: t.cell_type,
-            worker: t.worker,
-            entries: t.entries.iter().map(|e| (e.request, e.node)).collect(),
-        }
-    }
 }
 
 /// One cell type's inputs to Algorithm 1's cell-type selection.
@@ -393,14 +440,22 @@ pub struct CellularEngine {
     registry: Arc<CellRegistry>,
     cfg: SchedulerConfig,
     /// Admitted requests, each owning its subgraphs and node records.
-    requests: HashMap<RequestId, RequestState>,
+    requests: IdMap<RequestId, RequestState>,
     queues: Vec<TypeQueue>,
-    inflight: HashMap<TaskId, InflightTask>,
+    inflight: IdMap<TaskId, InflightTask>,
     /// Last batch composition per (worker, cell type), for gather
-    /// accounting: identical composition ⇒ no gather copies (§4.3).
-    /// Values share the `Arc` carried by the submitted [`Task`], so a
-    /// repeated composition costs a comparison, never an allocation.
-    last_composition: HashMap<(WorkerId, CellTypeId), Arc<[SubgraphId]>>,
+    /// accounting: identical composition ⇒ no gather copies (§4.3). A
+    /// changed composition is copied into the cached list's buffer.
+    last_composition: IdMap<(WorkerId, CellTypeId), Vec<SubgraphId>>,
+    /// Buffers the engine reuses from call to call, so a warm engine
+    /// forms and retires tasks without allocating: the picks of the
+    /// task being formed, the subgraphs a completion released, spare
+    /// in-flight entry lists and the tasks a driver handed back to
+    /// [`CellularEngine::dispatch_into`].
+    picks: Vec<(SubgraphKey, usize)>,
+    released: Vec<usize>,
+    spare_entries: Vec<Vec<(RequestId, NodeId)>>,
+    spare_tasks: Vec<Task>,
     next_subgraph: u64,
     next_task: u64,
     /// `(absolute deadline µs, request)` of every admitted request that
@@ -437,10 +492,14 @@ impl CellularEngine {
             metrics,
             cfg,
             registry,
-            requests: HashMap::new(),
+            requests: IdMap::default(),
             queues,
-            inflight: HashMap::new(),
-            last_composition: HashMap::new(),
+            inflight: IdMap::default(),
+            last_composition: IdMap::default(),
+            picks: Vec::new(),
+            released: Vec::new(),
+            spare_entries: Vec::new(),
+            spare_tasks: Vec::new(),
             next_subgraph: 0,
             next_task: 0,
             deadlines: BTreeSet::new(),
@@ -534,6 +593,7 @@ impl CellularEngine {
                 subgraph: sg as u32,
                 first_dependent: 0,
                 end_dependent: 0,
+                next_ready: 0,
             })
             .collect();
         for d in graph.iter().flat_map(|(_, node)| node.deps.iter()) {
@@ -557,12 +617,13 @@ impl CellularEngine {
         // external dependencies are all met is released at once, with
         // its dependency-free nodes ready.
         let mut subgraphs: Vec<SubgraphState> = Vec::with_capacity(external_deps.len());
-        for (i, node) in nodes.iter().enumerate() {
+        for i in 0..n {
+            let node = nodes[i];
             let local = node.subgraph as usize;
             if local == subgraphs.len() {
                 subgraphs.push(SubgraphState {
                     cell_type: graph.node(NodeId(i as u32)).cell_type,
-                    ready: VecDeque::new(),
+                    ready: ReadyList::default(),
                     external_unmet: external_deps[local],
                     pinned: None,
                     inflight_nodes: 0,
@@ -572,7 +633,7 @@ impl CellularEngine {
             }
             let sg = &mut subgraphs[local];
             if sg.external_unmet == 0 && node.unmet == 0 {
-                sg.ready.push_back(i as u32);
+                sg.ready.push_back(&mut nodes, i as u32);
             }
         }
 
@@ -706,22 +767,35 @@ impl CellularEngine {
     /// Returns an empty vector when nothing is schedulable: no ready
     /// nodes, or every type's ready subgraphs are pinned to other
     /// workers. When nothing is ready the call allocates nothing.
+    /// [`CellularEngine::dispatch_into`] is the same decision into a
+    /// buffer the caller keeps.
+    pub fn dispatch(&mut self, worker: WorkerId) -> Vec<Task> {
+        let mut tasks = Vec::new();
+        self.dispatch_into(worker, &mut tasks);
+        tasks
+    }
+
+    /// [`CellularEngine::dispatch`] into `tasks`, which the caller keeps
+    /// from call to call: the tasks it holds on entry (the previous
+    /// call's, all completed or abandoned by now) are taken back and
+    /// their entry and subgraph lists refilled, so a warm driver forms
+    /// tasks without allocating.
     ///
     /// When the picked type yields no batch because all of its ready
     /// subgraphs are pinned elsewhere, the pick is retried with that
     /// type excluded — a worker never idles while another type has
     /// runnable unpinned work. A failed pick changes no queue state, so
     /// the retries walk the types in Algorithm 1's rank order.
-    pub fn dispatch(&mut self, worker: WorkerId) -> Vec<Task> {
+    pub fn dispatch_into(&mut self, worker: WorkerId, tasks: &mut Vec<Task>) {
+        self.spare_tasks.append(tasks);
         let mut below = None;
         while let Some(pick) = paper_pick(self.candidates(), below) {
-            let tasks = self.batch(pick.cell_type, worker, pick.reason());
+            self.batch(pick.cell_type, worker, pick.reason(), tasks);
             if !tasks.is_empty() {
-                return tasks;
+                return;
             }
             below = Some(pick.rank());
         }
-        Vec::new()
     }
 
     /// The selection inputs of one cell type.
@@ -745,13 +819,20 @@ impl CellularEngine {
             .filter(|c| c.ready_nodes > 0)
     }
 
-    /// Algorithm 1 `Batch(ct, worker)` (lines 12–23).
-    fn batch(&mut self, ct: CellTypeId, worker: WorkerId, reason: BatchReason) -> Vec<Task> {
+    /// Algorithm 1 `Batch(ct, worker)` (lines 12–23), appending to the
+    /// empty `tasks`.
+    fn batch(
+        &mut self,
+        ct: CellTypeId,
+        worker: WorkerId,
+        reason: BatchReason,
+        tasks: &mut Vec<Task>,
+    ) {
         let meta = self.registry.meta(ct);
         let (min_batch, max_batch) = (meta.min_batch, meta.max_batch);
-        let mut tasks = Vec::new();
+        let mut picks = mem::take(&mut self.picks);
         while tasks.len() < self.cfg.max_tasks_to_submit {
-            let picks = self.form_batched_task(ct, worker, max_batch);
+            self.form_batched_task(ct, worker, max_batch, &mut picks);
             if picks.is_empty() {
                 break;
             }
@@ -766,26 +847,29 @@ impl CellularEngine {
                 } else {
                     self.candidate(ct).reason()
                 };
-                tasks.push(self.submit(ct, worker, picks, r));
+                let mut task = self.spare_tasks.pop().unwrap_or_else(Task::empty);
+                self.submit(ct, worker, &picks, r, &mut task);
+                tasks.push(task);
             } else {
                 break;
             }
         }
-        tasks
+        self.picks = picks;
     }
 
     /// Algorithm 1 `FormBatchedTask` (lines 24–32): scans the type's
     /// queue selecting ready nodes from subgraphs pinned to `None` or
-    /// `worker`, without mutating state. Returns per-subgraph node
-    /// counts to take from the front of each ready deque, in queue
+    /// `worker`, without mutating state. Fills `picks` with per-subgraph
+    /// node counts to take from the front of each ready list, in queue
     /// order.
     fn form_batched_task(
         &self,
         ct: CellTypeId,
         worker: WorkerId,
         max_batch: usize,
-    ) -> Vec<(SubgraphKey, usize)> {
-        let mut picks = Vec::new();
+        picks: &mut Vec<(SubgraphKey, usize)>,
+    ) {
+        picks.clear();
         let mut total = 0;
         for &(request, local) in &self.queues[ct.index()].subgraphs {
             let sg = &self.requests[&request].subgraphs[local];
@@ -799,26 +883,25 @@ impl CellularEngine {
                 break;
             }
         }
-        picks
     }
 
-    /// Submits one batched task: takes each pick's nodes from the front
-    /// of its ready queue, satisfies intra-subgraph dependencies (line
-    /// 18), pins subgraphs (lines 20–21) and computes gather/transfer
-    /// metadata.
+    /// Submits one batched task into `task`'s buffers: takes each pick's
+    /// nodes from the front of its ready list, satisfies intra-subgraph
+    /// dependencies (line 18), pins subgraphs (lines 20–21) and computes
+    /// gather/transfer metadata.
     fn submit(
         &mut self,
         ct: CellTypeId,
         worker: WorkerId,
-        picks: Vec<(SubgraphKey, usize)>,
+        picks: &[(SubgraphKey, usize)],
         reason: BatchReason,
-    ) -> Task {
+        task: &mut Task,
+    ) {
         let id = TaskId(self.next_task);
         self.next_task += 1;
 
-        let size = picks.iter().map(|&(_, count)| count).sum();
-        let mut entries: Vec<TaskEntry> = Vec::with_capacity(size);
-        let mut subgraph_list: Vec<SubgraphId> = Vec::with_capacity(picks.len());
+        task.entries.clear();
+        task.subgraphs.clear();
         let mut transfer_rows = 0usize;
         let tracing = self.trace.enabled();
         // Deferred trace payloads (emitted after the batch itself):
@@ -828,13 +911,13 @@ impl CellularEngine {
         let mut enqueues: Vec<(SubgraphId, RequestId, u32)> = Vec::new();
         let queue = &mut self.queues[ct.index()];
 
-        for &((req_id, local), count) in &picks {
+        for &((req_id, local), count) in picks {
             let req = self.requests.get_mut(&req_id).expect("live request");
             if self.metrics.is_some() {
                 req.first_batch_us.get_or_insert(self.clock_us);
             }
             let sg_id = req.subgraph_id(local);
-            subgraph_list.push(sg_id);
+            task.subgraphs.push(sg_id);
             let RequestState {
                 graph,
                 subgraphs,
@@ -864,15 +947,15 @@ impl CellularEngine {
             // Take the picked nodes, mark them submitted and satisfy
             // intra-subgraph dependencies (UpdateNodesDependency, line
             // 18): a dependent that becomes ready joins the back of the
-            // same ready queue, behind the nodes still to be taken.
+            // same ready list, behind the nodes still to be taken.
             let mut newly_ready = 0;
             for _ in 0..count {
-                let n = sg.ready.pop_front().expect("picked node is ready");
+                let n = sg.ready.pop_front(nodes).expect("picked node is ready");
                 let gnode = graph.node(NodeId(n));
-                entries.push(TaskEntry {
+                task.entries.push(TaskEntry {
                     request: req_id,
                     node: NodeId(n),
-                    deps: gnode.deps.clone(),
+                    deps: gnode.deps,
                     token: gnode.token,
                 });
                 let node = &mut nodes[n as usize];
@@ -883,7 +966,7 @@ impl CellularEngine {
                     if dep.subgraph == own && dep.status != NodeStatus::Cancelled {
                         dep.unmet -= 1;
                         if dep.unmet == 0 {
-                            sg.ready.push_back(d);
+                            sg.ready.push_back(nodes, d);
                             newly_ready += 1;
                         }
                     }
@@ -901,21 +984,19 @@ impl CellularEngine {
 
         // Gather accounting: identical composition to the previous task
         // of this (worker, cell type) ⇒ no gather copies. On a repeat
-        // the cached entry is left untouched (no insert, no clone).
-        let key = (worker, ct);
-        let subgraph_list: Arc<[SubgraphId]> = subgraph_list.into();
-        let gather_rows = match self.last_composition.get(&key) {
-            Some(prev) if prev[..] == subgraph_list[..] => 0,
-            _ => {
-                self.last_composition
-                    .insert(key, Arc::clone(&subgraph_list));
-                entries.len()
-            }
+        // the cached list is left untouched.
+        let batch = task.entries.len();
+        let cached = self.last_composition.entry((worker, ct)).or_default();
+        let gather_rows = if *cached == task.subgraphs {
+            0
+        } else {
+            cached.clone_from(&task.subgraphs);
+            batch
         };
 
         self.queues[ct.index()].running_tasks += 1;
         self.stats.tasks_submitted += 1;
-        self.stats.nodes_submitted += entries.len() as u64;
+        self.stats.nodes_submitted += batch as u64;
         self.stats.gathered_rows += gather_rows as u64;
         self.stats.transfers += transfer_rows as u64;
         if let Some(m) = &self.metrics {
@@ -923,19 +1004,15 @@ impl CellularEngine {
             m.batch_reason[reason as usize].inc();
             m.gather_rows.add(gather_rows as u64);
             m.transfer_rows.add(transfer_rows as u64);
-            m.batch_size[ct.index()].record(entries.len() as u64);
+            m.batch_size[ct.index()].record(batch as u64);
             m.inflight_tasks.add(1);
             m.ready_nodes.set(self.total_ready_nodes() as i64);
         }
-        let task = Task {
-            id,
-            worker,
-            cell_type: ct,
-            entries,
-            subgraphs: subgraph_list,
-            gather_rows,
-            transfer_rows,
-        };
+        task.id = id;
+        task.worker = worker;
+        task.cell_type = ct;
+        task.gather_rows = gather_rows;
+        task.transfer_rows = transfer_rows;
         if tracing {
             let mut requests: Vec<u64> = Vec::new();
             for e in &task.entries {
@@ -950,7 +1027,7 @@ impl CellularEngine {
                     task: id.0,
                     worker: worker.0,
                     cell_type: ct.0,
-                    batch: task.entries.len() as u32,
+                    batch: batch as u32,
                     reason,
                     gather_rows: gather_rows as u32,
                     transfer_rows: transfer_rows as u32,
@@ -991,8 +1068,17 @@ impl CellularEngine {
                 );
             }
         }
-        self.inflight.insert(id, InflightTask::from_task(&task));
-        task
+        let mut entries = self.spare_entries.pop().unwrap_or_default();
+        entries.clear();
+        entries.extend(task.entries.iter().map(|e| (e.request, e.node)));
+        self.inflight.insert(
+            id,
+            InflightTask {
+                cell_type: ct,
+                worker,
+                entries,
+            },
+        );
     }
 
     /// Removes queued subgraphs that no longer have ready nodes.
@@ -1041,6 +1127,8 @@ impl CellularEngine {
     /// termination.
     ///
     /// Returns the requests that completed as a result.
+    /// [`CellularEngine::on_task_completed_into`] appends them to a
+    /// buffer the caller keeps instead.
     ///
     /// # Panics
     ///
@@ -1052,6 +1140,24 @@ impl CellularEngine {
         emitted_tokens: &[Option<u32>],
         now_us: u64,
     ) -> Vec<CompletedRequest> {
+        let mut done = Vec::new();
+        self.on_task_completed_into(task, emitted_tokens, now_us, &mut done);
+        done
+    }
+
+    /// [`CellularEngine::on_task_completed`], appending the completion
+    /// records to `completed_requests`.
+    ///
+    /// # Panics
+    ///
+    /// As [`CellularEngine::on_task_completed`].
+    pub fn on_task_completed_into(
+        &mut self,
+        task: TaskId,
+        emitted_tokens: &[Option<u32>],
+        now_us: u64,
+        completed_requests: &mut Vec<CompletedRequest>,
+    ) {
         self.advance_clock(now_us);
         let t = self.inflight.remove(&task).expect("unknown task id");
         assert_eq!(
@@ -1073,12 +1179,13 @@ impl CellularEngine {
             m.inflight_tasks.sub(1);
         }
 
-        let mut completed_requests = Vec::new();
+        let mut released = mem::take(&mut self.released);
         for (i, (req_id, node)) in t.entries.iter().enumerate() {
             // Phase 1: mark completion, unpin a subgraph with nothing
             // left in flight, detect <eos>, collect the subgraphs whose
             // last external edge this completion satisfies.
-            let (eos_hit, released_subgraphs) = {
+            released.clear();
+            let eos_hit = {
                 let req = self.requests.get_mut(req_id).expect("live request");
                 req.remaining -= 1;
                 req.executed += 1;
@@ -1101,7 +1208,6 @@ impl CellularEngine {
                 if sg.inflight_nodes == 0 {
                     sg.pinned = None;
                 }
-                let mut released = Vec::new();
                 for &d in &dependents[range] {
                     let dep = &mut nodes[d as usize];
                     if dep.status == NodeStatus::Cancelled || dep.subgraph == own {
@@ -1114,7 +1220,7 @@ impl CellularEngine {
                         released.push(dep.subgraph as usize);
                     }
                 }
-                (eos_hit, released)
+                eos_hit
             };
 
             if eos_hit {
@@ -1123,7 +1229,7 @@ impl CellularEngine {
 
             // Phase 2: release subgraphs whose last external dependency
             // was just satisfied — queue every dependency-free node.
-            for sg_local in released_subgraphs {
+            for &sg_local in &released {
                 self.release_subgraph(*req_id, sg_local);
             }
 
@@ -1179,8 +1285,9 @@ impl CellularEngine {
                 self.retire(*req_id);
             }
         }
+        self.released = released;
+        self.spare_entries.push(t.entries);
         self.set_ready_gauge();
-        completed_requests
     }
 
     /// Expires every request whose deadline is at or before `now_us`, in
@@ -1197,9 +1304,17 @@ impl CellularEngine {
     /// the [`CellularEngine::on_task_completed`] call that drains its
     /// last in-flight task. Either way the driver sees exactly one
     /// record per expired request. With nothing due the call allocates
-    /// nothing.
+    /// nothing. [`CellularEngine::expire_into`] appends the records to a
+    /// buffer the caller keeps instead.
     pub fn expire(&mut self, now_us: u64) -> Vec<CompletedRequest> {
         let mut finished = Vec::new();
+        self.expire_into(now_us, &mut finished);
+        finished
+    }
+
+    /// [`CellularEngine::expire`], appending the records of the requests
+    /// that retired at once to `finished`.
+    pub fn expire_into(&mut self, now_us: u64, finished: &mut Vec<CompletedRequest>) {
         while let Some(&(d, id)) = self.deadlines.first() {
             if d > now_us {
                 break;
@@ -1215,7 +1330,6 @@ impl CellularEngine {
             }
             finished.extend(self.cancel_request(id, now_us));
         }
-        finished
     }
 
     /// Cancels a live request: every node not yet submitted to a worker
@@ -1278,13 +1392,15 @@ impl CellularEngine {
         let req = self.requests.get_mut(&req_id).expect("live request");
         let sg = &mut req.subgraphs[local];
         debug_assert_eq!(sg.external_unmet, 0, "releasing unreleased subgraph");
-        for (i, node) in req.nodes.iter().enumerate() {
+        // Until now an external edge was unmet, so nothing was queued.
+        debug_assert!(sg.ready.is_empty(), "released subgraph had ready nodes");
+        for i in 0..req.nodes.len() {
+            let node = req.nodes[i];
             if node.subgraph as usize == local
                 && node.unmet == 0
                 && node.status == NodeStatus::Waiting
             {
-                debug_assert!(!sg.ready.contains(&(i as u32)));
-                sg.ready.push_back(i as u32);
+                sg.ready.push_back(&mut req.nodes, i as u32);
             }
         }
         self.maybe_enqueue(req_id, local);
@@ -1319,12 +1435,14 @@ impl CellularEngine {
             node.status = NodeStatus::Cancelled;
             req.remaining -= 1;
             n_cancelled += 1;
-            let sg = &mut req.subgraphs[node.subgraph as usize];
-            let before = sg.ready.len();
-            sg.ready.retain(|&x| x != i as u32);
-            let removed = before - sg.ready.len();
-            if removed > 0 && sg.in_queue {
-                self.queues[sg.cell_type.index()].ready_nodes -= removed;
+        }
+        if n_cancelled > 0 {
+            // Unlink the cancelled nodes from the ready lists they sat in.
+            for sg in &mut req.subgraphs {
+                let removed = sg.ready.drop_unwaiting(&mut req.nodes);
+                if removed > 0 && sg.in_queue {
+                    self.queues[sg.cell_type.index()].ready_nodes -= removed;
+                }
             }
         }
         self.stats.cancelled_nodes += u64::from(n_cancelled);

@@ -1,8 +1,63 @@
 //! Identifier types used across the scheduler.
 
+use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 
 pub use bm_device::WorkerId;
+
+/// A map keyed by identifiers the server assigns itself (request, task
+/// and connection counters, cell types, workers), hashed by
+/// [`IdHasher`].
+pub type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
+
+/// A seedless integer hasher for server-assigned identifiers: each
+/// integer written is folded in with one rotate, xor and multiply (the
+/// Fx hash). A client chooses none of these keys, so the collision
+/// resistance a seeded SipHash buys against crafted keys is not needed
+/// here, and its cost per lookup is.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct IdHasher(u64);
+
+impl IdHasher {
+    const K: u64 = 0x517c_c1b7_2722_0a95;
+
+    #[inline]
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(Self::K);
+    }
+}
+
+impl Hasher for IdHasher {
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.add(u64::from_le_bytes(word));
+        }
+    }
+
+    #[inline]
+    fn write_u32(&mut self, n: u32) {
+        self.add(u64::from(n));
+    }
+
+    #[inline]
+    fn write_u64(&mut self, n: u64) {
+        self.add(n);
+    }
+
+    #[inline]
+    fn write_usize(&mut self, n: usize) {
+        self.add(n as u64);
+    }
+}
 
 /// Identifier of one inference request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -37,6 +92,16 @@ impl fmt::Display for SubgraphId {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn id_maps_keep_distinct_keys_apart() {
+        let mut m: IdMap<RequestId, u64> = IdMap::default();
+        for i in 0..1000 {
+            m.insert(RequestId(i << 40 | i), i);
+        }
+        assert_eq!(m.len(), 1000);
+        assert!((0..1000).all(|i| m[&RequestId(i << 40 | i)] == i));
+    }
 
     #[test]
     fn displays() {

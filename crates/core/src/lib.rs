@@ -39,7 +39,7 @@ mod task;
 
 pub use config::ServeConfig;
 pub use engine::{CellularEngine, SchedulerConfig, SchedulerStats, STAGE_NAMES};
-pub use ids::{RequestId, SubgraphId, TaskId, WorkerId};
+pub use ids::{IdHasher, IdMap, RequestId, SubgraphId, TaskId, WorkerId};
 pub use partition::{partition, Partition};
 pub use request::{DeadlineSpec, Request};
 pub use resident::{ResidentBatch, ResidentStats};

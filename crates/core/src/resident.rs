@@ -52,13 +52,11 @@
 //! entry (`dep == None`) zeroes the state portion, matching the gather
 //! path's implicit zero initial state.
 
-use std::collections::HashMap;
-
 use bm_cell::{Cell, ResidentLayout, Scratch, StateRef};
 use bm_model::NodeId;
 use bm_tensor::Matrix;
 
-use crate::ids::RequestId;
+use crate::ids::{IdMap, RequestId};
 
 /// Churn counters of one resident batch, mirrored into telemetry by the
 /// owning shard (`bm_resident_joins_total` / `bm_resident_leaves_total`
@@ -102,7 +100,7 @@ pub struct ResidentBatch {
     aux: Matrix,
     /// One entry per occupied row; `meta.len()` is the occupancy.
     meta: Vec<RowMeta>,
-    map: HashMap<RequestId, usize>,
+    map: IdMap<RequestId, usize>,
     stats: ResidentStats,
 }
 
@@ -118,7 +116,7 @@ impl ResidentBatch {
             xh: Matrix::zeros(0, layout.xh_width()),
             aux: Matrix::zeros(0, layout.aux_width.max(1)),
             meta: Vec::new(),
-            map: HashMap::new(),
+            map: IdMap::default(),
             stats: ResidentStats::default(),
         }
     }
@@ -339,6 +337,7 @@ fn copy_row(m: &mut Matrix, src: usize, dst: usize) {
 mod tests {
     use super::*;
     use bm_cell::{Cell, CellState, LstmCell, RowInvocation};
+    use std::collections::HashMap;
 
     fn lstm() -> Cell {
         Cell::Lstm(LstmCell::seeded(4, 6, 50, 9))

@@ -36,6 +36,11 @@
 //! shard calls the `wake` hook its host supplied; the front door's hook
 //! does nothing when it runs on the loop itself.
 //!
+//! The inboxes, the tagged completion queues and the handles are
+//! `std::sync::mpsc` channels, whose `send` wakes a receiver only when
+//! one is blocked in `recv`. A hosted shard's host only polls them, so a
+//! socket request's arrival and outcome cost no system call.
+//!
 //! ## The front
 //!
 //! [`Runtime::submit_request`] and [`Runtime::submit_batch_tagged`]
@@ -137,15 +142,14 @@
 //! (`bm_model::reference`), while the latency/throughput experiments use
 //! the discrete-event simulator over the same engine.
 
-use std::collections::HashMap;
+use std::mem;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::mpsc::{channel, sync_channel, Receiver, RecvTimeoutError, Sender, SyncSender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
-
-use bm_cell::{Cell, CellRegistry, CellTypeId, ResidentLayout, RowInvocation, Scratch, StateRef};
+use bm_cell::{Cell, CellRegistry, RowInvocation, Scratch, StateRef};
 use bm_device::CpuTimer;
 use bm_model::{reference::GraphResult, CellGraph, Model, NodeId, TokenSource};
 use bm_telemetry::{Counter, Gauge, Histogram, Snapshot, Telemetry};
@@ -153,7 +157,7 @@ use bm_trace::{EventKind, RejectReason, TraceEvent};
 
 use crate::config::ServeConfig;
 use crate::engine::{CellularEngine, SchedulerConfig};
-use crate::ids::{RequestId, WorkerId};
+use crate::ids::{IdMap, RequestId, WorkerId};
 use crate::request::Request;
 use crate::resident::{ResidentBatch, ResidentStats};
 use crate::shard;
@@ -349,7 +353,7 @@ impl ResponseHandle {
 /// loop — can drain thousands of requests' completions without a
 /// thread or a sleep-poll per connection.
 pub fn completion_queue() -> (CompletionQueue, CompletionReceiver) {
-    let (tx, rx) = unbounded();
+    let (tx, rx) = channel();
     (
         CompletionQueue { tx, waker: None },
         CompletionReceiver { rx },
@@ -413,11 +417,19 @@ impl CompletionReceiver {
 /// Where one admitted request's outcome goes: its own handle channel,
 /// or a shared tagged queue.
 enum Respond {
-    Handle(Sender<ServedOutcome>),
+    Handle(SyncSender<ServedOutcome>),
     Queue { queue: CompletionQueue, tag: u64 },
 }
 
 impl Respond {
+    /// The completion tag of a tagged request.
+    fn tag(&self) -> u64 {
+        match self {
+            Respond::Queue { tag, .. } => *tag,
+            Respond::Handle(_) => unreachable!("a handle request has no tag"),
+        }
+    }
+
     /// Whether the request's rows may go at their last consumer: only a
     /// handle is promised every node's output.
     fn frees_rows(&self) -> bool {
@@ -577,12 +589,16 @@ impl ShardHandle {
     /// Ships arrivals, whose slots the caller reserved here, to the
     /// shard as one inbox message, then calls a hosted shard's wake
     /// hook. The inbox is unbounded, so this fails only when the shard
-    /// is gone: every reserved slot is then released.
-    fn send(&self, arrivals: Vec<Arrival>) -> Result<(), SubmitError> {
+    /// is gone: every reserved slot is then released and the arrivals
+    /// handed back.
+    fn send(&self, arrivals: Vec<Arrival>) -> Result<(), Vec<Arrival>> {
         let n = arrivals.len();
-        if self.inbox.send(ShardMsg::Arrive(arrivals)).is_err() {
+        if let Err(err) = self.inbox.send(ShardMsg::Arrive(arrivals)) {
             self.active.fetch_sub(n, Ordering::AcqRel);
-            return Err(SubmitError::ShuttingDown);
+            let ShardMsg::Arrive(arrivals) = err.0 else {
+                unreachable!("sent an arrival message");
+            };
+            return Err(arrivals);
         }
         if let Some(wake) = &self.wake {
             wake();
@@ -704,7 +720,7 @@ impl Runtime {
                 }
                 let tel = &scheduler.serve.telemetry;
                 let active = Arc::new(AtomicUsize::new(0));
-                let (inbox, rx) = unbounded::<ShardMsg>();
+                let (inbox, rx) = channel::<ShardMsg>();
                 let rejected = tel.enabled().then(|| {
                     tel.counter_with("bm_requests_rejected_total", &[("reason", "at_capacity")])
                 });
@@ -718,14 +734,17 @@ impl Runtime {
                 let shard = Shard {
                     rx,
                     metrics,
-                    plane: HashMap::new(),
+                    plane: registry.iter().map(|_| None).collect(),
                     engine,
                     worker,
                     registry: Arc::clone(&registry),
                     timer: timer.clone(),
                     active: Arc::clone(&active),
-                    live: HashMap::new(),
+                    live: IdMap::default(),
                     scratch: Scratch::new(),
+                    tasks: Vec::new(),
+                    done: Vec::new(),
+                    bufs: TaskBuffers::default(),
                     shutting_down: false,
                 };
                 let (thread, wake) = match wake.take() {
@@ -783,7 +802,7 @@ impl Runtime {
     /// # }
     /// ```
     pub fn submit_request(&self, req: impl Into<Request>) -> Result<ResponseHandle, SubmitError> {
-        let (tx, rx) = unbounded();
+        let (tx, rx) = sync_channel(1);
         self.submit(&req.into(), Respond::Handle(tx))?;
         Ok(ResponseHandle { rx })
     }
@@ -791,50 +810,55 @@ impl Runtime {
     /// Submits many tagged requests with **one inbox message per
     /// shard**, so a burst of arrivals wakes an idle shard once instead
     /// of once per request. Each request is placed as a single
-    /// submission would be, with this batch's earlier placements
-    /// projected onto the load estimate so one burst does not dogpile a
-    /// single shard. Per-request admission still applies: the returned
-    /// vector gives each request's verdict in input order, and only `Ok`
-    /// entries were admitted (their outcomes arrive on `queue`).
+    /// submission would be, against the shards' live load, which
+    /// already counts this batch's earlier placements, so one burst
+    /// does not dogpile a single shard. Per-request admission still
+    /// applies: the outcomes of admitted requests arrive on `queue`, and
+    /// the returned list holds the tag and cause of every refused one,
+    /// in input order — empty, and unallocated, when all were admitted.
     pub fn submit_batch_tagged(
         &self,
         reqs: impl IntoIterator<Item = (u64, Request)>,
         queue: &CompletionQueue,
-    ) -> Vec<Result<(), SubmitError>> {
-        let mut projected = self.loads();
-        let mut results = Vec::new();
-        // Per shard: the arrivals riding its message and, parallel to
-        // them, their indices in `results`.
-        let mut groups: Vec<(Vec<usize>, Vec<Arrival>)> =
-            self.shards.iter().map(|_| Default::default()).collect();
-        for (idx, (tag, req)) in reqs.into_iter().enumerate() {
+    ) -> Vec<(u64, SubmitError)> {
+        let mut refused = Vec::new();
+        // Per shard placed on: the arrivals riding its message.
+        let mut groups: Vec<(usize, Vec<Arrival>)> = Vec::new();
+        for (tag, req) in reqs {
             let respond = Respond::Queue {
                 queue: queue.clone(),
                 tag,
             };
-            results.push(self.admit(&req, respond, &projected).map(|(s, arrival)| {
-                projected[s] += 1;
-                groups[s].0.push(idx);
-                groups[s].1.push(arrival);
-            }));
-        }
-        for (s, (idxs, arrivals)) in groups.into_iter().enumerate() {
-            if arrivals.is_empty() {
-                continue;
-            }
-            if let Err(err) = self.shards[s].send(arrivals) {
-                for idx in idxs {
-                    results[idx] = Err(err.clone());
+            let (s, arrival) = match self.admit(&req, respond) {
+                Ok(placed) => placed,
+                Err(e) => {
+                    refused.push((tag, e));
+                    continue;
                 }
+            };
+            match groups.iter_mut().find(|(g, _)| *g == s) {
+                Some((_, group)) => group.push(arrival),
+                None => groups.push((s, vec![arrival])),
             }
         }
-        results
+        for (s, arrivals) in groups {
+            if let Err(arrivals) = self.shards[s].send(arrivals) {
+                refused.extend(
+                    arrivals
+                        .into_iter()
+                        .map(|a| (a.respond.tag(), SubmitError::ShuttingDown)),
+                );
+            }
+        }
+        refused
     }
 
     /// One single submission: admit, then ship as a one-arrival message.
     fn submit(&self, req: &Request, respond: Respond) -> Result<(), SubmitError> {
-        let (s, arrival) = self.admit(req, respond, &self.loads())?;
-        self.shards[s].send(vec![arrival])
+        let (s, arrival) = self.admit(req, respond)?;
+        self.shards[s]
+            .send(vec![arrival])
+            .map_err(|_| SubmitError::ShuttingDown)
     }
 
     /// Validates one request, gives it its id, reserves it an active
@@ -842,23 +866,20 @@ impl Runtime {
     /// others, lightest first — and only then unfolds and stamps it. On
     /// success the caller owns the slot on the returned shard and must
     /// hand the [`Arrival`] to that shard's [`ShardHandle::send`].
-    fn admit(
-        &self,
-        req: &Request,
-        respond: Respond,
-        loads: &[usize],
-    ) -> Result<(usize, Arrival), SubmitError> {
+    fn admit(&self, req: &Request, respond: Respond) -> Result<(usize, Arrival), SubmitError> {
         self.model
             .validate(&req.input)
             .map_err(SubmitError::Invalid)?;
         let id = RequestId(self.next_request.fetch_add(1, Ordering::Relaxed));
         // The scan for the lightest shard starts at a rotating offset so
         // equal-load ties spread.
-        let start = self.rr.fetch_add(1, Ordering::Relaxed) % loads.len();
-        let first = shard::place(&req.input, loads, start);
+        let n = self.shards.len();
+        let start = self.rr.fetch_add(1, Ordering::Relaxed) % n;
+        let load = |s: usize| self.shards[s].active.load(Ordering::Acquire);
+        let first = shard::place(&req.input, n, load, start);
         let cap = self.opts.serve().max_active;
         let Some(s) = std::iter::once(first)
-            .chain(std::iter::once_with(|| shard::retry_order(first, loads)).flatten())
+            .chain(std::iter::once_with(|| shard::retry_order(first, &self.loads())).flatten())
             .find(|&s| self.shards[s].reserve(cap))
         else {
             self.refuse(first, id);
@@ -1006,6 +1027,14 @@ impl HostedShard {
     pub fn active(&self) -> usize {
         self.shard.active.load(Ordering::Acquire)
     }
+
+    /// Whether the shard's engine holds nodes ready to run: a pass now
+    /// would dispatch. Without them a pass can only admit what the inbox
+    /// brings, which wakes the host, or expire what falls due at
+    /// [`HostedShard::next_deadline`].
+    pub fn has_ready_work(&self) -> bool {
+        self.shard.engine.has_ready_work()
+    }
 }
 
 impl Drop for HostedShard {
@@ -1098,14 +1127,20 @@ struct Shard {
     timer: CpuTimer,
     active: Arc<AtomicUsize>,
     metrics: Option<ShardMetrics>,
-    live: HashMap<RequestId, LiveRequest>,
+    live: IdMap<RequestId, LiveRequest>,
     /// Batch intermediates, recycled across tasks so steady-state
     /// execution does no per-step heap allocation.
     scratch: Scratch,
-    /// The resident-state plane: one persistent batch per chain cell
-    /// type (created at the type's first task), rows owned by this
-    /// shard's active requests.
-    plane: HashMap<CellTypeId, ResidentBatch>,
+    /// The resident-state plane, by [`CellTypeId::index`]: one
+    /// persistent batch per chain cell type (created at the type's
+    /// first task), rows owned by this shard's active requests.
+    plane: Vec<Option<ResidentBatch>>,
+    /// The tasks of the last `dispatch`, handed back to the engine to
+    /// refill at the next one.
+    tasks: Vec<Task>,
+    /// Completion records waiting to be resolved.
+    done: Vec<CompletedRequest>,
+    bufs: TaskBuffers,
     /// A `Shutdown` message was drained: the thread exits once the
     /// engine holds no request.
     shutting_down: bool,
@@ -1167,11 +1202,11 @@ impl Shard {
         }
         // Every task of the last pass completed, so each request due
         // retires at once.
-        let expired = self.engine.expire(now);
-        let any_expired = !expired.is_empty();
-        for done in expired {
-            self.resolve(done);
-        }
+        let mut done = mem::take(&mut self.done);
+        self.engine.expire_into(now, &mut done);
+        let any_expired = !done.is_empty();
+        self.resolve_all(&mut done);
+        self.done = done;
         self.engine.advance_clock(now);
         let ran = self.run_tasks();
         let worked = arrivals > 0 || any_expired || ran;
@@ -1254,24 +1289,30 @@ impl Shard {
     ///
     /// Every task completes before the next `dispatch`, so no type has a
     /// running task when the engine picks: each pick is saturation- or
-    /// starvation-qualified, never priority-only.
+    /// starvation-qualified, never priority-only. The task list, the
+    /// completion records and every per-task buffer are the shard's
+    /// own, reused from pass to pass.
     fn run_tasks(&mut self) -> bool {
-        let tasks = self.engine.dispatch(self.worker);
+        let mut tasks = mem::take(&mut self.tasks);
+        self.engine.dispatch_into(self.worker, &mut tasks);
         if tasks.is_empty() {
+            self.tasks = tasks;
             return false;
         }
         if let Some(m) = &self.metrics {
             m.submit_batch.record(tasks.len() as u64);
         }
+        let mut done = mem::take(&mut self.done);
         for task in &tasks {
             let started_us = self.timer.now_us();
             self.engine.on_task_started(task.id, started_us);
-            let tokens = execute_task(
+            execute_task(
                 task,
                 &self.live,
                 &self.registry,
                 &mut self.scratch,
                 &mut self.plane,
+                &mut self.bufs,
             );
             for e in &task.entries {
                 let r = self.live.get_mut(&e.request).expect("live request");
@@ -1286,14 +1327,21 @@ impl Shard {
             // A deadline that passed while the task ran expires its
             // request before the task can complete it, as the simulator
             // expires at the deadline instant.
-            for done in self.engine.expire(finished_us) {
-                self.resolve(done);
-            }
-            for done in self.engine.on_task_completed(task.id, &tokens, finished_us) {
-                self.resolve(done);
-            }
+            self.engine.expire_into(finished_us, &mut done);
+            self.engine
+                .on_task_completed_into(task.id, &self.bufs.tokens, finished_us, &mut done);
+            self.resolve_all(&mut done);
         }
+        self.done = done;
+        self.tasks = tasks;
         true
+    }
+
+    /// Resolves every record in `done`, in order, leaving it empty.
+    fn resolve_all(&mut self, done: &mut Vec<CompletedRequest>) {
+        for d in done.drain(..) {
+            self.resolve(d);
+        }
     }
 
     /// Resolves one completion record: drops the live entry, releases the
@@ -1310,7 +1358,7 @@ impl Shard {
             m.scatter_resolve
                 .record(self.timer.now_us().saturating_sub(done.completion_us));
         }
-        for rb in self.plane.values_mut() {
+        for rb in self.plane.iter_mut().flatten() {
             rb.remove(done.id);
         }
         self.active.fetch_sub(1, Ordering::AcqRel);
@@ -1335,7 +1383,7 @@ impl Shard {
         };
         let mut occupied = 0usize;
         let mut agg = ResidentStats::default();
-        for rb in self.plane.values() {
+        for rb in self.plane.iter().flatten() {
             occupied += rb.occupied();
             let s = rb.stats();
             agg.joins += s.joins;
@@ -1374,7 +1422,40 @@ fn dep_state<'a>(e: &TaskEntry, d: NodeId, block: &'a SlotBlock) -> StateRef<'a>
         .unwrap_or_else(|| panic!("missing dependency {}/{} for {}", e.request, d, e.node))
 }
 
-/// Executes one batched task against the slot-indexed state plane.
+/// Buffers a shard reuses from task to task: each holds one value per
+/// entry of the task at hand.
+#[derive(Default)]
+struct TaskBuffers {
+    /// The gather path's invocations, kept empty between tasks (their
+    /// borrows end with the task; [`recycle`] carries the allocation
+    /// over).
+    invocations: Vec<RowInvocation<'static>>,
+    /// The resident path's input tokens.
+    tokens_in: Vec<Option<u32>>,
+    /// The tokens the task's rows emitted.
+    tokens: Vec<Option<u32>>,
+}
+
+/// Empties `v` and returns its allocation as a vector of `U`, a type of
+/// the same size and alignment (the same type for another lifetime):
+/// collecting an emptied vector's iterator in place reuses its buffer.
+fn recycle<T, U>(mut v: Vec<T>) -> Vec<U> {
+    v.clear();
+    v.into_iter()
+        .map(|_| unreachable!("the vector is empty"))
+        .collect()
+}
+
+/// The slot block of `e`'s request.
+fn block_of<'a>(live: &'a IdMap<RequestId, LiveRequest>, e: &TaskEntry) -> &'a SlotBlock {
+    &live
+        .get(&e.request)
+        .expect("state block for dispatched request")
+        .block
+}
+
+/// Executes one batched task against the slot-indexed state plane,
+/// leaving the token each entry's row emitted in `bufs.tokens`.
 ///
 /// Performs the "gather" (§4.3) by pointing each invocation straight at
 /// its dependencies' slot rows — no `CellOutput` clone — then
@@ -1388,47 +1469,39 @@ fn dep_state<'a>(e: &TaskEntry, d: NodeId, block: &'a SlotBlock) -> StateRef<'a>
 /// [`execute_task_resident`]. Outputs are bitwise identical either way.
 fn execute_task(
     task: &Task,
-    live: &HashMap<RequestId, LiveRequest>,
+    live: &IdMap<RequestId, LiveRequest>,
     registry: &CellRegistry,
     scratch: &mut Scratch,
-    plane: &mut HashMap<CellTypeId, ResidentBatch>,
-) -> Vec<Option<u32>> {
+    plane: &mut [Option<ResidentBatch>],
+    bufs: &mut TaskBuffers,
+) {
     const NO_STATE: StateRef<'static> = StateRef { h: &[], c: &[] };
     let cell = registry.cell(task.cell_type);
-    // One block per entry, parallel to `task.entries`.
-    let blocks: Vec<&SlotBlock> = task
-        .entries
-        .iter()
-        .map(|e| {
-            &live
-                .get(&e.request)
-                .expect("state block for dispatched request")
-                .block
-        })
-        .collect();
+    bufs.tokens.clear();
+    bufs.tokens.resize(task.entries.len(), None);
     if let Some(layout) = cell.resident_layout() {
         if !task.entries.is_empty() && task.entries.iter().all(|e| e.deps.len() <= 1) {
-            return execute_task_resident(task, &blocks, cell, layout, plane, scratch);
+            let rb =
+                plane[task.cell_type.index()].get_or_insert_with(|| ResidentBatch::new(layout));
+            return execute_task_resident(task, live, cell, rb, scratch, bufs);
         }
     }
-    let invocations: Vec<RowInvocation<'_>> = task
-        .entries
-        .iter()
-        .zip(&blocks)
-        .map(|(e, block)| {
-            let mut states = [NO_STATE; 2];
-            for (slot, d) in states.iter_mut().zip(e.deps.iter()) {
-                *slot = dep_state(e, *d, block);
-            }
-            RowInvocation::new(entry_token(e, block), &states[..e.deps.len()])
-        })
-        .collect();
-    let mut tokens: Vec<Option<u32>> = vec![None; task.entries.len()];
+    let mut invocations: Vec<RowInvocation<'_>> = recycle(mem::take(&mut bufs.invocations));
+    invocations.extend(task.entries.iter().map(|e| {
+        let block = block_of(live, e);
+        let mut states = [NO_STATE; 2];
+        for (slot, d) in states.iter_mut().zip(e.deps.iter()) {
+            *slot = dep_state(e, *d, block);
+        }
+        RowInvocation::new(entry_token(e, block), &states[..e.deps.len()])
+    }));
+    let tokens = &mut bufs.tokens;
     cell.execute_rows_in(&invocations, scratch, |row, h, c, token| {
-        blocks[row].write(task.entries[row].node.index(), h, c, token);
+        let e = &task.entries[row];
+        block_of(live, e).write(e.node.index(), h, c, token);
         tokens[row] = token;
     });
-    tokens
+    bufs.invocations = recycle(invocations);
 }
 
 /// Executes one chain task through the shard's resident-state plane.
@@ -1442,28 +1515,33 @@ fn execute_task(
 /// copy-out oblivious to which path ran.
 fn execute_task_resident(
     task: &Task,
-    blocks: &[&SlotBlock],
+    live: &IdMap<RequestId, LiveRequest>,
     cell: &Cell,
-    layout: ResidentLayout,
-    plane: &mut HashMap<CellTypeId, ResidentBatch>,
+    rb: &mut ResidentBatch,
     scratch: &mut Scratch,
-) -> Vec<Option<u32>> {
-    let rb = plane
-        .entry(task.cell_type)
-        .or_insert_with(|| ResidentBatch::new(layout));
-    let n = task.entries.len();
-    let mut tokens_in: Vec<Option<u32>> = Vec::with_capacity(n);
-    for (i, (e, block)) in task.entries.iter().zip(blocks).enumerate() {
+    bufs: &mut TaskBuffers,
+) {
+    let TaskBuffers {
+        tokens_in, tokens, ..
+    } = bufs;
+    tokens_in.clear();
+    for (i, e) in task.entries.iter().enumerate() {
+        let block = block_of(live, e);
         let dep = e.deps.first().copied();
         rb.place(i, e.request, e.node, dep, || {
             dep_state(e, dep.expect("state fetch without a dependency"), block)
         });
         tokens_in.push(entry_token(e, block));
     }
-    let mut tokens: Vec<Option<u32>> = vec![None; n];
-    rb.step(cell, n, &tokens_in, scratch, |row, h, c, token| {
-        blocks[row].write(task.entries[row].node.index(), h, c, token);
-        tokens[row] = token;
-    });
-    tokens
+    rb.step(
+        cell,
+        task.entries.len(),
+        tokens_in,
+        scratch,
+        |row, h, c, token| {
+            let e = &task.entries[row];
+            block_of(live, e).write(e.node.index(), h, c, token);
+            tokens[row] = token;
+        },
+    );
 }

@@ -1,6 +1,6 @@
 //! Shard placement: which of a [`Runtime`](crate::Runtime)'s shards a
 //! request is offered to, and in what order the others are retried.
-//! Pure functions of the input's shape and a per-shard load snapshot;
+//! Pure functions of the input's shape and the per-shard loads;
 //! the rationale (cell-type affinity, load-aware spill, second chance)
 //! is in the runtime's module docs.
 
@@ -13,23 +13,29 @@ use bm_model::RequestInput;
 /// load jitter.
 const SPILL_MARGIN: usize = 16;
 
-/// The shard a request with `input` should be offered to first: its
-/// affinity home unless that home is more than [`SPILL_MARGIN`]
-/// requests ahead of the least-loaded shard, in which case the
-/// least-loaded shard (scan started at `start` so equal-load ties
-/// spread when the caller rotates it).
-pub(crate) fn place(input: &RequestInput, loads: &[usize], start: usize) -> usize {
-    let n = loads.len();
+/// The shard, of `n` whose active requests `load` reads, a request with
+/// `input` should be offered to first: its affinity home unless that
+/// home is more than [`SPILL_MARGIN`] requests ahead of the
+/// least-loaded shard, in which case the least-loaded shard (scan
+/// started at `start` so equal-load ties spread when the caller rotates
+/// it).
+pub(crate) fn place(
+    input: &RequestInput,
+    n: usize,
+    load: impl Fn(usize) -> usize,
+    start: usize,
+) -> usize {
     let home = affinity_shard(input, n);
-    let (mut lightest, mut min_load) = (start, loads[start]);
+    let (mut lightest, mut min_load) = (start, load(start));
     for off in 1..n {
         let i = (start + off) % n;
-        if loads[i] < min_load {
+        let l = load(i);
+        if l < min_load {
             lightest = i;
-            min_load = loads[i];
+            min_load = l;
         }
     }
-    if loads[home] > min_load + SPILL_MARGIN {
+    if load(home) > min_load + SPILL_MARGIN {
         lightest
     } else {
         home

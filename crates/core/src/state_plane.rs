@@ -1,21 +1,25 @@
 //! The per-request slot-indexed state plane.
 //!
 //! One [`SlotBlock`] backs each admitted request: one write-once cell
-//! per graph node holding the node's [`CellOutput`] (hidden state,
-//! memory cell and emitted token), plus each node's expected row widths,
-//! sized from its cell type, and its count of consumers yet to run. The
-//! step that computes a node *scatters* its output by writing the cell;
-//! any later *gather* of the same request borrows the rows in place — so
-//! dependency states flow between tasks with no per-dependency copy.
+//! per graph node holding the node's output (hidden state, memory cell
+//! and emitted token), plus each node's expected row widths, sized from
+//! its cell type, and its count of consumers yet to run. The step that
+//! computes a node *scatters* its output by writing the cell; any later
+//! *gather* of the same request borrows the rows in place — so
+//! dependency states flow between tasks with no per-dependency copy. A
+//! node's `h` and `c` rows share one allocation, `h` first.
 //!
 //! A node's rows exist to be gathered by its consumers (§4.3). A block
 //! that is told each time a consumer has run ([`SlotBlock::consume`])
-//! drops a node's `h` and `c` once its last consumer has: a request then
+//! releases a node's rows once its last consumer has: a request then
 //! holds the rows of its live frontier, not of everything it executed.
-//! The token and the executed mark stay. No consumer of the last
-//! executed node has run (consumers come later in node order), so its
-//! rows are always there. A finished request
-//! either moves every output into its [`GraphResult`] (a block never told
+//! A released allocation is kept for the request's next write while its
+//! unwritten nodes still need one, and freed otherwise, so a chain of
+//! any length writes into the same few allocations and a tree's upper
+//! levels write into its leaves'. The token and the executed mark stay.
+//! No consumer of the last executed node has run (consumers come later
+//! in node order), so its rows are always there. A finished request
+//! either hands every output to its [`GraphResult`] (a block never told
 //! of a consumer still has them all), or resolves to its executed count,
 //! its tokens and its final hidden state ([`SlotBlock::into_tagged`]).
 //!
@@ -26,22 +30,36 @@
 //! a scheduler-bug detector, not a recoverable path), which is what lets
 //! gathers hold shared row views while later nodes are written.
 
-use std::cell::OnceCell;
+use std::cell::{Cell, OnceCell, RefCell};
+use std::mem;
 
 use bm_cell::{CellOutput, CellRegistry, CellState, StateRef};
 use bm_model::{reference::GraphResult, CellGraph, NodeId};
 
 use crate::runtime::{ServedTiming, TaggedResult};
 
+/// One written node: its `h` row then its `c` row in one allocation
+/// (empty once released), and its token.
+#[derive(Debug)]
+struct Slot {
+    rows: Vec<f32>,
+    token: Option<u32>,
+}
+
 /// State storage for one request: one write-once output per node.
 #[derive(Debug)]
 pub struct SlotBlock {
-    outputs: Box<[OnceCell<CellOutput>]>,
+    outputs: Box<[OnceCell<Slot>]>,
     /// Node `i`'s `(h, c)` row widths.
     widths: Box<[(usize, usize)]>,
     /// Node `i`'s consumers not yet reported by [`SlotBlock::consume`]:
     /// one per graph node listing it as a dependency, once per listing.
     consumers: Box<[u32]>,
+    /// Released row allocations waiting for a later write: never more
+    /// than one per node not yet written.
+    spare: RefCell<Vec<Vec<f32>>>,
+    /// Nodes not yet written.
+    unwritten: Cell<usize>,
 }
 
 impl SlotBlock {
@@ -67,12 +85,15 @@ impl SlotBlock {
     fn with_widths(widths: Box<[(usize, usize)]>, consumers: Box<[u32]>) -> Self {
         SlotBlock {
             outputs: widths.iter().map(|_| OnceCell::new()).collect(),
+            unwritten: Cell::new(widths.len()),
             widths,
             consumers,
+            spare: RefCell::new(Vec::new()),
         }
     }
 
-    /// Writes node `i`'s output rows and token.
+    /// Writes node `i`'s output rows and token, into a released
+    /// allocation when one is spare.
     ///
     /// # Panics
     ///
@@ -84,16 +105,17 @@ impl SlotBlock {
             self.widths[i],
             "state slot {i} written with the wrong row widths"
         );
-        let out = CellOutput {
-            state: CellState {
-                h: h.to_vec(),
-                c: c.to_vec(),
-            },
-            token,
-        };
-        if self.outputs[i].set(out).is_err() {
+        if self.outputs[i].get().is_some() {
             panic!("state slot {i} written twice");
         }
+        let mut rows = match self.spare.borrow_mut().pop() {
+            Some(rows) => rows,
+            None => Vec::with_capacity(h.len() + c.len()),
+        };
+        rows.extend_from_slice(h);
+        rows.extend_from_slice(c);
+        let _ = self.outputs[i].set(Slot { rows, token });
+        self.unwritten.set(self.unwritten.get() - 1);
     }
 
     /// Borrows node `i`'s state rows, or `None` if the node has not
@@ -101,28 +123,37 @@ impl SlotBlock {
     ///
     /// # Panics
     ///
-    /// Panics if the rows were dropped after the node's last consumer
+    /// Panics if the rows were released after the node's last consumer
     /// ran: nothing may read them after that.
     pub fn state(&self, i: usize) -> Option<StateRef<'_>> {
-        let out = self.outputs[i].get()?;
+        let slot = self.outputs[i].get()?;
+        let (hw, cw) = self.widths[i];
         assert_eq!(
-            out.state.h.len(),
-            self.widths[i].0,
+            slot.rows.len(),
+            hw + cw,
             "state slot {i} read after its last consumer"
         );
-        Some(StateRef::of(&out.state))
+        let (h, c) = slot.rows.split_at(hw);
+        Some(StateRef { h, c })
     }
 
     /// Reports that a node whose dependencies are `deps` has executed:
     /// each dependency has one consumer fewer to wait for, and one left
-    /// with none drops its `h` and `c` rows, keeping its token.
+    /// with none releases its rows, keeping its token. A released
+    /// allocation is kept for a later write of this block while fewer
+    /// than one per unwritten node are spare, and freed otherwise.
     pub fn consume(&mut self, deps: &[NodeId]) {
         for d in deps {
             let i = d.index();
             self.consumers[i] -= 1;
             if self.consumers[i] == 0 {
-                if let Some(out) = self.outputs[i].get_mut() {
-                    out.state = CellState::default();
+                if let Some(slot) = self.outputs[i].get_mut() {
+                    let mut rows = mem::take(&mut slot.rows);
+                    let spare = self.spare.get_mut();
+                    if rows.capacity() > 0 && spare.len() < self.unwritten.get() {
+                        rows.clear();
+                        spare.push(rows);
+                    }
                 }
             }
         }
@@ -133,22 +164,35 @@ impl SlotBlock {
     /// Meaningful only after [`SlotBlock::state`] returned `Some` for
     /// the node.
     pub fn token(&self, i: usize) -> Option<u32> {
-        let out = self.outputs[i].get();
-        debug_assert!(out.is_some(), "token read before the node was written");
-        out.and_then(|out| out.token)
+        let slot = self.outputs[i].get();
+        debug_assert!(slot.is_some(), "token read before the node was written");
+        slot.and_then(|slot| slot.token)
     }
 
-    /// Moves every node's output into the request's result (`None` for
-    /// never-executed nodes, e.g. past an `<eos>` cancel).
+    /// Hands every node's output to the request's result (`None` for
+    /// never-executed nodes, e.g. past an `<eos>` cancel): the `h` row
+    /// keeps the allocation gathers read, the `c` row is copied out of
+    /// it.
     pub fn into_result(self) -> GraphResult {
-        GraphResult {
-            outputs: self
-                .outputs
-                .into_vec()
-                .into_iter()
-                .map(OnceCell::into_inner)
-                .collect(),
-        }
+        let outputs = self
+            .outputs
+            .into_vec()
+            .into_iter()
+            .zip(self.widths.iter())
+            .map(|(slot, &(hw, _))| {
+                let Slot { mut rows, token } = slot.into_inner()?;
+                let c = if rows.len() > hw {
+                    rows.split_off(hw)
+                } else {
+                    Vec::new()
+                };
+                Some(CellOutput {
+                    state: CellState { h: rows, c },
+                    token,
+                })
+            })
+            .collect();
+        GraphResult { outputs }
     }
 
     /// Resolves the request to what a tagged response carries: the
@@ -163,17 +207,20 @@ impl SlotBlock {
             .outputs
             .iter()
             .enumerate()
-            .map(|(i, out)| {
-                let out = out.get()?;
+            .map(|(i, slot)| {
+                let slot = slot.get()?;
                 executed += 1;
                 last = Some(i);
-                out.token
+                slot.token
             })
             .collect();
         let mut outputs = self.outputs.into_vec();
         let final_h = last
-            .and_then(|i| outputs.swap_remove(i).into_inner())
-            .map(|out| out.state.h)
+            .and_then(|i| {
+                let mut rows = outputs.swap_remove(i).into_inner()?.rows;
+                rows.truncate(self.widths[i].0);
+                Some(rows)
+            })
             .unwrap_or_default();
         TaggedResult {
             executed,
@@ -211,9 +258,7 @@ mod tests {
         );
         b.write(2, &[0.5, 0.5], &[0.5, 0.5], None);
         b.consume(&[NodeId(0)]);
-        assert!(b.outputs[0]
-            .get()
-            .is_some_and(|o| o.state.h.capacity() == 0));
+        assert!(b.outputs[0].get().is_some_and(|o| o.rows.is_empty()));
         assert_eq!(b.token(0), Some(9), "the token outlives the rows");
         b.write(3, &[1.5, 2.5], &[3.5, 4.5], Some(4));
         b.consume(&[NodeId(1), NodeId(2)]);
@@ -227,6 +272,33 @@ mod tests {
         assert_eq!(t.tokens, [Some(9), None, None, Some(4)]);
         assert_eq!(t.final_h, [1.5, 2.5], "the sink keeps its rows");
         assert_eq!(t.timing.completion_us, 3);
+    }
+
+    #[test]
+    fn later_writes_reuse_released_rows_while_nodes_remain() {
+        // A chain 0 → 1 → 2 → 3: each node consumes its predecessor.
+        let mut b = SlotBlock::with_widths(vec![(2, 2); 4].into(), vec![1, 1, 1, 0].into());
+        b.write(0, &[1.0, 2.0], &[3.0, 4.0], None);
+        b.write(1, &[5.0, 6.0], &[7.0, 8.0], None);
+        let rows0 = b.state(0).expect("written").h.as_ptr();
+        b.consume(&[NodeId(0)]);
+        b.write(2, &[0.5, 1.5], &[2.5, 3.5], None);
+        let st = b.state(2).expect("written");
+        assert_eq!((st.h, st.c), (&[0.5, 1.5][..], &[2.5, 3.5][..]));
+        assert_eq!(st.h.as_ptr(), rows0, "node 2 did not reuse node 0's rows");
+        // One node left to write: one released allocation is kept, the
+        // other freed.
+        b.consume(&[NodeId(1)]);
+        b.consume(&[NodeId(2)]);
+        assert_eq!(b.spare.borrow().len(), 1);
+        b.write(3, &[9.0, 9.0], &[9.0, 9.0], Some(1));
+        assert!(b.spare.borrow().is_empty());
+        let t = b.into_tagged(ServedTiming {
+            arrival_us: 0,
+            start_us: 0,
+            completion_us: 0,
+        });
+        assert_eq!(t.final_h, [9.0, 9.0]);
     }
 
     #[test]
@@ -287,13 +359,13 @@ mod tests {
     fn into_result_moves_the_rows_gathers_read() {
         let b = block(&[(2, 2)]);
         b.write(0, &[1.0, 2.0], &[3.0, 4.0], None);
-        let (h, c) = {
-            let st = b.state(0).expect("written");
-            (st.h.as_ptr(), st.c.as_ptr())
-        };
+        let h = b.state(0).expect("written").h.as_ptr();
         let out = b.into_result().outputs.remove(0).expect("written");
-        assert_eq!(out.state.h.as_ptr(), h, "h row copied, not moved");
-        assert_eq!(out.state.c.as_ptr(), c, "c row copied, not moved");
+        // `h` leads the node's one row allocation, which the result
+        // keeps; `c` is copied out of its tail.
+        assert_eq!(out.state.h.as_ptr(), h, "row allocation copied, not moved");
+        assert_eq!(out.state.h, [1.0, 2.0]);
+        assert_eq!(out.state.c, [3.0, 4.0]);
     }
 
     #[test]

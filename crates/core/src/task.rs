@@ -1,9 +1,7 @@
 //! Batched tasks and completion records.
 
-use std::sync::Arc;
-
 use bm_cell::CellTypeId;
-use bm_model::{NodeId, TokenSource};
+use bm_model::{Deps, NodeId, TokenSource};
 
 use crate::ids::{RequestId, SubgraphId, TaskId, WorkerId};
 
@@ -13,16 +11,16 @@ use crate::ids::{RequestId, SubgraphId, TaskId, WorkerId};
 /// source so a worker can gather inputs from the state store without
 /// holding the request's graph — the analogue of a GPU kernel argument
 /// list pointing at device memory.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TaskEntry {
     /// The owning request.
     pub request: RequestId,
     /// The node being invoked.
     pub node: NodeId,
     /// The node's state dependencies (within the same request), in cell
-    /// order. Shared with the request's graph node (a refcount bump per
-    /// entry, not a per-task copy).
-    pub deps: Arc<[NodeId]>,
+    /// order: a copy of the graph node's inline list, so forming an
+    /// entry allocates nothing.
+    pub deps: Deps,
     /// Where the node's token comes from.
     pub token: TokenSource,
 }
@@ -39,9 +37,8 @@ pub struct Task {
     pub cell_type: CellTypeId,
     /// The batched invocations.
     pub entries: Vec<TaskEntry>,
-    /// Distinct subgraphs contributing entries. Shared with the engine's
-    /// composition cache, so cloning a task never copies the list.
-    pub subgraphs: Arc<[SubgraphId]>,
+    /// Distinct subgraphs contributing entries, in entry order.
+    pub subgraphs: Vec<SubgraphId>,
     /// State rows that must be gathered into contiguous memory because
     /// the batch composition differs from this worker's previous task of
     /// the same cell type (§4.3).
@@ -52,6 +49,20 @@ pub struct Task {
 }
 
 impl Task {
+    /// A task with no entries, whose buffers the engine fills when it
+    /// forms a task.
+    pub(crate) fn empty() -> Self {
+        Task {
+            id: TaskId(0),
+            worker: WorkerId(0),
+            cell_type: CellTypeId(0),
+            entries: Vec::new(),
+            subgraphs: Vec::new(),
+            gather_rows: 0,
+            transfer_rows: 0,
+        }
+    }
+
     /// Batch size of the task.
     pub fn batch_size(&self) -> usize {
         self.entries.len()
@@ -90,7 +101,7 @@ mod tests {
         let entry = |r: u64, n: u32| TaskEntry {
             request: RequestId(r),
             node: NodeId(n),
-            deps: Vec::new().into(),
+            deps: Deps::new(&[]),
             token: TokenSource::Fixed(0),
         };
         let t = Task {
@@ -98,7 +109,7 @@ mod tests {
             worker: WorkerId(0),
             cell_type: CellTypeId(0),
             entries: vec![entry(0, 0), entry(1, 0)],
-            subgraphs: vec![SubgraphId(0), SubgraphId(1)].into(),
+            subgraphs: vec![SubgraphId(0), SubgraphId(1)],
             gather_rows: 2,
             transfer_rows: 0,
         };

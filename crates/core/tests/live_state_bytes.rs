@@ -1,16 +1,25 @@
 //! A tagged request holds the state rows of its live frontier, not of
-//! every node it executed.
+//! every node it executed, and its control path allocates per request,
+//! not per node or task.
 //!
 //! A hosted shard driven by this thread serves tagged requests at
 //! hidden 256, while a per-thread allocator tracks the thread's live
-//! and peak heap bytes: submission (validate, unfold, admit), every
-//! pass and the resolve all run here, so the peak above the idle
-//! baseline is what serving the request held at its fullest. A chain or
-//! tree several times larger may hold more graph, bookkeeping and
-//! tokens per node, but less than one `h` + `c` row pair per extra node
-//! — which is what keeping every executed node's rows until the request
-//! resolves costs. Isolated in its own binary because the allocator
-//! hook is process-global; the counts are per thread (the pattern of
+//! and peak heap bytes and counts its allocations: submission
+//! (validate, unfold, admit), every pass and the resolve all run here,
+//! so the peak above the idle baseline is what serving the request held
+//! at its fullest. A chain or tree several times larger may hold more
+//! graph, bookkeeping and tokens per node, but less than one `h` + `c`
+//! row pair per extra node — which is what keeping every executed
+//! node's rows until the request resolves costs.
+//!
+//! Allocations: a chain's rows are recycled from node to node and every
+//! task buffer is the shard's, so a chain of any length allocates the
+//! same. A tree still allocates the row pairs its batched levels hold
+//! at once (every leaf's, then the first internal level's beside
+//! them), one allocation per pair and fewer pairs than extra nodes.
+//!
+//! Isolated in its own binary because the allocator hook is
+//! process-global; the counts are per thread (the pattern of
 //! `dispatch_alloc.rs`), so the test passes at any `--test-threads`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -68,7 +77,8 @@ const ROW_PAIR: i64 = (2 * HIDDEN * std::mem::size_of::<f32>()) as i64;
 struct Served {
     /// Peak live bytes above the idle baseline.
     peak: i64,
-    /// Heap allocations, from submission to the outcome's drop.
+    /// Heap allocations, from submission of the built request to the
+    /// outcome's drop.
     allocations: u64,
 }
 
@@ -79,19 +89,23 @@ fn serve(model: Arc<dyn Model>, input: &RequestInput) -> Served {
     let opts = RuntimeOptions::new().serve_config(ServeConfig::new().shards(1));
     let (rt, mut shard) = Runtime::start_hosted(model, opts, Arc::new(|| {}));
     let (queue, completions) = completion_queue();
-    let run = |shard: &mut HostedShard, tag| {
-        let verdicts = rt.submit_batch_tagged([(tag, Request::from(input))], &queue);
-        assert!(matches!(verdicts[..], [Ok(())]), "admitted: {verdicts:?}");
+    // The request, built outside the measured window: it is the
+    // caller's (on the socket path, the wire decoder's).
+    let mut requests = [Request::from(input), Request::from(input)].into_iter();
+    let run = |shard: &mut HostedShard, tag, req: Request| {
+        let refused = rt.submit_batch_tagged([(tag, req)], &queue);
+        assert!(refused.is_empty(), "refused: {refused:?}");
         while shard.pass(false) {}
         let (got, outcome) = completions.try_recv().expect("resolved by the passes");
         assert_eq!(got, tag);
         assert!(outcome.is_completed(), "{outcome:?}");
     };
-    run(&mut shard, 0);
+    run(&mut shard, 0, requests.next().expect("two requests"));
+    let req = requests.next().expect("two requests");
     let base = LIVE.with(Cell::get);
     PEAK.with(|p| p.set(base));
     let before = ALLOCATIONS.with(Cell::get);
-    run(&mut shard, 1);
+    run(&mut shard, 1, req);
     let served = Served {
         peak: PEAK.with(Cell::get) - base,
         allocations: ALLOCATIONS.with(Cell::get) - before,
@@ -101,10 +115,14 @@ fn serve(model: Arc<dyn Model>, input: &RequestInput) -> Served {
     served
 }
 
-/// Serves a small and a large request of one model and asserts the
-/// peak grew by less than a row pair per extra node.
-/// Prints both measurements (`--nocapture` shows them).
-fn assert_peak_tracks_live_rows(model: Arc<dyn Model>, small: RequestInput, large: RequestInput) {
+/// Serves a small and a large request of one model, prints both
+/// measurements (`--nocapture` shows them) and returns them with the
+/// large request's extra node count.
+fn serve_both(
+    model: Arc<dyn Model>,
+    small: RequestInput,
+    large: RequestInput,
+) -> (Served, Served, i64) {
     let extra = (large.cell_count() - small.cell_count()) as i64;
     let name = model.name().to_string();
     let (s, l) = (serve(Arc::clone(&model), &small), serve(model, &large));
@@ -116,6 +134,13 @@ fn assert_peak_tracks_live_rows(model: Arc<dyn Model>, small: RequestInput, larg
             served.allocations
         );
     }
+    (s, l, extra)
+}
+
+/// Serves a small and a large request of one model and asserts the
+/// peak grew by less than a row pair per extra node.
+fn assert_peak_tracks_live_rows(model: Arc<dyn Model>, small: RequestInput, large: RequestInput) {
+    let (s, l, extra) = serve_both(model, small, large);
     let per_node = (l.peak - s.peak) as f64 / extra as f64;
     assert!(
         l.peak - s.peak < extra * ROW_PAIR,
@@ -123,22 +148,54 @@ fn assert_peak_tracks_live_rows(model: Arc<dyn Model>, small: RequestInput, larg
     );
 }
 
-#[test]
-fn a_longer_chain_holds_less_than_a_row_pair_per_extra_node() {
-    let model = LstmLm::new(LstmLmConfig {
+fn chain_model() -> Arc<dyn Model> {
+    Arc::new(LstmLm::new(LstmLmConfig {
         hidden_size: HIDDEN,
         ..LstmLmConfig::default()
-    });
-    let chain = |n: u32| RequestInput::Sequence((0..n).map(|t| 1 + t % 50).collect());
-    assert_peak_tracks_live_rows(Arc::new(model), chain(8), chain(64));
+    }))
+}
+
+fn chain(n: u32) -> RequestInput {
+    RequestInput::Sequence((0..n).map(|t| 1 + t % 50).collect())
+}
+
+fn tree_model() -> Arc<dyn Model> {
+    Arc::new(TreeLstm::new(TreeLstmConfig {
+        hidden_size: HIDDEN,
+        ..TreeLstmConfig::default()
+    }))
+}
+
+fn tree(leaves: usize) -> RequestInput {
+    RequestInput::Tree(TreeShape::complete(leaves, 50))
+}
+
+#[test]
+fn a_longer_chain_holds_less_than_a_row_pair_per_extra_node() {
+    assert_peak_tracks_live_rows(chain_model(), chain(8), chain(64));
 }
 
 #[test]
 fn a_larger_tree_holds_less_than_a_row_pair_per_extra_node() {
-    let model = TreeLstm::new(TreeLstmConfig {
-        hidden_size: HIDDEN,
-        ..TreeLstmConfig::default()
-    });
-    let tree = |leaves| RequestInput::Tree(TreeShape::complete(leaves, 50));
-    assert_peak_tracks_live_rows(Arc::new(model), tree(8), tree(64));
+    assert_peak_tracks_live_rows(tree_model(), tree(8), tree(64));
+}
+
+#[test]
+fn a_chain_allocates_the_same_at_any_length() {
+    let (s, l, _) = serve_both(chain_model(), chain(8), chain(64));
+    assert_eq!(
+        s.allocations, l.allocations,
+        "serving 8 and 64 chain nodes allocated {} and {} times",
+        s.allocations, l.allocations
+    );
+}
+
+#[test]
+fn a_tree_allocates_less_than_once_per_extra_node() {
+    let (s, l, extra) = serve_both(tree_model(), tree(8), tree(64));
+    let grown = l.allocations as i64 - s.allocations as i64;
+    assert!(
+        grown < extra,
+        "serving {extra} more tree nodes allocated {grown} more times"
+    );
 }

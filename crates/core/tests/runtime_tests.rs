@@ -30,9 +30,15 @@ fn submit_tagged(
     tag: u64,
     queue: &CompletionQueue,
 ) -> Result<(), bm_core::SubmitError> {
-    let verdicts = rt.submit_batch_tagged([(tag, req.into())], queue);
-    let [verdict] = <[_; 1]>::try_from(verdicts).expect("one verdict per request");
-    verdict
+    let mut refused = rt.submit_batch_tagged([(tag, req.into())], queue);
+    match refused.pop() {
+        None => Ok(()),
+        Some((refused_tag, e)) => {
+            assert_eq!(refused_tag, tag, "refused a request it was not given");
+            assert!(refused.is_empty(), "one verdict per request");
+            Err(e)
+        }
+    }
 }
 
 /// A tagged completion queue whose waker parks the thread that delivers
@@ -373,10 +379,7 @@ fn every_request_resolves_exactly_once() {
     // Half as one coalesced batch, half one by one, so both inbox
     // message kinds carry zero-deadline requests.
     let (batch, singles): (Vec<_>, Vec<_>) = reqs.partition(|(tag, _)| *tag < n as u64 / 2);
-    assert!(rt
-        .submit_batch_tagged(batch, &queue)
-        .iter()
-        .all(Result::is_ok));
+    assert!(rt.submit_batch_tagged(batch, &queue).is_empty());
     for (tag, req) in singles {
         submit_tagged(&rt, req, tag, &queue).expect("submit");
     }
@@ -696,8 +699,8 @@ fn serve_batch(rt: &Runtime, inputs: &[RequestInput]) -> Vec<ServedOutcome<Tagge
         .iter()
         .enumerate()
         .map(|(i, input)| (i as u64, input.into()));
-    let results = rt.submit_batch_tagged(reqs, &queue);
-    assert!(results.iter().all(Result::is_ok), "{results:?}");
+    let refused = rt.submit_batch_tagged(reqs, &queue);
+    assert!(refused.is_empty(), "{refused:?}");
     let mut out: Vec<Option<ServedOutcome<TaggedResult>>> =
         (0..inputs.len()).map(|_| None).collect();
     for _ in 0..inputs.len() {
@@ -752,12 +755,12 @@ impl Model for FanOutTree {
         let mut g = bm_model::CellGraph::new();
         let leaves: Vec<_> = tokens
             .iter()
-            .map(|&t| g.add_node(leaf, vec![], TokenSource::Fixed(t)))
+            .map(|&t| g.add_node(leaf, &[], TokenSource::Fixed(t)))
             .collect();
-        let mut acc = g.add_node(internal, vec![leaves[0], leaves[0]], TokenSource::None);
+        let mut acc = g.add_node(internal, &[leaves[0], leaves[0]], TokenSource::None);
         for &l in &leaves[1..] {
-            let a = g.add_node(internal, vec![acc, l], TokenSource::None);
-            acc = g.add_node(internal, vec![l, a], TokenSource::None);
+            let a = g.add_node(internal, &[acc, l], TokenSource::None);
+            acc = g.add_node(internal, &[l, a], TokenSource::None);
         }
         g
     }
@@ -923,10 +926,7 @@ fn arrivals_join_a_running_batch() {
         .iter()
         .enumerate()
         .map(|(i, input)| (i as u64, Request::from(input)));
-    assert!(rt
-        .submit_batch_tagged(first_two, &queue)
-        .iter()
-        .all(Result::is_ok));
+    assert!(rt.submit_batch_tagged(first_two, &queue).is_empty());
     submit_tagged(&rt, &inputs[2], 2, &queue).expect("submit while the first two run");
     for _ in 0..inputs.len() {
         let (tag, outcome) = completions
@@ -1222,10 +1222,12 @@ fn refusals_at_the_cap_do_not_unfold() {
         );
     }
     let batch = (40..60).map(|tag| (tag, Request::from(&input)));
-    assert!(rt
-        .submit_batch_tagged(batch, &queue)
-        .iter()
-        .all(|r| *r == Err(SubmitError::AtCapacity)));
+    assert_eq!(
+        rt.submit_batch_tagged(batch, &queue),
+        (40..60)
+            .map(|tag| (tag, SubmitError::AtCapacity))
+            .collect::<Vec<_>>()
+    );
     assert_eq!(model.unfolds(), unfolded, "a refusal unfolded the graph");
 
     gate.wait();
@@ -1282,19 +1284,13 @@ fn a_hosted_shard_wakes_its_host_once_per_foreign_message() {
     let batch = |tags: std::ops::Range<u64>| tags.map(|t| (t, Request::from(&input)));
 
     let local = rt.submit_request(&input).expect("host submit");
-    assert!(rt
-        .submit_batch_tagged(batch(0..3), &queue)
-        .iter()
-        .all(Result::is_ok));
+    assert!(rt.submit_batch_tagged(batch(0..3), &queue).is_empty());
     assert_eq!(wakes.load(Ordering::SeqCst), 0, "the host woke itself");
 
     let foreign = std::thread::scope(|s| {
         s.spawn(|| {
             let h = rt.submit_request(&input).expect("foreign submit");
-            assert!(rt
-                .submit_batch_tagged(batch(3..6), &queue)
-                .iter()
-                .all(Result::is_ok));
+            assert!(rt.submit_batch_tagged(batch(3..6), &queue).is_empty());
             h
         })
         .join()

@@ -13,7 +13,7 @@
 //! decoder).
 
 use std::fmt;
-use std::sync::Arc;
+use std::ops::Deref;
 
 use bm_cell::{CellRegistry, CellTypeId};
 
@@ -34,6 +34,58 @@ impl fmt::Display for NodeId {
     }
 }
 
+/// A node's state dependencies: at most two [`NodeId`]s, held inline.
+///
+/// Every shipped cell consumes at most two states (a chain step one, a
+/// tree internal cell its two children), so the list is a fixed-size
+/// `Copy` value: building a graph, handing a node's dependencies to a
+/// task entry or copying an entry allocates nothing. Dereferences to
+/// the slice of its ids.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+pub struct Deps {
+    ids: [NodeId; 2],
+    len: u8,
+}
+
+impl Deps {
+    /// The most dependencies a node may list.
+    pub const MAX: usize = 2;
+
+    /// The list of `ids`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if there are more than [`Deps::MAX`] of them.
+    pub fn new(ids: &[NodeId]) -> Self {
+        assert!(
+            ids.len() <= Self::MAX,
+            "a node lists at most {} dependencies, not {}",
+            Self::MAX,
+            ids.len()
+        );
+        let mut inline = [NodeId(0); 2];
+        inline[..ids.len()].copy_from_slice(ids);
+        Deps {
+            ids: inline,
+            len: ids.len() as u8,
+        }
+    }
+}
+
+impl Deref for Deps {
+    type Target = [NodeId];
+
+    fn deref(&self) -> &[NodeId] {
+        &self.ids[..self.len as usize]
+    }
+}
+
+impl fmt::Debug for Deps {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
 /// Where a node's token input comes from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TokenSource {
@@ -51,11 +103,9 @@ pub enum TokenSource {
 pub struct GraphNode {
     /// The cell type this node invokes.
     pub cell_type: CellTypeId,
-    /// State dependencies, in the order the cell consumes them.
-    ///
-    /// Shared (`Arc`) so schedulers can hand the list to task entries
-    /// with a refcount bump instead of cloning it per batched task.
-    pub deps: Arc<[NodeId]>,
+    /// State dependencies, in the order the cell consumes them. Held
+    /// inline, so a task entry copies them without an allocation.
+    pub deps: Deps,
     /// Token input specification.
     pub token: TokenSource,
     /// If set, a runtime token equal to this value terminates the request
@@ -81,20 +131,29 @@ impl CellGraph {
         Self::default()
     }
 
+    /// Creates an empty graph with room for `nodes` nodes, so unfolding
+    /// a request of known size allocates once.
+    pub fn with_capacity(nodes: usize) -> Self {
+        CellGraph {
+            nodes: Vec::with_capacity(nodes),
+        }
+    }
+
     /// Appends a node, returning its id.
     ///
     /// # Panics
     ///
     /// Panics if a dependency refers to a not-yet-added node (which would
-    /// break topological ordering).
+    /// break topological ordering), or if there are more than
+    /// [`Deps::MAX`] dependencies.
     pub fn add_node(
         &mut self,
         cell_type: CellTypeId,
-        deps: Vec<NodeId>,
+        deps: &[NodeId],
         token: TokenSource,
     ) -> NodeId {
         let id = NodeId(self.nodes.len() as u32);
-        for d in &deps {
+        for d in deps {
             assert!(
                 d.index() < self.nodes.len(),
                 "dependency {d} of node {id} is not yet defined"
@@ -102,7 +161,7 @@ impl CellGraph {
         }
         self.nodes.push(GraphNode {
             cell_type,
-            deps: deps.into(),
+            deps: Deps::new(deps),
             token,
             eos: None,
         });
@@ -266,8 +325,7 @@ mod tests {
         let mut g = CellGraph::new();
         let mut prev: Option<NodeId> = None;
         for &t in tokens {
-            let deps = prev.map(|p| vec![p]).unwrap_or_default();
-            prev = Some(g.add_node(ct, deps, TokenSource::Fixed(t)));
+            prev = Some(g.add_node(ct, prev.as_slice(), TokenSource::Fixed(t)));
         }
         g
     }
@@ -293,14 +351,14 @@ mod tests {
     fn forward_dependency_panics() {
         let (_, ct) = chain_registry();
         let mut g = CellGraph::new();
-        g.add_node(ct, vec![NodeId(5)], TokenSource::Fixed(0));
+        g.add_node(ct, &[NodeId(5)], TokenSource::Fixed(0));
     }
 
     #[test]
     fn missing_token_detected() {
         let (reg, ct) = chain_registry();
         let mut g = CellGraph::new();
-        g.add_node(ct, vec![], TokenSource::None);
+        g.add_node(ct, &[], TokenSource::None);
         assert!(g.validate(&reg).is_err());
     }
 
@@ -322,15 +380,15 @@ mod tests {
             64,
         );
         let mut g = CellGraph::new();
-        let a = g.add_node(leaf, vec![], TokenSource::Fixed(1));
+        let a = g.add_node(leaf, &[], TokenSource::Fixed(1));
         // Internal node with a single child: invalid.
-        g.add_node(internal, vec![a], TokenSource::None);
+        g.add_node(internal, &[a], TokenSource::None);
         assert!(g.validate(&reg).is_err());
 
         let mut g2 = CellGraph::new();
-        let a = g2.add_node(leaf, vec![], TokenSource::Fixed(1));
-        let b = g2.add_node(leaf, vec![], TokenSource::Fixed(2));
-        g2.add_node(internal, vec![a, b], TokenSource::None);
+        let a = g2.add_node(leaf, &[], TokenSource::Fixed(1));
+        let b = g2.add_node(leaf, &[], TokenSource::Fixed(2));
+        g2.add_node(internal, &[a, b], TokenSource::None);
         g2.validate(&reg).unwrap();
         assert_eq!(g2.critical_path_len(), 2);
     }
@@ -339,9 +397,9 @@ mod tests {
     fn from_dep_requires_token_emitter() {
         let (reg, ct) = chain_registry();
         let mut g = CellGraph::new();
-        let a = g.add_node(ct, vec![], TokenSource::Fixed(1));
+        let a = g.add_node(ct, &[], TokenSource::Fixed(1));
         // LSTM emits no token, so FromDep(0) is invalid.
-        g.add_node(ct, vec![a], TokenSource::FromDep(0));
+        g.add_node(ct, &[a], TokenSource::FromDep(0));
         assert!(g.validate(&reg).is_err());
     }
 
@@ -363,8 +421,8 @@ mod tests {
             64,
         );
         let mut g = CellGraph::new();
-        let a = g.add_node(leaf, vec![], TokenSource::Fixed(1));
-        let b = g.add_node(leaf, vec![], TokenSource::Fixed(2));
+        let a = g.add_node(leaf, &[], TokenSource::Fixed(1));
+        let b = g.add_node(leaf, &[], TokenSource::Fixed(2));
         assert_eq!(g.sinks(), vec![a, b]);
     }
 }

@@ -23,7 +23,7 @@ pub mod reference;
 mod seq2seq;
 mod treelstm;
 
-pub use graph::{CellGraph, GraphNode, NodeId, TokenSource};
+pub use graph::{CellGraph, Deps, GraphNode, NodeId, TokenSource};
 pub use lstm_lm::{LstmLm, LstmLmConfig};
 pub use seq2seq::{Seq2Seq, Seq2SeqConfig};
 pub use treelstm::{TreeLstm, TreeLstmConfig, TreeShape};

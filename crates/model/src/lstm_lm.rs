@@ -115,11 +115,10 @@ impl Model for LstmLm {
             panic!("LstmLm expects RequestInput::Sequence");
         };
         assert!(!tokens.is_empty(), "empty sequence");
-        let mut g = CellGraph::new();
+        let mut g = CellGraph::with_capacity(tokens.len());
         let mut prev = None;
         for &t in tokens {
-            let deps = prev.map(|p| vec![p]).unwrap_or_default();
-            prev = Some(g.add_node(self.cell_type, deps, TokenSource::Fixed(t)));
+            prev = Some(g.add_node(self.cell_type, prev.as_slice(), TokenSource::Fixed(t)));
         }
         g
     }

@@ -159,20 +159,19 @@ impl Model for Seq2Seq {
         };
         assert!(!src.is_empty(), "empty source sequence");
         assert!(*decode_len > 0, "zero decode length");
-        let mut g = CellGraph::new();
+        let mut g = CellGraph::with_capacity(src.len() + *decode_len);
         let mut prev = None;
         for &t in src {
-            let deps = prev.map(|p| vec![p]).unwrap_or_default();
-            prev = Some(g.add_node(self.encoder, deps, TokenSource::Fixed(t)));
+            prev = Some(g.add_node(self.encoder, prev.as_slice(), TokenSource::Fixed(t)));
         }
         let enc_last = prev.expect("nonempty encoder chain");
         // First decoder step: final encoder state + <go>.
-        let mut dec_prev = g.add_node(self.decoder, vec![enc_last], TokenSource::Fixed(GO_TOKEN));
+        let mut dec_prev = g.add_node(self.decoder, &[enc_last], TokenSource::Fixed(GO_TOKEN));
         if self.eos_terminates {
             g.set_eos(dec_prev, EOS_TOKEN);
         }
         for _ in 1..*decode_len {
-            let n = g.add_node(self.decoder, vec![dec_prev], TokenSource::FromDep(0));
+            let n = g.add_node(self.decoder, &[dec_prev], TokenSource::FromDep(0));
             if self.eos_terminates {
                 g.set_eos(n, EOS_TOKEN);
             }

@@ -200,13 +200,13 @@ impl TreeLstm {
             TreeShape::Internal(l, r) => {
                 let left = self.unfold_into(l, g);
                 let right = self.unfold_into(r, g);
-                g.add_node(self.internal, vec![left, right], TokenSource::None)
+                g.add_node(self.internal, &[left, right], TokenSource::None)
             }
         }
     }
 
     fn registry_leaf(&self, g: &mut CellGraph, token: u32) -> NodeId {
-        g.add_node(self.leaf, vec![], TokenSource::Fixed(token))
+        g.add_node(self.leaf, &[], TokenSource::Fixed(token))
     }
 }
 
@@ -219,7 +219,7 @@ impl Model for TreeLstm {
         let RequestInput::Tree(shape) = input else {
             panic!("TreeLstm expects RequestInput::Tree");
         };
-        let mut g = CellGraph::new();
+        let mut g = CellGraph::with_capacity(shape.node_count());
         self.unfold_into(shape, &mut g);
         g
     }

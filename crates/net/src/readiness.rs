@@ -192,7 +192,12 @@ impl Poller {
                 let ms = timeout_ms(timeout);
                 // An error after EINTR retries (a lifecycle bug, never
                 // retryable) reads as an empty wait.
-                let n = retry_eintr(|| sys::epoll_wait(*epfd, buf, ms)).unwrap_or(0);
+                let n = retry_eintr(|| {
+                    #[cfg(test)]
+                    efd.waits.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+                    sys::epoll_wait(*epfd, buf, ms)
+                })
+                .unwrap_or(0);
                 for raw in &buf[..n] {
                     // Copied out of the packed struct by value.
                     let (bits, token) = (raw.events, raw.data);
@@ -292,6 +297,14 @@ impl Waker {
             (efd.wakes.load(SeqCst), efd.reads.load(SeqCst))
         })
     }
+
+    /// `epoll_wait` calls the poller made so far (zero on the scan).
+    #[cfg(test)]
+    pub(crate) fn waits(&self) -> u64 {
+        self.0
+            .as_ref()
+            .map_or(0, |efd| efd.waits.load(std::sync::atomic::Ordering::SeqCst))
+    }
 }
 
 /// What a registered descriptor should be watched for.
@@ -388,6 +401,10 @@ struct EventFd {
     /// reads the counter.
     #[cfg(test)]
     reads: std::sync::atomic::AtomicU64,
+    /// `epoll_wait` calls of the poller this eventfd wakes, for tests
+    /// that pin the syscalls a request costs.
+    #[cfg(test)]
+    waits: std::sync::atomic::AtomicU64,
 }
 
 impl EventFd {
@@ -401,6 +418,8 @@ impl EventFd {
             wakes: Default::default(),
             #[cfg(test)]
             reads: Default::default(),
+            #[cfg(test)]
+            waits: Default::default(),
         })
     }
 
@@ -788,9 +807,12 @@ mod tests {
             return;
         }
         let (_listener, mut poller) = live_epoll();
-        // An fd nothing in this process holds open: a fresh eventfd
-        // dropped immediately (its Drop closes it).
-        let dead = EventFd::new().expect("eventfd").fd;
+        // An fd number no thread of this process can hold: no fd table
+        // reaches `i32::MAX` (the kernel's ceiling on `fs.nr_open` is
+        // `i32::MAX` rounded down to a multiple of 64). The number of a
+        // just-closed descriptor would not do: a test running in
+        // parallel can be handed it before the register.
+        let dead = i32::MAX;
         let err = poller
             .register(dead, 1, Interest::READ)
             .expect_err("must fail");

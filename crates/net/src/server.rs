@@ -53,7 +53,7 @@
 //! A protocol error on a connection closes it (the stream can never
 //! re-synchronise).
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -62,7 +62,7 @@ use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use bm_core::{
-    completion_queue, CompletionQueue, CompletionReceiver, HostedShard, Request, Runtime,
+    completion_queue, CompletionQueue, CompletionReceiver, HostedShard, IdMap, Request, Runtime,
     ServedOutcome, SubmitError, TaggedResult,
 };
 use bm_model::Model;
@@ -147,6 +147,39 @@ struct NetStats {
     expired: AtomicU64,
     rejected: AtomicU64,
     protocol_errors: AtomicU64,
+    /// `read` calls on connection sockets, for tests that pin the
+    /// syscalls a request costs.
+    #[cfg(test)]
+    socket_reads: AtomicU64,
+    /// `write` calls on connection sockets.
+    #[cfg(test)]
+    socket_writes: AtomicU64,
+    /// Readiness events that sent a connection to `read_conn`.
+    #[cfg(test)]
+    readable_events: AtomicU64,
+}
+
+impl NetStats {
+    /// Counts one readable event handled (in tests only).
+    #[inline]
+    fn count_readable_event(&self) {
+        #[cfg(test)]
+        self.readable_events.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Counts one `read` on a connection socket (in tests only).
+    #[inline]
+    fn count_read(&self) {
+        #[cfg(test)]
+        self.socket_reads.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Counts one `write` on a connection socket (in tests only).
+    #[inline]
+    fn count_write(&self) {
+        #[cfg(test)]
+        self.socket_writes.fetch_add(1, Ordering::Relaxed);
+    }
 }
 
 /// A point-in-time copy of the server's counters.
@@ -398,7 +431,7 @@ fn event_loop(ctx: EventLoop) {
         queue,
         completions,
     } = ctx;
-    let mut conns: HashMap<u32, Conn> = HashMap::new();
+    let mut conns: IdMap<u32, Conn> = IdMap::default();
     let mut next_conn_id: u32 = 0;
     let mut chunk = vec![0u8; READ_CHUNK];
     // What the last wait reported ready, reused across iterations.
@@ -409,9 +442,11 @@ fn event_loop(ctx: EventLoop) {
     // resolved; shutdown drains to zero before exiting.
     let mut outstanding: usize = 0;
     let mut stop_deadline: Option<Instant> = None;
-    // Whether shard 0's last pass did work: then the loop must not
-    // block, so what arrives meanwhile joins at the next scheduling
-    // boundary.
+    // Whether shard 0's last pass did work and left nodes ready: then
+    // the loop must not block, so what arrives meanwhile joins at the
+    // next scheduling boundary. A pass that left nothing ready has no
+    // boundary to join: what it could do next a socket, the waker or
+    // the deadline bounding the wait announces.
     let mut shard_busy = false;
     // Whether the iteration did any work; the next wait reads it (the
     // scan sleeps only after an idle iteration).
@@ -453,39 +488,38 @@ fn event_loop(ctx: EventLoop) {
                 continue;
             };
             if ev.readable && !c.dead && !stopping {
+                stats.count_readable_event();
                 progressed |= read_conn(id, c, &mut chunk, &mut batch, &stats, opts.max_inflight);
             } else if ev.error {
                 // Error/hangup with nothing readable: the peer is gone.
                 c.dead = true;
             }
             if ev.writable && !c.wbuf.is_empty() {
-                progressed |= flush_wbuf(c);
+                progressed |= flush_wbuf(c, &stats);
             }
         }
 
         // ── Submit phase: the whole pass's decode in one batch. ──
         if !batch.is_empty() {
             progressed = true;
-            let tags: Vec<u64> = batch.iter().map(|(t, _)| *t).collect();
-            let results = runtime.submit_batch_tagged(batch.drain(..), &queue);
-            for (tag, res) in tags.into_iter().zip(results) {
-                match res {
-                    Ok(()) => {
-                        outstanding += 1;
-                        stats.submitted.fetch_add(1, Ordering::Relaxed);
-                    }
-                    Err(e) => {
-                        stats.rejected.fetch_add(1, Ordering::Relaxed);
-                        mark_ready(&mut conns, tag, submit_error_response(e));
-                    }
-                }
+            let decoded = batch.len();
+            let refused = runtime.submit_batch_tagged(batch.drain(..), &queue);
+            let admitted = decoded - refused.len();
+            outstanding += admitted;
+            stats
+                .submitted
+                .fetch_add(admitted as u64, Ordering::Relaxed);
+            for (tag, e) in refused {
+                stats.rejected.fetch_add(1, Ordering::Relaxed);
+                mark_ready(&mut conns, tag, submit_error_response(e));
             }
         }
 
         // ── Shard 0's pass: admit what was just submitted (and what
         // other threads sent), expire, one dispatch, resolve. ──
-        shard_busy = hosted.pass(parked);
-        progressed |= shard_busy;
+        let worked = hosted.pass(parked);
+        progressed |= worked;
+        shard_busy = worked && hosted.has_ready_work();
 
         // ── Completion pump: everything the runtime resolved. ──
         while let Some((tag, outcome)) = completions.try_recv() {
@@ -518,7 +552,7 @@ fn event_loop(ctx: EventLoop) {
                 drain_frames(*id, c, &mut batch, &stats, opts.max_inflight);
             }
             if !c.wbuf.is_empty() && !c.write_broken {
-                progressed |= flush_wbuf(c);
+                progressed |= flush_wbuf(c, &stats);
             }
         }
 
@@ -579,7 +613,7 @@ fn wait_timeout(deadline: Option<Duration>, stopping: bool) -> Duration {
 fn accept_all(
     listener: &TcpListener,
     poller: &mut Poller,
-    conns: &mut HashMap<u32, Conn>,
+    conns: &mut IdMap<u32, Conn>,
     next_conn_id: &mut u32,
     opts: &NetServerOptions,
     stats: &NetStats,
@@ -629,8 +663,14 @@ fn accept_all(
     progressed
 }
 
-/// Reads a connection until it would block (or its backpressure window
-/// fills), decoding frames as they complete and the window allows.
+/// Reads what a readable connection has, decoding frames as they
+/// complete and the window allows. Reads stop at the first read shorter
+/// than the chunk: the socket's receive queue is then empty, and the
+/// read that would only confirm it (`WouldBlock`) is left out. Bytes
+/// arriving after it leave the socket readable, and the next wait
+/// reports it again (epoll is level-triggered, the scan reports every
+/// readable-registered socket). Reads also stop when the peer closed,
+/// the read failed or the backpressure window filled.
 fn read_conn(
     conn_id: u32,
     c: &mut Conn,
@@ -641,6 +681,7 @@ fn read_conn(
 ) -> bool {
     let mut progressed = false;
     loop {
+        stats.count_read();
         match c.stream.read(chunk) {
             Ok(0) => {
                 c.dead = true; // peer closed
@@ -650,7 +691,7 @@ fn read_conn(
                 progressed = true;
                 c.rbuf.extend_from_slice(&chunk[..n]);
                 drain_frames(conn_id, c, batch, stats, max_inflight);
-                if c.dead || c.pending.len() >= max_inflight {
+                if n < chunk.len() || c.dead || c.pending.len() >= max_inflight {
                     break;
                 }
             }
@@ -722,7 +763,7 @@ fn protocol_error(c: &mut Conn, stats: &NetStats) {
 /// (retired after a write failure or mid-stream disconnect) just drops
 /// the response — the runtime already did the work and the counters
 /// already ticked.
-fn mark_ready(conns: &mut HashMap<u32, Conn>, tag: u64, resp: NetResponse) {
+fn mark_ready(conns: &mut IdMap<u32, Conn>, tag: u64, resp: NetResponse) {
     let conn_id = (tag >> 32) as u32;
     let seq = tag as u32;
     let Some(c) = conns.get_mut(&conn_id) else {
@@ -745,9 +786,10 @@ fn mark_ready(conns: &mut HashMap<u32, Conn>, tag: u64, resp: NetResponse) {
 /// `WouldBlock` leaves the remainder queued under write interest (the
 /// scan retries it after its idle backoff). A hard error marks the
 /// write side broken.
-fn flush_wbuf(c: &mut Conn) -> bool {
+fn flush_wbuf(c: &mut Conn, stats: &NetStats) -> bool {
     let mut written = 0usize;
     while written < c.wbuf.len() {
+        stats.count_write();
         match c.stream.write(&c.wbuf[written..]) {
             Ok(0) => {
                 c.write_broken = true;
@@ -994,6 +1036,42 @@ mod tests {
         let (wakes, reads, _) = serve_pipelined(Arc::new(Seq2Seq::small()), 2, 16, pair);
         assert!(wakes > 0, "shard 1's completions never woke the loop");
         assert!(reads <= wakes, "{reads} eventfd reads for {wakes} wakes");
+    }
+
+    /// A request sent only after the previous response arrived costs
+    /// the loop one socket `read` — its readable event's bytes, in one
+    /// read shorter than the chunk, with no second read to see
+    /// `WouldBlock` — and one `write`, its response. Every read follows
+    /// an `epoll_wait` that reported the socket.
+    #[test]
+    fn a_spaced_request_costs_one_read_and_one_write() {
+        if !readiness::SUPPORTED {
+            return;
+        }
+        let opts = NetServerOptions::new()
+            .runtime(RuntimeOptions::new().serve_config(ServeConfig::new().shards(1)));
+        let server = NetServer::bind(model(), opts, "127.0.0.1:0").expect("bind");
+        let mut client = NetClient::connect(server.local_addr()).expect("connect");
+        let n = 32;
+        for i in 0..n {
+            client.send(&request(i)).expect("send");
+            let (_, resp) = client.recv().expect("recv");
+            assert!(matches!(resp, NetResponse::Completed { .. }), "{resp:?}");
+        }
+        // Every response is in, so the loop has made every syscall the
+        // requests cost; the client has not closed, so no EOF read.
+        let load = |c: &AtomicU64| c.load(Ordering::SeqCst);
+        let (events, reads, writes) = (
+            load(&server.stats.readable_events),
+            load(&server.stats.socket_reads),
+            load(&server.stats.socket_writes),
+        );
+        let waits = server.waker.waits();
+        server.shutdown();
+        assert_eq!(events, n as u64, "readable events for {n} spaced requests");
+        assert_eq!(reads, events, "reads per readable event");
+        assert_eq!(writes, n as u64, "writes for {n} responses");
+        assert!(waits >= reads, "{reads} reads after {waits} waits");
     }
 
     /// `epoll_wait` blocks until shard 0's nearest deadline, rounded up
