@@ -84,9 +84,10 @@
 //! What happens to the rows after that depends on who asked. A
 //! [`ResponseHandle`] is promised every node's output: its block keeps
 //! every row and moves them into the [`GraphResult`] handed back. A
-//! tagged request is promised what the wire sends: after each task the
-//! shard tells the block which dependencies the task's entries consumed,
-//! a node whose last consumer has run drops its rows, and the request
+//! tagged request is promised what the wire sends: its block releases
+//! rows. After each task the shard tells the block which dependencies
+//! the task's entries consumed, a node whose last consumer has run
+//! releases its rows to the request's later writes, and the request
 //! resolves to a [`TaggedResult`] — executed count, tokens, final hidden
 //! state. A tagged request so holds the rows of its live frontier, not
 //! of everything it executed.
@@ -814,8 +815,10 @@ impl Runtime {
     /// already counts this batch's earlier placements, so one burst
     /// does not dogpile a single shard. Per-request admission still
     /// applies: the outcomes of admitted requests arrive on `queue`, and
-    /// the returned list holds the tag and cause of every refused one,
-    /// in input order — empty, and unallocated, when all were admitted.
+    /// the returned list holds the tag and cause of every refused one —
+    /// the requests admission refused, in input order, then those placed
+    /// on a shard whose inbox had closed, shard by shard — empty, and
+    /// unallocated, when all were admitted.
     pub fn submit_batch_tagged(
         &self,
         reqs: impl IntoIterator<Item = (u64, Request)>,
@@ -1273,13 +1276,13 @@ impl Shard {
             });
             meta.cell.prefill(tokens, &mut self.scratch);
         }
-        self.live.insert(
-            id,
-            LiveRequest {
-                respond,
-                block: SlotBlock::for_graph(&graph, &self.registry),
-            },
-        );
+        let block = SlotBlock::for_graph(&graph, &self.registry);
+        let block = if respond.frees_rows() {
+            block.releasing()
+        } else {
+            block
+        };
+        self.live.insert(id, LiveRequest { respond, block });
         self.engine.on_arrival(id, graph, arrival_us, deadline_us);
     }
 
@@ -1316,9 +1319,7 @@ impl Shard {
             );
             for e in &task.entries {
                 let r = self.live.get_mut(&e.request).expect("live request");
-                if r.respond.frees_rows() {
-                    r.block.consume(&e.deps);
-                }
+                r.block.consume(&e.deps);
             }
             let finished_us = self.timer.now_us();
             if let Some(m) = &self.metrics {

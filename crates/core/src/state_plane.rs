@@ -6,22 +6,26 @@
 //! its cell type, and its count of consumers yet to run. The step that
 //! computes a node *scatters* its output by writing the cell; any later
 //! *gather* of the same request borrows the rows in place — so
-//! dependency states flow between tasks with no per-dependency copy. A
-//! node's `h` and `c` rows share one allocation, `h` first.
+//! dependency states flow between tasks with no per-dependency copy.
 //!
-//! A node's rows exist to be gathered by its consumers (§4.3). A block
-//! that is told each time a consumer has run ([`SlotBlock::consume`])
-//! releases a node's rows once its last consumer has: a request then
-//! holds the rows of its live frontier, not of everything it executed.
-//! A released allocation is kept for the request's next write while its
-//! unwritten nodes still need one, and freed otherwise, so a chain of
-//! any length writes into the same few allocations and a tree's upper
-//! levels write into its leaves'. The token and the executed mark stay.
-//! No consumer of the last executed node has run (consumers come later
-//! in node order), so its rows are always there. A finished request
-//! either hands every output to its [`GraphResult`] (a block never told
-//! of a consumer still has them all), or resolves to its executed count,
-//! its tokens and its final hidden state ([`SlotBlock::into_tagged`]).
+//! A block from [`SlotBlock::for_graph`] keeps every node's `h` and `c`
+//! rows, each its own allocation, and moves them into the request's
+//! [`GraphResult`] when it finishes ([`SlotBlock::into_result`]).
+//!
+//! A node's rows exist to be gathered by its consumers (§4.3). A
+//! [`SlotBlock::releasing`] block, told each time a consumer has run
+//! ([`SlotBlock::consume`]), releases a node's rows once its last
+//! consumer has: a request then holds the rows of its live frontier,
+//! not of everything it executed. Such a block keeps a node's `h` and
+//! `c` rows in one allocation, `h` first, and hands a released
+//! allocation to the request's next write while its unwritten nodes
+//! still need one (freeing it otherwise), so a chain of any length
+//! writes into the same few allocations and a tree's upper levels write
+//! into its leaves'. The token and the executed mark stay. No consumer
+//! of the last executed node has run (consumers come later in node
+//! order), so its rows are always there, and the request resolves to
+//! its executed count, its tokens and that node's hidden state
+//! ([`SlotBlock::into_tagged`]).
 //!
 //! A request lives on its shard's thread from admission to resolution,
 //! so the block is plain single-threaded storage: no lock and no
@@ -38,11 +42,12 @@ use bm_model::{reference::GraphResult, CellGraph, NodeId};
 
 use crate::runtime::{ServedTiming, TaggedResult};
 
-/// One written node: its `h` row then its `c` row in one allocation
-/// (empty once released), and its token.
+/// One written node. A releasing block's slot holds the `c` row after
+/// the `h` row in `h` (empty once released) and leaves `c` empty.
 #[derive(Debug)]
 struct Slot {
-    rows: Vec<f32>,
+    h: Vec<f32>,
+    c: Vec<f32>,
     token: Option<u32>,
 }
 
@@ -55,9 +60,10 @@ pub struct SlotBlock {
     /// Node `i`'s consumers not yet reported by [`SlotBlock::consume`]:
     /// one per graph node listing it as a dependency, once per listing.
     consumers: Box<[u32]>,
-    /// Released row allocations waiting for a later write: never more
-    /// than one per node not yet written.
-    spare: RefCell<Vec<Vec<f32>>>,
+    /// A releasing block's released row allocations waiting for a later
+    /// write, never more than one per node not yet written; `None` for a
+    /// block that keeps every row.
+    spare: Option<RefCell<Vec<Vec<f32>>>>,
     /// Nodes not yet written.
     unwritten: Cell<usize>,
 }
@@ -65,7 +71,8 @@ pub struct SlotBlock {
 impl SlotBlock {
     /// Empty slots for every node of `graph`, expecting from each node
     /// the widths of its cell type (`h` row of `hidden_size`, `c` row of
-    /// `memory_width`), and counting each node's consumers.
+    /// `memory_width`), and counting each node's consumers. The block
+    /// keeps every row until it is resolved.
     pub fn for_graph(graph: &CellGraph, registry: &CellRegistry) -> Self {
         let widths = graph
             .nodes()
@@ -88,12 +95,19 @@ impl SlotBlock {
             unwritten: Cell::new(widths.len()),
             widths,
             consumers,
-            spare: RefCell::new(Vec::new()),
+            spare: None,
         }
     }
 
-    /// Writes node `i`'s output rows and token, into a released
-    /// allocation when one is spare.
+    /// This (unwritten) block, releasing each node's rows at its last
+    /// consumer and recycling them into later writes.
+    pub fn releasing(mut self) -> Self {
+        self.spare = Some(RefCell::new(Vec::new()));
+        self
+    }
+
+    /// Writes node `i`'s output rows and token; a releasing block writes
+    /// both rows into one allocation, a released one when one is spare.
     ///
     /// # Panics
     ///
@@ -108,13 +122,27 @@ impl SlotBlock {
         if self.outputs[i].get().is_some() {
             panic!("state slot {i} written twice");
         }
-        let mut rows = match self.spare.borrow_mut().pop() {
-            Some(rows) => rows,
-            None => Vec::with_capacity(h.len() + c.len()),
+        let slot = match &self.spare {
+            None => Slot {
+                h: h.to_vec(),
+                c: c.to_vec(),
+                token,
+            },
+            Some(spare) => {
+                let mut rows = match spare.borrow_mut().pop() {
+                    Some(rows) => rows,
+                    None => Vec::with_capacity(h.len() + c.len()),
+                };
+                rows.extend_from_slice(h);
+                rows.extend_from_slice(c);
+                Slot {
+                    h: rows,
+                    c: Vec::new(),
+                    token,
+                }
+            }
         };
-        rows.extend_from_slice(h);
-        rows.extend_from_slice(c);
-        let _ = self.outputs[i].set(Slot { rows, token });
+        let _ = self.outputs[i].set(slot);
         self.unwritten.set(self.unwritten.get() - 1);
     }
 
@@ -129,27 +157,31 @@ impl SlotBlock {
         let slot = self.outputs[i].get()?;
         let (hw, cw) = self.widths[i];
         assert_eq!(
-            slot.rows.len(),
+            slot.h.len() + slot.c.len(),
             hw + cw,
             "state slot {i} read after its last consumer"
         );
-        let (h, c) = slot.rows.split_at(hw);
+        let (h, tail) = slot.h.split_at(hw);
+        let c = if tail.is_empty() { &slot.c } else { tail };
         Some(StateRef { h, c })
     }
 
-    /// Reports that a node whose dependencies are `deps` has executed:
-    /// each dependency has one consumer fewer to wait for, and one left
-    /// with none releases its rows, keeping its token. A released
-    /// allocation is kept for a later write of this block while fewer
-    /// than one per unwritten node are spare, and freed otherwise.
+    /// Reports to a releasing block that a node whose dependencies are
+    /// `deps` has executed: each dependency has one consumer fewer to
+    /// wait for, and one left with none releases its rows, keeping its
+    /// token. A released allocation is kept for a later write of this
+    /// block while fewer than one per unwritten node are spare, and
+    /// freed otherwise. A block that keeps every row ignores the report.
     pub fn consume(&mut self, deps: &[NodeId]) {
+        let Some(spare) = self.spare.as_mut().map(RefCell::get_mut) else {
+            return;
+        };
         for d in deps {
             let i = d.index();
             self.consumers[i] -= 1;
             if self.consumers[i] == 0 {
                 if let Some(slot) = self.outputs[i].get_mut() {
-                    let mut rows = mem::take(&mut slot.rows);
-                    let spare = self.spare.get_mut();
+                    let mut rows = mem::take(&mut slot.h);
                     if rows.capacity() > 0 && spare.len() < self.unwritten.get() {
                         rows.clear();
                         spare.push(rows);
@@ -169,10 +201,9 @@ impl SlotBlock {
         slot.and_then(|slot| slot.token)
     }
 
-    /// Hands every node's output to the request's result (`None` for
-    /// never-executed nodes, e.g. past an `<eos>` cancel): the `h` row
-    /// keeps the allocation gathers read, the `c` row is copied out of
-    /// it.
+    /// Moves every node's output into the request's result (`None` for
+    /// never-executed nodes, e.g. past an `<eos>` cancel). A releasing
+    /// block's `c` rows are copied out of their shared allocations.
     pub fn into_result(self) -> GraphResult {
         let outputs = self
             .outputs
@@ -180,14 +211,16 @@ impl SlotBlock {
             .into_iter()
             .zip(self.widths.iter())
             .map(|(slot, &(hw, _))| {
-                let Slot { mut rows, token } = slot.into_inner()?;
-                let c = if rows.len() > hw {
-                    rows.split_off(hw)
-                } else {
-                    Vec::new()
-                };
+                let Slot {
+                    mut h,
+                    mut c,
+                    token,
+                } = slot.into_inner()?;
+                if h.len() > hw {
+                    c = h.split_off(hw);
+                }
                 Some(CellOutput {
-                    state: CellState { h: rows, c },
+                    state: CellState { h, c },
                     token,
                 })
             })
@@ -217,9 +250,9 @@ impl SlotBlock {
         let mut outputs = self.outputs.into_vec();
         let final_h = last
             .and_then(|i| {
-                let mut rows = outputs.swap_remove(i).into_inner()?.rows;
-                rows.truncate(self.widths[i].0);
-                Some(rows)
+                let mut h = outputs.swap_remove(i).into_inner()?.h;
+                h.truncate(self.widths[i].0);
+                Some(h)
             })
             .unwrap_or_default();
         TaggedResult {
@@ -242,7 +275,7 @@ mod tests {
     /// A block over a hand-built fan-out: node 0 feeds nodes 1 and 2,
     /// which both feed node 3.
     fn fan_out() -> SlotBlock {
-        SlotBlock::with_widths(vec![(2, 2); 4].into(), vec![2, 1, 1, 0].into())
+        SlotBlock::with_widths(vec![(2, 2); 4].into(), vec![2, 1, 1, 0].into()).releasing()
     }
 
     #[test]
@@ -258,7 +291,9 @@ mod tests {
         );
         b.write(2, &[0.5, 0.5], &[0.5, 0.5], None);
         b.consume(&[NodeId(0)]);
-        assert!(b.outputs[0].get().is_some_and(|o| o.rows.is_empty()));
+        assert!(b.outputs[0]
+            .get()
+            .is_some_and(|o| o.h.capacity() == 0 && o.c.capacity() == 0));
         assert_eq!(b.token(0), Some(9), "the token outlives the rows");
         b.write(3, &[1.5, 2.5], &[3.5, 4.5], Some(4));
         b.consume(&[NodeId(1), NodeId(2)]);
@@ -277,7 +312,8 @@ mod tests {
     #[test]
     fn later_writes_reuse_released_rows_while_nodes_remain() {
         // A chain 0 → 1 → 2 → 3: each node consumes its predecessor.
-        let mut b = SlotBlock::with_widths(vec![(2, 2); 4].into(), vec![1, 1, 1, 0].into());
+        let mut b =
+            SlotBlock::with_widths(vec![(2, 2); 4].into(), vec![1, 1, 1, 0].into()).releasing();
         b.write(0, &[1.0, 2.0], &[3.0, 4.0], None);
         b.write(1, &[5.0, 6.0], &[7.0, 8.0], None);
         let rows0 = b.state(0).expect("written").h.as_ptr();
@@ -290,9 +326,10 @@ mod tests {
         // other freed.
         b.consume(&[NodeId(1)]);
         b.consume(&[NodeId(2)]);
-        assert_eq!(b.spare.borrow().len(), 1);
+        let spare = |b: &SlotBlock| b.spare.as_ref().expect("releasing").borrow().len();
+        assert_eq!(spare(&b), 1);
         b.write(3, &[9.0, 9.0], &[9.0, 9.0], Some(1));
-        assert!(b.spare.borrow().is_empty());
+        assert_eq!(spare(&b), 0);
         let t = b.into_tagged(ServedTiming {
             arrival_us: 0,
             start_us: 0,
@@ -359,13 +396,41 @@ mod tests {
     fn into_result_moves_the_rows_gathers_read() {
         let b = block(&[(2, 2)]);
         b.write(0, &[1.0, 2.0], &[3.0, 4.0], None);
-        let h = b.state(0).expect("written").h.as_ptr();
+        let (h, c) = {
+            let st = b.state(0).expect("written");
+            (st.h.as_ptr(), st.c.as_ptr())
+        };
         let out = b.into_result().outputs.remove(0).expect("written");
-        // `h` leads the node's one row allocation, which the result
-        // keeps; `c` is copied out of its tail.
-        assert_eq!(out.state.h.as_ptr(), h, "row allocation copied, not moved");
-        assert_eq!(out.state.h, [1.0, 2.0]);
-        assert_eq!(out.state.c, [3.0, 4.0]);
+        assert_eq!(out.state.h.as_ptr(), h, "h row copied, not moved");
+        assert_eq!(out.state.c.as_ptr(), c, "c row copied, not moved");
+    }
+
+    #[test]
+    fn a_block_that_keeps_its_rows_ignores_consumers() {
+        let mut b = SlotBlock::with_widths(vec![(2, 2); 2].into(), vec![1, 0].into());
+        b.write(0, &[1.0, 2.0], &[3.0, 4.0], None);
+        b.write(1, &[5.0, 6.0], &[7.0, 8.0], None);
+        b.consume(&[NodeId(0)]);
+        let st = b.state(0).expect("kept");
+        assert_eq!((st.h, st.c), (&[1.0, 2.0][..], &[3.0, 4.0][..]));
+    }
+
+    #[test]
+    fn a_releasing_block_resolves_to_every_row() {
+        let b = block(&[(2, 2), (1, 0)]).releasing();
+        b.write(0, &[1.0, 2.0], &[3.0, 4.0], Some(5));
+        b.write(1, &[6.0], &[], None);
+        let st = b.state(0).expect("written");
+        assert_eq!((st.h, st.c), (&[1.0, 2.0][..], &[3.0, 4.0][..]));
+        let outputs = b.into_result().outputs;
+        let out = outputs[0].as_ref().expect("written");
+        assert_eq!(
+            (&out.state.h[..], &out.state.c[..]),
+            (&[1.0, 2.0][..], &[3.0, 4.0][..])
+        );
+        assert_eq!(out.token, Some(5));
+        let out = outputs[1].as_ref().expect("written");
+        assert_eq!((&out.state.h[..], out.state.c.len()), (&[6.0][..], 0));
     }
 
     #[test]

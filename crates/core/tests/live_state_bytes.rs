@@ -4,13 +4,15 @@
 //!
 //! A hosted shard driven by this thread serves tagged requests at
 //! hidden 256, while a per-thread allocator tracks the thread's live
-//! and peak heap bytes and counts its allocations: submission
-//! (validate, unfold, admit), every pass and the resolve all run here,
-//! so the peak above the idle baseline is what serving the request held
-//! at its fullest. A chain or tree several times larger may hold more
-//! graph, bookkeeping and tokens per node, but less than one `h` + `c`
-//! row pair per extra node — which is what keeping every executed
-//! node's rows until the request resolves costs.
+//! and peak heap bytes and counts its allocations: building the
+//! request (a tree's nodes are one allocation, as the wire decoder
+//! builds them), submission (validate, unfold, admit), every pass and
+//! the resolve all run here, so the peak above the idle baseline is
+//! what serving the request held at its fullest. A chain or tree
+//! several times larger may hold more graph, bookkeeping and tokens per
+//! node, but less than one `h` + `c` row pair per extra node — which is
+//! what keeping every executed node's rows until the request resolves
+//! costs.
 //!
 //! Allocations: a chain's rows are recycled from node to node and every
 //! task buffer is the shard's, so a chain of any length allocates the
@@ -77,8 +79,8 @@ const ROW_PAIR: i64 = (2 * HIDDEN * std::mem::size_of::<f32>()) as i64;
 struct Served {
     /// Peak live bytes above the idle baseline.
     peak: i64,
-    /// Heap allocations, from submission of the built request to the
-    /// outcome's drop.
+    /// Heap allocations, from building the request to the outcome's
+    /// drop.
     allocations: u64,
 }
 
@@ -89,23 +91,19 @@ fn serve(model: Arc<dyn Model>, input: &RequestInput) -> Served {
     let opts = RuntimeOptions::new().serve_config(ServeConfig::new().shards(1));
     let (rt, mut shard) = Runtime::start_hosted(model, opts, Arc::new(|| {}));
     let (queue, completions) = completion_queue();
-    // The request, built outside the measured window: it is the
-    // caller's (on the socket path, the wire decoder's).
-    let mut requests = [Request::from(input), Request::from(input)].into_iter();
-    let run = |shard: &mut HostedShard, tag, req: Request| {
-        let refused = rt.submit_batch_tagged([(tag, req)], &queue);
+    let run = |shard: &mut HostedShard, tag| {
+        let refused = rt.submit_batch_tagged([(tag, Request::from(input))], &queue);
         assert!(refused.is_empty(), "refused: {refused:?}");
         while shard.pass(false) {}
         let (got, outcome) = completions.try_recv().expect("resolved by the passes");
         assert_eq!(got, tag);
         assert!(outcome.is_completed(), "{outcome:?}");
     };
-    run(&mut shard, 0, requests.next().expect("two requests"));
-    let req = requests.next().expect("two requests");
+    run(&mut shard, 0);
     let base = LIVE.with(Cell::get);
     PEAK.with(|p| p.set(base));
     let before = ALLOCATIONS.with(Cell::get);
-    run(&mut shard, 1, req);
+    run(&mut shard, 1);
     let served = Served {
         peak: PEAK.with(Cell::get) - base,
         allocations: ALLOCATIONS.with(Cell::get) - before,

@@ -113,7 +113,7 @@ fn capped_seq2seq() -> Arc<Seq2Seq> {
 }
 
 fn tree_strategy() -> impl Strategy<Value = TreeShape> {
-    (0u32..VOCAB).prop_map(TreeShape::Leaf).prop_recursive(
+    (0u32..VOCAB).prop_map(TreeShape::leaf).prop_recursive(
         4,  // depth
         24, // total nodes
         2,  // branches

@@ -26,7 +26,7 @@ mod treelstm;
 pub use graph::{CellGraph, Deps, GraphNode, NodeId, TokenSource};
 pub use lstm_lm::{LstmLm, LstmLmConfig};
 pub use seq2seq::{Seq2Seq, Seq2SeqConfig};
-pub use treelstm::{TreeLstm, TreeLstmConfig, TreeShape};
+pub use treelstm::{TreeLstm, TreeLstmConfig, TreeNode, TreeShape};
 
 use bm_cell::CellRegistry;
 

@@ -11,24 +11,63 @@ use bm_cell::{Cell, CellRegistry, CellTypeId, TreeInternalCell, TreeLeafCell};
 use crate::graph::{CellGraph, NodeId, TokenSource};
 use crate::{Model, RequestInput};
 
-/// A binary tree shape with tokens at the leaves.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TreeShape {
+/// One node of a [`TreeShape`], in preorder.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TreeNode {
     /// A leaf holding a token id.
     Leaf(u32),
-    /// An internal node with two children.
-    Internal(Box<TreeShape>, Box<TreeShape>),
+    /// An internal node: its left subtree follows it, then its right.
+    Internal,
+}
+
+/// A binary tree shape with tokens at the leaves.
+///
+/// Stored as its nodes in preorder (a node, then its left subtree, then
+/// its right) — the order the wire carries them in — so a tree of any
+/// size is one allocation to build, clone, decode or drop, and no walk
+/// over it recurses.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct TreeShape {
+    preorder: Vec<TreeNode>,
 }
 
 impl TreeShape {
     /// A leaf node.
     pub fn leaf(token: u32) -> Self {
-        TreeShape::Leaf(token)
+        TreeShape {
+            preorder: vec![TreeNode::Leaf(token)],
+        }
     }
 
     /// An internal node over two subtrees.
     pub fn internal(left: TreeShape, right: TreeShape) -> Self {
-        TreeShape::Internal(Box::new(left), Box::new(right))
+        let mut preorder = Vec::with_capacity(1 + left.preorder.len() + right.preorder.len());
+        preorder.push(TreeNode::Internal);
+        preorder.extend_from_slice(&left.preorder);
+        preorder.extend_from_slice(&right.preorder);
+        TreeShape { preorder }
+    }
+
+    /// The tree whose nodes in preorder are `preorder`, or `None` if
+    /// they are not exactly one binary tree (a subtree left unfinished,
+    /// or nodes after the root's last leaf).
+    pub fn from_preorder(preorder: Vec<TreeNode>) -> Option<Self> {
+        // Subtrees still to read: each node fills one, an internal node
+        // opens two.
+        let mut open = 1usize;
+        for node in &preorder {
+            open = match (open, node) {
+                (0, _) => return None,
+                (_, TreeNode::Leaf(_)) => open - 1,
+                (_, TreeNode::Internal) => open + 1,
+            };
+        }
+        (open == 0).then_some(TreeShape { preorder })
+    }
+
+    /// The nodes in preorder.
+    pub fn preorder(&self) -> &[TreeNode] {
+        &self.preorder
     }
 
     /// A complete binary tree with `leaves` leaf nodes (must be a power
@@ -42,47 +81,57 @@ impl TreeShape {
     /// Panics if `leaves` is zero or not a power of two.
     pub fn complete(leaves: usize, vocab: u32) -> Self {
         assert!(leaves > 0 && leaves.is_power_of_two(), "leaves must be 2^k");
-        fn build(lo: usize, hi: usize, vocab: u32) -> TreeShape {
+        fn build(lo: usize, hi: usize, vocab: u32, out: &mut Vec<TreeNode>) {
             if hi - lo == 1 {
-                TreeShape::Leaf(lo as u32 % vocab)
+                out.push(TreeNode::Leaf(lo as u32 % vocab));
             } else {
                 let mid = (lo + hi) / 2;
-                TreeShape::internal(build(lo, mid, vocab), build(mid, hi, vocab))
+                out.push(TreeNode::Internal);
+                build(lo, mid, vocab, out);
+                build(mid, hi, vocab, out);
             }
         }
-        build(0, leaves, vocab)
+        let mut preorder = Vec::with_capacity(2 * leaves - 1);
+        build(0, leaves, vocab, &mut preorder);
+        TreeShape { preorder }
+    }
+
+    /// The leaves' tokens, left to right.
+    fn tokens(&self) -> impl Iterator<Item = u32> + '_ {
+        self.preorder.iter().filter_map(|node| match node {
+            TreeNode::Leaf(t) => Some(*t),
+            TreeNode::Internal => None,
+        })
     }
 
     /// Number of leaves.
     pub fn leaf_count(&self) -> usize {
-        match self {
-            TreeShape::Leaf(_) => 1,
-            TreeShape::Internal(l, r) => l.leaf_count() + r.leaf_count(),
-        }
+        self.tokens().count()
     }
 
     /// Total number of nodes (leaves + internal).
     pub fn node_count(&self) -> usize {
-        match self {
-            TreeShape::Leaf(_) => 1,
-            TreeShape::Internal(l, r) => 1 + l.node_count() + r.node_count(),
-        }
+        self.preorder.len()
     }
 
     /// Height of the tree in nodes (a lone leaf has height 1).
     pub fn height(&self) -> usize {
-        match self {
-            TreeShape::Leaf(_) => 1,
-            TreeShape::Internal(l, r) => 1 + l.height().max(r.height()),
+        // The depths of the subtrees still to read, the next on top.
+        let mut open = vec![1];
+        let mut height = 0;
+        for node in &self.preorder {
+            let depth = open.pop().expect("a tree's nodes fill its open subtrees");
+            height = height.max(depth);
+            if *node == TreeNode::Internal {
+                open.extend([depth + 1, depth + 1]);
+            }
         }
+        height
     }
 
     /// Largest token id used by any leaf.
     pub fn max_token(&self) -> u32 {
-        match self {
-            TreeShape::Leaf(t) => *t,
-            TreeShape::Internal(l, r) => l.max_token().max(r.max_token()),
-        }
+        self.tokens().fold(0, u32::max)
     }
 }
 
@@ -194,19 +243,30 @@ impl TreeLstm {
         Ok(Self::with_cells(leaf_cell, internal_cell, cfg))
     }
 
-    fn unfold_into(&self, shape: &TreeShape, g: &mut CellGraph) -> NodeId {
-        match shape {
-            TreeShape::Leaf(t) => self.registry_leaf(g, *t),
-            TreeShape::Internal(l, r) => {
-                let left = self.unfold_into(l, g);
-                let right = self.unfold_into(r, g);
-                g.add_node(self.internal, &[left, right], TokenSource::None)
+    /// Adds `shape`'s nodes to `g` in post-order (left subtree, right
+    /// subtree, then their parent), walking its preorder with a stack
+    /// of the internal nodes still waiting on a subtree.
+    fn unfold_into(&self, shape: &TreeShape, g: &mut CellGraph) {
+        // Per open internal node: its left child once that subtree is
+        // done, `None` while it is being unfolded.
+        let mut open: Vec<Option<NodeId>> = Vec::new();
+        for node in shape.preorder() {
+            let mut done = match *node {
+                TreeNode::Internal => {
+                    open.push(None);
+                    continue;
+                }
+                TreeNode::Leaf(t) => g.add_node(self.leaf, &[], TokenSource::Fixed(t)),
+            };
+            // A finished right subtree finishes its parent.
+            while let Some(&mut Some(left)) = open.last_mut() {
+                open.pop();
+                done = g.add_node(self.internal, &[left, done], TokenSource::None);
+            }
+            if let Some(parent) = open.last_mut() {
+                *parent = Some(done);
             }
         }
-    }
-
-    fn registry_leaf(&self, g: &mut CellGraph, token: u32) -> NodeId {
-        g.add_node(self.leaf, &[], TokenSource::Fixed(token))
     }
 }
 
@@ -258,6 +318,38 @@ mod tests {
     }
 
     #[test]
+    fn internal_lays_out_preorder() {
+        // ((1 2) 3)
+        let t = TreeShape::internal(
+            TreeShape::internal(TreeShape::leaf(1), TreeShape::leaf(2)),
+            TreeShape::leaf(3),
+        );
+        use TreeNode::{Internal, Leaf};
+        assert_eq!(
+            t.preorder(),
+            [Internal, Internal, Leaf(1), Leaf(2), Leaf(3)]
+        );
+        assert_eq!((t.leaf_count(), t.height(), t.max_token()), (3, 3, 3));
+        assert_eq!(TreeShape::from_preorder(t.preorder().to_vec()), Some(t));
+    }
+
+    #[test]
+    fn from_preorder_takes_exactly_one_tree() {
+        use TreeNode::{Internal, Leaf};
+        assert_eq!(TreeShape::from_preorder(vec![]), None);
+        assert_eq!(TreeShape::from_preorder(vec![Internal, Leaf(1)]), None);
+        assert_eq!(TreeShape::from_preorder(vec![Leaf(1), Leaf(2)]), None);
+        assert_eq!(
+            TreeShape::from_preorder(vec![Internal, Leaf(1), Leaf(2), Leaf(3)]),
+            None
+        );
+        assert_eq!(
+            TreeShape::from_preorder(vec![Leaf(4)]),
+            Some(TreeShape::leaf(4))
+        );
+    }
+
+    #[test]
     fn unfold_complete_tree() {
         let m = TreeLstm::small();
         let g = m.unfold(&RequestInput::Tree(TreeShape::complete(8, 100)));
@@ -282,6 +374,13 @@ mod tests {
         g.validate(m.registry()).unwrap();
         assert_eq!(g.len(), 5);
         assert_eq!(g.critical_path_len(), 3);
+        // Post-order: a subtree's nodes, then its parent.
+        let deps: Vec<Vec<usize>> = g
+            .nodes()
+            .iter()
+            .map(|n| n.deps.iter().map(|d| d.index()).collect())
+            .collect();
+        assert_eq!(deps, [vec![], vec![], vec![0, 1], vec![], vec![2, 3]]);
     }
 
     #[test]

@@ -17,11 +17,11 @@
 //! partial buffer) and total: truncated frames, oversized lengths and
 //! junk bytes produce a typed [`WireError`], never a panic — adversarial
 //! sizes are validated against the remaining buffer before any
-//! allocation, and tree decoding is iterative with explicit node and
-//! depth caps.
+//! allocation, and a tree decodes without recursion into one preorder
+//! buffer, under a node cap.
 
 use bm_core::{DeadlineSpec, Request, ServedTiming};
-use bm_model::{RequestInput, TreeShape};
+use bm_model::{RequestInput, TreeNode, TreeShape};
 
 /// Protocol version carried in every frame. Each version removed a
 /// submit-body field, so an older peer fails with
@@ -180,20 +180,13 @@ fn backpatch_len(buf: &mut [u8], len_at: usize) {
 }
 
 fn put_tree(buf: &mut Vec<u8>, t: &TreeShape) {
-    // Iterative preorder: an explicit stack instead of recursion, so an
-    // adversarially deep tree cannot overflow the encoder either.
-    let mut stack = vec![t];
-    while let Some(node) = stack.pop() {
-        match node {
-            TreeShape::Leaf(tok) => {
+    for node in t.preorder() {
+        match *node {
+            TreeNode::Leaf(tok) => {
                 buf.push(0);
                 buf.extend_from_slice(&tok.to_le_bytes());
             }
-            TreeShape::Internal(l, r) => {
-                buf.push(1);
-                stack.push(r);
-                stack.push(l);
-            }
+            TreeNode::Internal => buf.push(1),
         }
     }
 }
@@ -359,40 +352,26 @@ fn read_tree(r: &mut Reader<'_>, declared_nodes: u32) -> Result<TreeShape, WireE
             field: "tree node count",
         });
     }
-    // Iterative preorder parse: `stack` holds internal nodes whose left
-    // subtree is still being read (`None`) or is complete (`Some`).
-    let mut stack: Vec<Option<TreeShape>> = Vec::new();
-    let mut nodes_read = 0u32;
-    loop {
-        nodes_read += 1;
-        if nodes_read > declared_nodes {
+    // Preorder, read into one buffer: every node takes at least a byte,
+    // so the frame's remaining bytes bound it too. `open` counts the
+    // subtrees still to read: each node fills one, an internal node
+    // opens two.
+    let mut preorder = Vec::with_capacity((declared_nodes as usize).min(r.remaining()));
+    let mut open = 1u32;
+    while open > 0 {
+        if preorder.len() == declared_nodes as usize {
             return Err(WireError::BadValue {
                 field: "tree node count",
             });
         }
         match r.u8("tree node tag")? {
-            1 => stack.push(None),
             0 => {
-                let mut node = TreeShape::Leaf(r.u32("leaf token")?);
-                loop {
-                    match stack.pop() {
-                        None => {
-                            if nodes_read != declared_nodes {
-                                return Err(WireError::BadValue {
-                                    field: "tree node count",
-                                });
-                            }
-                            return Ok(node);
-                        }
-                        Some(None) => {
-                            stack.push(Some(node));
-                            break;
-                        }
-                        Some(Some(left)) => {
-                            node = TreeShape::internal(left, node);
-                        }
-                    }
-                }
+                preorder.push(TreeNode::Leaf(r.u32("leaf token")?));
+                open -= 1;
+            }
+            1 => {
+                preorder.push(TreeNode::Internal);
+                open += 1;
             }
             tag => {
                 return Err(WireError::UnknownTag {
@@ -402,6 +381,12 @@ fn read_tree(r: &mut Reader<'_>, declared_nodes: u32) -> Result<TreeShape, WireE
             }
         }
     }
+    if preorder.len() != declared_nodes as usize {
+        return Err(WireError::BadValue {
+            field: "tree node count",
+        });
+    }
+    Ok(TreeShape::from_preorder(preorder).expect("every subtree opened was read"))
 }
 
 fn read_request(r: &mut Reader<'_>) -> Result<Request, WireError> {

@@ -3,7 +3,7 @@
 //! oversized lengths and junk must produce typed errors, never panics.
 
 use bm_core::{DeadlineSpec, Request, ServedTiming};
-use bm_model::{RequestInput, TreeShape};
+use bm_model::{RequestInput, TreeNode, TreeShape};
 use bm_net::wire::{
     decode_frame, encode_response, encode_submit, Message, NetReject, NetResponse, WireError,
     MAX_FRAME_LEN, PROTOCOL_VERSION,
@@ -12,7 +12,7 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 
 fn tree_strategy() -> impl Strategy<Value = TreeShape> {
-    (0u32..1000).prop_map(TreeShape::Leaf).prop_recursive(
+    (0u32..1000).prop_map(TreeShape::leaf).prop_recursive(
         6,  // depth
         64, // total nodes
         2,  // branches per internal
@@ -276,23 +276,18 @@ fn forged_token_count_cannot_over_allocate() {
 #[test]
 fn deep_tree_decode_does_not_overflow_the_stack() {
     // A maximally left-leaning tree (every internal's right child is a
-    // leaf) near the node cap: encode and decode are both iterative, so
-    // depth costs heap, not stack. TreeShape's *derived* PartialEq and
-    // Drop do recurse, so the comparison/cleanup runs on a thread with
-    // a large stack — the codec itself must not need one.
-    let run = std::thread::Builder::new()
-        .stack_size(256 * 1024 * 1024)
-        .spawn(|| {
-            let mut t = TreeShape::leaf(0);
-            for i in 1..=20_000u32 {
-                t = TreeShape::internal(t, TreeShape::leaf(i % 1000));
-            }
-            let req = Request::new(RequestInput::Tree(t));
-            let mut buf = Vec::new();
-            encode_submit(&mut buf, 5, &req);
-            let (frame, _) = decode_frame(&buf).expect("valid").expect("complete");
-            assert_eq!(frame.message, Message::Submit(req));
-        })
-        .expect("spawn");
-    run.join().expect("deep tree round-trip");
+    // leaf) near the node cap: ((…(0 1) 2) … n) in preorder is n
+    // internal nodes, then the leaves. Nothing that encodes, decodes,
+    // compares or drops a tree recurses, so depth costs heap, not stack.
+    let n = 20_000u32;
+    let preorder = std::iter::repeat_n(TreeNode::Internal, n as usize)
+        .chain((0..=n).map(|i| TreeNode::Leaf(i % 1000)))
+        .collect();
+    let t = TreeShape::from_preorder(preorder).expect("one tree");
+    assert_eq!(t.height(), n as usize + 1);
+    let req = Request::new(RequestInput::Tree(t));
+    let mut buf = Vec::new();
+    encode_submit(&mut buf, 5, &req);
+    let (frame, _) = decode_frame(&buf).expect("valid").expect("complete");
+    assert_eq!(frame.message, Message::Submit(req));
 }

@@ -4,7 +4,7 @@
 //! samples uniformly ("we sample a request from the dataset and issue it
 //! to the system with Poisson inter-arrival times", §7.1).
 
-use bm_model::{RequestInput, TreeShape};
+use bm_model::{RequestInput, TreeNode, TreeShape};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -43,17 +43,21 @@ fn random_tokens(rng: &mut StdRng, len: usize, vocab: u32) -> Vec<u32> {
 /// The split point at each level is uniform, which produces the mix of
 /// balanced and skewed shapes typical of constituency parse trees.
 fn random_parse_tree(rng: &mut StdRng, tokens: &[u32]) -> TreeShape {
-    match tokens {
-        [] => unreachable!("random_parse_tree on empty token slice"),
-        [t] => TreeShape::leaf(*t),
-        _ => {
-            let split = rng.gen_range(1..tokens.len());
-            TreeShape::internal(
-                random_parse_tree(rng, &tokens[..split]),
-                random_parse_tree(rng, &tokens[split..]),
-            )
+    fn build(rng: &mut StdRng, tokens: &[u32], preorder: &mut Vec<TreeNode>) {
+        match tokens {
+            [] => unreachable!("random_parse_tree on empty token slice"),
+            [t] => preorder.push(TreeNode::Leaf(*t)),
+            _ => {
+                let split = rng.gen_range(1..tokens.len());
+                preorder.push(TreeNode::Internal);
+                build(rng, &tokens[..split], preorder);
+                build(rng, &tokens[split..], preorder);
+            }
         }
     }
+    let mut preorder = Vec::with_capacity(2 * tokens.len() - 1);
+    build(rng, tokens, &mut preorder);
+    TreeShape::from_preorder(preorder).expect("a split tree is one tree")
 }
 
 impl Dataset {
