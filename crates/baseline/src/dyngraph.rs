@@ -18,14 +18,16 @@
 //! - **DyNet**: much cheaper merging (not overlapped), but batching at
 //!   single-operator granularity adds per-level kernel-launch overhead.
 
-use std::collections::{HashMap, VecDeque};
-
-use bm_device::{CostProfile, GpuCostModel};
-use bm_model::Model;
-use bm_sim::{Server, SimRequest, WorkItem};
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
+use bm_cell::CellTypeId;
+use bm_device::{CostProfile, GpuCostModel};
+use bm_model::Model;
+use bm_sim::{Completion, Server, SimRequest, WorkItem};
+
 use crate::levels::{level_histogram, merge_histograms};
+use crate::running::{Pending, Running};
 
 /// Tuning of a [`DynGraphServer`].
 #[derive(Debug, Clone, Copy)]
@@ -65,30 +67,14 @@ impl DynGraphConfig {
     }
 }
 
-struct Pending {
-    id: u64,
-    arrival_us: u64,
-}
-
-struct RunningBatch {
-    requests: Vec<Pending>,
-    started_us: u64,
-}
-
 /// A dynamic graph-merging baseline server.
 pub struct DynGraphServer {
     model: Arc<dyn Model>,
     cfg: DynGraphConfig,
     cost: GpuCostModel,
     profile: CostProfile,
-    queue: VecDeque<(
-        Pending,
-        Vec<std::collections::BTreeMap<bm_cell::CellTypeId, usize>>,
-    )>,
-    running: HashMap<u64, RunningBatch>,
-    next_item: u64,
-    completions: Vec<(u64, u64, u64, u64)>,
-    pending: usize,
+    queue: VecDeque<(Pending, Vec<BTreeMap<CellTypeId, usize>>)>,
+    running: Running,
     /// Execution time of the previous batch — the budget a Fold-style
     /// overlapped merge can hide under.
     last_exec_us: f64,
@@ -108,31 +94,21 @@ impl DynGraphServer {
             cost,
             profile,
             queue: VecDeque::new(),
-            running: HashMap::new(),
-            next_item: 0,
-            completions: Vec::new(),
-            pending: 0,
+            running: Running::default(),
             last_exec_us: 0.0,
         }
     }
 }
 
 impl Server for DynGraphServer {
-    fn on_arrival(&mut self, req: SimRequest, _now_us: u64) -> bool {
+    fn on_arrival(&mut self, req: SimRequest) -> bool {
         let graph = self.model.unfold(&req.input);
-        let hist = level_histogram(&graph);
-        self.queue.push_back((
-            Pending {
-                id: req.id,
-                arrival_us: req.arrival_us,
-            },
-            hist,
-        ));
-        self.pending += 1;
+        self.queue
+            .push_back(((req.id, req.arrival_us), level_histogram(&graph)));
         true
     }
 
-    fn next_work(&mut self, _worker: usize, _now_us: u64) -> Vec<WorkItem> {
+    fn next_work(&mut self, _worker: usize, now_us: u64) -> Vec<WorkItem> {
         if self.queue.is_empty() {
             return Vec::new();
         }
@@ -166,42 +142,11 @@ impl Server for DynGraphServer {
             exec_us + merge_us
         };
         self.last_exec_us = exec_us;
-        let id = self.next_item;
-        self.next_item += 1;
-        self.running.insert(
-            id,
-            RunningBatch {
-                requests,
-                started_us: 0,
-            },
-        );
-        vec![WorkItem {
-            id,
-            duration_us: duration.round() as u64,
-        }]
+        self.running.start(requests, now_us, duration)
     }
 
-    fn on_work_started(&mut self, item: u64, now_us: u64) {
-        if let Some(b) = self.running.get_mut(&item) {
-            b.started_us = now_us;
-        }
-    }
-
-    fn on_work_done(&mut self, _worker: usize, item: u64, now_us: u64) {
-        let batch = self.running.remove(&item).expect("known batch");
-        for r in &batch.requests {
-            self.completions
-                .push((r.id, r.arrival_us, batch.started_us, now_us));
-        }
-        self.pending -= batch.requests.len();
-    }
-
-    fn drain_completions(&mut self) -> Vec<(u64, u64, u64, u64)> {
-        std::mem::take(&mut self.completions)
-    }
-
-    fn pending_requests(&self) -> usize {
-        self.pending
+    fn on_work_done(&mut self, item: u64, now_us: u64, done: &mut Vec<Completion>) {
+        self.running.finish(item, now_us, done);
     }
 }
 

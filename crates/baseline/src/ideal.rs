@@ -8,13 +8,15 @@
 //! the full batch size, zero merge overhead — so its throughput is an
 //! upper bound for graph batching on fixed inputs.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
+use std::sync::Arc;
 
 use bm_cell::CellTypeId;
 use bm_device::{CostProfile, GpuCostModel};
 use bm_model::{CellGraph, Model, RequestInput};
-use bm_sim::{Server, SimRequest, WorkItem};
-use std::sync::Arc;
+use bm_sim::{Completion, Server, SimRequest, WorkItem};
+
+use crate::running::{Pending, Running};
 
 /// The ideal static-graph baseline.
 pub struct IdealServer {
@@ -25,11 +27,8 @@ pub struct IdealServer {
     node_types: Vec<CellTypeId>,
     /// The one input shape the static graph supports.
     expected: RequestInput,
-    queue: VecDeque<(u64, u64)>,
-    running: HashMap<u64, (Vec<(u64, u64)>, u64)>,
-    next_item: u64,
-    completions: Vec<(u64, u64, u64, u64)>,
-    pending: usize,
+    queue: VecDeque<Pending>,
+    running: Running,
 }
 
 impl IdealServer {
@@ -50,10 +49,7 @@ impl IdealServer {
             node_types,
             expected,
             queue: VecDeque::new(),
-            running: HashMap::new(),
-            next_item: 0,
-            completions: Vec::new(),
-            pending: 0,
+            running: Running::default(),
         }
     }
 
@@ -70,52 +66,27 @@ impl IdealServer {
 }
 
 impl Server for IdealServer {
-    fn on_arrival(&mut self, req: SimRequest, _now_us: u64) -> bool {
+    fn on_arrival(&mut self, req: SimRequest) -> bool {
         assert_eq!(
             req.input, self.expected,
             "ideal baseline only serves its hardcoded input shape"
         );
         self.queue.push_back((req.id, req.arrival_us));
-        self.pending += 1;
         true
     }
 
-    fn next_work(&mut self, _worker: usize, _now_us: u64) -> Vec<WorkItem> {
+    fn next_work(&mut self, _worker: usize, now_us: u64) -> Vec<WorkItem> {
         if self.queue.is_empty() {
             return Vec::new();
         }
         let take = self.queue.len().min(self.cfg_max_batch);
-        let requests: Vec<(u64, u64)> = self.queue.drain(..take).collect();
+        let requests: Vec<Pending> = self.queue.drain(..take).collect();
         let duration = self.duration_us(requests.len());
-        let id = self.next_item;
-        self.next_item += 1;
-        self.running.insert(id, (requests, 0));
-        vec![WorkItem {
-            id,
-            duration_us: duration.round() as u64,
-        }]
+        self.running.start(requests, now_us, duration)
     }
 
-    fn on_work_started(&mut self, item: u64, now_us: u64) {
-        if let Some(b) = self.running.get_mut(&item) {
-            b.1 = now_us;
-        }
-    }
-
-    fn on_work_done(&mut self, _worker: usize, item: u64, now_us: u64) {
-        let (requests, started) = self.running.remove(&item).expect("known batch");
-        for (id, arrival) in &requests {
-            self.completions.push((*id, *arrival, started, now_us));
-        }
-        self.pending -= requests.len();
-    }
-
-    fn drain_completions(&mut self) -> Vec<(u64, u64, u64, u64)> {
-        std::mem::take(&mut self.completions)
-    }
-
-    fn pending_requests(&self) -> usize {
-        self.pending
+    fn on_work_done(&mut self, item: u64, now_us: u64, done: &mut Vec<Completion>) {
+        self.running.finish(item, now_us, done);
     }
 }
 
@@ -169,14 +140,11 @@ mod tests {
     #[should_panic]
     fn rejects_other_shapes() {
         let mut srv = server();
-        srv.on_arrival(
-            SimRequest {
-                id: 0,
-                input: RequestInput::Tree(TreeShape::leaf(1)),
-                arrival_us: 0,
-            },
-            0,
-        );
+        srv.on_arrival(SimRequest {
+            id: 0,
+            input: RequestInput::Tree(TreeShape::leaf(1)),
+            arrival_us: 0,
+        });
     }
 
     #[test]

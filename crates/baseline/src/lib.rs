@@ -31,6 +31,7 @@ mod dyngraph;
 mod ideal;
 mod levels;
 mod padding;
+mod running;
 
 pub use dyngraph::{DynGraphConfig, DynGraphServer};
 pub use ideal::IdealServer;

@@ -7,12 +7,14 @@
 //! is idle and it is the bucket's turn (the paper found this beats any
 //! timeout configuration).
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use bm_cell::CellTypeId;
 use bm_device::{CostProfile, GpuCostModel};
 use bm_model::RequestInput;
-use bm_sim::{Server, SimRequest, WorkItem};
+use bm_sim::{Completion, Server, SimRequest, WorkItem};
+
+use crate::running::{Pending, Running};
 
 /// Which chain application the server pads for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -71,18 +73,6 @@ impl PaddingConfig {
     }
 }
 
-struct Pending {
-    id: u64,
-    arrival_us: u64,
-    src_len: usize,
-    dec_len: usize,
-}
-
-struct RunningBatch {
-    requests: Vec<Pending>,
-    started_us: u64,
-}
-
 /// The padding/bucketing baseline server.
 pub struct PaddingServer {
     cfg: PaddingConfig,
@@ -90,10 +80,7 @@ pub struct PaddingServer {
     profile: CostProfile,
     buckets: Vec<VecDeque<Pending>>,
     rr: usize,
-    running: HashMap<u64, RunningBatch>,
-    next_item: u64,
-    completions: Vec<(u64, u64, u64, u64)>,
-    pending: usize,
+    running: Running,
 }
 
 impl PaddingServer {
@@ -106,10 +93,7 @@ impl PaddingServer {
             profile,
             buckets,
             rr: 0,
-            running: HashMap::new(),
-            next_item: 0,
-            completions: Vec::new(),
-            pending: 0,
+            running: Running::default(),
         }
     }
 
@@ -146,24 +130,17 @@ impl PaddingServer {
 }
 
 impl Server for PaddingServer {
-    fn on_arrival(&mut self, req: SimRequest, _now_us: u64) -> bool {
-        let (src_len, dec_len) = match &req.input {
-            RequestInput::Sequence(s) => (s.len(), 0),
-            RequestInput::Pair { src, decode_len } => (src.len(), *decode_len),
+    fn on_arrival(&mut self, req: SimRequest) -> bool {
+        let len = match &req.input {
+            RequestInput::Sequence(s) => s.len(),
+            // Seq2Seq buckets on the longer of the two chains so padding
+            // covers both.
+            RequestInput::Pair { src, decode_len } => src.len().max(*decode_len),
             RequestInput::Tree(_) => {
                 panic!("padding cannot batch tree-structured inputs (§2.3)")
             }
         };
-        // Seq2Seq buckets on the longer of the two chains so padding
-        // covers both.
-        let bucket = self.cfg.bucket_of(src_len.max(dec_len));
-        self.buckets[bucket].push_back(Pending {
-            id: req.id,
-            arrival_us: req.arrival_us,
-            src_len,
-            dec_len,
-        });
-        self.pending += 1;
+        self.buckets[self.cfg.bucket_of(len)].push_back((req.id, req.arrival_us));
         true
     }
 
@@ -178,7 +155,7 @@ impl Server for PaddingServer {
             }
             if let Some(timeout) = self.cfg.accumulation_timeout_us {
                 let full = self.buckets[b].len() >= self.cfg.max_batch;
-                let oldest = self.buckets[b].front().expect("nonempty").arrival_us;
+                let (_, oldest) = self.buckets[b].front().expect("nonempty");
                 if !full && now_us < oldest.saturating_add(timeout) {
                     continue;
                 }
@@ -195,46 +172,13 @@ impl Server for PaddingServer {
                 PadKind::Seq2Seq { .. } => padded,
             };
             let duration = self.batch_duration_us(padded, requests.len(), dec_pad);
-            let id = self.next_item;
-            self.next_item += 1;
-            self.running.insert(
-                id,
-                RunningBatch {
-                    requests,
-                    started_us: 0,
-                },
-            );
-            return vec![WorkItem {
-                id,
-                duration_us: duration.round() as u64,
-            }];
+            return self.running.start(requests, now_us, duration);
         }
         Vec::new()
     }
 
-    fn on_work_started(&mut self, item: u64, now_us: u64) {
-        if let Some(b) = self.running.get_mut(&item) {
-            b.started_us = now_us;
-        }
-    }
-
-    fn on_work_done(&mut self, _worker: usize, item: u64, now_us: u64) {
-        let batch = self.running.remove(&item).expect("known batch");
-        for r in &batch.requests {
-            // All requests in a padded batch complete together (§2.3).
-            self.completions
-                .push((r.id, r.arrival_us, batch.started_us, now_us));
-            let _ = (r.src_len, r.dec_len);
-        }
-        self.pending -= batch.requests.len();
-    }
-
-    fn drain_completions(&mut self) -> Vec<(u64, u64, u64, u64)> {
-        std::mem::take(&mut self.completions)
-    }
-
-    fn pending_requests(&self) -> usize {
-        self.pending
+    fn on_work_done(&mut self, item: u64, now_us: u64, done: &mut Vec<Completion>) {
+        self.running.finish(item, now_us, done);
     }
 
     fn next_wakeup(&self, now_us: u64) -> Option<u64> {
@@ -242,7 +186,7 @@ impl Server for PaddingServer {
         self.buckets
             .iter()
             .filter_map(|b| b.front())
-            .map(|p| p.arrival_us.saturating_add(timeout).max(now_us + 1))
+            .map(|&(_, arrival_us)| arrival_us.saturating_add(timeout).max(now_us + 1))
             .min()
     }
 }
@@ -401,13 +345,10 @@ mod tests {
     fn trees_are_rejected() {
         use bm_model::TreeShape;
         let mut srv = lstm_server(10);
-        srv.on_arrival(
-            SimRequest {
-                id: 0,
-                input: RequestInput::Tree(TreeShape::leaf(1)),
-                arrival_us: 0,
-            },
-            0,
-        );
+        srv.on_arrival(SimRequest {
+            id: 0,
+            input: RequestInput::Tree(TreeShape::leaf(1)),
+            arrival_us: 0,
+        });
     }
 }

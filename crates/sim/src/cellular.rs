@@ -10,7 +10,7 @@ use bm_model::Model;
 use bm_telemetry::Counter;
 use bm_trace::{EventKind, RejectReason, TraceEvent};
 
-use crate::server::{Server, SimRequest, WorkItem};
+use crate::server::{Completion, Server, SimRequest, WorkItem};
 
 /// Cellular batching as a simulated server: one runtime shard's engine,
 /// configured and observed as a shard is.
@@ -19,8 +19,8 @@ pub struct CellularServer {
     engine: CellularEngine,
     cost: GpuCostModel,
     profile: CostProfile,
+    /// Batch size of each in-flight task.
     inflight: HashMap<u64, usize>,
-    completions: Vec<(u64, u64, u64, u64)>,
     /// The admission cap and the sinks a refusal is recorded in.
     serve: ServeConfig,
     /// `bm_requests_rejected_total{reason="at_capacity"}`; `None` when
@@ -59,7 +59,6 @@ impl CellularServer {
             cost,
             profile,
             inflight: HashMap::new(),
-            completions: Vec::new(),
             serve,
             rejected,
         }
@@ -79,7 +78,7 @@ impl CellularServer {
 }
 
 impl Server for CellularServer {
-    fn on_arrival(&mut self, req: SimRequest, now_us: u64) -> bool {
+    fn on_arrival(&mut self, req: SimRequest) -> bool {
         let serve = &self.serve;
         if serve
             .max_active
@@ -90,7 +89,7 @@ impl Server for CellularServer {
             }
             if serve.trace.enabled() {
                 serve.trace.record(TraceEvent {
-                    ts_us: now_us,
+                    ts_us: req.arrival_us,
                     kind: EventKind::RequestRejected {
                         request: req.id,
                         reason: RejectReason::AtCapacity,
@@ -102,7 +101,7 @@ impl Server for CellularServer {
         let request = Request::new(req.input);
         let graph = self.model.unfold(&request.input);
         self.engine
-            .on_request(RequestId(req.id), graph, now_us, &request);
+            .on_request(RequestId(req.id), graph, req.arrival_us, &request);
         true
     }
 
@@ -111,6 +110,8 @@ impl Server for CellularServer {
         // internal clock; keep it in step with virtual time.
         self.engine.advance_clock(now_us);
         let tasks = self.engine.dispatch(WorkerId(worker as u32));
+        // Back to back from `now_us`: each start is stamped at dispatch.
+        let mut start_us = now_us;
         tasks
             .into_iter()
             .map(|t| {
@@ -119,41 +120,30 @@ impl Server for CellularServer {
                     .cost
                     .task_cost_from_flops(flops, t.gather_rows, t.transfer_rows);
                 let duration = cost.total_us() + self.cost.completion_poll_us;
+                let duration_us = duration.round() as u64;
                 self.inflight.insert(t.id.0, t.batch_size());
+                self.engine.on_task_started(t.id, start_us);
+                start_us += duration_us;
                 WorkItem {
                     id: t.id.0,
-                    duration_us: duration.round() as u64,
+                    duration_us,
                 }
             })
             .collect()
     }
 
-    fn on_work_started(&mut self, item: u64, now_us: u64) {
-        self.engine.on_task_started(TaskId(item), now_us);
-    }
-
-    fn on_work_done(&mut self, _worker: usize, item: u64, now_us: u64) {
+    fn on_work_done(&mut self, item: u64, now_us: u64, done: &mut Vec<Completion>) {
         let batch = self.inflight.remove(&item).expect("known task");
         // Under simulation no real tokens are produced; decode lengths
         // are fixed by the workload, as in the paper's experiments.
         let tokens = vec![None; batch];
-        let done = self.engine.on_task_completed(TaskId(item), &tokens, now_us);
-        for c in done {
+        for c in self.engine.on_task_completed(TaskId(item), &tokens, now_us) {
             // Expired requests were counted by `expire`; they are not
             // completions.
             if !c.cancelled {
-                self.completions
-                    .push((c.id.0, c.arrival_us, c.start_us, c.completion_us));
+                done.push((c.id.0, c.arrival_us, c.start_us, c.completion_us));
             }
         }
-    }
-
-    fn drain_completions(&mut self) -> Vec<(u64, u64, u64, u64)> {
-        std::mem::take(&mut self.completions)
-    }
-
-    fn pending_requests(&self) -> usize {
-        self.engine.active_requests()
     }
 
     fn next_wakeup(&self, _now_us: u64) -> Option<u64> {

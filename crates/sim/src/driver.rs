@@ -4,7 +4,7 @@ use bm_metrics::{LatencyRecorder, RequestTiming};
 use bm_model::RequestInput;
 
 use crate::event::EventQueue;
-use crate::server::{Server, SimRequest};
+use crate::server::{Completion, Server, SimRequest};
 
 /// Options controlling one simulation run.
 ///
@@ -75,14 +75,14 @@ impl SimOptions {
 pub struct SimOutcome {
     /// Per-request timings of completed requests (after warm-up trim).
     pub recorder: LatencyRecorder,
-    /// Raw completion records `(request id, arrival, start, completion)`
-    /// in completion order, untrimmed.
-    pub completions: Vec<(u64, u64, u64, u64)>,
+    /// Raw completion records in completion order, untrimmed.
+    pub completions: Vec<Completion>,
     /// Virtual time of the last arrival or work completion, µs: the end
     /// of the span the server was offered or did work. A wake-up that
     /// only finds nothing to do does not extend it.
     pub end_us: u64,
-    /// Requests still in the system at the end (nonzero under overload).
+    /// Requests admitted but neither completed nor expired at the end
+    /// (nonzero under overload).
     pub unfinished: usize,
     /// Whether the run hit the virtual-time cap before completing all
     /// arrivals — the saturation signal for load sweeps.
@@ -113,7 +113,9 @@ enum Event {
 /// Runs one open-loop simulation: `arrivals` are `(time_us, input)`
 /// pairs injected into `server`; workers execute the server's work items
 /// serially. The driver keeps no serving policy: it moves virtual time,
-/// and stops wherever the server asks through [`Server::next_wakeup`].
+/// stops wherever the server asks through [`Server::next_wakeup`], and
+/// keeps the books — the completion records and the admitted, expired
+/// and refused counts the outcome reports.
 ///
 /// # Panics
 ///
@@ -133,8 +135,8 @@ pub fn simulate(
 
     // Per-worker remaining queued items (busy while nonzero).
     let mut queued = vec![0usize; opts.workers];
-    let mut recorder = LatencyRecorder::new();
     let mut completions = Vec::new();
+    let mut admitted = 0usize;
     let mut expired = 0usize;
     let mut rejected = 0usize;
     let mut end_us = 0;
@@ -166,7 +168,9 @@ pub fn simulate(
                         input: input.clone(),
                         arrival_us: *at,
                     };
-                    if !server.on_arrival(req, now) {
+                    if server.on_arrival(req) {
+                        admitted += 1;
+                    } else {
                         rejected += 1;
                     }
                 }
@@ -180,7 +184,7 @@ pub fn simulate(
         expired += server.expire(now);
         for (worker, item) in work_done {
             queued[worker] -= 1;
-            server.on_work_done(worker, item, now);
+            server.on_work_done(item, now, &mut completions);
         }
         // Refill idle workers: a worker with nothing queued asks the
         // server once and runs the items back to back from `now`.
@@ -190,7 +194,6 @@ pub fn simulate(
             }
             let mut at = now;
             for it in server.next_work(w, now) {
-                server.on_work_started(it.id, at);
                 at += it.duration_us;
                 *q += 1;
                 events.push(
@@ -210,18 +213,17 @@ pub fn simulate(
                 next_wake = Some(t);
             }
         }
-        for c in server.drain_completions() {
-            let (_, arrival, start, completion) = c;
-            recorder.record(RequestTiming {
-                arrival_us: arrival,
-                start_us: start,
-                completion_us: completion,
-            });
-            completions.push(c);
-        }
     }
 
-    let unfinished = server.pending_requests();
+    let mut recorder = LatencyRecorder::new();
+    for &(_, arrival_us, start_us, completion_us) in &completions {
+        recorder.record(RequestTiming {
+            arrival_us,
+            start_us,
+            completion_us,
+        });
+    }
+    let unfinished = admitted - completions.len() - expired;
     SimOutcome {
         recorder: recorder.trimmed(opts.warmup, 0),
         completions,
@@ -243,12 +245,10 @@ mod tests {
     /// strict FIFO, no batching.
     struct FifoServer {
         duration: u64,
-        queue: VecDeque<(u64, u64)>,           // (request id, arrival)
-        running: Vec<Option<(u64, u64, u64)>>, // per item id: (req, arrival, start)
+        queue: VecDeque<(u64, u64)>, // (request id, arrival)
+        // Per item id: (request id, arrival, start).
         items: std::collections::HashMap<u64, (u64, u64, u64)>,
         next_item: u64,
-        done: Vec<(u64, u64, u64, u64)>,
-        pending: usize,
     }
 
     impl FifoServer {
@@ -256,49 +256,32 @@ mod tests {
             FifoServer {
                 duration,
                 queue: VecDeque::new(),
-                running: Vec::new(),
                 items: Default::default(),
                 next_item: 0,
-                done: Vec::new(),
-                pending: 0,
             }
         }
     }
 
     impl Server for FifoServer {
-        fn on_arrival(&mut self, req: SimRequest, _now: u64) -> bool {
+        fn on_arrival(&mut self, req: SimRequest) -> bool {
             self.queue.push_back((req.id, req.arrival_us));
-            self.pending += 1;
             true
         }
-        fn next_work(&mut self, _worker: usize, _now: u64) -> Vec<WorkItem> {
+        fn next_work(&mut self, _worker: usize, now: u64) -> Vec<WorkItem> {
             let Some((req, arrival)) = self.queue.pop_front() else {
                 return vec![];
             };
             let id = self.next_item;
             self.next_item += 1;
-            self.items.insert(id, (req, arrival, 0));
+            self.items.insert(id, (req, arrival, now));
             vec![WorkItem {
                 id,
                 duration_us: self.duration,
             }]
         }
-        fn on_work_started(&mut self, item: u64, now: u64) {
-            if let Some(e) = self.items.get_mut(&item) {
-                e.2 = now;
-            }
-            let _ = &self.running;
-        }
-        fn on_work_done(&mut self, _worker: usize, item: u64, now: u64) {
+        fn on_work_done(&mut self, item: u64, now: u64, done: &mut Vec<Completion>) {
             let (req, arrival, start) = self.items.remove(&item).expect("known item");
-            self.done.push((req, arrival, start, now));
-            self.pending -= 1;
-        }
-        fn drain_completions(&mut self) -> Vec<(u64, u64, u64, u64)> {
-            std::mem::take(&mut self.done)
-        }
-        fn pending_requests(&self) -> usize {
-            self.pending
+            done.push((req, arrival, start, now));
         }
     }
 

@@ -1,35 +1,13 @@
 //! A deterministic discrete-event queue.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::BTreeMap;
 
 /// A time-ordered event queue with deterministic FIFO tie-breaking.
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    heap: BinaryHeap<Reverse<(u64, u64, EventBox<E>)>>,
+    /// Pending events keyed by `(time, push order)`.
+    events: BTreeMap<(u64, u64), E>,
     seq: u64,
-}
-
-/// Wrapper giving events a total order without requiring `Ord` on `E`
-/// (ordering is fully determined by `(time, seq)`).
-#[derive(Debug)]
-struct EventBox<E>(E);
-
-impl<E> PartialEq for EventBox<E> {
-    fn eq(&self, _: &Self) -> bool {
-        true
-    }
-}
-impl<E> Eq for EventBox<E> {}
-impl<E> PartialOrd for EventBox<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<E> Ord for EventBox<E> {
-    fn cmp(&self, _: &Self) -> std::cmp::Ordering {
-        std::cmp::Ordering::Equal
-    }
 }
 
 impl<E> Default for EventQueue<E> {
@@ -42,35 +20,35 @@ impl<E> EventQueue<E> {
     /// Creates an empty queue.
     pub fn new() -> Self {
         EventQueue {
-            heap: BinaryHeap::new(),
+            events: BTreeMap::new(),
             seq: 0,
         }
     }
 
     /// Schedules an event at absolute time `at_us`.
     pub fn push(&mut self, at_us: u64, event: E) {
-        self.heap.push(Reverse((at_us, self.seq, EventBox(event))));
+        self.events.insert((at_us, self.seq), event);
         self.seq += 1;
     }
 
     /// Pops the earliest event as `(time, event)`.
     pub fn pop(&mut self) -> Option<(u64, E)> {
-        self.heap.pop().map(|Reverse((t, _, e))| (t, e.0))
+        self.events.pop_first().map(|((t, _), e)| (t, e))
     }
 
     /// Time of the earliest pending event.
     pub fn peek_time(&self) -> Option<u64> {
-        self.heap.peek().map(|Reverse((t, _, _))| *t)
+        self.events.first_key_value().map(|(&(t, _), _)| t)
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.events.len()
     }
 
     /// Whether the queue is empty.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.events.is_empty()
     }
 }
 

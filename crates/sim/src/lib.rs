@@ -10,10 +10,12 @@
 //!
 //! - [`Server`] — the protocol a simulated serving system implements
 //!   (cellular batching here; the graph-batching baselines in
-//!   `bm-baseline`);
+//!   `bm-baseline`): it admits requests, stamps the starts of the work
+//!   items it hands idle workers, and reports each [`Completion`];
 //! - [`CellularServer`] — BatchMaker under simulation;
-//! - [`simulate`] — the open-loop driver: injects Poisson arrivals,
-//!   tracks worker busy/idle state, and collects per-request timings.
+//! - [`simulate`] — the open-loop driver: runs each worker's items back
+//!   to back and keeps the books (completion records; admitted,
+//!   expired, refused and unfinished counts).
 
 #![forbid(unsafe_code)]
 
@@ -25,4 +27,4 @@ mod server;
 pub use cellular::CellularServer;
 pub use driver::{simulate, SimOptions, SimOutcome};
 pub use event::EventQueue;
-pub use server::{Server, SimRequest, WorkItem};
+pub use server::{Completion, Server, SimRequest, WorkItem};

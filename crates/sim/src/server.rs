@@ -23,35 +23,33 @@ pub struct WorkItem {
     pub duration_us: u64,
 }
 
+/// The record of one completed request: `(request id, arrival, start,
+/// completion)`, µs.
+pub type Completion = (u64, u64, u64, u64);
+
 /// A simulated serving system.
 ///
-/// The driver guarantees: `on_arrival` is called in arrival order;
-/// `next_work` is called whenever a worker has drained its queue;
-/// returned items execute serially on that worker in order, with
-/// `on_work_started`/`on_work_done` callbacks at their virtual start and
-/// finish times.
+/// The server decides; the driver moves virtual time and keeps the
+/// books (completion records; admitted, expired, refused counts). It
+/// guarantees: `on_arrival` is called in arrival order, at the
+/// request's arrival time; `next_work` is called whenever a worker has
+/// drained its queue, and the items it returns run on that worker back
+/// to back from its `now_us` — the server stamps their starts there;
+/// `on_work_done` is called at each item's finish.
 pub trait Server {
-    /// Offers a request; returns whether the server admitted it. The
-    /// driver counts a refusal in `SimOutcome::rejected` and never
-    /// mentions the request again.
-    fn on_arrival(&mut self, req: SimRequest, now_us: u64) -> bool;
+    /// Offers a request at its arrival time; returns whether the server
+    /// admitted it. The driver counts a refusal in
+    /// `SimOutcome::rejected` and never mentions the request again.
+    fn on_arrival(&mut self, req: SimRequest) -> bool;
 
     /// Produces the next batch of work for an idle worker (empty if
-    /// nothing schedulable for it).
+    /// nothing schedulable for it). The items run back to back from
+    /// `now_us`.
     fn next_work(&mut self, worker: usize, now_us: u64) -> Vec<WorkItem>;
 
-    /// A work item began executing.
-    fn on_work_started(&mut self, item: u64, now_us: u64);
-
-    /// A work item finished executing.
-    fn on_work_done(&mut self, worker: usize, item: u64, now_us: u64);
-
-    /// Drains `(request id, arrival, start, completion)` tuples of
-    /// requests that completed since the last call.
-    fn drain_completions(&mut self) -> Vec<(u64, u64, u64, u64)>;
-
-    /// Number of requests admitted but not yet completed.
-    fn pending_requests(&self) -> usize;
+    /// A work item finished executing at `now_us`; appends the record of
+    /// each request it completed to `done`.
+    fn on_work_done(&mut self, item: u64, now_us: u64, done: &mut Vec<Completion>);
 
     /// Earliest future time at which the server wants `expire` and
     /// `next_work` called even if no arrival or completion occurs — a
@@ -64,7 +62,7 @@ pub trait Server {
     /// Sheds every admitted request whose deadline is at or before
     /// `now_us` and that has not completed: its unscheduled work is
     /// dropped, in-flight device work may drain, and it emits no
-    /// completion tuple. Returns how many requests it shed. The driver
+    /// completion record. Returns how many requests it shed. The driver
     /// calls it once per timestamp, after that timestamp's arrivals and
     /// before its work completions; a server with deadlines reports the
     /// next one through [`Server::next_wakeup`]. Servers without load

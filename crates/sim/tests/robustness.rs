@@ -1,6 +1,7 @@
 //! Simulator robustness: determinism, overload behaviour, wake-up
-//! handling and the server's serving knobs.
+//! handling, start stamps and the server's serving knobs.
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use bm_core::{SchedulerConfig, ServeConfig};
@@ -145,4 +146,58 @@ fn a_finished_requests_deadline_does_not_extend_the_run() {
     let &(_, _, _, completion) = out.completions.first().expect("completed");
     assert!(completion < 10_000, "completed at {completion} µs");
     assert_eq!(out.end_us, completion);
+}
+
+#[test]
+fn tasks_of_one_dispatch_start_back_to_back_on_their_worker() {
+    // Batches of at most four rows and 24 simultaneous 6-step requests
+    // on one worker: a dispatch forms several tasks. The first starts
+    // at the dispatch, each later one when the one before it completes,
+    // and no two tasks overlap.
+    let model = Arc::new(LstmLm::new(LstmLmConfig {
+        max_batch: 4,
+        ..Default::default()
+    }));
+    let profile = CostProfile::paper_scale(model.registry(), 1024, 30_000);
+    let sink = Arc::new(RingBufferSink::new(1 << 16));
+    let mut srv = CellularServer::new(
+        model,
+        SchedulerConfig::new().serve(ServeConfig::new().trace(sink.clone())),
+        GpuCostModel::v100(),
+        profile,
+    );
+    let arr: Vec<_> = (0..24)
+        .map(|_| (0, RequestInput::Sequence(vec![1; 6])))
+        .collect();
+    let out = simulate(&mut srv, &arr, SimOptions::default());
+    assert_eq!(out.completions.len(), arr.len());
+
+    // Per task, in id (dispatch) order: formed, started, completed.
+    let mut tasks: BTreeMap<u64, [Option<u64>; 3]> = BTreeMap::new();
+    for e in sink.events() {
+        let (task, stamp) = match e.kind {
+            EventKind::BatchFormed { task, .. } => (task, 0),
+            EventKind::TaskStarted { task, .. } => (task, 1),
+            EventKind::TaskCompleted { task, .. } => (task, 2),
+            _ => continue,
+        };
+        tasks.entry(task).or_default()[stamp] = Some(e.ts_us);
+    }
+    let stamps: Vec<[u64; 3]> = tasks
+        .values()
+        .map(|t| t.map(|ts| ts.expect("every task forms, starts and completes")))
+        .collect();
+    assert_eq!(stamps[0][1], stamps[0][0], "the first task starts at once");
+    let mut several = false;
+    for pair in stamps.windows(2) {
+        let ([formed, _, completed], [next_formed, next_started, _]) = (pair[0], pair[1]);
+        assert!(next_started >= completed, "tasks overlap: {pair:?}");
+        if next_formed == formed {
+            several = true;
+            assert_eq!(next_started, completed, "same dispatch: {pair:?}");
+        } else {
+            assert_eq!(next_started, next_formed, "new dispatch: {pair:?}");
+        }
+    }
+    assert!(several, "no dispatch formed several tasks");
 }
